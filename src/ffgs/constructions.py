@@ -21,8 +21,6 @@ from .linalg import (
     member_with_coeffs,
     reduce_mod_span,
     row_kernel,
-    span_equal,
-    transpose,
     vec_add,
     vec_scale,
     vec_sub,
@@ -33,9 +31,8 @@ from .hopf import (
     HopfError,
     VerificationReport,
     points,
-    sum_ring,
 )
-from .oracle import AbstractGroup, cyclic_table, product_table, s3_table
+from .oracle import AbstractGroup, cyclic_table
 from .rings import Ring, RingError, find_hom
 from .testrings import test_ring_family
 
@@ -62,11 +59,26 @@ def mu(R: Ring, n: int) -> GroupScheme:
     )
 
 
+def group_of_table(table) -> AbstractGroup:
+    """The finite group of a multiplication table; HopfError unless the
+    table is a non-empty Latin square on 0..n-1 with an identity."""
+    n = len(table)
+    if not n or any(not isinstance(row, (list, tuple)) or len(row) != n
+                    or any(type(x) is not int for x in row) for row in table):
+        raise HopfError("a group table is a non-empty square array of indices")
+    if any(sorted(line) != list(range(n)) for line in [*table, *zip(*table)]):
+        raise HopfError("each row and column of a group table must permute 0..n-1")
+    if not any(all(table[e][x] == x == table[x][e] for x in range(n))
+               for e in range(n)):
+        raise HopfError("the group table has no identity")
+    return AbstractGroup(table)
+
+
 def constant(R: Ring, table, name: str | None = None) -> GroupScheme:
     """Constant group scheme of a finite group given by its table.
 
     Basis = indicator functions of the group elements."""
-    G = AbstractGroup(table)
+    G = group_of_table(table)
     n = G.order
     Z, O = R.zero, R.one
     mult = [
@@ -202,7 +214,7 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
 
     Basis: a_i (x) f_g with a_i the Q basis and f_g indicators of P."""
     R = Q.ring
-    P = AbstractGroup(P_table)
+    P = group_of_table(P_table)
     n = P.order
     mQ = Q.rank
     autos = {}
@@ -267,14 +279,14 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
                     antipode[idx(i, g)][idx(t, gi)] = x
     name = None
     if Q.name:
-        name = f"{Q.name} x| {AbstractGroup(P_table).identify()}"
+        name = f"{Q.name} x| {P.identify()}"
     return GroupScheme(R, m, mult, unit, comult, counit, antipode, name=name)
 
 
 def inversion_action(Q: GroupScheme, P_table):
     """The action of a group of exponent <= 2 on commutative Q by
     inversion on non-identity elements."""
-    P = AbstractGroup(P_table)
+    P = group_of_table(P_table)
     out = []
     for g in range(P.order):
         if g == P.identity:
@@ -315,9 +327,6 @@ class ClosedSubgroup:
 
     def __repr__(self):
         return f"<closed subgroup of order {self.order} in {self.ambient!r}>"
-
-    def contains_vector(self, v) -> bool:
-        return member(self.ambient.ring, self.ideal, v)
 
     def verify_hopf_ideal(self) -> VerificationReport:
         G = self.ambient
@@ -403,9 +412,6 @@ class ClosedSubgroup:
         alg = [project(self.ambient.basis_vector(j))
                for j in range(self.ambient.rank)]
         return GroupSchemeHom(H, self.ambient, alg)
-
-    def is_whole(self) -> bool:
-        return not self.ideal
 
     def is_trivial(self) -> bool:
         return self.order == 1

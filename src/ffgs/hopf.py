@@ -21,12 +21,10 @@ from fractions import Fraction
 from . import linalg
 from .linalg import (
     mat_kernel,
-    mat_vec,
     member_with_coeffs,
     solve,
     transpose,
     vec_add,
-    vec_is_zero,
     vec_scale,
     vec_sub,
 )
@@ -242,11 +240,10 @@ class GroupScheme:
         one_tensor = self.comult_vec(self.unit)
         unit_sq = {}
         for j, a in enumerate(self.unit):
-            if a == R.zero:
-                continue
             for k, b in enumerate(self.unit):
-                if b != R.zero:
-                    unit_sq[(j, k)] = R.mul(a, b)
+                ab = R.mul(a, b)
+                if ab != R.zero:
+                    unit_sq[(j, k)] = ab
         if one_tensor != unit_sq:
             return VerificationReport(False, "bialgebra-unit", ())
         if self.counit_of(self.unit) != R.one:
@@ -706,13 +703,17 @@ def _split_unit(R, sub_rows, comp_rows, e):
     return f
 
 
-def trace_discriminant(G: GroupScheme):
-    """Determinant of the trace form of the Hopf algebra."""
+def trace_form(G: GroupScheme):
+    """Gram matrix (Tr(e_i e_j)) of the trace form of the Hopf algebra."""
     R = G.ring
     m = G.rank
     tr = [sum_ring(R, (G.mult[k][i][i] for i in range(m))) for k in range(m)]
-    T = [[R.dot(G.mult[i][j], tr) for j in range(m)] for i in range(m)]
-    return linalg.det(R, T)
+    return [[R.dot(G.mult[i][j], tr) for j in range(m)] for i in range(m)]
+
+
+def trace_discriminant(G: GroupScheme):
+    """Determinant of the trace form of the Hopf algebra."""
+    return linalg.det(G.ring, trace_form(G))
 
 
 def sum_ring(R, it):
@@ -805,7 +806,6 @@ def _zmod_points(GR: GroupScheme, bound: int):
     primes = prime_factors(n)
     if len(primes) > 1:
         # CRT: solve over each primary component and recombine
-        from math import prod
         comps = []
         mods = []
         for p in primes:

@@ -1,48 +1,41 @@
 """Exact linear algebra over the supported base rings.
 
-Submodules of R^n are given by canonical row bases:
-  * fields            -> reduced row echelon form
-  * Z/n               -> Howell form (annihilator-closed, reduced above pivots)
-  * Z localized at p  -> staircase form with pivots p^v, entries above a pivot
-                         reduced to their canonical integer residue mod p^v
+Submodules of R^n are given by canonical row bases.  `echelon` builds them
+with one elimination loop that knows no ring; the per-ring rules are the
+canonical-form hooks of `Ring`:
+
+  normalize_pivot  scale a new pivot row by a unit to its canonical pivot
+  divmod_pivot     canonical quotient and remainder of an entry by a pivot
+  row_sub          the row update row - q*pivot
+  merge_pivot      what to do when a pivot does not divide an entry
+  annihilator      the row a new pivot adds to the work queue
+
+The forms they give:
+  * fields            -> reduced row echelon form (the Ring defaults)
+  * Z/n               -> Howell form: pivots divide n, a non-dividing entry
+                         merges into the pivot by a gcd combination, every
+                         pivot queues its annihilator, and entries above a
+                         pivot d lie in range(d)
+  * Z localized at p  -> staircase form with pivots p^v: a lower-valuation
+                         entry takes the pivot's place, and entries above a
+                         pivot are reduced to their integer residue mod p^v
   * dual numbers      -> staircase form with pivots 1 or eps (chain ring,
-                         same shape as Z/p^2)
+                         same shape as Z/p^2); an eps pivot queues eps times
+                         its row
 
 Canonical forms are unique for a given row span, so submodule equality is
-list equality and membership is reduction to zero.
+list equality.  `reduce_mod_span` returns the canonical remainder of a
+vector, so membership is reduction to zero.  Determinants are `Ring.det`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
-from .rings import (
-    DualNumbers,
-    IntegersMod,
-    LocalizedIntegers,
-    Ring,
-    RingError,
-)
-
-
-def xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+from .rings import Ring
 
 
 # -- vectors -------------------------------------------------------------
-
-def zero_vec(R: Ring, n: int):
-    return [R.zero] * n
 
 def vec_add(R: Ring, u, v):
     return [R.add(a, b) for a, b in zip(u, v)]
@@ -82,78 +75,6 @@ def _leading_col(R, row, limit):
     return None
 
 
-def _zmod_normalize(R: IntegersMod, row, col):
-    """Scale by a unit so row[col] becomes gcd(row[col], n)."""
-    n = R.n
-    g = row[col] % n
-    d = gcd(g, n)
-    for w in range(1, n):
-        if gcd(w, n) == 1 and (w * g) % n == d:
-            return [(w * x) % n for x in row]
-    raise AssertionError("unit scaling must exist")  # pragma: no cover
-
-
-def _zloc_normalize(R: LocalizedIntegers, row, col):
-    v = R.valuation(row[col])
-    u = row[col] / Fraction(R.p) ** v
-    ui = 1 / u
-    return [x * ui for x in row]
-
-
-def _dual_val(R: DualNumbers, x) -> int:
-    """0 for units a + eps b with a != 0, 1 for nonzero eps multiples."""
-    return 0 if x[0] != R.base.zero else 1
-
-
-def _chain_val(R, x):
-    if isinstance(R, LocalizedIntegers):
-        return R.valuation(x)
-    return _dual_val(R, x)
-
-
-def _normalize_pivot(R, row, col):
-    if R.is_field:
-        return vec_scale(R, R.inv(row[col]), row)
-    if isinstance(R, IntegersMod):
-        return _zmod_normalize(R, row, col)
-    if isinstance(R, LocalizedIntegers):
-        return _zloc_normalize(R, row, col)
-    if isinstance(R, DualNumbers):
-        a, b = row[col]
-        k = R.base
-        if a != k.zero:
-            return vec_scale(R, R.inv(row[col]), row)
-        # scale the eps multiple so the pivot is exactly eps
-        u = (k.inv(b), k.zero)
-        return vec_scale(R, u, row)
-    raise RingError(f"no canonical forms over {R.name()}")
-
-
-def _residue_mod_pivot(R, entry, pivot):
-    """(q, r) with entry = q*pivot + r and r the canonical residue."""
-    if R.is_field:
-        return R.mul(entry, R.inv(pivot)), R.zero
-    if isinstance(R, IntegersMod):
-        q = entry // pivot
-        return q, entry - q * pivot
-    if isinstance(R, LocalizedIntegers):
-        pv = pivot  # normalized pivots are p^v
-        if entry == 0:
-            return Fraction(0), Fraction(0)
-        modulus = pv.numerator  # p^v as an integer
-        r = Fraction((entry.numerator * pow(entry.denominator, -1, modulus)) % modulus)
-        q = (entry - r) / pv
-        return q, r
-    if isinstance(R, DualNumbers):
-        k = R.base
-        a, b = entry
-        if pivot[0] != k.zero:
-            return R.mul(entry, R.inv(pivot)), R.zero
-        # pivot is eps: entry = (b, 0) * eps + (a, 0)
-        return (b, k.zero), (a, k.zero)
-    raise RingError(f"no canonical forms over {R.name()}")
-
-
 def echelon(R: Ring, rows, nprimary: int | None = None):
     """Canonical echelon form of the row span, echelonizing on columns
     0..nprimary-1; trailing columns ride along (used for kernel tracking).
@@ -170,74 +91,41 @@ def echelon(R: Ring, rows, nprimary: int | None = None):
     placed: dict[int, list] = {}
     queue = [list(r) for r in rows]
     free: list[list] = []
+
+    def place(row, col):
+        placed[col] = piv = R.normalize_pivot(row, col)
+        ann = R.annihilator(piv, col)
+        if ann is not None:
+            queue.append(ann)
+
     while queue:
         row = queue.pop(0)
         col = _leading_col(R, row, nprimary)
         while col is not None:
-            if col not in placed:
-                row = _normalize_pivot(R, row, col)
-                placed[col] = row
-                if isinstance(R, IntegersMod):
-                    d = gcd(row[col], R.n)
-                    if d != 1:
-                        ann = [(R.n // d) * x % R.n for x in row]
-                        if not vec_is_zero(R, ann):
-                            queue.append(ann)
-                if isinstance(R, DualNumbers) and _dual_val(R, row[col]) == 1:
-                    eps = (R.base.zero, R.base.one)
-                    ann = vec_scale(R, eps, row)
-                    if not vec_is_zero(R, ann):
-                        queue.append(ann)
-                row = None
+            piv = placed.get(col)
+            if piv is None:
+                place(row, col)
                 break
-            piv = placed[col]
-            e, d = row[col], piv[col]
-            if isinstance(R, (LocalizedIntegers, DualNumbers)) and \
-                    _chain_val(R, e) < _chain_val(R, d):
-                # current row is the better pivot; recycle the old one
-                row = _normalize_pivot(R, row, col)
-                placed[col] = row
-                queue.append(piv)
-                row = None
-                break
-            if isinstance(R, IntegersMod):
-                q = e // d
-                row = [(x - q * y) % R.n for x, y in zip(row, piv)]
-                r = row[col]
-                if r != 0:
-                    # pivot does not divide: shrink it by a gcd combination
-                    g, u, v = xgcd(d, r)
-                    newpiv = [(u * x + v * y) % R.n for x, y in zip(piv, row)]
-                    leftover = [((d // g) * y - (r // g) * x) % R.n
-                                for x, y in zip(piv, row)]
-                    newpiv = _zmod_normalize(R, newpiv, col)
-                    placed[col] = newpiv
-                    dd = gcd(newpiv[col], R.n)
-                    if dd != 1:
-                        ann = [(R.n // dd) * x % R.n for x in newpiv]
-                        if not vec_is_zero(R, ann):
-                            queue.append(ann)
-                    row = leftover
+            q, r = R.divmod_pivot(row[col], piv[col])
+            if r == R.zero:
+                row = R.row_sub(row, q, piv)
             else:
-                q = _residue_mod_pivot(R, e, d)[0]
-                row = vec_sub(R, row, vec_scale(R, q, piv))
-                assert row[col] == R.zero
+                # the order rows are processed in fixes the tracked columns
+                # of the pivot rows (member_with_coeffs returns them), so the
+                # ring decides what is reduced now and what is deferred
+                newpiv, row, deferred = R.merge_pivot(piv, row, col)
+                place(newpiv, col)
+                queue += deferred
             col = _leading_col(R, row, nprimary)
-        if row is not None and not vec_is_zero(R, row):
-            free.append(row)
-    pivot_rows = [placed[c] for c in sorted(placed)]
-    # back-substitution pass: canonicalize entries at later pivot columns
+        else:
+            # the primary part is eliminated; what is left is free
+            if not vec_is_zero(R, row):
+                free.append(row)
     cols = sorted(placed)
+    pivot_rows = [placed[c] for c in cols]
+    # back-substitution: reduce each row at the later pivot columns
     for i in range(len(pivot_rows) - 2, -1, -1):
-        for j in range(i + 1, len(pivot_rows)):
-            cj = cols[j]
-            e = pivot_rows[i][cj]
-            if e != R.zero:
-                q, _ = _residue_mod_pivot(R, e, pivot_rows[j][cj])
-                if q != R.zero:
-                    pivot_rows[i] = vec_sub(
-                        R, pivot_rows[i], vec_scale(R, q, pivot_rows[j])
-                    )
+        pivot_rows[i] = _reduce(R, pivot_rows[i + 1:], cols[i + 1:], pivot_rows[i])
     pivots = [(c, placed[c][c]) for c in cols]
     if free:
         tail = [r[nprimary:] for r in free]
@@ -254,21 +142,22 @@ def canonical_span(R: Ring, rows):
     return echelon(R, rows)[0]
 
 
-def reduce_mod_span(R: Ring, canon_rows, v):
-    """Residual of v after reduction against a canonical row basis."""
-    v = list(v)
-    for row in canon_rows:
-        c = _leading_col(R, row, len(v))
-        if v[c] == R.zero:
-            continue
-        if isinstance(R, (LocalizedIntegers, DualNumbers)):
-            ve, pe = v[c], row[c]
-            if _chain_val(R, ve) < _chain_val(R, pe):
-                continue
-        q, _ = _residue_mod_pivot(R, v[c], row[c])
-        if q != R.zero:
-            v = vec_sub(R, v, vec_scale(R, q, row))
+def _reduce(R, rows, cols, v):
+    """v with its entry at each cols[j] reduced by R.divmod_pivot against
+    the pivot rows[j][cols[j]], in order."""
+    for row, c in zip(rows, cols):
+        if v[c] != R.zero:
+            q = R.divmod_pivot(v[c], row[c])[0]
+            if q != R.zero:
+                v = R.row_sub(v, q, row)
     return v
+
+
+def reduce_mod_span(R: Ring, canon_rows, v):
+    """Canonical remainder of v modulo the span of a canonical row basis.
+    It is zero exactly when v lies in the span."""
+    cols = [_leading_col(R, row, len(v)) for row in canon_rows]
+    return _reduce(R, canon_rows, cols, list(v))
 
 
 def member(R: Ring, canon_rows, v) -> bool:
@@ -279,15 +168,19 @@ def span_equal(R: Ring, rows_a, rows_b) -> bool:
     return canonical_span(R, rows_a) == canonical_span(R, rows_b)
 
 
+def _augment(R: Ring, rows):
+    """rows with the identity matrix appended, to track combinations."""
+    k = len(rows)
+    return [list(r) + [R.one if i == j else R.zero for j in range(k)]
+            for i, r in enumerate(rows)]
+
+
 def row_kernel(R: Ring, rows):
     """Canonical basis of {x : sum_i x_i rows_i = 0}."""
     if not rows:
         return []
     n = len(rows[0])
-    k = len(rows)
-    aug = [list(r) + [R.one if i == j else R.zero for j in range(k)]
-           for i, r in enumerate(rows)]
-    _, _, free = echelon(R, aug, nprimary=n)
+    _, _, free = echelon(R, _augment(R, rows), nprimary=n)
     return canonical_span(R, [f[n:] for f in free])
 
 
@@ -296,21 +189,8 @@ def member_with_coeffs(R: Ring, rows, v):
     if not rows:
         return None if not vec_is_zero(R, v) else []
     n = len(v)
-    k = len(rows)
-    aug = [list(r) + [R.one if i == j else R.zero for j in range(k)]
-           for i, r in enumerate(rows)]
-    pivot_rows, _, _ = echelon(R, aug, nprimary=n)
-    w = list(v) + [R.zero] * k
-    for row in pivot_rows:
-        c = _leading_col(R, row, n)
-        if w[c] == R.zero:
-            continue
-        if isinstance(R, (LocalizedIntegers, DualNumbers)):
-            if _chain_val(R, w[c]) < _chain_val(R, row[c]):
-                continue
-        q, _ = _residue_mod_pivot(R, w[c], row[c])
-        if q != R.zero:
-            w = vec_sub(R, w, vec_scale(R, q, row))
+    pivot_rows = echelon(R, _augment(R, rows), nprimary=n)[0]
+    w = reduce_mod_span(R, pivot_rows, list(v) + [R.zero] * len(rows))
     if not vec_is_zero(R, w[:n]):
         return None
     return [R.neg(x) for x in w[n:]]
@@ -343,65 +223,9 @@ def mat_inverse(R: Ring, M):
     return transpose(cols)
 
 
-def is_invertible(R: Ring, M) -> bool:
-    return mat_inverse(R, M) is not None
-
-
 def det(R: Ring, M):
-    """Exact determinant (fraction-free over Z/n, elimination elsewhere)."""
-    n = len(M)
-    if n == 0:
-        return R.one
-    if isinstance(R, IntegersMod):
-        # Bareiss over the integer lifts, then reduce
-        A = [[int(x) for x in row] for row in M]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if A[k][k] == 0:
-                for i in range(k + 1, n):
-                    if A[i][k] != 0:
-                        A[k], A[i] = A[i], A[k]
-                        sign = -sign
-                        break
-                else:
-                    return R.zero
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-                A[i][k] = 0
-            prev = A[k][k]
-        return (sign * A[n - 1][n - 1]) % R.n
-    if isinstance(R, DualNumbers):
-        k = R.base
-        A0 = [[x[0] for x in row] for row in M]
-        A1 = [[x[1] for x in row] for row in M]
-        main = det(k, A0)
-        eps_part = k.zero
-        for i in range(n):
-            Bi = [A1[r] if r == i else A0[r] for r in range(n)]
-            eps_part = k.add(eps_part, det(k, Bi))
-        return (main, eps_part)
-    A = [list(row) for row in M]
-    d = R.one
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if A[i][k] != R.zero:
-                piv = i
-                break
-        if piv is None:
-            return R.zero
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            d = R.neg(d)
-        d = R.mul(d, A[k][k])
-        inv = R.inv(A[k][k]) if R.is_field else 1 / A[k][k]
-        for i in range(k + 1, n):
-            if A[i][k] != R.zero:
-                f = R.mul(A[i][k], inv)
-                A[i] = vec_sub(R, A[i], vec_scale(R, f, A[k]))
-    return d
+    """Exact determinant of a square matrix (see Ring.det)."""
+    return R.det(M)
 
 
 # -- module maps -----------------------------------------------------------

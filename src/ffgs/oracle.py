@@ -114,10 +114,6 @@ def enumerate_points(G: GroupScheme, Rp: Ring, budget: int = 500000):
     return point_group_from_set(GR, set(found))
 
 
-def oracle_points(G: GroupScheme, Rp: Ring, budget: int = 500000) -> PointGroup:
-    return enumerate_points(G, Rp, budget)
-
-
 # ----------------------------------------------------------------------
 # Abstract finite groups from multiplication tables
 
@@ -187,11 +183,6 @@ class AbstractGroup:
         n = self.order
         return all(self.table[a][b] == self.table[b][a]
                    for a in range(n) for b in range(a + 1, n))
-
-    def center(self):
-        n = self.order
-        return [a for a in range(n)
-                if all(self.table[a][b] == self.table[b][a] for b in range(n))]
 
     def _cyclic_factors(self):
         """Invariant-style cyclic decomposition of an abelian group."""

@@ -27,6 +27,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def xgcd(a: int, b: int):
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
 def prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -43,6 +56,14 @@ def prime_factors(n: int) -> list[int]:
 
 class RingError(ValueError):
     pass
+
+
+def _parse_number(convert, text):
+    """convert(text.strip()), with malformed text raised as RingError."""
+    try:
+        return convert(text.strip())
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise RingError(f"malformed element {text!r}") from None
 
 
 class Ring:
@@ -77,9 +98,6 @@ class Ring:
         raise NotImplementedError
 
     # -- helpers -------------------------------------------------------
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
     def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.inv(a), -n)
@@ -101,6 +119,62 @@ class Ring:
     def elements(self):
         """Deterministic iteration over all elements (finite rings only)."""
         raise RingError(f"{self.name()} is not finite")
+
+    def size(self) -> int:
+        """Number of elements (finite rings only)."""
+        raise RingError(f"{self.name()} is not finite")
+
+    # -- canonical forms -----------------------------------------------
+    # The hooks linalg.echelon builds canonical row bases from.  The
+    # defaults are those of a field (reduced row echelon form); the other
+    # families override what their canonical form needs.
+    def normalize_pivot(self, row, col):
+        """row scaled by a unit so that row[col] is the canonical pivot."""
+        u = self.inv(row[col])
+        return [self.mul(u, x) for x in row]
+
+    def divmod_pivot(self, a, pivot):
+        """(q, r) with a = q*pivot + r and r the canonical remainder; the
+        pivot divides a exactly when r is zero."""
+        return self.mul(a, self.inv(pivot)), self.zero
+
+    def row_sub(self, row, q, piv):
+        """row - q*piv."""
+        return [self.sub(x, self.mul(q, y)) for x, y in zip(row, piv)]
+
+    def merge_pivot(self, piv, row, col):
+        """For a row whose entry at col the pivot does not divide:
+        (new pivot, rest, deferred), together spanning what piv and row
+        span.  rest is reduced next; deferred rows join the back of the
+        queue.  Never reached over a field.  This default serves chain
+        rings, where row[col] then has the lower valuation: the row takes
+        the pivot's place and the old pivot is deferred."""
+        return row, [self.zero] * len(row), [piv]
+
+    def annihilator(self, piv, col):
+        """A row of the span that a new pivot row adds to the work queue,
+        killing its pivot entry (Howell closure), or None."""
+        return None
+
+    def det(self, M):
+        """Determinant of a square matrix by Gaussian elimination (over a
+        field; the other families override)."""
+        A = [list(row) for row in M]
+        n = len(A)
+        d = self.one
+        for k in range(n):
+            piv = next((i for i in range(k, n) if A[i][k] != self.zero), None)
+            if piv is None:
+                return self.zero
+            if piv != k:
+                A[k], A[piv] = A[piv], A[k]
+                d = self.neg(d)
+            d = self.mul(d, A[k][k])
+            inv = self.inv(A[k][k])
+            for i in range(k + 1, n):
+                if A[i][k] != self.zero:
+                    A[i] = self.row_sub(A[i], self.mul(A[i][k], inv), A[k])
+        return d
 
     def sort_key(self, a):
         raise NotImplementedError
@@ -166,7 +240,7 @@ class RationalField(Ring):
         return str(a)
 
     def parse(self, text):
-        return Fraction(text.strip())
+        return _parse_number(Fraction, text)
 
 
 class PrimeField(Ring):
@@ -209,6 +283,9 @@ class PrimeField(Ring):
     def elements(self):
         return iter(range(self.p))
 
+    def size(self):
+        return self.p
+
     def sort_key(self, a):
         return a
 
@@ -219,7 +296,7 @@ class PrimeField(Ring):
         return str(a)
 
     def parse(self, text):
-        return int(text.strip()) % self.p
+        return _parse_number(int, text) % self.p
 
 
 # -- polynomial helpers over GF(p), coefficients low-degree-first --------
@@ -394,6 +471,9 @@ class FiniteField(Ring):
         for tup in itertools.product(range(self.p), repeat=self.k):
             yield tuple(_ptrim(list(tup)))
 
+    def size(self):
+        return self.q
+
     def sort_key(self, a):
         return self._pad(a)
 
@@ -486,6 +566,9 @@ class IntegersMod(Ring):
     def elements(self):
         return iter(range(self.n))
 
+    def size(self):
+        return self.n
+
     def sort_key(self, a):
         return a
 
@@ -496,7 +579,48 @@ class IntegersMod(Ring):
         return str(a)
 
     def parse(self, text):
-        return int(text.strip()) % self.n
+        return _parse_number(int, text) % self.n
+
+    # Howell form: pivots are divisors of n, entries above a pivot d are
+    # reduced into range(d), and every pivot row's annihilator is queued.
+    def normalize_pivot(self, row, col):
+        """Scale by the least unit w with w * row[col] = gcd(row[col], n)."""
+        n = self.n
+        g = row[col]
+        d = gcd(g, n)
+        w = next(w for w in range(1, n) if gcd(w, n) == 1 and w * g % n == d)
+        return [w * x % n for x in row]
+
+    def divmod_pivot(self, a, pivot):
+        q = a // pivot
+        return q, a - q * pivot
+
+    def row_sub(self, row, q, piv):
+        n = self.n
+        return [(x - q * y) % n for x, y in zip(row, piv)]
+
+    def merge_pivot(self, piv, row, col):
+        """gcd combination: the new pivot entry is gcd(piv[col], row[col])."""
+        n = self.n
+        d = piv[col]
+        row = self.row_sub(row, row[col] // d, piv)
+        r = row[col]
+        g, u, v = xgcd(d, r)
+        return ([(u * x + v * y) % n for x, y in zip(piv, row)],
+                [((d // g) * y - (r // g) * x) % n for x, y in zip(piv, row)],
+                [])
+
+    def annihilator(self, piv, col):
+        d = gcd(piv[col], self.n)
+        if d == 1:
+            return None
+        n = self.n
+        return [(n // d) * x % n for x in piv]
+
+    def det(self, M):
+        """The Q determinant of the integer lifts, reduced mod n."""
+        d = QQ.det([[Fraction(x) for x in row] for row in M])
+        return int(d) % self.n
 
 
 class LocalizedIntegers(Ring):
@@ -560,7 +684,22 @@ class LocalizedIntegers(Ring):
         return str(a)
 
     def parse(self, text):
-        return self._check(Fraction(text.strip()))
+        return self._check(_parse_number(Fraction, text))
+
+    # Staircase form: pivots p^v, entries above a pivot p^v reduced to
+    # their integer residue in range(p^v).
+    def normalize_pivot(self, row, col):
+        u = row[col] / self.p ** self.valuation(row[col])
+        ui = 1 / u
+        return [x * ui for x in row]
+
+    def divmod_pivot(self, a, pivot):
+        m = pivot.numerator  # the pivot is p^v
+        r = Fraction(a.numerator * pow(a.denominator, -1, m) % m)
+        return (a - r) / pivot, r
+
+    def det(self, M):
+        return QQ.det(M)
 
 
 class DualNumbers(Ring):
@@ -605,6 +744,43 @@ class DualNumbers(Ring):
         for a in self.base.elements():
             for b in self.base.elements():
                 yield (a, b)
+
+    def size(self):
+        return self.base.size() ** 2
+
+    # Staircase form of a chain ring: pivots 1 or eps, and an eps pivot
+    # row queues eps times itself.
+    def normalize_pivot(self, row, col):
+        F = self.base
+        a, b = row[col]
+        if a != F.zero:
+            return super().normalize_pivot(row, col)
+        u = (F.inv(b), F.zero)  # makes the pivot exactly eps
+        return [self.mul(u, x) for x in row]
+
+    def divmod_pivot(self, a, pivot):
+        if pivot[0] != self.base.zero:
+            return super().divmod_pivot(a, pivot)
+        # the pivot is eps: a0 + a1 eps = (a1, 0) * eps + (a0, 0)
+        z = self.base.zero
+        return (a[1], z), (a[0], z)
+
+    def annihilator(self, piv, col):
+        F = self.base
+        if piv[col][0] != F.zero:
+            return None
+        eps = (F.zero, F.one)
+        return [self.mul(eps, x) for x in piv]
+
+    def det(self, M):
+        """det(A0 + eps A1) = det A0 + eps sum_i det(A0, row i from A1)."""
+        F = self.base
+        A0 = [[x[0] for x in row] for row in M]
+        A1 = [[x[1] for x in row] for row in M]
+        eps_part = F.zero
+        for i in range(len(M)):
+            eps_part = F.add(eps_part, F.det(A0[:i] + [A1[i]] + A0[i + 1:]))
+        return (F.det(A0), eps_part)
 
     def sort_key(self, a):
         return (self.base.sort_key(a[0]), self.base.sort_key(a[1]))

@@ -22,7 +22,6 @@ from . import linalg
 from .linalg import (
     canonical_span,
     member,
-    member_with_coeffs,
     row_kernel,
     solve,
     transpose,
@@ -34,14 +33,13 @@ from .hopf import (
     GroupScheme,
     GroupSchemeHom,
     HopfError,
-    PointGroup,
     convolution_power,
     cartier_dual,
     hom_on_points,
     points,
     power_map_alg,
-    sum_ring,
     trace_discriminant,
+    trace_form,
 )
 from .constructions import (
     ClosedSubgroup,
@@ -52,9 +50,7 @@ from .constructions import (
     is_normal,
     kernel,
     image,
-    quotient,
     trivial_subgroup,
-    whole_subgroup,
 )
 from .oracle import AbstractGroup, subgroup_lattice
 from .rings import (
@@ -65,7 +61,6 @@ from .rings import (
     PrimeField,
     QQ,
     RationalField,
-    Ring,
     RingError,
     RingHom,
     find_hom,
@@ -84,14 +79,6 @@ class InternalInconsistencyError(RuntimeError):
 
 MAX_EXTENSION_DEGREE = 24
 MAX_SPLITTING_FIELD = 1 << 16
-
-
-def _field_size(k: Ring) -> int:
-    if isinstance(k, PrimeField):
-        return k.p
-    if isinstance(k, FiniteField):
-        return k.p ** k.k
-    raise RingError(f"not a finite field: {k.name()}")
 
 
 # ----------------------------------------------------------------------
@@ -129,13 +116,9 @@ def separable_rank(G: GroupScheme) -> int:
     if not k.is_field:
         raise HopfError("separable rank is a fiber invariant")
     if k.char() == 0:
-        tr = [sum_ring(k, (G.mult[t][i][i] for i in range(G.rank)))
-              for t in range(G.rank)]
-        T = [[k.dot(G.mult[i][j], tr) for j in range(G.rank)]
-             for i in range(G.rank)]
-        return len(canonical_span(k, T))
+        return len(canonical_span(k, trace_form(G)))
     # char p: rank of the iterated q-power map a -> a^q (k-linear)
-    q = _field_size(k)
+    q = k.size()
     M = [G.power_vec(G.basis_vector(i), q) for i in range(G.rank)]
     rank = len(canonical_span(k, M))
     cur = M

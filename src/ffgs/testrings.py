@@ -13,14 +13,11 @@ Order within the family is deterministic (by size, then name)."""
 
 from .rings import (
     DualNumbers,
-    FiniteField,
     IntegersMod,
     LocalizedIntegers,
-    PrimeField,
     QQ,
     RationalField,
     Ring,
-    default_modulus,
     find_hom,
     gf,
     prime_factors,
@@ -41,18 +38,6 @@ def _small_fields():
     return out
 
 
-def ring_size(R: Ring) -> int:
-    if isinstance(R, PrimeField):
-        return R.p
-    if isinstance(R, FiniteField):
-        return R.p ** R.k
-    if isinstance(R, IntegersMod):
-        return R.n
-    if isinstance(R, DualNumbers):
-        return ring_size(R.base) ** 2
-    raise ValueError(f"infinite ring {R.name()}")
-
-
 def test_ring_family(base: Ring):
     """Finite rings R' with a supported map base -> R', smallest first.
 
@@ -70,7 +55,7 @@ def test_ring_family(base: Ring):
             while base.n % d == 0 and d <= MAX_FIELD_SIZE:
                 fam.append(IntegersMod(d))
                 d *= p
-        if base.n not in [ring_size(r) for r in fam] and base.n <= MAX_FIELD_SIZE:
+        if base.n not in [r.size() for r in fam] and base.n <= MAX_FIELD_SIZE:
             if not base.is_field:
                 fam.append(IntegersMod(base.n))
     if isinstance(base, LocalizedIntegers):
@@ -78,15 +63,15 @@ def test_ring_family(base: Ring):
         while d <= MAX_FIELD_SIZE:
             fam.append(IntegersMod(d))
             d *= base.p
-    residue_fields = [r for r in fam if r.is_field and ring_size(r) ** 2 <= MAX_FIELD_SIZE]
+    residue_fields = [r for r in fam if r.is_field and r.size() ** 2 <= MAX_FIELD_SIZE]
     for k in residue_fields:
         fam.append(DualNumbers(k))
     if isinstance(base, DualNumbers):
-        if base.is_finite and ring_size(base) <= MAX_FIELD_SIZE:
+        if base.is_finite and base.size() <= MAX_FIELD_SIZE:
             fam.append(base)
     fam = [r for r in fam if find_hom(base, r) is not None]
     seen = []
-    for r in sorted(fam, key=lambda r: (ring_size(r), r.name())):
+    for r in sorted(fam, key=lambda r: (r.size(), r.name())):
         if r not in seen:
             seen.append(r)
     return seen

@@ -45,6 +45,24 @@ def test_user_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_malformed_input_exits_2(tmp_path, capsys):
+    # an element that does not parse over GF(5)
+    code, out = run(capsys, "dual", "--builtin", "mu:2", "--base", "GF(5)",
+                    "--format", "json")
+    d = json.loads(out)
+    d["unit"][0] = "x"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert main(["verify", "--file", str(bad)]) == 2
+    # group tables that are empty or have no identity
+    assert main(["verify", "--builtin", "const:Z0", "--base", "GF(5)"]) == 2
+    no_identity = tmp_path / "table.json"
+    no_identity.write_text(json.dumps([[0, 2, 1], [2, 1, 0], [1, 0, 2]]))
+    assert main(["verify", "--builtin", f"const:{no_identity}",
+                 "--base", "GF(5)"]) == 2
+    capsys.readouterr()
+
+
 def test_order(capsys):
     code, out = run(capsys, "order", "--builtin", "sdp:mu:3,Z2,inv",
                     "--base", "GF(7)", "--format", "json")

@@ -1,6 +1,7 @@
 import pytest
 
 from ffgs import hopf
+from ffgs.linalg import mat_inverse, mat_mul, transpose
 from ffgs.constructions import alpha, constant, constant_cyclic, mu, tate_oort2
 from ffgs.hopf import (GroupScheme, HopfError, cartier_dual, convolution,
                        convolution_power, identity_endo, points, trivial_endo,
@@ -149,3 +150,43 @@ def test_points_functorial_in_hom():
 
 def test_verify_hopf_wrapper():
     assert verify_hopf(mu(Q, 2)).ok
+
+
+def rebased(G, Q):
+    """G in the basis f_d with e_c = sum_d Q[c][d] f_d (Q invertible)."""
+    R, m = G.ring, G.rank
+    P = mat_inverse(R, Q)  # f_i = sum_a P[i][a] e_a
+
+    def to_f(v):
+        return mat_mul(R, [v], Q)[0]
+
+    def comb(vecs, i):
+        return [R.dot(P[i], col) for col in transpose(vecs)]
+
+    comult = []
+    for i in range(m):
+        C = [comb([G.comult[a][j] for a in range(m)], i) for j in range(m)]
+        comult.append(mat_mul(R, mat_mul(R, transpose(Q), C), Q))
+    return GroupScheme(
+        R, m,
+        [[to_f(G.mul_vec(P[i], P[j])) for j in range(m)] for i in range(m)],
+        to_f(G.unit),
+        comult,
+        [R.dot(P[i], G.counit) for i in range(m)],
+        [to_f(comb(G.antipode, i)) for i in range(m)],
+    )
+
+
+def test_unit_with_zero_divisor_coordinates_verifies():
+    # e_1 = 2 f_0 + f_1 and e_2 = f_0 + f_2 put the unit of const:Z6 at
+    # (1, 3, 2, 1, 1, 1): the coordinates 3 and 2 multiply to 0 in Z/6
+    Z6 = parse_ring("Z/6")
+    Q = [[1 if j == i else 0 for j in range(6)] for i in range(6)]
+    Q[0][1], Q[0][2] = 2, 1
+    G = rebased(constant_cyclic(Z6, 6), Q)
+    assert G.unit == [1, 3, 2, 1, 1, 1]
+    rep = G.verify()
+    assert rep.ok, (rep.axiom, rep.witness)
+    # a corrupted unit is still caught
+    G.unit = [1, 3, 2, 1, 1, 2]
+    assert not G.verify().ok

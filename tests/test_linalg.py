@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,15 +14,24 @@ from ffgs.linalg import (
     mat_vec,
     member,
     member_with_coeffs,
+    reduce_mod_span,
     row_kernel,
     solve,
     span_equal,
     transpose,
     vec_is_zero,
 )
-from ffgs.rings import IntegersMod, LocalizedIntegers, PrimeField, QQ, gf
+from ffgs.rings import (
+    DualNumbers,
+    IntegersMod,
+    LocalizedIntegers,
+    PrimeField,
+    QQ,
+    gf,
+)
 
-RINGS = [QQ, PrimeField(5), gf(2, 2), IntegersMod(12), LocalizedIntegers(2)]
+RINGS = [QQ, PrimeField(5), gf(2, 2), IntegersMod(8), IntegersMod(12),
+         IntegersMod(30), LocalizedIntegers(2), DualNumbers(PrimeField(3))]
 
 
 def rand_elt(R, rng):
@@ -167,3 +177,86 @@ def test_echelon_pivot_normalization():
         # pivot is the canonical divisor gcd(p, 12)
         import math
         assert p == math.gcd(p, 12)
+
+
+# -- canonical-form digest -------------------------------------------------
+#
+# sha256 of the echelon forms (with and without tracked columns), row
+# kernels, coefficient solutions and determinants of seeded random spans
+# over every base family.  It was recorded before the canonical-form rules
+# moved onto the Ring classes, and pins the forms to be literal-list-equal
+# to those of the per-ring implementation.
+
+DIGEST_RINGS = [PrimeField(5), gf(2, 2), QQ, IntegersMod(8), IntegersMod(12),
+                IntegersMod(30), LocalizedIntegers(2), LocalizedIntegers(3),
+                DualNumbers(PrimeField(3)), DualNumbers(QQ)]
+
+CANONICAL_FORM_DIGEST = (
+    "69456d395521f92ee2b4d3cfa18fec46ed19737e179d3c2ba910a8eefb0838ad"
+)
+
+
+def digest_elt(R, rng):
+    if rng.random() < 0.3:
+        return R.zero
+    if R.is_finite:
+        return rng.choice(list(R.elements()))
+    if isinstance(R, DualNumbers):
+        return (digest_elt(R.base, rng), digest_elt(R.base, rng))
+    if isinstance(R, LocalizedIntegers):
+        return Fraction(rng.randrange(-12, 13), rng.choice([1, 1, 1, 5, 7]))
+    return Fraction(rng.randrange(-12, 13), rng.randrange(1, 5))
+
+
+def combine(R, coeffs, rows):
+    v = [R.zero] * len(rows[0])
+    for c, r in zip(coeffs, rows):
+        v = [R.add(x, R.mul(c, y)) for x, y in zip(v, r)]
+    return v
+
+
+def canonical_form_records():
+    rng = random.Random(2016)
+    out = []
+    for R in DIGEST_RINGS:
+        for _ in range(24):
+            nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
+            rows = [[digest_elt(R, rng) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            if rng.random() < 0.5:
+                rows.append(combine(
+                    R, [digest_elt(R, rng) for _ in rows], rows))
+            nprimary = rng.randrange(1, ncols + 1)
+            inside = combine(R, [digest_elt(R, rng) for _ in rows], rows)
+            outside = [digest_elt(R, rng) for _ in range(ncols)]
+            n = rng.randrange(1, 5)
+            M = [[digest_elt(R, rng) for _ in range(n)] for _ in range(n)]
+            out.append((
+                R.name(),
+                echelon(R, rows),
+                echelon(R, rows, nprimary),
+                row_kernel(R, rows),
+                member_with_coeffs(R, rows, inside),
+                member_with_coeffs(R, rows, outside),
+                det(R, M),
+            ))
+    return out
+
+
+def test_canonical_form_digest():
+    records = canonical_form_records()
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == CANONICAL_FORM_DIGEST
+
+
+def test_reduce_mod_span_is_a_normal_form():
+    """v and v + s reduce to the same remainder for every s in the span."""
+    rng = random.Random(31)
+    for R in DIGEST_RINGS:
+        for _ in range(12):
+            rows = [[digest_elt(R, rng) for _ in range(4)] for _ in range(3)]
+            canon = canonical_span(R, rows)
+            v = [digest_elt(R, rng) for _ in range(4)]
+            s = combine(R, [digest_elt(R, rng) for _ in rows], rows)
+            w = [R.add(a, b) for a, b in zip(v, s)]
+            assert reduce_mod_span(R, canon, v) == reduce_mod_span(R, canon, w)

@@ -92,6 +92,21 @@ def test_element_literals_round_trip():
             assert R.parse(R.show(a)) == a
 
 
+def test_malformed_element_literals_raise_ring_error():
+    for R in ALL_RINGS:
+        for text in ["", "?", "1/0", "1+eps*"]:
+            with pytest.raises(RingError):
+                R.parse(text)
+
+
+def test_size_of_finite_rings():
+    assert [R.size() for R in ALL_RINGS if R.is_finite] == [2, 5, 4, 9, 12, 9]
+    for R in ALL_RINGS:
+        if not R.is_finite:
+            with pytest.raises(RingError):
+                R.size()
+
+
 def test_gf4_arithmetic():
     F = FiniteField(2, 2, (1, 1, 1))
     x = (0, 1)

@@ -1,0 +1,80 @@
+"""Static checks on the ffgs sources, using the stdlib ast module only.
+
+linalg stays ring-agnostic: every per-ring canonical-form rule lives on
+the Ring classes, so linalg neither calls isinstance nor imports a
+concrete ring.  No module imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ffgs"
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def ring_subclasses():
+    """Names of the classes in rings.py that derive from Ring."""
+    names = {"Ring"}
+    classes = [n for n in parse(SRC / "rings.py").body
+               if isinstance(n, ast.ClassDef)]
+    grew = True
+    while grew:
+        grew = False
+        for c in classes:
+            bases = {b.id for b in c.bases if isinstance(b, ast.Name)}
+            if c.name not in names and bases & names:
+                names.add(c.name)
+                grew = True
+    return names - {"Ring"}
+
+
+def imported_names(tree):
+    """{bound name: line} for every import outside __future__."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                out[bound] = node.lineno
+    return out
+
+
+def used_names(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        # names re-exported through __all__ count as used
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts}
+    return used
+
+
+def test_ring_subclasses_are_found():
+    assert {"PrimeField", "IntegersMod", "LocalizedIntegers",
+            "DualNumbers"} <= ring_subclasses()
+
+
+def test_linalg_has_no_ring_dispatch():
+    tree = parse(SRC / "linalg.py")
+    assert not [n.lineno for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and n.id == "isinstance"]
+    concrete = ring_subclasses()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert not {a.name for a in node.names} & concrete, node.lineno
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = parse(path)
+        used = used_names(tree)
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported_names(tree).items()
+                   if name not in used]
+    assert unused == []
