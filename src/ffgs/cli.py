@@ -335,6 +335,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.budget_points < 0 or args.budget_iso < 0:
+            raise UserError("--budget-points and --budget-iso must be >= 0")
         return COMMANDS[args.command](args)
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

@@ -17,11 +17,15 @@ from math import comb
 from . import linalg
 from .linalg import (
     canonical_span,
+    mat_vec,
     member,
     member_with_coeffs,
+    pivot_columns,
     reduce_mod_span,
     row_kernel,
+    transpose,
     vec_add,
+    vec_is_zero,
     vec_scale,
     vec_sub,
 )
@@ -341,10 +345,15 @@ class ClosedSubgroup:
         for t, v in enumerate(self.ideal):
             if G.counit_of(v) != R.zero:
                 return VerificationReport(False, "augmentation", (t,))
-        # coideal: Delta(I) in I (x) A + A (x) I
-        mix = _mixed_tensor_span(G, self.ideal)
+        # coideal: with unit pivots A = F (+) I, F spanned by the free
+        # columns, so I (x) A + A (x) I is the kernel of pi (x) pi
+        bad = pivot_columns(R, self.ideal)[1]
+        if bad is not None:
+            return VerificationReport(False, "not-flat", (bad,))
+        P = transpose(self.quotient_data()[1])
         for t, v in enumerate(self.ideal):
-            if not member(R, mix, _flatten_tensor(G, G.comult_vec(v))):
+            if any(not vec_is_zero(R, row)
+                   for row in _project_tensor(G, P, G.comult_vec(v))):
                 return VerificationReport(False, "coideal", (t,))
         # antipode stability
         for t, v in enumerate(self.ideal):
@@ -353,94 +362,61 @@ class ClosedSubgroup:
         return VerificationReport(True)
 
     def quotient_data(self):
-        """Free quotient A/I: (basis indices, projection, pivots)."""
+        """Free quotient A/I: (free columns, [pi(e_j) for j < m]).
+
+        pi: A -> A/I is reduction modulo I read at the free columns,
+        which needs every pivot of I to be a unit (HopfError if not)."""
         G = self.ambient
         R = G.ring
-        pivot_cols = []
-        for row in self.ideal:
-            for j, c in enumerate(row):
-                if c != R.zero:
-                    if not R.is_unit(c):
-                        raise HopfError(
-                            "quotient is not a free module (non-unit pivot)"
-                        )
-                    pivot_cols.append(j)
-                    break
+        pivot_cols, bad = pivot_columns(R, self.ideal)
+        if bad is not None:
+            raise HopfError("quotient is not a free module (non-unit pivot)")
         free_cols = [j for j in range(G.rank) if j not in pivot_cols]
-        def project(v):
-            w = reduce_mod_span(R, self.ideal, v)
-            return [w[j] for j in free_cols]
-        return free_cols, project
+        reduced = [reduce_mod_span(R, self.ideal, G.basis_vector(j))
+                   for j in range(G.rank)]
+        return free_cols, [[w[c] for c in free_cols] for w in reduced]
 
     def scheme(self) -> GroupScheme:
         """The subgroup scheme Spec(A/I)."""
         G = self.ambient
         R = G.ring
-        free_cols, project = self.quotient_data()
-        r = len(free_cols)
-        mult = [
-            [
-                project(G.mult[free_cols[a]][free_cols[b]])
-                for b in range(r)
-            ]
-            for a in range(r)
-        ]
-        unit = project(G.unit)
-        comult = []
-        for a in range(r):
-            mat = [[R.zero] * r for _ in range(r)]
-            for j, k, c in G.comult_sparse(free_cols[a]):
-                pj = project(G.basis_vector(j))
-                pk = project(G.basis_vector(k))
-                for x, cx in enumerate(pj):
-                    if cx == R.zero:
-                        continue
-                    ccx = R.mul(c, cx)
-                    for y, cy in enumerate(pk):
-                        if cy != R.zero:
-                            mat[x][y] = R.add(mat[x][y], R.mul(ccx, cy))
-            comult.append(mat)
-        counit = [G.counit[free_cols[a]] for a in range(r)]
-        antipode = [project(G.antipode_vec(G.basis_vector(free_cols[a])))
-                    for a in range(r)]
-        return GroupScheme(R, r, mult, unit, comult, counit, antipode)
+        free_cols, pbasis = self.quotient_data()
+        P = transpose(pbasis)
+        mult = [[mat_vec(R, P, G.mult[a][b]) for b in free_cols]
+                for a in free_cols]
+        unit = mat_vec(R, P, G.unit)
+        comult = [_project_tensor(G, P, G.comult_vec(G.basis_vector(a)))
+                  for a in free_cols]
+        counit = [G.counit[a] for a in free_cols]
+        antipode = [mat_vec(R, P, G.antipode[a]) for a in free_cols]
+        return GroupScheme(R, len(free_cols), mult, unit, comult, counit,
+                           antipode)
 
     def inclusion(self) -> GroupSchemeHom:
         """The closed immersion scheme(self) -> ambient."""
-        H = self.scheme()
-        _, project = self.quotient_data()
-        alg = [project(self.ambient.basis_vector(j))
-               for j in range(self.ambient.rank)]
-        return GroupSchemeHom(H, self.ambient, alg)
+        return GroupSchemeHom(self.scheme(), self.ambient,
+                              self.quotient_data()[1])
 
     def is_trivial(self) -> bool:
         return self.order == 1
 
 
-def _flatten_tensor(G: GroupScheme, tensor: dict):
+def _tensor_rows(G: GroupScheme, tensor: dict):
+    """A tensor {(j, k): c} of A (x) A as the m x m matrix whose row j
+    is the second factor paired with e_j."""
     R = G.ring
-    m = G.rank
-    out = [R.zero] * (m * m)
+    rows = [[R.zero] * G.rank for _ in range(G.rank)]
     for (j, k), c in tensor.items():
-        out[j * m + k] = c
-    return out
+        rows[j][k] = c
+    return rows
 
 
-def _mixed_tensor_span(G: GroupScheme, ideal_rows):
-    """Canonical span of I (x) A + A (x) I inside A (x) A (flattened)."""
+def _project_tensor(G: GroupScheme, P, tensor: dict):
+    """(pi (x) pi)(tensor) as an r x r matrix, P the r x m matrix of pi:
+    project each row (the second factor), then each resulting column."""
     R = G.ring
-    m = G.rank
-    rows = []
-    for v in ideal_rows:
-        for k in range(m):
-            left = [R.zero] * (m * m)
-            right = [R.zero] * (m * m)
-            for j, c in enumerate(v):
-                left[j * m + k] = c
-                right[k * m + j] = c
-            rows.append(left)
-            rows.append(right)
-    return canonical_span(R, rows)
+    half = [mat_vec(R, P, row) for row in _tensor_rows(G, tensor)]
+    return transpose([mat_vec(R, P, col) for col in transpose(half)])
 
 
 def ideal_closure(G: GroupScheme, gens):
@@ -523,21 +499,14 @@ def conjugation_tensor(G: GroupScheme, v) -> dict:
 
 
 def is_normal(H: ClosedSubgroup):
-    """(flag, certificate): certificate is a failing generator index or None."""
+    """(flag, certificate): certificate is a failing generator index or None.
+
+    ad(v) lies in A (x) I exactly when every row of its matrix lies in I."""
     G = H.ambient
     R = G.ring
-    m = G.rank
-    rows = []
-    for k in range(m):
-        for v in H.ideal:
-            row = [R.zero] * (m * m)
-            for j, c in enumerate(v):
-                row[k * m + j] = c
-            rows.append(row)
-    span = canonical_span(R, rows)
     for t, v in enumerate(H.ideal):
-        flat = _flatten_tensor(G, conjugation_tensor(G, v))
-        if not member(R, span, flat):
+        if not all(member(R, H.ideal, row)
+                   for row in _tensor_rows(G, conjugation_tensor(G, v))):
             return False, t
     return True, None
 
@@ -549,22 +518,15 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
         raise HopfError("subgroup does not live in this scheme")
     R = G.ring
     m = G.rank
-    free_cols, project = H.quotient_data()
-    r = len(free_cols)
-    punit = project(G.unit)
-    # a = sum t_i e_i is coinvariant iff for all (j, q):
-    #   sum_i t_i (Delta-coeff of e_j (x) e_k) pi(e_k)_q = t_j pi(1)_q
-    pbasis = [project(G.basis_vector(k)) for k in range(m)]
+    P = transpose(H.quotient_data()[1])
+    punit = mat_vec(R, P, G.unit)
+    # a = sum t_i e_i is coinvariant iff (id (x) pi) Delta(a) = a (x) pi(1)
     cols = []
     for i in range(m):
-        col = [R.zero] * (m * r)
-        for j, k, c in G.comult_sparse(i):
-            for q in range(r):
-                if pbasis[k][q] != R.zero:
-                    col[j * r + q] = R.add(col[j * r + q], R.mul(c, pbasis[k][q]))
-        for q in range(r):
-            col[i * r + q] = R.sub(col[i * r + q], punit[q])
-        cols.append(col)
+        half = [mat_vec(R, P, row)
+                for row in _tensor_rows(G, G.comult_vec(G.basis_vector(i)))]
+        half[i] = vec_sub(R, half[i], punit)
+        cols.append([c for row in half for c in row])
     B = canonical_span(R, row_kernel(R, cols))
     if not B:
         raise HopfError("coinvariants are zero")
@@ -573,33 +535,23 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
             f"quotient rank {len(B)} times subgroup order {H.order} "
             f"misses the ambient order {m}"
         )
-    # structure constants of the subalgebra B
-    def coords(v):
+    # coordinates in B are unique when B is free on its rows
+    if pivot_columns(R, B)[1] is not None:
+        raise HopfError("coinvariants are not free on their basis (non-unit pivot)")
+    def coords(v, failure="coinvariant algebra is not closed as expected"):
         c = member_with_coeffs(R, B, v)
         if c is None:
-            raise HopfError("coinvariant algebra is not closed as expected")
+            raise HopfError(failure)
         return c
     rB = len(B)
     mult = [[coords(G.mul_vec(B[a], B[b])) for b in range(rB)] for a in range(rB)]
     unit = coords(G.unit)
-    tensor_rows = []
-    for a in range(rB):
-        for b in range(rB):
-            flat = [R.zero] * (m * m)
-            for j, x in enumerate(B[a]):
-                if x == R.zero:
-                    continue
-                for k, y in enumerate(B[b]):
-                    if y != R.zero:
-                        flat[j * m + k] = R.mul(x, y)
-            tensor_rows.append(flat)
+    # Delta(b) = sum_y w_y (x) B[y]: solve each row in B, then each w_y
+    no_restrict = "comultiplication does not restrict to coinvariants"
     comult = []
-    for a in range(rB):
-        flat = _flatten_tensor(G, G.comult_vec(B[a]))
-        c = member_with_coeffs(R, tensor_rows, flat)
-        if c is None:
-            raise HopfError("comultiplication does not restrict to coinvariants")
-        comult.append([[c[x * rB + y] for y in range(rB)] for x in range(rB)])
+    for b in B:
+        rows = [coords(row, no_restrict) for row in _tensor_rows(G, G.comult_vec(b))]
+        comult.append(transpose([coords(w, no_restrict) for w in transpose(rows)]))
     counit = [G.counit_of(B[a]) for a in range(rB)]
     antipode = [coords(G.antipode_vec(B[a])) for a in range(rB)]
     Gbar = GroupScheme(R, rB, mult, unit, comult, counit, antipode,
@@ -651,8 +603,8 @@ def extension_witness(G: GroupScheme, H: ClosedSubgroup,
     if not flag:
         raise HopfError(f"subgroup is not normal (generator {cert})")
     Gbar, proj = quotient(G, H)
-    Hs = H.scheme()
     incl = H.inclusion()
+    Hs = incl.source
     ledger = []
     from .hopf import hom_on_points
     for T in test_ring_family(G.ring):

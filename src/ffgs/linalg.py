@@ -160,6 +160,15 @@ def reduce_mod_span(R: Ring, canon_rows, v):
     return _reduce(R, canon_rows, cols, list(v))
 
 
+def pivot_columns(R: Ring, canon_rows):
+    """(pivot column of each row of a canonical basis, index of the first
+    row whose pivot is not a unit, or None when all pivots are units)."""
+    cols = [_leading_col(R, row, len(row)) for row in canon_rows]
+    bad = next((t for t, (row, c) in enumerate(zip(canon_rows, cols))
+                if not R.is_unit(row[c])), None)
+    return cols, bad
+
+
 def member(R: Ring, canon_rows, v) -> bool:
     return vec_is_zero(R, reduce_mod_span(R, canon_rows, v))
 
@@ -257,7 +266,5 @@ def kernel_image(f: ModuleMap):
     R = f.ring
     ker = mat_kernel(R, f.matrix)
     img = mat_image(R, f.matrix)
-    saturated = all(
-        R.is_unit(row[_leading_col(R, row, len(row))]) for row in img
-    )
+    saturated = pivot_columns(R, img)[1] is None
     return ker, img, saturated

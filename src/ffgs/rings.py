@@ -58,11 +58,18 @@ class RingError(ValueError):
     pass
 
 
+def _element_text(text) -> str:
+    """An element literal, stripped; RingError if it is not a string."""
+    if not isinstance(text, str):
+        raise RingError(f"malformed element {text!r}")
+    return text.strip()
+
+
 def _parse_number(convert, text):
-    """convert(text.strip()), with malformed text raised as RingError."""
+    """convert(text), with malformed text raised as RingError."""
     try:
-        return convert(text.strip())
-    except (AttributeError, ValueError, ZeroDivisionError):
+        return convert(_element_text(text))
+    except (ValueError, ZeroDivisionError):
         raise RingError(f"malformed element {text!r}") from None
 
 
@@ -504,7 +511,7 @@ class FiniteField(Ring):
 
 def parse_poly_modp(text: str, p: int) -> tuple:
     """Parse e.g. 'x^2+2*x+1' into low-degree-first coeffs mod p."""
-    s = text.replace(" ", "").replace("-", "+-")
+    s = _element_text(text).replace(" ", "").replace("-", "+-")
     if not s:
         raise RingError("empty polynomial literal")
     coeffs: dict[int, int] = {}
@@ -799,7 +806,7 @@ class DualNumbers(Ring):
         return f"{x}+eps*{y}"
 
     def parse(self, text):
-        s = text.strip()
+        s = _element_text(text)
         # split at a top-level '+eps*'
         depth = 0
         for i in range(len(s)):

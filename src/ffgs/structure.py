@@ -476,7 +476,6 @@ def order_p_subgroup(G: GroupScheme, p: int) -> ClosedSubgroup:
         raise InternalInconsistencyError(
             f"order-{p} subgroup came out with order {H.order}"
         )
-    H.quotient_data()  # freeness (flatness) check
     flag, cert = is_normal(H)
     if not flag:
         raise InternalInconsistencyError(
@@ -553,7 +552,7 @@ def _slot_product_map(G: GroupScheme, subgroups):
     (pi_1 (x) ... (x) pi_t) o Delta^(t-1), as rows phi(e_i)."""
     R = G.ring
     t = len(subgroups)
-    projections = [H.quotient_data()[1] for H in subgroups]
+    pbases = [H.quotient_data()[1] for H in subgroups]
     ranks = [H.order for H in subgroups]
     width = prod(ranks)
     rows = []
@@ -568,18 +567,15 @@ def _slot_product_map(G: GroupScheme, subgroups):
             cur = nxt
         out = [R.zero] * width
         for key, c in cur.items():
-            vecs = [proj(G.basis_vector(idx))
-                    for proj, idx in zip(projections, key)]
-            for combo in itertools.product(*(range(r) for r in ranks)):
+            vecs = [pb[idx] for pb, idx in zip(pbases, key)]
+            # product() runs through the slots in row-major order
+            for flat, combo in enumerate(itertools.product(*map(range, ranks))):
                 coeff = c
                 for vec, pos in zip(vecs, combo):
                     coeff = R.mul(coeff, vec[pos])
                     if coeff == R.zero:
                         break
                 if coeff != R.zero:
-                    flat = 0
-                    for pos, r in zip(combo, ranks):
-                        flat = flat * r + pos
                     out[flat] = R.add(out[flat], coeff)
         rows.append(out)
     return rows, width
@@ -761,7 +757,6 @@ def common_refinement(E1: ExtensionWitness, E2: ExtensionWitness) -> ExtensionWi
     if not rep:
         raise InternalInconsistencyError(f"intersection not a Hopf ideal: {rep}")
     try:
-        K.quotient_data()
         E = extension_witness(E1.total, K)
     except HopfError as exc:
         raise InternalInconsistencyError(f"refined kernel not flat: {exc}")
@@ -829,6 +824,13 @@ def theorem_decompose(G: GroupScheme, budget: int = 200000) -> TheoremCertificat
         for p in primes:
             rep = locus_report(G, p)
             if not rep.vp_is_whole():
+                # Spec Z/n is disconnected when n has two prime factors, so
+                # the locus may then be a proper part: the base is at fault
+                if isinstance(G.ring, IntegersMod) and len(rep.spectrum_ids) > 1:
+                    raise HopfError(
+                        f"V_{p} is a proper part of Spec {G.ring.name()}, which "
+                        "is not connected; the theorem needs a connected base"
+                    )
                 raise InternalInconsistencyError(
                     f"V_{p} is a proper nonempty part of a connected spectrum"
                 )

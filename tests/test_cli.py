@@ -42,6 +42,11 @@ def test_user_errors_exit_2(capsys):
     assert main(["order", "--builtin", "mu:3", "--base", "nonsense"]) == 2
     assert main(["verify", "--file", "/does/not/exist.json"]) == 2
     assert main(["points", "--builtin", "mu:3", "--base", "Q"]) == 2  # no --ring
+    for flag in ("--budget-points", "--budget-iso"):
+        assert main(["points", "--builtin", "mu:3", "--base", "GF(5)",
+                     "--ring", "GF(5)", flag, "-1"]) == 2
+    # Spec Z/6 is not connected, and V_2 is only the point 2
+    assert main(["theorem", "--builtin", "mu:6", "--base", "Z/6"]) == 2
     capsys.readouterr()
 
 
@@ -54,6 +59,14 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))
     assert main(["verify", "--file", str(bad)]) == 2
+    # an element that is a JSON number, not a string
+    for base in ("GF(3^2;x^2+1)", "Dual(GF(3))"):
+        code, out = run(capsys, "dual", "--builtin", "mu:2", "--base", base,
+                        "--format", "json")
+        d = json.loads(out)
+        d["unit"][0] = 3
+        bad.write_text(json.dumps(d))
+        assert main(["verify", "--file", str(bad)]) == 2
     # group tables that are empty or have no identity
     assert main(["verify", "--builtin", "const:Z0", "--base", "GF(5)"]) == 2
     no_identity = tmp_path / "table.json"

@@ -1,12 +1,17 @@
+import random
+
 import pytest
 
-from ffgs.constructions import (alpha, constant, constant_cyclic,
+from ffgs.constructions import (ClosedSubgroup, alpha, constant,
+                                constant_cyclic, conjugation_tensor,
                                 direct_product, extension_witness,
-                                find_isomorphism, image, intersect,
-                                inversion_action, is_normal, kernel, mu,
-                                quotient, semidirect, tate_oort2,
+                                find_isomorphism, ideal_closure, image,
+                                intersect, inversion_action, is_normal,
+                                kernel, mu, quotient, semidirect, tate_oort2,
                                 trivial_subgroup, whole_subgroup)
-from ffgs.hopf import GroupSchemeHom, HopfError, convolution_power, points
+from ffgs.hopf import (GroupSchemeHom, HopfError, VerificationReport,
+                       convolution_power, points)
+from ffgs.linalg import canonical_span, member, member_with_coeffs
 from ffgs.oracle import AbstractGroup, s3_table
 from ffgs.rings import parse_ring
 
@@ -151,3 +156,156 @@ def test_alpha_selfdual():
     G = alpha(F3, 3)
     res = find_isomorphism(cartier_dual(G), G)
     assert res.status == "iso"
+
+
+# -- span-based references for the projection checks ----------------------
+# They decide membership in I (x) A + A (x) I, A (x) I and B (x) B inside
+# the flattened m*m-wide A (x) A.
+
+PROJECTION_BASES = ["GF(5)", "GF(2^2;x^2+x+1)", "Q", "Zloc(2)", "Zloc(3)",
+                    "Z/35", "Dual(GF(5))"]
+
+
+def _flatten(G, tensor):
+    out = [G.ring.zero] * (G.rank * G.rank)
+    for (j, k), c in tensor.items():
+        out[j * G.rank + k] = c
+    return out
+
+
+def _ref_verify_hopf_ideal(H):
+    G, I = H.ambient, H.ideal
+    R, m = G.ring, G.rank
+    for t, v in enumerate(I):
+        for i in range(m):
+            if not member(R, I, G.mul_vec(v, G.basis_vector(i))):
+                return VerificationReport(False, "ideal-closure", (t, i))
+    for t, v in enumerate(I):
+        if G.counit_of(v) != R.zero:
+            return VerificationReport(False, "augmentation", (t,))
+    rows = []
+    for v in I:
+        for k in range(m):
+            rows.append(_flatten(G, {(j, k): c for j, c in enumerate(v)}))
+            rows.append(_flatten(G, {(k, j): c for j, c in enumerate(v)}))
+    mixed = canonical_span(R, rows)
+    for t, v in enumerate(I):
+        if not member(R, mixed, _flatten(G, G.comult_vec(v))):
+            return VerificationReport(False, "coideal", (t,))
+    for t, v in enumerate(I):
+        if not member(R, I, G.antipode_vec(v)):
+            return VerificationReport(False, "antipode-stability", (t,))
+    return VerificationReport(True)
+
+
+def _ref_is_normal(H):
+    G = H.ambient
+    R = G.ring
+    span = canonical_span(R, [
+        _flatten(G, {(k, j): c for j, c in enumerate(v)})
+        for k in range(G.rank) for v in H.ideal
+    ])
+    for t, v in enumerate(H.ideal):
+        if not member(R, span, _flatten(G, conjugation_tensor(G, v))):
+            return False, t
+    return True, None
+
+
+def _ref_quotient_comult(G, B):
+    R = G.ring
+    rB = len(B)
+    rows = [_flatten(G, {(j, k): R.mul(x, y)
+                         for j, x in enumerate(a) if x != R.zero
+                         for k, y in enumerate(b) if y != R.zero})
+            for a in B for b in B]
+    out = []
+    for b in B:
+        c = member_with_coeffs(R, rows, _flatten(G, G.comult_vec(b)))
+        out.append([c[x * rB:(x + 1) * rB] for x in range(rB)])
+    return out
+
+
+def _s3_sdp(R):
+    Gmu = mu(R, 3)
+    table = [[0, 1], [1, 0]]
+    return semidirect(Gmu, table, inversion_action(Gmu, table))
+
+
+def _seeded_ideals(G, rng, count):
+    """Ideal closures of random elements of the augmentation ideal and,
+    for constant groups, ideals of functions vanishing on a random subset
+    of points: most are not Hopf ideals."""
+    R = G.ring
+    els = list(R.elements()) if R.is_finite else [R.from_int(i)
+                                                  for i in range(-3, 4)]
+    for s in range(count):
+        if s % 2 and G.name.startswith("constant"):
+            keep = {0} | {g for g in range(1, G.rank) if rng.random() < 0.4}
+            rows = [G.basis_vector(g) for g in range(G.rank) if g not in keep]
+            yield ClosedSubgroup(G, rows, check=False)
+            continue
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            v = [rng.choice(els) if rng.random() < 0.25 else R.zero
+                 for _ in range(G.rank)]
+            eps = G.counit_of(v)
+            gens.append([R.sub(c, R.mul(eps, u)) for c, u in zip(v, G.unit)])
+        yield ClosedSubgroup(G, ideal_closure(G, gens), check=False)
+
+
+@pytest.mark.parametrize("spec", PROJECTION_BASES)
+def test_projection_checks_match_span_reference(spec):
+    R = parse_ring(spec)
+    seen = set()
+    for G in (mu(R, 4), constant(R, s3_table()), _s3_sdp(R)):
+        rng = random.Random(f"{spec} {G.name}")
+        for H in _seeded_ideals(G, rng, 6):
+            rep = H.verify_hopf_ideal()
+            if rep.axiom == "not-flat":
+                # a non-unit pivot: A/I is not free on the free columns
+                with pytest.raises(HopfError):
+                    H.quotient_data()
+            else:
+                ref = _ref_verify_hopf_ideal(H)
+                assert (rep.ok, rep.axiom, rep.witness) == \
+                    (ref.ok, ref.axiom, ref.witness), (G.name, H.ideal)
+            normal = is_normal(H)
+            assert normal == _ref_is_normal(H), (G.name, H.ideal)
+            seen |= {rep.axiom, normal[0]}
+    # every base meets ideals that fail the coideal and normality tests
+    assert {"coideal", False} <= seen
+
+
+@pytest.mark.parametrize("spec", PROJECTION_BASES)
+def test_quotient_comult_matches_span_reference(spec):
+    R = parse_ring(spec)
+    S3 = constant(R, s3_table())
+    A = AbstractGroup(s3_table())
+    rotations = {g for g in range(6) if A.element_order(g) != 2}
+    G4, G6 = mu(R, 4), mu(R, 6)
+    # mu_2 x S3 -> S3 has a non-cocommutative quotient
+    GxS3 = direct_product(mu(R, 2), S3)
+    to_s3 = GroupSchemeHom(GxS3, S3, [GxS3.basis_vector(g) for g in range(6)])
+    cases = [
+        (GxS3, kernel(to_s3)),
+        (G4, kernel(convolution_power(G4, 2))),
+        (G6, kernel(convolution_power(G6, 2))),
+        (G6, kernel(convolution_power(G6, 3))),
+        (S3, ClosedSubgroup(S3, [S3.basis_vector(g) for g in range(6)
+                                 if g not in rotations])),
+    ]
+    for G, H in cases:
+        Gbar, proj = quotient(G, H)
+        assert Gbar.comult == _ref_quotient_comult(G, proj.alg)
+        assert Gbar.verify().ok
+
+
+def test_non_unit_pivot_is_not_flat():
+    # in mu_2 over Zloc(2), the ideal closure of (-2, 2) has pivot 2
+    G = mu(ZL2, 2)
+    H = ClosedSubgroup(G, ideal_closure(G, [[ZL2.from_int(-2),
+                                             ZL2.from_int(2)]]), check=False)
+    rep = H.verify_hopf_ideal()
+    assert (rep.ok, rep.axiom, rep.witness) == (False, "not-flat", (0,))
+    with pytest.raises(HopfError):
+        H.quotient_data()

@@ -94,7 +94,7 @@ def test_element_literals_round_trip():
 
 def test_malformed_element_literals_raise_ring_error():
     for R in ALL_RINGS:
-        for text in ["", "?", "1/0", "1+eps*"]:
+        for text in ["", "?", "1/0", "1+eps*", 3, None]:
             with pytest.raises(RingError):
                 R.parse(text)
 
