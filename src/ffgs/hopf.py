@@ -162,7 +162,10 @@ class GroupScheme:
         return {key: c for key, c in out.items() if c != R.zero}
 
     def tensor_mul(self, x: dict, y: dict) -> dict:
-        """Product in A (x) A of two tensors given as {(j,k): coeff}."""
+        """Product in A (x) A of two tensors given as {(j,k): coeff}.
+
+        No ffgs code calls it since `verify` contracts Delta(e_i) Delta(e_j)
+        in stages; bench/tracer.py still wraps it by name."""
         R = self.ring
         out: dict = {}
         for (j1, k1), c1 in x.items():
@@ -192,85 +195,130 @@ class GroupScheme:
 
     # -- verification -----------------------------------------------------
     def verify(self) -> VerificationReport:
+        """Check the Hopf-algebra axioms and report the first that fails.
+
+        The checks run in a fixed order: algebra-commutativity, algebra-unit,
+        associativity, coassociativity, counit, bialgebra-unit, counit-unit,
+        then bialgebra-mult and counit-mult for each pair (i, j) in turn, and
+        antipode-left and antipode-right for each i in turn.  The witness is
+        the first failing index tuple in lexicographic order.
+        """
         R = self.ring
         m = self.rank
+        zero, add, mul = R.zero, R.add, R.mul
+        # sparse tables, read once: M[a][b] lists the nonzero (x, c) of
+        # e_a e_b, C[i] the nonzero (j, k, c) of Delta(e_i), S[j] those of S(e_j)
+        M = [[[(x, c) for x, c in enumerate(v) if c != zero] for v in row]
+             for row in self.mult]
+        C = [self.comult_sparse(i) for i in range(m)]
+        S = [[(x, c) for x, c in enumerate(v) if c != zero] for v in self.antipode]
+        basis = [self.basis_vector(i) for i in range(m)]
+
+        def combine(terms):
+            """sum of c * e_a e_b over the (a, b, c) in terms, as a vector."""
+            out = [zero] * m
+            for a, b, c in terms:
+                for x, d in M[a][b]:
+                    out[x] = add(out[x], mul(c, d))
+            return out
+
+        def delta(v):
+            """Delta of the sparse vector v as {(j, k): coeff}."""
+            out: dict = {}
+            for a, c in v:
+                for j, k, d in C[a]:
+                    out[(j, k)] = add(out.get((j, k), zero), mul(c, d))
+            return {key: c for key, c in out.items() if c != zero}
+
         # algebra: commutativity of mult (the scheme is a scheme)
         for i in range(m):
             for j in range(i + 1, m):
                 if self.mult[i][j] != self.mult[j][i]:
                     return VerificationReport(False, "algebra-commutativity", (i, j))
         # unit law
+        unit = [(a, u) for a, u in enumerate(self.unit) if u != zero]
         for i in range(m):
-            if self.mul_vec(self.unit, self.basis_vector(i)) != self.basis_vector(i):
+            if combine((a, i, u) for a, u in unit) != basis[i]:
                 return VerificationReport(False, "algebra-unit", (i,))
-        # associativity
+        # associativity: (e_i e_j) e_k = e_i (e_j e_k)
         for i in range(m):
             for j in range(m):
-                left = self.mult[i][j]
                 for k in range(m):
-                    lhs = self.mul_vec(left, self.basis_vector(k))
-                    rhs = self.mul_vec(self.basis_vector(i), self.mult[j][k])
+                    lhs = combine((a, k, c) for a, c in M[i][j])
+                    rhs = combine((i, b, c) for b, c in M[j][k])
                     if lhs != rhs:
                         return VerificationReport(False, "associativity", (i, j, k))
         # coassociativity: (Delta (x) id) Delta = (id (x) Delta) Delta
         for i in range(m):
             lhs: dict = {}
             rhs: dict = {}
-            for j, k, c in self.comult_sparse(i):
-                for a, b, d in self.comult_sparse(j):
+            for j, k, c in C[i]:
+                for a, b, d in C[j]:
                     key = (a, b, k)
-                    lhs[key] = R.add(lhs.get(key, R.zero), R.mul(c, d))
-                for a, b, d in self.comult_sparse(k):
+                    lhs[key] = add(lhs.get(key, zero), mul(c, d))
+                for a, b, d in C[k]:
                     key = (j, a, b)
-                    rhs[key] = R.add(rhs.get(key, R.zero), R.mul(c, d))
-            lhs = {key: c for key, c in lhs.items() if c != R.zero}
-            rhs = {key: c for key, c in rhs.items() if c != R.zero}
+                    rhs[key] = add(rhs.get(key, zero), mul(c, d))
+            lhs = {key: c for key, c in lhs.items() if c != zero}
+            rhs = {key: c for key, c in rhs.items() if c != zero}
             if lhs != rhs:
                 return VerificationReport(False, "coassociativity", (i,))
         # counit laws
         for i in range(m):
-            left = [R.zero] * m
-            right = [R.zero] * m
-            for j, k, c in self.comult_sparse(i):
-                left[k] = R.add(left[k], R.mul(c, self.counit[j]))
-                right[j] = R.add(right[j], R.mul(c, self.counit[k]))
-            if left != self.basis_vector(i) or right != self.basis_vector(i):
+            left = [zero] * m
+            right = [zero] * m
+            for j, k, c in C[i]:
+                left[k] = add(left[k], mul(c, self.counit[j]))
+                right[j] = add(right[j], mul(c, self.counit[k]))
+            if left != basis[i] or right != basis[i]:
                 return VerificationReport(False, "counit", (i,))
         # bialgebra: Delta and counit are algebra maps
-        one_tensor = self.comult_vec(self.unit)
         unit_sq = {}
-        for j, a in enumerate(self.unit):
-            for k, b in enumerate(self.unit):
-                ab = R.mul(a, b)
-                if ab != R.zero:
+        for j, a in unit:
+            for k, b in unit:
+                ab = mul(a, b)
+                if ab != zero:
                     unit_sq[(j, k)] = ab
-        if one_tensor != unit_sq:
+        if delta(unit) != unit_sq:
             return VerificationReport(False, "bialgebra-unit", ())
         if self.counit_of(self.unit) != R.one:
             return VerificationReport(False, "counit-unit", ())
+        # Delta(e_i) Delta(e_j) = sum C^i_ab C^j_cd e_a e_c (x) e_b e_d, in two
+        # stages that meet on (c, b):  P_i[(c, b)] = sum_a C^i_ab e_a e_c  and
+        # Q_j[(c, b)] = sum_d C^j_cd e_b e_d.  Each stage is O(m^5) on a dense
+        # basis and pairing them O(m^6), where expanding the product is O(m^8).
+        # Q reads e_d e_b for e_b e_d: mult is commutative by now.
+        partners = [[(c, v) for c, v in enumerate(row) if v] for row in M]
+
+        def stage(i, left):
+            out: dict = {}
+            for a, b, coeff in C[i]:
+                for c, prod in partners[a if left else b]:
+                    acc = out.setdefault((c, b) if left else (a, c), {})
+                    for x, d in prod:
+                        acc[x] = add(acc.get(x, zero), mul(coeff, d))
+            return {key: [(x, v) for x, v in acc.items() if v != zero]
+                    for key, acc in out.items()}
+
+        Q = [stage(j, False) for j in range(m)]
         for i in range(m):
-            di = self.comult_vec(self.basis_vector(i))
+            P = stage(i, True)
             for j in range(m):
-                lhs = self.comult_vec(self.mult[i][j])
-                rhs = self.tensor_mul(di, self.comult_vec(self.basis_vector(j)))
-                if lhs != rhs:
+                rhs = {}
+                for key, xs in P.items():
+                    for y, q in Q[j].get(key, ()):
+                        for x, p in xs:
+                            rhs[(x, y)] = add(rhs.get((x, y), zero), mul(p, q))
+                rhs = {key: c for key, c in rhs.items() if c != zero}
+                if delta(M[i][j]) != rhs:
                     return VerificationReport(False, "bialgebra-mult", (i, j))
                 eps_prod = self.counit_of(self.mult[i][j])
-                if eps_prod != R.mul(self.counit[i], self.counit[j]):
+                if eps_prod != mul(self.counit[i], self.counit[j]):
                     return VerificationReport(False, "counit-mult", (i, j))
         # antipode: m(S (x) id)Delta = unit . counit = m(id (x) S)Delta
         for i in range(m):
-            left = [R.zero] * m
-            right = [R.zero] * m
-            for j, k, c in self.comult_sparse(i):
-                left = vec_add(
-                    R, left,
-                    vec_scale(R, c, self.mul_vec(self.antipode[j], self.basis_vector(k))),
-                )
-                right = vec_add(
-                    R, right,
-                    vec_scale(R, c, self.mul_vec(self.basis_vector(j), self.antipode[k])),
-                )
+            left = combine((a, k, mul(c, s)) for j, k, c in C[i] for a, s in S[j])
+            right = combine((j, b, mul(c, s)) for j, k, c in C[i] for b, s in S[k])
             target = vec_scale(R, self.counit[i], self.unit)
             if left != target:
                 return VerificationReport(False, "antipode-left", (i,))

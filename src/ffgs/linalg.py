@@ -30,8 +30,6 @@ vector, so membership is reduction to zero.  Determinants are `Ring.det`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rings import Ring
 
 
@@ -210,11 +208,6 @@ def mat_kernel(R: Ring, M):
     return row_kernel(R, transpose(M))
 
 
-def mat_image(R: Ring, M):
-    """Canonical basis of the column span of M."""
-    return canonical_span(R, transpose(M))
-
-
 def solve(R: Ring, M, b):
     """x with Mx = b, or None."""
     return member_with_coeffs(R, transpose(M), b)
@@ -236,35 +229,3 @@ def det(R: Ring, M):
     """Exact determinant of a square matrix (see Ring.det)."""
     return R.det(M)
 
-
-# -- module maps -----------------------------------------------------------
-
-
-@dataclass
-class ModuleMap:
-    """R-linear map R^domain_rank -> R^codomain_rank given by a matrix
-    acting on column vectors."""
-
-    ring: Ring
-    domain_rank: int
-    codomain_rank: int
-    matrix: list
-
-    def __post_init__(self):
-        if len(self.matrix) != self.codomain_rank or any(
-            len(row) != self.domain_rank for row in self.matrix
-        ):
-            raise ValueError("matrix dimensions do not match the stated ranks")
-
-    def apply(self, v):
-        return mat_vec(self.ring, self.matrix, v)
-
-
-def kernel_image(f: ModuleMap):
-    """(kernel basis, image basis, saturation flag).  Bases are canonical;
-    the flag says whether the image is a direct summand (all pivots units)."""
-    R = f.ring
-    ker = mat_kernel(R, f.matrix)
-    img = mat_image(R, f.matrix)
-    saturated = pivot_columns(R, img)[1] is None
-    return ker, img, saturated

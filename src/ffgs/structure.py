@@ -234,8 +234,12 @@ def classify_order_p(G: GroupScheme) -> str:
     flag, _ = is_etale(G)
     if flag:
         return "etale"
-    # connected of order p forces char = p
+    # connected of order p forces char = p, over a field
     if G.ring.char() != G.rank:
+        if not G.ring.is_field:
+            raise HopfError(
+                f"the classifier needs a field base, not {G.ring.name()}"
+            )
         raise InternalInconsistencyError(
             "connected prime-order scheme away from the residue characteristic"
         )
@@ -444,14 +448,19 @@ def _torsion_equalizer(G: GroupScheme, p: int) -> ClosedSubgroup:
 
 
 def order_p_subgroup(G: GroupScheme, p: int) -> ClosedSubgroup:
-    """The (unique, normal) order-p subgroup over the supported bases."""
+    """The (unique, normal) order-p subgroup over the supported bases.
+
+    Off finite fields it comes from the subscheme x^p = 1 (over Zloc(p) by
+    way of Q).  When G has no order-p subgroup or several, that subscheme
+    is not an order-p subgroup, and HopfError says so."""
     R = G.ring
+    by_torsion = False
     if R.is_field:
         i = infinitesimal_rank(G)
         if i == p:
             H = identity_component(G)
         elif isinstance(R, RationalField):
-            H = _torsion_equalizer(G, p)
+            H, by_torsion = _torsion_equalizer(G, p), True
         else:
             status, H = etale_unique_subgroup(G, p)
             if status != "ok":
@@ -467,9 +476,16 @@ def order_p_subgroup(G: GroupScheme, p: int) -> ClosedSubgroup:
             H = kernel(convolution_power(G, p))
         else:
             H = _torsion_equalizer(G, p)
+        by_torsion = True
     else:
         raise HopfError(f"unsupported base {R.name()}")
     rep = H.verify_hopf_ideal()
+    if by_torsion and not rep:
+        raise HopfError(f"no unique order-{p} subgroup: x^{p} = 1 is not a "
+                        f"subgroup ({rep.axiom} fails)")
+    if by_torsion and H.order != p:
+        raise HopfError(f"no unique order-{p} subgroup: x^{p} = 1 has order "
+                        f"{H.order}")
     if not rep:
         raise InternalInconsistencyError(f"order-{p} ideal defective: {rep}")
     if H.order != p:

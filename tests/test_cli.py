@@ -50,6 +50,20 @@ def test_user_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_missing_preconditions_exit_2(capsys):
+    # S3 has three subgroups of order 2, so none is the unique one
+    for base in ("Q", "Zloc(3)", "Dual(GF(3))", "GF(5)"):
+        assert main(["split", "--kernel", "2", "--builtin", "const:S3",
+                     "--base", base]) == 2
+    assert main(["split", "--kernel", "2", "--builtin", "sdp:mu:3,Z2,inv",
+                 "--base", "Q"]) == 2
+    # the order-p classifier is defined over fields only
+    for spec, base in (("mu:2", "Zloc(2)"), ("mu:3", "Z/9"),
+                       ("ot2:2,-1", "Zloc(2)"), ("ot2:2,-1", "Z/4")):
+        assert main(["classify-p", "--builtin", spec, "--base", base]) == 2
+    capsys.readouterr()
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     # an element that does not parse over GF(5)
     code, out = run(capsys, "dual", "--builtin", "mu:2", "--base", "GF(5)",

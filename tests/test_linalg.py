@@ -3,12 +3,10 @@ import random
 from fractions import Fraction
 
 from ffgs.linalg import (
-    ModuleMap,
     canonical_span,
     det,
     echelon,
     identity_matrix,
-    kernel_image,
     mat_inverse,
     mat_kernel,
     mat_vec,
@@ -45,33 +43,6 @@ def rand_elt(R, rng):
 
 def rand_matrix(R, rng, rows, cols):
     return [[rand_elt(R, rng) for _ in range(cols)] for _ in range(rows)]
-
-
-def test_identity_kernel_image_over_gf5():
-    R = PrimeField(5)
-    f = ModuleMap(R, 3, 3, identity_matrix(R, 3))
-    ker, img, sat = kernel_image(f)
-    assert ker == []
-    assert img == identity_matrix(R, 3)
-    assert sat
-
-
-def test_multiplication_by_two_on_z4():
-    R = IntegersMod(4)
-    f = ModuleMap(R, 1, 1, [[2]])
-    ker, img, sat = kernel_image(f)
-    assert ker == [[2]]
-    assert img == [[2]]
-    assert not sat
-
-
-def test_rank_one_over_q():
-    # hand row-reduction: [[1,1],[1,1]] has kernel (1,-1) and image (1,1)
-    R = QQ
-    f = ModuleMap(R, 2, 2, [[Fraction(1)] * 2, [Fraction(1)] * 2])
-    ker, img, sat = kernel_image(f)
-    assert ker == [[Fraction(1), Fraction(-1)]]
-    assert img == [[Fraction(1), Fraction(1)]]
 
 
 def test_kernel_and_image_properties_random():
