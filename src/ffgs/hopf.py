@@ -574,35 +574,44 @@ class PointGroup:
 
 
 def point_group_from_set(GR: GroupScheme, vecs) -> PointGroup:
-    """Assemble the group structure on a closed set of points of GR."""
+    """Assemble the group structure on a closed set of points of GR.
+
+    (u * v)_i = sum_{j,k} c_ijk u_j v_k, with c_ijk the coefficient of
+    e_j (x) e_k in Delta(e_i).  Contracting u first, once per point, gives
+    L_u[k] = {i: sum_j u_j c_ijk}, so a product reads L_u at the nonzero v_k:
+    |P| nnz(Delta) + |P|^2 nnz(L) ring operations for the table."""
     R = GR.ring
+    m = GR.rank
+    zero, add, mul = R.zero, R.add, R.mul
     pts = sorted({tuple(v) for v in vecs}, key=lambda t: tuple(R.sort_key(x) for x in t))
     index = {p: i for i, p in enumerate(pts)}
+    # T[j] lists the nonzero (k, i, c_ijk)
+    T = [[] for _ in range(m)]
+    for i in range(m):
+        for j, k, c in GR.comult_sparse(i):
+            T[j].append((k, i, c))
     table = []
     for u in pts:
+        L = [{} for _ in range(m)]
+        for j, a in enumerate(u):
+            if a != zero:
+                for k, i, c in T[j]:
+                    L[k][i] = add(L[k].get(i, zero), mul(a, c))
+        L = [[(i, c) for i, c in row.items() if c != zero] for row in L]
         row = []
         for v in pts:
-            w = tuple(
-                sum_convolve(GR, u, v)
-            )
+            w = [zero] * m
+            for k, b in enumerate(v):
+                if b != zero:
+                    for i, c in L[k]:
+                        w[i] = add(w[i], mul(c, b))
+            w = tuple(w)
             if w not in index:
                 raise HopfError("point set is not closed under the group law")
             row.append(index[w])
         table.append(row)
     ident = tuple(GR.counit)
     return PointGroup(R, pts, table, index[ident])
-
-
-def sum_convolve(GR: GroupScheme, u, v):
-    """Product of two points: (u * v)(e_i) = sum Delta(e_i) u_j v_k."""
-    R = GR.ring
-    out = []
-    for i in range(GR.rank):
-        acc = R.zero
-        for j, k, c in GR.comult_sparse(i):
-            acc = R.add(acc, R.mul(c, R.mul(u[j], v[k])))
-        out.append(acc)
-    return out
 
 
 def point_is_hom(GR: GroupScheme, v) -> bool:
@@ -652,8 +661,15 @@ def _root_finder(R: Ring):
                     return sorted(out, key=R.sort_key)
                 const = ints[0]
             def divisors(n):
+                out = [1]
                 n = abs(n)
-                return [d for d in range(1, n + 1) if n % d == 0]
+                for p in prime_factors(n):
+                    powers = [1]
+                    while n % p == 0:
+                        n //= p
+                        powers.append(powers[-1] * p)
+                    out = [d * q for d in out for q in powers]
+                return out
             for p in divisors(const):
                 for q in divisors(lead):
                     for cand in (Fraction(p, q), Fraction(-p, q)):
@@ -673,11 +689,29 @@ def _minpoly_of_vector(GR: GroupScheme, e, c_vec):
     R = GR.ring
     powers = [e]
     while True:
-        coeffs = member_with_coeffs(R, powers, GR.mul_vec(powers[-1], c_vec))
+        nxt = GR.mul_vec(powers[-1], c_vec)
+        coeffs = member_with_coeffs(R, powers, nxt)
         if coeffs is not None:
             # x^n = sum coeffs_i x^i  ->  minpoly = x^n - sum coeffs_i x^i
             return [R.neg(x) for x in coeffs] + [R.one]
-        powers.append(GR.mul_vec(powers[-1], c_vec))
+        powers.append(nxt)
+
+
+def _root_multiplicity(R: Ring, poly, lam) -> int:
+    """How often x - lam divides poly (coefficients low degree first)."""
+    n = 0
+    while True:
+        # Horner's scheme: the partial sums are the quotient by x - lam,
+        # highest degree first, and the last one is poly(lam)
+        partial = []
+        acc = R.zero
+        for c in reversed(poly):
+            acc = R.add(R.mul(acc, lam), c)
+            partial.append(acc)
+        if acc != R.zero:
+            return n
+        poly = partial[-2::-1]
+        n += 1
 
 
 def characters(GR: GroupScheme):
@@ -711,14 +745,16 @@ def characters(GR: GroupScheme):
             continue
         minpoly = _minpoly_of_vector(GR, e, c)
         for lam in roots_of(minpoly):
-            # generalized eigenspace of mult-by-c inside the factor:
-            # iterate (L_c - lam) dim-many times
+            # generalized eigenspace of mult-by-c inside the factor.  minpoly
+            # is the minimal polynomial of L_c there, so the multiplicity of
+            # lam in it is the Fitting index of L_c - lam: kernel and image
+            # of (L_c - lam)^j are those of (L_c - lam)^dim from there on
             rows = basis
-            for _ in range(len(basis)):
+            for _ in range(_root_multiplicity(R, minpoly, lam)):
                 rows = [
                     vec_sub(R, GR.mul_vec(b, c), vec_scale(R, lam, b)) for b in rows
                 ]
-            # kernel of (L_c - lam)^dim restricted to the factor:
+            # kernel of (L_c - lam)^j restricted to the factor:
             # x = sum t_i basis_i with sum t_i rows_i = 0
             coeff_kernel = linalg.row_kernel(R, rows)
             if not coeff_kernel:

@@ -59,10 +59,6 @@ def identity_matrix(R: Ring, n: int):
 def mat_vec(R: Ring, M, v):
     return [R.dot(row, v) for row in M]
 
-def mat_mul(R: Ring, A, B):
-    Bt = transpose(B)
-    return [[R.dot(row, col) for col in Bt] for row in A]
-
 
 # -- echelonization core ---------------------------------------------------
 
@@ -169,10 +165,6 @@ def pivot_columns(R: Ring, canon_rows):
 
 def member(R: Ring, canon_rows, v) -> bool:
     return vec_is_zero(R, reduce_mod_span(R, canon_rows, v))
-
-
-def span_equal(R: Ring, rows_a, rows_b) -> bool:
-    return canonical_span(R, rows_a) == canonical_span(R, rows_b)
 
 
 def _augment(R: Ring, rows):

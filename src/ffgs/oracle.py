@@ -4,14 +4,15 @@ Everything here is deliberately naive: points are found by exhausting
 assignments on a small generating set of the Hopf algebra, groups are
 identified from their multiplication tables, subgroups are enumerated
 by closing generator sets. The rest of the package is validated against
-these results; nothing here reuses the eigenspace-based character code."""
+these results; nothing here reuses the eigenspace-based character code
+or the contracted group table of `hopf.points`."""
 
 from __future__ import annotations
 
 import itertools
 
 from .linalg import member_with_coeffs
-from .hopf import GroupScheme, PointGroup, point_group_from_set, point_is_hom
+from .hopf import GroupScheme, HopfError, PointGroup, point_is_hom
 from .rings import Ring, RingError, find_hom, prime_factors
 
 
@@ -111,7 +112,30 @@ def enumerate_points(G: GroupScheme, Rp: Ring, budget: int = 500000):
         phi = [R.dot(exprs[j], vals) for j in range(m)]
         if point_is_hom(GR, phi):
             found.append(tuple(phi))
-    return point_group_from_set(GR, set(found))
+    return _point_group(GR, found)
+
+
+def _point_group(GR: GroupScheme, found) -> PointGroup:
+    """The group on a closed point set, each product summed term by term
+    over Delta(e_i): (u * v)(e_i) = sum c u_j v_k."""
+    R = GR.ring
+    pts = sorted(set(found), key=lambda t: tuple(R.sort_key(x) for x in t))
+    index = {p: i for i, p in enumerate(pts)}
+    table = []
+    for u in pts:
+        row = []
+        for v in pts:
+            w = []
+            for i in range(GR.rank):
+                acc = R.zero
+                for j, k, c in GR.comult_sparse(i):
+                    acc = R.add(acc, R.mul(c, R.mul(u[j], v[k])))
+                w.append(acc)
+            if tuple(w) not in index:
+                raise HopfError("point set is not closed under the group law")
+            row.append(index[tuple(w)])
+        table.append(row)
+    return PointGroup(R, pts, table, index[tuple(GR.counit)])
 
 
 # ----------------------------------------------------------------------

@@ -689,6 +689,9 @@ def hochschild_split(E: ExtensionWitness, budget: int = 200000) -> SplitResult:
         raise HopfError("splitting needs an etale quotient")
     if gcd(nker, nquo) != 1:
         raise HopfError("splitting needs coprime kernel and quotient orders")
+    if not E.ledger:
+        # exactness on no test ring is no evidence
+        raise HopfError("no test ring gave points within the budget")
     for entry in E.ledger:
         if not (entry["left_injective"] and entry["exact_middle"]
                 and entry["right_surjective"]):

@@ -57,6 +57,10 @@ def test_missing_preconditions_exit_2(capsys):
                      "--base", base]) == 2
     assert main(["split", "--kernel", "2", "--builtin", "sdp:mu:3,Z2,inv",
                  "--base", "Q"]) == 2
+    # Q is the only test ring of Q, and a Q-points bound of 1 rejects the
+    # order-3 kernel there: an empty ledger is no evidence for the splitting
+    assert main(["split", "--kernel", "3", "--builtin", "const:S3",
+                 "--base", "Q", "--budget-points", "1"]) == 2
     # the order-p classifier is defined over fields only
     for spec, base in (("mu:2", "Zloc(2)"), ("mu:3", "Z/9"),
                        ("ot2:2,-1", "Zloc(2)"), ("ot2:2,-1", "Z/4")):

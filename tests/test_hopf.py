@@ -1,16 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from ffgs import hopf
+from ffgs import hopf, linalg
 from ffgs.cli import build_builtin
-from ffgs.linalg import mat_inverse, mat_mul, transpose, vec_add, vec_scale
+from ffgs.linalg import mat_inverse, transpose, vec_add, vec_scale, vec_sub
 from ffgs.constructions import alpha, constant, constant_cyclic, mu, tate_oort2
 from ffgs.hopf import (GroupScheme, HopfError, cartier_dual, convolution,
                        convolution_power, identity_endo, points, trivial_endo,
                        verify_hopf)
-from ffgs.oracle import s3_table
-from ffgs.rings import find_hom, identity_hom, parse_ring
+from ffgs.oracle import BudgetExceeded, enumerate_points, s3_table
+from ffgs.rings import RingError, find_hom, identity_hom, parse_ring
 
 Q = parse_ring("Q")
 F5 = parse_ring("GF(5)")
@@ -126,6 +127,17 @@ def test_points_over_q():
     assert P3.order == 2
 
 
+def test_points_over_q_with_large_constants():
+    # x^2 = a x has the roots 0 and a; the rational root theorem needs the
+    # divisors of a = 2 * 10^12 = 2^13 5^12, which trial division up to a
+    # cannot list
+    a = Fraction(2 * 10 ** 12)
+    G = tate_oort2(Q, a, Fraction(-2) / a)
+    P = points(G, Q)
+    assert P.elements == [(1, 0), (1, a)]
+    assert P.table == [[0, 1], [1, 0]]
+
+
 def test_points_over_zmod():
     # mu_2 over Z/8: square roots of 1 mod 8 form C2 x C2
     Z8 = parse_ring("Z/8")
@@ -153,6 +165,10 @@ def test_points_functorial_in_hom():
 
 def test_verify_hopf_wrapper():
     assert verify_hopf(mu(Q, 2)).ok
+
+
+def mat_mul(R, A, B):
+    return [[R.dot(row, col) for col in zip(*B)] for row in A]
 
 
 def rebased(G, Q):
@@ -309,16 +325,18 @@ REFERENCE_SPECS = ["mu:1", "mu:2", "mu:3", "mu:4", "const:Z3", "const:Z4",
 SLOTS = ("mult", "unit", "comult", "counit", "antipode")
 
 
+def built(spec, R):
+    """[spec over R], or [] where the builtin does not exist over R."""
+    try:
+        return [build_builtin(spec, R)]
+    except HopfError:
+        return []
+
+
 def builtins_over(R):
     """The REFERENCE_SPECS that exist over R (alpha_p and ot2:0,1 need
     characteristic p and 2)."""
-    out = []
-    for spec in REFERENCE_SPECS:
-        try:
-            out.append(build_builtin(spec, R))
-        except HopfError:
-            continue
-    return out
+    return [G for spec in REFERENCE_SPECS for G in built(spec, R)]
 
 
 def unitriangular(R, m, rng):
@@ -488,3 +506,183 @@ def test_verify_agrees_with_reference_on_random_corruptions():
         assert outcome(H.verify()) == outcome(_reference_verify(H))
 
     check()
+
+
+# ----------------------------------------------------------------------
+# points against the table and eigenspace code it replaced
+
+
+def _reference_point_group_from_set(GR, vecs):
+    """point_group_from_set as it was: every product sums Delta(e_i) u_j v_k
+    over the whole of comult_sparse(i), for every i."""
+    R = GR.ring
+    pts = sorted({tuple(v) for v in vecs}, key=lambda t: tuple(R.sort_key(x) for x in t))
+    index = {p: i for i, p in enumerate(pts)}
+    table = []
+    for u in pts:
+        row = []
+        for v in pts:
+            w = []
+            for i in range(GR.rank):
+                acc = R.zero
+                for j, k, c in GR.comult_sparse(i):
+                    acc = R.add(acc, R.mul(c, R.mul(u[j], v[k])))
+                w.append(acc)
+            if tuple(w) not in index:
+                raise HopfError("point set is not closed under the group law")
+            row.append(index[tuple(w)])
+        table.append(row)
+    return hopf.PointGroup(R, pts, table, index[tuple(GR.counit)])
+
+
+def _reference_minpoly(GR, e, c_vec):
+    R = GR.ring
+    powers = [e]
+    while True:
+        coeffs = linalg.member_with_coeffs(R, powers, GR.mul_vec(powers[-1], c_vec))
+        if coeffs is not None:
+            return [R.neg(x) for x in coeffs] + [R.one]
+        powers.append(GR.mul_vec(powers[-1], c_vec))
+
+
+def _reference_characters(GR):
+    """characters as it was: (L_c - lam) is applied dim(factor) times."""
+    R = GR.ring
+    if not R.is_field:
+        raise HopfError("characters need a field")
+    m = GR.rank
+    roots_of = hopf._root_finder(R)
+    results = []
+    stack = [(linalg.identity_matrix(R, m), list(GR.unit), 0, [None] * m)]
+    while stack:
+        basis, e, idx, chi = stack.pop()
+        if idx == m:
+            if all(x is not None for x in chi) and hopf.point_is_hom(GR, chi):
+                results.append(tuple(chi))
+            continue
+        c = GR.mul_vec(e, GR.basis_vector(idx))
+        scal = linalg.member_with_coeffs(R, [e], c)
+        if scal is not None:
+            chi2 = list(chi)
+            chi2[idx] = scal[0]
+            stack.append((basis, e, idx + 1, chi2))
+            continue
+        for lam in roots_of(_reference_minpoly(GR, e, c)):
+            rows = basis
+            for _ in range(len(basis)):
+                rows = [vec_sub(R, GR.mul_vec(b, c), vec_scale(R, lam, b))
+                        for b in rows]
+            coeff_kernel = linalg.row_kernel(R, rows)
+            if not coeff_kernel:
+                continue
+            sub_basis = linalg.canonical_span(R, [
+                [R.dot(t, col) for col in zip(*basis)] for t in coeff_kernel])
+            image_rows = linalg.canonical_span(R, rows)
+            f = hopf._split_unit(R, sub_basis, image_rows, e)
+            if f is None:
+                continue
+            chi2 = list(chi)
+            chi2[idx] = lam
+            stack.append((sub_basis, f, idx + 1, chi2))
+    return sorted(set(results), key=lambda t: tuple(R.sort_key(x) for x in t))
+
+
+def point_outcome(G, T):
+    """(elements, table, identity) of points(G, T), or the error it raises."""
+    try:
+        P = points(G, T)
+    except (HopfError, RingError) as exc:
+        return type(exc).__name__, str(exc)
+    return P.elements, P.table, P.identity_index
+
+
+def reference_point_outcome(G, T, monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(hopf, "characters", _reference_characters)
+        patched.setattr(hopf, "point_group_from_set",
+                        _reference_point_group_from_set)
+        return point_outcome(G, T)
+
+
+POINT_RINGS = ["GF(2)", "GF(3)", "GF(5)", "GF(2^2;x^2+x+1)", "GF(2^3;x^3+x^2+1)",
+               "GF(3^2;x^2+1)", "Q", "Dual(GF(2))", "Dual(GF(3))", "Z/4", "Z/9",
+               "Z/6"]
+POINT_SPECS = ["mu:1", "mu:2", "mu:3", "mu:4", "mu:5", "mu:6", "mu:7",
+               "const:Z3", "const:Z4", "const:S3", "alpha:2", "alpha:3",
+               "ot2:2,-1", "ot2:0,1", "sdp:mu:3,Z2,inv"]
+
+PRIME_SUBFIELD = {"GF(2^2;x^2+x+1)": ["GF(2)"], "GF(2^3;x^3+x^2+1)": ["GF(2)"],
+                  "GF(3^2;x^2+1)": ["GF(3)"], "Dual(GF(2))": ["GF(2)"],
+                  "Dual(GF(3))": ["GF(3)"]}
+
+
+def point_corpus():
+    """(label, scheme, point ring): every POINT_SPECS builtin over each point
+    ring and, for the extensions and dual numbers, over GF(p), in both bases.
+    alpha_p and mu_p in characteristic p, and the Dual fibers, have
+    generalized eigenspaces that (L_c - lam) needs more than one step for."""
+    rng = random.Random(20162)
+    for name in POINT_RINGS:
+        T = parse_ring(name)
+        for S in [T] + [parse_ring(s) for s in PRIME_SUBFIELD.get(name, ())]:
+            for spec in POINT_SPECS:
+                for G in built(spec, S):
+                    dense = rebased(G, unitriangular(S, G.rank, rng))
+                    for basis, H in (("natural", G), ("dense", dense)):
+                        yield f"{spec} over {S.name()} at {name}, {basis} basis", H, T
+
+
+def test_points_match_reference_on_every_ring(monkeypatch):
+    for label, G, T in point_corpus():
+        assert point_outcome(G, T) == reference_point_outcome(G, T, monkeypatch), label
+
+
+def test_point_table_uses_a_tenth_of_the_reference_multiplications(monkeypatch):
+    # the 15 points of const:Z15 are the indicator vectors of the group
+    # elements: the reference sums all 15 terms of Delta(e_i) for each i and
+    # pair, 101,250 products; the contraction makes one per entry of L_u
+    R = parse_ring("GF(2^4;x^4+x+1)")
+    G = constant_cyclic(R, 15)
+    vecs = hopf.characters(G)
+    counts, tables = [], []
+    for build in (_reference_point_group_from_set, hopf.point_group_from_set):
+        calls = [0]
+
+        def counting(a, b, _mul=R.mul, calls=calls):
+            calls[0] += 1
+            return _mul(a, b)
+
+        monkeypatch.setattr(R, "mul", counting)
+        P = build(G, vecs)
+        monkeypatch.undo()
+        counts.append(calls[0])
+        tables.append((P.elements, P.table, P.identity_index))
+    reference, contracted = counts
+    assert tables[0] == tables[1]
+    assert reference == 101250, counts
+    assert contracted * 10 <= reference, counts
+
+
+def test_points_match_oracle():
+    hyp, st, settings = hypothesis_or_skip()
+    rings = [parse_ring(name) for name in POINT_RINGS if name != "Q"]
+    pairs = [(R, T) for R in rings for T in rings if find_hom(R, T)]
+    schemes = {R.name(): [G for spec in POINT_SPECS
+                          for G in built(spec, R)] for R in rings}
+
+    @settings
+    @hyp.given(st.sampled_from(pairs), st.data(), st.integers(0, 2 ** 32))
+    def check(pair, data, seed):
+        R, T = pair
+        G = data.draw(st.sampled_from(schemes[R.name()]))
+        H = rebased(G, unitriangular(R, G.rank, random.Random(seed)))
+        try:
+            expected = enumerate_points(H, T, budget=20000)
+        except BudgetExceeded:
+            return
+        P = points(H, T)
+        assert (P.elements, P.table, P.identity_index) == (
+            expected.elements, expected.table, expected.identity_index)
+
+    check()
+

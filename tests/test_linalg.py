@@ -15,7 +15,6 @@ from ffgs.linalg import (
     reduce_mod_span,
     row_kernel,
     solve,
-    span_equal,
     transpose,
     vec_is_zero,
 )
@@ -45,6 +44,10 @@ def rand_matrix(R, rng, rows, cols):
     return [[rand_elt(R, rng) for _ in range(cols)] for _ in range(rows)]
 
 
+def mat_mul(R, A, B):
+    return [[R.dot(row, col) for col in zip(*B)] for row in A]
+
+
 def test_kernel_and_image_properties_random():
     rng = random.Random(11)
     for R in RINGS:
@@ -69,7 +72,6 @@ def test_canonical_span_is_canonical():
             # shuffled and doubled generating sets give the same form
             doubled = rows + [rows[0]] + rows[::-1]
             assert canonical_span(R, doubled) == base
-            assert span_equal(R, rows, doubled)
 
 
 def test_member_with_coeffs():
@@ -131,7 +133,6 @@ def test_inverse_and_det():
             Minv = mat_inverse(R, M)
             d = det(R, M)
             if Minv is not None:
-                from ffgs.linalg import mat_mul
                 assert mat_mul(R, M, Minv) == identity_matrix(R, 3)
                 assert R.is_unit(d)
             else:
