@@ -85,9 +85,17 @@ def load_scheme(args) -> GroupScheme:
         except (OSError, json.JSONDecodeError) as exc:
             raise UserError(f"cannot load {args.file!r}: {exc}")
         try:
-            return GroupScheme.from_dict(data)
+            G = GroupScheme.from_dict(data)
         except (KeyError, TypeError, RingError, HopfError) as exc:
             raise UserError(f"bad group-scheme file: {exc}")
+        # verify, order and dual are defined on raw tensors; every other
+        # command relies on the Hopf axioms (builtins satisfy them)
+        if args.command not in ("verify", "order", "dual"):
+            rep = G.verify()
+            if not rep:
+                raise UserError(f"not a Hopf algebra: {rep.axiom} fails "
+                                f"at {rep.witness}")
+        return G
     if args.builtin:
         if not args.base:
             raise UserError("--builtin needs --base <ring>")

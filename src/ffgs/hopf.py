@@ -367,18 +367,26 @@ class GroupScheme:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroupScheme":
-        R = parse_ring(d["base"])
-        p = R.parse
-        return cls(
-            R,
-            d["rank"],
-            [[[p(c) for c in v] for v in row] for row in d["mult"]],
-            [p(c) for c in d["unit"]],
-            [[[p(c) for c in r] for r in mat] for mat in d["comult"]],
-            [p(c) for c in d["counit"]],
-            [[p(c) for c in v] for v in d["antipode"]],
-            name=d.get("name"),
-        )
+        base, rank = d["base"], d["rank"]
+        if not isinstance(base, str):
+            raise HopfError("base must be a ring spec string")
+        if not isinstance(rank, int) or isinstance(rank, bool):
+            raise HopfError("rank must be an integer")
+        R = parse_ring(base)
+
+        def tensor(key, depth):
+            # JSON lists nested depth deep with ring elements at the bottom
+            def walk(x, depth):
+                if not isinstance(x, list):
+                    raise HopfError(f"{key} must be nested lists, {depth} deep")
+                if depth == 1:
+                    return [R.parse(c) for c in x]
+                return [walk(y, depth - 1) for y in x]
+            return walk(d[key], depth)
+
+        return cls(R, rank, tensor("mult", 3), tensor("unit", 1),
+                   tensor("comult", 3), tensor("counit", 1),
+                   tensor("antipode", 2), name=d.get("name"))
 
     def __repr__(self):
         tag = self.name or "group scheme"
@@ -685,7 +693,8 @@ def _root_finder(R: Ring):
 
 def _minpoly_of_vector(GR: GroupScheme, e, c_vec):
     """Monic minimal polynomial of multiplication by c_vec on the unital
-    factor with unit e (powers e, c, c^2, ... until linear dependence)."""
+    factor with unit e (powers e, c, c^2, ... until linear dependence),
+    and the powers e, c, ..., c^(n-1) below its degree n."""
     R = GR.ring
     powers = [e]
     while True:
@@ -693,47 +702,85 @@ def _minpoly_of_vector(GR: GroupScheme, e, c_vec):
         coeffs = member_with_coeffs(R, powers, nxt)
         if coeffs is not None:
             # x^n = sum coeffs_i x^i  ->  minpoly = x^n - sum coeffs_i x^i
-            return [R.neg(x) for x in coeffs] + [R.one]
+            return [R.neg(x) for x in coeffs] + [R.one], powers
         powers.append(nxt)
 
 
-def _root_multiplicity(R: Ring, poly, lam) -> int:
-    """How often x - lam divides poly (coefficients low degree first)."""
-    n = 0
+def lift_idempotent(GR: GroupScheme, u):
+    """The idempotent f with u - f nilpotent, by the Newton steps
+    u <- 3u^2 - 2u^3: each one at least squares the nilpotent part."""
+    R = GR.ring
+    three, two = R.from_int(3), R.from_int(2)
+    # a nilpotent of an algebra of rank m over a field or Dual(k) has
+    # index at most 2m, so this many steps reach u^2 = u
+    for _ in range(GR.rank.bit_length() + 2):
+        u2 = GR.mul_vec(u, u)
+        if u2 == u:
+            return u
+        u = vec_sub(R, vec_scale(R, three, u2),
+                    vec_scale(R, two, GR.mul_vec(u2, u)))
+    raise HopfError("no idempotent lift: the algebra is not commutative "
+                    "and associative")
+
+
+def _eigen_idempotent(GR: GroupScheme, minpoly, powers, lam):
+    """The unit f_lam of the generalized lam-eigenspace of c inside the
+    factor eA, where minpoly and powers come from _minpoly_of_vector.
+
+    With minpoly = (x - lam)^k g and g(lam) != 0, g(c) vanishes on the
+    other eigenspaces (Fitting decomposition), so g(c)/g(lam) is f_lam
+    plus a nilpotent."""
+    R = GR.ring
+    g = minpoly
     while True:
         # Horner's scheme: the partial sums are the quotient by x - lam,
-        # highest degree first, and the last one is poly(lam)
+        # highest degree first, and the last one is g(lam)
         partial = []
         acc = R.zero
-        for c in reversed(poly):
-            acc = R.add(R.mul(acc, lam), c)
+        for a in reversed(g):
+            acc = R.add(R.mul(acc, lam), a)
             partial.append(acc)
         if acc != R.zero:
-            return n
-        poly = partial[-2::-1]
-        n += 1
+            break
+        g = partial[-2::-1]
+    scale = R.inv(acc)
+    u = [R.zero] * GR.rank
+    for a, power in zip(g, powers):
+        if a != R.zero:
+            u = vec_add(R, u, vec_scale(R, R.mul(scale, a), power))
+    return lift_idempotent(GR, u)
+
+
+def identity_idempotent(G: GroupScheme):
+    """e0, the unit of the local factor of the algebra at the identity
+    point (field base): the descent of `characters` along the counit."""
+    e = list(G.unit)
+    for idx in range(G.rank):
+        c = G.mul_vec(e, G.basis_vector(idx))
+        minpoly, powers = _minpoly_of_vector(G, e, c)
+        e = _eigen_idempotent(G, minpoly, powers, G.counit[idx])
+    return e
 
 
 def characters(GR: GroupScheme):
     """All algebra homomorphisms Hopf(GR) -> base field, as value vectors.
 
-    Pure linear algebra: the algebra is split along generalized eigenspaces
-    of multiplication operators; eigenvalues are found by exact root
-    scanning (all field elements over finite fields, rational root theorem
-    over Q)."""
+    Pure linear algebra: the algebra is split by the idempotents of the
+    generalized eigenspaces of multiplication operators, one basis vector
+    at a time; eigenvalues are found by exact root scanning (all field
+    elements over finite fields, rational root theorem over Q)."""
     R = GR.ring
     if not R.is_field:
         raise HopfError("characters need a field")
     m = GR.rank
     roots_of = _root_finder(R)
     results = []
-    # stack entries: (factor basis rows, factor unit, next ambient index, chi)
-    ident = linalg.identity_matrix(R, m)
-    stack = [(ident, list(GR.unit), 0, [None] * m)]
+    # stack entries: (factor unit, next ambient index, chi)
+    stack = [(list(GR.unit), 0, [None] * m)]
     while stack:
-        basis, e, idx, chi = stack.pop()
+        e, idx, chi = stack.pop()
         if idx == m:
-            if all(x is not None for x in chi) and point_is_hom(GR, chi):
+            if point_is_hom(GR, chi):
                 results.append(tuple(chi))
             continue
         c = GR.mul_vec(e, GR.basis_vector(idx))
@@ -741,50 +788,15 @@ def characters(GR: GroupScheme):
         if scal is not None:
             chi2 = list(chi)
             chi2[idx] = scal[0]
-            stack.append((basis, e, idx + 1, chi2))
+            stack.append((e, idx + 1, chi2))
             continue
-        minpoly = _minpoly_of_vector(GR, e, c)
+        minpoly, powers = _minpoly_of_vector(GR, e, c)
         for lam in roots_of(minpoly):
-            # generalized eigenspace of mult-by-c inside the factor.  minpoly
-            # is the minimal polynomial of L_c there, so the multiplicity of
-            # lam in it is the Fitting index of L_c - lam: kernel and image
-            # of (L_c - lam)^j are those of (L_c - lam)^dim from there on
-            rows = basis
-            for _ in range(_root_multiplicity(R, minpoly, lam)):
-                rows = [
-                    vec_sub(R, GR.mul_vec(b, c), vec_scale(R, lam, b)) for b in rows
-                ]
-            # kernel of (L_c - lam)^j restricted to the factor:
-            # x = sum t_i basis_i with sum t_i rows_i = 0
-            coeff_kernel = linalg.row_kernel(R, rows)
-            if not coeff_kernel:
-                continue
-            sub_basis = [
-                [R.dot(t, col) for col in zip(*basis)] for t in coeff_kernel
-            ]
-            sub_basis = linalg.canonical_span(R, sub_basis)
-            # unit of the subfactor: solve e = f + g with f in sub, g in image
-            image_rows = linalg.canonical_span(R, rows)
-            f = _split_unit(R, sub_basis, image_rows, e)
-            if f is None:
-                continue
             chi2 = list(chi)
             chi2[idx] = lam
-            stack.append((sub_basis, f, idx + 1, chi2))
+            stack.append((_eigen_idempotent(GR, minpoly, powers, lam),
+                          idx + 1, chi2))
     return sorted(set(results), key=lambda t: tuple(R.sort_key(x) for x in t))
-
-
-def _split_unit(R, sub_rows, comp_rows, e):
-    """Write e = f + g with f in span(sub_rows), g in span(comp_rows);
-    return f."""
-    stacked = list(sub_rows) + list(comp_rows)
-    coeffs = member_with_coeffs(R, stacked, e)
-    if coeffs is None:
-        return None
-    f = [R.zero] * len(e)
-    for t, row in zip(coeffs[: len(sub_rows)], sub_rows):
-        f = vec_add(R, f, vec_scale(R, t, row))
-    return f
 
 
 def trace_form(G: GroupScheme):

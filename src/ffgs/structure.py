@@ -23,9 +23,7 @@ from .linalg import (
     canonical_span,
     member,
     row_kernel,
-    solve,
     transpose,
-    vec_add,
     vec_scale,
     vec_sub,
 )
@@ -36,6 +34,8 @@ from .hopf import (
     convolution_power,
     cartier_dual,
     hom_on_points,
+    identity_idempotent,
+    lift_idempotent,
     points,
     power_map_alg,
     trace_discriminant,
@@ -86,21 +86,29 @@ MAX_SPLITTING_FIELD = 1 << 16
 
 
 def augmentation_core(G: GroupScheme):
-    """Stabilized power of the augmentation ideal J = ker(counit).
+    """Canonical basis of (1 - e0)A, with e0 the unit of the local factor
+    of the algebra at the identity.
 
-    Over a field the result is the complement of the local factor at the
-    identity: its codimension is the infinitesimal rank."""
+    It is the stabilized power of the augmentation ideal J = ker(counit),
+    the ideal of the identity component: over a field its codimension is
+    the infinitesimal rank.  Over Dual(k) the fiber's e0 is lifted by
+    Newton steps, since idempotents lift uniquely along the nilpotent
+    ideal (eps)."""
     R = G.ring
-    J = canonical_span(R, [
-        vec_sub(R, G.basis_vector(i), vec_scale(R, G.counit[i], G.unit))
-        for i in range(G.rank)
-    ])
-    cur = J
-    while True:
-        nxt = canonical_span(R, [G.mul_vec(v, w) for v in cur for w in J])
-        if nxt == cur:
-            return cur
-        cur = nxt
+    if R.is_field:
+        e0 = identity_idempotent(G)
+    elif isinstance(R, DualNumbers):
+        k = R.base
+        fiber = G.base_change(RingHom(R, k, lambda a: a[0], "eps -> 0"))
+        e0 = lift_idempotent(G, [(a, k.zero) for a in identity_idempotent(fiber)])
+    else:
+        raise HopfError(
+            f"identity component needs a field or Artin local base, not {R.name()}"
+        )
+    u = vec_sub(R, G.unit, e0)
+    return canonical_span(
+        R, [G.mul_vec(u, G.basis_vector(i)) for i in range(G.rank)]
+    )
 
 
 def infinitesimal_rank(G: GroupScheme) -> int:
@@ -137,58 +145,10 @@ def is_etale(G: GroupScheme):
     return G.ring.is_unit(disc), disc
 
 
-def _unit_of_ideal(G: GroupScheme, rows):
-    """The multiplicative unit of a unital ideal given by a module basis."""
-    R = G.ring
-    if not rows:
-        return None
-    m = G.rank
-    r = len(rows)
-    # solve sum_i t_i (rows_i * rows_j) = rows_j for all j
-    cols = []
-    for i in range(r):
-        col = []
-        for j in range(r):
-            col.extend(G.mul_vec(rows[i], rows[j]))
-        cols.append(col)
-    rhs = []
-    for j in range(r):
-        rhs.extend(rows[j])
-    t = solve(R, transpose(cols), rhs)
-    if t is None:
-        raise HopfError("ideal is not unital")
-    e = [R.zero] * m
-    for c, v in zip(t, rows):
-        e = vec_add(R, e, vec_scale(R, c, v))
-    return e
-
-
 def identity_component(G: GroupScheme) -> ClosedSubgroup:
-    """The identity component as a closed subgroup (field or dual-number
-    base; uses idempotent lifting in the latter, henselian case)."""
-    R = G.ring
-    if R.is_field:
-        core = augmentation_core(G)
-        return ClosedSubgroup(G, ideal_closure(G, core), check=False)
-    if isinstance(R, DualNumbers):
-        k = R.base
-        fiber = G.base_change(RingHom(R, k, lambda a: a[0], "eps -> 0"))
-        core = augmentation_core(fiber)
-        if not core:
-            return trivial_subgroup(G) if G.rank == 1 else \
-                ClosedSubgroup(G, [], check=False)
-        eB = _unit_of_ideal(fiber, core)
-        u0 = [(vec_sub(k, fiber.unit, eB)[i], k.zero) for i in range(G.rank)]
-        # one Newton step u -> 3u^2 - 2u^3 kills the eps-order error
-        u2 = G.mul_vec(u0, u0)
-        u3 = G.mul_vec(u2, u0)
-        u = vec_sub(R, vec_scale(R, R.from_int(3), u2),
-                    vec_scale(R, R.from_int(2), u3))
-        gen = vec_sub(R, G.unit, u)
-        return ClosedSubgroup(G, ideal_closure(G, [gen]), check=False)
-    raise HopfError(
-        f"identity component needs a field or Artin local base, not {R.name()}"
-    )
+    """The identity component as a closed subgroup, cut out by the ideal
+    (1 - e0)A of `augmentation_core` (field or dual-number base)."""
+    return ClosedSubgroup(G, augmentation_core(G), check=False)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ffgs.cli import main
+from ffgs.constructions import mu
+from ffgs.rings import parse_ring
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -85,6 +93,18 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         d["unit"][0] = 3
         bad.write_text(json.dumps(d))
         assert main(["verify", "--file", str(bad)]) == 2
+    # JSON of the wrong type: base and rank, and tensors that are not lists
+    # (a string is not a list of characters, a dict not a list of keys):
+    # the dual of const:Z2 has unit ["1","0"], that of mu:2 counit ["1","0"]
+    for spec, key, value in (("mu:2", "base", 7), ("mu:2", "rank", 2.0),
+                             ("const:Z2", "unit", "10"),
+                             ("mu:2", "counit", {"1": 0, "0": 0})):
+        code, out = run(capsys, "dual", "--builtin", spec, "--base", "GF(3)",
+                        "--format", "json")
+        d = json.loads(out)
+        d[key] = value
+        bad.write_text(json.dumps(d))
+        assert main(["verify", "--file", str(bad)]) == 2, key
     # group tables that are empty or have no identity
     assert main(["verify", "--builtin", "const:Z0", "--base", "GF(5)"]) == 2
     no_identity = tmp_path / "table.json"
@@ -92,6 +112,26 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert main(["verify", "--builtin", f"const:{no_identity}",
                  "--base", "GF(5)"]) == 2
     capsys.readouterr()
+
+
+def test_file_failing_the_hopf_axioms_exits_2(tmp_path):
+    # mu_2 over GF(3) with counit(x) = 0: the counit is no algebra map.
+    # Each command that relies on the axioms must stop with exit 2, and in
+    # time: the subprocess timeout catches a command that never returns
+    d = mu(parse_ring("GF(3)"), 2).to_dict()
+    d["counit"] = ["1", "0"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for extra in (["points", "--ring", "GF(3)"], ["decompose-p"], ["fibers"],
+                  ["loci", "--prime", "2"], ["connected-etale"], ["theorem"],
+                  ["split", "--kernel", "2"], ["refine", "--kernels", "2,1"],
+                  ["classify-p"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ffgs.cli", extra[0], "--file", str(bad)]
+            + extra[1:], env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, ""), (extra, proc.stderr)
+        assert "counit" in proc.stderr, extra
 
 
 def test_order(capsys):

@@ -545,6 +545,19 @@ def _reference_minpoly(GR, e, c_vec):
         powers.append(GR.mul_vec(powers[-1], c_vec))
 
 
+def _reference_split_unit(R, sub_rows, comp_rows, e):
+    """Write e = f + g with f in span(sub_rows), g in span(comp_rows);
+    return f."""
+    stacked = list(sub_rows) + list(comp_rows)
+    coeffs = linalg.member_with_coeffs(R, stacked, e)
+    if coeffs is None:
+        return None
+    f = [R.zero] * len(e)
+    for t, row in zip(coeffs[: len(sub_rows)], sub_rows):
+        f = vec_add(R, f, vec_scale(R, t, row))
+    return f
+
+
 def _reference_characters(GR):
     """characters as it was: (L_c - lam) is applied dim(factor) times."""
     R = GR.ring
@@ -578,13 +591,23 @@ def _reference_characters(GR):
             sub_basis = linalg.canonical_span(R, [
                 [R.dot(t, col) for col in zip(*basis)] for t in coeff_kernel])
             image_rows = linalg.canonical_span(R, rows)
-            f = hopf._split_unit(R, sub_basis, image_rows, e)
+            f = _reference_split_unit(R, sub_basis, image_rows, e)
             if f is None:
                 continue
             chi2 = list(chi)
             chi2[idx] = lam
             stack.append((sub_basis, f, idx + 1, chi2))
     return sorted(set(results), key=lambda t: tuple(R.sort_key(x) for x in t))
+
+
+def test_lift_idempotent_removes_a_deep_nilpotent():
+    # mu_10 over GF(5) is k[x]/((x-1)^5 (x+1)^5).  n = e0 (x - 1) has
+    # n^4 != 0, so one Newton step, which leaves -3n^2 - 2n^3, is not enough
+    G = mu(F5, 10)
+    e0 = hopf.identity_idempotent(G)
+    assert G.mul_vec(e0, e0) == e0 != G.unit
+    n = G.mul_vec(e0, vec_sub(F5, G.basis_vector(1), G.unit))
+    assert hopf.lift_idempotent(G, vec_add(F5, e0, n)) == e0
 
 
 def point_outcome(G, T):

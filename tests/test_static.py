@@ -78,3 +78,29 @@ def test_no_unused_imports():
                    for name, line in imported_names(tree).items()
                    if name not in used]
     assert unused == []
+
+
+def test_private_helpers_are_used():
+    """Every private module-level function or class is referenced in
+    src/ffgs outside its own definition: no helper outlives its callers."""
+    trees = [parse(path) for path in sorted(SRC.glob("*.py"))]
+
+    def references(node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+            elif isinstance(n, ast.alias):
+                yield n.name
+
+    everywhere = [name for tree in trees for name in references(tree)]
+    unused = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and everywhere.count(node.name) == list(references(node)).count(node.name)
+    ]
+    assert unused == []

@@ -1,19 +1,25 @@
+import random
+
 import pytest
 
-from ffgs.constructions import (alpha, constant, constant_cyclic,
-                                direct_product, extension_witness,
-                                find_isomorphism, inversion_action, kernel,
-                                mu, semidirect, tate_oort2)
+from ffgs.constructions import (ClosedSubgroup, alpha, constant,
+                                constant_cyclic, direct_product,
+                                extension_witness, find_isomorphism,
+                                ideal_closure, inversion_action, kernel, mu,
+                                semidirect, tate_oort2, trivial_subgroup)
 from ffgs.hopf import convolution_power, points
+from ffgs.linalg import (canonical_span, solve, transpose, vec_add, vec_scale,
+                         vec_sub)
 from ffgs.oracle import AbstractGroup, s3_table
-from ffgs.rings import parse_ring
-from ffgs.structure import (classify_order_p, common_refinement,
-                            connected_etale_sequence, fiber_report,
-                            frobenius_verschiebung, hochschild_split,
-                            identity_component, infinitesimal_rank, is_etale,
-                            locus_report, order_p_subgroup,
-                            p_primary_decompose, separable_rank,
-                            theorem_decompose)
+from ffgs.rings import RingHom, parse_ring
+from ffgs.structure import (augmentation_core, classify_order_p,
+                            common_refinement, connected_etale_sequence,
+                            fiber_report, frobenius_verschiebung,
+                            hochschild_split, identity_component,
+                            infinitesimal_rank, is_etale, locus_report,
+                            order_p_subgroup, p_primary_decompose,
+                            separable_rank, theorem_decompose)
+from test_hopf import rebased, unitriangular
 
 Q = parse_ring("Q")
 F2 = parse_ring("GF(2)")
@@ -50,6 +56,98 @@ def test_identity_component():
     assert H.order == 3
     assert identity_component(constant(F5, s3_table())).order == 1
     assert identity_component(mu(F5, 6)).order == 1
+    assert identity_component(mu(parse_ring("Dual(GF(3))"), 6)).order == 3
+    assert identity_component(mu(parse_ring("Dual(GF(5))"), 10)).order == 5
+
+
+def _reference_augmentation_core(G):
+    """augmentation_core as it was: J^n until it stabilizes."""
+    R = G.ring
+    J = canonical_span(R, [
+        vec_sub(R, G.basis_vector(i), vec_scale(R, G.counit[i], G.unit))
+        for i in range(G.rank)
+    ])
+    cur = J
+    while True:
+        nxt = canonical_span(R, [G.mul_vec(v, w) for v in cur for w in J])
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def _reference_unit_of_ideal(G, rows):
+    """The multiplicative unit of a unital ideal given by a module basis."""
+    R = G.ring
+    m = G.rank
+    r = len(rows)
+    # solve sum_i t_i (rows_i * rows_j) = rows_j for all j
+    cols = []
+    for i in range(r):
+        col = []
+        for j in range(r):
+            col.extend(G.mul_vec(rows[i], rows[j]))
+        cols.append(col)
+    rhs = []
+    for j in range(r):
+        rhs.extend(rows[j])
+    t = solve(R, transpose(cols), rhs)
+    e = [R.zero] * m
+    for c, v in zip(t, rows):
+        e = vec_add(R, e, vec_scale(R, c, v))
+    return e
+
+
+def _reference_identity_component(G):
+    """identity_component as it was: the closure of the J^n core, and over
+    Dual(k) one Newton step from the unit of the fiber's core."""
+    R = G.ring
+    if R.is_field:
+        core = _reference_augmentation_core(G)
+        return ClosedSubgroup(G, ideal_closure(G, core), check=False)
+    k = R.base
+    fiber = G.base_change(RingHom(R, k, lambda a: a[0], "eps -> 0"))
+    core = _reference_augmentation_core(fiber)
+    if not core:
+        return trivial_subgroup(G) if G.rank == 1 else \
+            ClosedSubgroup(G, [], check=False)
+    eB = _reference_unit_of_ideal(fiber, core)
+    u0 = [(vec_sub(k, fiber.unit, eB)[i], k.zero) for i in range(G.rank)]
+    u2 = G.mul_vec(u0, u0)
+    u3 = G.mul_vec(u2, u0)
+    u = vec_sub(R, vec_scale(R, R.from_int(3), u2),
+                vec_scale(R, R.from_int(2), u3))
+    gen = vec_sub(R, G.unit, u)
+    return ClosedSubgroup(G, ideal_closure(G, [gen]), check=False)
+
+
+IDENTITY_CASES = [("GF(2)", 6), ("GF(3)", 6), ("GF(3^2;x^2+1)", 6),
+                  ("GF(5)", 10), ("Dual(GF(3))", 6), ("Dual(GF(5))", 10)]
+IDENTITY_CASES += [(f"GF({p})", p) for p in (2, 3, 5)]
+
+
+def identity_corpus():
+    """mu_n, and alpha_p over GF(p), each in ten seeded dense bases.  In a
+    dense basis g(c)/g(lam) can have a nilpotent part, which only the
+    Newton steps remove."""
+    rng = random.Random(20166)
+    for name, n in IDENTITY_CASES:
+        R = parse_ring(name)
+        schemes = [mu(R, n)]
+        if n == R.char():
+            schemes.append(alpha(R, n))
+        for G in schemes:
+            for _ in range(10):
+                yield f"{G.name} over {name}", rebased(G, unitriangular(R, n, rng))
+
+
+def test_identity_component_matches_reference():
+    for label, G in identity_corpus():
+        H = identity_component(G)
+        assert H.ideal == _reference_identity_component(G).ideal, label
+        if G.ring.is_field:
+            core = _reference_augmentation_core(G)
+            assert augmentation_core(G) == core, label
+            assert infinitesimal_rank(G) == G.rank - len(core), label
 
 
 def test_fiber_report_mu2_zloc2():
