@@ -343,7 +343,7 @@ class ClosedSubgroup:
                     return VerificationReport(False, "ideal-closure", (t, i))
         # inside the augmentation ideal
         for t, v in enumerate(self.ideal):
-            if G.counit_of(v) != R.zero:
+            if R.nonzero(G.counit_of(v)):
                 return VerificationReport(False, "augmentation", (t,))
         # coideal: with unit pivots A = F (+) I, F spanned by the free
         # columns, so I (x) A + A (x) I is the kernel of pi (x) pi
@@ -482,9 +482,10 @@ def conjugation_tensor(G: GroupScheme, v) -> dict:
     A (x) I: the conjugated element stays in the subgroup whatever the
     conjugating point does on the first tensor factor."""
     R = G.ring
+    nonzero = R.nonzero
     out: dict = {}
     for i, coeff in enumerate(v):
-        if coeff == R.zero:
+        if not nonzero(coeff):
             continue
         for j, k, c in G.comult_sparse(i):
             for a, b, d in G.comult_sparse(k):
@@ -492,10 +493,10 @@ def conjugation_tensor(G: GroupScheme, v) -> dict:
                 w = G.mul_vec(G.basis_vector(j), G.antipode_vec(G.basis_vector(b)))
                 cd = R.mul(coeff, R.mul(c, d))
                 for t, x in enumerate(w):
-                    if x != R.zero:
+                    if nonzero(x):
                         key = (t, a)
                         out[key] = R.add(out.get(key, R.zero), R.mul(cd, x))
-    return {key: c for key, c in out.items() if c != R.zero}
+    return {key: c for key, c in out.items() if nonzero(c)}
 
 
 def is_normal(H: ClosedSubgroup):
@@ -724,7 +725,7 @@ def find_isomorphism(G: GroupScheme, H: GroupScheme,
         for j in range(H.rank):
             w = [R.zero] * G.rank
             for t, c in enumerate(exprs[j]):
-                if c != R.zero:
+                if R.nonzero(c):
                     w = vec_add(R, w, vec_scale(R, c, vpow[t]))
             alg.append(w)
         f = GroupSchemeHom(G, H, alg)

@@ -108,34 +108,42 @@ class GroupScheme:
         return [R.one if j == i else R.zero for j in range(self.rank)]
 
     def comult_sparse(self, i):
-        R = self.ring
+        nonzero = self.ring.nonzero
         return [
             (j, k, c)
             for j, row in enumerate(self.comult[i])
             for k, c in enumerate(row)
-            if c != R.zero
+            if nonzero(c)
         ]
 
     # -- algebra operations ---------------------------------------------
     def mul_vec(self, v, w):
         R = self.ring
+        nonzero, add, mul = R.nonzero, R.add, R.mul
         out = [R.zero] * self.rank
+        ws = [(j, b) for j, b in enumerate(w) if nonzero(b)]
         for i, a in enumerate(v):
-            if a == R.zero:
+            if not nonzero(a):
                 continue
-            for j, b in enumerate(w):
-                if b == R.zero:
-                    continue
-                ab = R.mul(a, b)
-                for k, c in enumerate(self.mult[i][j]):
-                    if c != R.zero:
-                        out[k] = R.add(out[k], R.mul(ab, c))
+            row = self.mult[i]
+            for j, b in ws:
+                ab = mul(a, b)
+                for k, c in enumerate(row[j]):
+                    if nonzero(c):
+                        out[k] = add(out[k], mul(ab, c))
         return out
 
     def power_vec(self, v, n: int):
+        """v^n for n >= 0, by square-and-multiply."""
+        if n < 0:
+            raise HopfError("negative power of an algebra element")
         out = self.unit
-        for _ in range(n):
-            out = self.mul_vec(out, v)
+        while n:
+            if n & 1:
+                out = self.mul_vec(out, v)
+            n >>= 1
+            if n:
+                v = self.mul_vec(v, v)
         return out
 
     def counit_of(self, v):
@@ -145,21 +153,22 @@ class GroupScheme:
         R = self.ring
         out = [R.zero] * self.rank
         for i, a in enumerate(v):
-            if a != R.zero:
+            if R.nonzero(a):
                 out = vec_add(R, out, vec_scale(R, a, self.antipode[i]))
         return out
 
     def comult_vec(self, v):
         """Delta(v) as a dict {(j, k): coeff}."""
         R = self.ring
+        nonzero, add, mul, zero = R.nonzero, R.add, R.mul, R.zero
         out: dict = {}
         for i, a in enumerate(v):
-            if a == R.zero:
+            if not nonzero(a):
                 continue
             for j, k, c in self.comult_sparse(i):
                 key = (j, k)
-                out[key] = R.add(out.get(key, R.zero), R.mul(a, c))
-        return {key: c for key, c in out.items() if c != R.zero}
+                out[key] = add(out.get(key, zero), mul(a, c))
+        return {key: c for key, c in out.items() if nonzero(c)}
 
     def tensor_mul(self, x: dict, y: dict) -> dict:
         """Product in A (x) A of two tensors given as {(j,k): coeff}.
@@ -167,6 +176,7 @@ class GroupScheme:
         No ffgs code calls it since `verify` contracts Delta(e_i) Delta(e_j)
         in stages; bench/tracer.py still wraps it by name."""
         R = self.ring
+        nonzero = R.nonzero
         out: dict = {}
         for (j1, k1), c1 in x.items():
             for (j2, k2), c2 in y.items():
@@ -174,14 +184,14 @@ class GroupScheme:
                 left = self.mult[j1][j2]
                 right = self.mult[k1][k2]
                 for a, la in enumerate(left):
-                    if la == R.zero:
+                    if not nonzero(la):
                         continue
                     cla = R.mul(c, la)
                     for b, rb in enumerate(right):
-                        if rb != R.zero:
+                        if nonzero(rb):
                             key = (a, b)
                             out[key] = R.add(out.get(key, R.zero), R.mul(cla, rb))
-        return {key: c for key, c in out.items() if c != R.zero}
+        return {key: c for key, c in out.items() if nonzero(c)}
 
     def is_commutative(self) -> bool:
         """Commutativity of the group law (symmetric comultiplication)."""
@@ -205,13 +215,13 @@ class GroupScheme:
         """
         R = self.ring
         m = self.rank
-        zero, add, mul = R.zero, R.add, R.mul
+        zero, nonzero, add, mul = R.zero, R.nonzero, R.add, R.mul
         # sparse tables, read once: M[a][b] lists the nonzero (x, c) of
         # e_a e_b, C[i] the nonzero (j, k, c) of Delta(e_i), S[j] those of S(e_j)
-        M = [[[(x, c) for x, c in enumerate(v) if c != zero] for v in row]
+        M = [[[(x, c) for x, c in enumerate(v) if nonzero(c)] for v in row]
              for row in self.mult]
         C = [self.comult_sparse(i) for i in range(m)]
-        S = [[(x, c) for x, c in enumerate(v) if c != zero] for v in self.antipode]
+        S = [[(x, c) for x, c in enumerate(v) if nonzero(c)] for v in self.antipode]
         basis = [self.basis_vector(i) for i in range(m)]
 
         def combine(terms):
@@ -228,7 +238,7 @@ class GroupScheme:
             for a, c in v:
                 for j, k, d in C[a]:
                     out[(j, k)] = add(out.get((j, k), zero), mul(c, d))
-            return {key: c for key, c in out.items() if c != zero}
+            return {key: c for key, c in out.items() if nonzero(c)}
 
         # algebra: commutativity of mult (the scheme is a scheme)
         for i in range(m):
@@ -236,7 +246,7 @@ class GroupScheme:
                 if self.mult[i][j] != self.mult[j][i]:
                     return VerificationReport(False, "algebra-commutativity", (i, j))
         # unit law
-        unit = [(a, u) for a, u in enumerate(self.unit) if u != zero]
+        unit = [(a, u) for a, u in enumerate(self.unit) if nonzero(u)]
         for i in range(m):
             if combine((a, i, u) for a, u in unit) != basis[i]:
                 return VerificationReport(False, "algebra-unit", (i,))
@@ -259,8 +269,8 @@ class GroupScheme:
                 for a, b, d in C[k]:
                     key = (j, a, b)
                     rhs[key] = add(rhs.get(key, zero), mul(c, d))
-            lhs = {key: c for key, c in lhs.items() if c != zero}
-            rhs = {key: c for key, c in rhs.items() if c != zero}
+            lhs = {key: c for key, c in lhs.items() if nonzero(c)}
+            rhs = {key: c for key, c in rhs.items() if nonzero(c)}
             if lhs != rhs:
                 return VerificationReport(False, "coassociativity", (i,))
         # counit laws
@@ -277,7 +287,7 @@ class GroupScheme:
         for j, a in unit:
             for k, b in unit:
                 ab = mul(a, b)
-                if ab != zero:
+                if nonzero(ab):
                     unit_sq[(j, k)] = ab
         if delta(unit) != unit_sq:
             return VerificationReport(False, "bialgebra-unit", ())
@@ -297,7 +307,7 @@ class GroupScheme:
                     acc = out.setdefault((c, b) if left else (a, c), {})
                     for x, d in prod:
                         acc[x] = add(acc.get(x, zero), mul(coeff, d))
-            return {key: [(x, v) for x, v in acc.items() if v != zero]
+            return {key: [(x, v) for x, v in acc.items() if nonzero(v)]
                     for key, acc in out.items()}
 
         Q = [stage(j, False) for j in range(m)]
@@ -309,7 +319,7 @@ class GroupScheme:
                     for y, q in Q[j].get(key, ()):
                         for x, p in xs:
                             rhs[(x, y)] = add(rhs.get((x, y), zero), mul(p, q))
-                rhs = {key: c for key, c in rhs.items() if c != zero}
+                rhs = {key: c for key, c in rhs.items() if nonzero(c)}
                 if delta(M[i][j]) != rhs:
                     return VerificationReport(False, "bialgebra-mult", (i, j))
                 eps_prod = self.counit_of(self.mult[i][j])
@@ -434,12 +444,13 @@ class GroupSchemeHom:
         R = self.source.ring
         out = [R.zero] * self.source.rank
         for j, c in enumerate(v):
-            if c != R.zero:
+            if R.nonzero(c):
                 out = vec_add(R, out, vec_scale(R, c, self.alg[j]))
         return out
 
     def is_valid(self) -> VerificationReport:
         R = self.source.ring
+        nonzero = R.nonzero
         S, T = self.source, self.target
         if self.apply_alg(T.unit) != S.unit:
             return VerificationReport(False, "hom-unit", ())
@@ -450,14 +461,14 @@ class GroupSchemeHom:
             rhs: dict = {}
             for j, k, c in T.comult_sparse(i):
                 for a, x in enumerate(self.alg[j]):
-                    if x == R.zero:
+                    if not nonzero(x):
                         continue
                     cx = R.mul(c, x)
                     for b, y in enumerate(self.alg[k]):
-                        if y != R.zero:
+                        if nonzero(y):
                             key = (a, b)
                             rhs[key] = R.add(rhs.get(key, R.zero), R.mul(cx, y))
-            rhs = {key: c for key, c in rhs.items() if c != R.zero}
+            rhs = {key: c for key, c in rhs.items() if nonzero(c)}
             if lhs != rhs:
                 return VerificationReport(False, "hom-comult", (i,))
             for j in range(T.rank):
@@ -517,7 +528,6 @@ def convolution_power(G: GroupScheme, n: int) -> GroupSchemeHom:
 def power_map_alg(G: GroupScheme, n: int):
     """Pullback of the n-th power map of the scheme (any G; a group
     homomorphism only when G is commutative)."""
-    ident = linalg.identity_matrix(G.ring, G.rank)
     if n == 0:
         return trivial_endo(G).alg
     if n < 0:
@@ -525,10 +535,17 @@ def power_map_alg(G: GroupScheme, n: int):
         # compose with the antipode: a -> [(-1)]^* [n]^* a
         anti = GroupSchemeHom(G, G, [list(v) for v in G.antipode])
         return [anti.apply_alg(v) for v in pos]
-    out = ident
-    for _ in range(n - 1):
-        out = convolution(G, out, ident)
-    return out
+    # square-and-multiply: convolution is associative, so the convolution
+    # powers of the identity satisfy id^a * id^b = id^(a + b)
+    square = linalg.identity_matrix(G.ring, G.rank)  # id^(2^i)
+    out = None
+    while True:
+        if n & 1:
+            out = square if out is None else convolution(G, out, square)
+        n >>= 1
+        if not n:
+            return out
+        square = convolution(G, square, square)
 
 
 # ----------------------------------------------------------------------
@@ -590,7 +607,7 @@ def point_group_from_set(GR: GroupScheme, vecs) -> PointGroup:
     |P| nnz(Delta) + |P|^2 nnz(L) ring operations for the table."""
     R = GR.ring
     m = GR.rank
-    zero, add, mul = R.zero, R.add, R.mul
+    zero, nonzero, add, mul = R.zero, R.nonzero, R.add, R.mul
     pts = sorted({tuple(v) for v in vecs}, key=lambda t: tuple(R.sort_key(x) for x in t))
     index = {p: i for i, p in enumerate(pts)}
     # T[j] lists the nonzero (k, i, c_ijk)
@@ -602,15 +619,15 @@ def point_group_from_set(GR: GroupScheme, vecs) -> PointGroup:
     for u in pts:
         L = [{} for _ in range(m)]
         for j, a in enumerate(u):
-            if a != zero:
+            if nonzero(a):
                 for k, i, c in T[j]:
                     L[k][i] = add(L[k].get(i, zero), mul(a, c))
-        L = [[(i, c) for i, c in row.items() if c != zero] for row in L]
+        L = [[(i, c) for i, c in row.items() if nonzero(c)] for row in L]
         row = []
         for v in pts:
             w = [zero] * m
             for k, b in enumerate(v):
-                if b != zero:
+                if nonzero(b):
                     for i, c in L[k]:
                         w[i] = add(w[i], mul(c, b))
             w = tuple(w)
@@ -642,10 +659,10 @@ def _root_finder(R: Ring):
                 acc = R.zero
                 power = R.one
                 for c in coeffs:
-                    if c != R.zero:
+                    if R.nonzero(c):
                         acc = R.add(acc, R.mul(c, power))
                     power = R.mul(power, lam)
-                if acc == R.zero:
+                if not R.nonzero(acc):
                     out.append(lam)
             return out
         return roots
@@ -740,13 +757,13 @@ def _eigen_idempotent(GR: GroupScheme, minpoly, powers, lam):
         for a in reversed(g):
             acc = R.add(R.mul(acc, lam), a)
             partial.append(acc)
-        if acc != R.zero:
+        if R.nonzero(acc):
             break
         g = partial[-2::-1]
     scale = R.inv(acc)
     u = [R.zero] * GR.rank
     for a, power in zip(g, powers):
-        if a != R.zero:
+        if R.nonzero(a):
             u = vec_add(R, u, vec_scale(R, R.mul(scale, a), power))
     return lift_idempotent(GR, u)
 
@@ -784,10 +801,13 @@ def characters(GR: GroupScheme):
                 results.append(tuple(chi))
             continue
         c = GR.mul_vec(e, GR.basis_vector(idx))
-        scal = member_with_coeffs(R, [e], c)
-        if scal is not None:
+        # is c = s e?  e is a nonzero idempotent, so s is c/e at any
+        # nonzero entry of e
+        j = next(j for j, x in enumerate(e) if R.nonzero(x))
+        s = R.mul(c[j], R.inv(e[j]))
+        if vec_scale(R, s, e) == c:
             chi2 = list(chi)
-            chi2[idx] = scal[0]
+            chi2[idx] = s
             stack.append((e, idx + 1, chi2))
             continue
         minpoly, powers = _minpoly_of_vector(GR, e, c)

@@ -2,8 +2,9 @@
 
 Submodules of R^n are given by canonical row bases.  `echelon` builds them
 with one elimination loop that knows no ring; the per-ring rules are the
-canonical-form hooks of `Ring`:
+hooks of `Ring`:
 
+  nonzero          the zero test, bound to a local name in the loops
   normalize_pivot  scale a new pivot row by a unit to its canonical pivot
   divmod_pivot     canonical quotient and remainder of an entry by a pivot
   row_sub          the row update row - q*pivot
@@ -45,7 +46,7 @@ def vec_scale(R: Ring, c, u):
     return [R.mul(c, a) for a in u]
 
 def vec_is_zero(R: Ring, u):
-    return all(a == R.zero for a in u)
+    return not any(map(R.nonzero, u))
 
 
 # -- matrices (list of rows; maps act on column vectors) ------------------
@@ -63,8 +64,9 @@ def mat_vec(R: Ring, M, v):
 # -- echelonization core ---------------------------------------------------
 
 def _leading_col(R, row, limit):
+    nonzero = R.nonzero
     for c in range(limit):
-        if row[c] != R.zero:
+        if nonzero(row[c]):
             return c
     return None
 
@@ -101,7 +103,7 @@ def echelon(R: Ring, rows, nprimary: int | None = None):
                 place(row, col)
                 break
             q, r = R.divmod_pivot(row[col], piv[col])
-            if r == R.zero:
+            if not R.nonzero(r):
                 row = R.row_sub(row, q, piv)
             else:
                 # the order rows are processed in fixes the tracked columns
@@ -139,10 +141,11 @@ def canonical_span(R: Ring, rows):
 def _reduce(R, rows, cols, v):
     """v with its entry at each cols[j] reduced by R.divmod_pivot against
     the pivot rows[j][cols[j]], in order."""
+    nonzero = R.nonzero
     for row, c in zip(rows, cols):
-        if v[c] != R.zero:
+        if nonzero(v[c]):
             q = R.divmod_pivot(v[c], row[c])[0]
-            if q != R.zero:
+            if nonzero(q):
                 v = R.row_sub(v, q, row)
     return v
 

@@ -9,6 +9,7 @@ Elements use canonical encodings so that ``==`` decides equality:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -79,6 +80,10 @@ class Ring:
     is_field = False
     is_finite = False
 
+    # The zero test hot loops bind to a local name.  bool serves every
+    # family whose zero is falsy; a ring with a truthy zero overrides it.
+    nonzero = bool
+
     # -- arithmetic ----------------------------------------------------
     def add(self, a, b):
         raise NotImplementedError
@@ -117,10 +122,11 @@ class Ring:
         return r
 
     def dot(self, xs, ys):
+        nonzero, add, mul = self.nonzero, self.add, self.mul
         acc = self.zero
         for x, y in zip(xs, ys):
-            if x != self.zero and y != self.zero:
-                acc = self.add(acc, self.mul(x, y))
+            if nonzero(x) and nonzero(y):
+                acc = add(acc, mul(x, y))
         return acc
 
     def elements(self):
@@ -170,7 +176,7 @@ class Ring:
         n = len(A)
         d = self.one
         for k in range(n):
-            piv = next((i for i in range(k, n) if A[i][k] != self.zero), None)
+            piv = next((i for i in range(k, n) if self.nonzero(A[i][k])), None)
             if piv is None:
                 return self.zero
             if piv != k:
@@ -179,7 +185,7 @@ class Ring:
             d = self.mul(d, A[k][k])
             inv = self.inv(A[k][k])
             for i in range(k + 1, n):
-                if A[i][k] != self.zero:
+                if self.nonzero(A[i][k]):
                     A[i] = self.row_sub(A[i], self.mul(A[i][k], inv), A[k])
         return d
 
@@ -208,8 +214,9 @@ class Ring:
         return ()
 
 
-class RationalField(Ring):
-    is_field = True
+class _Fractions(Ring):
+    """The arithmetic Q and Zloc(p) share: elements are Fractions, so every
+    operation is native."""
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -217,19 +224,17 @@ class RationalField(Ring):
     def add(self, a, b):
         return a + b
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 
     def neg(self, a):
         return -a
 
-    def is_unit(self, a):
-        return a != 0
-
-    def inv(self, a):
-        if a == 0:
-            raise RingError("division by zero in Q")
-        return 1 / Fraction(a)
+    def row_sub(self, row, q, piv):
+        return [x - q * y if y else x for x, y in zip(row, piv)]
 
     def from_int(self, n):
         return Fraction(n)
@@ -240,38 +245,88 @@ class RationalField(Ring):
     def sort_key(self, a):
         return (a.denominator, a.numerator)
 
-    def name(self):
-        return "Q"
-
     def show(self, a):
         return str(a)
+
+
+class RationalField(_Fractions):
+    is_field = True
+
+    def is_unit(self, a):
+        return a != 0
+
+    def inv(self, a):
+        if a == 0:
+            raise RingError("division by zero in Q")
+        return 1 / Fraction(a)
+
+    def name(self):
+        return "Q"
 
     def parse(self, text):
         return _parse_number(Fraction, text)
 
 
-class PrimeField(Ring):
-    is_field = True
+class _Residues(Ring):
+    """The arithmetic GF(p) and Z/n share: elements are ints in range(n),
+    reduced once per operation."""
+
     is_finite = True
+    zero = 0
+    one = 1
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def _key(self):
+        return (self.n,)
+
+    def add(self, a, b):
+        return (a + b) % self.n
+
+    def sub(self, a, b):
+        return (a - b) % self.n
+
+    def mul(self, a, b):
+        return (a * b) % self.n
+
+    def neg(self, a):
+        return (-a) % self.n
+
+    def row_sub(self, row, q, piv):
+        n = self.n
+        return [(x - q * y) % n for x, y in zip(row, piv)]
+
+    def from_int(self, n):
+        return n % self.n
+
+    def char(self):
+        return self.n
+
+    def elements(self):
+        return iter(range(self.n))
+
+    def size(self):
+        return self.n
+
+    def sort_key(self, a):
+        return a
+
+    def show(self, a):
+        return str(a)
+
+    def parse(self, text):
+        return _parse_number(int, text) % self.n
+
+
+class PrimeField(_Residues):
+    is_field = True
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise RingError(f"{p} is not prime")
+        super().__init__(p)
         self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def _key(self):
-        return (self.p,)
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def is_unit(self, a):
         return a % self.p != 0
@@ -281,29 +336,8 @@ class PrimeField(Ring):
             raise RingError("division by zero in GF(p)")
         return pow(a, -1, self.p)
 
-    def from_int(self, n):
-        return n % self.p
-
-    def char(self):
-        return self.p
-
-    def elements(self):
-        return iter(range(self.p))
-
-    def size(self):
-        return self.p
-
-    def sort_key(self, a):
-        return a
-
     def name(self):
         return f"GF({self.p})"
-
-    def show(self, a):
-        return str(a)
-
-    def parse(self, text):
-        return _parse_number(int, text) % self.p
 
 
 # -- polynomial helpers over GF(p), coefficients low-degree-first --------
@@ -406,8 +440,38 @@ def default_modulus(p: int, k: int) -> tuple:
     raise RingError("no irreducible polynomial found")  # pragma: no cover
 
 
+# Largest GF(p^k) ffgs builds: its log tables hold q - 1 elements.
+MAX_FIELD_ORDER = 1 << 16
+
+
+@functools.lru_cache(maxsize=None)
+def _log_tables(p: int, k: int, modulus: tuple):
+    """(exp, log, zech) of GF(p)[x]/(modulus), built once per field.
+
+    exp[i] = g^i for 0 <= i < q - 1, where g is the first primitive element
+    by (degree, coefficients); log inverts exp on the nonzero elements; and
+    zech[i] = log(1 + g^i), or None where 1 + g^i = 0 (Zech's logarithm,
+    Lidl & Niederreiter, Finite Fields, ch. 2).  Python's negative indices
+    reduce an exponent in (-(q - 1), q - 1) modulo q - 1."""
+    n = p ** k - 1
+    one = (1,)
+    primes = prime_factors(n)
+    candidates = (lower + (lead,) for d in range(k) for lead in range(1, p)
+                  for lower in itertools.product(range(p), repeat=d))
+    g = next(c for c in candidates
+             if all(_ppowmod_modp(c, n // r, modulus, p) != one for r in primes))
+    exp = [one]
+    for _ in range(n - 1):
+        exp.append(_pmod_modp(_pmul_modp(exp[-1], g, p), modulus, p))
+    log = {a: i for i, a in enumerate(exp)}
+    zech = [log.get(_ptrim(((a[0] + 1) % p,) + a[1:])) for a in exp]
+    return exp, log, zech
+
+
 class FiniteField(Ring):
-    """GF(p^k) as GF(p)[x] / (modulus); elements are coeff tuples of length k."""
+    """GF(p^k) as GF(p)[x] / (modulus); elements are trimmed coefficient
+    tuples.  mul and inv are one lookup in the field's log tables, add is
+    three (Zech's logarithm)."""
 
     is_field = True
     is_finite = True
@@ -415,6 +479,8 @@ class FiniteField(Ring):
     def __init__(self, p: int, k: int, modulus):
         if not is_prime(p):
             raise RingError(f"{p} is not prime")
+        if p ** k > MAX_FIELD_ORDER:
+            raise RingError(f"GF({p}^{k}) has more than {MAX_FIELD_ORDER} elements")
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise RingError("modulus must be monic of degree k")
@@ -430,20 +496,35 @@ class FiniteField(Ring):
     def _key(self):
         return (self.p, self.k, self.modulus)
 
+    @functools.cached_property
+    def _tables(self):
+        return _log_tables(self.p, self.k, self.modulus)
+
     def _pad(self, a):
         return tuple(a) + (0,) * (self.k - len(a))
 
     def add(self, a, b):
-        n = max(len(a), len(b))
-        a = tuple(a) + (0,) * (n - len(a))
-        b = tuple(b) + (0,) * (n - len(b))
-        return tuple(_ptrim([(x + y) % self.p for x, y in zip(a, b)]))
+        if not a:
+            return b
+        if not b:
+            return a
+        exp, log, zech = self._tables
+        i = log[a]
+        z = zech[log[b] - i]  # a + b = g^i (1 + g^(j - i))
+        return () if z is None else exp[i + z - len(exp)]
 
     def mul(self, a, b):
-        return _pmod_modp(_pmul_modp(a, b, self.p), self.modulus, self.p)
+        if not (a and b):
+            return ()
+        exp, log, _ = self._tables
+        return exp[log[a] + log[b] - len(exp)]
 
     def neg(self, a):
         return tuple((-x) % self.p for x in a)
+
+    def row_sub(self, row, q, piv):
+        add, mul, nq = self.add, self.mul, self.neg(q)
+        return [add(x, mul(nq, y)) if y else x for x, y in zip(row, piv)]
 
     def is_unit(self, a):
         return len(a) > 0
@@ -451,21 +532,8 @@ class FiniteField(Ring):
     def inv(self, a):
         if not a:
             raise RingError("division by zero in finite field")
-        # extended euclid in GF(p)[x]
-        r0, r1 = self.modulus, tuple(a)
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _pdivmod_modp(r0, r1, self.p)
-            r0, r1 = r1, r
-            qs = _pmul_modp(q, s1, self.p)
-            n = max(len(s0), len(qs))
-            s = tuple(
-                ((s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)) % self.p
-                for i in range(n)
-            )
-            s0, s1 = s1, tuple(_ptrim(list(s)))
-        c = pow(r0[0], -1, self.p)  # r0 is a nonzero constant
-        return _pmod_modp(tuple((x * c) % self.p for x in s0), self.modulus, self.p)
+        exp, log, _ = self._tables
+        return exp[-log[a]]
 
     def from_int(self, n):
         n %= self.p
@@ -533,28 +601,12 @@ def parse_poly_modp(text: str, p: int) -> tuple:
     return tuple(_ptrim([coeffs.get(i, 0) for i in range(deg + 1)]))
 
 
-class IntegersMod(Ring):
-    is_finite = True
-
+class IntegersMod(_Residues):
     def __init__(self, n: int):
         if n < 2:
             raise RingError("Z/n requires n >= 2")
-        self.n = n
-        self.zero = 0
-        self.one = 1
+        super().__init__(n)
         self.is_field = is_prime(n)
-
-    def _key(self):
-        return (self.n,)
-
-    def add(self, a, b):
-        return (a + b) % self.n
-
-    def mul(self, a, b):
-        return (a * b) % self.n
-
-    def neg(self, a):
-        return (-a) % self.n
 
     def is_unit(self, a):
         return gcd(a, self.n) == 1
@@ -564,29 +616,8 @@ class IntegersMod(Ring):
             raise RingError(f"{a} is not a unit in Z/{self.n}")
         return pow(a, -1, self.n)
 
-    def from_int(self, n):
-        return n % self.n
-
-    def char(self):
-        return self.n
-
-    def elements(self):
-        return iter(range(self.n))
-
-    def size(self):
-        return self.n
-
-    def sort_key(self, a):
-        return a
-
     def name(self):
         return f"Z/{self.n}"
-
-    def show(self, a):
-        return str(a)
-
-    def parse(self, text):
-        return _parse_number(int, text) % self.n
 
     # Howell form: pivots are divisors of n, entries above a pivot d are
     # reduced into range(d), and every pivot row's annihilator is queued.
@@ -601,10 +632,6 @@ class IntegersMod(Ring):
     def divmod_pivot(self, a, pivot):
         q = a // pivot
         return q, a - q * pivot
-
-    def row_sub(self, row, q, piv):
-        n = self.n
-        return [(x - q * y) % n for x, y in zip(row, piv)]
 
     def merge_pivot(self, piv, row, col):
         """gcd combination: the new pivot entry is gcd(piv[col], row[col])."""
@@ -630,15 +657,13 @@ class IntegersMod(Ring):
         return int(d) % self.n
 
 
-class LocalizedIntegers(Ring):
+class LocalizedIntegers(_Fractions):
     """Z localized at p: fractions with denominator coprime to p."""
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise RingError(f"{p} is not prime")
         self.p = p
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
 
     def _key(self):
         return (self.p,)
@@ -648,15 +673,6 @@ class LocalizedIntegers(Ring):
             raise RingError(f"{a} is not in Zloc({self.p})")
         return a
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def is_unit(self, a):
         return a != 0 and a.numerator % self.p != 0
 
@@ -664,12 +680,6 @@ class LocalizedIntegers(Ring):
         if not self.is_unit(a):
             raise RingError(f"{a} is not a unit in Zloc({self.p})")
         return 1 / a
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def char(self):
-        return 0
 
     def valuation(self, a) -> int:
         if a == 0:
@@ -681,14 +691,8 @@ class LocalizedIntegers(Ring):
             v += 1
         return v
 
-    def sort_key(self, a):
-        return (a.denominator, a.numerator)
-
     def name(self):
         return f"Zloc({self.p})"
-
-    def show(self, a):
-        return str(a)
 
     def parse(self, text):
         return self._check(_parse_number(Fraction, text))
@@ -722,6 +726,9 @@ class DualNumbers(Ring):
 
     def _key(self):
         return (self.base,)
+
+    def nonzero(self, a):
+        return a != self.zero  # the pair (0, 0) is truthy
 
     def add(self, a, b):
         return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
@@ -760,13 +767,13 @@ class DualNumbers(Ring):
     def normalize_pivot(self, row, col):
         F = self.base
         a, b = row[col]
-        if a != F.zero:
+        if F.nonzero(a):
             return super().normalize_pivot(row, col)
         u = (F.inv(b), F.zero)  # makes the pivot exactly eps
         return [self.mul(u, x) for x in row]
 
     def divmod_pivot(self, a, pivot):
-        if pivot[0] != self.base.zero:
+        if self.base.nonzero(pivot[0]):
             return super().divmod_pivot(a, pivot)
         # the pivot is eps: a0 + a1 eps = (a1, 0) * eps + (a0, 0)
         z = self.base.zero
@@ -774,7 +781,7 @@ class DualNumbers(Ring):
 
     def annihilator(self, piv, col):
         F = self.base
-        if piv[col][0] != F.zero:
+        if F.nonzero(piv[col][0]):
             return None
         eps = (F.zero, F.one)
         return [self.mul(eps, x) for x in piv]
@@ -797,7 +804,7 @@ class DualNumbers(Ring):
 
     def show(self, a):
         x, y = self.base.show(a[0]), self.base.show(a[1])
-        if a[1] == self.base.zero:
+        if not self.base.nonzero(a[1]):
             return x
         if ("+" in x or "-" in x[1:]) and not x.startswith("("):
             x = f"({x})"
@@ -958,7 +965,7 @@ def _find_embedding_root(R: FiniteField, S: FiniteField):
             if c:
                 acc = S.add(acc, S.mul(S.from_int(c), power))
             power = S.mul(power, cand)
-        if acc == S.zero:
+        if not S.nonzero(acc):
             return cand
     return None
 

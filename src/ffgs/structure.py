@@ -54,6 +54,7 @@ from .constructions import (
 )
 from .oracle import AbstractGroup, subgroup_lattice
 from .rings import (
+    MAX_FIELD_ORDER,
     DualNumbers,
     FiniteField,
     IntegersMod,
@@ -78,7 +79,6 @@ class InternalInconsistencyError(RuntimeError):
 
 
 MAX_EXTENSION_DEGREE = 24
-MAX_SPLITTING_FIELD = 1 << 16
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +297,7 @@ def splitting_points(G: GroupScheme):
     else:
         raise HopfError("splitting extension needs a finite base field")
     for j in range(1, MAX_EXTENSION_DEGREE + 1):
-        if p ** (d0 * j) > MAX_SPLITTING_FIELD:
+        if p ** (d0 * j) > MAX_FIELD_ORDER:
             break
         K = gf(p, d0 * j)
         P = points(G, K)
@@ -549,9 +549,9 @@ def _slot_product_map(G: GroupScheme, subgroups):
                 coeff = c
                 for vec, pos in zip(vecs, combo):
                     coeff = R.mul(coeff, vec[pos])
-                    if coeff == R.zero:
+                    if not R.nonzero(coeff):
                         break
-                if coeff != R.zero:
+                if R.nonzero(coeff):
                     out[flat] = R.add(out[flat], coeff)
         rows.append(out)
     return rows, width

@@ -7,11 +7,12 @@ from ffgs import hopf, linalg
 from ffgs.cli import build_builtin
 from ffgs.linalg import mat_inverse, transpose, vec_add, vec_scale, vec_sub
 from ffgs.constructions import alpha, constant, constant_cyclic, mu, tate_oort2
-from ffgs.hopf import (GroupScheme, HopfError, cartier_dual, convolution,
-                       convolution_power, identity_endo, points, trivial_endo,
-                       verify_hopf)
+from ffgs.hopf import (GroupScheme, GroupSchemeHom, HopfError, cartier_dual,
+                       convolution, convolution_power, identity_endo, points,
+                       power_map_alg, trivial_endo, verify_hopf)
 from ffgs.oracle import BudgetExceeded, enumerate_points, s3_table
 from ffgs.rings import RingError, find_hom, identity_hom, parse_ring
+from test_linalg import RINGS, rand_elt
 
 Q = parse_ring("Q")
 F5 = parse_ring("GF(5)")
@@ -610,6 +611,17 @@ def test_lift_idempotent_removes_a_deep_nilpotent():
     assert hopf.lift_idempotent(G, vec_add(F5, e0, n)) == e0
 
 
+def test_characters_read_values_off_one_dimensional_factors(monkeypatch):
+    # x splits mu_3 over GF(7) into three lines e, with e = (5, 3, 6) among
+    # them; there x^2 e = s e, and s is a ratio, not another minimal polynomial
+    calls = []
+    real = hopf._minpoly_of_vector
+    monkeypatch.setattr(hopf, "_minpoly_of_vector",
+                        lambda *args: calls.append(args) or real(*args))
+    assert hopf.characters(mu(F7, 3)) == [(1, 1, 1), (1, 2, 4), (1, 4, 2)]
+    assert len(calls) == 1
+
+
 def point_outcome(G, T):
     """(elements, table, identity) of points(G, T), or the error it raises."""
     try:
@@ -709,3 +721,60 @@ def test_points_match_oracle():
 
     check()
 
+
+
+# ----------------------------------------------------------------------
+# square-and-multiply powers against the linear loops they replaced
+
+
+def _reference_power_vec(G, v, n):
+    out = G.unit
+    for _ in range(n):
+        out = G.mul_vec(out, v)
+    return out
+
+
+def _reference_power_map_alg(G, n):
+    """n - 1 convolutions with the identity."""
+    if n == 0:
+        return trivial_endo(G).alg
+    if n < 0:
+        anti = GroupSchemeHom(G, G, [list(v) for v in G.antipode])
+        return [anti.apply_alg(v) for v in _reference_power_map_alg(G, -n)]
+    ident = linalg.identity_matrix(G.ring, G.rank)
+    out = ident
+    for _ in range(n - 1):
+        out = convolution(G, out, ident)
+    return out
+
+
+@pytest.mark.parametrize("R", RINGS, ids=lambda R: R.name())
+def test_powers_match_the_linear_loops(R):
+    rng = random.Random(31)
+    # mu_4 in a dense basis, and S3, whose algebra is commutative but
+    # whose convolution is not
+    for G in (rebased(mu(R, 4), unitriangular(R, 4, rng)), constant(R, s3_table())):
+        v = [rand_elt(R, rng) for _ in range(G.rank)]
+        for n in (0, 1, 2, 3, 5, 15, -2):
+            assert power_map_alg(G, n) == _reference_power_map_alg(G, n), n
+            if n >= 0:
+                assert G.power_vec(v, n) == _reference_power_vec(G, v, n), n
+            else:
+                with pytest.raises(HopfError):
+                    G.power_vec(v, n)
+
+
+def test_cartier_dual_of_the_dual_is_the_scheme():
+    hyp, st, settings = hypothesis_or_skip()
+    schemes = [G for name in REFERENCE_BASES for G in builtins_over(parse_ring(name))
+               if G.is_commutative()]
+
+    @settings
+    @hyp.given(st.sampled_from(schemes), st.integers(0, 2 ** 32))
+    def check(G, seed):
+        H = rebased(G, unitriangular(G.ring, G.rank, random.Random(seed)))
+        D = cartier_dual(cartier_dual(H))
+        assert (D.mult, D.unit, D.comult, D.counit, D.antipode) == (
+            H.mult, H.unit, H.comult, H.counit, H.antipode)
+
+    check()

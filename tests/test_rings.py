@@ -1,22 +1,29 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from ffgs.rings import (
+    MAX_FIELD_ORDER,
     DualNumbers,
     FiniteField,
     IntegersMod,
     LocalizedIntegers,
     PrimeField,
     QQ,
+    Ring,
     RingError,
+    _pmod_modp,
+    _pmul_modp,
     default_modulus,
     find_hom,
     gf,
     parse_ring,
+    poly_is_irreducible_modp,
     spectrum,
 )
+from test_linalg import RINGS as LINALG_RINGS
 
 ALL_RINGS = [
     QQ,
@@ -169,3 +176,81 @@ def test_field_embedding_is_hom():
             assert h(small.mul(a, b)) == big.mul(h(a), h(b))
             assert h(small.add(a, b)) == big.add(h(a), h(b))
     assert len({h(a) for a in els}) == 4
+
+
+# ----------------------------------------------------------------------
+# the element-arithmetic overrides against the protocol's defaults
+
+PROTOCOL_RINGS = ALL_RINGS + [R for R in LINALG_RINGS if R not in ALL_RINGS]
+
+
+@pytest.mark.parametrize("R", PROTOCOL_RINGS, ids=lambda R: R.name())
+def test_nonzero_is_the_zero_test(R):
+    rng = random.Random(17)
+    for a in sample(R, rng, 40) + [R.zero, R.one, R.from_int(0)]:
+        assert bool(R.nonzero(a)) == (a != R.zero), a
+
+
+@pytest.mark.parametrize("R", PROTOCOL_RINGS, ids=lambda R: R.name())
+def test_sub_and_row_sub_match_the_defaults(R):
+    rng = random.Random(19)
+    xs, ys = sample(R, rng, 40), sample(R, rng, 40)
+    for a, b in zip(xs, ys):
+        assert R.sub(a, b) == R.add(a, R.neg(b))
+    for q in sample(R, rng, 10) + [R.zero]:
+        row, piv = sample(R, rng, 6), sample(R, rng, 5) + [R.zero]
+        want = [R.add(x, R.neg(R.mul(q, y))) for x, y in zip(row, piv)]
+        assert R.row_sub(row, q, piv) == want
+        assert Ring.row_sub(R, row, q, piv) == want
+
+
+def small_fields(max_q):
+    """GF(p^k), k >= 2, q <= max_q, under every monic irreducible modulus."""
+    for p in (2, 3, 5):
+        k = 2
+        while p ** k <= max_q:
+            for lower in itertools.product(range(p), repeat=k):
+                if poly_is_irreducible_modp(lower + (1,), p):
+                    yield FiniteField(p, k, lower + (1,))
+            k += 1
+
+
+def poly_mul(F, a, b):
+    return _pmod_modp(_pmul_modp(a, b, F.p), F.modulus, F.p)
+
+
+def poly_add(F, a, b):
+    n = max(len(a), len(b))
+    a, b = F._pad(a)[:n], F._pad(b)[:n]
+    out = [(x + y) % F.p for x, y in zip(a, b)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def test_log_tables_match_polynomial_arithmetic():
+    fields = list(small_fields(32))
+    assert len(fields) == 33  # 1 + 2 + 3 + 6 over GF(2), 3 + 8 over GF(3), 10 over GF(5)
+    for F in fields:
+        els = list(F.elements())
+        for a in els:
+            for b in els:
+                assert F.mul(a, b) == poly_mul(F, a, b), (F, a, b)
+                assert F.add(a, b) == poly_add(F, a, b), (F, a, b)
+            if a:
+                assert poly_mul(F, a, F.inv(a)) == F.one, (F, a)
+
+
+def test_log_tables_in_the_largest_field():
+    F = parse_ring("GF(2^16;x^16+x^5+x^3+x^2+1)")
+    assert F.q == MAX_FIELD_ORDER
+    rng = random.Random(16)
+    for _ in range(10000):
+        a, b = (tuple(rng.randrange(2) for _ in range(16)) for _ in range(2))
+        a, b = poly_add(F, a, ()), poly_add(F, b, ())  # trimmed
+        assert F.mul(a, b) == poly_mul(F, a, b)
+        assert F.add(a, b) == poly_add(F, a, b)
+        if a:
+            assert poly_mul(F, a, F.inv(a)) == F.one
+    with pytest.raises(RingError):
+        parse_ring("GF(2^17;x^17+x^3+1)")

@@ -104,3 +104,21 @@ def test_private_helpers_are_used():
         and everywhere.count(node.name) == list(references(node)).count(node.name)
     ]
     assert unused == []
+
+
+def test_no_element_compared_with_zero():
+    """The hot modules test elements with R.nonzero, never by ==/!=
+    against an attribute named zero: that comparison dispatches to the
+    element's __eq__, which for a Fraction costs several times its truth
+    test."""
+    found = []
+    for name in ("linalg.py", "hopf.py", "constructions.py", "structure.py"):
+        for node in ast.walk(parse(SRC / name)):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+            ) and any(
+                isinstance(x, ast.Attribute) and x.attr == "zero"
+                for x in [node.left, *node.comparators]
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
