@@ -162,7 +162,7 @@ def direct_product(G: GroupScheme, H: GroupScheme) -> GroupScheme:
     m = mG * mH
     def idx(i, a):
         return i * mH + a
-    Z = R.zero
+    Z, nonzero = R.zero, R.nonzero
     mult = [[[Z] * m for _ in range(m)] for _ in range(m)]
     for i in range(mG):
         for a in range(mH):
@@ -170,10 +170,10 @@ def direct_product(G: GroupScheme, H: GroupScheme) -> GroupScheme:
                 for b in range(mH):
                     row = mult[idx(i, a)][idx(j, b)]
                     for k, ck in enumerate(G.mult[i][j]):
-                        if ck == Z:
+                        if not nonzero(ck):
                             continue
                         for c, cc in enumerate(H.mult[a][b]):
-                            if cc != Z:
+                            if nonzero(cc):
                                 row[idx(k, c)] = R.add(row[idx(k, c)], R.mul(ck, cc))
     unit = [Z] * m
     for i, u in enumerate(G.unit):
@@ -194,10 +194,10 @@ def direct_product(G: GroupScheme, H: GroupScheme) -> GroupScheme:
         for a in range(mH):
             counit[idx(i, a)] = R.mul(G.counit[i], H.counit[a])
             for j, sa in enumerate(G.antipode[i]):
-                if sa == Z:
+                if not nonzero(sa):
                     continue
                 for b, sb in enumerate(H.antipode[a]):
-                    if sb != Z:
+                    if nonzero(sb):
                         antipode[idx(i, a)][idx(j, b)] = R.mul(sa, sb)
     name = None
     if G.name and H.name:
@@ -240,7 +240,7 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
     m = mQ * n
     def idx(i, g):
         return i * n + g
-    Z = R.zero
+    Z, nonzero = R.zero, R.nonzero
     # algebra: (a (x) f_g)(b (x) f_h) = delta_{g,h} ab (x) f_g
     mult = [[[Z] * m for _ in range(m)] for _ in range(m)]
     for i in range(mQ):
@@ -248,7 +248,7 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
             for j in range(mQ):
                 row = mult[idx(i, g)][idx(j, g)]
                 for k, c in enumerate(Q.mult[i][j]):
-                    if c != Z:
+                    if nonzero(c):
                         row[idx(k, g)] = c
     unit = [Z] * m
     for i, u in enumerate(Q.unit):
@@ -266,7 +266,7 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
                             continue
                         moved = autos[h].alg[k]
                         for t, x in enumerate(moved):
-                            if x != Z:
+                            if nonzero(x):
                                 a, b = idx(j, h), idx(t, hp)
                                 tgt[a][b] = R.add(tgt[a][b], R.mul(c, x))
     counit = [Z] * m
@@ -279,7 +279,7 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
             moved = Q.antipode_vec(autos[g].alg[i])
             gi = P.inverse(g)
             for t, x in enumerate(moved):
-                if x != Z:
+                if nonzero(x):
                     antipode[idx(i, g)][idx(t, gi)] = x
     name = None
     if Q.name:
@@ -709,10 +709,9 @@ def find_isomorphism(G: GroupScheme, H: GroupScheme,
                 break
     if gen_powers is None:
         return _exhaustive_isomorphism(G, H, budget)
-    exprs = [member_with_coeffs (R, gen_powers, H.basis_vector(j))
+    exprs = [member_with_coeffs(R, gen_powers, H.basis_vector(j))
              for j in range(H.rank)]
     els = list(R.elements())
-    total = len(els) ** G.rank
     count = 0
     for v in itertools.product(els, repeat=G.rank):
         count += 1

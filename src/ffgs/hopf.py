@@ -16,13 +16,12 @@ Polynomial presentations are kept only as optional name tags.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import linalg
 from .linalg import (
-    mat_kernel,
     member_with_coeffs,
-    solve,
     transpose,
     vec_add,
     vec_scale,
@@ -861,59 +860,66 @@ def _point_vectors(GR: GroupScheme, bound: int):
                 raise HopfError("Q-points are supported for etale schemes only")
         return characters(GR)
     if isinstance(R, DualNumbers):
-        return _dual_points(GR)
+        return _dual_points(GR, bound)
     if isinstance(R, IntegersMod):
         return _zmod_points(GR, bound)
     raise RingError(f"points enumeration unsupported over {R.name()}")
 
 
-def _dual_points(GR: GroupScheme):
-    """Points over Dual(k): characters plus compatible eps-derivations."""
-    R: DualNumbers = GR.ring
-    k = R.base
-    m = GR.rank
-    fiber = GR.base_change(RingHom(R, k, lambda a: a[0], "eps -> 0"))
+def _square_zero_lifts(GR: GroupScheme, k: Ring, fiber: GroupScheme, chi,
+                       phi, coord, bound: int):
+    """The d in k^m for which phi + delta d is a point of GR.
+
+    (delta) is a square-zero ideal of GR.ring with residue field k, and
+    coord reads the k-coordinate of an element of it: a[1] for eps, and
+    a // p^j % p for p^j in Z/p^(j+1).  phi is a point modulo delta whose
+    residue is the character chi of the fiber over k.  As delta^2 = 0 the
+    conditions are linear in d: the tangent rows of chi against minus the
+    coordinates of phi's defect (Waterhouse, Introduction to Affine Group
+    Schemes, ch. 12).  Raises HopfError when there are more than `bound`
+    lifts, before making them."""
+    R, m = GR.ring, GR.rank
+    rows = []
+    rhs = []
+    for i in range(m):
+        for j in range(i, m):
+            row = [k.neg(c) for c in fiber.mult[i][j]]
+            row[j] = k.add(row[j], chi[i])
+            row[i] = k.add(row[i], chi[j])
+            rows.append(row)
+            defect = R.sub(R.mul(phi[i], phi[j]), R.dot(GR.mult[i][j], phi))
+            rhs.append(k.neg(coord(defect)))
+    rows.append(list(fiber.unit))
+    rhs.append(k.neg(coord(R.sub(R.dot(GR.unit, phi), R.one))))
+    part, kern = linalg.member_and_kernel(k, transpose(rows), rhs)
+    if part is None:
+        return []
+    if kern and not k.is_finite:
+        raise HopfError("infinite solution space over an infinite field")
+    els = list(k.elements()) if kern else []
+    if len(els) ** len(kern) > bound:
+        raise HopfError(f"more than {bound} points (the points bound)")
     out = []
-    for chi in characters(fiber):
-        # phi(e_i) = chi_i + eps d_i; multiplicativity gives a linear system
-        rows = []
-        rhs = []
-        for i in range(m):
-            for j in range(i, m):
-                row = [k.zero] * m
-                row[j] = k.add(row[j], chi[i])
-                row[i] = k.add(row[i], chi[j])
-                val = k.zero
-                for t in range(m):
-                    c0, c1 = GR.mult[i][j][t]
-                    row[t] = k.sub(row[t], c0)
-                    val = k.add(val, k.mul(c1, chi[t]))
-                rows.append(row)
-                rhs.append(k.neg(val))
-        row = [GR.unit[t][0] for t in range(m)]
-        rows.append(row)
-        rhs.append(k.neg(sum_ring(k, (k.mul(GR.unit[t][1], chi[t]) for t in range(m)))))
-        part = solve(k, rows, rhs)
-        if part is None:
-            continue
-        kern = mat_kernel(k, rows)
-        for d in _affine_space(k, part, kern):
-            out.append(tuple((chi[t], d[t]) for t in range(m)))
+    for combo in itertools.product(els, repeat=len(kern)):
+        d = part
+        for c, row in zip(combo, kern):
+            d = vec_add(k, d, vec_scale(k, c, row))
+        out.append(d)
     return out
 
 
-def _affine_space(k, particular, kernel_rows):
-    if not kernel_rows:
-        yield particular
-        return
-    if not k.is_finite:
-        raise HopfError("infinite solution space over an infinite field")
-    els = list(k.elements())
-    for combo in itertools.product(els, repeat=len(kernel_rows)):
-        v = list(particular)
-        for c, row in zip(combo, kernel_rows):
-            v = vec_add(k, v, vec_scale(k, c, row))
-        yield v
+def _dual_points(GR: GroupScheme, bound: int):
+    """Points over Dual(k): characters lifted along eps."""
+    R: DualNumbers = GR.ring
+    k = R.base
+    fiber = GR.base_change(RingHom(R, k, lambda a: a[0], "eps -> 0"))
+    out = []
+    for chi in characters(fiber):
+        phi = [(c, k.zero) for c in chi]
+        for d in _square_zero_lifts(GR, k, fiber, chi, phi, lambda a: a[1],
+                                    bound - len(out)):
+            out.append(tuple(zip(chi, d)))
+    return out
 
 
 def _zmod_points(GR: GroupScheme, bound: int):
@@ -932,6 +938,8 @@ def _zmod_points(GR: GroupScheme, bound: int):
             Gp = GR.base_change(Rp)
             comps.append([tuple(int(x) % pe for x in v) for v in _point_vectors(Gp, bound)])
             mods.append(pe)
+        if math.prod(map(len, comps)) > bound:
+            raise HopfError(f"more than {bound} points (the points bound)")
         out = []
         for combo in itertools.product(*comps):
             vec = []
@@ -943,46 +951,21 @@ def _zmod_points(GR: GroupScheme, bound: int):
                 vec.append(x % n)
             out.append(tuple(vec))
         return out
+    # lift the mod-p characters along p, p^2, ..., n/p
     p = primes[0]
-    m = GR.rank
     kp = PrimeField(p)
-    base = [list(int(c) for c in chi)
-            for chi in characters(GR.base_change(kp))]
-    mod = p
-    while mod < n:
-        mod *= p
+    fiber = GR.base_change(kp)
+    base = [(chi, list(chi)) for chi in characters(fiber)]
+    step = p
+    while step < n:
         nxt = []
-        for phi in base:
-            # phi + p^(j) d must be a hom mod p^(j+1); linear in d over GF(p)
-            rows = []
-            rhs = []
-            step = mod // p
-            for i in range(m):
-                for j in range(i, m):
-                    defect = (
-                        phi[i] * phi[j]
-                        - sum(int(GR.mult[i][j][t]) * phi[t] for t in range(m))
-                    ) % mod
-                    assert defect % step == 0
-                    row = [kp.zero] * m
-                    row[j] = kp.add(row[j], phi[i] % p)
-                    row[i] = kp.add(row[i], phi[j] % p)
-                    for t in range(m):
-                        row[t] = kp.sub(row[t], int(GR.mult[i][j][t]) % p)
-                    rows.append(row)
-                    rhs.append((-(defect // step)) % p)
-            defect = (sum(int(GR.unit[t]) * phi[t] for t in range(m)) - 1) % mod
-            assert defect % step == 0
-            rows.append([int(GR.unit[t]) % p for t in range(m)])
-            rhs.append((-(defect // step)) % p)
-            part = solve(kp, rows, rhs)
-            if part is None:
-                continue
-            kern = mat_kernel(kp, rows)
-            for d in _affine_space(kp, part, kern):
-                nxt.append([(phi[t] + step * int(d[t])) % mod for t in range(m)])
+        for chi, phi in base:
+            for d in _square_zero_lifts(GR, kp, fiber, chi, phi,
+                                        lambda a: a // step % p, bound - len(nxt)):
+                nxt.append((chi, [(x + step * y) % n for x, y in zip(phi, d)]))
         base = nxt
-    return [tuple(v) for v in base]
+        step *= p
+    return [tuple(phi) for _, phi in base]
 
 
 def hom_on_points(f: GroupSchemeHom, P_source: PointGroup, P_target: PointGroup,

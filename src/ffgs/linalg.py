@@ -177,25 +177,29 @@ def _augment(R: Ring, rows):
             for i, r in enumerate(rows)]
 
 
+def member_and_kernel(R: Ring, rows, v):
+    """(x, K) from one elimination of rows with the identity appended: x
+    with x . rows = v, or None, and K the canonical basis of
+    {x : x . rows = 0}, which echelon leaves in the free tails."""
+    if not rows:
+        return (None if not vec_is_zero(R, v) else []), []
+    n = len(v)
+    pivot_rows, _, free = echelon(R, _augment(R, rows), nprimary=n)
+    w = reduce_mod_span(R, pivot_rows, list(v) + [R.zero] * len(rows))
+    x = [R.neg(a) for a in w[n:]] if vec_is_zero(R, w[:n]) else None
+    return x, [f[n:] for f in free]
+
+
 def row_kernel(R: Ring, rows):
     """Canonical basis of {x : sum_i x_i rows_i = 0}."""
     if not rows:
         return []
-    n = len(rows[0])
-    _, _, free = echelon(R, _augment(R, rows), nprimary=n)
-    return canonical_span(R, [f[n:] for f in free])
+    return member_and_kernel(R, rows, [R.zero] * len(rows[0]))[1]
 
 
 def member_with_coeffs(R: Ring, rows, v):
     """x with x . rows = v, or None."""
-    if not rows:
-        return None if not vec_is_zero(R, v) else []
-    n = len(v)
-    pivot_rows = echelon(R, _augment(R, rows), nprimary=n)[0]
-    w = reduce_mod_span(R, pivot_rows, list(v) + [R.zero] * len(rows))
-    if not vec_is_zero(R, w[:n]):
-        return None
-    return [R.neg(x) for x in w[n:]]
+    return member_and_kernel(R, rows, v)[0]
 
 
 def mat_kernel(R: Ring, M):

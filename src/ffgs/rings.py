@@ -430,9 +430,11 @@ def poly_is_irreducible_modp(coeffs, p) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)
 def default_modulus(p: int, k: int) -> tuple:
     """First irreducible monic degree-k polynomial over GF(p) in lex order
-    of (c_0, ..., c_{k-1}).  Deterministic; documented in the README."""
+    of (c_0, ..., c_{k-1}).  Deterministic; documented in the README.
+    Searched once per (p, k) and process."""
     for lower in itertools.product(range(p), repeat=k):
         f = tuple(lower) + (1,)
         if poly_is_irreducible_modp(f, p):

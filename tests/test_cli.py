@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from ffgs.cli import main
+from ffgs.cli import build_builtin, main
 from ffgs.constructions import mu
+from ffgs.linalg import identity_matrix
 from ffgs.rings import parse_ring
+from test_hopf import rebased
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -69,6 +71,19 @@ def test_missing_preconditions_exit_2(capsys):
     # order-3 kernel there: an empty ledger is no evidence for the splitting
     assert main(["split", "--kernel", "3", "--builtin", "const:S3",
                  "--base", "Q", "--budget-points", "1"]) == 2
+    # alpha_3 has 3 points over Dual(GF(3)), one per tangent vector: a
+    # points bound of 2 stops the lift before it enumerates them
+    alpha3 = ["points", "--builtin", "alpha:3", "--base", "GF(3)",
+              "--ring", "Dual(GF(3))", "--format", "json", "--budget-points"]
+    assert main(alpha3 + ["2"]) == 2
+    capsys.readouterr()
+    assert main(alpha3 + ["3"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 3
+    # the bound also stops the lift along 3 in Z/9 (mu_3 has 3 points
+    # there) and the CRT product over Z/6 (const Z/3 has 3 x 3)
+    for spec, ring, bound in (("mu:3", "Z/9", "2"), ("const:Z3", "Z/6", "8")):
+        assert main(["points", "--builtin", spec, "--base", ring, "--ring", ring,
+                     "--budget-points", bound]) == 2, spec
     # the order-p classifier is defined over fields only
     for spec, base in (("mu:2", "Zloc(2)"), ("mu:3", "Z/9"),
                        ("ot2:2,-1", "Zloc(2)"), ("ot2:2,-1", "Z/4")):
@@ -148,6 +163,31 @@ def test_points_json(capsys):
     d = json.loads(out)
     assert d["order"] == 4
     assert d["group"] == "C4"
+
+
+def eps_rebased_file(tmp_path, spec, base):
+    """A scheme file of spec over Dual(k) in the basis e_1 -> e_1 + eps e_2,
+    so that its structure constants have eps-parts."""
+    R = parse_ring(base)
+    G = build_builtin(spec, R)
+    Q = identity_matrix(R, G.rank)
+    Q[0][1] = (R.base.zero, R.base.one)
+    path = tmp_path / f"{spec.replace(':', '_')}.json"
+    path.write_text(json.dumps(rebased(G, Q).to_dict()))
+    return str(path)
+
+
+def test_points_over_dual_numbers_with_eps_parts(tmp_path, capsys):
+    z3 = eps_rebased_file(tmp_path, "const:Z3", "Dual(GF(5))")
+    code, out = run(capsys, "points", "--file", z3, "--ring", "Dual(GF(5))",
+                    "--format", "json")
+    assert code == 0
+    assert json.loads(out)["order"] == 3
+    mu3 = eps_rebased_file(tmp_path, "mu:3", "Dual(GF(5))")
+    for argv in (["points", "--ring", "Dual(GF(5))"], ["theorem"],
+                 ["split", "--kernel", "3"]):
+        assert main([argv[0], "--file", mu3] + argv[1:]) == 0, argv
+    capsys.readouterr()
 
 
 def test_dual_roundtrip(tmp_path, capsys):

@@ -11,7 +11,7 @@ from ffgs.hopf import (GroupScheme, GroupSchemeHom, HopfError, cartier_dual,
                        convolution, convolution_power, identity_endo, points,
                        power_map_alg, trivial_endo, verify_hopf)
 from ffgs.oracle import BudgetExceeded, enumerate_points, s3_table
-from ffgs.rings import RingError, find_hom, identity_hom, parse_ring
+from ffgs.rings import DualNumbers, RingError, find_hom, identity_hom, parse_ring
 from test_linalg import RINGS, rand_elt
 
 Q = parse_ring("Q")
@@ -340,9 +340,18 @@ def builtins_over(R):
     return [G for spec in REFERENCE_SPECS for G in built(spec, R)]
 
 
-def unitriangular(R, m, rng):
-    return [[R.one if j == i else R.from_int(rng.choice((-1, 0, 1, 2)))
-             if j > i else R.zero for j in range(m)] for i in range(m)]
+def unitriangular(R, m, rng, eps=False):
+    """An upper unitriangular matrix with entries in {-1, 0, 1, 2}; with
+    eps over Dual(k), each entry above the diagonal gets an eps-part from
+    the same set."""
+    def entry():
+        a = R.from_int(rng.choice((-1, 0, 1, 2)))
+        if eps and isinstance(R, DualNumbers):
+            a = R.add(a, (R.base.zero, R.base.from_int(rng.choice((-1, 0, 1, 2)))))
+        return a
+
+    return [[R.one if j == i else entry() if j > i else R.zero
+             for j in range(m)] for i in range(m)]
 
 
 def corrupted(G, slot, rng, mirror=False):
@@ -710,7 +719,7 @@ def test_points_match_oracle():
     def check(pair, data, seed):
         R, T = pair
         G = data.draw(st.sampled_from(schemes[R.name()]))
-        H = rebased(G, unitriangular(R, G.rank, random.Random(seed)))
+        H = rebased(G, unitriangular(R, G.rank, random.Random(seed), eps=True))
         try:
             expected = enumerate_points(H, T, budget=20000)
         except BudgetExceeded:
@@ -720,6 +729,28 @@ def test_points_match_oracle():
             expected.elements, expected.table, expected.identity_index)
 
     check()
+
+
+def test_dual_points_with_eps_parts_match_oracle():
+    """Over Dual(k) in a basis with eps-parts, the structure constants
+    have eps-parts, so lifting a character along eps needs the sign of the
+    eps-part of its defect; in characteristic 2 a wrong sign goes unseen."""
+    checked = 0
+    rng = random.Random(12)
+    for name in ("Dual(GF(2))", "Dual(GF(3))", "Dual(GF(5))"):
+        R = parse_ring(name)
+        for spec in POINT_SPECS:
+            for G in built(spec, R):
+                H = rebased(G, unitriangular(R, G.rank, rng, eps=True))
+                try:
+                    expected = enumerate_points(H, R, budget=20000)
+                except BudgetExceeded:
+                    continue
+                P = points(H, R)
+                assert (P.elements, P.table, P.identity_index) == (
+                    expected.elements, expected.table, expected.identity_index), (spec, name)
+                checked += 1
+    assert checked >= 15, checked
 
 
 

@@ -254,3 +254,22 @@ def test_log_tables_in_the_largest_field():
             assert poly_mul(F, a, F.inv(a)) == F.one
     with pytest.raises(RingError):
         parse_ring("GF(2^17;x^17+x^3+1)")
+
+
+def test_default_modulus_is_searched_once(monkeypatch):
+    import ffgs.rings as rings
+
+    calls = [0]
+
+    def counting(f, p):
+        calls[0] += 1
+        return poly_is_irreducible_modp(f, p)
+
+    monkeypatch.setattr(rings, "poly_is_irreducible_modp", counting)
+    default_modulus.cache_clear()
+    first = gf(2, 5)
+    searched = calls[0]
+    assert searched > 2
+    # the second call skips the search; only FiniteField checks its modulus
+    assert gf(2, 5) == first
+    assert calls[0] == searched + 1

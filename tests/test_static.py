@@ -106,19 +106,83 @@ def test_private_helpers_are_used():
     assert unused == []
 
 
+def is_zero_attribute(node):
+    return isinstance(node, ast.Attribute) and node.attr == "zero"
+
+
+def own_nodes(scope):
+    """The nodes of a module or function, not descending into the
+    functions defined in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, ast.FunctionDef):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def names_bound_to_zero(nodes):
+    """Names assigned from an attribute named zero, as in `Z = R.zero` or
+    `Z, O = R.zero, R.one`."""
+    names = set()
+    for node in nodes:
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            names |= {t.id for t, v in pairs
+                      if isinstance(t, ast.Name) and is_zero_attribute(v)}
+    return names
+
+
+def zero_comparisons(tree):
+    """Lines holding ==/!= against an attribute named zero, or against a
+    name that the enclosing function, or a function around it, bound to
+    one."""
+    found = []
+
+    def visit(scope, outer_zeros):
+        nodes = list(own_nodes(scope))
+        zeros = outer_zeros | names_bound_to_zero(nodes)
+        for node in nodes:
+            if isinstance(node, ast.FunctionDef):
+                visit(node, zeros)
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+            ) and any(is_zero_attribute(x) or (isinstance(x, ast.Name) and x.id in zeros)
+                      for x in [node.left, *node.comparators]):
+                found.append(node.lineno)
+
+    visit(tree, set())
+    return sorted(set(found))
+
+
+def test_zero_comparisons_are_found():
+    tree = ast.parse("def f(R, x, y):\n"
+                     "    Z, O = R.zero, R.one\n"
+                     "    W = R.zero\n"
+                     "    return x == Z, O != y, W != y, y == R.zero\n"
+                     "def g(x):\n"
+                     "    return x == Z\n")
+    assert zero_comparisons(tree) == [4]
+    tree = ast.parse("def f(R, x):\n"
+                     "    Z = R.zero\n"
+                     "    def g(y):\n"
+                     "        acc = R.zero\n"
+                     "        return y != Z, acc == y\n"
+                     "    def h(acc):\n"
+                     "        return acc == 0, x == R.zero\n")
+    assert zero_comparisons(tree) == [5, 7]
+
+
 def test_no_element_compared_with_zero():
     """The hot modules test elements with R.nonzero, never by ==/!=
-    against an attribute named zero: that comparison dispatches to the
-    element's __eq__, which for a Fraction costs several times its truth
-    test."""
-    found = []
-    for name in ("linalg.py", "hopf.py", "constructions.py", "structure.py"):
-        for node in ast.walk(parse(SRC / name)):
-            if isinstance(node, ast.Compare) and any(
-                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
-            ) and any(
-                isinstance(x, ast.Attribute) and x.attr == "zero"
-                for x in [node.left, *node.comparators]
-            ):
-                found.append(f"{name}:{node.lineno}")
+    against R.zero or a local name for it: that comparison dispatches to
+    the element's __eq__, which for a Fraction costs several times its
+    truth test."""
+    found = [f"{name}:{line}"
+             for name in ("linalg.py", "hopf.py", "constructions.py", "structure.py")
+             for line in zero_comparisons(parse(SRC / name))]
     assert found == []
