@@ -16,6 +16,7 @@ from math import comb
 
 from . import linalg
 from .linalg import (
+    _reduce,
     canonical_span,
     mat_vec,
     member,
@@ -536,14 +537,16 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
             f"quotient rank {len(B)} times subgroup order {H.order} "
             f"misses the ambient order {m}"
         )
-    # coordinates in B are unique when B is free on its rows
-    if pivot_columns(R, B)[1] is not None:
+    # unit pivots make B free, and its canonical form has B[s][c_t] = 0 for
+    # s != t: v in span(B) has coordinates x_t = v[c_t] / B[t][c_t]
+    pivot_cols, bad = pivot_columns(R, B)
+    if bad is not None:
         raise HopfError("coinvariants are not free on their basis (non-unit pivot)")
+    scales = [R.inv(row[c]) for row, c in zip(B, pivot_cols)]
     def coords(v, failure="coinvariant algebra is not closed as expected"):
-        c = member_with_coeffs(R, B, v)
-        if c is None:
+        if not vec_is_zero(R, _reduce(R, B, pivot_cols, v)):
             raise HopfError(failure)
-        return c
+        return [R.mul(v[c], u) for c, u in zip(pivot_cols, scales)]
     rB = len(B)
     mult = [[coords(G.mul_vec(B[a], B[b])) for b in range(rB)] for a in range(rB)]
     unit = coords(G.unit)
@@ -568,16 +571,18 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
 class ExtensionWitness:
     """A quotient presentation of G by a normal closed subgroup, together
     with a ledger recording exactness of the point sequences over the
-    configured test rings."""
+    configured test rings.  ledger_points keeps (T, G(T), (G/H)(T), the
+    index map between them) for each ledger ring T, outside to_dict."""
 
     def __init__(self, kernel_subgroup: ClosedSubgroup, total: GroupScheme,
                  quotient_scheme: GroupScheme, projection: GroupSchemeHom,
-                 ledger: list):
+                 ledger: list, ledger_points: list):
         self.kernel = kernel_subgroup
         self.total = total
         self.quotient = quotient_scheme
         self.projection = projection
         self.ledger = ledger
+        self.ledger_points = ledger_points
 
     def __repr__(self):
         return (f"<extension 1 -> {self.kernel.order} -> {self.total.rank} "
@@ -606,7 +611,7 @@ def extension_witness(G: GroupScheme, H: ClosedSubgroup,
     Gbar, proj = quotient(G, H)
     incl = H.inclusion()
     Hs = incl.source
-    ledger = []
+    ledger, ledger_points = [], []
     from .hopf import hom_on_points
     for T in test_ring_family(G.ring):
         try:
@@ -630,7 +635,8 @@ def extension_witness(G: GroupScheme, H: ClosedSubgroup,
             "exact_middle": exact_middle,
             "right_surjective": surjective,
         })
-    return ExtensionWitness(H, G, Gbar, proj, ledger)
+        ledger_points.append((T, PG, PQ, out_map))
+    return ExtensionWitness(H, G, Gbar, proj, ledger, ledger_points)
 
 
 # ----------------------------------------------------------------------

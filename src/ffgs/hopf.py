@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import (
-    member_with_coeffs,
+    _reduce,
     transpose,
     vec_add,
     vec_scale,
@@ -491,7 +491,8 @@ class GroupSchemeHom:
         )
 
     def is_module_iso(self) -> bool:
-        return linalg.mat_inverse(self.source.ring, transpose(self.alg)) is not None
+        R = self.source.ring
+        return R.is_unit(R.det(transpose(self.alg)))
 
 
 def identity_endo(G: GroupScheme) -> GroupSchemeHom:
@@ -635,6 +636,8 @@ def point_group_from_set(GR: GroupScheme, vecs) -> PointGroup:
             row.append(index[w])
         table.append(row)
     ident = tuple(GR.counit)
+    if ident not in index:
+        raise HopfError("point set lacks the identity (the counit)")
     return PointGroup(R, pts, table, index[ident])
 
 
@@ -709,17 +712,25 @@ def _root_finder(R: Ring):
 
 def _minpoly_of_vector(GR: GroupScheme, e, c_vec):
     """Monic minimal polynomial of multiplication by c_vec on the unital
-    factor with unit e (powers e, c, c^2, ... until linear dependence),
-    and the powers e, c, ..., c^(n-1) below its degree n."""
-    R = GR.ring
-    powers = [e]
+    factor with unit e, and the powers e, c, ..., c^(n-1) below its degree
+    n (field base).  Each power is reduced once against the rows
+    [c^i | x^i] placed so far; the first to vanish on the left has the
+    minimal polynomial on the right."""
+    R, m = GR.ring, GR.rank
+    # each row is zero at the pivots of the rows placed before it, so
+    # reducing in the order of placement never refills a pivot column
+    rows, cols, powers, v = [], [], [], e
     while True:
-        nxt = GR.mul_vec(powers[-1], c_vec)
-        coeffs = member_with_coeffs(R, powers, nxt)
-        if coeffs is not None:
-            # x^n = sum coeffs_i x^i  ->  minpoly = x^n - sum coeffs_i x^i
-            return [R.neg(x) for x in coeffs] + [R.one], powers
-        powers.append(nxt)
+        n = len(powers)
+        tail = [R.one if j == n else R.zero for j in range(m + 1)]
+        w = _reduce(R, rows, cols, list(v) + tail)
+        col = next((c for c in range(m) if R.nonzero(w[c])), None)
+        if col is None:
+            return w[m:m + n + 1], powers
+        rows.append(R.normalize_pivot(w, col))
+        cols.append(col)
+        powers.append(v)
+        v = GR.mul_vec(v, c_vec)
 
 
 def lift_idempotent(GR: GroupScheme, u):
@@ -767,12 +778,21 @@ def _eigen_idempotent(GR: GroupScheme, minpoly, powers, lam):
     return lift_idempotent(GR, u)
 
 
+def _scalar_on(R: Ring, e, c):
+    """s with c = s e, or None: s is c/e at a nonzero entry of e."""
+    j = next(j for j, x in enumerate(e) if R.nonzero(x))
+    s = R.mul(c[j], R.inv(e[j]))
+    return s if vec_scale(R, s, e) == c else None
+
+
 def identity_idempotent(G: GroupScheme):
     """e0, the unit of the local factor of the algebra at the identity
     point (field base): the descent of `characters` along the counit."""
     e = list(G.unit)
     for idx in range(G.rank):
         c = G.mul_vec(e, G.basis_vector(idx))
+        if _scalar_on(G.ring, e, c) == G.counit[idx]:
+            continue
         minpoly, powers = _minpoly_of_vector(G, e, c)
         e = _eigen_idempotent(G, minpoly, powers, G.counit[idx])
     return e
@@ -800,11 +820,8 @@ def characters(GR: GroupScheme):
                 results.append(tuple(chi))
             continue
         c = GR.mul_vec(e, GR.basis_vector(idx))
-        # is c = s e?  e is a nonzero idempotent, so s is c/e at any
-        # nonzero entry of e
-        j = next(j for j, x in enumerate(e) if R.nonzero(x))
-        s = R.mul(c[j], R.inv(e[j]))
-        if vec_scale(R, s, e) == c:
+        s = _scalar_on(R, e, c)
+        if s is not None:
             chi2 = list(chi)
             chi2[idx] = s
             stack.append((e, idx + 1, chi2))

@@ -207,23 +207,6 @@ def mat_kernel(R: Ring, M):
     return row_kernel(R, transpose(M))
 
 
-def solve(R: Ring, M, b):
-    """x with Mx = b, or None."""
-    return member_with_coeffs(R, transpose(M), b)
-
-
-def mat_inverse(R: Ring, M):
-    n = len(M)
-    cols = []
-    for j in range(n):
-        e = [R.one if i == j else R.zero for i in range(n)]
-        x = solve(R, M, e)
-        if x is None:
-            return None
-        cols.append(x)
-    return transpose(cols)
-
-
 def det(R: Ring, M):
     """Exact determinant of a square matrix (see Ring.det)."""
     return R.det(M)

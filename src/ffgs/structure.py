@@ -33,7 +33,6 @@ from .hopf import (
     HopfError,
     convolution_power,
     cartier_dual,
-    hom_on_points,
     identity_idempotent,
     lift_idempotent,
     points,
@@ -62,7 +61,6 @@ from .rings import (
     PrimeField,
     QQ,
     RationalField,
-    RingError,
     RingHom,
     find_hom,
     gf,
@@ -71,7 +69,6 @@ from .rings import (
     prime_factors,
     spectrum,
 )
-from .testrings import test_ring_family
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -502,7 +499,11 @@ def locus_report(G: GroupScheme, p: int) -> LocusReport:
     n = G.rank
     if any(n % (q * q) == 0 for q in prime_factors(n)):
         raise HopfError("loci are defined for square-free order")
-    reports = fiber_report(G)
+    return _locus_report(G, p, fiber_report(G))
+
+
+def _locus_report(G: GroupScheme, p: int, reports) -> LocusReport:
+    """locus_report of square-free G from its fiber reports."""
     ids = [r.point.id for r in reports]
     s1 = [r.point.id for r in reports if r.infinitesimal_rank == 1]
     sp = [r.point.id for r in reports if r.infinitesimal_rank in (1, p)]
@@ -624,7 +625,7 @@ def connected_etale_sequence(G: GroupScheme) -> ExtensionWitness:
 
 class SplitResult:
     def __init__(self, status, ring_name=None, section=None, detail=None):
-        self.status = status    # found | no-splitting-ring | not-found
+        self.status = status    # found | no-splitting-ring | not-found | unknown
         self.ring_name = ring_name
         self.section = section  # list: quotient point index -> total index
         self.detail = detail
@@ -640,12 +641,12 @@ class SplitResult:
 
 def hochschild_split(E: ExtensionWitness, budget: int = 200000) -> SplitResult:
     """Check the Hochschild property on the ledger, then search for a
-    homomorphic section of G(R') -> G''(R') over the first test ring
-    where G'' has its full complement of points."""
+    homomorphic section of G(R') -> G''(R') on the witness's points over
+    the first ledger ring where G'' has all its points (G(R') -> G''(R')
+    is onto there, as checked).  budget bounds the section search alone."""
     nker = E.kernel.order
     nquo = E.quotient.rank
-    flag, disc = is_etale(E.quotient)
-    if not flag:
+    if not is_etale(E.quotient)[0]:
         raise HopfError("splitting needs an etale quotient")
     if gcd(nker, nquo) != 1:
         raise HopfError("splitting needs coprime kernel and quotient orders")
@@ -658,25 +659,17 @@ def hochschild_split(E: ExtensionWitness, budget: int = 200000) -> SplitResult:
             raise InternalInconsistencyError(
                 f"point sequence not exact over {entry['ring']}: {entry}"
             )
-    G = E.total
-    base = G.ring
-    for T in test_ring_family(base):
-        try:
-            PG = points(G, T, bound=budget)
-            PQ = points(E.quotient, T, bound=budget)
-        except (HopfError, RingError):
-            continue
+    for T, PG, PQ, out_map in E.ledger_points:
         if PQ.order != nquo:
             continue
-        hom = find_hom(base, T)
-        out_map = hom_on_points(E.projection, PG, PQ, hom)
-        if len(set(out_map)) != PQ.order:
-            continue
-        section = _section_search(AbstractGroup.from_points(PQ),
-                                  AbstractGroup.from_points(PG),
-                                  out_map, budget)
+        section, complete = _section_search(AbstractGroup.from_points(PQ),
+                                            AbstractGroup.from_points(PG),
+                                            out_map, budget)
         if section is not None:
             return SplitResult("found", T.name(), section)
+        if not complete:
+            return SplitResult("unknown", T.name(),
+                               detail="section search budget exhausted")
         return SplitResult("not-found", T.name(),
                            detail="search exhausted without a section")
     return SplitResult("no-splitting-ring",
@@ -684,7 +677,8 @@ def hochschild_split(E: ExtensionWitness, budget: int = 200000) -> SplitResult:
 
 
 def _section_search(Q: AbstractGroup, Gp: AbstractGroup, out_map, budget):
-    """First homomorphic section sigma with out_map[sigma(q)] = q."""
+    """(first homomorphic section sigma with out_map[sigma(q)] = q, or
+    None; whether every candidate was tried within the budget)."""
     gens = Q._small_generators()
     preimages = [
         [g for g in range(Gp.order) if out_map[g] == q] for q in gens
@@ -693,7 +687,7 @@ def _section_search(Q: AbstractGroup, Gp: AbstractGroup, out_map, budget):
     for images in itertools.product(*preimages):
         count += 1
         if count > budget:
-            return None
+            return None, False
         sigma = {Q.identity: Gp.identity}
         frontier = [Q.identity]
         ok = True
@@ -716,8 +710,8 @@ def _section_search(Q: AbstractGroup, Gp: AbstractGroup, out_map, budget):
             continue
         if all(sigma[Q.table[a][b]] == Gp.table[sigma[a]][sigma[b]]
                for a in range(Q.order) for b in range(Q.order)):
-            return [sigma[q] for q in range(Q.order)]
-    return None
+            return [sigma[q] for q in range(Q.order)], True
+    return None, True
 
 
 # ----------------------------------------------------------------------
@@ -801,7 +795,7 @@ def theorem_decompose(G: GroupScheme, budget: int = 200000) -> TheoremCertificat
     if primes:
         subgroups = []
         for p in primes:
-            rep = locus_report(G, p)
+            rep = _locus_report(G, p, reports)
             if not rep.vp_is_whole():
                 # Spec Z/n is disconnected when n has two prime factors, so
                 # the locus may then be a proper part: the base is at fault

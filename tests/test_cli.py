@@ -248,6 +248,28 @@ def test_split_with_kernel(capsys):
     assert d["splitting"]["status"] == "found"
 
 
+def test_split_budget_bounds_the_section_search_only(capsys):
+    def split(spec, base, budget):
+        code, out = run(capsys, "split", "--builtin", spec, "--base", base,
+                        "--kernel", "3", "--budget-iso", budget, "--format", "json")
+        return code, json.loads(out)["splitting"]
+
+    # the points come from the ledger, made under --budget-points, so a
+    # section search budget of 3 finds the section of S3 over Q
+    code, d = split("const:S3", "Q", "3")
+    assert (code, d["status"], d["ring"]) == (0, "found", "Q")
+    # Z/6 over GF(7): the first of the 3 candidate images of the generator
+    # of Z/2 has order 6, so one candidate is not enough and two are
+    code, d = split("const:Z6", "GF(7)", "1")
+    assert (code, d["status"], d["detail"]) == (
+        1, "unknown", "section search budget exhausted")
+    assert split("const:Z6", "GF(7)", "2")[1]["status"] == "found"
+    # a budget of 0 tries no candidate at all
+    for spec, base in (("const:S3", "Q"), ("const:Z6", "GF(7)")):
+        code, d = split(spec, base, "0")
+        assert (code, d["status"], d["section"]) == (1, "unknown", None), spec
+
+
 def test_refine(capsys):
     code, out = run(capsys, "refine", "--builtin", "const:Z6", "--base", "GF(5)",
                     "--kernels", "6,2", "--format", "json")

@@ -11,7 +11,10 @@ from ffgs.constructions import (ClosedSubgroup, alpha, constant,
                                 trivial_subgroup, whole_subgroup)
 from ffgs.hopf import (GroupSchemeHom, HopfError, VerificationReport,
                        convolution_power, points)
-from ffgs.linalg import canonical_span, member, member_with_coeffs
+from ffgs import linalg
+from ffgs.constructions import _tensor_rows
+from ffgs.linalg import (canonical_span, mat_vec, member, member_with_coeffs,
+                         pivot_columns, row_kernel, transpose, vec_sub)
 from ffgs.oracle import AbstractGroup, s3_table
 from ffgs.rings import parse_ring
 
@@ -276,9 +279,8 @@ def test_projection_checks_match_span_reference(spec):
     assert {"coideal", False} <= seen
 
 
-@pytest.mark.parametrize("spec", PROJECTION_BASES)
-def test_quotient_comult_matches_span_reference(spec):
-    R = parse_ring(spec)
+def quotient_cases(R):
+    """Normal subgroups (G, H) whose quotients have rank 2 to 6."""
     S3 = constant(R, s3_table())
     A = AbstractGroup(s3_table())
     rotations = {g for g in range(6) if A.element_order(g) != 2}
@@ -286,7 +288,7 @@ def test_quotient_comult_matches_span_reference(spec):
     # mu_2 x S3 -> S3 has a non-cocommutative quotient
     GxS3 = direct_product(mu(R, 2), S3)
     to_s3 = GroupSchemeHom(GxS3, S3, [GxS3.basis_vector(g) for g in range(6)])
-    cases = [
+    return [
         (GxS3, kernel(to_s3)),
         (G4, kernel(convolution_power(G4, 2))),
         (G6, kernel(convolution_power(G6, 2))),
@@ -294,7 +296,11 @@ def test_quotient_comult_matches_span_reference(spec):
         (S3, ClosedSubgroup(S3, [S3.basis_vector(g) for g in range(6)
                                  if g not in rotations])),
     ]
-    for G, H in cases:
+
+
+@pytest.mark.parametrize("spec", PROJECTION_BASES)
+def test_quotient_comult_matches_span_reference(spec):
+    for G, H in quotient_cases(parse_ring(spec)):
         Gbar, proj = quotient(G, H)
         assert Gbar.comult == _ref_quotient_comult(G, proj.alg)
         assert Gbar.verify().ok
@@ -309,3 +315,91 @@ def test_non_unit_pivot_is_not_flat():
     assert (rep.ok, rep.axiom, rep.witness) == (False, "not-flat", (0,))
     with pytest.raises(HopfError):
         H.quotient_data()
+
+
+def _reference_quotient(G, H):
+    """quotient as it was: one augmented elimination per coordinate
+    vector, 3m^2 + O(m) of them."""
+    R = G.ring
+    m = G.rank
+    P = transpose(H.quotient_data()[1])
+    punit = mat_vec(R, P, G.unit)
+    cols = []
+    for i in range(m):
+        half = [mat_vec(R, P, row)
+                for row in _tensor_rows(G, G.comult_vec(G.basis_vector(i)))]
+        half[i] = vec_sub(R, half[i], punit)
+        cols.append([c for row in half for c in row])
+    B = canonical_span(R, row_kernel(R, cols))
+    if not B:
+        raise HopfError("coinvariants are zero")
+    if len(B) * H.order != m:
+        raise HopfError(
+            f"quotient rank {len(B)} times subgroup order {H.order} "
+            f"misses the ambient order {m}"
+        )
+    if pivot_columns(R, B)[1] is not None:
+        raise HopfError("coinvariants are not free on their basis (non-unit pivot)")
+    def coords(v, failure="coinvariant algebra is not closed as expected"):
+        c = member_with_coeffs(R, B, v)
+        if c is None:
+            raise HopfError(failure)
+        return c
+    rB = len(B)
+    mult = [[coords(G.mul_vec(B[a], B[b])) for b in range(rB)] for a in range(rB)]
+    unit = coords(G.unit)
+    no_restrict = "comultiplication does not restrict to coinvariants"
+    comult = []
+    for b in B:
+        rows = [coords(row, no_restrict) for row in _tensor_rows(G, G.comult_vec(b))]
+        comult.append(transpose([coords(w, no_restrict) for w in transpose(rows)]))
+    counit = [G.counit_of(B[a]) for a in range(rB)]
+    antipode = [coords(G.antipode_vec(B[a])) for a in range(rB)]
+    return (mult, unit, comult, counit, antipode), B
+
+
+def _quotient_tensors(G, H):
+    Gbar, proj = quotient(G, H)
+    return (Gbar.mult, Gbar.unit, Gbar.comult, Gbar.counit, Gbar.antipode), proj.alg
+
+
+def quotient_outcome(quotient_of, G, H):
+    """(every tensor of G/H, the basis of its coinvariants), or the error."""
+    try:
+        return quotient_of(G, H)
+    except HopfError as exc:
+        return "HopfError", str(exc)
+
+
+@pytest.mark.parametrize("spec", PROJECTION_BASES)
+def test_quotient_matches_reference(spec):
+    R = parse_ring(spec)
+    S3 = constant(R, s3_table())
+    G4 = mu(R, 4)
+    # the trivial and the whole subgroup, and a failure: the order-2
+    # subgroup {0, 1} of S3 is not normal, so the comultiplication does not
+    # restrict to the functions on its cosets
+    cases = quotient_cases(R) + [
+        (G4, trivial_subgroup(G4)), (G4, whole_subgroup(G4)),
+        (S3, ClosedSubgroup(S3, [S3.basis_vector(g) for g in range(2, 6)])),
+    ]
+    outcomes = set()
+    for G, H in cases:
+        want = quotient_outcome(_reference_quotient, G, H)
+        assert quotient_outcome(_quotient_tensors, G, H) == want, (G.name, H.order)
+        outcomes.add(want[0] == "HopfError")
+    assert outcomes == {True, False}
+
+
+def test_quotient_eliminates_each_basis_once(monkeypatch):
+    # the coordinates in the coinvariant basis are read off its pivots; the
+    # reference makes 204 eliminations here
+    G = mu(Q, 8)
+    H = trivial_subgroup(G)
+    calls = []
+    real = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    Gbar, _ = quotient(G, H)
+    assert Gbar.rank == 8
+    assert len(calls) <= 3, len(calls)

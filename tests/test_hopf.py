@@ -5,14 +5,14 @@ import pytest
 
 from ffgs import hopf, linalg
 from ffgs.cli import build_builtin
-from ffgs.linalg import mat_inverse, transpose, vec_add, vec_scale, vec_sub
+from ffgs.linalg import transpose, vec_add, vec_scale, vec_sub
 from ffgs.constructions import alpha, constant, constant_cyclic, mu, tate_oort2
 from ffgs.hopf import (GroupScheme, GroupSchemeHom, HopfError, cartier_dual,
                        convolution, convolution_power, identity_endo, points,
                        power_map_alg, trivial_endo, verify_hopf)
 from ffgs.oracle import BudgetExceeded, enumerate_points, s3_table
 from ffgs.rings import DualNumbers, RingError, find_hom, identity_hom, parse_ring
-from test_linalg import RINGS, rand_elt
+from test_linalg import RINGS, mat_inverse, rand_elt, rand_matrix
 
 Q = parse_ring("Q")
 F5 = parse_ring("GF(5)")
@@ -545,14 +545,28 @@ def _reference_point_group_from_set(GR, vecs):
     return hopf.PointGroup(R, pts, table, index[tuple(GR.counit)])
 
 
-def _reference_minpoly(GR, e, c_vec):
+def _reference_minpoly_of_vector(GR, e, c_vec):
+    """_minpoly_of_vector as it was: every Krylov step solves for the new
+    power against all earlier ones in a fresh elimination."""
     R = GR.ring
     powers = [e]
     while True:
-        coeffs = linalg.member_with_coeffs(R, powers, GR.mul_vec(powers[-1], c_vec))
+        nxt = GR.mul_vec(powers[-1], c_vec)
+        coeffs = linalg.member_with_coeffs(R, powers, nxt)
         if coeffs is not None:
-            return [R.neg(x) for x in coeffs] + [R.one]
-        powers.append(GR.mul_vec(powers[-1], c_vec))
+            return [R.neg(x) for x in coeffs] + [R.one], powers
+        powers.append(nxt)
+
+
+def _reference_identity_idempotent(G):
+    """identity_idempotent as it was: a minimal polynomial at every step,
+    also where e_idx acts on e by a scalar."""
+    e = list(G.unit)
+    for idx in range(G.rank):
+        c = G.mul_vec(e, G.basis_vector(idx))
+        minpoly, powers = _reference_minpoly_of_vector(G, e, c)
+        e = hopf._eigen_idempotent(G, minpoly, powers, G.counit[idx])
+    return e
 
 
 def _reference_split_unit(R, sub_rows, comp_rows, e):
@@ -590,7 +604,7 @@ def _reference_characters(GR):
             chi2[idx] = scal[0]
             stack.append((basis, e, idx + 1, chi2))
             continue
-        for lam in roots_of(_reference_minpoly(GR, e, c)):
+        for lam in roots_of(_reference_minpoly_of_vector(GR, e, c)[0]):
             rows = basis
             for _ in range(len(basis)):
                 rows = [vec_sub(R, GR.mul_vec(b, c), vec_scale(R, lam, b))
@@ -629,6 +643,65 @@ def test_characters_read_values_off_one_dimensional_factors(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     assert hopf.characters(mu(F7, 3)) == [(1, 1, 1), (1, 2, 4), (1, 4, 2)]
     assert len(calls) == 1
+
+
+FIELD_BASES = ["GF(2)", "GF(3)", "GF(5)", "GF(2^2;x^2+x+1)", "GF(2^3;x^3+x^2+1)",
+               "GF(3^2;x^2+1)", "Q"]
+
+
+def test_minpoly_and_identity_idempotent_match_reference(monkeypatch):
+    """On every field base of the corpora, each POINT_SPECS builtin in its
+    natural basis and two seeded unitriangular ones: the minimal polynomial
+    and powers of each e_i on the unit and on e0, and e0 itself."""
+    calls = []
+    real = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    rng = random.Random(20169)
+    checked = 0
+    for name in FIELD_BASES:
+        R = parse_ring(name)
+        for spec in POINT_SPECS:
+            for G in built(spec, R):
+                for H in (G, rebased(G, unitriangular(R, G.rank, rng)),
+                          rebased(G, unitriangular(R, G.rank, rng))):
+                    e0 = _reference_identity_idempotent(H)
+                    cases = [(e, H.mul_vec(e, H.basis_vector(i)))
+                             for e in (H.unit, e0) for i in range(H.rank)]
+                    expected = [_reference_minpoly_of_vector(H, e, c)
+                                for e, c in cases]
+                    calls.clear()
+                    assert hopf.identity_idempotent(H) == e0, (spec, name)
+                    assert [hopf._minpoly_of_vector(H, e, c)
+                            for e, c in cases] == expected, (spec, name)
+                    # each power is one reduction against the rows so far
+                    assert not calls, (spec, name)
+                    checked += 1
+    assert checked >= 200, checked
+
+
+@pytest.mark.parametrize("R", RINGS, ids=lambda R: R.name())
+def test_is_module_iso_matches_the_inverse(R):
+    rng = random.Random(41)
+    G = mu(R, 3)
+    mats = []
+    for _ in range(6):
+        M = rand_matrix(R, rng, 3, 3)
+        U = unitriangular(R, 3, rng)
+        # a unitriangular factor keeps M invertible or singular as it was
+        mats += [M, U, mat_mul(R, U, M),
+                 M[:2] + [vec_add(R, M[0], M[1])]]  # singular
+    kinds = set()
+    for M in mats:
+        invertible = mat_inverse(R, transpose(M)) is not None
+        assert GroupSchemeHom(G, G, M).is_module_iso() == invertible, M
+        kinds.add(invertible)
+    assert kinds == {True, False}
+
+
+def test_point_group_without_the_counit_is_a_hopf_error():
+    with pytest.raises(HopfError, match="identity"):
+        hopf.point_group_from_set(mu(F5, 3), [])
 
 
 def point_outcome(G, T):

@@ -7,14 +7,12 @@ from ffgs.linalg import (
     det,
     echelon,
     identity_matrix,
-    mat_inverse,
     mat_kernel,
     mat_vec,
     member,
     member_with_coeffs,
     reduce_mod_span,
     row_kernel,
-    solve,
     transpose,
     vec_is_zero,
 )
@@ -46,6 +44,23 @@ def rand_matrix(R, rng, rows, cols):
 
 def mat_mul(R, A, B):
     return [[R.dot(row, col) for col in zip(*B)] for row in A]
+
+
+def solve(R, M, b):
+    """x with Mx = b, or None."""
+    return member_with_coeffs(R, transpose(M), b)
+
+
+def mat_inverse(R, M):
+    """M^-1 by one solve per column, or None."""
+    n = len(M)
+    cols = []
+    for j in range(n):
+        x = solve(R, M, [R.one if i == j else R.zero for i in range(n)])
+        if x is None:
+            return None
+        cols.append(x)
+    return transpose(cols)
 
 
 def test_kernel_and_image_properties_random():

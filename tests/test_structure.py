@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -7,19 +8,23 @@ from ffgs.constructions import (ClosedSubgroup, alpha, constant,
                                 extension_witness, find_isomorphism,
                                 ideal_closure, inversion_action, kernel, mu,
                                 semidirect, tate_oort2, trivial_subgroup)
-from ffgs.hopf import convolution_power, points
-from ffgs.linalg import (canonical_span, solve, transpose, vec_add, vec_scale,
-                         vec_sub)
+from ffgs import hopf, structure
+from ffgs.hopf import HopfError, convolution_power, hom_on_points, points
+from ffgs.linalg import canonical_span, transpose, vec_add, vec_scale, vec_sub
 from ffgs.oracle import AbstractGroup, s3_table
-from ffgs.rings import RingHom, parse_ring
-from ffgs.structure import (augmentation_core, classify_order_p,
+from ffgs.rings import RingError, RingHom, find_hom, parse_ring
+from ffgs.structure import (InternalInconsistencyError, SplitResult,
+                            _section_search, augmentation_core, classify_order_p,
                             common_refinement, connected_etale_sequence,
                             fiber_report, frobenius_verschiebung,
                             hochschild_split, identity_component,
                             infinitesimal_rank, is_etale, locus_report,
                             order_p_subgroup, p_primary_decompose,
                             separable_rank, theorem_decompose)
+from ffgs.testrings import test_ring_family as ring_family
+from test_acceptance import theorem_corpus
 from test_hopf import rebased, unitriangular
+from test_linalg import solve
 
 Q = parse_ring("Q")
 F2 = parse_ring("GF(2)")
@@ -306,3 +311,102 @@ def test_theorem_rejects_non_squarefree():
     from ffgs.hopf import HopfError
     with pytest.raises(HopfError):
         theorem_decompose(mu(Q, 4))
+
+
+# ----------------------------------------------------------------------
+# the splitting search against the recomputation it replaced
+
+
+def _reference_hochschild_split(E, budget=200000):
+    """hochschild_split as it was: points and the index map over every test
+    ring made again, under the section search budget."""
+    nker = E.kernel.order
+    nquo = E.quotient.rank
+    flag, _ = is_etale(E.quotient)
+    if not flag:
+        raise HopfError("splitting needs an etale quotient")
+    if gcd(nker, nquo) != 1:
+        raise HopfError("splitting needs coprime kernel and quotient orders")
+    if not E.ledger:
+        raise HopfError("no test ring gave points within the budget")
+    for entry in E.ledger:
+        if not (entry["left_injective"] and entry["exact_middle"]
+                and entry["right_surjective"]):
+            raise InternalInconsistencyError(
+                f"point sequence not exact over {entry['ring']}: {entry}"
+            )
+    G = E.total
+    base = G.ring
+    for T in ring_family(base):
+        try:
+            PG = points(G, T, bound=budget)
+            PQ = points(E.quotient, T, bound=budget)
+        except (HopfError, RingError):
+            continue
+        if PQ.order != nquo:
+            continue
+        hom = find_hom(base, T)
+        out_map = hom_on_points(E.projection, PG, PQ, hom)
+        if len(set(out_map)) != PQ.order:
+            continue
+        section = _section_search(AbstractGroup.from_points(PQ),
+                                  AbstractGroup.from_points(PG),
+                                  out_map, budget)[0]
+        if section is not None:
+            return SplitResult("found", T.name(), section)
+        return SplitResult("not-found", T.name(),
+                           detail="search exhausted without a section")
+    return SplitResult("no-splitting-ring",
+                       detail="no test ring gives the quotient full points")
+
+
+def split_outcome(split, E):
+    try:
+        return split(E).to_dict()
+    except HopfError as exc:
+        return "HopfError", str(exc)
+
+
+def test_hochschild_split_matches_reference():
+    """On the theorem corpus and the order-3 kernels of S3, as the theorem
+    and extension_witness leave them, and on a non-coprime extension."""
+    witnesses = []
+    for G in theorem_corpus():
+        cert = theorem_decompose(G)
+        assert cert.split.to_dict() == split_outcome(
+            _reference_hochschild_split, cert.witness), G.name
+        witnesses.append(cert.witness)
+    for G in (constant(Q, s3_table()), s3_semidirect(F7), constant(F5, s3_table())):
+        witnesses.append(extension_witness(G, order_p_subgroup(G, 3)))
+    G4 = mu(F5, 4)
+    witnesses.append(extension_witness(G4, kernel(convolution_power(G4, 2))))
+    statuses = set()
+    for E in witnesses:
+        want = split_outcome(_reference_hochschild_split, E)
+        assert split_outcome(hochschild_split, E) == want, E
+        statuses.add(want[0] if isinstance(want, tuple) else want["status"])
+    assert statuses == {"found", "HopfError"}
+
+
+def test_split_reads_the_ledger_points(monkeypatch):
+    G = constant(Q, s3_table())
+    E = extension_witness(G, order_p_subgroup(G, 3))
+
+    def no_points(*args, **kw):
+        raise AssertionError("points made again")
+
+    for module in (hopf, structure):
+        monkeypatch.setattr(module, "points", no_points)
+    assert hochschild_split(E).status == "found"
+
+
+def test_theorem_makes_the_fiber_reports_once(monkeypatch):
+    # mu_6 over Zloc(2) has one prime, 2, with a locus report: the
+    # reports were made once for the ranks and once more for the locus
+    calls = []
+    real = structure.fiber_report
+    monkeypatch.setattr(structure, "fiber_report",
+                        lambda G: calls.append(G) or real(G))
+    assert theorem_decompose(mu(ZL2, 6)).split.status == "found"
+    assert len(calls) == 1
+
