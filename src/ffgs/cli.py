@@ -34,7 +34,7 @@ def _load_table(spec: str):
     try:
         with open(spec) as fh:
             table = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UserError(f"cannot read group table {spec!r}: {exc}")
     if not isinstance(table, list):
         raise UserError("group table file must hold a JSON array of rows")
@@ -82,7 +82,8 @@ def load_scheme(args) -> GroupScheme:
         try:
             with open(args.file) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: not UTF-8 or not JSON; RecursionError: nested too deep
+        except (OSError, ValueError, RecursionError) as exc:
             raise UserError(f"cannot load {args.file!r}: {exc}")
         try:
             G = GroupScheme.from_dict(data)
@@ -270,7 +271,7 @@ def cmd_refine(args):
         witnesses.append(cons.extension_witness(G, H,
                                                 budget=args.budget_points))
     E = structure.common_refinement(*witnesses)
-    flag, disc = structure.is_etale(E.quotient)
+    flag, disc = E.quotient_etale
     payload = {"refined": E.to_dict(),
                "quotient_discriminant": G.ring.show(disc)}
     lines = [

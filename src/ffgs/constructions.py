@@ -12,11 +12,13 @@ module forms, so equality of subgroups is literal equality of bases."""
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from math import comb
 
 from . import linalg
 from .linalg import (
     _reduce,
+    add_scaled,
     canonical_span,
     mat_vec,
     member,
@@ -25,7 +27,6 @@ from .linalg import (
     reduce_mod_span,
     row_kernel,
     transpose,
-    vec_add,
     vec_is_zero,
     vec_scale,
     vec_sub,
@@ -35,6 +36,7 @@ from .hopf import (
     GroupSchemeHom,
     HopfError,
     VerificationReport,
+    is_etale,
     points,
 )
 from .oracle import AbstractGroup, cyclic_table
@@ -163,19 +165,17 @@ def direct_product(G: GroupScheme, H: GroupScheme) -> GroupScheme:
     m = mG * mH
     def idx(i, a):
         return i * mH + a
-    Z, nonzero = R.zero, R.nonzero
+    Z = R.zero
+    (GM, GC, GS), (HM, HC, HS) = G.sparse, H.sparse
     mult = [[[Z] * m for _ in range(m)] for _ in range(m)]
     for i in range(mG):
         for a in range(mH):
             for j in range(mG):
                 for b in range(mH):
                     row = mult[idx(i, a)][idx(j, b)]
-                    for k, ck in enumerate(G.mult[i][j]):
-                        if not nonzero(ck):
-                            continue
-                        for c, cc in enumerate(H.mult[a][b]):
-                            if nonzero(cc):
-                                row[idx(k, c)] = R.add(row[idx(k, c)], R.mul(ck, cc))
+                    for k, ck in GM[i][j]:
+                        for c, cc in HM[a][b]:
+                            row[idx(k, c)] = R.add(row[idx(k, c)], R.mul(ck, cc))
     unit = [Z] * m
     for i, u in enumerate(G.unit):
         for a, v in enumerate(H.unit):
@@ -184,8 +184,8 @@ def direct_product(G: GroupScheme, H: GroupScheme) -> GroupScheme:
     for i in range(mG):
         for a in range(mH):
             tgt = comult[idx(i, a)]
-            for j, k, c in G.comult_sparse(i):
-                for x, y, d in H.comult_sparse(a):
+            for j, k, c in GC[i]:
+                for x, y, d in HC[a]:
                     tgt[idx(j, x)][idx(k, y)] = R.add(
                         tgt[idx(j, x)][idx(k, y)], R.mul(c, d)
                     )
@@ -194,12 +194,9 @@ def direct_product(G: GroupScheme, H: GroupScheme) -> GroupScheme:
     for i in range(mG):
         for a in range(mH):
             counit[idx(i, a)] = R.mul(G.counit[i], H.counit[a])
-            for j, sa in enumerate(G.antipode[i]):
-                if not nonzero(sa):
-                    continue
-                for b, sb in enumerate(H.antipode[a]):
-                    if nonzero(sb):
-                        antipode[idx(i, a)][idx(j, b)] = R.mul(sa, sb)
+            for j, sa in GS[i]:
+                for b, sb in HS[a]:
+                    antipode[idx(i, a)][idx(j, b)] = R.mul(sa, sb)
     name = None
     if G.name and H.name:
         name = f"{G.name} x {H.name}"
@@ -211,11 +208,9 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
     acting on Q.
 
     action[g] is the Hopf-algebra pullback matrix of the automorphism
-    alpha_g of Q (rows = images of basis vectors), with the
-    anti-compatibility action[g][h-action...] checked: pullback reverses
-    composition, alpha_{gh}^* = alpha_h^* alpha_g^* is NOT required here;
-    we check alpha_{gh}^* = alpha_g^* after alpha_h^* as matrices acting
-    on the left.
+    alpha_g of Q (rows = images of basis vectors).  Each must be a Hopf
+    automorphism, trivial at the identity, with alpha_h then alpha_g
+    equal to alpha_{gh} (a left action).
 
     Basis: a_i (x) f_g with a_i the Q basis and f_g indicators of P."""
     R = Q.ring
@@ -242,15 +237,15 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
     def idx(i, g):
         return i * n + g
     Z, nonzero = R.zero, R.nonzero
+    QM, QC, _ = Q.sparse
     # algebra: (a (x) f_g)(b (x) f_h) = delta_{g,h} ab (x) f_g
     mult = [[[Z] * m for _ in range(m)] for _ in range(m)]
     for i in range(mQ):
         for g in range(n):
             for j in range(mQ):
                 row = mult[idx(i, g)][idx(j, g)]
-                for k, c in enumerate(Q.mult[i][j]):
-                    if nonzero(c):
-                        row[idx(k, g)] = c
+                for k, c in QM[i][j]:
+                    row[idx(k, g)] = c
     unit = [Z] * m
     for i, u in enumerate(Q.unit):
         for g in range(n):
@@ -260,7 +255,7 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
     for i in range(mQ):
         for g in range(n):
             tgt = comult[idx(i, g)]
-            for j, k, c in Q.comult_sparse(i):
+            for j, k, c in QC[i]:
                 for h in range(n):
                     for hp in range(n):
                         if P.table[h][hp] != g:
@@ -484,19 +479,22 @@ def conjugation_tensor(G: GroupScheme, v) -> dict:
     conjugating point does on the first tensor factor."""
     R = G.ring
     nonzero = R.nonzero
+    C = G.sparse.comult
+    products: dict = {}  # (j, b) -> the nonzero (t, x) of e_j S(e_b)
     out: dict = {}
     for i, coeff in enumerate(v):
         if not nonzero(coeff):
             continue
-        for j, k, c in G.comult_sparse(i):
-            for a, b, d in G.comult_sparse(k):
+        for j, k, c in C[i]:
+            for a, b, d in C[k]:
                 # v_(1) = e_j, v_(2) = e_a, v_(3) = e_b
-                w = G.mul_vec(G.basis_vector(j), G.antipode_vec(G.basis_vector(b)))
+                if (j, b) not in products:
+                    w = G.mul_vec(G.basis_vector(j), G.antipode_vec(G.basis_vector(b)))
+                    products[(j, b)] = [(t, x) for t, x in enumerate(w) if nonzero(x)]
                 cd = R.mul(coeff, R.mul(c, d))
-                for t, x in enumerate(w):
-                    if nonzero(x):
-                        key = (t, a)
-                        out[key] = R.add(out.get(key, R.zero), R.mul(cd, x))
+                for t, x in products[(j, b)]:
+                    key = (t, a)
+                    out[key] = R.add(out.get(key, R.zero), R.mul(cd, x))
     return {key: c for key, c in out.items() if nonzero(c)}
 
 
@@ -587,6 +585,11 @@ class ExtensionWitness:
     def __repr__(self):
         return (f"<extension 1 -> {self.kernel.order} -> {self.total.rank} "
                 f"-> {self.quotient.rank} -> 1>")
+
+    @cached_property
+    def quotient_etale(self):
+        """is_etale of the quotient, made once for all its readers."""
+        return is_etale(self.quotient)
 
     def to_dict(self):
         return {
@@ -726,13 +729,8 @@ def find_isomorphism(G: GroupScheme, H: GroupScheme,
         vpow = [list(G.unit)]
         for _ in range(H.rank - 1):
             vpow.append(G.mul_vec(vpow[-1], list(v)))
-        alg = []
-        for j in range(H.rank):
-            w = [R.zero] * G.rank
-            for t, c in enumerate(exprs[j]):
-                if R.nonzero(c):
-                    w = vec_add(R, w, vec_scale(R, c, vpow[t]))
-            alg.append(w)
+        alg = [add_scaled(R, [R.zero] * G.rank, zip(exprs[j], vpow))
+               for j in range(H.rank)]
         f = GroupSchemeHom(G, H, alg)
         if f.is_module_iso() and f.is_valid():
             return IsoResult("iso", hom=f)

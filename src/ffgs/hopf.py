@@ -11,19 +11,25 @@ tensors on a free module with basis e_0..e_{m-1}:
 
 The scheme is Spec of this algebra; the group law is dual to comult.
 Polynomial presentations are kept only as optional name tags.
+
+These dense lists are the stored, serialized and public form.  The Hopf
+operations read their nonzero entries from `GroupScheme.sparse`, built on
+first use and kept: the tensors are fixed once a scheme has been read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
 from .linalg import (
     _reduce,
+    add_scaled,
     transpose,
-    vec_add,
     vec_scale,
     vec_sub,
 )
@@ -66,6 +72,9 @@ class VerificationReport:
                 "witness": list(self.witness) if self.witness else None}
 
 
+SparseTensors = namedtuple("SparseTensors", "mult comult antipode")
+
+
 class GroupScheme:
     def __init__(self, ring: Ring, rank: int, mult, unit, comult, counit,
                  antipode, name: str | None = None):
@@ -106,30 +115,35 @@ class GroupScheme:
         R = self.ring
         return [R.one if j == i else R.zero for j in range(self.rank)]
 
-    def comult_sparse(self, i):
+    @functools.cached_property
+    def sparse(self) -> SparseTensors:
+        """The nonzero entries of the tensors, read from the dense lists on
+        first use (never in __init__) and kept: mult[a][b] lists the (x, c)
+        of e_a e_b, comult[i] the (j, k, c) of Delta(e_i) and antipode[j]
+        the (x, c) of S(e_j)."""
         nonzero = self.ring.nonzero
-        return [
-            (j, k, c)
-            for j, row in enumerate(self.comult[i])
-            for k, c in enumerate(row)
-            if nonzero(c)
-        ]
+        return SparseTensors(
+            [[[(x, c) for x, c in enumerate(v) if nonzero(c)] for v in row]
+             for row in self.mult],
+            [[(j, k, c) for j, row in enumerate(mat) for k, c in enumerate(row)
+              if nonzero(c)] for mat in self.comult],
+            [[(x, c) for x, c in enumerate(v) if nonzero(c)] for v in self.antipode])
 
     # -- algebra operations ---------------------------------------------
     def mul_vec(self, v, w):
         R = self.ring
         nonzero, add, mul = R.nonzero, R.add, R.mul
+        M = self.sparse.mult
         out = [R.zero] * self.rank
         ws = [(j, b) for j, b in enumerate(w) if nonzero(b)]
         for i, a in enumerate(v):
             if not nonzero(a):
                 continue
-            row = self.mult[i]
+            row = M[i]
             for j, b in ws:
                 ab = mul(a, b)
-                for k, c in enumerate(row[j]):
-                    if nonzero(c):
-                        out[k] = add(out[k], mul(ab, c))
+                for k, c in row[j]:
+                    out[k] = add(out[k], mul(ab, c))
         return out
 
     def power_vec(self, v, n: int):
@@ -150,21 +164,25 @@ class GroupScheme:
 
     def antipode_vec(self, v):
         R = self.ring
+        nonzero, add, mul = R.nonzero, R.add, R.mul
+        S = self.sparse.antipode
         out = [R.zero] * self.rank
         for i, a in enumerate(v):
-            if R.nonzero(a):
-                out = vec_add(R, out, vec_scale(R, a, self.antipode[i]))
+            if nonzero(a):
+                for x, c in S[i]:
+                    out[x] = add(out[x], mul(a, c))
         return out
 
     def comult_vec(self, v):
         """Delta(v) as a dict {(j, k): coeff}."""
         R = self.ring
         nonzero, add, mul, zero = R.nonzero, R.add, R.mul, R.zero
+        C = self.sparse.comult
         out: dict = {}
         for i, a in enumerate(v):
             if not nonzero(a):
                 continue
-            for j, k, c in self.comult_sparse(i):
+            for j, k, c in C[i]:
                 key = (j, k)
                 out[key] = add(out.get(key, zero), mul(a, c))
         return {key: c for key, c in out.items() if nonzero(c)}
@@ -175,22 +193,17 @@ class GroupScheme:
         No ffgs code calls it since `verify` contracts Delta(e_i) Delta(e_j)
         in stages; bench/tracer.py still wraps it by name."""
         R = self.ring
-        nonzero = R.nonzero
+        M = self.sparse.mult
         out: dict = {}
         for (j1, k1), c1 in x.items():
             for (j2, k2), c2 in y.items():
                 c = R.mul(c1, c2)
-                left = self.mult[j1][j2]
-                right = self.mult[k1][k2]
-                for a, la in enumerate(left):
-                    if not nonzero(la):
-                        continue
+                for a, la in M[j1][j2]:
                     cla = R.mul(c, la)
-                    for b, rb in enumerate(right):
-                        if nonzero(rb):
-                            key = (a, b)
-                            out[key] = R.add(out.get(key, R.zero), R.mul(cla, rb))
-        return {key: c for key, c in out.items() if nonzero(c)}
+                    for b, rb in M[k1][k2]:
+                        key = (a, b)
+                        out[key] = R.add(out.get(key, R.zero), R.mul(cla, rb))
+        return {key: c for key, c in out.items() if R.nonzero(c)}
 
     def is_commutative(self) -> bool:
         """Commutativity of the group law (symmetric comultiplication)."""
@@ -215,12 +228,7 @@ class GroupScheme:
         R = self.ring
         m = self.rank
         zero, nonzero, add, mul = R.zero, R.nonzero, R.add, R.mul
-        # sparse tables, read once: M[a][b] lists the nonzero (x, c) of
-        # e_a e_b, C[i] the nonzero (j, k, c) of Delta(e_i), S[j] those of S(e_j)
-        M = [[[(x, c) for x, c in enumerate(v) if nonzero(c)] for v in row]
-             for row in self.mult]
-        C = [self.comult_sparse(i) for i in range(m)]
-        S = [[(x, c) for x, c in enumerate(v) if nonzero(c)] for v in self.antipode]
+        M, C, S = self.sparse
         basis = [self.basis_vector(i) for i in range(m)]
 
         def combine(terms):
@@ -282,13 +290,8 @@ class GroupScheme:
             if left != basis[i] or right != basis[i]:
                 return VerificationReport(False, "counit", (i,))
         # bialgebra: Delta and counit are algebra maps
-        unit_sq = {}
-        for j, a in unit:
-            for k, b in unit:
-                ab = mul(a, b)
-                if nonzero(ab):
-                    unit_sq[(j, k)] = ab
-        if delta(unit) != unit_sq:
+        unit_sq = {(j, k): mul(a, b) for j, a in unit for k, b in unit}
+        if delta(unit) != {key: c for key, c in unit_sq.items() if nonzero(c)}:
             return VerificationReport(False, "bialgebra-unit", ())
         if self.counit_of(self.unit) != R.one:
             return VerificationReport(False, "counit-unit", ())
@@ -402,10 +405,6 @@ class GroupScheme:
         return f"<{tag} of order {self.rank} over {self.ring.name()}>"
 
 
-def order(G: GroupScheme) -> int:
-    return G.rank
-
-
 def verify_hopf(G: GroupScheme) -> VerificationReport:
     return G.verify()
 
@@ -441,16 +440,14 @@ class GroupSchemeHom:
     def apply_alg(self, v):
         """Pull back a Hopf(target) element along the homomorphism."""
         R = self.source.ring
-        out = [R.zero] * self.source.rank
-        for j, c in enumerate(v):
-            if R.nonzero(c):
-                out = vec_add(R, out, vec_scale(R, c, self.alg[j]))
-        return out
+        return add_scaled(R, [R.zero] * self.source.rank, zip(v, self.alg))
 
     def is_valid(self) -> VerificationReport:
         R = self.source.ring
         nonzero = R.nonzero
         S, T = self.source, self.target
+        TM, TC, _ = T.sparse
+        A = [[(a, x) for a, x in enumerate(v) if nonzero(x)] for v in self.alg]
         if self.apply_alg(T.unit) != S.unit:
             return VerificationReport(False, "hom-unit", ())
         for i in range(T.rank):
@@ -458,20 +455,18 @@ class GroupSchemeHom:
                 return VerificationReport(False, "hom-counit", (i,))
             lhs = S.comult_vec(self.alg[i])
             rhs: dict = {}
-            for j, k, c in T.comult_sparse(i):
-                for a, x in enumerate(self.alg[j]):
-                    if not nonzero(x):
-                        continue
+            for j, k, c in TC[i]:
+                for a, x in A[j]:
                     cx = R.mul(c, x)
-                    for b, y in enumerate(self.alg[k]):
-                        if nonzero(y):
-                            key = (a, b)
-                            rhs[key] = R.add(rhs.get(key, R.zero), R.mul(cx, y))
+                    for b, y in A[k]:
+                        rhs[(a, b)] = R.add(rhs.get((a, b), R.zero), R.mul(cx, y))
             rhs = {key: c for key, c in rhs.items() if nonzero(c)}
             if lhs != rhs:
                 return VerificationReport(False, "hom-comult", (i,))
             for j in range(T.rank):
-                if self.apply_alg(T.mult[i][j]) != S.mul_vec(self.alg[i], self.alg[j]):
+                pulled = add_scaled(R, [R.zero] * S.rank,
+                                    ((c, self.alg[x]) for x, c in TM[i][j]))
+                if pulled != S.mul_vec(self.alg[i], self.alg[j]):
                     return VerificationReport(False, "hom-mult", (i, j))
         return VerificationReport(True)
 
@@ -509,13 +504,9 @@ def trivial_endo(G: GroupScheme) -> GroupSchemeHom:
 def convolution(G: GroupScheme, f_alg, g_alg):
     """Convolution of two linear endomaps of Hopf(G), given as alg matrices."""
     R = G.ring
-    out = []
-    for i in range(G.rank):
-        acc = [R.zero] * G.rank
-        for j, k, c in G.comult_sparse(i):
-            acc = vec_add(R, acc, vec_scale(R, c, G.mul_vec(f_alg[j], g_alg[k])))
-        out.append(acc)
-    return out
+    return [add_scaled(R, [R.zero] * G.rank,
+                       ((c, G.mul_vec(f_alg[j], g_alg[k])) for j, k, c in terms))
+            for terms in G.sparse.comult]
 
 
 def convolution_power(G: GroupScheme, n: int) -> GroupSchemeHom:
@@ -531,10 +522,8 @@ def power_map_alg(G: GroupScheme, n: int):
     if n == 0:
         return trivial_endo(G).alg
     if n < 0:
-        pos = power_map_alg(G, -n)
         # compose with the antipode: a -> [(-1)]^* [n]^* a
-        anti = GroupSchemeHom(G, G, [list(v) for v in G.antipode])
-        return [anti.apply_alg(v) for v in pos]
+        return [G.antipode_vec(v) for v in power_map_alg(G, -n)]
     # square-and-multiply: convolution is associative, so the convolution
     # powers of the identity satisfy id^a * id^b = id^(a + b)
     square = linalg.identity_matrix(G.ring, G.rank)  # id^(2^i)
@@ -612,8 +601,8 @@ def point_group_from_set(GR: GroupScheme, vecs) -> PointGroup:
     index = {p: i for i, p in enumerate(pts)}
     # T[j] lists the nonzero (k, i, c_ijk)
     T = [[] for _ in range(m)]
-    for i in range(m):
-        for j, k, c in GR.comult_sparse(i):
+    for i, terms in enumerate(GR.sparse.comult):
+        for j, k, c in terms:
             T[j].append((k, i, c))
     table = []
     for u in pts:
@@ -671,8 +660,7 @@ def _root_finder(R: Ring):
     if R is QQ or R == QQ:
         def roots(coeffs):
             # rational root theorem on the integer rescaling
-            from math import lcm
-            den = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+            den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
             ints = [int(c * den) for c in coeffs]
             while ints and ints[-1] == 0:
                 ints.pop()
@@ -771,10 +759,8 @@ def _eigen_idempotent(GR: GroupScheme, minpoly, powers, lam):
             break
         g = partial[-2::-1]
     scale = R.inv(acc)
-    u = [R.zero] * GR.rank
-    for a, power in zip(g, powers):
-        if R.nonzero(a):
-            u = vec_add(R, u, vec_scale(R, R.mul(scale, a), power))
+    u = add_scaled(R, [R.zero] * GR.rank,
+                   ((R.mul(scale, a), power) for a, power in zip(g, powers)))
     return lift_idempotent(GR, u)
 
 
@@ -839,7 +825,8 @@ def trace_form(G: GroupScheme):
     """Gram matrix (Tr(e_i e_j)) of the trace form of the Hopf algebra."""
     R = G.ring
     m = G.rank
-    tr = [sum_ring(R, (G.mult[k][i][i] for i in range(m))) for k in range(m)]
+    tr = [functools.reduce(R.add, (G.mult[k][i][i] for i in range(m)), R.zero)
+          for k in range(m)]
     return [[R.dot(G.mult[i][j], tr) for j in range(m)] for i in range(m)]
 
 
@@ -848,11 +835,10 @@ def trace_discriminant(G: GroupScheme):
     return linalg.det(G.ring, trace_form(G))
 
 
-def sum_ring(R, it):
-    acc = R.zero
-    for x in it:
-        acc = R.add(acc, x)
-    return acc
+def is_etale(G: GroupScheme):
+    """(flag, discriminant): is the trace-form discriminant a unit?"""
+    disc = trace_discriminant(G)
+    return G.ring.is_unit(disc), disc
 
 
 def points(G: GroupScheme, Rp: Ring, bound: int = 10000) -> PointGroup:
@@ -873,7 +859,7 @@ def _point_vectors(GR: GroupScheme, bound: int):
         if R == QQ:
             if GR.rank > bound:
                 raise HopfError("order exceeds the Q-points bound")
-            if not R.is_unit(trace_discriminant(GR)):
+            if not is_etale(GR)[0]:
                 raise HopfError("Q-points are supported for etale schemes only")
         return characters(GR)
     if isinstance(R, DualNumbers):
@@ -883,32 +869,38 @@ def _point_vectors(GR: GroupScheme, bound: int):
     raise RingError(f"points enumeration unsupported over {R.name()}")
 
 
-def _square_zero_lifts(GR: GroupScheme, k: Ring, fiber: GroupScheme, chi,
-                       phi, coord, bound: int):
-    """The d in k^m for which phi + delta d is a point of GR.
-
-    (delta) is a square-zero ideal of GR.ring with residue field k, and
-    coord reads the k-coordinate of an element of it: a[1] for eps, and
-    a // p^j % p for p^j in Z/p^(j+1).  phi is a point modulo delta whose
-    residue is the character chi of the fiber over k.  As delta^2 = 0 the
-    conditions are linear in d: the tangent rows of chi against minus the
-    coordinates of phi's defect (Waterhouse, Introduction to Affine Group
-    Schemes, ch. 12).  Raises HopfError when there are more than `bound`
-    lifts, before making them."""
-    R, m = GR.ring, GR.rank
+def _tangent_rows(k: Ring, fiber: GroupScheme, chi):
+    """The tangent rows of the character chi of fiber over k (one per pair
+    i <= j, one for the unit) as the columns of `_square_zero_lifts`."""
+    m = fiber.rank
     rows = []
-    rhs = []
     for i in range(m):
         for j in range(i, m):
             row = [k.neg(c) for c in fiber.mult[i][j]]
             row[j] = k.add(row[j], chi[i])
             row[i] = k.add(row[i], chi[j])
             rows.append(row)
-            defect = R.sub(R.mul(phi[i], phi[j]), R.dot(GR.mult[i][j], phi))
-            rhs.append(k.neg(coord(defect)))
     rows.append(list(fiber.unit))
+    return transpose(rows)
+
+
+def _square_zero_lifts(GR: GroupScheme, k: Ring, tangent, phi, coord,
+                       bound: int):
+    """The d in k^m for which phi + delta d is a point of GR.
+
+    (delta) is a square-zero ideal of GR.ring with residue field k, and
+    coord reads the k-coordinate of an element of it: a[1] for eps, and
+    a // p^j % p for p^j in Z/p^(j+1).  phi is a point modulo delta whose
+    residue is the character chi of the fiber over k.  As delta^2 = 0 the
+    conditions are linear in d: tangent, the `_tangent_rows` of chi,
+    against minus the coordinates of phi's defect (Waterhouse, Introduction
+    to Affine Group Schemes, ch. 12).  Raises HopfError when there are more
+    than `bound` lifts, before making them."""
+    R, m = GR.ring, GR.rank
+    rhs = [k.neg(coord(R.sub(R.mul(phi[i], phi[j]), R.dot(GR.mult[i][j], phi))))
+           for i in range(m) for j in range(i, m)]
     rhs.append(k.neg(coord(R.sub(R.dot(GR.unit, phi), R.one))))
-    part, kern = linalg.member_and_kernel(k, transpose(rows), rhs)
+    part, kern = linalg.member_and_kernel(k, tangent, rhs)
     if part is None:
         return []
     if kern and not k.is_finite:
@@ -916,13 +908,8 @@ def _square_zero_lifts(GR: GroupScheme, k: Ring, fiber: GroupScheme, chi,
     els = list(k.elements()) if kern else []
     if len(els) ** len(kern) > bound:
         raise HopfError(f"more than {bound} points (the points bound)")
-    out = []
-    for combo in itertools.product(els, repeat=len(kern)):
-        d = part
-        for c, row in zip(combo, kern):
-            d = vec_add(k, d, vec_scale(k, c, row))
-        out.append(d)
-    return out
+    return [add_scaled(k, list(part), zip(combo, kern))
+            for combo in itertools.product(els, repeat=len(kern))]
 
 
 def _dual_points(GR: GroupScheme, bound: int):
@@ -933,8 +920,8 @@ def _dual_points(GR: GroupScheme, bound: int):
     out = []
     for chi in characters(fiber):
         phi = [(c, k.zero) for c in chi]
-        for d in _square_zero_lifts(GR, k, fiber, chi, phi, lambda a: a[1],
-                                    bound - len(out)):
+        for d in _square_zero_lifts(GR, k, _tangent_rows(k, fiber, chi), phi,
+                                    lambda a: a[1], bound - len(out)):
             out.append(tuple(zip(chi, d)))
     return out
 
@@ -973,11 +960,13 @@ def _zmod_points(GR: GroupScheme, bound: int):
     kp = PrimeField(p)
     fiber = GR.base_change(kp)
     base = [(chi, list(chi)) for chi in characters(fiber)]
+    # the tangent rows depend on chi alone, so every step shares them
+    tangent = {chi: _tangent_rows(kp, fiber, chi) for chi, _ in base} if p < n else {}
     step = p
     while step < n:
         nxt = []
         for chi, phi in base:
-            for d in _square_zero_lifts(GR, kp, fiber, chi, phi,
+            for d in _square_zero_lifts(GR, kp, tangent[chi], phi,
                                         lambda a: a // step % p, bound - len(nxt)):
                 nxt.append((chi, [(x + step * y) % n for x, y in zip(phi, d)]))
         base = nxt

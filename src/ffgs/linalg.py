@@ -48,6 +48,16 @@ def vec_scale(R: Ring, c, u):
 def vec_is_zero(R: Ring, u):
     return not any(map(R.nonzero, u))
 
+def add_scaled(R: Ring, out, terms):
+    """out + sum of c * row over the (c, row) in terms, skipping zero c;
+    the sum is made in out, which is returned."""
+    nonzero, add, mul = R.nonzero, R.add, R.mul
+    for c, row in terms:
+        if nonzero(c):
+            for t, x in enumerate(row):
+                out[t] = add(out[t], mul(c, x))
+    return out
+
 
 # -- matrices (list of rows; maps act on column vectors) ------------------
 

@@ -4,14 +4,14 @@ Everything here is deliberately naive: points are found by exhausting
 assignments on a small generating set of the Hopf algebra, groups are
 identified from their multiplication tables, subgroups are enumerated
 by closing generator sets. The rest of the package is validated against
-these results; nothing here reuses the eigenspace-based character code
-or the contracted group table of `hopf.points`."""
+these results; nothing here reuses the eigenspace-based character code,
+the contracted group table of `hopf.points` or `GroupScheme.sparse`."""
 
 from __future__ import annotations
 
 import itertools
 
-from .linalg import member_with_coeffs
+from .linalg import add_scaled, member_with_coeffs
 from .hopf import GroupScheme, HopfError, PointGroup, point_is_hom
 from .rings import Ring, RingError, find_hom, prime_factors
 
@@ -22,6 +22,14 @@ class BudgetExceeded(RuntimeError):
 
 # ----------------------------------------------------------------------
 # Exhaustive points enumeration
+
+
+def _mul(GR: GroupScheme, v, w):
+    """v * w, summed over whole rows of the dense mult tensor."""
+    R = GR.ring
+    return add_scaled(R, [R.zero] * GR.rank,
+                      ((R.mul(a, b), GR.mult[i][j]) for i, a in enumerate(v)
+                       for j, b in enumerate(w) if R.nonzero(a) and R.nonzero(b)))
 
 
 def _generating_monomials(GR: GroupScheme):
@@ -42,7 +50,7 @@ def _generating_monomials(GR: GroupScheme):
             changed = False
             for t in range(len(monoms)):
                 for pos, g in enumerate(gens):
-                    w = GR.mul_vec(monoms[t], GR.basis_vector(g))
+                    w = _mul(GR, monoms[t], GR.basis_vector(g))
                     if member_with_coeffs(R, monoms, w) is None:
                         monoms.append(w)
                         recipes.append((t, pos))
@@ -81,7 +89,7 @@ def enumerate_points(G: GroupScheme, Rp: Ring, budget: int = 500000):
         powers = [list(GR.unit)]
         rel = None
         while rel is None:
-            nxt = GR.mul_vec(powers[-1], GR.basis_vector(g))
+            nxt = _mul(GR, powers[-1], GR.basis_vector(g))
             rel = member_with_coeffs(R, powers, nxt)
             powers.append(nxt)
         cands = []
@@ -116,8 +124,8 @@ def enumerate_points(G: GroupScheme, Rp: Ring, budget: int = 500000):
 
 
 def _point_group(GR: GroupScheme, found) -> PointGroup:
-    """The group on a closed point set, each product summed term by term
-    over Delta(e_i): (u * v)(e_i) = sum c u_j v_k."""
+    """The group on a closed point set, each product read off the dense
+    comult: (u * v)(e_i) = sum c_ijk u_j v_k = u . (C_i v)."""
     R = GR.ring
     pts = sorted(set(found), key=lambda t: tuple(R.sort_key(x) for x in t))
     index = {p: i for i, p in enumerate(pts)}
@@ -125,15 +133,10 @@ def _point_group(GR: GroupScheme, found) -> PointGroup:
     for u in pts:
         row = []
         for v in pts:
-            w = []
-            for i in range(GR.rank):
-                acc = R.zero
-                for j, k, c in GR.comult_sparse(i):
-                    acc = R.add(acc, R.mul(c, R.mul(u[j], v[k])))
-                w.append(acc)
-            if tuple(w) not in index:
+            w = tuple(R.dot(u, [R.dot(cs, v) for cs in mat]) for mat in GR.comult)
+            if w not in index:
                 raise HopfError("point set is not closed under the group law")
-            row.append(index[tuple(w)])
+            row.append(index[w])
         table.append(row)
     return PointGroup(R, pts, table, index[tuple(GR.counit)])
 

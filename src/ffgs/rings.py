@@ -591,13 +591,14 @@ def parse_poly_modp(text: str, p: int) -> tuple:
         m = re.fullmatch(r"(-?\d+)?\*?(x(\^(\d+))?)?", term)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise RingError(f"bad polynomial term {term!r}")
-        c = int(m.group(1)) if m.group(1) is not None else 1
-        if m.group(2) is None:
-            e = 0
-        elif m.group(4) is not None:
-            e = int(m.group(4))
-        else:
-            e = 1
+        try:
+            c = int(m.group(1)) if m.group(1) is not None else 1
+            e = int(m.group(4)) if m.group(4) is not None else int(bool(m.group(2)))
+        except ValueError:  # more digits than int() converts
+            raise RingError(f"bad polynomial term {term[:20]!r}...") from None
+        # the coefficient list below has e + 1 entries
+        if e > MAX_FIELD_ORDER:
+            raise RingError(f"polynomial exponent above {MAX_FIELD_ORDER}")
         coeffs[e] = (coeffs.get(e, 0) + c) % p
     deg = max(coeffs) if coeffs else 0
     return tuple(_ptrim([coeffs.get(i, 0) for i in range(deg + 1)]))
@@ -873,6 +874,9 @@ def parse_ring(spec: str) -> Ring:
         return LocalizedIntegers(int(m.group(1)))
     m = re.fullmatch(r"Dual\((.*)\)", s)
     if m:
+        # Dual(R) is no field: refuse it unparsed, or deep nesting recurses
+        if re.match(r"\s*Dual\(", m.group(1)):
+            raise RingError("dual numbers are supported over fields only")
         return DualNumbers(parse_ring(m.group(1)))
     raise RingError(f"malformed ring spec {spec!r}")
 

@@ -34,10 +34,10 @@ from .hopf import (
     convolution_power,
     cartier_dual,
     identity_idempotent,
+    is_etale,
     lift_idempotent,
     points,
     power_map_alg,
-    trace_discriminant,
     trace_form,
 )
 from .constructions import (
@@ -133,13 +133,6 @@ def separable_rank(G: GroupScheme) -> int:
         if r == rank:
             return rank
         rank = r
-
-
-def is_etale(G: GroupScheme):
-    """(flag, discriminant): true iff the trace-form discriminant is a
-    unit in the base ring."""
-    disc = trace_discriminant(G)
-    return G.ring.is_unit(disc), disc
 
 
 def identity_component(G: GroupScheme) -> ClosedSubgroup:
@@ -538,7 +531,7 @@ def _slot_product_map(G: GroupScheme, subgroups):
         for _ in range(t - 1):
             nxt: dict = {}
             for key, c in cur.items():
-                for j, k, d in G.comult_sparse(key[-1]):
+                for j, k, d in G.sparse.comult[key[-1]]:
                     nk = key[:-1] + (j, k)
                     nxt[nk] = R.add(nxt.get(nk, R.zero), R.mul(c, d))
             cur = nxt
@@ -611,7 +604,7 @@ def p_primary_decompose(G: GroupScheme, automorphisms=()):
 def connected_etale_sequence(G: GroupScheme) -> ExtensionWitness:
     H = identity_component(G)
     E = extension_witness(G, H)
-    flag, disc = is_etale(E.quotient)
+    flag, disc = E.quotient_etale
     if not flag:
         raise InternalInconsistencyError(
             f"connected-etale quotient has non-unit discriminant {G.ring.show(disc)}"
@@ -646,7 +639,7 @@ def hochschild_split(E: ExtensionWitness, budget: int = 200000) -> SplitResult:
     is onto there, as checked).  budget bounds the section search alone."""
     nker = E.kernel.order
     nquo = E.quotient.rank
-    if not is_etale(E.quotient)[0]:
+    if not E.quotient_etale[0]:
         raise HopfError("splitting needs an etale quotient")
     if gcd(nker, nquo) != 1:
         raise HopfError("splitting needs coprime kernel and quotient orders")
@@ -721,10 +714,8 @@ def _section_search(Q: AbstractGroup, Gp: AbstractGroup, out_map, budget):
 def common_refinement(E1: ExtensionWitness, E2: ExtensionWitness) -> ExtensionWitness:
     if E1.total is not E2.total and E1.total.to_dict() != E2.total.to_dict():
         raise HopfError("refinement needs extensions of the same scheme")
-    for E in (E1, E2):
-        flag, _ = is_etale(E.quotient)
-        if not flag:
-            raise HopfError("refinement needs etale quotients")
+    if not (E1.quotient_etale[0] and E2.quotient_etale[0]):
+        raise HopfError("refinement needs etale quotients")
     K = intersect(E1.kernel, E2.kernel)
     rep = K.verify_hopf_ideal()
     if not rep:
@@ -733,8 +724,7 @@ def common_refinement(E1: ExtensionWitness, E2: ExtensionWitness) -> ExtensionWi
         E = extension_witness(E1.total, K)
     except HopfError as exc:
         raise InternalInconsistencyError(f"refined kernel not flat: {exc}")
-    flag, disc = is_etale(E.quotient)
-    if not flag:
+    if not E.quotient_etale[0]:
         raise InternalInconsistencyError(
             "refined quotient has a non-unit discriminant"
         )
@@ -824,7 +814,7 @@ def theorem_decompose(G: GroupScheme, budget: int = 200000) -> TheoremCertificat
         subgroups = []
         product_iso = True
     E = extension_witness(G, Gprime, budget=budget)
-    flag, disc = is_etale(E.quotient)
+    flag, disc = E.quotient_etale
     if not flag:
         raise InternalInconsistencyError(
             "the quotient by the infinitesimal part is not etale"

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from ffgs.cli import build_builtin, main
 from ffgs.constructions import mu
 from ffgs.linalg import identity_matrix
 from ffgs.rings import parse_ring
-from test_hopf import rebased
+from test_hopf import hypothesis_or_skip, rebased
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -291,3 +292,109 @@ def test_json_determinism_in_process(capsys):
     _, out1 = run(capsys, *args)
     _, out2 = run(capsys, *args)
     assert out1 == out2
+
+
+# ----------------------------------------------------------------------
+# malformed scheme files, fuzzed: each must end in exit 2, never a traceback
+
+FUZZ_SEEDS = [("mu:2", "GF(3)"), ("const:Z3", "Q"), ("alpha:2", "GF(2)"),
+              ("mu:2", "Dual(GF(3))"), ("ot2:2,-1", "Zloc(2)"), ("mu:3", "Z/4"),
+              ("mu:2", "GF(2^2;x^2+x+1)")]
+TENSOR_DEPTH = {"mult": 3, "unit": 1, "comult": 3, "counit": 1, "antipode": 2}
+JSON_JUNK = [None, True, 1.5, 7, {}, {"0": "1"}, "junk", [], "DELETE"]
+BAD_LITERALS = ["", " ", "x*y", "1/0", "abc", "((1)", "1/2/3", "--1", "eps*",
+                "1+eps*", "9" * 5000, "x^" + "9" * 5000, "x^99999999"]
+BAD_BASES = ["", "GF(4)", "GF(1)", "Z/1", "Z/0", "Zloc(6)", "Dual(Z/4)",
+             "Dual(Dual(GF(3)))", "Dual(" * 2000 + "GF(3)" + ")" * 2000,
+             "GF(2^2)", "GF(2^2;x^2+1)", "GF(2^20;x^20+x^3+1)",
+             "GF(2^2;x^99999999)", "Q(", "R", "Zloc(x)"]
+FUZZ_COMMANDS = [["verify"], ["order"], ["dual"], ["points", "--ring", "GF(3)"],
+                 ["theorem"]]
+
+
+def fuzzed(st):
+    """A scheme dict from FUZZ_SEEDS with one defect: a wrong shape or
+    rank, a wrong JSON type (or a missing key), a bad element literal or a
+    bad base spec."""
+    seeds = [build_builtin(spec, parse_ring(base)).to_dict()
+             for spec, base in FUZZ_SEEDS]
+
+    def inside(data, d, full):
+        """A list inside one tensor, at a drawn depth below `full`."""
+        key = data.draw(st.sampled_from(sorted(TENSOR_DEPTH)))
+        node = d[key]
+        for _ in range(data.draw(st.integers(0, TENSOR_DEPTH[key] - 1))
+                       if full is None else TENSOR_DEPTH[key] - 1):
+            node = node[data.draw(st.integers(0, len(node) - 1))]
+        return node, data.draw(st.integers(0, len(node) - 1))
+
+    @st.composite
+    def draw(draw_):
+        data = draw_(st.data())
+        d = copy.deepcopy(draw_(st.sampled_from(seeds)))
+        kind = draw_(st.sampled_from(["shape", "rank", "type", "literal", "base"]))
+        if kind == "shape":
+            node, i = inside(data, d, None)
+            how = draw_(st.sampled_from(["drop", "extra", "wrap"]))
+            if how == "drop":
+                del node[i]
+            elif how == "extra":
+                node.append(copy.deepcopy(node[i]))
+            else:
+                node[i] = [node[i]]
+        elif kind == "rank":
+            m = d["rank"]
+            d["rank"] = draw_(st.sampled_from([0, -1, m - 1, m + 1, 10 ** 12]))
+        elif kind == "type":
+            junk = draw_(st.sampled_from(JSON_JUNK))
+            where = draw_(st.sampled_from(["document", "key", "tensor"]))
+            if where == "document":
+                d = None if junk == "DELETE" else junk
+            elif where == "key":
+                key = draw_(st.sampled_from(["base", "rank", *sorted(TENSOR_DEPTH)]))
+                if junk == "DELETE":
+                    del d[key]
+                else:
+                    d[key] = junk
+            else:
+                node, i = inside(data, d, None)
+                node[i] = None if junk == "DELETE" else junk
+        elif kind == "literal":
+            node, i = inside(data, d, "full")
+            node[i] = draw_(st.sampled_from(BAD_LITERALS))
+        else:
+            d["base"] = draw_(st.sampled_from(BAD_BASES))
+        return d
+
+    return draw()
+
+
+def test_fuzzed_scheme_files_exit_2(tmp_path, capsys):
+    hyp, st, _ = hypothesis_or_skip()
+    bad = tmp_path / "bad.json"
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(fuzzed(st))
+    def check(d):
+        bad.write_text(json.dumps(d))
+        for command in FUZZ_COMMANDS:
+            argv = [command[0], "--file", str(bad), "--format", "json", *command[1:]]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), (argv, d, captured.err)
+            assert captured.err.startswith("error: "), (argv, captured.err)
+
+    check()
+
+
+def test_unreadable_files_exit_2(tmp_path, capsys):
+    """Bytes that are not UTF-8, JSON nested past the parser's stack and
+    truncated JSON, as a scheme file and as a group table."""
+    bad = tmp_path / "bad.json"
+    for content in (b"\xff\xfe", b"[" * 100000 + b"]" * 100000, b'{"base": "GF(3)"'):
+        bad.write_bytes(content)
+        for argv in (["verify", "--file", str(bad)],
+                     ["order", "--builtin", f"const:{bad}", "--base", "GF(5)"]):
+            assert main(argv) == 2, (argv, content[:10])
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: "), captured.err

@@ -21,6 +21,58 @@ Z4 = parse_ring("Z/4")
 ZL2 = parse_ring("Zloc(2)")
 
 
+# ----------------------------------------------------------------------
+# Dense scans of the structure tensors, as GroupScheme made them before it
+# kept one sparse view per scheme.  The references below read these, never
+# GroupScheme.sparse or the methods built on it, so a fault in the view
+# shows as a mismatch.
+
+
+def dense_terms(G, i):
+    """The nonzero (j, k, c) of Delta(e_i), scanned from G.comult."""
+    return [(j, k, c) for j, row in enumerate(G.comult[i])
+            for k, c in enumerate(row) if G.ring.nonzero(c)]
+
+
+def dense_mul(G, v, w):
+    """v * w, scanning every entry of G.mult[i][j] at nonzero v_i, w_j."""
+    R = G.ring
+    nonzero, add, mul = R.nonzero, R.add, R.mul
+    out = [R.zero] * G.rank
+    ws = [(j, b) for j, b in enumerate(w) if nonzero(b)]
+    for i, a in enumerate(v):
+        if not nonzero(a):
+            continue
+        row = G.mult[i]
+        for j, b in ws:
+            ab = mul(a, b)
+            for k, c in enumerate(row[j]):
+                if nonzero(c):
+                    out[k] = add(out[k], mul(ab, c))
+    return out
+
+
+def dense_comult(G, v):
+    """Delta(v) as {(j, k): coeff}, from dense_terms."""
+    R = G.ring
+    out: dict = {}
+    for i, a in enumerate(v):
+        if R.nonzero(a):
+            for j, k, c in dense_terms(G, i):
+                out[(j, k)] = R.add(out.get((j, k), R.zero), R.mul(a, c))
+    return {key: c for key, c in out.items() if R.nonzero(c)}
+
+
+def dense_antipode(G, v):
+    """S(v) as the sum of v_i times the dense row G.antipode[i]."""
+    R = G.ring
+    out = [R.zero] * G.rank
+    for i, a in enumerate(v):
+        if R.nonzero(a):
+            out = vec_add(R, out, vec_scale(R, a, G.antipode[i]))
+    return out
+
+
 def test_verify_builtins():
     for G in [mu(Q, 6), mu(F5, 4), mu(Z4, 3), mu(ZL2, 2),
               constant_cyclic(Q, 6), constant(F7, s3_table()),
@@ -189,7 +241,7 @@ def rebased(G, Q):
         comult.append(mat_mul(R, mat_mul(R, transpose(Q), C), Q))
     return GroupScheme(
         R, m,
-        [[to_f(G.mul_vec(P[i], P[j])) for j in range(m)] for i in range(m)],
+        [[to_f(dense_mul(G, P[i], P[j])) for j in range(m)] for i in range(m)],
         to_f(G.unit),
         comult,
         [R.dot(P[i], G.counit) for i in range(m)],
@@ -237,9 +289,9 @@ def _reference_tensor_mul(G, x, y):
 
 
 def _reference_verify(G):
-    """GroupScheme.verify as it was before the sparse tables: mul_vec with
-    basis vectors, comult_sparse per use, and Delta(e_i) Delta(e_j) by
-    expanding the product term by term."""
+    """GroupScheme.verify as it was before the sparse tables: products with
+    basis vectors, a dense scan of Delta(e_i) per use, and Delta(e_i)
+    Delta(e_j) by expanding the product term by term."""
     R = G.ring
     m = G.rank
     e = G.basis_vector
@@ -249,22 +301,22 @@ def _reference_verify(G):
             if G.mult[i][j] != G.mult[j][i]:
                 return Report(False, "algebra-commutativity", (i, j))
     for i in range(m):
-        if G.mul_vec(G.unit, e(i)) != e(i):
+        if dense_mul(G, G.unit, e(i)) != e(i):
             return Report(False, "algebra-unit", (i,))
     for i in range(m):
         for j in range(m):
             left = G.mult[i][j]
             for k in range(m):
-                if G.mul_vec(left, e(k)) != G.mul_vec(e(i), G.mult[j][k]):
+                if dense_mul(G, left, e(k)) != dense_mul(G, e(i), G.mult[j][k]):
                     return Report(False, "associativity", (i, j, k))
     for i in range(m):
         lhs: dict = {}
         rhs: dict = {}
-        for j, k, c in G.comult_sparse(i):
-            for a, b, d in G.comult_sparse(j):
+        for j, k, c in dense_terms(G, i):
+            for a, b, d in dense_terms(G, j):
                 key = (a, b, k)
                 lhs[key] = R.add(lhs.get(key, R.zero), R.mul(c, d))
-            for a, b, d in G.comult_sparse(k):
+            for a, b, d in dense_terms(G, k):
                 key = (j, a, b)
                 rhs[key] = R.add(rhs.get(key, R.zero), R.mul(c, d))
         lhs = {key: c for key, c in lhs.items() if c != R.zero}
@@ -274,12 +326,12 @@ def _reference_verify(G):
     for i in range(m):
         left = [R.zero] * m
         right = [R.zero] * m
-        for j, k, c in G.comult_sparse(i):
+        for j, k, c in dense_terms(G, i):
             left[k] = R.add(left[k], R.mul(c, G.counit[j]))
             right[j] = R.add(right[j], R.mul(c, G.counit[k]))
         if left != e(i) or right != e(i):
             return Report(False, "counit", (i,))
-    one_tensor = G.comult_vec(G.unit)
+    one_tensor = dense_comult(G, G.unit)
     unit_sq = {}
     for j, a in enumerate(G.unit):
         for k, b in enumerate(G.unit):
@@ -291,10 +343,10 @@ def _reference_verify(G):
     if G.counit_of(G.unit) != R.one:
         return Report(False, "counit-unit", ())
     for i in range(m):
-        di = G.comult_vec(e(i))
+        di = dense_comult(G, e(i))
         for j in range(m):
-            lhs = G.comult_vec(G.mult[i][j])
-            rhs = _reference_tensor_mul(G, di, G.comult_vec(e(j)))
+            lhs = dense_comult(G, G.mult[i][j])
+            rhs = _reference_tensor_mul(G, di, dense_comult(G, e(j)))
             if lhs != rhs:
                 return Report(False, "bialgebra-mult", (i, j))
             if G.counit_of(G.mult[i][j]) != R.mul(G.counit[i], G.counit[j]):
@@ -302,9 +354,9 @@ def _reference_verify(G):
     for i in range(m):
         left = [R.zero] * m
         right = [R.zero] * m
-        for j, k, c in G.comult_sparse(i):
-            left = vec_add(R, left, vec_scale(R, c, G.mul_vec(G.antipode[j], e(k))))
-            right = vec_add(R, right, vec_scale(R, c, G.mul_vec(e(j), G.antipode[k])))
+        for j, k, c in dense_terms(G, i):
+            left = vec_add(R, left, vec_scale(R, c, dense_mul(G, G.antipode[j], e(k))))
+            right = vec_add(R, right, vec_scale(R, c, dense_mul(G, e(j), G.antipode[k])))
         target = vec_scale(R, G.counit[i], G.unit)
         if left != target:
             return Report(False, "antipode-left", (i,))
@@ -524,7 +576,7 @@ def test_verify_agrees_with_reference_on_random_corruptions():
 
 def _reference_point_group_from_set(GR, vecs):
     """point_group_from_set as it was: every product sums Delta(e_i) u_j v_k
-    over the whole of comult_sparse(i), for every i."""
+    over the whole of dense_terms(GR, i), for every i."""
     R = GR.ring
     pts = sorted({tuple(v) for v in vecs}, key=lambda t: tuple(R.sort_key(x) for x in t))
     index = {p: i for i, p in enumerate(pts)}
@@ -535,7 +587,7 @@ def _reference_point_group_from_set(GR, vecs):
             w = []
             for i in range(GR.rank):
                 acc = R.zero
-                for j, k, c in GR.comult_sparse(i):
+                for j, k, c in dense_terms(GR, i):
                     acc = R.add(acc, R.mul(c, R.mul(u[j], v[k])))
                 w.append(acc)
             if tuple(w) not in index:
@@ -551,7 +603,7 @@ def _reference_minpoly_of_vector(GR, e, c_vec):
     R = GR.ring
     powers = [e]
     while True:
-        nxt = GR.mul_vec(powers[-1], c_vec)
+        nxt = dense_mul(GR, powers[-1], c_vec)
         coeffs = linalg.member_with_coeffs(R, powers, nxt)
         if coeffs is not None:
             return [R.neg(x) for x in coeffs] + [R.one], powers
@@ -563,7 +615,7 @@ def _reference_identity_idempotent(G):
     also where e_idx acts on e by a scalar."""
     e = list(G.unit)
     for idx in range(G.rank):
-        c = G.mul_vec(e, G.basis_vector(idx))
+        c = dense_mul(G, e, G.basis_vector(idx))
         minpoly, powers = _reference_minpoly_of_vector(G, e, c)
         e = hopf._eigen_idempotent(G, minpoly, powers, G.counit[idx])
     return e
@@ -597,7 +649,7 @@ def _reference_characters(GR):
             if all(x is not None for x in chi) and hopf.point_is_hom(GR, chi):
                 results.append(tuple(chi))
             continue
-        c = GR.mul_vec(e, GR.basis_vector(idx))
+        c = dense_mul(GR, e, GR.basis_vector(idx))
         scal = linalg.member_with_coeffs(R, [e], c)
         if scal is not None:
             chi2 = list(chi)
@@ -607,7 +659,7 @@ def _reference_characters(GR):
         for lam in roots_of(_reference_minpoly_of_vector(GR, e, c)[0]):
             rows = basis
             for _ in range(len(basis)):
-                rows = [vec_sub(R, GR.mul_vec(b, c), vec_scale(R, lam, b))
+                rows = [vec_sub(R, dense_mul(GR, b, c), vec_scale(R, lam, b))
                         for b in rows]
             coeff_kernel = linalg.row_kernel(R, rows)
             if not coeff_kernel:
@@ -666,7 +718,7 @@ def test_minpoly_and_identity_idempotent_match_reference(monkeypatch):
                 for H in (G, rebased(G, unitriangular(R, G.rank, rng)),
                           rebased(G, unitriangular(R, G.rank, rng))):
                     e0 = _reference_identity_idempotent(H)
-                    cases = [(e, H.mul_vec(e, H.basis_vector(i)))
+                    cases = [(e, dense_mul(H, e, H.basis_vector(i)))
                              for e in (H.unit, e0) for i in range(H.rank)]
                     expected = [_reference_minpoly_of_vector(H, e, c)
                                 for e, c in cases]
@@ -834,21 +886,27 @@ def test_dual_points_with_eps_parts_match_oracle():
 def _reference_power_vec(G, v, n):
     out = G.unit
     for _ in range(n):
-        out = G.mul_vec(out, v)
+        out = dense_mul(G, out, v)
     return out
 
 
 def _reference_power_map_alg(G, n):
-    """n - 1 convolutions with the identity."""
+    """n - 1 convolutions with the identity, summed from the dense scans."""
     if n == 0:
         return trivial_endo(G).alg
     if n < 0:
         anti = GroupSchemeHom(G, G, [list(v) for v in G.antipode])
         return [anti.apply_alg(v) for v in _reference_power_map_alg(G, -n)]
-    ident = linalg.identity_matrix(G.ring, G.rank)
+    R = G.ring
+    ident = linalg.identity_matrix(R, G.rank)
     out = ident
     for _ in range(n - 1):
-        out = convolution(G, out, ident)
+        prev, out = out, []
+        for i in range(G.rank):
+            acc = [R.zero] * G.rank
+            for j, k, c in dense_terms(G, i):
+                acc = vec_add(R, acc, vec_scale(R, c, dense_mul(G, prev[j], ident[k])))
+            out.append(acc)
     return out
 
 
@@ -882,3 +940,93 @@ def test_cartier_dual_of_the_dual_is_the_scheme():
             H.mult, H.unit, H.comult, H.counit, H.antipode)
 
     check()
+
+
+# ----------------------------------------------------------------------
+# the sparse view of the tensors against the dense scans it replaced
+
+
+VIEW_SPECS = ["mu:1", "mu:3", "mu:4", "const:Z3", "const:S3", "alpha:2",
+              "alpha:3", "alpha:5", "ot2:2,-1", "ot2:0,1", "sdp:mu:3,Z2,inv"]
+
+
+def view_cases(R, rng):
+    """Each VIEW_SPECS builtin over R in its natural basis and in two seeded
+    unitriangular ones, the second with eps-parts over Dual(k)."""
+    for spec in VIEW_SPECS:
+        for G in built(spec, R):
+            yield spec, G
+            yield spec, rebased(G, unitriangular(R, G.rank, rng))
+            yield spec, rebased(G, unitriangular(R, G.rank, rng, eps=True))
+
+
+@pytest.mark.parametrize("R", RINGS, ids=lambda R: R.name())
+def test_sparse_view_matches_the_dense_tensors(R):
+    """The view is a plain R.nonzero filter of the dense lists (over
+    Dual(k) the zero (0, 0) is truthy, so truth would keep it), and
+    mul_vec, comult_vec and antipode_vec give what the dense scans gave."""
+    nonzero = R.nonzero
+
+    def entries(v):
+        return [(x, c) for x, c in enumerate(v) if nonzero(c)]
+
+    rng = random.Random(20170)
+    checked = 0
+    for spec, G in view_cases(R, rng):
+        m = G.rank
+        assert "sparse" not in vars(G), spec
+        assert G.sparse.mult == [[entries(v) for v in row] for row in G.mult], spec
+        assert G.sparse.comult == [dense_terms(G, i) for i in range(m)], spec
+        assert G.sparse.antipode == [entries(v) for v in G.antipode], spec
+        vecs = [G.basis_vector(i) for i in range(m)] + [G.unit, [R.zero] * m]
+        vecs += [[rand_elt(R, rng) for _ in range(m)] for _ in range(3)]
+        vecs += [[rand_elt(R, rng) if rng.random() < 0.3 else R.zero
+                  for _ in range(m)] for _ in range(3)]
+        for v in vecs:
+            assert G.comult_vec(v) == dense_comult(G, v), (spec, v)
+            assert G.antipode_vec(v) == dense_antipode(G, v), (spec, v)
+            for w in vecs:
+                assert G.mul_vec(v, w) == dense_mul(G, v, w), (spec, v, w)
+        checked += 1
+    assert checked >= 15, checked
+
+
+def test_view_is_read_on_first_use_and_kept():
+    # the corruption comes after construction and before the first read,
+    # which is what the corrupted-input tests rely on
+    G = mu(F5, 3)
+    assert "sparse" not in vars(G)
+    G.mult[1][1] = list(G.unit)
+    assert G.sparse.mult[1][1] == [(0, 1)]
+    assert G.sparse is G.sparse
+    assert not G.verify().ok
+
+
+def test_tangent_rows_are_built_once_per_character(monkeypatch):
+    """Over Z/p^e the lift takes e - 1 steps; each character's tangent rows
+    are built once for all of them, and the points still match the
+    oracle."""
+    built_for = []
+    real = hopf._tangent_rows
+    monkeypatch.setattr(hopf, "_tangent_rows",
+                        lambda k, fiber, chi: built_for.append(chi) or real(k, fiber, chi))
+    rng = random.Random(20171)
+    checked = 0
+    for name in ("Z/4", "Z/8", "Z/9", "Z/27"):
+        T = parse_ring(name)
+        for spec in ("mu:2", "mu:3", "mu:4", "const:Z3", "ot2:2,-1"):
+            for G in built(spec, T):
+                for H in (G, rebased(G, unitriangular(T, G.rank, rng))):
+                    try:
+                        expected = enumerate_points(H, T, budget=20000)
+                    except BudgetExceeded:
+                        continue
+                    built_for.clear()
+                    P = points(H, T)
+                    assert (P.elements, P.table, P.identity_index) == (
+                        expected.elements, expected.table,
+                        expected.identity_index), (spec, name)
+                    assert built_for, (spec, name)
+                    assert len(built_for) == len(set(built_for)), (spec, name)
+                    checked += 1
+    assert checked >= 20, checked

@@ -2,7 +2,10 @@ import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from ffgs.linalg import (
+    add_scaled,
     canonical_span,
     det,
     echelon,
@@ -14,7 +17,9 @@ from ffgs.linalg import (
     reduce_mod_span,
     row_kernel,
     transpose,
+    vec_add,
     vec_is_zero,
+    vec_scale,
 )
 from ffgs.rings import (
     DualNumbers,
@@ -247,3 +252,23 @@ def test_reduce_mod_span_is_a_normal_form():
             s = combine(R, [digest_elt(R, rng) for _ in rows], rows)
             w = [R.add(a, b) for a, b in zip(v, s)]
             assert reduce_mod_span(R, canon, v) == reduce_mod_span(R, canon, w)
+
+
+@pytest.mark.parametrize("R", RINGS, ids=lambda R: R.name())
+def test_add_scaled_matches_the_chain(R):
+    """add_scaled against out = vec_add(out, vec_scale(c, row)) over the
+    nonzero c, in place; a zero c never touches its row."""
+    rng = random.Random(53)
+    for _ in range(25):
+        n = rng.randrange(1, 5)
+        rows = rand_matrix(R, rng, rng.randrange(0, 5), n)
+        coeffs = [rand_elt(R, rng) if rng.random() < 0.7 else R.zero for _ in rows]
+        start = [rand_elt(R, rng) for _ in range(n)]
+        chain = list(start)
+        for c, row in zip(coeffs, rows):
+            if R.nonzero(c):
+                chain = vec_add(R, chain, vec_scale(R, c, row))
+        out = list(start)
+        assert add_scaled(R, out, zip(coeffs, rows)) is out
+        assert out == chain
+    assert add_scaled(R, [R.one], [(R.zero, [None])]) == [R.one]

@@ -1,9 +1,12 @@
+import random
+
 from ffgs.constructions import alpha, constant, constant_cyclic, mu, direct_product
-from ffgs.hopf import points
+from ffgs.hopf import GroupScheme, points
 from ffgs.oracle import (AbstractGroup, cyclic_table, enumerate_points,
                          product_table, s3_table, subgroup_lattice)
 from ffgs.rings import parse_ring
 from ffgs.testrings import test_ring_family as ring_family
+from test_hopf import rebased, unitriangular
 
 F5 = parse_ring("GF(5)")
 F7 = parse_ring("GF(7)")
@@ -91,3 +94,30 @@ def test_test_ring_family_deterministic():
     assert fam1 == fam2
     assert "GF(5)" in fam1
     assert all("GF" in n or "Dual" in n or "Z/" in n or n == "Q" for n in fam1)
+
+
+def test_oracle_reads_only_the_dense_tensors(monkeypatch):
+    """enumerate_points gives the same point groups when the sparse view
+    and the GroupScheme operations built on it refuse to run."""
+    rng = random.Random(20172)
+    F3, Z9, D3 = (parse_ring(s) for s in ("GF(3)", "Z/9", "Dual(GF(3))"))
+    cases = [(mu(F5, 4), F5), (constant(F3, s3_table()), F3),
+             (alpha(F3, 3), D3), (mu(Z9, 3), Z9),
+             (rebased(mu(F5, 4), unitriangular(F5, 4, rng)), F5),
+             (rebased(mu(D3, 3), unitriangular(D3, 3, rng, eps=True)), D3)]
+    expected = []
+    for G, T in cases:
+        P = enumerate_points(G, T)
+        expected.append((P.elements, P.table, P.identity_index))
+    assert len({len(e[0]) for e in expected}) > 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle read the sparse view")
+
+    monkeypatch.setattr(GroupScheme, "mul_vec", refuse)
+    monkeypatch.setattr(GroupScheme, "comult_vec", refuse)
+    monkeypatch.setattr(GroupScheme, "antipode_vec", refuse)
+    monkeypatch.setattr(GroupScheme, "sparse", property(refuse), raising=False)
+    for (G, T), want in zip(cases, expected):
+        P = enumerate_points(G, T)
+        assert (P.elements, P.table, P.identity_index) == want, (G, T)

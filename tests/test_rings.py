@@ -90,6 +90,10 @@ def test_parse_ring_examples():
         parse_ring("GF(2^2;x^2+1)")  # (x+1)^2 mod 2
     with pytest.raises(RingError):
         parse_ring("Zloc(4)")
+    # nesting past the stack, and a modulus whose degree would fill memory
+    for spec in ["Dual(" * 2000 + "GF(3)" + ")" * 2000, "GF(2^2;x^99999999)"]:
+        with pytest.raises(RingError):
+            parse_ring(spec)
 
 
 def test_element_literals_round_trip():
@@ -101,7 +105,9 @@ def test_element_literals_round_trip():
 
 def test_malformed_element_literals_raise_ring_error():
     for R in ALL_RINGS:
-        for text in ["", "?", "1/0", "1+eps*", 3, None]:
+        # past int()'s digit limit, and an exponent that would fill memory
+        for text in ["", "?", "1/0", "1+eps*", 3, None, "9" * 5000,
+                     "x^" + "9" * 5000, "x^99999999"]:
             with pytest.raises(RingError):
                 R.parse(text)
 

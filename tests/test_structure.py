@@ -410,3 +410,50 @@ def test_theorem_makes_the_fiber_reports_once(monkeypatch):
     assert theorem_decompose(mu(ZL2, 6)).split.status == "found"
     assert len(calls) == 1
 
+
+
+def discriminated_schemes(monkeypatch):
+    """The schemes whose trace discriminant is computed from now on."""
+    seen = []
+    real = hopf.trace_discriminant
+
+    def counting(G):
+        seen.append(G)
+        return real(G)
+
+    monkeypatch.setattr(hopf, "trace_discriminant", counting)
+    # structure once held its own binding of trace_discriminant
+    monkeypatch.setattr(structure, "trace_discriminant", counting, raising=False)
+    return seen
+
+
+def test_each_quotient_discriminant_is_made_once(monkeypatch, capsys):
+    """theorem, split and refine read the witness's quotient discriminant
+    where they once recomputed it for the same quotient."""
+    from ffgs.cli import main
+    seen = discriminated_schemes(monkeypatch)
+    cert = theorem_decompose(mu(ZL2, 6))
+    assert cert.split.status == "found"
+    assert sum(G is cert.witness.quotient for G in seen) == 1
+    E = cert.witness
+    assert E.quotient_etale == is_etale(E.quotient)
+    for argv in (["theorem", "--builtin", "mu:6", "--base", "Zloc(3)"],
+                 ["split", "--builtin", "const:S3", "--base", "GF(5)", "--kernel", "3"],
+                 ["connected-etale", "--builtin", "mu:6", "--base", "GF(2)"],
+                 ["refine", "--builtin", "const:Z6", "--base", "GF(5)",
+                  "--kernels", "6,2"]):
+        seen.clear()
+        assert main(argv) == 0, argv
+        # quotients are named G/H; seen keeps them alive, so ids are unique
+        quotients = [G for G in seen if G.name and G.name.endswith("/H")]
+        assert quotients, argv
+        assert len({id(G) for G in quotients}) == len(quotients), argv
+    capsys.readouterr()
+    # the preconditions still hold: a quotient that is not etale is refused
+    G = mu(F3, 3)
+    E = extension_witness(G, trivial_subgroup(G))
+    assert not E.quotient_etale[0]
+    with pytest.raises(HopfError, match="etale"):
+        hochschild_split(E)
+    with pytest.raises(HopfError, match="etale"):
+        common_refinement(E, E)
