@@ -271,7 +271,7 @@ def cmd_refine(args):
         witnesses.append(cons.extension_witness(G, H,
                                                 budget=args.budget_points))
     E = structure.common_refinement(*witnesses)
-    flag, disc = E.quotient_etale
+    flag, disc = hopf.is_etale(E.quotient)
     payload = {"refined": E.to_dict(),
                "quotient_discriminant": G.ring.show(disc)}
     lines = [

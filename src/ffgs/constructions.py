@@ -12,18 +12,15 @@ module forms, so equality of subgroups is literal equality of bases."""
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from math import comb
 
 from . import linalg
 from .linalg import (
-    _reduce,
     add_scaled,
     canonical_span,
     mat_vec,
     member,
     member_with_coeffs,
-    pivot_columns,
     reduce_mod_span,
     row_kernel,
     transpose,
@@ -36,7 +33,6 @@ from .hopf import (
     GroupSchemeHom,
     HopfError,
     VerificationReport,
-    is_etale,
     points,
 )
 from .oracle import AbstractGroup, cyclic_table
@@ -309,6 +305,7 @@ class ClosedSubgroup:
     def __init__(self, ambient: GroupScheme, ideal_rows, check: bool = True):
         self.ambient = ambient
         self.ideal = canonical_span(ambient.ring, ideal_rows)
+        self._quotient = None
         if check:
             rep = self.verify_hopf_ideal()
             if not rep:
@@ -343,9 +340,8 @@ class ClosedSubgroup:
                 return VerificationReport(False, "augmentation", (t,))
         # coideal: with unit pivots A = F (+) I, F spanned by the free
         # columns, so I (x) A + A (x) I is the kernel of pi (x) pi
-        bad = pivot_columns(R, self.ideal)[1]
-        if bad is not None:
-            return VerificationReport(False, "not-flat", (bad,))
+        if self.ideal.nonunit is not None:
+            return VerificationReport(False, "not-flat", (self.ideal.nonunit,))
         P = transpose(self.quotient_data()[1])
         for t, v in enumerate(self.ideal):
             if any(not vec_is_zero(R, row)
@@ -358,19 +354,20 @@ class ClosedSubgroup:
         return VerificationReport(True)
 
     def quotient_data(self):
-        """Free quotient A/I: (free columns, [pi(e_j) for j < m]).
+        """Free quotient A/I: (free columns, [pi(e_j) for j < m]), made
+        once per subgroup and kept; callers do not mutate it.
 
         pi: A -> A/I is reduction modulo I read at the free columns,
         which needs every pivot of I to be a unit (HopfError if not)."""
-        G = self.ambient
-        R = G.ring
-        pivot_cols, bad = pivot_columns(R, self.ideal)
-        if bad is not None:
+        if self.ideal.nonunit is not None:
             raise HopfError("quotient is not a free module (non-unit pivot)")
-        free_cols = [j for j in range(G.rank) if j not in pivot_cols]
-        reduced = [reduce_mod_span(R, self.ideal, G.basis_vector(j))
-                   for j in range(G.rank)]
-        return free_cols, [[w[c] for c in free_cols] for w in reduced]
+        if self._quotient is None:
+            G = self.ambient
+            free_cols = [j for j in range(G.rank) if j not in self.ideal.cols]
+            reduced = [reduce_mod_span(G.ring, self.ideal, G.basis_vector(j))
+                       for j in range(G.rank)]
+            self._quotient = free_cols, [[w[c] for c in free_cols] for w in reduced]
+        return self._quotient
 
     def scheme(self) -> GroupScheme:
         """The subgroup scheme Spec(A/I)."""
@@ -472,29 +469,19 @@ def intersect(H1: ClosedSubgroup, H2: ClosedSubgroup) -> ClosedSubgroup:
 
 
 def conjugation_tensor(G: GroupScheme, v) -> dict:
-    """ad(v) = sum v_(1) S(v_(3)) (x) v_(2) as {(j,k): coeff}.
+    """ad(v) = sum v_(1) S(v_(3)) (x) v_(2) as {(j,k): coeff}, summed from
+    the scheme's kept ad(e_i), as ad is linear in v.
 
     The subgroup cut out by an ideal I is normal iff ad(I) lies in
     A (x) I: the conjugated element stays in the subgroup whatever the
     conjugating point does on the first tensor factor."""
     R = G.ring
     nonzero = R.nonzero
-    C = G.sparse.comult
-    products: dict = {}  # (j, b) -> the nonzero (t, x) of e_j S(e_b)
     out: dict = {}
-    for i, coeff in enumerate(v):
-        if not nonzero(coeff):
-            continue
-        for j, k, c in C[i]:
-            for a, b, d in C[k]:
-                # v_(1) = e_j, v_(2) = e_a, v_(3) = e_b
-                if (j, b) not in products:
-                    w = G.mul_vec(G.basis_vector(j), G.antipode_vec(G.basis_vector(b)))
-                    products[(j, b)] = [(t, x) for t, x in enumerate(w) if nonzero(x)]
-                cd = R.mul(coeff, R.mul(c, d))
-                for t, x in products[(j, b)]:
-                    key = (t, a)
-                    out[key] = R.add(out.get(key, R.zero), R.mul(cd, x))
+    for coeff, ad in zip(v, G.adjoint):
+        if nonzero(coeff):
+            for key, c in ad.items():
+                out[key] = R.add(out.get(key, R.zero), R.mul(coeff, c))
     return {key: c for key, c in out.items() if nonzero(c)}
 
 
@@ -527,7 +514,7 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
                 for row in _tensor_rows(G, G.comult_vec(G.basis_vector(i)))]
         half[i] = vec_sub(R, half[i], punit)
         cols.append([c for row in half for c in row])
-    B = canonical_span(R, row_kernel(R, cols))
+    B = row_kernel(R, cols)
     if not B:
         raise HopfError("coinvariants are zero")
     if len(B) * H.order != m:
@@ -537,14 +524,13 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
         )
     # unit pivots make B free, and its canonical form has B[s][c_t] = 0 for
     # s != t: v in span(B) has coordinates x_t = v[c_t] / B[t][c_t]
-    pivot_cols, bad = pivot_columns(R, B)
-    if bad is not None:
+    if B.nonunit is not None:
         raise HopfError("coinvariants are not free on their basis (non-unit pivot)")
-    scales = [R.inv(row[c]) for row, c in zip(B, pivot_cols)]
+    scales = [R.inv(row[c]) for row, c in zip(B, B.cols)]
     def coords(v, failure="coinvariant algebra is not closed as expected"):
-        if not vec_is_zero(R, _reduce(R, B, pivot_cols, v)):
+        if not vec_is_zero(R, reduce_mod_span(R, B, v)):
             raise HopfError(failure)
-        return [R.mul(v[c], u) for c, u in zip(pivot_cols, scales)]
+        return [R.mul(v[c], u) for c, u in zip(B.cols, scales)]
     rB = len(B)
     mult = [[coords(G.mul_vec(B[a], B[b])) for b in range(rB)] for a in range(rB)]
     unit = coords(G.unit)
@@ -585,11 +571,6 @@ class ExtensionWitness:
     def __repr__(self):
         return (f"<extension 1 -> {self.kernel.order} -> {self.total.rank} "
                 f"-> {self.quotient.rank} -> 1>")
-
-    @cached_property
-    def quotient_etale(self):
-        """is_etale of the quotient, made once for all its readers."""
-        return is_etale(self.quotient)
 
     def to_dict(self):
         return {

@@ -15,6 +15,8 @@ Polynomial presentations are kept only as optional name tags.
 These dense lists are the stored, serialized and public form.  The Hopf
 operations read their nonzero entries from `GroupScheme.sparse`, built on
 first use and kept: the tensors are fixed once a scheme has been read.
+For the same reason the conjugation tensors ad(e_i) (`adjoint`) and the
+trace discriminant (`etale`) are made once per scheme.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import (
-    _reduce,
+    Span,
     add_scaled,
+    reduce_mod_span,
     transpose,
     vec_scale,
     vec_sub,
@@ -128,6 +131,36 @@ class GroupScheme:
             [[(j, k, c) for j, row in enumerate(mat) for k, c in enumerate(row)
               if nonzero(c)] for mat in self.comult],
             [[(x, c) for x, c in enumerate(v) if nonzero(c)] for v in self.antipode])
+
+    @functools.cached_property
+    def adjoint(self):
+        """ad(e_i) = sum (e_i)_(1) S((e_i)_(3)) (x) (e_i)_(2) for each i, as
+        {(t, a): c}; made on first use and kept, so each product
+        e_j S(e_b) is made once per scheme."""
+        R = self.ring
+        nonzero, add, mul = R.nonzero, R.add, R.mul
+        C = self.sparse.comult
+        products: dict = {}  # (j, b) -> the nonzero (t, x) of e_j S(e_b)
+        out = []
+        for i in range(self.rank):
+            ad: dict = {}
+            for j, k, c in C[i]:
+                for a, b, d in C[k]:
+                    # (e_i)_(1) = e_j, (e_i)_(2) = e_a, (e_i)_(3) = e_b
+                    if (j, b) not in products:
+                        w = self.mul_vec(self.basis_vector(j), self.antipode[b])
+                        products[(j, b)] = [(t, x) for t, x in enumerate(w) if nonzero(x)]
+                    cd = mul(c, d)
+                    for t, x in products[(j, b)]:
+                        ad[(t, a)] = add(ad.get((t, a), R.zero), mul(cd, x))
+            out.append(ad)
+        return out
+
+    @functools.cached_property
+    def etale(self):
+        """is_etale(self), made on first use and kept."""
+        disc = trace_discriminant(self)
+        return self.ring.is_unit(disc), disc
 
     # -- algebra operations ---------------------------------------------
     def mul_vec(self, v, w):
@@ -705,18 +738,16 @@ def _minpoly_of_vector(GR: GroupScheme, e, c_vec):
     [c^i | x^i] placed so far; the first to vanish on the left has the
     minimal polynomial on the right."""
     R, m = GR.ring, GR.rank
-    # each row is zero at the pivots of the rows placed before it, so
-    # reducing in the order of placement never refills a pivot column
-    rows, cols, powers, v = [], [], [], e
+    # each reduced row is zero at the pivots of the rows placed before it
+    rows, powers, v = Span(R), [], e
     while True:
         n = len(powers)
         tail = [R.one if j == n else R.zero for j in range(m + 1)]
-        w = _reduce(R, rows, cols, list(v) + tail)
+        w = reduce_mod_span(R, rows, list(v) + tail)
         col = next((c for c in range(m) if R.nonzero(w[c])), None)
         if col is None:
             return w[m:m + n + 1], powers
-        rows.append(R.normalize_pivot(w, col))
-        cols.append(col)
+        rows.place(R, R.normalize_pivot(w, col), col)
         powers.append(v)
         v = GR.mul_vec(v, c_vec)
 
@@ -837,8 +868,7 @@ def trace_discriminant(G: GroupScheme):
 
 def is_etale(G: GroupScheme):
     """(flag, discriminant): is the trace-form discriminant a unit?"""
-    disc = trace_discriminant(G)
-    return G.ring.is_unit(disc), disc
+    return G.etale
 
 
 def points(G: GroupScheme, Rp: Ring, bound: int = 10000) -> PointGroup:

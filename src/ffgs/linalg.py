@@ -25,8 +25,12 @@ The forms they give:
                          its row
 
 Canonical forms are unique for a given row span, so submodule equality is
-list equality.  `reduce_mod_span` returns the canonical remainder of a
-vector, so membership is reduction to zero.  Determinants are `Ring.det`.
+list equality.  `echelon` returns them as a `Span`, a list of the rows
+that also carries the pivot column of each row and where the first
+non-unit pivot is; it is the only form code outside this module reduces
+against.  `reduce_mod_span` returns the canonical remainder of a vector
+read at those pivots, never looking for one again, so membership is
+reduction to zero.  Determinants are `Ring.det`.
 """
 
 from __future__ import annotations
@@ -73,6 +77,27 @@ def mat_vec(R: Ring, M, v):
 
 # -- echelonization core ---------------------------------------------------
 
+class Span(list):
+    """The list of a span's basis rows, with `cols`, the pivot column of
+    each row, and `nonunit`, the index of the first row whose pivot is not
+    a unit (None if there is none).  Each row is zero at the pivot columns
+    of the rows before it, so reducing at the pivots in row order never
+    refills a column.  `echelon` builds the canonical ones."""
+
+    def __init__(self, R: Ring, rows=(), cols=()):
+        super().__init__(rows)
+        self.cols = list(cols)
+        self.nonunit = next((t for t, (row, c) in enumerate(zip(self, self.cols))
+                             if not R.is_unit(row[c])), None)
+
+    def place(self, R: Ring, row, col):
+        """Append row, zero at every pivot column so far, with pivot col."""
+        if self.nonunit is None and not R.is_unit(row[col]):
+            self.nonunit = len(self)
+        self.append(row)
+        self.cols.append(col)
+
+
 def _leading_col(R, row, limit):
     nonzero = R.nonzero
     for c in range(limit):
@@ -85,12 +110,13 @@ def echelon(R: Ring, rows, nprimary: int | None = None):
     """Canonical echelon form of the row span, echelonizing on columns
     0..nprimary-1; trailing columns ride along (used for kernel tracking).
 
-    Returns (pivot_rows, pivots, free_rows): pivot_rows sorted by pivot
-    column, pivots a list of (col, pivot_value), free_rows canonicalized
-    rows whose primary part is zero (their tails span the tracked part).
+    Returns (pivot_rows, pivots, free_rows): pivot_rows the Span of the
+    pivot rows sorted by pivot column, pivots a list of (col, pivot_value),
+    free_rows the Span of the canonicalized rows whose primary part is zero
+    (their tails span the tracked part).
     """
     if not rows:
-        return [], [], []
+        return Span(R), [], Span(R)
     width = len(rows[0])
     if nprimary is None:
         nprimary = width
@@ -133,17 +159,15 @@ def echelon(R: Ring, rows, nprimary: int | None = None):
     for i in range(len(pivot_rows) - 2, -1, -1):
         pivot_rows[i] = _reduce(R, pivot_rows[i + 1:], cols[i + 1:], pivot_rows[i])
     pivots = [(c, placed[c][c]) for c in cols]
-    if free:
-        tail = [r[nprimary:] for r in free]
-        if tail and tail[0]:
-            tail = echelon(R, tail)[0]
-            free = [[R.zero] * nprimary + t for t in tail]
-        else:
-            free = []
-    return pivot_rows, pivots, free
+    tail = Span(R)
+    if free and nprimary < width:
+        tail = echelon(R, [r[nprimary:] for r in free])[0]
+    free = Span(R, [[R.zero] * nprimary + t for t in tail],
+                [nprimary + c for c in tail.cols])
+    return Span(R, pivot_rows, cols), pivots, free
 
 
-def canonical_span(R: Ring, rows):
+def canonical_span(R: Ring, rows) -> Span:
     """Unique canonical basis of the row span of `rows`."""
     return echelon(R, rows)[0]
 
@@ -160,24 +184,14 @@ def _reduce(R, rows, cols, v):
     return v
 
 
-def reduce_mod_span(R: Ring, canon_rows, v):
-    """Canonical remainder of v modulo the span of a canonical row basis.
-    It is zero exactly when v lies in the span."""
-    cols = [_leading_col(R, row, len(v)) for row in canon_rows]
-    return _reduce(R, canon_rows, cols, list(v))
+def reduce_mod_span(R: Ring, span: Span, v):
+    """Remainder of v modulo a Span, read at its pivots.  For a canonical
+    span it is canonical, and zero exactly when v lies in the span."""
+    return _reduce(R, span, span.cols, list(v))
 
 
-def pivot_columns(R: Ring, canon_rows):
-    """(pivot column of each row of a canonical basis, index of the first
-    row whose pivot is not a unit, or None when all pivots are units)."""
-    cols = [_leading_col(R, row, len(row)) for row in canon_rows]
-    bad = next((t for t, (row, c) in enumerate(zip(canon_rows, cols))
-                if not R.is_unit(row[c])), None)
-    return cols, bad
-
-
-def member(R: Ring, canon_rows, v) -> bool:
-    return vec_is_zero(R, reduce_mod_span(R, canon_rows, v))
+def member(R: Ring, span: Span, v) -> bool:
+    return vec_is_zero(R, reduce_mod_span(R, span, v))
 
 
 def _augment(R: Ring, rows):
@@ -189,21 +203,21 @@ def _augment(R: Ring, rows):
 
 def member_and_kernel(R: Ring, rows, v):
     """(x, K) from one elimination of rows with the identity appended: x
-    with x . rows = v, or None, and K the canonical basis of
+    with x . rows = v, or None, and K the canonical Span of
     {x : x . rows = 0}, which echelon leaves in the free tails."""
     if not rows:
-        return (None if not vec_is_zero(R, v) else []), []
+        return (None if not vec_is_zero(R, v) else []), Span(R)
     n = len(v)
     pivot_rows, _, free = echelon(R, _augment(R, rows), nprimary=n)
     w = reduce_mod_span(R, pivot_rows, list(v) + [R.zero] * len(rows))
     x = [R.neg(a) for a in w[n:]] if vec_is_zero(R, w[:n]) else None
-    return x, [f[n:] for f in free]
+    return x, Span(R, [f[n:] for f in free], [c - n for c in free.cols])
 
 
 def row_kernel(R: Ring, rows):
-    """Canonical basis of {x : sum_i x_i rows_i = 0}."""
+    """Canonical Span of {x : sum_i x_i rows_i = 0}."""
     if not rows:
-        return []
+        return Span(R)
     return member_and_kernel(R, rows, [R.zero] * len(rows[0]))[1]
 
 

@@ -17,14 +17,36 @@ from fractions import Fraction
 from math import gcd
 
 
+# Miller-Rabin with the prime bases 2..41 is proven to decide every n below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017); above it
+# is_prime refuses to answer.
+MAX_PRIME_TEST = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test; RingError for n >= MAX_PRIME_TEST."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= MAX_PRIME_TEST:
+        raise RingError(f"cannot decide whether {n} is prime: the bound is "
+                        f"{MAX_PRIME_TEST}")
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -581,13 +603,17 @@ class FiniteField(Ring):
 
 def parse_poly_modp(text: str, p: int) -> tuple:
     """Parse e.g. 'x^2+2*x+1' into low-degree-first coeffs mod p."""
-    s = _element_text(text).replace(" ", "").replace("-", "+-")
+    s = _element_text(text)
+    if re.search(r"[\dx]\s+[\dx]", s):  # "1 2" is not 12
+        raise RingError(f"space inside a polynomial term in {s[:20]!r}")
+    s = s.replace(" ", "").replace("-", "+-")
     if not s:
         raise RingError("empty polynomial literal")
+    terms = s.split("+")
+    if len(terms) > 1 and not terms[0]:  # a leading sign
+        del terms[0]
     coeffs: dict[int, int] = {}
-    for term in s.split("+"):
-        if not term:
-            continue
+    for term in terms:
         m = re.fullmatch(r"(-?\d+)?\*?(x(\^(\d+))?)?", term)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise RingError(f"bad polynomial term {term!r}")
@@ -600,7 +626,7 @@ def parse_poly_modp(text: str, p: int) -> tuple:
         if e > MAX_FIELD_ORDER:
             raise RingError(f"polynomial exponent above {MAX_FIELD_ORDER}")
         coeffs[e] = (coeffs.get(e, 0) + c) % p
-    deg = max(coeffs) if coeffs else 0
+    deg = max(coeffs)
     return tuple(_ptrim([coeffs.get(i, 0) for i in range(deg + 1)]))
 
 

@@ -51,7 +51,7 @@ from .constructions import (
     image,
     trivial_subgroup,
 )
-from .oracle import AbstractGroup, subgroup_lattice
+from .oracle import AbstractGroup
 from .rings import (
     MAX_FIELD_ORDER,
     DualNumbers,
@@ -308,25 +308,34 @@ def geometric_point_group(G: GroupScheme) -> AbstractGroup:
     return AbstractGroup.from_points(P)
 
 
+def _order_p_elements(P, p: int):
+    """The elements of prime order p of a finite group P (a PointGroup or
+    an AbstractGroup).  Its order-p subgroups are cyclic and meet only in
+    the identity, so there are len(...) / (p - 1) of them."""
+    return [g for g in range(P.order) if P.element_order(g) == p]
+
+
 def etale_unique_subgroup(G: GroupScheme, d: int):
     """('ok', ClosedSubgroup) | ('not unique', count) | ('absent', 0).
 
-    For etale G over a finite field: the unique order-d subgroup of the
-    geometric point group, if any, is Frobenius-stable and descends to a
-    closed subgroup over the base field."""
+    For etale G over a finite field and a prime d: the unique order-d
+    subgroup of the geometric point group, if any, is Frobenius-stable and
+    descends to a closed subgroup over the base field."""
+    if not is_prime(d):
+        raise HopfError(f"unique-subgroup descent needs a prime order, not {d}")
     flag, _ = is_etale(G)
     if not flag:
         raise HopfError("unique-subgroup descent needs an etale scheme")
     if G.rank % d != 0:
         raise HopfError(f"{d} does not divide the order {G.rank}")
     P, K, emb = splitting_points(G)
-    A = AbstractGroup.from_points(P)
-    subs = [s for s in subgroup_lattice(A) if s.order == d]
-    if not subs:
+    elements = _order_p_elements(P, d)
+    count = len(elements) // (d - 1)
+    if not count:
         return ("absent", 0)
-    if len(subs) > 1:
-        return ("not unique", len(subs))
-    pts = [P.elements[i] for i in subs[0].elements]
+    if count > 1:
+        return ("not unique", count)
+    pts = [P.elements[i] for i in sorted([P.identity_index, *elements])]
     rows = linalg.mat_kernel(K, [list(pt) for pt in pts])
     descended = []
     for row in rows:
@@ -482,12 +491,6 @@ class LocusReport:
         return d
 
 
-def _has_unique_sylow(A: AbstractGroup, p: int) -> bool:
-    if A.order % p != 0:
-        return False
-    return sum(1 for s in subgroup_lattice(A) if s.order == p) == 1
-
-
 def locus_report(G: GroupScheme, p: int) -> LocusReport:
     n = G.rank
     if any(n % (q * q) == 0 for q in prime_factors(n)):
@@ -503,8 +506,8 @@ def _locus_report(G: GroupScheme, p: int, reports) -> LocusReport:
     vp = [x for x in sp if x not in s1]
     for r in reports:
         if r.point.id in s1 and r.etale:
-            A = geometric_point_group(r.fiber)
-            if _has_unique_sylow(A, p):
+            # one subgroup of order p: the p - 1 elements of order p
+            if len(_order_p_elements(geometric_point_group(r.fiber), p)) == p - 1:
                 vp.append(r.point.id)
     vp = [x for x in ids if x in vp]
     sub = None
@@ -604,7 +607,7 @@ def p_primary_decompose(G: GroupScheme, automorphisms=()):
 def connected_etale_sequence(G: GroupScheme) -> ExtensionWitness:
     H = identity_component(G)
     E = extension_witness(G, H)
-    flag, disc = E.quotient_etale
+    flag, disc = is_etale(E.quotient)
     if not flag:
         raise InternalInconsistencyError(
             f"connected-etale quotient has non-unit discriminant {G.ring.show(disc)}"
@@ -639,7 +642,7 @@ def hochschild_split(E: ExtensionWitness, budget: int = 200000) -> SplitResult:
     is onto there, as checked).  budget bounds the section search alone."""
     nker = E.kernel.order
     nquo = E.quotient.rank
-    if not E.quotient_etale[0]:
+    if not is_etale(E.quotient)[0]:
         raise HopfError("splitting needs an etale quotient")
     if gcd(nker, nquo) != 1:
         raise HopfError("splitting needs coprime kernel and quotient orders")
@@ -714,7 +717,7 @@ def _section_search(Q: AbstractGroup, Gp: AbstractGroup, out_map, budget):
 def common_refinement(E1: ExtensionWitness, E2: ExtensionWitness) -> ExtensionWitness:
     if E1.total is not E2.total and E1.total.to_dict() != E2.total.to_dict():
         raise HopfError("refinement needs extensions of the same scheme")
-    if not (E1.quotient_etale[0] and E2.quotient_etale[0]):
+    if not (is_etale(E1.quotient)[0] and is_etale(E2.quotient)[0]):
         raise HopfError("refinement needs etale quotients")
     K = intersect(E1.kernel, E2.kernel)
     rep = K.verify_hopf_ideal()
@@ -724,7 +727,7 @@ def common_refinement(E1: ExtensionWitness, E2: ExtensionWitness) -> ExtensionWi
         E = extension_witness(E1.total, K)
     except HopfError as exc:
         raise InternalInconsistencyError(f"refined kernel not flat: {exc}")
-    if not E.quotient_etale[0]:
+    if not is_etale(E.quotient)[0]:
         raise InternalInconsistencyError(
             "refined quotient has a non-unit discriminant"
         )
@@ -814,7 +817,7 @@ def theorem_decompose(G: GroupScheme, budget: int = 200000) -> TheoremCertificat
         subgroups = []
         product_iso = True
     E = extension_witness(G, Gprime, budget=budget)
-    flag, disc = E.quotient_etale
+    flag, disc = is_etale(E.quotient)
     if not flag:
         raise InternalInconsistencyError(
             "the quotient by the infinitesimal part is not etale"

@@ -9,12 +9,12 @@ from ffgs.constructions import (ClosedSubgroup, alpha, constant,
                                 intersect, inversion_action, is_normal,
                                 kernel, mu, quotient, semidirect, tate_oort2,
                                 trivial_subgroup, whole_subgroup)
-from ffgs.hopf import (GroupSchemeHom, HopfError, VerificationReport,
-                       convolution_power, points)
-from ffgs import linalg
+from ffgs.hopf import (GroupScheme, GroupSchemeHom, HopfError,
+                       VerificationReport, convolution_power, points)
+from ffgs import constructions, linalg
 from ffgs.constructions import _tensor_rows
 from ffgs.linalg import (canonical_span, mat_vec, member, member_with_coeffs,
-                         pivot_columns, row_kernel, transpose, vec_sub)
+                         row_kernel, transpose, vec_sub)
 from ffgs.oracle import AbstractGroup, s3_table
 from ffgs.rings import parse_ring
 
@@ -338,7 +338,9 @@ def _reference_quotient(G, H):
             f"quotient rank {len(B)} times subgroup order {H.order} "
             f"misses the ambient order {m}"
         )
-    if pivot_columns(R, B)[1] is not None:
+    # the removed linalg.pivot_columns, which scanned each row for its pivot
+    cols = [next(c for c, x in enumerate(row) if R.nonzero(x)) for row in B]
+    if not all(R.is_unit(row[c]) for row, c in zip(B, cols)):
         raise HopfError("coinvariants are not free on their basis (non-unit pivot)")
     def coords(v, failure="coinvariant algebra is not closed as expected"):
         c = member_with_coeffs(R, B, v)
@@ -403,3 +405,35 @@ def test_quotient_eliminates_each_basis_once(monkeypatch):
     Gbar, _ = quotient(G, H)
     assert Gbar.rank == 8
     assert len(calls) <= 3, len(calls)
+
+
+@pytest.mark.parametrize("spec", ["GF(5)", "Zloc(2)"])
+def test_quotient_data_is_built_once_per_subgroup(monkeypatch, spec):
+    """verify_hopf_ideal, scheme, inclusion and quotient read one kept
+    quotient_data: each basis vector is reduced modulo the ideal once."""
+    reduced = []
+    real = constructions.reduce_mod_span
+    monkeypatch.setattr(constructions, "reduce_mod_span",
+                        lambda R, span, v: reduced.append(span) or real(R, span, v))
+    for G, H in quotient_cases(parse_ring(spec)):
+        K = ClosedSubgroup(G, H.ideal, check=False)
+        reduced.clear()
+        assert K.verify_hopf_ideal()
+        assert K.inclusion().source.verify()
+        assert K.scheme().rank == K.order
+        quotient(G, K)
+        assert K.quotient_data() is K.quotient_data()
+        assert sum(span is K.ideal for span in reduced) == G.rank
+
+
+def test_conjugation_products_are_made_once_per_scheme(monkeypatch):
+    """is_normal on the order-p subgroups of const:Z30 over GF(31) makes
+    each product e_j S(e_b) once, so at most m^2 of them in all."""
+    G = constant_cyclic(parse_ring("GF(31)"), 30)
+    subgroups = [kernel(convolution_power(G, p)) for p in (2, 3, 5)]
+    products = []
+    real = GroupScheme.mul_vec
+    monkeypatch.setattr(GroupScheme, "mul_vec",
+                        lambda self, v, w: products.append(1) or real(self, v, w))
+    assert [is_normal(H) for H in subgroups] == [(True, None)] * 3
+    assert 0 < len(products) <= G.rank ** 2

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ffgs.linalg import (
+    Span,
     add_scaled,
     canonical_span,
     det,
@@ -272,3 +273,55 @@ def test_add_scaled_matches_the_chain(R):
         assert add_scaled(R, out, zip(coeffs, rows)) is out
         assert out == chain
     assert add_scaled(R, [R.one], [(R.zero, [None])]) == [R.one]
+
+
+def scan_reduce_mod_span(R, canon_rows, v):
+    """reduce_mod_span as it was, the reference: the pivot of each row is
+    found by a scan on every call."""
+    cols = [next(c for c, x in enumerate(row) if R.nonzero(x)) for row in canon_rows]
+    v = list(v)
+    for row, c in zip(canon_rows, cols):
+        if R.nonzero(v[c]):
+            q = R.divmod_pivot(v[c], row[c])[0]
+            if R.nonzero(q):
+                v = R.row_sub(v, q, row)
+    return v, cols
+
+
+@pytest.mark.parametrize("R", RINGS, ids=lambda R: R.name())
+def test_span_reduces_like_the_scan(R):
+    """A Span's pivots, first non-unit pivot, reduce_mod_span and member
+    against the scan-per-call reference, on canonical spans and row
+    kernels, for vectors inside and outside the span; the same Span
+    placed row by row."""
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hyp.given(hyp.strategies.integers(0, 2 ** 32))
+    def check(seed):
+        rng = random.Random(seed)
+        ncols = rng.randrange(1, 6)
+        rows = [[digest_elt(R, rng) for _ in range(ncols)]
+                for _ in range(rng.randrange(1, 6))]
+        for span in (canonical_span(R, rows), row_kernel(R, transpose(rows))):
+            assert isinstance(span, Span)
+            if not span:
+                continue
+            ref_cols = scan_reduce_mod_span(R, span, span[0])[1]
+            assert span.cols == ref_cols
+            assert span.nonunit == next((t for t, (row, c) in enumerate(
+                zip(span, ref_cols)) if not R.is_unit(row[c])), None)
+            rebuilt = Span(R)
+            for row, c in zip(span, span.cols):
+                rebuilt.place(R, row, c)
+            assert (rebuilt, rebuilt.cols, rebuilt.nonunit) == \
+                (span, span.cols, span.nonunit)
+            width = len(span[0])
+            inside = combine(R, [digest_elt(R, rng) for _ in span], span)
+            for v in (inside, [digest_elt(R, rng) for _ in range(width)]):
+                ref = scan_reduce_mod_span(R, span, v)[0]
+                assert reduce_mod_span(R, span, v) == ref
+                assert member(R, span, v) == vec_is_zero(R, ref)
+            assert member(R, span, inside)
+
+    check()

@@ -1,11 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ffgs.rings import (
     MAX_FIELD_ORDER,
+    MAX_PRIME_TEST,
     DualNumbers,
     FiniteField,
     IntegersMod,
@@ -19,6 +24,7 @@ from ffgs.rings import (
     default_modulus,
     find_hom,
     gf,
+    is_prime,
     parse_ring,
     poly_is_irreducible_modp,
     spectrum,
@@ -105,11 +111,54 @@ def test_element_literals_round_trip():
 
 def test_malformed_element_literals_raise_ring_error():
     for R in ALL_RINGS:
-        # past int()'s digit limit, and an exponent that would fill memory
+        # past int()'s digit limit, an exponent that would fill memory, signs
+        # without a term, and digits split by a space
         for text in ["", "?", "1/0", "1+eps*", 3, None, "9" * 5000,
-                     "x^" + "9" * 5000, "x^99999999"]:
+                     "x^" + "9" * 5000, "x^99999999", "+", "x+", "1++x", "1 2"]:
             with pytest.raises(RingError):
                 R.parse(text)
+
+
+def _trial_division_is_prime(n):
+    """The trial-division test is_prime replaced, kept as the reference."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _trial_division_is_prime(n) for n in range(10 ** 5))
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745,
+                  825265, 321197185, 5394826801, 232250619601, 9746347772161]
+    assert not any(is_prime(n) for n in carmichael)
+    # composite, and a strong pseudoprime to every prime base up to 37
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2 ** 31 - 1) and is_prime(2 ** 61 - 1)
+    assert not is_prime(MAX_PRIME_TEST - 2)
+    for n in (MAX_PRIME_TEST, 2 ** 89 - 1):
+        with pytest.raises(RingError):
+            is_prime(n)
+
+
+def test_large_prime_bases_answer_at_once():
+    # trial division took about 1.5e9 steps for 2^61 - 1 before any output;
+    # the subprocess timeout catches a command that never returns
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for cmd, base, code, out in (
+            ("order", "GF(2305843009213693951)", 0, "2\n"),
+            ("verify", "GF(2305843009213693951)", 0, "pass\n"),
+            ("order", "Zloc(2305843009213693951)", 0, "2\n"),
+            ("order", "GF(2305843009213693953)", 2, ""),
+            ("order", f"GF({MAX_PRIME_TEST})", 2, "")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ffgs.cli", cmd, "--builtin", "mu:2",
+             "--base", base], env=env, capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (code, out), (cmd, base, proc.stderr)
 
 
 def test_size_of_finite_rings():

@@ -2,7 +2,8 @@
 
 linalg stays ring-agnostic: every per-ring canonical-form rule lives on
 the Ring classes, so linalg neither calls isinstance nor imports a
-concrete ring.  No module imports a name it never uses."""
+concrete ring.  No module imports a name it never uses, nor a private
+(underscore-prefixed) name of another ffgs module."""
 
 import ast
 from pathlib import Path
@@ -78,6 +79,17 @@ def test_no_unused_imports():
                    for name, line in imported_names(tree).items()
                    if name not in used]
     assert unused == []
+
+
+def test_no_private_names_imported_across_modules():
+    imported = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "ffgs"):
+                imported += [f"{path.name}:{node.lineno} {a.name}"
+                             for a in node.names if a.name.startswith("_")]
+    assert imported == []
 
 
 def test_private_helpers_are_used():

@@ -11,11 +11,14 @@ from ffgs.constructions import (ClosedSubgroup, alpha, constant,
 from ffgs import hopf, structure
 from ffgs.hopf import HopfError, convolution_power, hom_on_points, points
 from ffgs.linalg import canonical_span, transpose, vec_add, vec_scale, vec_sub
-from ffgs.oracle import AbstractGroup, s3_table
+from ffgs.oracle import (AbstractGroup, cyclic_table, product_table, s3_table,
+                         subgroup_lattice)
 from ffgs.rings import RingError, RingHom, find_hom, parse_ring
 from ffgs.structure import (InternalInconsistencyError, SplitResult,
+                            _order_p_elements,
                             _section_search, augmentation_core, classify_order_p,
                             common_refinement, connected_etale_sequence,
+                            etale_unique_subgroup,
                             fiber_report, frobenius_verschiebung,
                             hochschild_split, identity_component,
                             infinitesimal_rank, is_etale, locus_report,
@@ -435,8 +438,6 @@ def test_each_quotient_discriminant_is_made_once(monkeypatch, capsys):
     cert = theorem_decompose(mu(ZL2, 6))
     assert cert.split.status == "found"
     assert sum(G is cert.witness.quotient for G in seen) == 1
-    E = cert.witness
-    assert E.quotient_etale == is_etale(E.quotient)
     for argv in (["theorem", "--builtin", "mu:6", "--base", "Zloc(3)"],
                  ["split", "--builtin", "const:S3", "--base", "GF(5)", "--kernel", "3"],
                  ["connected-etale", "--builtin", "mu:6", "--base", "GF(2)"],
@@ -448,12 +449,49 @@ def test_each_quotient_discriminant_is_made_once(monkeypatch, capsys):
         quotients = [G for G in seen if G.name and G.name.endswith("/H")]
         assert quotients, argv
         assert len({id(G) for G in quotients}) == len(quotients), argv
+        # nor is any other scheme, such as the Q fiber of mu_6 over Zloc(3),
+        # which the reduction map once discriminated again
+        assert len({id(G) for G in seen}) == len(seen), argv
+        assert argv[0] != "theorem" or any(G.ring == Q for G in seen)
     capsys.readouterr()
     # the preconditions still hold: a quotient that is not etale is refused
     G = mu(F3, 3)
     E = extension_witness(G, trivial_subgroup(G))
-    assert not E.quotient_etale[0]
+    assert not is_etale(E.quotient)[0]
     with pytest.raises(HopfError, match="etale"):
         hochschild_split(E)
     with pytest.raises(HopfError, match="etale"):
         common_refinement(E, E)
+
+
+def test_order_p_subgroups_are_counted_like_the_lattice():
+    """Elements of order p, over p - 1, against the oracle's subgroup
+    lattice on every group the tests build up to order 64: cyclic tables,
+    S3, their products, and the point groups of the theorem corpus and of
+    S3 as a semidirect product over their finite test rings."""
+    small = [cyclic_table(2), cyclic_table(3), cyclic_table(5), s3_table()]
+    tables = [cyclic_table(n) for n in range(1, 65)]
+    tables += [product_table(a, b) for a in small for b in small + tables[:10]]
+    groups = [AbstractGroup(t) for t in tables if len(t) <= 64]
+    for G in theorem_corpus() + [s3_semidirect(F7), s3_semidirect(ZL2)]:
+        for T in ring_family(G.ring):
+            if T.is_finite:
+                P = points(G, T)
+                groups.append(AbstractGroup.from_points(P))
+                for p in (2, 3, 5):
+                    assert _order_p_elements(P, p) == \
+                        _order_p_elements(groups[-1], p)
+    for A in groups:
+        lattice = subgroup_lattice(A)
+        for p in (2, 3, 5, 7, 11, 13):
+            count = sum(1 for s in lattice if s.order == p)
+            assert len(_order_p_elements(A, p)) == count * (p - 1)
+    assert len(groups) > 100
+
+
+def test_etale_unique_subgroup_needs_a_prime_order():
+    G = constant_cyclic(F7, 6)
+    assert etale_unique_subgroup(G, 3)[0] == "ok"
+    for d in (1, 6):
+        with pytest.raises(HopfError, match="prime"):
+            etale_unique_subgroup(G, d)
