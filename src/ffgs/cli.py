@@ -10,6 +10,7 @@ One command per invocation; exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -306,6 +307,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; parse_args does not change it
 def make_parser():
     ap = argparse.ArgumentParser(
         prog="ffgs",

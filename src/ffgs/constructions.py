@@ -33,6 +33,7 @@ from .hopf import (
     GroupSchemeHom,
     HopfError,
     VerificationReport,
+    nonzeros,
     points,
 )
 from .oracle import AbstractGroup, cyclic_table
@@ -48,18 +49,12 @@ def mu(R: Ring, n: int) -> GroupScheme:
     """mu_n = Spec R[x]/(x^n - 1), group law x (x) x. Basis x^0..x^{n-1}."""
     if n < 1:
         raise HopfError("mu needs n >= 1")
-    Z, O = R.zero, R.one
-    def e(i):
-        return [O if j == i % n else Z for j in range(n)]
-    mult = [[e(i + j) for j in range(n)] for i in range(n)]
-    comult = [
-        [[O if (j == i and k == i) else Z for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    return GroupScheme(
-        R, n, mult, e(0), comult, [O] * n, [e(-i) for i in range(n)],
-        name=f"mu_{n}",
-    )
+    O = R.one
+    mult = [[[((i + j) % n, O)] for j in range(n)] for i in range(n)]
+    comult = [[(i, i, O)] for i in range(n)]
+    antipode = [[(-i % n, O)] for i in range(n)]
+    return GroupScheme.from_tables(R, n, (mult, comult, antipode),
+                                   [O] + [R.zero] * (n - 1), [O] * n, f"mu_{n}")
 
 
 def group_of_table(table) -> AbstractGroup:
@@ -84,24 +79,15 @@ def constant(R: Ring, table, name: str | None = None) -> GroupScheme:
     G = group_of_table(table)
     n = G.order
     Z, O = R.zero, R.one
-    mult = [
-        [[O if (i == j and k == i) else Z for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    comult = []
-    for g in range(n):
-        mat = [[Z] * n for _ in range(n)]
-        for h in range(n):
-            for hp in range(n):
-                if table[h][hp] == g:
-                    mat[h][hp] = O
-        comult.append(mat)
+    mult = [[[(i, O)] if i == j else [] for j in range(n)] for i in range(n)]
+    comult = [[] for _ in range(n)]
+    for h in range(n):
+        for hp in range(n):
+            comult[table[h][hp]].append((h, hp, O))
     counit = [O if g == G.identity else Z for g in range(n)]
-    antipode = [
-        [O if j == G.inverse(g) else Z for j in range(n)] for g in range(n)
-    ]
-    return GroupScheme(R, n, mult, [O] * n, comult, counit, antipode,
-                       name=name or f"constant({G.identify()})")
+    antipode = [[(G.inverse(g), O)] for g in range(n)]
+    return GroupScheme.from_tables(R, n, (mult, comult, antipode), [O] * n,
+                                   counit, name or f"constant({G.identify()})")
 
 
 def constant_cyclic(R: Ring, n: int) -> GroupScheme:
@@ -112,23 +98,15 @@ def alpha(R: Ring, p: int) -> GroupScheme:
     """alpha_p = Spec R[x]/(x^p), additive group law (char p only)."""
     if R.char() != p:
         raise HopfError(f"alpha_{p} needs a base of characteristic {p}")
-    Z, O = R.zero, R.one
-    m = p
-    def e(i):
-        return [O if j == i else Z for j in range(m)]
-    mult = [
-        [e(i + j) if i + j < m else [Z] * m for j in range(m)] for i in range(m)
-    ]
-    comult = []
-    for i in range(m):
-        mat = [[Z] * m for _ in range(m)]
-        for j in range(i + 1):
-            mat[j][i - j] = R.from_int(comb(i, j))
-        comult.append(mat)
-    counit = [O] + [Z] * (m - 1)
-    antipode = [vec_scale(R, R.from_int((-1) ** i), e(i)) for i in range(m)]
-    return GroupScheme(R, m, mult, e(0), comult, counit, antipode,
-                       name=f"alpha_{p}")
+    O, m = R.one, p
+    mult = [[[(i + j, O)] if i + j < m else [] for j in range(m)] for i in range(m)]
+    # 0 < comb(i, j) < p for i < p, so no coefficient vanishes in char p
+    comult = [[(j, i - j, R.from_int(comb(i, j))) for j in range(i + 1)]
+              for i in range(m)]
+    antipode = [[(i, R.from_int((-1) ** i))] for i in range(m)]
+    e0 = [O] + [R.zero] * (m - 1)
+    return GroupScheme.from_tables(R, m, (mult, comult, antipode), e0, e0,
+                                   f"alpha_{p}")
 
 
 def tate_oort2(R: Ring, a, b) -> GroupScheme:
@@ -138,18 +116,14 @@ def tate_oort2(R: Ring, a, b) -> GroupScheme:
     unless char 2; standard members: (2, -1) = mu_2, (0, b) with char 2.)"""
     if R.mul(a, b) != R.neg(R.from_int(2)):
         raise HopfError("tate_oort2 needs a * b = -2")
-    Z, O = R.zero, R.one
-    mult = [[[O, Z], [Z, O]], [[Z, O], [Z, a]]]
-    comult = [
-        [[O, Z], [Z, Z]],
-        [[Z, O], [O, b]],
-    ]
-    counit = [O, Z]
+    O = R.one
+    mult = [[[(0, O)], [(1, O)]], [[(1, O)], [(1, a)] if R.nonzero(a) else []]]
+    comult = [[(0, 0, O)], [(0, 1, O), (1, 0, O)] + ([(1, 1, b)] if R.nonzero(b) else [])]
     # every point squares to the identity, so the antipode is the identity:
     # m(S(x)id)Delta(x) = 2x + b x^2 = (2 + ab) x = 0
-    antipode = [[O, Z], [Z, O]]
-    return GroupScheme(R, 2, mult, [O, Z], comult, counit, antipode,
-                       name=f"ot2({R.show(a)},{R.show(b)})")
+    antipode = [[(0, O)], [(1, O)]]
+    return GroupScheme.from_tables(R, 2, (mult, comult, antipode), [O, R.zero],
+                                   [O, R.zero], f"ot2({R.show(a)},{R.show(b)})")
 
 
 def direct_product(G: GroupScheme, H: GroupScheme) -> GroupScheme:
@@ -161,42 +135,23 @@ def direct_product(G: GroupScheme, H: GroupScheme) -> GroupScheme:
     m = mG * mH
     def idx(i, a):
         return i * mH + a
-    Z = R.zero
+    nonzero, mul = R.nonzero, R.mul
     (GM, GC, GS), (HM, HC, HS) = G.sparse, H.sparse
-    mult = [[[Z] * m for _ in range(m)] for _ in range(m)]
-    for i in range(mG):
-        for a in range(mH):
-            for j in range(mG):
-                for b in range(mH):
-                    row = mult[idx(i, a)][idx(j, b)]
-                    for k, ck in GM[i][j]:
-                        for c, cc in HM[a][b]:
-                            row[idx(k, c)] = R.add(row[idx(k, c)], R.mul(ck, cc))
-    unit = [Z] * m
-    for i, u in enumerate(G.unit):
-        for a, v in enumerate(H.unit):
-            unit[idx(i, a)] = R.mul(u, v)
-    comult = [[[Z] * m for _ in range(m)] for _ in range(m)]
-    for i in range(mG):
-        for a in range(mH):
-            tgt = comult[idx(i, a)]
-            for j, k, c in GC[i]:
-                for x, y, d in HC[a]:
-                    tgt[idx(j, x)][idx(k, y)] = R.add(
-                        tgt[idx(j, x)][idx(k, y)], R.mul(c, d)
-                    )
-    counit = [Z] * m
-    antipode = [[Z] * m for _ in range(m)]
-    for i in range(mG):
-        for a in range(mH):
-            counit[idx(i, a)] = R.mul(G.counit[i], H.counit[a])
-            for j, sa in GS[i]:
-                for b, sb in HS[a]:
-                    antipode[idx(i, a)][idx(j, b)] = R.mul(sa, sb)
+    pairs = list(itertools.product(range(mG), range(mH)))  # idx order
+
+    def product(u, v):  # u (x) v for vectors given by their nonzeros
+        return [(idx(k, c), d) for k, x in u for c, y in v if nonzero(d := mul(x, y))]
+
+    mult = [[product(GM[i][j], HM[a][b]) for j, b in pairs] for i, a in pairs]
+    comult = [sorted((idx(j, x), idx(k, y), d) for j, k, c in GC[i] for x, y, e in HC[a]
+                     if nonzero(d := mul(c, e))) for i, a in pairs]
+    antipode = [product(GS[i], HS[a]) for i, a in pairs]
+    unit = [mul(G.unit[i], H.unit[a]) for i, a in pairs]
+    counit = [mul(G.counit[i], H.counit[a]) for i, a in pairs]
     name = None
     if G.name and H.name:
         name = f"{G.name} x {H.name}"
-    return GroupScheme(R, m, mult, unit, comult, counit, antipode, name=name)
+    return GroupScheme.from_tables(R, m, (mult, comult, antipode), unit, counit, name)
 
 
 def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
@@ -234,49 +189,32 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
         return i * n + g
     Z, nonzero = R.zero, R.nonzero
     QM, QC, _ = Q.sparse
+    pairs = list(itertools.product(range(mQ), range(n)))  # idx order
+    moved = {h: [nonzeros(R, v) for v in autos[h].alg] for h in range(n)}
     # algebra: (a (x) f_g)(b (x) f_h) = delta_{g,h} ab (x) f_g
-    mult = [[[Z] * m for _ in range(m)] for _ in range(m)]
-    for i in range(mQ):
-        for g in range(n):
-            for j in range(mQ):
-                row = mult[idx(i, g)][idx(j, g)]
-                for k, c in QM[i][j]:
-                    row[idx(k, g)] = c
-    unit = [Z] * m
-    for i, u in enumerate(Q.unit):
-        for g in range(n):
-            unit[idx(i, g)] = u
+    mult = [[[(idx(k, g), c) for k, c in QM[i][j]] if g == h else []
+             for j, h in pairs] for i, g in pairs]
+    unit = [Q.unit[i] for i, _ in pairs]
     # Delta(a (x) f_g) = sum_{h h' = g} a_(1) (x) f_h (x) alpha_h^*(a_(2)) (x) f_h'
-    comult = [[[Z] * m for _ in range(m)] for _ in range(m)]
-    for i in range(mQ):
-        for g in range(n):
-            tgt = comult[idx(i, g)]
-            for j, k, c in QC[i]:
-                for h in range(n):
-                    for hp in range(n):
-                        if P.table[h][hp] != g:
-                            continue
-                        moved = autos[h].alg[k]
-                        for t, x in enumerate(moved):
-                            if nonzero(x):
-                                a, b = idx(j, h), idx(t, hp)
-                                tgt[a][b] = R.add(tgt[a][b], R.mul(c, x))
-    counit = [Z] * m
-    for i in range(mQ):
-        counit[idx(i, P.identity)] = Q.counit[i]
+    comult = []
+    for i, g in pairs:
+        tgt: dict = {}
+        for j, k, c in QC[i]:
+            for h in range(n):
+                hp = P.table[P.inverse(h)][g]
+                for t, x in moved[h][k]:
+                    key = (idx(j, h), idx(t, hp))
+                    tgt[key] = R.add(tgt.get(key, Z), R.mul(c, x))
+        comult.append(sorted((a, b, c) for (a, b), c in tgt.items() if nonzero(c)))
+    counit = [Q.counit[i] if g == P.identity else Z for i, g in pairs]
     # S(a (x) f_g) = S_Q(alpha_g^* a) (x) f_{g^{-1}}
-    antipode = [[Z] * m for _ in range(m)]
-    for i in range(mQ):
-        for g in range(n):
-            moved = Q.antipode_vec(autos[g].alg[i])
-            gi = P.inverse(g)
-            for t, x in enumerate(moved):
-                if nonzero(x):
-                    antipode[idx(i, g)][idx(t, gi)] = x
+    antipode = [[(idx(t, P.inverse(g)), x)
+                 for t, x in nonzeros(R, Q.antipode_vec(autos[g].alg[i]))]
+                for i, g in pairs]
     name = None
     if Q.name:
         name = f"{Q.name} x| {P.identify()}"
-    return GroupScheme(R, m, mult, unit, comult, counit, antipode, name=name)
+    return GroupScheme.from_tables(R, m, (mult, comult, antipode), unit, counit, name)
 
 
 def inversion_action(Q: GroupScheme, P_table):
@@ -290,7 +228,7 @@ def inversion_action(Q: GroupScheme, P_table):
         else:
             if P.element_order(g) != 2:
                 raise HopfError("inversion action needs exponent 2 off identity")
-            out.append([list(v) for v in Q.antipode])
+            out.append([Q.antipode_vec(Q.basis_vector(i)) for i in range(Q.rank)])
     return out
 
 
@@ -342,10 +280,10 @@ class ClosedSubgroup:
         # columns, so I (x) A + A (x) I is the kernel of pi (x) pi
         if self.ideal.nonunit is not None:
             return VerificationReport(False, "not-flat", (self.ideal.nonunit,))
-        P = transpose(self.quotient_data()[1])
+        pb = [nonzeros(R, w) for w in self.quotient_data()[1]]
         for t, v in enumerate(self.ideal):
-            if any(not vec_is_zero(R, row)
-                   for row in _project_tensor(G, P, G.comult_vec(v))):
+            terms = ((j, k, c) for (j, k), c in G.comult_vec(v).items())
+            if _project_tensor(R, pb, terms):
                 return VerificationReport(False, "coideal", (t,))
         # antipode stability
         for t, v in enumerate(self.ideal):
@@ -373,17 +311,20 @@ class ClosedSubgroup:
         """The subgroup scheme Spec(A/I)."""
         G = self.ambient
         R = G.ring
+        M, C, S = G.sparse
         free_cols, pbasis = self.quotient_data()
-        P = transpose(pbasis)
-        mult = [[mat_vec(R, P, G.mult[a][b]) for b in free_cols]
-                for a in free_cols]
-        unit = mat_vec(R, P, G.unit)
-        comult = [_project_tensor(G, P, G.comult_vec(G.basis_vector(a)))
-                  for a in free_cols]
-        counit = [G.counit[a] for a in free_cols]
-        antipode = [mat_vec(R, P, G.antipode[a]) for a in free_cols]
-        return GroupScheme(R, len(free_cols), mult, unit, comult, counit,
-                           antipode)
+        pb = [nonzeros(R, w) for w in pbasis]
+
+        def project(terms):  # pi of the vector sum c e_x over (x, c) in terms
+            return nonzeros(R, add_scaled(R, [R.zero] * self.order,
+                                          ((c, pbasis[x]) for x, c in terms)))
+
+        mult = [[project(M[a][b]) for b in free_cols] for a in free_cols]
+        comult = [_project_tensor(R, pb, C[a]) for a in free_cols]
+        antipode = [project(S[a]) for a in free_cols]
+        return GroupScheme.from_tables(R, len(free_cols), (mult, comult, antipode),
+                                       mat_vec(R, transpose(pbasis), G.unit),
+                                       [G.counit[a] for a in free_cols])
 
     def inclusion(self) -> GroupSchemeHom:
         """The closed immersion scheme(self) -> ambient."""
@@ -404,12 +345,16 @@ def _tensor_rows(G: GroupScheme, tensor: dict):
     return rows
 
 
-def _project_tensor(G: GroupScheme, P, tensor: dict):
-    """(pi (x) pi)(tensor) as an r x r matrix, P the r x m matrix of pi:
-    project each row (the second factor), then each resulting column."""
-    R = G.ring
-    half = [mat_vec(R, P, row) for row in _tensor_rows(G, tensor)]
-    return transpose([mat_vec(R, P, col) for col in transpose(half)])
+def _project_tensor(R: Ring, pb, terms):
+    """(pi (x) pi) of sum c e_j (x) e_k over the (j, k, c) in terms, as its
+    nonzero (s, t, c) in increasing (s, t); pb[j] is nonzeros(pi(e_j))."""
+    out: dict = {}
+    for j, k, c in terms:
+        for s, u in pb[j]:
+            cu = R.mul(c, u)
+            for t, w in pb[k]:
+                out[(s, t)] = R.add(out.get((s, t), R.zero), R.mul(cu, w))
+    return sorted((s, t, c) for (s, t), c in out.items() if R.nonzero(c))
 
 
 def ideal_closure(G: GroupScheme, gens):
@@ -505,13 +450,14 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
         raise HopfError("subgroup does not live in this scheme")
     R = G.ring
     m = G.rank
-    P = transpose(H.quotient_data()[1])
-    punit = mat_vec(R, P, G.unit)
+    pbasis = H.quotient_data()[1]
+    punit = mat_vec(R, transpose(pbasis), G.unit)
     # a = sum t_i e_i is coinvariant iff (id (x) pi) Delta(a) = a (x) pi(1)
     cols = []
-    for i in range(m):
-        half = [mat_vec(R, P, row)
-                for row in _tensor_rows(G, G.comult_vec(G.basis_vector(i)))]
+    for i, terms in enumerate(G.sparse.comult):
+        half = [[R.zero] * H.order for _ in range(m)]
+        for j, k, c in terms:
+            add_scaled(R, half[j], [(c, pbasis[k])])
         half[i] = vec_sub(R, half[i], punit)
         cols.append([c for row in half for c in row])
     B = row_kernel(R, cols)
@@ -532,18 +478,18 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
             raise HopfError(failure)
         return [R.mul(v[c], u) for c, u in zip(B.cols, scales)]
     rB = len(B)
-    mult = [[coords(G.mul_vec(B[a], B[b])) for b in range(rB)] for a in range(rB)]
-    unit = coords(G.unit)
+    mult = [[nonzeros(R, coords(G.mul_vec(a, b))) for b in B] for a in B]
     # Delta(b) = sum_y w_y (x) B[y]: solve each row in B, then each w_y
     no_restrict = "comultiplication does not restrict to coinvariants"
     comult = []
     for b in B:
         rows = [coords(row, no_restrict) for row in _tensor_rows(G, G.comult_vec(b))]
-        comult.append(transpose([coords(w, no_restrict) for w in transpose(rows)]))
-    counit = [G.counit_of(B[a]) for a in range(rB)]
-    antipode = [coords(G.antipode_vec(B[a])) for a in range(rB)]
-    Gbar = GroupScheme(R, rB, mult, unit, comult, counit, antipode,
-                       name=f"{G.name}/H" if G.name else None)
+        ws = [coords(w, no_restrict) for w in transpose(rows)]
+        comult.append(sorted((x, y, c) for y, w in enumerate(ws) for x, c in nonzeros(R, w)))
+    antipode = [nonzeros(R, coords(G.antipode_vec(b))) for b in B]
+    Gbar = GroupScheme.from_tables(R, rB, (mult, comult, antipode), coords(G.unit),
+                                   [G.counit_of(b) for b in B],
+                                   f"{G.name}/H" if G.name else None)
     proj = GroupSchemeHom(G, Gbar, [list(v) for v in B])
     return Gbar, proj
 

@@ -1,22 +1,28 @@
 """Finite flat group schemes as finite free Hopf algebras.
 
-A group scheme of order m over R is stored by total structure-constant
-tensors on a free module with basis e_0..e_{m-1}:
+A group scheme of order m over R is stored by the nonzero structure
+constants of its Hopf algebra on a free module with basis e_0..e_{m-1},
+the tables of `GroupScheme.sparse`:
 
-  mult[i][j]     vector: e_i * e_j
-  unit           vector: the algebra unit
-  comult[i]      m x m matrix: coefficient of e_j (x) e_k in Delta(e_i)
-  counit         vector of counit values
-  antipode[i]    vector: S(e_i)
+  mult[a][b]     the (x, c) of e_a * e_b = sum c e_x
+  comult[i]      the (j, k, c) of Delta(e_i) = sum c e_j (x) e_k
+  antipode[j]    the (x, c) of S(e_j) = sum c e_x
+
+each row without zeros and in increasing index order, and by two vectors:
+
+  unit           the algebra unit
+  counit         the counit values
 
 The scheme is Spec of this algebra; the group law is dual to comult.
 Polynomial presentations are kept only as optional name tags.
 
-These dense lists are the stored, serialized and public form.  The Hopf
-operations read their nonzero entries from `GroupScheme.sparse`, built on
-first use and kept: the tensors are fixed once a scheme has been read.
-For the same reason the conjugation tensors ad(e_i) (`adjoint`) and the
-trace discriminant (`etale`) are made once per scheme.
+Every Hopf operation and base change reads the tables, so none scans
+the zeros of the m^3 dense entries.  The dense lists `mult`, `comult` and
+`antipode` are what the constructor and `from_dict` take and what
+`to_dict` writes; a scheme derives them from its tables on first use.
+The tables are fixed once a scheme is made, so the conjugation tensors
+ad(e_i) (`adjoint`) and the trace discriminant (`etale`) are made once
+per scheme too.
 """
 
 from __future__ import annotations
@@ -78,38 +84,56 @@ class VerificationReport:
 SparseTensors = namedtuple("SparseTensors", "mult comult antipode")
 
 
+def nonzeros(R: Ring, v):
+    """The (x, c) with c != 0 of the vector v, in increasing x."""
+    nonzero = R.nonzero
+    return [(x, c) for x, c in enumerate(v) if nonzero(c)]
+
+
+def _pair(R: Ring, entries, v):
+    """sum c v[x] over the (x, c) in entries."""
+    add, mul = R.add, R.mul
+    out = R.zero
+    for x, c in entries:
+        out = add(out, mul(c, v[x]))
+    return out
+
+
 class GroupScheme:
     def __init__(self, ring: Ring, rank: int, mult, unit, comult, counit,
                  antipode, name: str | None = None):
-        self.ring = ring
-        self.rank = rank
-        self.mult = mult
-        self.unit = list(unit)
-        self.comult = comult
-        self.counit = list(counit)
-        self.antipode = antipode
-        self.name = name
-        self._check_dimensions()
+        """The scheme of the dense lists mult[i][j] (the vector e_i e_j),
+        comult[i][j][k] (the coefficient of e_j (x) e_k in Delta(e_i)) and
+        antipode[i] (the vector S(e_i)); their shapes are checked first,
+        then only their nonzero entries are kept."""
+        def fits(x, depth):  # a list of rank entries, nested depth deep
+            return len(x) == rank and (depth == 1 or all(fits(y, depth - 1) for y in x))
+
+        if rank < 1:
+            raise HopfError("rank must be >= 1")
+        if not all(fits(x, depth) for x, depth in
+                   ((mult, 3), (unit, 1), (comult, 3), (counit, 1), (antipode, 2))):
+            raise HopfError("tensor dimensions do not match the rank")
+        self.ring, self.rank, self.name = ring, rank, name
+        self.unit, self.counit = list(unit), list(counit)
+        self.sparse = SparseTensors(
+            [[nonzeros(ring, v) for v in row] for row in mult],
+            [[(j, k, c) for j, row in enumerate(mat) for k, c in nonzeros(ring, row)]
+             for mat in comult],
+            [nonzeros(ring, v) for v in antipode])
+
+    @classmethod
+    def from_tables(cls, ring: Ring, rank: int, tables, unit, counit,
+                    name: str | None = None) -> "GroupScheme":
+        """The scheme stored by tables = (mult, comult, antipode) in the
+        form of `sparse`, which the caller builds without zeros and in
+        increasing index order."""
+        G = cls.__new__(cls)
+        G.ring, G.rank, G.name, G.sparse = ring, rank, name, SparseTensors(*tables)
+        G.unit, G.counit = list(unit), list(counit)
+        return G
 
     # -- bookkeeping ---------------------------------------------------
-    def _check_dimensions(self):
-        m = self.rank
-        if m < 1:
-            raise HopfError("rank must be >= 1")
-        if (
-            len(self.mult) != m
-            or any(len(row) != m for row in self.mult)
-            or any(len(v) != m for row in self.mult for v in row)
-            or len(self.unit) != m
-            or len(self.comult) != m
-            or any(len(mat) != m for mat in self.comult)
-            or any(len(r) != m for mat in self.comult for r in mat)
-            or len(self.counit) != m
-            or len(self.antipode) != m
-            or any(len(v) != m for v in self.antipode)
-        ):
-            raise HopfError("tensor dimensions do not match the rank")
-
     @property
     def order(self) -> int:
         return self.rank
@@ -119,18 +143,25 @@ class GroupScheme:
         return [R.one if j == i else R.zero for j in range(self.rank)]
 
     @functools.cached_property
-    def sparse(self) -> SparseTensors:
-        """The nonzero entries of the tensors, read from the dense lists on
-        first use (never in __init__) and kept: mult[a][b] lists the (x, c)
-        of e_a e_b, comult[i] the (j, k, c) of Delta(e_i) and antipode[j]
-        the (x, c) of S(e_j)."""
-        nonzero = self.ring.nonzero
-        return SparseTensors(
-            [[[(x, c) for x, c in enumerate(v) if nonzero(c)] for v in row]
-             for row in self.mult],
-            [[(j, k, c) for j, row in enumerate(mat) for k, c in enumerate(row)
-              if nonzero(c)] for mat in self.comult],
-            [[(x, c) for x, c in enumerate(v) if nonzero(c)] for v in self.antipode])
+    def _dense(self):
+        """(mult, comult, antipode) as dense lists, expanded from the
+        tables on first use and kept."""
+        zero, m = self.ring.zero, self.rank
+
+        def vector(entries):
+            v = [zero] * m
+            for x, c in entries:
+                v[x] = c
+            return v
+
+        M, C, S = self.sparse
+        return ([[vector(v) for v in row] for row in M],
+                [[vector((k, c) for j, k, c in terms if j == row) for row in range(m)]
+                 for terms in C],
+                [vector(v) for v in S])
+
+    # read-only: a scheme never reads them back
+    mult, comult, antipode = (property(lambda G, i=i: G._dense[i]) for i in range(3))
 
     @functools.cached_property
     def adjoint(self):
@@ -138,7 +169,7 @@ class GroupScheme:
         {(t, a): c}; made on first use and kept, so each product
         e_j S(e_b) is made once per scheme."""
         R = self.ring
-        nonzero, add, mul = R.nonzero, R.add, R.mul
+        add, mul = R.add, R.mul
         C = self.sparse.comult
         products: dict = {}  # (j, b) -> the nonzero (t, x) of e_j S(e_b)
         out = []
@@ -148,8 +179,8 @@ class GroupScheme:
                 for a, b, d in C[k]:
                     # (e_i)_(1) = e_j, (e_i)_(2) = e_a, (e_i)_(3) = e_b
                     if (j, b) not in products:
-                        w = self.mul_vec(self.basis_vector(j), self.antipode[b])
-                        products[(j, b)] = [(t, x) for t, x in enumerate(w) if nonzero(x)]
+                        sb = self.antipode_vec(self.basis_vector(b))
+                        products[(j, b)] = nonzeros(R, self.mul_vec(self.basis_vector(j), sb))
                     cd = mul(c, d)
                     for t, x in products[(j, b)]:
                         ad[(t, a)] = add(ad.get((t, a), R.zero), mul(cd, x))
@@ -225,28 +256,18 @@ class GroupScheme:
 
         No ffgs code calls it since `verify` contracts Delta(e_i) Delta(e_j)
         in stages; bench/tracer.py still wraps it by name."""
-        R = self.ring
-        M = self.sparse.mult
+        R, M = self.ring, self.sparse.mult
         out: dict = {}
-        for (j1, k1), c1 in x.items():
-            for (j2, k2), c2 in y.items():
-                c = R.mul(c1, c2)
-                for a, la in M[j1][j2]:
-                    cla = R.mul(c, la)
-                    for b, rb in M[k1][k2]:
-                        key = (a, b)
-                        out[key] = R.add(out.get(key, R.zero), R.mul(cla, rb))
+        for ((j1, k1), c1), ((j2, k2), c2) in itertools.product(x.items(), y.items()):
+            for (a, la), (b, rb) in itertools.product(M[j1][j2], M[k1][k2]):
+                term = R.mul(R.mul(c1, c2), R.mul(la, rb))
+                out[(a, b)] = R.add(out.get((a, b), R.zero), term)
         return {key: c for key, c in out.items() if R.nonzero(c)}
 
     def is_commutative(self) -> bool:
         """Commutativity of the group law (symmetric comultiplication)."""
-        m = self.rank
-        return all(
-            self.comult[i][j][k] == self.comult[i][k][j]
-            for i in range(m)
-            for j in range(m)
-            for k in range(j + 1, m)
-        )
+        return all({(j, k, c) for j, k, c in terms} == {(k, j, c) for j, k, c in terms}
+                   for terms in self.sparse.comult)
 
     # -- verification -----------------------------------------------------
     def verify(self) -> VerificationReport:
@@ -281,9 +302,10 @@ class GroupScheme:
             return {key: c for key, c in out.items() if nonzero(c)}
 
         # algebra: commutativity of mult (the scheme is a scheme)
+        # the rows list their nonzeros in increasing index order
         for i in range(m):
             for j in range(i + 1, m):
-                if self.mult[i][j] != self.mult[j][i]:
+                if M[i][j] != M[j][i]:
                     return VerificationReport(False, "algebra-commutativity", (i, j))
         # unit law
         unit = [(a, u) for a, u in enumerate(self.unit) if nonzero(u)]
@@ -357,7 +379,7 @@ class GroupScheme:
                 rhs = {key: c for key, c in rhs.items() if nonzero(c)}
                 if delta(M[i][j]) != rhs:
                     return VerificationReport(False, "bialgebra-mult", (i, j))
-                eps_prod = self.counit_of(self.mult[i][j])
+                eps_prod = _pair(R, M[i][j], self.counit)
                 if eps_prod != mul(self.counit[i], self.counit[j]):
                     return VerificationReport(False, "counit-mult", (i, j))
         # antipode: m(S (x) id)Delta = unit . counit = m(id (x) S)Delta
@@ -382,18 +404,19 @@ class GroupScheme:
             hom = found
         if hom.source != self.ring:
             raise RingError("base change homomorphism has the wrong source")
-        f = hom.fn
-        m = self.rank
-        return GroupScheme(
-            hom.target,
-            m,
-            [[[f(c) for c in v] for v in row] for row in self.mult],
-            [f(c) for c in self.unit],
-            [[[f(c) for c in r] for r in mat] for mat in self.comult],
-            [f(c) for c in self.counit],
-            [[f(c) for c in v] for v in self.antipode],
-            name=self.name,
-        )
+        # only the nonzeros are mapped, and the entries sent to zero dropped
+        f, nonzero = hom.fn, hom.target.nonzero
+        M, C, S = self.sparse
+
+        def image(entries):
+            return [(x, d) for x, c in entries if nonzero(d := f(c))]
+
+        tables = ([[image(v) for v in row] for row in M],
+                  [[(j, k, d) for j, k, c in terms if nonzero(d := f(c))] for terms in C],
+                  [image(v) for v in S])
+        return GroupScheme.from_tables(hom.target, self.rank, tables,
+                                       [f(c) for c in self.unit],
+                                       [f(c) for c in self.counit], self.name)
 
     def to_dict(self) -> dict:
         R = self.ring
@@ -418,6 +441,10 @@ class GroupScheme:
         if not isinstance(rank, int) or isinstance(rank, bool):
             raise HopfError("rank must be an integer")
         R = parse_ring(base)
+        literal = functools.cache(R.parse)  # each distinct literal parsed once
+
+        def parse(c):  # R.parse refuses a non-string with RingError
+            return literal(c) if isinstance(c, str) else R.parse(c)
 
         def tensor(key, depth):
             # JSON lists nested depth deep with ring elements at the bottom
@@ -425,7 +452,7 @@ class GroupScheme:
                 if not isinstance(x, list):
                     raise HopfError(f"{key} must be nested lists, {depth} deep")
                 if depth == 1:
-                    return [R.parse(c) for c in x]
+                    return [parse(c) for c in x]
                 return [walk(y, depth - 1) for y in x]
             return walk(d[key], depth)
 
@@ -446,15 +473,23 @@ def cartier_dual(G: GroupScheme) -> GroupScheme:
     """Dual module with mult and comult swapped (commutative G only)."""
     if not G.is_commutative():
         raise HopfError("Cartier duality needs a commutative group scheme")
+    # transpose the nonzero triples, reading the old indices in increasing
+    # order so that each new row is in increasing index order
     m = G.rank
-    mult = [[[G.comult[k][i][j] for k in range(m)] for j in range(m)]
-            for i in range(m)]
-    comult = [[[G.mult[j][k][i] for k in range(m)] for j in range(m)]
-              for i in range(m)]
-    antipode = [[G.antipode[j][i] for j in range(m)] for i in range(m)]
+    M, C, S = G.sparse
+    mult = [[[] for _ in range(m)] for _ in range(m)]
+    comult, antipode = [[] for _ in range(m)], [[] for _ in range(m)]
+    for a in range(m):
+        for i, j, c in C[a]:
+            mult[i][j].append((a, c))
+        for b, entries in enumerate(M[a]):
+            for i, c in entries:
+                comult[i].append((a, b, c))
+        for i, c in S[a]:
+            antipode[i].append((a, c))
     name = f"dual({G.name})" if G.name else None
-    return GroupScheme(G.ring, m, mult, list(G.counit), comult, list(G.unit),
-                       antipode, name=name)
+    return GroupScheme.from_tables(G.ring, m, (mult, comult, antipode),
+                                   G.counit, G.unit, name)
 
 
 class GroupSchemeHom:
@@ -667,10 +702,10 @@ def point_is_hom(GR: GroupScheme, v) -> bool:
     R = GR.ring
     if R.dot(GR.unit, v) != R.one:
         return False
-    m = GR.rank
+    m, M = GR.rank, GR.sparse.mult
     for i in range(m):
         for j in range(i, m):
-            if R.mul(v[i], v[j]) != R.dot(GR.mult[i][j], v):
+            if R.mul(v[i], v[j]) != _pair(R, M[i][j], v):
                 return False
     return True
 
@@ -854,11 +889,11 @@ def characters(GR: GroupScheme):
 
 def trace_form(G: GroupScheme):
     """Gram matrix (Tr(e_i e_j)) of the trace form of the Hopf algebra."""
-    R = G.ring
-    m = G.rank
-    tr = [functools.reduce(R.add, (G.mult[k][i][i] for i in range(m)), R.zero)
-          for k in range(m)]
-    return [[R.dot(G.mult[i][j], tr) for j in range(m)] for i in range(m)]
+    R, m, M = G.ring, G.rank, G.sparse.mult
+    # Tr(e_k) sums the coefficient of e_i in e_k e_i
+    tr = [functools.reduce(R.add, (c for i in range(m) for x, c in M[k][i] if x == i),
+                           R.zero) for k in range(m)]
+    return [[_pair(R, M[i][j], tr) for j in range(m)] for i in range(m)]
 
 
 def trace_discriminant(G: GroupScheme):
@@ -902,11 +937,13 @@ def _point_vectors(GR: GroupScheme, bound: int):
 def _tangent_rows(k: Ring, fiber: GroupScheme, chi):
     """The tangent rows of the character chi of fiber over k (one per pair
     i <= j, one for the unit) as the columns of `_square_zero_lifts`."""
-    m = fiber.rank
+    m, M = fiber.rank, fiber.sparse.mult
     rows = []
     for i in range(m):
         for j in range(i, m):
-            row = [k.neg(c) for c in fiber.mult[i][j]]
+            row = [k.zero] * m
+            for x, c in M[i][j]:
+                row[x] = k.neg(c)
             row[j] = k.add(row[j], chi[i])
             row[i] = k.add(row[i], chi[j])
             rows.append(row)
@@ -926,8 +963,8 @@ def _square_zero_lifts(GR: GroupScheme, k: Ring, tangent, phi, coord,
     against minus the coordinates of phi's defect (Waterhouse, Introduction
     to Affine Group Schemes, ch. 12).  Raises HopfError when there are more
     than `bound` lifts, before making them."""
-    R, m = GR.ring, GR.rank
-    rhs = [k.neg(coord(R.sub(R.mul(phi[i], phi[j]), R.dot(GR.mult[i][j], phi))))
+    R, m, M = GR.ring, GR.rank, GR.sparse.mult
+    rhs = [k.neg(coord(R.sub(R.mul(phi[i], phi[j]), _pair(R, M[i][j], phi))))
            for i in range(m) for j in range(i, m)]
     rhs.append(k.neg(coord(R.sub(R.dot(GR.unit, phi), R.one))))
     part, kern = linalg.member_and_kernel(k, tangent, rhs)

@@ -5,14 +5,16 @@ assignments on a small generating set of the Hopf algebra, groups are
 identified from their multiplication tables, subgroups are enumerated
 by closing generator sets. The rest of the package is validated against
 these results; nothing here reuses the eigenspace-based character code,
-the contracted group table of `hopf.points` or `GroupScheme.sparse`."""
+the contracted group table of `hopf.points`, the algebra operations of
+`GroupScheme` or its dense lists: the oracle reads the stored tables into
+a dense copy of its own."""
 
 from __future__ import annotations
 
 import itertools
 
 from .linalg import add_scaled, member_with_coeffs
-from .hopf import GroupScheme, HopfError, PointGroup, point_is_hom
+from .hopf import GroupScheme, HopfError, PointGroup
 from .rings import Ring, RingError, find_hom, prime_factors
 
 
@@ -24,15 +26,32 @@ class BudgetExceeded(RuntimeError):
 # Exhaustive points enumeration
 
 
-def _mul(GR: GroupScheme, v, w):
+def _dense(GR: GroupScheme):
+    """(mult, comult): mult[i][j] the vector e_i e_j and comult[i][j][k]
+    the coefficient of e_j (x) e_k in Delta(e_i), filled in from the
+    stored tables."""
+    R, m = GR.ring, GR.rank
+    M, C, _ = GR.sparse
+    mult = [[[R.zero] * m for _ in range(m)] for _ in range(m)]
+    comult = [[[R.zero] * m for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            for x, c in M[i][j]:
+                mult[i][j][x] = c
+        for j, k, c in C[i]:
+            comult[i][j][k] = c
+    return mult, comult
+
+
+def _mul(GR: GroupScheme, mult, v, w):
     """v * w, summed over whole rows of the dense mult tensor."""
     R = GR.ring
     return add_scaled(R, [R.zero] * GR.rank,
-                      ((R.mul(a, b), GR.mult[i][j]) for i, a in enumerate(v)
+                      ((R.mul(a, b), mult[i][j]) for i, a in enumerate(v)
                        for j, b in enumerate(w) if R.nonzero(a) and R.nonzero(b)))
 
 
-def _generating_monomials(GR: GroupScheme):
+def _generating_monomials(GR: GroupScheme, mult):
     """A generating set of basis indices plus the monomial closure.
 
     Returns (gens, monomials, recipes) where monomials[t] is a vector,
@@ -50,7 +69,7 @@ def _generating_monomials(GR: GroupScheme):
             changed = False
             for t in range(len(monoms)):
                 for pos, g in enumerate(gens):
-                    w = _mul(GR, monoms[t], GR.basis_vector(g))
+                    w = _mul(GR, mult, monoms[t], GR.basis_vector(g))
                     if member_with_coeffs(R, monoms, w) is None:
                         monoms.append(w)
                         recipes.append((t, pos))
@@ -78,7 +97,8 @@ def enumerate_points(G: GroupScheme, Rp: Ring, budget: int = 500000):
     if not R.is_finite:
         raise RingError("exhaustive enumeration needs a finite ring")
     m = GR.rank
-    gens, monoms, recipes = _generating_monomials(GR)
+    mult, comult = _dense(GR)
+    gens, monoms, recipes = _generating_monomials(GR, mult)
     exprs = [member_with_coeffs(R, monoms, GR.basis_vector(j)) for j in range(m)]
     assert all(e is not None for e in exprs)
     els = list(R.elements())
@@ -89,7 +109,7 @@ def enumerate_points(G: GroupScheme, Rp: Ring, budget: int = 500000):
         powers = [list(GR.unit)]
         rel = None
         while rel is None:
-            nxt = _mul(GR, powers[-1], GR.basis_vector(g))
+            nxt = _mul(GR, mult, powers[-1], GR.basis_vector(g))
             rel = member_with_coeffs(R, powers, nxt)
             powers.append(nxt)
         cands = []
@@ -118,12 +138,15 @@ def enumerate_points(G: GroupScheme, Rp: Ring, budget: int = 500000):
             parent, pos = recipe
             vals.append(R.mul(vals[parent], assignment[pos]))
         phi = [R.dot(exprs[j], vals) for j in range(m)]
-        if point_is_hom(GR, phi):
+        # phi is a point when it is an algebra map: unital and multiplicative
+        if R.dot(GR.unit, phi) == R.one and all(
+                R.mul(phi[i], phi[j]) == R.dot(mult[i][j], phi)
+                for i in range(m) for j in range(i, m)):
             found.append(tuple(phi))
-    return _point_group(GR, found)
+    return _point_group(GR, comult, found)
 
 
-def _point_group(GR: GroupScheme, found) -> PointGroup:
+def _point_group(GR: GroupScheme, comult, found) -> PointGroup:
     """The group on a closed point set, each product read off the dense
     comult: (u * v)(e_i) = sum c_ijk u_j v_k = u . (C_i v)."""
     R = GR.ring
@@ -133,7 +156,7 @@ def _point_group(GR: GroupScheme, found) -> PointGroup:
     for u in pts:
         row = []
         for v in pts:
-            w = tuple(R.dot(u, [R.dot(cs, v) for cs in mat]) for mat in GR.comult)
+            w = tuple(R.dot(u, [R.dot(cs, v) for cs in mat]) for mat in comult)
             if w not in index:
                 raise HopfError("point set is not closed under the group law")
             row.append(index[w])

@@ -64,17 +64,43 @@ def xgcd(a: int, b: int):
 
 
 def prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
+    """The distinct primes dividing n, increasing.  Trial division takes
+    the primes below 100; Pollard-Brent rho splits what is left until
+    is_prime accepts each part (RingError at and above MAX_PRIME_TEST)."""
+    out, d = [], 2
+    while d * d <= n and d < 100:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    parts = [n] if n > 1 else []
+    while parts:
+        x = parts.pop()
+        if x < d * d or is_prime(x):  # x has no prime factor below d
+            out.append(x)
+        else:
+            f = _rho_factor(x)
+            parts += [f, x // f]
+    return sorted(set(out))
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the composite n with no prime factor below 100:
+    Pollard's rho on y^2 + c with Brent's cycle search (BIT 20, 1980),
+    trying c = 1, 2, ... in turn."""
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
 
 
 class RingError(ValueError):
@@ -395,26 +421,10 @@ def _pmod_modp(a, m, p):
     return tuple(_ptrim(a))
 
 
-def _pdivmod_modp(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * max(0, len(a) - db)
-    lead_inv = pow(b[-1], -1, p)
-    while len(a) > db:
-        c = (a[-1] * lead_inv) % p
-        q[len(a) - 1 - db] = c
-        if c:
-            off = len(a) - 1 - db
-            for i, y in enumerate(b):
-                a[off + i] = (a[off + i] - c * y) % p
-        a.pop()
-    return tuple(_ptrim(q)), tuple(_ptrim(a))
-
-
 def _pgcd_modp(a, b, p):
     a, b = tuple(_ptrim(list(a))), tuple(_ptrim(list(b)))
     while b:
-        a, b = b, _pdivmod_modp(a, b, p)[1]
+        a, b = b, _pmod_modp(a, b, p)
     if a:
         c = pow(a[-1], -1, p)
         a = tuple((x * c) % p for x in a)
@@ -614,12 +624,12 @@ def parse_poly_modp(text: str, p: int) -> tuple:
         del terms[0]
     coeffs: dict[int, int] = {}
     for term in terms:
-        m = re.fullmatch(r"(-?\d+)?\*?(x(\^(\d+))?)?", term)
-        if not m or (m.group(1) is None and m.group(2) is None):
+        m = re.fullmatch(r"(-?)(\d+)?\*?(x(\^(\d+))?)?", term)
+        if not m or (m.group(2) is None and m.group(3) is None):
             raise RingError(f"bad polynomial term {term!r}")
         try:
-            c = int(m.group(1)) if m.group(1) is not None else 1
-            e = int(m.group(4)) if m.group(4) is not None else int(bool(m.group(2)))
+            c = int(m.group(1) + (m.group(2) or "1"))
+            e = int(m.group(5)) if m.group(5) is not None else int(bool(m.group(3)))
         except ValueError:  # more digits than int() converts
             raise RingError(f"bad polynomial term {term[:20]!r}...") from None
         # the coefficient list below has e + 1 entries
@@ -970,17 +980,11 @@ def _direct_hom(R: Ring, S: Ring) -> RingHom | None:
             return RingHom(R, S, lambda a: (a,) if a else (), "prime-field inclusion")
     if isinstance(R, FiniteField) and isinstance(S, FiniteField):
         if S.p == R.p and S.k % R.k == 0:
-            root = _find_embedding_root(R, S)
+            # the first root of R's modulus in S, in S's element order
+            root = next((x for x in S.elements()
+                         if not S.nonzero(_poly_at(S, R.modulus, x))), None)
             if root is not None:
-                def emb(a, root=root, S=S):
-                    acc = S.zero
-                    power = S.one
-                    for c in a:
-                        if c:
-                            acc = S.add(acc, S.mul(S.from_int(c), power))
-                        power = S.mul(power, root)
-                    return acc
-                return RingHom(R, S, emb, "field extension")
+                return RingHom(R, S, lambda a: _poly_at(S, a, root), "field extension")
     if isinstance(S, DualNumbers) and S.base == R:
         return RingHom(R, S, lambda a: (a, R.zero), "dual-numbers inclusion")
     if isinstance(R, DualNumbers) and R.base == S:
@@ -988,18 +992,15 @@ def _direct_hom(R: Ring, S: Ring) -> RingHom | None:
     return None
 
 
-def _find_embedding_root(R: FiniteField, S: FiniteField):
-    """First root of R's modulus in S, in S's element order."""
-    for cand in S.elements():
-        acc = S.zero
-        power = S.one
-        for c in R.modulus:
-            if c:
-                acc = S.add(acc, S.mul(S.from_int(c), power))
-            power = S.mul(power, cand)
-        if not S.nonzero(acc):
-            return cand
-    return None
+def _poly_at(S: Ring, coeffs, x):
+    """The polynomial with integer coefficients coeffs, low degree first,
+    at x in S."""
+    acc, power = S.zero, S.one
+    for c in coeffs:
+        if c:
+            acc = S.add(acc, S.mul(S.from_int(c), power))
+        power = S.mul(power, x)
+    return acc
 
 
 def find_hom(R: Ring, S: Ring) -> RingHom | None:

@@ -260,10 +260,9 @@ def _reduction_hom(G: GroupScheme) -> RingHom:
     flag, disc = is_etale(G)
     if not flag:
         raise HopfError("good reduction needs an etale scheme over Q")
-    entries = [c for row in G.mult for v in row for c in v]
-    entries += G.unit + G.counit
-    entries += [c for mat in G.comult for r in mat for c in r]
-    entries += [c for v in G.antipode for c in v]
+    M, C, S = G.sparse
+    entries = [c for row in M for v in row for _, c in v] + G.unit + G.counit
+    entries += [c for terms in C for *_, c in terms] + [c for v in S for _, c in v]
     p = 2
     while True:
         if all(c.denominator % p for c in entries) and \
@@ -364,20 +363,11 @@ def _saturate_zloc(R: LocalizedIntegers, rows_q, width: int):
     rref = canonical_span(QQ, rows_q)
     if not rref:
         return []
-    p = R.p
     # e = max p-adic valuation appearing in any denominator
-    e = 0
-    for row in rref:
-        for c in row:
-            den = c.denominator
-            v = 0
-            while den % p == 0:
-                den //= p
-                v += 1
-            e = max(e, v)
+    e = max(R.valuation(Fraction(c.denominator)) for row in rref for c in row)
     if e == 0:
         return canonical_span(R, [[Fraction(c) for c in row] for row in rref])
-    pe = p ** e
+    pe = R.p ** e
     Rmod = IntegersMod(pe)
     D = [[(c * pe).numerator * pow((c * pe).denominator, -1, pe) % pe
           for c in row] for row in rref]

@@ -1,6 +1,7 @@
 """Acceptance gate: exact, zero-tolerance checks at desk scale."""
 
 import concurrent.futures
+import copy
 import json
 import subprocess
 import sys
@@ -247,20 +248,23 @@ def test_criterion_1_corruptions_fail_with_correct_witness():
     specs = corruption_targets()
     assert len(specs) == 20
     for G0, slot, idx in specs:
-        G = GroupScheme.from_dict(G0.to_dict())
-        R = G.ring
+        # the scheme is built from edited copies of G0's dense lists
+        R = G0.ring
+        t = {key: copy.deepcopy(getattr(G0, key))
+             for key in ("mult", "unit", "comult", "counit", "antipode")}
         if slot == "mult":
             i, j, k = idx
-            G.mult[i][j][k] = _bump(R, G.mult[i][j][k])
+            t["mult"][i][j][k] = _bump(R, t["mult"][i][j][k])
         elif slot == "comult":
             i, j, k = idx
-            G.comult[i][j][k] = _bump(R, G.comult[i][j][k])
+            t["comult"][i][j][k] = _bump(R, t["comult"][i][j][k])
         elif slot == "counit":
             (i,) = idx
-            G.counit[i] = _bump(R, G.counit[i])
+            t["counit"][i] = _bump(R, t["counit"][i])
         else:
             i, j = idx
-            G.antipode[i][j] = _bump(R, G.antipode[i][j])
+            t["antipode"][i][j] = _bump(R, t["antipode"][i][j])
+        G = GroupScheme(R, G0.rank, *t.values())
         rep = G.verify()
         assert not rep.ok, (G0.name, slot, idx)
         assert not axiom_holds_at(G, rep.axiom, rep.witness), \

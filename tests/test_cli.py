@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ffgs import cli
 from ffgs.cli import build_builtin, main
 from ffgs.constructions import mu
 from ffgs.linalg import identity_matrix
@@ -284,6 +285,19 @@ def test_classify_p(capsys):
                     "--base", "GF(2)", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"classification": "alpha"}
+
+
+def test_parser_is_built_once_and_outlives_a_failed_parse(capsys):
+    args = ["points", "--builtin", "mu:4", "--base", "GF(5)", "--ring", "GF(5)",
+            "--format", "json"]
+    fresh = subprocess.run([sys.executable, "-m", "ffgs.cli", *args],
+                           env=dict(os.environ, PYTHONPATH=str(SRC)),
+                           capture_output=True, text=True, timeout=60)
+    assert main(["points", "--format", "xml"]) == 2
+    assert main([]) == 2
+    assert run(capsys, *args) == (fresh.returncode, fresh.stdout)
+    assert cli.make_parser() is cli.make_parser()
+    assert cli.make_parser.cache_info().misses == 1
 
 
 def test_json_determinism_in_process(capsys):

@@ -17,6 +17,7 @@ from ffgs.linalg import (canonical_span, mat_vec, member, member_with_coeffs,
                          row_kernel, transpose, vec_sub)
 from ffgs.oracle import AbstractGroup, s3_table
 from ffgs.rings import parse_ring
+from test_hopf import assert_canonical_tables
 
 Q = parse_ring("Q")
 F5 = parse_ring("GF(5)")
@@ -304,6 +305,10 @@ def test_quotient_comult_matches_span_reference(spec):
         Gbar, proj = quotient(G, H)
         assert Gbar.comult == _ref_quotient_comult(G, proj.alg)
         assert Gbar.verify().ok
+        # products, subgroup schemes and quotients build their tables
+        # directly; they are what the constructor makes of the dense lists
+        for S in (G, H.scheme(), Gbar):
+            assert_canonical_tables(S, (spec, G.name, H.ideal))
 
 
 def test_non_unit_pivot_is_not_flat():

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from ffgs import hopf, linalg
 from ffgs.cli import build_builtin
 from ffgs.linalg import transpose, vec_add, vec_scale, vec_sub
-from ffgs.constructions import alpha, constant, constant_cyclic, mu, tate_oort2
+from ffgs.constructions import (alpha, constant, constant_cyclic, direct_product,
+                                inversion_action, mu, semidirect, tate_oort2)
 from ffgs.hopf import (GroupScheme, GroupSchemeHom, HopfError, cartier_dual,
                        convolution, convolution_power, identity_endo, points,
                        power_map_alg, trivial_endo, verify_hopf)
@@ -82,9 +84,9 @@ def test_verify_builtins():
 
 
 def test_verify_catches_corruption():
-    G = mu(F5, 3)
-    G.mult[1][1] = list(G.unit)
-    rep = G.verify()
+    t = dense_lists(mu(F5, 3))
+    t["mult"][1][1] = list(t["unit"])
+    rep = GroupScheme(F5, 3, *t.values()).verify()
     assert not rep.ok
     assert rep.witness is not None
 
@@ -110,6 +112,7 @@ def test_cartier_dual_involution():
         D = cartier_dual(G)
         assert D.verify().ok
         DD = cartier_dual(D)
+        assert_canonical_tables(D, G.name)
         assert DD.mult == G.mult
         assert DD.comult == G.comult
         assert DD.unit == G.unit
@@ -378,6 +381,13 @@ REFERENCE_SPECS = ["mu:1", "mu:2", "mu:3", "mu:4", "const:Z3", "const:Z4",
 SLOTS = ("mult", "unit", "comult", "counit", "antipode")
 
 
+def dense_lists(G):
+    """Copies of G's dense lists by slot, in the constructor's order: a
+    corrupted scheme is built from edited copies, as a scheme's own dense
+    lists are derived from its tables and never read back."""
+    return {slot: copy.deepcopy(getattr(G, slot)) for slot in SLOTS}
+
+
 def built(spec, R):
     """[spec over R], or [] where the builtin does not exist over R."""
     try:
@@ -409,25 +419,25 @@ def unitriangular(R, m, rng, eps=False):
 def corrupted(G, slot, rng, mirror=False):
     """A copy of G with one entry of `slot` moved by a nonzero amount; with
     mirror, mult[j][i][k] follows mult[i][j][k] so mult stays commutative."""
-    H = GroupScheme.from_dict(G.to_dict())
-    R, m = H.ring, H.rank
+    t = dense_lists(G)
+    R, m = G.ring, G.rank
     delta = R.from_int(rng.choice((1, -1, 2)))
     if delta == R.zero:
         delta = R.one
     i, j, k = (rng.randrange(m) for _ in range(3))
     if slot == "mult":
-        H.mult[i][j][k] = R.add(H.mult[i][j][k], delta)
+        t["mult"][i][j][k] = R.add(t["mult"][i][j][k], delta)
         if mirror:
-            H.mult[j][i][k] = H.mult[i][j][k]
+            t["mult"][j][i][k] = t["mult"][i][j][k]
     elif slot == "unit":
-        H.unit[i] = R.add(H.unit[i], delta)
+        t["unit"][i] = R.add(t["unit"][i], delta)
     elif slot == "comult":
-        H.comult[i][j][k] = R.add(H.comult[i][j][k], delta)
+        t["comult"][i][j][k] = R.add(t["comult"][i][j][k], delta)
     elif slot == "counit":
-        H.counit[i] = R.add(H.counit[i], delta)
+        t["counit"][i] = R.add(t["counit"][i], delta)
     else:
-        H.antipode[i][j] = R.add(H.antipode[i][j], delta)
-    return H
+        t["antipode"][i][j] = R.add(t["antipode"][i][j], delta)
+    return GroupScheme(R, m, *t.values())
 
 
 def mismatched_pairs(R):
@@ -943,7 +953,7 @@ def test_cartier_dual_of_the_dual_is_the_scheme():
 
 
 # ----------------------------------------------------------------------
-# the sparse view of the tensors against the dense scans it replaced
+# the stored tables against the dense scans they replaced
 
 
 VIEW_SPECS = ["mu:1", "mu:3", "mu:4", "const:Z3", "const:S3", "alpha:2",
@@ -960,24 +970,31 @@ def view_cases(R, rng):
             yield spec, rebased(G, unitriangular(R, G.rank, rng, eps=True))
 
 
-@pytest.mark.parametrize("R", RINGS, ids=lambda R: R.name())
-def test_sparse_view_matches_the_dense_tensors(R):
-    """The view is a plain R.nonzero filter of the dense lists (over
-    Dual(k) the zero (0, 0) is truthy, so truth would keep it), and
-    mul_vec, comult_vec and antipode_vec give what the dense scans gave."""
-    nonzero = R.nonzero
+def assert_canonical_tables(G, label):
+    """G's tables hold no zero (over Dual(k) the zero (0, 0) is truthy, so
+    truth would keep it) and list each row in increasing index order: they
+    are what the constructor makes of the dense lists derived from them."""
+    nonzero = G.ring.nonzero
 
     def entries(v):
         return [(x, c) for x, c in enumerate(v) if nonzero(c)]
 
+    m = G.rank
+    assert G.sparse.mult == [[entries(v) for v in row] for row in G.mult], label
+    assert G.sparse.comult == [dense_terms(G, i) for i in range(m)], label
+    assert G.sparse.antipode == [entries(v) for v in G.antipode], label
+
+
+@pytest.mark.parametrize("R", RINGS, ids=lambda R: R.name())
+def test_sparse_view_matches_the_dense_tensors(R):
+    """The builtins, built straight into tables, and the rebased schemes,
+    converted from dense lists, keep canonical tables; mul_vec, comult_vec
+    and antipode_vec give what the dense scans gave."""
     rng = random.Random(20170)
     checked = 0
     for spec, G in view_cases(R, rng):
         m = G.rank
-        assert "sparse" not in vars(G), spec
-        assert G.sparse.mult == [[entries(v) for v in row] for row in G.mult], spec
-        assert G.sparse.comult == [dense_terms(G, i) for i in range(m)], spec
-        assert G.sparse.antipode == [entries(v) for v in G.antipode], spec
+        assert_canonical_tables(G, spec)
         vecs = [G.basis_vector(i) for i in range(m)] + [G.unit, [R.zero] * m]
         vecs += [[rand_elt(R, rng) for _ in range(m)] for _ in range(3)]
         vecs += [[rand_elt(R, rng) if rng.random() < 0.3 else R.zero
@@ -991,15 +1008,79 @@ def test_sparse_view_matches_the_dense_tensors(R):
     assert checked >= 15, checked
 
 
+@pytest.mark.parametrize("R", RINGS, ids=lambda R: R.name())
+def test_products_keep_canonical_tables(R):
+    """Direct and semidirect products of schemes in unitriangular bases,
+    where an index of Delta(e_i) meets several partners, build canonical
+    tables."""
+    rng = random.Random(20174)
+    table = [[0, 1], [1, 0]]
+    checked = 0
+    for spec in ("mu:3", "const:Z3", "ot2:2,-1"):
+        for G in built(spec, R):
+            Q = rebased(G, unitriangular(R, G.rank, rng))
+            H = rebased(tate_oort2(R, R.from_int(2), R.from_int(-1)),
+                        unitriangular(R, 2, rng))
+            assert_canonical_tables(direct_product(Q, H), spec)
+            assert_canonical_tables(semidirect(Q, table, inversion_action(Q, table)), spec)
+            checked += 1
+    assert checked == 3, checked
+
+
+# every ring of RINGS and the rings it maps to, among them the maps that
+# send nonzero structure constants to zero: Zloc(p) -> GF(p), Dual(k) -> k
+# and Z/p^e -> GF(p)
+BASE_CHANGE_TARGETS = [*RINGS, *map(parse_ring, ["GF(2)", "GF(3)", "Z/4", "GF(5^2;x^2+2)"])]
+
+
+def nnz(G):
+    M, C, S = G.sparse
+    return sum(len(v) for row in M for v in row) + sum(map(len, C)) + sum(map(len, S))
+
+
+@pytest.mark.parametrize("R", RINGS, ids=lambda R: R.name())
+def test_base_change_keeps_no_zero_and_maps_every_entry(R):
+    """The base change maps the nonzeros only and drops those sent to zero;
+    its dense lists are the entrywise image of the parent's."""
+    rng = random.Random(20173)
+    checked = dropped = 0
+    for spec, G in view_cases(R, rng):
+        for T in BASE_CHANGE_TARGETS:
+            hom = find_hom(R, T)
+            if hom is None:
+                continue
+            H = G.base_change(hom)
+            label = (spec, T.name())
+            assert H.ring == T and H.rank == G.rank and H.name == G.name, label
+            assert_canonical_tables(H, label)
+            f = hom.fn
+            assert H.mult == [[[f(c) for c in v] for v in row] for row in G.mult], label
+            assert H.comult == [[[f(c) for c in r] for r in mat] for mat in G.comult], label
+            assert H.antipode == [[f(c) for c in v] for v in G.antipode], label
+            assert (H.unit, H.counit) == ([f(c) for c in G.unit],
+                                          [f(c) for c in G.counit]), label
+            dropped += nnz(G) - nnz(H)
+            checked += 1
+    assert checked >= 21, checked
+    if R.name() in ("Zloc(2)", "Z/8", "Z/12", "Z/30", "Dual(GF(3))"):
+        assert dropped > 0, "no map sent a nonzero entry to zero"
+
+
 def test_view_is_read_on_first_use_and_kept():
-    # the corruption comes after construction and before the first read,
-    # which is what the corrupted-input tests rely on
+    """The dense lists are the view now: derived from the tables on first
+    use, kept, and read-only."""
     G = mu(F5, 3)
-    assert "sparse" not in vars(G)
-    G.mult[1][1] = list(G.unit)
-    assert G.sparse.mult[1][1] == [(0, 1)]
-    assert G.sparse is G.sparse
-    assert not G.verify().ok
+    assert "_dense" not in vars(G)
+    assert G.mult[1][2] == [1, 0, 0] and G.mult is G.mult
+    with pytest.raises(AttributeError):
+        G.mult = []
+    # a corrupted scheme is built from edited dense lists, never edited
+    # in place
+    t = dense_lists(G)
+    t["mult"][1][1] = list(t["unit"])
+    H = GroupScheme(F5, 3, *t.values())
+    assert H.sparse.mult[1][1] == [(0, 1)]
+    assert not H.verify().ok
 
 
 def test_tangent_rows_are_built_once_per_character(monkeypatch):

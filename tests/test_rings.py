@@ -27,6 +27,7 @@ from ffgs.rings import (
     is_prime,
     parse_ring,
     poly_is_irreducible_modp,
+    prime_factors,
     spectrum,
 )
 from test_linalg import RINGS as LINALG_RINGS
@@ -114,9 +115,47 @@ def test_malformed_element_literals_raise_ring_error():
         # past int()'s digit limit, an exponent that would fill memory, signs
         # without a term, and digits split by a space
         for text in ["", "?", "1/0", "1+eps*", 3, None, "9" * 5000,
-                     "x^" + "9" * 5000, "x^99999999", "+", "x+", "1++x", "1 2"]:
+                     "x^" + "9" * 5000, "x^99999999", "+", "x+", "1++x", "1 2",
+                     "-", "--x"]:
             with pytest.raises(RingError):
                 R.parse(text)
+
+
+def test_a_sign_before_x_parses():
+    F9 = parse_ring("GF(3^2;x^2+1)")
+    for text, same in [("-x", "2*x"), ("1-x", "1+2*x"), ("x-1", "x+2"),
+                       ("-x^2", "1"), ("-1-x", "2+2*x"), (" - x", "2*x")]:
+        assert F9.parse(text) == F9.parse(same), text
+    F4 = parse_ring("GF(2^2;x^2+x+1)")
+    assert F4.parse("-x") == F4.parse("x") and F4.parse("1-x") == F4.parse("x-1")
+    for text in ["-", "--x", "+", "1 2", "x--1", "-*"]:
+        with pytest.raises(RingError):
+            F9.parse(text)
+
+
+def _trial_division_factors(n):
+    """The distinct prime factors by trial division, kept as the reference."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def test_prime_factors_match_trial_division():
+    assert all(prime_factors(n) == _trial_division_factors(n) for n in range(10 ** 5))
+    # past the trial-division primes, rho splits squares and large factors
+    for primes, n in [([1009], 1009 ** 2), ([101, 1009], 101 * 1009 ** 3),
+                      ([1000003, 1000033], 1000003 * 1000033),
+                      ([1000000007, 1000000009], 1000000016000000063),
+                      ([3, 1800000000047, 1800000000083],
+                       3 * 1800000000047 * 1800000000083)]:
+        assert prime_factors(n) == primes, n
+    with pytest.raises(RingError):  # a part is too large for is_prime
+        prime_factors(10000000000037 * 1000000000039)
 
 
 def _trial_division_is_prime(n):
@@ -154,7 +193,12 @@ def test_large_prime_bases_answer_at_once():
             ("verify", "GF(2305843009213693951)", 0, "pass\n"),
             ("order", "Zloc(2305843009213693951)", 0, "2\n"),
             ("order", "GF(2305843009213693953)", 2, ""),
-            ("order", f"GF({MAX_PRIME_TEST})", 2, "")):
+            ("order", f"GF({MAX_PRIME_TEST})", 2, ""),
+            # 1000000007 * 1000000009: trial division ran past 15 s
+            ("fibers", "Z/1000000016000000063", 0,
+             "".join(f"p{p} (GF({p})): i = 1, separable rank = 2, etale = True, "
+                     "identity component = trivial\n"
+                     for p in (1000000007, 1000000009)))):
         proc = subprocess.run(
             [sys.executable, "-m", "ffgs.cli", cmd, "--builtin", "mu:2",
              "--base", base], env=env, capture_output=True, text=True, timeout=30)
