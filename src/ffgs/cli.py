@@ -240,7 +240,7 @@ def cmd_theorem(args):
 
 def cmd_split(args):
     G = load_scheme(args)
-    if args.kernel:
+    if args.kernel is not None:
         H = structure.order_p_subgroup(G, args.kernel)
         E = cons.extension_witness(G, H, budget=args.budget_points)
     else:

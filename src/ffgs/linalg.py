@@ -226,11 +226,6 @@ def member_with_coeffs(R: Ring, rows, v):
     return member_and_kernel(R, rows, v)[0]
 
 
-def mat_kernel(R: Ring, M):
-    """Canonical basis of the right kernel {x : Mx = 0}."""
-    return row_kernel(R, transpose(M))
-
-
 def det(R: Ring, M):
     """Exact determinant of a square matrix (see Ring.det)."""
     return R.det(M)

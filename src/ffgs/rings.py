@@ -661,11 +661,17 @@ class IntegersMod(_Residues):
     # Howell form: pivots are divisors of n, entries above a pivot d are
     # reduced into range(d), and every pivot row's annihilator is queued.
     def normalize_pivot(self, row, col):
-        """Scale by the least unit w with w * row[col] = gcd(row[col], n)."""
+        """Scale by the least unit w with w * g = d, for g = row[col] and
+        d = gcd(g, n).
+
+        The solutions in range(n) are w0 + t n/d, t < d, for
+        w0 = (g/d)^-1 mod n/d; units mod n map onto units mod n/d, so one
+        of them is a unit."""
         n = self.n
         g = row[col]
         d = gcd(g, n)
-        w = next(w for w in range(1, n) if gcd(w, n) == 1 and w * g % n == d)
+        w = next(w for w in range(pow(g // d, -1, n // d), n, n // d)
+                 if gcd(w, n) == 1)
         return [w * x % n for x in row]
 
     def divmod_pivot(self, a, pivot):
@@ -1036,7 +1042,9 @@ def find_hom(R: Ring, S: Ring) -> RingHom | None:
 
 def hom_preimage(hom: RingHom, b):
     """Pull an element of hom's target back along an injective hom between
-    finite fields (or trivial cases); None if b is not in the image."""
+    finite fields (or trivial cases); None if b is not in the image.
+
+    No ffgs code calls it; bench/tracer.py still wraps it by name."""
     R = hom.source
     if not R.is_finite:
         raise RingError("preimage search needs a finite source")

@@ -60,6 +60,14 @@ def test_user_errors_exit_2(capsys):
     # Spec Z/6 is not connected, and V_2 is only the point 2
     assert main(["theorem", "--builtin", "mu:6", "--base", "Z/6"]) == 2
     capsys.readouterr()
+    # order-p subgroups and loci are defined for a prime p only; --kernel 0
+    # is not the theorem path
+    for argv in (["split", "--kernel", "6"], ["split", "--kernel", "0"],
+                 ["split", "--kernel", "-3"], ["loci", "--prime", "1"],
+                 ["loci", "--prime", "4"], ["loci", "--prime", "6"],
+                 ["loci", "--prime", "-3"]):
+        assert main(argv + ["--builtin", "mu:6", "--base", "Q"]) == 2, argv
+        assert "prime" in capsys.readouterr().err, argv
 
 
 def test_missing_preconditions_exit_2(capsys):
@@ -240,6 +248,18 @@ def test_theorem(capsys):
     d = json.loads(out)
     assert d["schema"] == 1
     assert d["kernel_order"] == 2
+
+
+def test_theorem_beyond_the_listed_splitting_fields(capsys):
+    # the Q fibers of mu_34 and mu_38 split over no field of order <= 2^16
+    # of their reductions mod 3; the x^p = 1 count needs no such field
+    for n, p in ((34, 17), (38, 19)):
+        code, out = run(capsys, "theorem", "--builtin", f"mu:{n}",
+                        "--base", f"Zloc({p})", "--format", "json")
+        assert code == 0, n
+        d = json.loads(out)
+        assert (d["kernel_order"], d["quotient_order"]) == (p, 2)
+        assert [f["prime"] for f in d["factors"]] == [p]
 
 
 def test_split_with_kernel(capsys):

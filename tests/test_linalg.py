@@ -11,7 +11,6 @@ from ffgs.linalg import (
     det,
     echelon,
     identity_matrix,
-    mat_kernel,
     mat_vec,
     member,
     member_with_coeffs,
@@ -55,6 +54,11 @@ def mat_mul(R, A, B):
 def solve(R, M, b):
     """x with Mx = b, or None."""
     return member_with_coeffs(R, transpose(M), b)
+
+
+def mat_kernel(R, M):
+    """Canonical basis of the right kernel {x : Mx = 0}."""
+    return row_kernel(R, transpose(M))
 
 
 def mat_inverse(R, M):

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -188,21 +189,41 @@ def test_large_prime_bases_answer_at_once():
     # trial division took about 1.5e9 steps for 2^61 - 1 before any output;
     # the subprocess timeout catches a command that never returns
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    for cmd, base, code, out in (
-            ("order", "GF(2305843009213693951)", 0, "2\n"),
-            ("verify", "GF(2305843009213693951)", 0, "pass\n"),
-            ("order", "Zloc(2305843009213693951)", 0, "2\n"),
-            ("order", "GF(2305843009213693953)", 2, ""),
-            ("order", f"GF({MAX_PRIME_TEST})", 2, ""),
+    for cmd, spec, base, code, out in (
+            ("order", "mu:2", "GF(2305843009213693951)", 0, "2\n"),
+            ("verify", "mu:2", "GF(2305843009213693951)", 0, "pass\n"),
+            ("order", "mu:2", "Zloc(2305843009213693951)", 0, "2\n"),
+            ("order", "mu:2", "GF(2305843009213693953)", 2, ""),
+            ("order", "mu:2", f"GF({MAX_PRIME_TEST})", 2, ""),
             # 1000000007 * 1000000009: trial division ran past 15 s
-            ("fibers", "Z/1000000016000000063", 0,
+            ("fibers", "mu:2", "Z/1000000016000000063", 0,
              "".join(f"p{p} (GF({p})): i = 1, separable rank = 2, etale = True, "
                      "identity component = trivial\n"
-                     for p in (1000000007, 1000000009)))):
+                     for p in (1000000007, 1000000009))),
+            # a non-unit pivot over that base: the scan for its unit ran
+            # past 20 s
+            ("decompose-p", "mu:6", "Z/1000000016000000063", 0,
+             "order 6 = 2 * 3\n  G_2: order 2, ideal rank 4\n"
+             "  G_3: order 3, ideal rank 3\n"),
+            ("theorem", "mu:2", "Z/1000000016000000063", 2, "")):
         proc = subprocess.run(
-            [sys.executable, "-m", "ffgs.cli", cmd, "--builtin", "mu:2",
+            [sys.executable, "-m", "ffgs.cli", cmd, "--builtin", spec,
              "--base", base], env=env, capture_output=True, text=True, timeout=30)
         assert (proc.returncode, proc.stdout) == (code, out), (cmd, base, proc.stderr)
+
+
+def test_zmod_pivot_unit_matches_the_scan():
+    """normalize_pivot over Z/n scales by the least unit w with
+    w * g = gcd(g, n), as a scan of range(1, n) finds it."""
+    def scan(n, g):
+        return next(w for w in range(1, n) if gcd(w, n) == 1 and w * g % n == gcd(g, n))
+
+    for n in range(2, 300):
+        R = IntegersMod(n)
+        for g in range(1, n):
+            w = scan(n, g)
+            assert R.normalize_pivot([g, 1, n - 1], 0) == \
+                [w * g % n, w, w * (n - 1) % n], (n, g)
 
 
 def test_size_of_finite_rings():

@@ -3,12 +3,15 @@
 linalg stays ring-agnostic: every per-ring canonical-form rule lives on
 the Ring classes, so linalg neither calls isinstance nor imports a
 concrete ring.  No module imports a name it never uses, nor a private
-(underscore-prefixed) name of another ffgs module."""
+(underscore-prefixed) name of another ffgs module.  Every name the
+benchmark's tracer wraps exists."""
 
 import ast
+from functools import cache
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ffgs"
+TRACER = SRC.parent.parent / "bench" / "tracer.py"
 
 
 def parse(path):
@@ -198,3 +201,42 @@ def test_no_element_compared_with_zero():
              for name in ("linalg.py", "hopf.py", "constructions.py", "structure.py")
              for line in zero_comparisons(parse(SRC / name))]
     assert found == []
+
+
+@cache
+def bound_names(module):
+    """{name: node} for the top-level definitions of an ffgs module, with
+    a name imported from another ffgs module resolved to its definition
+    there."""
+    out = {}
+    for node in parse(SRC / f"{module}.py").body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, ast.Assign):
+            out.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+            for alias in node.names:
+                found = bound_names(node.module).get(alias.name)
+                if found is not None:
+                    out[alias.asname or alias.name] = found
+    return out
+
+
+def test_tracer_targets_exist():
+    """bench/tracer.py wraps each (module, qualified name) of its TARGETS
+    and raises KeyError on a missing one, so deleting a traced name must
+    fail here too."""
+    targets = next(node.value for node in parse(TRACER).body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    missing = []
+    for entry in targets.elts:
+        module, qual = (e.value for e in entry.elts[:2])
+        node = bound_names(module).get(qual.split(".")[0])
+        for attr in qual.split(".")[1:]:
+            node = next((n for n in getattr(node, "body", ())
+                         if isinstance(n, ast.FunctionDef) and n.name == attr), None)
+        if node is None:
+            missing.append(f"{module}.{qual}")
+    assert len(targets.elts) > 40
+    assert missing == []

@@ -13,17 +13,19 @@ from ffgs.hopf import HopfError, convolution_power, hom_on_points, points
 from ffgs.linalg import canonical_span, transpose, vec_add, vec_scale, vec_sub
 from ffgs.oracle import (AbstractGroup, cyclic_table, product_table, s3_table,
                          subgroup_lattice)
-from ffgs.rings import RingError, RingHom, find_hom, parse_ring
+from ffgs.rings import (PrimeField, RingError, RingHom, find_hom, is_prime,
+                        parse_ring)
 from ffgs.structure import (InternalInconsistencyError, SplitResult,
-                            _order_p_elements,
-                            _section_search, augmentation_core, classify_order_p,
+                            _section_search, _torsion_equalizer,
+                            augmentation_core, classify_order_p,
                             common_refinement, connected_etale_sequence,
                             etale_unique_subgroup,
                             fiber_report, frobenius_verschiebung,
                             hochschild_split, identity_component,
                             infinitesimal_rank, is_etale, locus_report,
                             order_p_subgroup, p_primary_decompose,
-                            separable_rank, theorem_decompose)
+                            separable_rank, splitting_points,
+                            theorem_decompose)
 from ffgs.testrings import test_ring_family as ring_family
 from test_acceptance import theorem_corpus
 from test_hopf import rebased, unitriangular
@@ -214,6 +216,9 @@ def test_order_p_subgroup_dispatch():
     # field, infinitesimal
     H = order_p_subgroup(mu(F3, 6), 3)
     assert H.order == 3
+    # field, neither etale nor infinitesimal of rank p: x^2 = 1 is mu_2
+    H = order_p_subgroup(mu(F3, 6), 2)
+    assert H.order == 2
     # Q, etale
     H = order_p_subgroup(constant(Q, s3_table()), 3)
     assert H.order == 3
@@ -464,34 +469,106 @@ def test_each_quotient_discriminant_is_made_once(monkeypatch, capsys):
         common_refinement(E, E)
 
 
+def _reference_reduction_hom(G):
+    """A good-reduction map Q -> GF(p) for an etale scheme over Q: the
+    smallest prime dividing no denominator and not the discriminant."""
+    flag, disc = is_etale(G)
+    assert flag
+    M, C, S = G.sparse
+    entries = [c for row in M for v in row for _, c in v] + G.unit + G.counit
+    entries += [c for terms in C for *_, c in terms] + [c for v in S for _, c in v]
+    p = 2
+    while True:
+        if all(c.denominator % p for c in entries) and \
+                disc.numerator % p and disc.denominator % p:
+            k = PrimeField(p)
+            fn = lambda fr, p=p: (fr.numerator * pow(fr.denominator, -1, p)) % p
+            return RingHom(Q, k, fn, f"reduction mod {p}")
+        p += 1
+        while not is_prime(p):
+            p += 1
+
+
+def _reference_geometric_point_group(G):
+    """G(sbar) for G etale over a finite field or Q, from the points over
+    a splitting field (of a good reduction, over Q)."""
+    if G.ring == Q:
+        return _reference_geometric_point_group(
+            G.base_change(_reference_reduction_hom(G)))
+    P, _, _ = splitting_points(G)
+    return AbstractGroup.from_points(P)
+
+
+def _reference_order_p_elements(P, p):
+    """The elements of prime order p of a finite group."""
+    return [g for g in range(P.order) if P.element_order(g) == p]
+
+
+def test_torsion_locus_matches_the_geometric_count():
+    """Over an etale fiber, x^p = 1 has as many points as the geometric
+    point group has elements g with g^p = 1, so the locus V_p (one
+    order-p subgroup) agrees with the count in the point group over a
+    splitting field, in the natural basis and a rebased one."""
+    rng = random.Random(13)
+    schemes = theorem_corpus() + [s3_semidirect(F7), s3_semidirect(ZL2)]
+    schemes += [rebased(G, unitriangular(G.ring, G.rank, rng)) for G in schemes]
+    outcomes = []
+    for G in schemes:
+        reports = fiber_report(G)
+        for p in (2, 3, 5):
+            vp = [r.point.id for r in reports if r.infinitesimal_rank == p]
+            for r in reports:
+                if r.infinitesimal_rank != 1:
+                    continue
+                assert r.etale
+                order_p = _reference_order_p_elements(
+                    _reference_geometric_point_group(r.fiber), p)
+                assert _torsion_equalizer(r.fiber, p).order == 1 + len(order_p)
+                outcomes.append(len(order_p) == p - 1)
+                if outcomes[-1]:
+                    vp.append(r.point.id)
+            rep = locus_report(G, p)
+            assert sorted(rep.vp) == sorted(vp), (G.name, p)
+            assert (rep.subgroup is not None) == rep.vp_is_whole()
+    assert len(outcomes) >= 40 and True in outcomes and False in outcomes
+
+
 def test_order_p_subgroups_are_counted_like_the_lattice():
-    """Elements of order p, over p - 1, against the oracle's subgroup
-    lattice on every group the tests build up to order 64: cyclic tables,
-    S3, their products, and the point groups of the theorem corpus and of
-    S3 as a semidirect product over their finite test rings."""
+    """The subscheme x^p = 1 of a constant group over GF(2) has one point
+    for the identity and p - 1 for each order-p subgroup of the oracle's
+    lattice: cyclic tables, S3 and their products up to order 30, and the
+    point groups of the theorem corpus and of S3 as a semidirect product
+    over their finite test rings."""
     small = [cyclic_table(2), cyclic_table(3), cyclic_table(5), s3_table()]
-    tables = [cyclic_table(n) for n in range(1, 65)]
+    tables = [cyclic_table(n) for n in range(1, 31)]
     tables += [product_table(a, b) for a in small for b in small + tables[:10]]
-    groups = [AbstractGroup(t) for t in tables if len(t) <= 64]
+    groups = [AbstractGroup(t) for t in tables if len(t) <= 30]
     for G in theorem_corpus() + [s3_semidirect(F7), s3_semidirect(ZL2)]:
         for T in ring_family(G.ring):
             if T.is_finite:
-                P = points(G, T)
-                groups.append(AbstractGroup.from_points(P))
-                for p in (2, 3, 5):
-                    assert _order_p_elements(P, p) == \
-                        _order_p_elements(groups[-1], p)
+                groups.append(AbstractGroup.from_points(points(G, T)))
+    checked = 0
     for A in groups:
         lattice = subgroup_lattice(A)
         for p in (2, 3, 5, 7, 11, 13):
-            count = sum(1 for s in lattice if s.order == p)
-            assert len(_order_p_elements(A, p)) == count * (p - 1)
-    assert len(groups) > 100
+            if A.order % p == 0:
+                count = sum(1 for s in lattice if s.order == p)
+                G = constant(F2, A.table)
+                assert _torsion_equalizer(G, p).order == 1 + count * (p - 1)
+                checked += 1
+    assert len(groups) > 70 and checked > 100
 
 
 def test_etale_unique_subgroup_needs_a_prime_order():
-    G = constant_cyclic(F7, 6)
-    assert etale_unique_subgroup(G, 3)[0] == "ok"
-    for d in (1, 6):
-        with pytest.raises(HopfError, match="prime"):
-            etale_unique_subgroup(G, d)
+    for R in (F7, Q):
+        G = constant_cyclic(R, 6)
+        assert etale_unique_subgroup(G, 3)[0] == "ok"
+        assert etale_unique_subgroup(G, 5) == ("absent", 0)
+        for d in (1, 6):
+            with pytest.raises(HopfError, match="prime"):
+                etale_unique_subgroup(G, d)
+        assert etale_unique_subgroup(constant(R, s3_table()), 2) == ("not unique", 3)
+    for G in (mu(F3, 6), mu(ZL2, 2)):
+        with pytest.raises(HopfError, match="etale scheme over a field"):
+            etale_unique_subgroup(G, 2)
+
