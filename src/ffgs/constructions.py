@@ -238,12 +238,14 @@ def inversion_action(Q: GroupScheme, P_table):
 
 class ClosedSubgroup:
     """A closed subgroup scheme of ambient, stored by the canonical basis
-    of its defining Hopf ideal."""
+    of its defining Hopf ideal.  Its quotient data, Hopf-ideal report,
+    normality verdict and scheme are made on first use and kept; callers
+    do not mutate them."""
 
     def __init__(self, ambient: GroupScheme, ideal_rows, check: bool = True):
         self.ambient = ambient
         self.ideal = canonical_span(ambient.ring, ideal_rows)
-        self._quotient = None
+        self._quotient = self._report = self._normal = self._scheme = None
         if check:
             rep = self.verify_hopf_ideal()
             if not rep:
@@ -264,6 +266,11 @@ class ClosedSubgroup:
         return f"<closed subgroup of order {self.order} in {self.ambient!r}>"
 
     def verify_hopf_ideal(self) -> VerificationReport:
+        if self._report is None:
+            self._report = self._hopf_ideal_report()
+        return self._report
+
+    def _hopf_ideal_report(self) -> VerificationReport:
         G = self.ambient
         R = G.ring
         m = G.rank
@@ -292,8 +299,7 @@ class ClosedSubgroup:
         return VerificationReport(True)
 
     def quotient_data(self):
-        """Free quotient A/I: (free columns, [pi(e_j) for j < m]), made
-        once per subgroup and kept; callers do not mutate it.
+        """Free quotient A/I: (free columns, [pi(e_j) for j < m]).
 
         pi: A -> A/I is reduction modulo I read at the free columns,
         which needs every pivot of I to be a unit (HopfError if not)."""
@@ -309,6 +315,8 @@ class ClosedSubgroup:
 
     def scheme(self) -> GroupScheme:
         """The subgroup scheme Spec(A/I)."""
+        if self._scheme is not None:
+            return self._scheme
         G = self.ambient
         R = G.ring
         M, C, S = G.sparse
@@ -322,9 +330,10 @@ class ClosedSubgroup:
         mult = [[project(M[a][b]) for b in free_cols] for a in free_cols]
         comult = [_project_tensor(R, pb, C[a]) for a in free_cols]
         antipode = [project(S[a]) for a in free_cols]
-        return GroupScheme.from_tables(R, len(free_cols), (mult, comult, antipode),
-                                       mat_vec(R, transpose(pbasis), G.unit),
-                                       [G.counit[a] for a in free_cols])
+        self._scheme = GroupScheme.from_tables(
+            R, len(free_cols), (mult, comult, antipode),
+            mat_vec(R, transpose(pbasis), G.unit), [G.counit[a] for a in free_cols])
+        return self._scheme
 
     def inclusion(self) -> GroupSchemeHom:
         """The closed immersion scheme(self) -> ambient."""
@@ -431,16 +440,17 @@ def conjugation_tensor(G: GroupScheme, v) -> dict:
 
 
 def is_normal(H: ClosedSubgroup):
-    """(flag, certificate): certificate is a failing generator index or None.
+    """(flag, certificate): certificate is a failing generator index or None;
+    made once per subgroup and kept.
 
     ad(v) lies in A (x) I exactly when every row of its matrix lies in I."""
-    G = H.ambient
-    R = G.ring
-    for t, v in enumerate(H.ideal):
-        if not all(member(R, H.ideal, row)
-                   for row in _tensor_rows(G, conjugation_tensor(G, v))):
-            return False, t
-    return True, None
+    if H._normal is None:
+        G, R = H.ambient, H.ambient.ring
+        H._normal = next(((False, t) for t, v in enumerate(H.ideal)
+                          if not all(member(R, H.ideal, row) for row in
+                                     _tensor_rows(G, conjugation_tensor(G, v)))),
+                         (True, None))
+    return H._normal
 
 
 def quotient(G: GroupScheme, H: ClosedSubgroup):
@@ -502,17 +512,20 @@ class ExtensionWitness:
     """A quotient presentation of G by a normal closed subgroup, together
     with a ledger recording exactness of the point sequences over the
     configured test rings.  ledger_points keeps (T, G(T), (G/H)(T), the
-    index map between them) for each ledger ring T, outside to_dict."""
+    index map between them) for each ledger ring T, and skipped keeps
+    (T, exception text) for each test ring T whose points raised; both
+    stay outside to_dict."""
 
     def __init__(self, kernel_subgroup: ClosedSubgroup, total: GroupScheme,
                  quotient_scheme: GroupScheme, projection: GroupSchemeHom,
-                 ledger: list, ledger_points: list):
+                 ledger: list, ledger_points: list, skipped: list):
         self.kernel = kernel_subgroup
         self.total = total
         self.quotient = quotient_scheme
         self.projection = projection
         self.ledger = ledger
         self.ledger_points = ledger_points
+        self.skipped = skipped
 
     def __repr__(self):
         return (f"<extension 1 -> {self.kernel.order} -> {self.total.rank} "
@@ -541,14 +554,15 @@ def extension_witness(G: GroupScheme, H: ClosedSubgroup,
     Gbar, proj = quotient(G, H)
     incl = H.inclusion()
     Hs = incl.source
-    ledger, ledger_points = [], []
+    ledger, ledger_points, skipped = [], [], []
     from .hopf import hom_on_points
     for T in test_ring_family(G.ring):
         try:
             PH = points(Hs, T, bound=budget)
             PG = points(G, T, bound=budget)
             PQ = points(Gbar, T, bound=budget)
-        except (HopfError, RingError):
+        except (HopfError, RingError) as exc:
+            skipped.append((T, str(exc)))
             continue
         hom = find_hom(G.ring, T)
         in_map = hom_on_points(incl, PH, PG, hom)
@@ -566,7 +580,7 @@ def extension_witness(G: GroupScheme, H: ClosedSubgroup,
             "right_surjective": surjective,
         })
         ledger_points.append((T, PG, PQ, out_map))
-    return ExtensionWitness(H, G, Gbar, proj, ledger, ledger_points)
+    return ExtensionWitness(H, G, Gbar, proj, ledger, ledger_points, skipped)
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,8 @@ the zeros of the m^3 dense entries.  The dense lists `mult`, `comult` and
 `antipode` are what the constructor and `from_dict` take and what
 `to_dict` writes; a scheme derives them from its tables on first use.
 The tables are fixed once a scheme is made, so the conjugation tensors
-ad(e_i) (`adjoint`) and the trace discriminant (`etale`) are made once
-per scheme too.
+ad(e_i) (`adjoint`), the trace discriminant (`etale`) and the ideal of
+the identity component (`identity_core`) are made once per scheme too.
 """
 
 from __future__ import annotations
@@ -192,6 +192,30 @@ class GroupScheme:
         """is_etale(self), made on first use and kept."""
         disc = trace_discriminant(self)
         return self.ring.is_unit(disc), disc
+
+    @functools.cached_property
+    def identity_core(self):
+        """Canonical basis of (1 - e0)A, with e0 the unit of the local factor
+        of the algebra at the identity; made on first use and kept.
+
+        It is the stabilized power of the augmentation ideal J = ker(counit),
+        the ideal of the identity component: over a field its codimension is
+        the infinitesimal rank.  Over Dual(k) the fiber's e0 is lifted by
+        Newton steps, since idempotents lift uniquely along the nilpotent
+        ideal (eps)."""
+        R = self.ring
+        if R.is_field:
+            e0 = identity_idempotent(self)
+        elif isinstance(R, DualNumbers):
+            k = R.base
+            fiber = self.base_change(RingHom(R, k, lambda a: a[0], "eps -> 0"))
+            e0 = lift_idempotent(self, [(a, k.zero) for a in identity_idempotent(fiber)])
+        else:
+            raise HopfError("identity component needs a field or Artin local base, "
+                            f"not {R.name()}")
+        u = vec_sub(R, self.unit, e0)
+        return linalg.canonical_span(R, [self.mul_vec(u, self.basis_vector(i))
+                                         for i in range(self.rank)])
 
     # -- algebra operations ---------------------------------------------
     def mul_vec(self, v, w):
@@ -926,7 +950,10 @@ def _point_vectors(GR: GroupScheme, bound: int):
                 raise HopfError("order exceeds the Q-points bound")
             if not is_etale(GR)[0]:
                 raise HopfError("Q-points are supported for etale schemes only")
-        return characters(GR)
+        chars = characters(GR)
+        if len(chars) > bound:
+            raise HopfError(f"more than {bound} points (the points bound)")
+        return chars
     if isinstance(R, DualNumbers):
         return _dual_points(GR, bound)
     if isinstance(R, IntegersMod):

@@ -32,9 +32,7 @@ from .hopf import (
     HopfError,
     convolution_power,
     cartier_dual,
-    identity_idempotent,
     is_etale,
-    lift_idempotent,
     points,
     power_map_alg,
     trace_form,
@@ -53,7 +51,6 @@ from .constructions import (
 from .oracle import AbstractGroup
 from .rings import (
     MAX_FIELD_ORDER,
-    DualNumbers,
     FiniteField,
     IntegersMod,
     LocalizedIntegers,
@@ -79,44 +76,23 @@ MAX_EXTENSION_DEGREE = 24
 # Fiber invariants
 
 
-def augmentation_core(G: GroupScheme):
-    """Canonical basis of (1 - e0)A, with e0 the unit of the local factor
-    of the algebra at the identity.
-
-    It is the stabilized power of the augmentation ideal J = ker(counit),
-    the ideal of the identity component: over a field its codimension is
-    the infinitesimal rank.  Over Dual(k) the fiber's e0 is lifted by
-    Newton steps, since idempotents lift uniquely along the nilpotent
-    ideal (eps)."""
-    R = G.ring
-    if R.is_field:
-        e0 = identity_idempotent(G)
-    elif isinstance(R, DualNumbers):
-        k = R.base
-        fiber = G.base_change(RingHom(R, k, lambda a: a[0], "eps -> 0"))
-        e0 = lift_idempotent(G, [(a, k.zero) for a in identity_idempotent(fiber)])
-    else:
-        raise HopfError(
-            f"identity component needs a field or Artin local base, not {R.name()}"
-        )
-    u = vec_sub(R, G.unit, e0)
-    return canonical_span(
-        R, [G.mul_vec(u, G.basis_vector(i)) for i in range(G.rank)]
-    )
-
-
 def infinitesimal_rank(G: GroupScheme) -> int:
-    """Order of the identity component of G over a field."""
+    """Order of the identity component of G over a field: 1 when G is
+    etale, as the local factor of an etale algebra at the identity point
+    is the base field itself."""
     if not G.ring.is_field:
         raise HopfError("infinitesimal rank is a fiber invariant")
-    return G.rank - len(augmentation_core(G))
+    return 1 if is_etale(G)[0] else G.rank - len(G.identity_core)
 
 
 def separable_rank(G: GroupScheme) -> int:
-    """Number of geometric points of G over a field."""
+    """Number of geometric points of G over a field: all G.rank of them
+    when G is etale."""
     k = G.ring
     if not k.is_field:
         raise HopfError("separable rank is a fiber invariant")
+    if is_etale(G)[0]:
+        return G.rank
     if k.char() == 0:
         return len(canonical_span(k, trace_form(G)))
     # char p: rank of the iterated q-power map a -> a^q (k-linear)
@@ -134,8 +110,8 @@ def separable_rank(G: GroupScheme) -> int:
 
 def identity_component(G: GroupScheme) -> ClosedSubgroup:
     """The identity component as a closed subgroup, cut out by the ideal
-    (1 - e0)A of `augmentation_core` (field or dual-number base)."""
-    return ClosedSubgroup(G, augmentation_core(G), check=False)
+    (1 - e0)A of `GroupScheme.identity_core` (field or dual-number base)."""
+    return ClosedSubgroup(G, G.identity_core, check=False)
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +206,8 @@ class FiberReport:
 def fiber_report(G: GroupScheme):
     out = []
     for s in spectrum(G.ring):
-        fiber = G.base_change(s.residue_hom)
+        # over a field the one fiber is G itself, which keeps its invariants
+        fiber = G if G.ring.is_field else G.base_change(s.residue_hom)
         i = infinitesimal_rank(fiber)
         sep = separable_rank(fiber)
         flag, _ = is_etale(fiber)
@@ -340,35 +317,40 @@ def _torsion_equalizer(G: GroupScheme, p: int) -> ClosedSubgroup:
     return ClosedSubgroup(G, ideal_closure(G, gens), check=False)
 
 
-def order_p_subgroup(G: GroupScheme, p: int) -> ClosedSubgroup:
+def order_p_subgroup(G: GroupScheme, p: int, torsion=None) -> ClosedSubgroup:
     """The (unique, normal) order-p subgroup, for a prime p.
 
     Over a field where G has infinitesimal rank p it is the identity
-    component, and over Zloc(p) it is saturated from the generic fiber.
+    component, and over Zloc(l) it is saturated from the generic fiber.
     Otherwise it is the subscheme x^p = 1; when G has no order-p subgroup
     or several, that subscheme is not an order-p subgroup, and HopfError
-    says so."""
+    says so.  torsion is x^p = 1 on G, or over Zloc(l) on its generic
+    fiber, when the caller has made it.  The Q ideal is the base change of
+    the saturated one, so the checks below certify both."""
     if not is_prime(p):
         raise HopfError(f"order-p subgroups need a prime p, not {p}")
     R = G.ring
-    by_torsion = False
     # a connected scheme over a field of characteristic l has l-power order
     if R.is_field and R.char() == p and infinitesimal_rank(G) == p:
         H = identity_component(G)
-    elif isinstance(R, LocalizedIntegers):
-        Gq = G.base_change(find_hom(R, QQ))
-        Hq = order_p_subgroup(Gq, p)
-        rows = _saturate_zloc(R, [list(v) for v in Hq.ideal], G.rank)
-        H = ClosedSubgroup(G, rows, check=False)
     else:
-        H, by_torsion = _torsion_equalizer(G, p), True
+        zloc = isinstance(R, LocalizedIntegers)
+        if torsion is None:
+            torsion = _torsion_equalizer(G.base_change(find_hom(R, QQ)) if zloc
+                                         else G, p)
+        if torsion.order != p or not zloc:
+            rep = torsion.verify_hopf_ideal()
+            if not rep:
+                raise HopfError(f"no unique order-{p} subgroup: x^{p} = 1 is not "
+                                f"a subgroup ({rep.axiom} fails)")
+        if torsion.order != p:
+            raise HopfError(f"no unique order-{p} subgroup: x^{p} = 1 has order "
+                            f"{torsion.order}")
+        H = torsion
+        if zloc:
+            rows = _saturate_zloc(R, [list(v) for v in torsion.ideal], G.rank)
+            H = ClosedSubgroup(G, rows, check=False)
     rep = H.verify_hopf_ideal()
-    if by_torsion and not rep:
-        raise HopfError(f"no unique order-{p} subgroup: x^{p} = 1 is not a "
-                        f"subgroup ({rep.axiom} fails)")
-    if by_torsion and H.order != p:
-        raise HopfError(f"no unique order-{p} subgroup: x^{p} = 1 has order "
-                        f"{H.order}")
     if not rep:
         raise InternalInconsistencyError(f"order-{p} ideal defective: {rep}")
     if H.order != p:
@@ -430,14 +412,19 @@ def _locus_report(G: GroupScheme, p: int, reports) -> LocusReport:
     s1 = [r.point.id for r in reports if r.infinitesimal_rank == 1]
     sp = [r.point.id for r in reports if r.infinitesimal_rank in (1, p)]
     vp = [x for x in sp if x not in s1]
+    torsion = None  # x^p = 1 on G itself, or on the generic fiber of Zloc(l)
     for r in reports:
-        # one subgroup of order p: x^p = 1 has p geometric points
-        if r.point.id in s1 and r.etale and _torsion_equalizer(r.fiber, p).order == p:
-            vp.append(r.point.id)
+        if r.point.id in s1 and r.etale:
+            T = _torsion_equalizer(r.fiber, p)
+            # one subgroup of order p: x^p = 1 has p geometric points
+            if T.order == p:
+                vp.append(r.point.id)
+            if r.fiber is G or r.point.id == "generic":
+                torsion = T
     vp = [x for x in ids if x in vp]
     sub = None
     if set(vp) == set(ids) and vp:
-        sub = order_p_subgroup(G, p)
+        sub = order_p_subgroup(G, p, torsion)
     return LocusReport(p, s1, sp, vp, sub, ids)
 
 
@@ -573,7 +560,12 @@ def hochschild_split(E: ExtensionWitness, budget: int = 200000) -> SplitResult:
         raise HopfError("splitting needs coprime kernel and quotient orders")
     if not E.ledger:
         # exactness on no test ring is no evidence
-        raise HopfError("no test ring gave points within the budget")
+        if not E.skipped:
+            raise HopfError(f"no test ring gave points: {E.total.ring.name()} "
+                            "has no test ring")
+        raise HopfError("no test ring gave points within the budget: " + "; ".join(
+            f"{text} over " + ", ".join(T.name() for T, t in E.skipped if t == text)
+            for text in dict.fromkeys(text for _, text in E.skipped)))
     for entry in E.ledger:
         if not (entry["left_injective"] and entry["exact_middle"]
                 and entry["right_surjective"]):
@@ -747,23 +739,14 @@ def theorem_decompose(G: GroupScheme, budget: int = 200000) -> TheoremCertificat
         raise InternalInconsistencyError(
             "the quotient by the infinitesimal part is not etale"
         )
-    # the prime factors and their conjugation invariance
-    factors = []
-    conjugation = []
+    # order_p_subgroup refused a factor that conjugation moves
+    conjugation = [(p, is_normal(H)[0]) for p, H in subgroups]
     if Gprime.order > 1:
         Gp_scheme = Gprime.scheme()
         if not Gp_scheme.is_commutative():
             raise InternalInconsistencyError(
                 "square-free product of prime-order subgroups must be commutative"
             )
-        for p, H in subgroups:
-            factors.append((p, H))
-            ok, _ = is_normal(H)
-            conjugation.append((p, ok))
-            if not ok:
-                raise InternalInconsistencyError(
-                    f"conjugation moves the order-{p} factor"
-                )
         # cross-check the primary decomposition of G' itself
         inner, _ = p_primary_decompose(Gp_scheme)
         if sorted(p for p, _ in inner) != sorted(p for p, _ in subgroups):
@@ -771,5 +754,5 @@ def theorem_decompose(G: GroupScheme, budget: int = 200000) -> TheoremCertificat
                 "primary decomposition of G' disagrees with the locus factors"
             )
     split = hochschild_split(E, budget=budget)
-    return TheoremCertificate(G, i_values, E, disc, factors, product_iso,
+    return TheoremCertificate(G, i_values, E, disc, subgroups, product_iso,
                               conjugation, split)

@@ -59,7 +59,16 @@ def test_user_errors_exit_2(capsys):
                      "--ring", "GF(5)", flag, "-1"]) == 2
     # Spec Z/6 is not connected, and V_2 is only the point 2
     assert main(["theorem", "--builtin", "mu:6", "--base", "Z/6"]) == 2
+    # the points bound holds over finite fields too: mu_6 has 6 points over
+    # GF(7), and a bound of 0 leaves the theorem no test ring
+    gf7 = ["points", "--builtin", "mu:6", "--base", "GF(7)", "--ring", "GF(7)",
+           "--budget-points"]
+    assert main(gf7 + ["1"]) == 2
+    assert main(["theorem", "--builtin", "mu:6", "--base", "Zloc(2)",
+                 "--budget-points", "0"]) == 2
     capsys.readouterr()
+    assert main(gf7 + ["6"]) == 0
+    assert capsys.readouterr().out.startswith("6 points over GF(7)")
     # order-p subgroups and loci are defined for a prime p only; --kernel 0
     # is not the theorem path
     for argv in (["split", "--kernel", "6"], ["split", "--kernel", "0"],
@@ -71,10 +80,17 @@ def test_user_errors_exit_2(capsys):
 
 
 def test_missing_preconditions_exit_2(capsys):
-    # S3 has three subgroups of order 2, so none is the unique one
+    # S3 has three subgroups of order 2, so none is the unique one; over
+    # Zloc(3) the error names the axiom x^2 = 1 breaks on Q, and mu_6 has
+    # no order-5 subgroup over Zloc(5)
     for base in ("Q", "Zloc(3)", "Dual(GF(3))", "GF(5)"):
         assert main(["split", "--kernel", "2", "--builtin", "const:S3",
                      "--base", base]) == 2
+        assert capsys.readouterr().err == ("error: no unique order-2 subgroup: "
+                                           "x^2 = 1 is not a subgroup (coideal fails)\n")
+    assert main(["split", "--kernel", "5", "--builtin", "mu:6", "--base", "Zloc(5)"]) == 2
+    assert capsys.readouterr().err == ("error: no unique order-5 subgroup: "
+                                       "x^5 = 1 has order 1\n")
     assert main(["split", "--kernel", "2", "--builtin", "sdp:mu:3,Z2,inv",
                  "--base", "Q"]) == 2
     # Q is the only test ring of Q, and a Q-points bound of 1 rejects the
@@ -99,6 +115,42 @@ def test_missing_preconditions_exit_2(capsys):
                        ("ot2:2,-1", "Zloc(2)"), ("ot2:2,-1", "Z/4")):
         assert main(["classify-p", "--builtin", spec, "--base", base]) == 2
     capsys.readouterr()
+
+
+def test_empty_ledger_names_the_skipped_rings(capsys):
+    bound = "more than 0 points (the points bound)"
+    assert main(["theorem", "--builtin", "mu:6", "--base", "Zloc(2)",
+                 "--budget-points", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: no test ring gave points within the budget: "
+                          f"{bound} over GF(2), Dual(GF(2)), ")
+    assert err.rstrip().endswith(", Z/32")
+    # Dual(Q) maps to no finite ring, so there is no ring to blame the bound on
+    assert main(["theorem", "--builtin", "mu:6", "--base", "Dual(Q)"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no test ring gave points: Dual(Q) has no test ring\n")
+
+
+def test_commands_agree_on_the_order_p_subgroup(capsys):
+    """theorem and loci take x^p = 1 from the locus report's fibers, and
+    split --kernel makes it without one: the three ideals agree.  Where
+    G is etale over Zloc(l), theorem has no factor, and loci must take
+    x^p = 1 from the generic fiber, not the closed one."""
+    cases = [("mu:6", "Zloc(2)", 2), ("mu:6", "Zloc(3)", 3), ("mu:15", "Zloc(5)", 5),
+             ("sdp:mu:3,Z2,inv", "Zloc(3)", 3), ("mu:6", "GF(2)", 2),
+             ("sdp:mu:3,Z2,inv", "GF(3)", 3), ("mu:6", "Z/4", 2), ("mu:10", "Z/25", 5),
+             ("mu:6", "Dual(GF(3))", 3), ("mu:6", "Dual(GF(2))", 2)]
+    etale = [("mu:6", "Zloc(5)", 2), ("const:Z6", "Zloc(5)", 3)]
+    for spec, base, p in cases + etale:
+        def payload(*argv):
+            main([*argv, "--builtin", spec, "--base", base, "--format", "json"])
+            return json.loads(capsys.readouterr().out)
+
+        ideals = [f["ideal"] for f in payload("theorem")["factors"] if f["prime"] == p]
+        ideals.append(payload("loci", "--prime", str(p))["subgroup_ideal"])
+        ideals.append(payload("split", "--kernel", str(p))["extension"]["kernel_ideal"])
+        assert len(ideals) == (2 if (spec, base, p) in etale else 3), (spec, base)
+        assert all(ideal == ideals[0] for ideal in ideals), (spec, base)
 
 
 def test_malformed_input_exits_2(tmp_path, capsys):

@@ -431,6 +431,30 @@ def test_quotient_data_is_built_once_per_subgroup(monkeypatch, spec):
         assert sum(span is K.ideal for span in reduced) == G.rank
 
 
+def test_subgroup_verdicts_are_made_once(monkeypatch):
+    """A subgroup keeps its Hopf-ideal report, normality verdict and
+    scheme: asking again reads them, and no ad(v) is made twice."""
+    conjugated = []
+    real = constructions.conjugation_tensor
+    monkeypatch.setattr(constructions, "conjugation_tensor",
+                        lambda G, v: conjugated.append(v) or real(G, v))
+    G = constant(parse_ring("GF(5)"), s3_table())
+    A = AbstractGroup.from_points(points(G, G.ring))
+    refl = next(i for i in range(6) if A.element_order(i) == 2)
+    flip = ClosedSubgroup(G, [G.basis_vector(g) for g in range(6)
+                              if g not in (A.identity, refl)])
+    verdicts = []
+    for H in (trivial_subgroup(G), flip):
+        conjugated.clear()
+        verdicts.append(is_normal(H))
+        made = len(conjugated)
+        assert 0 < made <= len(H.ideal)
+        assert is_normal(H) is verdicts[-1] and len(conjugated) == made
+        assert H.verify_hopf_ideal() is H.verify_hopf_ideal()
+        assert H.scheme() is H.scheme() is H.inclusion().source
+    assert [flag for flag, _ in verdicts] == [True, False]
+
+
 def test_conjugation_products_are_made_once_per_scheme(monkeypatch):
     """is_normal on the order-p subgroups of const:Z30 over GF(31) makes
     each product e_j S(e_b) once, so at most m^2 of them in all."""

@@ -222,14 +222,21 @@ def bound_names(module):
     return out
 
 
+def is_property(node):
+    """Whether a def is decorated with property or functools.cached_property."""
+    names = {getattr(d, "attr", getattr(d, "id", None)) for d in node.decorator_list}
+    return bool(names & {"property", "cached_property"})
+
+
 def test_tracer_targets_exist():
     """bench/tracer.py wraps each (module, qualified name) of its TARGETS
     and raises KeyError on a missing one, so deleting a traced name must
-    fail here too."""
+    fail here too.  Tracer.install wraps cls.__dict__[attr] as a plain
+    function, so a traced method must not be a property either."""
     targets = next(node.value for node in parse(TRACER).body
                    if isinstance(node, ast.Assign)
                    and [t.id for t in node.targets] == ["TARGETS"])
-    missing = []
+    missing, descriptors = [], []
     for entry in targets.elts:
         module, qual = (e.value for e in entry.elts[:2])
         node = bound_names(module).get(qual.split(".")[0])
@@ -238,5 +245,15 @@ def test_tracer_targets_exist():
                          if isinstance(n, ast.FunctionDef) and n.name == attr), None)
         if node is None:
             missing.append(f"{module}.{qual}")
+        elif isinstance(node, ast.FunctionDef) and is_property(node):
+            descriptors.append(f"{module}.{qual}")
     assert len(targets.elts) > 40
     assert missing == []
+    assert descriptors == []
+    defs = ast.parse("class C:\n"
+                     "    @property\n    def a(self): pass\n"
+                     "    @functools.cached_property\n    def b(self): pass\n"
+                     "    @cached_property\n    def c(self): pass\n"
+                     "    @staticmethod\n    def d(): pass\n"
+                     "    def e(self): pass\n").body[0].body
+    assert [is_property(d) for d in defs] == [True, True, True, False, False]

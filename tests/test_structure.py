@@ -8,7 +8,7 @@ from ffgs.constructions import (ClosedSubgroup, alpha, constant,
                                 extension_witness, find_isomorphism,
                                 ideal_closure, inversion_action, kernel, mu,
                                 semidirect, tate_oort2, trivial_subgroup)
-from ffgs import hopf, structure
+from ffgs import constructions, hopf, structure
 from ffgs.hopf import HopfError, convolution_power, hom_on_points, points
 from ffgs.linalg import canonical_span, transpose, vec_add, vec_scale, vec_sub
 from ffgs.oracle import (AbstractGroup, cyclic_table, product_table, s3_table,
@@ -17,7 +17,7 @@ from ffgs.rings import (PrimeField, RingError, RingHom, find_hom, is_prime,
                         parse_ring)
 from ffgs.structure import (InternalInconsistencyError, SplitResult,
                             _section_search, _torsion_equalizer,
-                            augmentation_core, classify_order_p,
+                            classify_order_p,
                             common_refinement, connected_etale_sequence,
                             etale_unique_subgroup,
                             fiber_report, frobenius_verschiebung,
@@ -133,6 +133,8 @@ def _reference_identity_component(G):
 IDENTITY_CASES = [("GF(2)", 6), ("GF(3)", 6), ("GF(3^2;x^2+1)", 6),
                   ("GF(5)", 10), ("Dual(GF(3))", 6), ("Dual(GF(5))", 10)]
 IDENTITY_CASES += [(f"GF({p})", p) for p in (2, 3, 5)]
+# etale, where the ranks are read off the trace discriminant
+IDENTITY_CASES += [("GF(7)", 6), ("Q", 6)]
 
 
 def identity_corpus():
@@ -150,14 +152,31 @@ def identity_corpus():
                 yield f"{G.name} over {name}", rebased(G, unitriangular(R, n, rng))
 
 
+def _reference_separable_rank(G):
+    """separable_rank as it was: the trace form's rank in characteristic
+    0, else the stable rank of the iterated q-power map, etale or not."""
+    k = G.ring
+    if k.char() == 0:
+        return len(canonical_span(k, hopf.trace_form(G)))
+    M = [G.power_vec(G.basis_vector(i), k.size()) for i in range(G.rank)]
+    cur, rank = M, len(canonical_span(k, M))
+    while True:
+        cur = [[k.dot(row, col) for col in zip(*M)] for row in cur]
+        r = len(canonical_span(k, cur))
+        if r == rank:
+            return rank
+        rank = r
+
+
 def test_identity_component_matches_reference():
     for label, G in identity_corpus():
         H = identity_component(G)
         assert H.ideal == _reference_identity_component(G).ideal, label
         if G.ring.is_field:
             core = _reference_augmentation_core(G)
-            assert augmentation_core(G) == core, label
+            assert G.identity_core == core, label
             assert infinitesimal_rank(G) == G.rank - len(core), label
+            assert separable_rank(G) == _reference_separable_rank(G), label
 
 
 def test_fiber_report_mu2_zloc2():
@@ -417,6 +436,60 @@ def test_theorem_makes_the_fiber_reports_once(monkeypatch):
                         lambda G: calls.append(G) or real(G))
     assert theorem_decompose(mu(ZL2, 6)).split.status == "found"
     assert len(calls) == 1
+
+
+def test_theorem_makes_each_torsion_subscheme_once(monkeypatch):
+    """Over Zloc(l) order_p_subgroup saturates the x^p = 1 subgroup that
+    the locus report made on the generic fiber, and over a field it takes
+    the one made on G itself: one x^p = 1 per (fiber, p)."""
+    calls = []
+    real = structure._torsion_equalizer
+    monkeypatch.setattr(structure, "_torsion_equalizer",
+                        lambda G, p: calls.append((G.ring.name(), p)) or real(G, p))
+    ZL3 = parse_ring("Zloc(3)")
+    for G, p in ((mu(ZL2, 6), 2), (mu(ZL3, 15), 3), (s3_semidirect(ZL3), 3)):
+        calls.clear()
+        assert [q for q, _ in theorem_decompose(G).factors] == [p], G.name
+        assert calls == [("Q", p)], G.name
+    for G, p in ((mu(Q, 6), 3), (constant(F5, s3_table()), 3)):
+        calls.clear()
+        assert locus_report(G, p).subgroup.order == p, G.name
+        assert calls == [(G.ring.name(), p)], G.name
+    # over Dual(Q) the fiber is Q, but the subgroup must live in G itself
+    G = mu(parse_ring("Dual(Q)"), 6)
+    calls.clear()
+    assert locus_report(G, 3).subgroup.ambient is G
+    assert calls == [("Q", 3), ("Dual(Q)", 3)]
+
+
+def test_theorem_decides_normality_once_per_subgroup(monkeypatch):
+    # the order-p subgroup was checked in order_p_subgroup (and on its Q
+    # base change over Zloc), in theorem_decompose and in extension_witness
+    conjugated = []
+    real = constructions.conjugation_tensor
+    monkeypatch.setattr(constructions, "conjugation_tensor",
+                        lambda G, v: conjugated.append(G) or real(G, v))
+    for G in (mu(ZL2, 6), s3_semidirect(parse_ring("Zloc(3)")), mu(F3, 6)):
+        conjugated.clear()
+        [(_, H)] = theorem_decompose(G).factors
+        assert len(conjugated) == len(H.ideal), G.name
+        assert all(A is G for A in conjugated), G.name
+
+
+def test_theorem_makes_the_identity_core_once_per_scheme(monkeypatch):
+    """Over a field the fiber is G itself, so infinitesimal_rank,
+    identity_component and order_p_subgroup read one kept core; an etale
+    scheme needs none, as its infinitesimal rank is 1."""
+    calls = []
+    real = hopf.identity_idempotent
+    monkeypatch.setattr(hopf, "identity_idempotent",
+                        lambda G: calls.append(G) or real(G))
+    for G in (mu(F3, 6), mu(F2, 6), alpha(F3, 3), s3_semidirect(F3),
+              constant(F5, s3_table()), mu(F7, 6)):
+        calls.clear()
+        theorem_decompose(G)
+        assert all(A is G for A in calls), G.name
+        assert len(calls) == (0 if is_etale(G)[0] else 1), G.name
 
 
 
