@@ -21,8 +21,10 @@ the zeros of the m^3 dense entries.  The dense lists `mult`, `comult` and
 `antipode` are what the constructor and `from_dict` take and what
 `to_dict` writes; a scheme derives them from its tables on first use.
 The tables are fixed once a scheme is made, so the conjugation tensors
-ad(e_i) (`adjoint`), the trace discriminant (`etale`) and the ideal of
-the identity component (`identity_core`) are made once per scheme too.
+ad(e_i) (`adjoint`), the trace discriminant (`etale`), the ideal of the
+identity component (`identity_core`), the characters over a field
+(`field_characters`), the subschemes x^p = 1 (`torsion_subschemes`) and
+the base change to each ring (`base_change`) are made once per scheme too.
 """
 
 from __future__ import annotations
@@ -207,15 +209,24 @@ class GroupScheme:
         if R.is_field:
             e0 = identity_idempotent(self)
         elif isinstance(R, DualNumbers):
-            k = R.base
-            fiber = self.base_change(RingHom(R, k, lambda a: a[0], "eps -> 0"))
-            e0 = lift_idempotent(self, [(a, k.zero) for a in identity_idempotent(fiber)])
+            fiber = self.base_change(R.base)
+            e0 = lift_idempotent(self, [(a, R.base.zero) for a in identity_idempotent(fiber)])
         else:
             raise HopfError("identity component needs a field or Artin local base, "
                             f"not {R.name()}")
         u = vec_sub(R, self.unit, e0)
         return linalg.canonical_span(R, [self.mul_vec(u, self.basis_vector(i))
                                          for i in range(self.rank)])
+
+    @functools.cached_property
+    def field_characters(self):
+        """characters(self) over a field, made on first use and kept."""
+        return characters(self)
+
+    # filled as they are made: the base change to each ring (`base_change`)
+    # and the closed subscheme x^p = 1 for each prime p (`structure`)
+    _base_changes, torsion_subschemes = (functools.cached_property(lambda G: {})
+                                         for _ in range(2))
 
     # -- algebra operations ---------------------------------------------
     def mul_vec(self, v, w):
@@ -419,13 +430,17 @@ class GroupScheme:
 
     # -- functoriality -----------------------------------------------------
     def base_change(self, hom: RingHom | Ring) -> "GroupScheme":
+        """G along hom.  Given a ring S, G itself when S is its ring, else
+        the base change along find_hom, made once per ring and kept."""
         if isinstance(hom, Ring):
-            found = find_hom(self.ring, hom)
-            if found is None:
-                raise RingError(
-                    f"no supported homomorphism {self.ring.name()} -> {hom.name()}"
-                )
-            hom = found
+            if hom == self.ring:
+                return self
+            if hom not in self._base_changes:
+                found = find_hom(self.ring, hom)
+                if found is None:
+                    raise RingError(f"no base map {self.ring.name()} -> {hom.name()}")
+                self._base_changes[hom] = self.base_change(found)
+            return self._base_changes[hom]
         if hom.source != self.ring:
             raise RingError("base change homomorphism has the wrong source")
         # only the nonzeros are mapped, and the entries sent to zero dropped
@@ -934,31 +949,27 @@ def points(G: GroupScheme, Rp: Ring, bound: int = 10000) -> PointGroup:
     """The group G(R') of R'-points.
 
     R' must be finite, or Q for etale G (root finding stays in Q)."""
-    hom = find_hom(G.ring, Rp)
-    if hom is None:
-        raise RingError(f"no base map {G.ring.name()} -> {Rp.name()}")
-    GR = G.base_change(hom)
-    vecs = _point_vectors(GR, bound)
-    return point_group_from_set(GR, vecs)
+    GR = G.base_change(Rp)
+    return point_group_from_set(GR, _point_vectors(G, Rp, bound))
 
 
-def _point_vectors(GR: GroupScheme, bound: int):
-    R = GR.ring
+def _point_vectors(G: GroupScheme, R: Ring, bound: int):
+    """The R-points of G as value vectors, read off the kept characters of
+    G over R or over R's residue field."""
     if R.is_field and (R.is_finite or R == QQ):
+        GR = G.base_change(R)
         if R == QQ:
             if GR.rank > bound:
                 raise HopfError("order exceeds the Q-points bound")
             if not is_etale(GR)[0]:
                 raise HopfError("Q-points are supported for etale schemes only")
-        chars = characters(GR)
+        chars = GR.field_characters
         if len(chars) > bound:
             raise HopfError(f"more than {bound} points (the points bound)")
         return chars
-    if isinstance(R, DualNumbers):
-        return _dual_points(GR, bound)
-    if isinstance(R, IntegersMod):
-        return _zmod_points(GR, bound)
-    raise RingError(f"points enumeration unsupported over {R.name()}")
+    if isinstance(R, IntegersMod) and len(prime_factors(R.n)) > 1:
+        return _zmod_points(G, R, bound)
+    return _lifted_points(G, R, bound)
 
 
 def _tangent_rows(k: Ring, fiber: GroupScheme, chi):
@@ -1006,66 +1017,43 @@ def _square_zero_lifts(GR: GroupScheme, k: Ring, tangent, phi, coord,
             for combo in itertools.product(els, repeat=len(kern))]
 
 
-def _dual_points(GR: GroupScheme, bound: int):
-    """Points over Dual(k): characters lifted along eps."""
-    R: DualNumbers = GR.ring
-    k = R.base
-    fiber = GR.base_change(RingHom(R, k, lambda a: a[0], "eps -> 0"))
-    out = []
-    for chi in characters(fiber):
-        phi = [(c, k.zero) for c in chi]
-        for d in _square_zero_lifts(GR, k, _tangent_rows(k, fiber, chi), phi,
-                                    lambda a: a[1], bound - len(out)):
-            out.append(tuple(zip(chi, d)))
-    return out
-
-
-def _zmod_points(GR: GroupScheme, bound: int):
-    R: IntegersMod = GR.ring
-    n = R.n
-    primes = prime_factors(n)
-    if len(primes) > 1:
-        # CRT: solve over each primary component and recombine
-        comps = []
-        mods = []
-        for p in primes:
-            pe = p
-            while n % (pe * p) == 0:
-                pe *= p
-            Rp = IntegersMod(pe) if pe > p else PrimeField(p)
-            Gp = GR.base_change(Rp)
-            comps.append([tuple(int(x) % pe for x in v) for v in _point_vectors(Gp, bound)])
-            mods.append(pe)
-        if math.prod(map(len, comps)) > bound:
-            raise HopfError(f"more than {bound} points (the points bound)")
-        out = []
-        for combo in itertools.product(*comps):
-            vec = []
-            for idx in range(GR.rank):
-                x = 0
-                for val, pe in zip(combo, mods):
-                    rest = n // pe
-                    x += val[idx] * rest * pow(rest, -1, pe)
-                vec.append(x % n)
-            out.append(tuple(vec))
-        return out
-    # lift the mod-p characters along p, p^2, ..., n/p
-    p = primes[0]
-    kp = PrimeField(p)
-    fiber = GR.base_change(kp)
-    base = [(chi, list(chi)) for chi in characters(fiber)]
+def _lifted_points(G: GroupScheme, R: Ring, bound: int):
+    """The R-points of G for a local R with residue field k and a chain of
+    square-zero ideals (`Ring.residue_lifting`): the characters of G over
+    k, lifted along one ideal after the other."""
+    k, lift, steps = R.residue_lifting()
+    fiber, GR = G.base_change(k), G.base_change(R)
+    base = [(chi, [lift(c) for c in chi]) for chi in fiber.field_characters]
     # the tangent rows depend on chi alone, so every step shares them
-    tangent = {chi: _tangent_rows(kp, fiber, chi) for chi, _ in base} if p < n else {}
-    step = p
-    while step < n:
+    tangent = {chi: _tangent_rows(k, fiber, chi) for chi, _ in base}
+    add, mul = R.add, R.mul
+    for delta, coord in steps:
         nxt = []
         for chi, phi in base:
-            for d in _square_zero_lifts(GR, kp, tangent[chi], phi,
-                                        lambda a: a // step % p, bound - len(nxt)):
-                nxt.append((chi, [(x + step * y) % n for x, y in zip(phi, d)]))
+            for d in _square_zero_lifts(GR, k, tangent[chi], phi, coord,
+                                        bound - len(nxt)):
+                nxt.append((chi, [add(x, mul(delta, lift(y))) for x, y in zip(phi, d)]))
         base = nxt
-        step *= p
     return [tuple(phi) for _, phi in base]
+
+
+def _zmod_points(G: GroupScheme, R: IntegersMod, bound: int):
+    """The points over Z/n for n with several prime factors: the points
+    over each primary part Z/p^e, recombined by the CRT."""
+    n = R.n
+    comps, idempotents = [], []  # x = sum_pe x_pe (n/pe) ((n/pe)^-1 mod pe)
+    for p in prime_factors(n):
+        pe = p
+        while n % (pe * p) == 0:
+            pe *= p
+        Rp = IntegersMod(pe) if pe > p else PrimeField(p)
+        comps.append([tuple(int(x) % pe for x in v) for v in _point_vectors(G, Rp, bound)])
+        idempotents.append(n // pe * pow(n // pe, -1, pe))
+    if math.prod(map(len, comps)) > bound:
+        raise HopfError(f"more than {bound} points (the points bound)")
+    return [tuple(sum(c * v[idx] for c, v in zip(idempotents, combo)) % n
+                  for idx in range(G.rank))
+            for combo in itertools.product(*comps)]
 
 
 def hom_on_points(f: GroupSchemeHom, P_source: PointGroup, P_target: PointGroup,

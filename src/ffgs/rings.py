@@ -185,6 +185,13 @@ class Ring:
         """Number of elements (finite rings only)."""
         raise RingError(f"{self.name()} is not finite")
 
+    def residue_lifting(self):
+        """(k, lift, steps) of a local ring whose points lift from its
+        residue field k along a chain of square-zero ideals: lift maps k
+        into the ring, and each step is (delta, coord), the generator of
+        the next ideal and the k-coordinate of an element of (delta)."""
+        raise RingError(f"points enumeration unsupported over {self.name()}")
+
     # -- canonical forms -----------------------------------------------
     # The hooks linalg.echelon builds canonical row bases from.  The
     # defaults are those of a field (reduced row echelon form); the other
@@ -658,6 +665,15 @@ class IntegersMod(_Residues):
     def name(self):
         return f"Z/{self.n}"
 
+    def residue_lifting(self):
+        """GF(p), the integer lift and the steps p, p^2, ..., n/p, for n = p^e."""
+        [p] = prime_factors(self.n)
+        steps, s = [], p
+        while s < self.n:
+            steps.append((s, lambda a, s=s: a // s % p))
+            s *= p
+        return PrimeField(p), int, steps
+
     # Howell form: pivots are divisors of n, entries above a pivot d are
     # reduced into range(d), and every pivot row's annihilator is queued.
     def normalize_pivot(self, row, col):
@@ -840,6 +856,11 @@ class DualNumbers(Ring):
         for i in range(len(M)):
             eps_part = F.add(eps_part, F.det(A0[:i] + [A1[i]] + A0[i + 1:]))
         return (F.det(A0), eps_part)
+
+    def residue_lifting(self):
+        """The base field, k -> k[eps] and the one step eps."""
+        k = self.base
+        return k, lambda c: (c, k.zero), [((k.zero, k.one), lambda a: a[1])]
 
     def sort_key(self, a):
         return (self.base.sort_key(a[0]), self.base.sort_key(a[1]))
@@ -1063,25 +1084,17 @@ class SpectrumPoint:
     id: str
     residue_field: Ring
     specializations: list = field(default_factory=list)
-    residue_hom: RingHom | None = None
 
 
 def spectrum(R: Ring) -> list[SpectrumPoint]:
     """The points of Spec R with residue fields and specialization order."""
     if isinstance(R, (RationalField, PrimeField, FiniteField)):
-        return [SpectrumPoint("pt", R, [], identity_hom(R))]
+        return [SpectrumPoint("pt", R)]
     if isinstance(R, DualNumbers):
-        return [SpectrumPoint("pt", R.base, [], _direct_hom(R, R.base))]
+        return [SpectrumPoint("pt", R.base)]
     if isinstance(R, IntegersMod):
-        pts = []
-        for p in prime_factors(R.n):
-            k = PrimeField(p)
-            pts.append(SpectrumPoint(f"p{p}", k, [], _direct_hom(R, k)))
-        return pts
+        return [SpectrumPoint(f"p{p}", PrimeField(p)) for p in prime_factors(R.n)]
     if isinstance(R, LocalizedIntegers):
-        closed = SpectrumPoint(
-            "closed", PrimeField(R.p), [], _direct_hom(R, PrimeField(R.p))
-        )
-        generic = SpectrumPoint("generic", QQ, ["closed"], _direct_hom(R, QQ))
-        return [generic, closed]
+        return [SpectrumPoint("generic", QQ, ["closed"]),
+                SpectrumPoint("closed", PrimeField(R.p))]
     raise RingError(f"no spectrum description for {R.name()}")

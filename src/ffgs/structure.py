@@ -35,7 +35,6 @@ from .hopf import (
     is_etale,
     points,
     power_map_alg,
-    trace_form,
 )
 from .constructions import (
     ClosedSubgroup,
@@ -86,26 +85,12 @@ def infinitesimal_rank(G: GroupScheme) -> int:
 
 
 def separable_rank(G: GroupScheme) -> int:
-    """Number of geometric points of G over a field: all G.rank of them
-    when G is etale."""
-    k = G.ring
-    if not k.is_field:
+    """Number of geometric points of G over a field (perfect, as all ours
+    are): rank(G) = rank(G0) rank(G/G0), and the etale G/G0 has one
+    geometric point per unit of rank."""
+    if not G.ring.is_field:
         raise HopfError("separable rank is a fiber invariant")
-    if is_etale(G)[0]:
-        return G.rank
-    if k.char() == 0:
-        return len(canonical_span(k, trace_form(G)))
-    # char p: rank of the iterated q-power map a -> a^q (k-linear)
-    q = k.size()
-    M = [G.power_vec(G.basis_vector(i), q) for i in range(G.rank)]
-    rank = len(canonical_span(k, M))
-    cur = M
-    while True:
-        cur = [[k.dot(row, col) for col in zip(*M)] for row in cur]
-        r = len(canonical_span(k, cur))
-        if r == rank:
-            return rank
-        rank = r
+    return G.rank // infinitesimal_rank(G)
 
 
 def identity_component(G: GroupScheme) -> ClosedSubgroup:
@@ -206,19 +191,15 @@ class FiberReport:
 def fiber_report(G: GroupScheme):
     out = []
     for s in spectrum(G.ring):
-        # over a field the one fiber is G itself, which keeps its invariants
-        fiber = G if G.ring.is_field else G.base_change(s.residue_hom)
+        # the kept base change: over a field G itself, with its invariants
+        fiber = G.base_change(s.residue_field)
         i = infinitesimal_rank(fiber)
         sep = separable_rank(fiber)
         flag, _ = is_etale(fiber)
         if i == 1:
             cls = "trivial"
-        elif is_prime(i) and i == fiber.ring.char():
-            comp = identity_component(fiber).scheme()
-            if fiber.ring.is_finite:
-                cls = classify_order_p(comp)
-            else:  # pragma: no cover - char 0 has i = 1
-                cls = "none"
+        elif is_prime(i) and i == fiber.ring.char():  # our char-p fields are finite
+            cls = classify_order_p(identity_component(fiber).scheme())
         else:
             cls = "none"
         out.append(FiberReport(s, fiber, i, sep, flag, cls))
@@ -266,7 +247,7 @@ def etale_unique_subgroup(G: GroupScheme, d: int):
         raise HopfError(f"unique-subgroup count needs a prime order, not {d}")
     if not G.ring.is_field or not is_etale(G)[0]:
         raise HopfError("unique-subgroup count needs an etale scheme over a field")
-    H = _torsion_equalizer(G, d)
+    H = _torsion(G, d)
     count = (H.order - 1) // (d - 1)
     if not count:
         return ("absent", 0)
@@ -317,15 +298,22 @@ def _torsion_equalizer(G: GroupScheme, p: int) -> ClosedSubgroup:
     return ClosedSubgroup(G, ideal_closure(G, gens), check=False)
 
 
-def order_p_subgroup(G: GroupScheme, p: int, torsion=None) -> ClosedSubgroup:
+def _torsion(G: GroupScheme, p: int) -> ClosedSubgroup:
+    """x^p = 1 on G, made once per (scheme, p) and kept with the scheme."""
+    kept = G.torsion_subschemes
+    if p not in kept:
+        kept[p] = _torsion_equalizer(G, p)
+    return kept[p]
+
+
+def order_p_subgroup(G: GroupScheme, p: int) -> ClosedSubgroup:
     """The (unique, normal) order-p subgroup, for a prime p.
 
     Over a field where G has infinitesimal rank p it is the identity
-    component, and over Zloc(l) it is saturated from the generic fiber.
-    Otherwise it is the subscheme x^p = 1; when G has no order-p subgroup
-    or several, that subscheme is not an order-p subgroup, and HopfError
-    says so.  torsion is x^p = 1 on G, or over Zloc(l) on its generic
-    fiber, when the caller has made it.  The Q ideal is the base change of
+    component, and over Zloc(l) it is saturated from x^p = 1 on the
+    generic fiber.  Otherwise it is the subscheme x^p = 1; when G has no
+    order-p subgroup or several, that subscheme is not an order-p
+    subgroup, and HopfError says so.  The Q ideal is the base change of
     the saturated one, so the checks below certify both."""
     if not is_prime(p):
         raise HopfError(f"order-p subgroups need a prime p, not {p}")
@@ -335,9 +323,7 @@ def order_p_subgroup(G: GroupScheme, p: int, torsion=None) -> ClosedSubgroup:
         H = identity_component(G)
     else:
         zloc = isinstance(R, LocalizedIntegers)
-        if torsion is None:
-            torsion = _torsion_equalizer(G.base_change(find_hom(R, QQ)) if zloc
-                                         else G, p)
+        torsion = _torsion(G.base_change(QQ) if zloc else G, p)
         if torsion.order != p or not zloc:
             rep = torsion.verify_hopf_ideal()
             if not rep:
@@ -412,19 +398,12 @@ def _locus_report(G: GroupScheme, p: int, reports) -> LocusReport:
     s1 = [r.point.id for r in reports if r.infinitesimal_rank == 1]
     sp = [r.point.id for r in reports if r.infinitesimal_rank in (1, p)]
     vp = [x for x in sp if x not in s1]
-    torsion = None  # x^p = 1 on G itself, or on the generic fiber of Zloc(l)
     for r in reports:
-        if r.point.id in s1 and r.etale:
-            T = _torsion_equalizer(r.fiber, p)
-            # one subgroup of order p: x^p = 1 has p geometric points
-            if T.order == p:
-                vp.append(r.point.id)
-            if r.fiber is G or r.point.id == "generic":
-                torsion = T
+        # one subgroup of order p: x^p = 1 has p geometric points
+        if r.point.id in s1 and r.etale and _torsion(r.fiber, p).order == p:
+            vp.append(r.point.id)
     vp = [x for x in ids if x in vp]
-    sub = None
-    if set(vp) == set(ids) and vp:
-        sub = order_p_subgroup(G, p, torsion)
+    sub = order_p_subgroup(G, p) if set(vp) == set(ids) and vp else None
     return LocusReport(p, s1, sp, vp, sub, ids)
 
 

@@ -132,10 +132,10 @@ def test_empty_ledger_names_the_skipped_rings(capsys):
 
 
 def test_commands_agree_on_the_order_p_subgroup(capsys):
-    """theorem and loci take x^p = 1 from the locus report's fibers, and
-    split --kernel makes it without one: the three ideals agree.  Where
-    G is etale over Zloc(l), theorem has no factor, and loci must take
-    x^p = 1 from the generic fiber, not the closed one."""
+    """theorem, loci and split --kernel read x^p = 1 from the scheme
+    itself or, over Zloc(l), from its kept generic fiber: the three ideals
+    agree.  Where G is etale over Zloc(l), theorem has no factor, and loci
+    must take x^p = 1 from the generic fiber, not the closed one."""
     cases = [("mu:6", "Zloc(2)", 2), ("mu:6", "Zloc(3)", 3), ("mu:15", "Zloc(5)", 5),
              ("sdp:mu:3,Z2,inv", "Zloc(3)", 3), ("mu:6", "GF(2)", 2),
              ("sdp:mu:3,Z2,inv", "GF(3)", 3), ("mu:6", "Z/4", 2), ("mu:10", "Z/25", 5),
@@ -151,6 +151,21 @@ def test_commands_agree_on_the_order_p_subgroup(capsys):
         ideals.append(payload("split", "--kernel", str(p))["extension"]["kernel_ideal"])
         assert len(ideals) == (2 if (spec, base, p) in etale else 3), (spec, base)
         assert all(ideal == ideals[0] for ideal in ideals), (spec, base)
+
+
+def test_theorem_makes_the_residue_characters_once_per_scheme(monkeypatch, capsys):
+    """theorem mu:15 over Zloc(3) takes points of three schemes over the
+    base (G, the kernel and the quotient) over four test rings with
+    residue field GF(3): GF(3), Dual(GF(3)), Z/9 and Z/27.  The four share
+    each scheme's kept fiber over GF(3) and its characters (12 runs when
+    each ring made its own fiber)."""
+    from ffgs import hopf
+    rings = []
+    real = hopf.characters
+    monkeypatch.setattr(hopf, "characters", lambda G: rings.append(G.ring.name()) or real(G))
+    assert main(["theorem", "--builtin", "mu:15", "--base", "Zloc(3)"]) == 0
+    capsys.readouterr()
+    assert rings.count("GF(3)") == 3
 
 
 def test_malformed_input_exits_2(tmp_path, capsys):

@@ -13,6 +13,7 @@ from ffgs.hopf import (GroupScheme, GroupSchemeHom, HopfError, cartier_dual,
                        convolution, convolution_power, identity_endo, points,
                        power_map_alg, trivial_endo, verify_hopf)
 from ffgs.oracle import BudgetExceeded, enumerate_points, s3_table
+from ffgs.testrings import test_ring_family as ring_family
 from ffgs.rings import DualNumbers, RingError, find_hom, identity_hom, parse_ring
 from test_linalg import RINGS, mat_inverse, rand_elt, rand_matrix
 
@@ -775,17 +776,25 @@ def point_outcome(G, T):
     return P.elements, P.table, P.identity_index
 
 
+def fresh(G):
+    """A copy of G that keeps nothing made from G: no base change, no
+    characters."""
+    return GroupScheme.from_tables(G.ring, G.rank, G.sparse, G.unit, G.counit, G.name)
+
+
 def reference_point_outcome(G, T, monkeypatch):
+    # on a fresh copy, as G keeps its base changes and their characters
     with monkeypatch.context() as patched:
         patched.setattr(hopf, "characters", _reference_characters)
         patched.setattr(hopf, "point_group_from_set",
                         _reference_point_group_from_set)
-        return point_outcome(G, T)
+        return point_outcome(fresh(G), T)
 
 
+# Z/8 and Z/27 take two lift steps, and Z/12 has a Z/4 part in its CRT
 POINT_RINGS = ["GF(2)", "GF(3)", "GF(5)", "GF(2^2;x^2+x+1)", "GF(2^3;x^3+x^2+1)",
                "GF(3^2;x^2+1)", "Q", "Dual(GF(2))", "Dual(GF(3))", "Z/4", "Z/9",
-               "Z/6"]
+               "Z/6", "Z/8", "Z/27", "Z/12"]
 POINT_SPECS = ["mu:1", "mu:2", "mu:3", "mu:4", "mu:5", "mu:6", "mu:7",
                "const:Z3", "const:Z4", "const:S3", "alpha:2", "alpha:3",
                "ot2:2,-1", "ot2:0,1", "sdp:mu:3,Z2,inv"]
@@ -864,6 +873,52 @@ def test_points_match_oracle():
             expected.elements, expected.table, expected.identity_index)
 
     check()
+
+
+def test_points_over_local_bases_match_oracle():
+    """Schemes over Zloc(2) and Zloc(3) to every ring of their test-ring
+    families: GF(p^k), Z/p^e with up to four lift steps, and Dual(GF(q))."""
+    checked = 0
+    for base in ("Zloc(2)", "Zloc(3)"):
+        R = parse_ring(base)
+        for spec in POINT_SPECS:
+            for G in built(spec, R):
+                for T in ring_family(R):
+                    try:
+                        expected = enumerate_points(G, T, budget=20000)
+                    except BudgetExceeded:
+                        continue
+                    P = points(G, T)
+                    assert (P.elements, P.table, P.identity_index) == (
+                        expected.elements, expected.table,
+                        expected.identity_index), (spec, base, T.name())
+                    checked += 1
+    assert checked >= 150, checked
+
+
+def test_rings_over_one_residue_field_share_its_characters(monkeypatch):
+    """GF(p), Dual(GF(p)), Z/p^2 and Z/p^3 read the characters of one kept
+    fiber G over GF(p); base changes are kept per ring, and G over its own
+    ring is G."""
+    calls = []
+    real = hopf.characters
+    monkeypatch.setattr(hopf, "characters", lambda G: calls.append(G) or real(G))
+    for base, p in (("Zloc(2)", 2), ("Zloc(3)", 3)):
+        R = parse_ring(base)
+        for G in (mu(R, 6), constant(R, s3_table())):
+            calls.clear()
+            for T in ("GF(%d)" % p, "Dual(GF(%d))" % p, "Z/%d" % p ** 2, "Z/%d" % p ** 3):
+                points(G, parse_ring(T))
+            assert calls == [G.base_change(parse_ring(f"GF({p})"))], (G.name, base)
+            for T in ring_family(R):
+                assert G.base_change(T) is G.base_change(T), T.name()
+            assert G.base_change(R) is G
+    G = mu(parse_ring("Z/12"), 6)
+    calls.clear()
+    points(G, G.ring)
+    points(G, parse_ring("Z/4"))
+    points(G, parse_ring("GF(3)"))
+    assert sorted(H.ring.name() for H in calls) == ["GF(2)", "GF(3)"]
 
 
 def test_dual_points_with_eps_parts_match_oracle():

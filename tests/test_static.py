@@ -4,7 +4,8 @@ linalg stays ring-agnostic: every per-ring canonical-form rule lives on
 the Ring classes, so linalg neither calls isinstance nor imports a
 concrete ring.  No module imports a name it never uses, nor a private
 (underscore-prefixed) name of another ffgs module.  Every name the
-benchmark's tracer wraps exists."""
+benchmark's tracer wraps exists.  Ring maps are built in rings.py only
+(find_hom), apart from the Frobenius twist."""
 
 import ast
 from functools import cache
@@ -257,3 +258,29 @@ def test_tracer_targets_exist():
                      "    @staticmethod\n    def d(): pass\n"
                      "    def e(self): pass\n").body[0].body
     assert [is_property(d) for d in defs] == [True, True, True, False, False]
+
+
+def ring_hom_calls(tree, allowed=()):
+    """Lines of the RingHom(...) calls outside the functions named in allowed."""
+    spans = [(n.lineno, n.end_lineno) for n in ast.walk(tree)
+             if isinstance(n, ast.FunctionDef) and n.name in allowed]
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Call)
+                  and getattr(n.func, "id", getattr(n.func, "attr", None)) == "RingHom"
+                  and not any(a <= n.lineno <= b for a, b in spans))
+
+
+def test_ring_maps_come_from_rings():
+    """A base change to a ring goes through find_hom, kept per scheme and
+    ring by GroupScheme.base_change; no module hand-builds a residue map.
+    The Frobenius twist x -> x^p (structure.p_twist) is the one map that
+    find_hom does not give."""
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "rings.py"
+             for line in ring_hom_calls(parse(path), ("p_twist",))]
+    assert found == []
+    assert ring_hom_calls(parse(SRC / "structure.py")), "p_twist builds one"
+    tree = ast.parse("def p_twist(R):\n    return RingHom(R, R, f, 'F')\n"
+                     "def g(R):\n    return rings.RingHom(R, R, f, 'id')\n")
+    assert ring_hom_calls(tree, ("p_twist",)) == [4]
+    assert ring_hom_calls(tree) == [2, 4]
