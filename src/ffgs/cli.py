@@ -223,7 +223,8 @@ def cmd_connected_etale(args):
 
 def cmd_theorem(args):
     G = load_scheme(args)
-    cert = structure.theorem_decompose(G, budget=args.budget_points)
+    cert = structure.theorem_decompose(G, budget=args.budget_points,
+                                       section_budget=args.budget_points)
     lines = [
         f"infinitesimal ranks: {cert.i_values}",
         f"1 -> G' (order {cert.witness.kernel.order}) -> G (order {G.rank}) "
@@ -243,9 +244,11 @@ def cmd_split(args):
     if args.kernel is not None:
         H = structure.order_p_subgroup(G, args.kernel)
         E = cons.extension_witness(G, H, budget=args.budget_points)
+        res = structure.hochschild_split(E, budget=args.budget_iso)
     else:
-        E = structure.theorem_decompose(G, budget=args.budget_points).witness
-    res = structure.hochschild_split(E, budget=args.budget_iso)
+        cert = structure.theorem_decompose(G, budget=args.budget_points,
+                                           section_budget=args.budget_iso)
+        E, res = cert.witness, cert.split
     payload = {"extension": E.to_dict(), "splitting": res.to_dict()}
     lines = [
         f"1 -> {E.kernel.order} -> {E.total.rank} -> {E.quotient.rank} -> 1",

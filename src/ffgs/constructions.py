@@ -387,16 +387,20 @@ def whole_subgroup(G: GroupScheme) -> ClosedSubgroup:
 
 
 def trivial_subgroup(G: GroupScheme) -> ClosedSubgroup:
+    """The trivial subgroup, cut out by the augmentation ideal
+    ker(counit), which the e_i - counit(e_i) 1 span as a module."""
     R = G.ring
     gens = [
         vec_sub(R, G.basis_vector(i), vec_scale(R, G.counit[i], G.unit))
         for i in range(G.rank)
     ]
-    return ClosedSubgroup(G, ideal_closure(G, gens), check=False)
+    return ClosedSubgroup(G, gens, check=False)
 
 
 def kernel(f: GroupSchemeHom) -> ClosedSubgroup:
-    """ker f as a closed subgroup of the source."""
+    """ker f as a closed subgroup of the source: the ideal that the
+    f*(e_j) - counit(e_j) 1 generate, closed under multiplication here
+    as they span less than it."""
     G, T = f.source, f.target
     R = G.ring
     gens = [
@@ -410,10 +414,9 @@ def image(f: GroupSchemeHom) -> ClosedSubgroup:
     """Scheme-theoretic image, a closed subgroup of the target.
 
     The defining ideal is the kernel of the algebra map, i.e. all
-    functions on the target pulling back to zero."""
-    R = f.source.ring
-    rows = row_kernel(R, f.alg)
-    return ClosedSubgroup(f.target, ideal_closure(f.target, rows), check=False)
+    functions on the target pulling back to zero; as the kernel of an
+    algebra map it is an ideal already."""
+    return ClosedSubgroup(f.target, row_kernel(f.source.ring, f.alg), check=False)
 
 
 def intersect(H1: ClosedSubgroup, H2: ClosedSubgroup) -> ClosedSubgroup:

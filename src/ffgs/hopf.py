@@ -33,7 +33,6 @@ import functools
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from . import linalg
 from .linalg import (
@@ -664,25 +663,6 @@ class PointGroup:
     def index(self, point) -> int:
         return self.elements.index(tuple(point))
 
-    def inverse(self, i: int) -> int:
-        for j in range(self.order):
-            if self.table[i][j] == self.identity_index:
-                return j
-        raise HopfError("point has no inverse")  # pragma: no cover
-
-    def element_order(self, i: int) -> int:
-        n = 1
-        j = i
-        while j != self.identity_index:
-            j = self.table[j][i]
-            n += 1
-        return n
-
-    def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(n) for j in range(i + 1, n))
-
     def to_dict(self):
         R = self.ring
         return {
@@ -747,62 +727,6 @@ def point_is_hom(GR: GroupScheme, v) -> bool:
             if R.mul(v[i], v[j]) != _pair(R, M[i][j], v):
                 return False
     return True
-
-
-def _root_finder(R: Ring):
-    if R.is_finite and R.is_field:
-        def roots(coeffs):
-            out = []
-            for lam in R.elements():
-                acc = R.zero
-                power = R.one
-                for c in coeffs:
-                    if R.nonzero(c):
-                        acc = R.add(acc, R.mul(c, power))
-                    power = R.mul(power, lam)
-                if not R.nonzero(acc):
-                    out.append(lam)
-            return out
-        return roots
-    if R is QQ or R == QQ:
-        def roots(coeffs):
-            # rational root theorem on the integer rescaling
-            den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-            ints = [int(c * den) for c in coeffs]
-            while ints and ints[-1] == 0:
-                ints.pop()
-            if not ints:
-                return []
-            out = set()
-            lead, const = ints[-1], ints[0]
-            if const == 0:
-                out.add(Fraction(0))
-                while ints and ints[0] == 0:
-                    ints = ints[1:]
-                if not ints:
-                    return sorted(out, key=R.sort_key)
-                const = ints[0]
-            def divisors(n):
-                out = [1]
-                n = abs(n)
-                for p in prime_factors(n):
-                    powers = [1]
-                    while n % p == 0:
-                        n //= p
-                        powers.append(powers[-1] * p)
-                    out = [d * q for d in out for q in powers]
-                return out
-            for p in divisors(const):
-                for q in divisors(lead):
-                    for cand in (Fraction(p, q), Fraction(-p, q)):
-                        acc = Fraction(0)
-                        for c in reversed(coeffs):
-                            acc = acc * cand + c
-                        if acc == 0:
-                            out.add(cand)
-            return sorted(out, key=R.sort_key)
-        return roots
-    raise RingError(f"no root finder over {R.name()}")
 
 
 def _minpoly_of_vector(GR: GroupScheme, e, c_vec):
@@ -894,13 +818,11 @@ def characters(GR: GroupScheme):
 
     Pure linear algebra: the algebra is split by the idempotents of the
     generalized eigenspaces of multiplication operators, one basis vector
-    at a time; eigenvalues are found by exact root scanning (all field
-    elements over finite fields, rational root theorem over Q)."""
+    at a time; eigenvalues are the roots `Ring.roots` finds exactly."""
     R = GR.ring
     if not R.is_field:
         raise HopfError("characters need a field")
     m = GR.rank
-    roots_of = _root_finder(R)
     results = []
     # stack entries: (factor unit, next ambient index, chi)
     stack = [(list(GR.unit), 0, [None] * m)]
@@ -918,7 +840,7 @@ def characters(GR: GroupScheme):
             stack.append((e, idx + 1, chi2))
             continue
         minpoly, powers = _minpoly_of_vector(GR, e, c)
-        for lam in roots_of(minpoly):
+        for lam in R.roots(minpoly):
             chi2 = list(chi)
             chi2[idx] = lam
             stack.append((_eigen_idempotent(GR, minpoly, powers, lam),
@@ -937,7 +859,7 @@ def trace_form(G: GroupScheme):
 
 def trace_discriminant(G: GroupScheme):
     """Determinant of the trace form of the Hopf algebra."""
-    return linalg.det(G.ring, trace_form(G))
+    return G.ring.det(trace_form(G))
 
 
 def is_etale(G: GroupScheme):

@@ -224,9 +224,3 @@ def row_kernel(R: Ring, rows):
 def member_with_coeffs(R: Ring, rows, v):
     """x with x . rows = v, or None."""
     return member_and_kernel(R, rows, v)[0]
-
-
-def det(R: Ring, M):
-    """Exact determinant of a square matrix (see Ring.det)."""
-    return R.det(M)
-

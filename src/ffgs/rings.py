@@ -14,7 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 # Miller-Rabin with the prime bases 2..41 is proven to decide every n below
@@ -83,6 +83,19 @@ def prime_factors(n: int) -> list[int]:
             f = _rho_factor(x)
             parts += [f, x // f]
     return sorted(set(out))
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0."""
+    out = [1]
+    n = abs(n)
+    for p in prime_factors(n):
+        powers = [1]
+        while n % p == 0:
+            n //= p
+            powers.append(powers[-1] * p)
+        out = [d * q for d in out for q in powers]
+    return out
 
 
 def _rho_factor(n: int) -> int:
@@ -184,6 +197,13 @@ class Ring:
     def size(self) -> int:
         """Number of elements (finite rings only)."""
         raise RingError(f"{self.name()} is not finite")
+
+    def roots(self, coeffs):
+        """The roots of the polynomial with coefficients coeffs (ring
+        elements, low degree first), trying every element in order
+        (finite rings only)."""
+        nonzero = self.nonzero
+        return [x for x in self.elements() if not nonzero(_poly_at(self, coeffs, x))]
 
     def residue_lifting(self):
         """(k, lift, steps) of a local ring whose points lift from its
@@ -317,6 +337,27 @@ class RationalField(_Fractions):
 
     def name(self):
         return "Q"
+
+    def roots(self, coeffs):
+        """The rational roots, sorted: 0, then the rational root theorem
+        on the integer rescaling with the factors x dropped."""
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * den) for c in coeffs]
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints:
+            return []
+        low = next(i for i, c in enumerate(ints) if c)
+        out = {Fraction(0)} if low else set()
+        for a in _divisors(ints[low]):
+            for b in _divisors(ints[-1]):
+                for cand in (Fraction(a, b), Fraction(-a, b)):
+                    acc = Fraction(0)
+                    for c in reversed(coeffs):
+                        acc = acc * cand + c
+                    if not acc:
+                        out.add(cand)
+        return sorted(out, key=self.sort_key)
 
     def parse(self, text):
         return _parse_number(Fraction, text)
@@ -1008,10 +1049,11 @@ def _direct_hom(R: Ring, S: Ring) -> RingHom | None:
     if isinstance(R, FiniteField) and isinstance(S, FiniteField):
         if S.p == R.p and S.k % R.k == 0:
             # the first root of R's modulus in S, in S's element order
-            root = next((x for x in S.elements()
-                         if not S.nonzero(_poly_at(S, R.modulus, x))), None)
-            if root is not None:
-                return RingHom(R, S, lambda a: _poly_at(S, a, root), "field extension")
+            roots = S.roots([S.from_int(c) for c in R.modulus])
+            if roots:
+                root = roots[0]
+                return RingHom(R, S, lambda a: _poly_at(S, map(S.from_int, a), root),
+                               "field extension")
     if isinstance(S, DualNumbers) and S.base == R:
         return RingHom(R, S, lambda a: (a, R.zero), "dual-numbers inclusion")
     if isinstance(R, DualNumbers) and R.base == S:
@@ -1020,13 +1062,14 @@ def _direct_hom(R: Ring, S: Ring) -> RingHom | None:
 
 
 def _poly_at(S: Ring, coeffs, x):
-    """The polynomial with integer coefficients coeffs, low degree first,
-    at x in S."""
+    """The polynomial with coefficients coeffs in S, low degree first, at
+    x in S; zero coefficients cost no product."""
+    nonzero, add, mul = S.nonzero, S.add, S.mul
     acc, power = S.zero, S.one
     for c in coeffs:
-        if c:
-            acc = S.add(acc, S.mul(S.from_int(c), power))
-        power = S.mul(power, x)
+        if nonzero(c):
+            acc = add(acc, mul(c, power))
+        power = mul(power, x)
     return acc
 
 

@@ -8,8 +8,9 @@ pipeline producing a re-verifiable certificate:
 
     1 -> G' -> G -> G'' -> 1
 
-with G'' etale, G' a product of normal prime-order subgroups, and a
-splitting section searched for on points over the test-ring family.
+with G'' etale, G' a product of normal prime-order subgroups (on the
+supported bases trivial or one order-p subgroup), and a splitting
+section searched for on points over the test-ring family.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .linalg import (
     member,
     row_kernel,
     transpose,
-    vec_scale,
-    vec_sub,
 )
 from .hopf import (
     GroupScheme,
@@ -40,7 +39,6 @@ from .constructions import (
     ClosedSubgroup,
     ExtensionWitness,
     extension_witness,
-    ideal_closure,
     intersect,
     is_normal,
     kernel,
@@ -286,16 +284,10 @@ def _saturate_zloc(R: LocalizedIntegers, rows_q, width: int):
 
 
 def _torsion_equalizer(G: GroupScheme, p: int) -> ClosedSubgroup:
-    """The closed subscheme of points x with x^p = identity, via the
-    p-fold convolution power of the identity (a linear map even when the
-    group law is not commutative)."""
-    R = G.ring
-    alg = power_map_alg(G, p)
-    gens = [
-        vec_sub(R, alg[j], vec_scale(R, G.counit[j], G.unit))
-        for j in range(G.rank)
-    ]
-    return ClosedSubgroup(G, ideal_closure(G, gens), check=False)
+    """The closed subscheme of points x with x^p = identity: the kernel of
+    the p-fold convolution power of the identity, an algebra map even when
+    the group law is not commutative (then not a homomorphism)."""
+    return kernel(GroupSchemeHom(G, G, power_map_alg(G, p)))
 
 
 def _torsion(G: GroupScheme, p: int) -> ClosedSubgroup:
@@ -397,12 +389,9 @@ def _locus_report(G: GroupScheme, p: int, reports) -> LocusReport:
     ids = [r.point.id for r in reports]
     s1 = [r.point.id for r in reports if r.infinitesimal_rank == 1]
     sp = [r.point.id for r in reports if r.infinitesimal_rank in (1, p)]
-    vp = [x for x in sp if x not in s1]
-    for r in reports:
-        # one subgroup of order p: x^p = 1 has p geometric points
-        if r.point.id in s1 and r.etale and _torsion(r.fiber, p).order == p:
-            vp.append(r.point.id)
-    vp = [x for x in ids if x in vp]
+    vp = [r.point.id for r in reports if r.infinitesimal_rank == p
+          or (r.infinitesimal_rank == 1 and r.etale
+              and etale_unique_subgroup(r.fiber, p)[0] == "ok")]
     sub = order_p_subgroup(G, p) if set(vp) == set(ids) and vp else None
     return LocusReport(p, s1, sp, vp, sub, ids)
 
@@ -442,19 +431,19 @@ def _slot_product_map(G: GroupScheme, subgroups):
                 if R.nonzero(coeff):
                     out[flat] = R.add(out[flat], coeff)
         rows.append(out)
-    return rows, width
+    return rows
 
 
 def internal_product(G: GroupScheme, subgroups) -> tuple:
     """(ClosedSubgroup generated by the given subgroups, iso flag).
 
     The subgroup is cut out by the kernel of the multiplication map's
-    algebra map; the flag records that the map identifies the product
-    with it (full image rank)."""
+    algebra map, an ideal as the kernel of an algebra map; the flag
+    records that the map identifies the product with it (full image
+    rank)."""
     R = G.ring
-    rows, width = _slot_product_map(G, subgroups)
-    ideal = row_kernel(R, rows)
-    H = ClosedSubgroup(G, ideal_closure(G, ideal), check=False)
+    rows = _slot_product_map(G, subgroups)
+    H = ClosedSubgroup(G, row_kernel(R, rows), check=False)
     iso = len(canonical_span(R, rows)) == prod(s.order for s in subgroups) \
         and H.order == prod(s.order for s in subgroups)
     return H, iso
@@ -636,13 +625,12 @@ def common_refinement(E1: ExtensionWitness, E2: ExtensionWitness) -> ExtensionWi
 
 class TheoremCertificate:
     def __init__(self, G, i_values, witness, quotient_disc, factors,
-                 product_iso, conjugation, split):
+                 conjugation, split):
         self.scheme = G
         self.i_values = i_values
         self.witness = witness
         self.quotient_discriminant = quotient_disc
-        self.factors = factors          # list of (p, ClosedSubgroup)
-        self.product_iso = product_iso
+        self.factors = factors          # [] or [(p, ClosedSubgroup)]
         self.conjugation = conjugation  # list of (p, bool)
         self.split = split
 
@@ -665,7 +653,8 @@ class TheoremCertificate:
                 }
                 for p, H in self.factors
             ],
-            "product_isomorphism": self.product_iso,
+            # G' is trivial or one factor, so it is the product of its factors
+            "product_isomorphism": True,
             "conjugation_invariant": [
                 {"prime": p, "invariant": ok} for p, ok in self.conjugation
             ],
@@ -674,44 +663,39 @@ class TheoremCertificate:
         }
 
 
-def theorem_decompose(G: GroupScheme, budget: int = 200000) -> TheoremCertificate:
+def theorem_decompose(G: GroupScheme, budget: int = 200000,
+                      section_budget: int = 200000) -> TheoremCertificate:
+    """The certificate of 1 -> G' -> G -> G'' -> 1; budget bounds the
+    points per test ring and section_budget the section search."""
     n = G.rank
     if any(n % (p * p) == 0 for p in prime_factors(n)) and n > 1:
         raise HopfError("the decomposition needs square-free order")
     reports = fiber_report(G)
     i_values = sorted({r.infinitesimal_rank for r in reports})
+    # a square-free fiber has infinitesimal rank 1 or its residue
+    # characteristic, and a connected base has at most one positive one;
+    # over a disconnected Z/n with two prime ranks, V_p below fails for
+    # the smaller one.  So G' is trivial or one order-p subgroup.
     primes = [p for p in i_values if p != 1]
     if primes:
-        subgroups = []
-        for p in primes:
-            rep = _locus_report(G, p, reports)
-            if not rep.vp_is_whole():
-                # Spec Z/n is disconnected when n has two prime factors, so
-                # the locus may then be a proper part: the base is at fault
-                if isinstance(G.ring, IntegersMod) and len(rep.spectrum_ids) > 1:
-                    raise HopfError(
-                        f"V_{p} is a proper part of Spec {G.ring.name()}, which "
-                        "is not connected; the theorem needs a connected base"
-                    )
-                raise InternalInconsistencyError(
-                    f"V_{p} is a proper nonempty part of a connected spectrum"
+        p = primes[0]
+        rep = _locus_report(G, p, reports)
+        if not rep.vp_is_whole():
+            # Spec Z/n is disconnected when n has two prime factors, so
+            # the locus may then be a proper part: the base is at fault
+            if isinstance(G.ring, IntegersMod) and len(rep.spectrum_ids) > 1:
+                raise HopfError(
+                    f"V_{p} is a proper part of Spec {G.ring.name()}, which "
+                    "is not connected; the theorem needs a connected base"
                 )
-            subgroups.append((p, rep.subgroup))
-        if len(subgroups) == 1:
-            Gprime = subgroups[0][1]
-            product_iso = True
-        else:
-            Gprime, product_iso = internal_product(G, [h for _, h in subgroups])
-            if not product_iso:
-                raise InternalInconsistencyError(
-                    "product of prime subgroups is not an isomorphism"
-                )
-            if Gprime.order != prod(p for p, _ in subgroups):
-                raise InternalInconsistencyError("internal product has wrong order")
+            raise InternalInconsistencyError(
+                f"V_{p} is a proper nonempty part of a connected spectrum"
+            )
+        Gprime = rep.subgroup
+        subgroups = [(p, Gprime)]
     else:
         Gprime = trivial_subgroup(G)
         subgroups = []
-        product_iso = True
     E = extension_witness(G, Gprime, budget=budget)
     flag, disc = is_etale(E.quotient)
     if not flag:
@@ -732,6 +716,5 @@ def theorem_decompose(G: GroupScheme, budget: int = 200000) -> TheoremCertificat
             raise InternalInconsistencyError(
                 "primary decomposition of G' disagrees with the locus factors"
             )
-    split = hochschild_split(E, budget=budget)
-    return TheoremCertificate(G, i_values, E, disc, subgroups, product_iso,
-                              conjugation, split)
+    split = hochschild_split(E, budget=section_budget)
+    return TheoremCertificate(G, i_values, E, disc, subgroups, conjugation, split)

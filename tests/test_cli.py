@@ -168,6 +168,38 @@ def test_theorem_makes_the_residue_characters_once_per_scheme(monkeypatch, capsy
     assert rings.count("GF(3)") == 3
 
 
+def test_theorem_over_a_disconnected_base_fails_at_the_smaller_prime(capsys):
+    """Over Z/n with two prime factors the fibers of mu_n have two prime
+    infinitesimal ranks, and V_p is a proper part of Spec Z/n for the
+    smaller one p: theorem stops there, so G' never needs two factors."""
+    from ffgs import structure
+    for spec, base, p, q in (("mu:6", "Z/6", 2, 3), ("mu:10", "Z/10", 2, 5),
+                             ("mu:15", "Z/15", 3, 5)):
+        G = build_builtin(spec, parse_ring(base))
+        assert {r.infinitesimal_rank for r in structure.fiber_report(G)} == {p, q}
+        assert main(["theorem", "--builtin", spec, "--base", base]) == 2
+        err = capsys.readouterr().err
+        assert f"V_{p} is a proper part of Spec {base}" in err, spec
+        assert "not connected" in err, spec
+
+
+def test_split_searches_for_a_section_once(monkeypatch, capsys):
+    """split without --kernel searches under --budget-iso only: the
+    theorem pipeline hands it the search it made."""
+    from ffgs import structure
+    calls = []
+    real = structure._section_search
+    monkeypatch.setattr(structure, "_section_search",
+                        lambda *args: calls.append(args[-1]) or real(*args))
+    argv = ["split", "--builtin", "mu:6", "--base", "Zloc(2)"]
+    assert run(capsys, *argv)[0] == 0
+    assert calls == [200000]
+    calls.clear()
+    code, out = run(capsys, *argv, "--budget-iso", "0", "--format", "json")
+    assert (code, json.loads(out)["splitting"]["status"]) == (1, "unknown")
+    assert calls == [0]
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     # an element that does not parse over GF(5)
     code, out = run(capsys, "dual", "--builtin", "mu:2", "--base", "GF(5)",

@@ -14,10 +14,11 @@ from ffgs.hopf import (GroupScheme, GroupSchemeHom, HopfError,
 from ffgs import constructions, linalg
 from ffgs.constructions import _tensor_rows
 from ffgs.linalg import (canonical_span, mat_vec, member, member_with_coeffs,
-                         row_kernel, transpose, vec_sub)
+                         row_kernel, transpose, vec_scale, vec_sub)
 from ffgs.oracle import AbstractGroup, s3_table
-from ffgs.rings import parse_ring
-from test_hopf import assert_canonical_tables
+from ffgs.rings import parse_ring, prime_factors
+from ffgs.structure import _slot_product_map, internal_product, p_primary_decompose
+from test_hopf import REFERENCE_BASES, assert_canonical_tables, builtins_over
 
 Q = parse_ring("Q")
 F5 = parse_ring("GF(5)")
@@ -73,7 +74,7 @@ def test_direct_product():
     assert G.rank == 6
     P = points(G, F5)
     assert P.order == 6
-    assert P.is_abelian()
+    assert AbstractGroup.from_points(P).is_abelian()
 
 
 def test_kernel_image_quotient_of_doubling():
@@ -466,3 +467,35 @@ def test_conjugation_products_are_made_once_per_scheme(monkeypatch):
                         lambda self, v, w: products.append(1) or real(self, v, w))
     assert [is_normal(H) for H in subgroups] == [(True, None)] * 3
     assert 0 < len(products) <= G.rank ** 2
+
+
+def test_kernels_of_algebra_maps_are_ideals_without_closure():
+    """trivial_subgroup (ker counit), image (ker f*) and internal_product
+    (ker of the multiplication map's algebra map) hand their kernel to
+    ClosedSubgroup unclosed, as the kernel of an algebra map is an ideal.
+    ideal_closure of the same rows is the reference, on every reference
+    builtin and base; internal_product takes each p-primary factor
+    alone, and all of those of mu_6 and Z/6 together."""
+    products = 0
+    for name in REFERENCE_BASES:
+        R = parse_ring(name)
+        for G in builtins_over(R):
+            augmentation = [vec_sub(R, G.basis_vector(i), vec_scale(R, c, G.unit))
+                            for i, c in enumerate(G.counit)]
+            assert trivial_subgroup(G).ideal == ideal_closure(G, augmentation), G.name
+            for p in prime_factors(G.rank) if G.is_commutative() else ():
+                f = convolution_power(G, G.rank // p)
+                assert image(f).ideal == ideal_closure(G, row_kernel(R, f.alg)), (G.name, p)
+        for G in [*builtins_over(R), mu(R, 6), constant_cyclic(R, 6)]:
+            if not G.is_commutative() or any(G.rank % (p * p) == 0
+                                             for p in prime_factors(G.rank)):
+                continue
+            factors = [H for _, H in p_primary_decompose(G)[0]]
+            # one factor is its own product; all of them make up G
+            for subgroups in [[H] for H in factors] + [factors] * (len(factors) > 1):
+                rows = row_kernel(R, _slot_product_map(G, subgroups))
+                H, iso = internal_product(G, subgroups)
+                assert iso and H.ideal == ideal_closure(G, rows), (G.name, name)
+                assert H == subgroups[0] if len(subgroups) == 1 else H.order == G.rank
+                products += len(subgroups) > 1
+    assert products == 2 * len(REFERENCE_BASES)

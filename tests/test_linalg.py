@@ -8,7 +8,6 @@ from ffgs.linalg import (
     Span,
     add_scaled,
     canonical_span,
-    det,
     echelon,
     identity_matrix,
     mat_vec,
@@ -156,7 +155,7 @@ def test_inverse_and_det():
         for _ in range(8):
             M = rand_matrix(R, rng, 3, 3)
             Minv = mat_inverse(R, M)
-            d = det(R, M)
+            d = R.det(M)
             if Minv is not None:
                 assert mat_mul(R, M, Minv) == identity_matrix(R, 3)
                 assert R.is_unit(d)
@@ -235,7 +234,7 @@ def canonical_form_records():
                 row_kernel(R, rows),
                 member_with_coeffs(R, rows, inside),
                 member_with_coeffs(R, rows, outside),
-                det(R, M),
+                R.det(M),
             ))
     return out
 

@@ -393,3 +393,57 @@ def test_default_modulus_is_searched_once(monkeypatch):
     # the second call skips the search; only FiniteField checks its modulus
     assert gf(2, 5) == first
     assert calls[0] == searched + 1
+
+
+def test_roots_match_evaluation_at_every_element():
+    """Ring.roots over every field of the test-ring family equals a Horner
+    evaluation at each element, in element order; over Q it returns
+    exactly the roots of drawn linear factors times an irreducible
+    quadratic, sorted."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    settings = hyp.settings(max_examples=100, deadline=None, derandomize=True,
+                            database=None)
+    from ffgs.testrings import _small_fields
+
+    @settings
+    @hyp.given(st.sampled_from(_small_fields()), st.data())
+    def check_finite(F, data):
+        elements = list(F.elements())
+        coeffs = data.draw(st.lists(st.sampled_from(elements), max_size=6))
+
+        def horner(x):
+            acc = F.zero
+            for c in reversed(coeffs):
+                acc = F.add(F.mul(acc, x), c)
+            return acc
+
+        assert F.roots(coeffs) == [x for x in elements if not F.nonzero(horner(x))]
+
+    def times(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    units = st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1),
+                      st.integers(1, 3))
+
+    @settings
+    @hyp.given(st.lists(st.tuples(fractions, units), max_size=3),
+               st.integers(-6, 6), st.integers(1, 6), units,
+               st.integers(0, 2))
+    def check_rational(linear, b, k, scale, padding):
+        # x^2 + b x + c with b^2 - 4c < 0 has no rational root
+        c = b * b // 4 + k
+        poly = [Fraction(c), Fraction(b), Fraction(1)]
+        for root, lead in linear:
+            poly = times(poly, [-root * lead, lead])
+        poly = [scale * x for x in poly] + [Fraction(0)] * padding
+        assert QQ.roots(poly) == sorted({r for r, _ in linear}, key=QQ.sort_key)
+
+    check_finite()
+    check_rational()
+    assert QQ.roots([]) == [] and QQ.roots([Fraction(0)] * 3) == []

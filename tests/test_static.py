@@ -5,7 +5,9 @@ the Ring classes, so linalg neither calls isinstance nor imports a
 concrete ring.  No module imports a name it never uses, nor a private
 (underscore-prefixed) name of another ffgs module.  Every name the
 benchmark's tracer wraps exists.  Ring maps are built in rings.py only
-(find_hom), apart from the Frobenius twist."""
+(find_hom), apart from the Frobenius twist.  Only constructions.kernel
+closes an ideal under multiplication: every other subgroup is cut out by
+the kernel of an algebra map, an ideal already."""
 
 import ast
 from functools import cache
@@ -284,3 +286,37 @@ def test_ring_maps_come_from_rings():
                      "def g(R):\n    return rings.RingHom(R, R, f, 'id')\n")
     assert ring_hom_calls(tree, ("p_twist",)) == [4]
     assert ring_hom_calls(tree) == [2, 4]
+
+
+def callers(tree, name):
+    """For each call of name (by name or attribute), the dotted path of
+    the classes and functions around it; "" at module level."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            inner = path
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = path + [child.name]
+            elif isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) == name:
+                found.append(".".join(path))
+            visit(child, inner)
+
+    visit(tree, [])
+    return found
+
+
+def test_ideals_are_closed_in_kernel_only():
+    """ideal_closure runs for the ideal that the f*(e_j) - counit(e_j) 1
+    of a kernel generate; a subgroup cut out by the kernel of an algebra
+    map must not close its ideal again."""
+    found = [f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
+             for where in callers(parse(path), "ideal_closure")]
+    assert found == ["constructions.kernel"]
+    tree = ast.parse("def f(G):\n    return ideal_closure(G, [])\n"
+                     "class C:\n    def m(self):\n"
+                     "        def g():\n            return cons.ideal_closure(1)\n"
+                     "        return g\n"
+                     "ideal_closure(0)\nclosure(0)\n")
+    assert callers(tree, "ideal_closure") == ["f", "C.m.g", ""]
