@@ -150,8 +150,9 @@ def cmd_points(args):
 
 def cmd_dual(args):
     G = load_scheme(args)
-    D = hopf.cartier_dual(G)
-    emit(args, D.to_dict(), [json.dumps(D.to_dict(), indent=2, sort_keys=True)])
+    d = hopf.cartier_dual(G).to_dict()
+    text = [json.dumps(d, indent=2, sort_keys=True)] if args.format == "text" else []
+    emit(args, d, text)
     return 0
 
 

@@ -16,6 +16,7 @@ from math import comb
 
 from . import linalg
 from .linalg import (
+    Span,
     add_scaled,
     canonical_span,
     mat_vec,
@@ -238,18 +239,17 @@ def inversion_action(Q: GroupScheme, P_table):
 
 class ClosedSubgroup:
     """A closed subgroup scheme of ambient, stored by the canonical basis
-    of its defining Hopf ideal.  Its quotient data, Hopf-ideal report,
+    of its defining Hopf ideal: a canonical Span is kept as given, other
+    rows are echelonized.  The rows are trusted to span a Hopf ideal;
+    `verify_hopf_ideal` checks it.  Its quotient data, Hopf-ideal report,
     normality verdict and scheme are made on first use and kept; callers
     do not mutate them."""
 
-    def __init__(self, ambient: GroupScheme, ideal_rows, check: bool = True):
+    def __init__(self, ambient: GroupScheme, ideal_rows):
         self.ambient = ambient
-        self.ideal = canonical_span(ambient.ring, ideal_rows)
+        self.ideal = (ideal_rows if isinstance(ideal_rows, Span)
+                      else canonical_span(ambient.ring, ideal_rows))
         self._quotient = self._report = self._normal = self._scheme = None
-        if check:
-            rep = self.verify_hopf_ideal()
-            if not rep:
-                raise HopfError(f"not a Hopf ideal: {rep}")
 
     @property
     def order(self) -> int:
@@ -383,7 +383,7 @@ def ideal_closure(G: GroupScheme, gens):
 
 
 def whole_subgroup(G: GroupScheme) -> ClosedSubgroup:
-    return ClosedSubgroup(G, [], check=False)
+    return ClosedSubgroup(G, Span(G.ring))
 
 
 def trivial_subgroup(G: GroupScheme) -> ClosedSubgroup:
@@ -394,7 +394,7 @@ def trivial_subgroup(G: GroupScheme) -> ClosedSubgroup:
         vec_sub(R, G.basis_vector(i), vec_scale(R, G.counit[i], G.unit))
         for i in range(G.rank)
     ]
-    return ClosedSubgroup(G, gens, check=False)
+    return ClosedSubgroup(G, canonical_span(R, gens))
 
 
 def kernel(f: GroupSchemeHom) -> ClosedSubgroup:
@@ -407,7 +407,7 @@ def kernel(f: GroupSchemeHom) -> ClosedSubgroup:
         vec_sub(R, f.alg[j], vec_scale(R, T.counit[j], G.unit))
         for j in range(T.rank)
     ]
-    return ClosedSubgroup(G, ideal_closure(G, gens), check=False)
+    return ClosedSubgroup(G, ideal_closure(G, gens))
 
 
 def image(f: GroupSchemeHom) -> ClosedSubgroup:
@@ -416,13 +416,13 @@ def image(f: GroupSchemeHom) -> ClosedSubgroup:
     The defining ideal is the kernel of the algebra map, i.e. all
     functions on the target pulling back to zero; as the kernel of an
     algebra map it is an ideal already."""
-    return ClosedSubgroup(f.target, row_kernel(f.source.ring, f.alg), check=False)
+    return ClosedSubgroup(f.target, row_kernel(f.source.ring, f.alg))
 
 
 def intersect(H1: ClosedSubgroup, H2: ClosedSubgroup) -> ClosedSubgroup:
     if H1.ambient is not H2.ambient:
         raise HopfError("intersection needs a common ambient scheme")
-    return ClosedSubgroup(H1.ambient, H1.ideal + H2.ideal, check=False)
+    return ClosedSubgroup(H1.ambient, canonical_span(H1.ambient.ring, H1.ideal + H2.ideal))
 
 
 def conjugation_tensor(G: GroupScheme, v) -> dict:

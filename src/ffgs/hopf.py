@@ -44,16 +44,14 @@ from .linalg import (
     vec_sub,
 )
 from .rings import (
-    DualNumbers,
     IntegersMod,
-    PrimeField,
     QQ,
     Ring,
     RingError,
     RingHom,
     find_hom,
     parse_ring,
-    prime_factors,
+    spectrum,
 )
 
 
@@ -201,18 +199,19 @@ class GroupScheme:
 
         It is the stabilized power of the augmentation ideal J = ker(counit),
         the ideal of the identity component: over a field its codimension is
-        the infinitesimal rank.  Over Dual(k) the fiber's e0 is lifted by
-        Newton steps, since idempotents lift uniquely along the nilpotent
-        ideal (eps)."""
+        the infinitesimal rank.  Over a base with one point and a section
+        k -> R of its residue field k (a field, or Dual(k)) the fiber's e0
+        is mapped up and lifted by Newton steps, since idempotents lift
+        uniquely along the nilpotent kernel of R -> k."""
         R = self.ring
-        if R.is_field:
-            e0 = identity_idempotent(self)
-        elif isinstance(R, DualNumbers):
-            fiber = self.base_change(R.base)
-            e0 = lift_idempotent(self, [(a, R.base.zero) for a in identity_idempotent(fiber)])
-        else:
+        points = spectrum(R)
+        k = R if R.is_field else points[0].residue_field
+        up = find_hom(k, R) if len(points) == 1 else None
+        if up is None:
             raise HopfError("identity component needs a field or Artin local base, "
                             f"not {R.name()}")
+        fiber = self.base_change(k)
+        e0 = lift_idempotent(self, [up(a) for a in identity_idempotent(fiber)])
         u = vec_sub(R, self.unit, e0)
         return linalg.canonical_span(R, [self.mul_vec(u, self.basis_vector(i))
                                          for i in range(self.rank)])
@@ -503,10 +502,6 @@ class GroupScheme:
         return f"<{tag} of order {self.rank} over {self.ring.name()}>"
 
 
-def verify_hopf(G: GroupScheme) -> VerificationReport:
-    return G.verify()
-
-
 def cartier_dual(G: GroupScheme) -> GroupScheme:
     """Dual module with mult and comult swapped (commutative G only)."""
     if not G.is_commutative():
@@ -594,10 +589,6 @@ class GroupSchemeHom:
     def is_module_iso(self) -> bool:
         R = self.source.ring
         return R.is_unit(R.det(transpose(self.alg)))
-
-
-def identity_endo(G: GroupScheme) -> GroupSchemeHom:
-    return GroupSchemeHom(G, G, linalg.identity_matrix(G.ring, G.rank))
 
 
 def trivial_endo(G: GroupScheme) -> GroupSchemeHom:
@@ -800,17 +791,36 @@ def _scalar_on(R: Ring, e, c):
     return s if vec_scale(R, s, e) == c else None
 
 
+def _splittings(GR: GroupScheme, choose):
+    """(e, chi) for each factor eA that the eigen-idempotent walk splits
+    off (field base), one basis vector at a time: e_idx acts on eA as
+    chi[idx], and where it is no scalar the walk branches on the
+    eigenvalues choose(minpoly, idx) picks among the roots of its minimal
+    polynomial."""
+    R, m = GR.ring, GR.rank
+    # stack entries: (factor unit, next ambient index, chi)
+    stack = [(list(GR.unit), 0, [None] * m)]
+    while stack:
+        e, idx, chi = stack.pop()
+        if idx == m:
+            yield e, chi
+            continue
+        c = GR.mul_vec(e, GR.basis_vector(idx))
+        s = _scalar_on(R, e, c)
+        if s is not None:
+            stack.append((e, idx + 1, chi[:idx] + [s] + chi[idx + 1:]))
+            continue
+        minpoly, powers = _minpoly_of_vector(GR, e, c)
+        for lam in choose(minpoly, idx):
+            stack.append((_eigen_idempotent(GR, minpoly, powers, lam), idx + 1,
+                          chi[:idx] + [lam] + chi[idx + 1:]))
+
+
 def identity_idempotent(G: GroupScheme):
     """e0, the unit of the local factor of the algebra at the identity
-    point (field base): the descent of `characters` along the counit."""
-    e = list(G.unit)
-    for idx in range(G.rank):
-        c = G.mul_vec(e, G.basis_vector(idx))
-        if _scalar_on(G.ring, e, c) == G.counit[idx]:
-            continue
-        minpoly, powers = _minpoly_of_vector(G, e, c)
-        e = _eigen_idempotent(G, minpoly, powers, G.counit[idx])
-    return e
+    point (field base): the walk of `characters` along the counit."""
+    [(e0, _)] = _splittings(G, lambda minpoly, idx: [G.counit[idx]])
+    return e0
 
 
 def characters(GR: GroupScheme):
@@ -822,30 +832,9 @@ def characters(GR: GroupScheme):
     R = GR.ring
     if not R.is_field:
         raise HopfError("characters need a field")
-    m = GR.rank
-    results = []
-    # stack entries: (factor unit, next ambient index, chi)
-    stack = [(list(GR.unit), 0, [None] * m)]
-    while stack:
-        e, idx, chi = stack.pop()
-        if idx == m:
-            if point_is_hom(GR, chi):
-                results.append(tuple(chi))
-            continue
-        c = GR.mul_vec(e, GR.basis_vector(idx))
-        s = _scalar_on(R, e, c)
-        if s is not None:
-            chi2 = list(chi)
-            chi2[idx] = s
-            stack.append((e, idx + 1, chi2))
-            continue
-        minpoly, powers = _minpoly_of_vector(GR, e, c)
-        for lam in R.roots(minpoly):
-            chi2 = list(chi)
-            chi2[idx] = lam
-            stack.append((_eigen_idempotent(GR, minpoly, powers, lam),
-                          idx + 1, chi2))
-    return sorted(set(results), key=lambda t: tuple(R.sort_key(x) for x in t))
+    splittings = _splittings(GR, lambda minpoly, idx: R.roots(minpoly))
+    results = {tuple(chi) for _, chi in splittings if point_is_hom(GR, chi)}
+    return sorted(results, key=lambda t: tuple(R.sort_key(x) for x in t))
 
 
 def trace_form(G: GroupScheme):
@@ -889,7 +878,7 @@ def _point_vectors(G: GroupScheme, R: Ring, bound: int):
         if len(chars) > bound:
             raise HopfError(f"more than {bound} points (the points bound)")
         return chars
-    if isinstance(R, IntegersMod) and len(prime_factors(R.n)) > 1:
+    if R.is_finite and len(spectrum(R)) > 1:
         return _zmod_points(G, R, bound)
     return _lifted_points(G, R, bound)
 
@@ -964,11 +953,11 @@ def _zmod_points(G: GroupScheme, R: IntegersMod, bound: int):
     over each primary part Z/p^e, recombined by the CRT."""
     n = R.n
     comps, idempotents = [], []  # x = sum_pe x_pe (n/pe) ((n/pe)^-1 mod pe)
-    for p in prime_factors(n):
-        pe = p
+    for s in spectrum(R):
+        p = pe = s.residue_field.char()
         while n % (pe * p) == 0:
             pe *= p
-        Rp = IntegersMod(pe) if pe > p else PrimeField(p)
+        Rp = IntegersMod(pe) if pe > p else s.residue_field
         comps.append([tuple(int(x) % pe for x in v) for v in _point_vectors(G, Rp, bound)])
         idempotents.append(n // pe * pow(n // pe, -1, pe))
     if math.prod(map(len, comps)) > bound:

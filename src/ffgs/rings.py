@@ -1073,32 +1073,22 @@ def _poly_at(S: Ring, coeffs, x):
     return acc
 
 
+@functools.cache
 def find_hom(R: Ring, S: Ring) -> RingHom | None:
     """A supported ring homomorphism R -> S (residue maps, fraction-field
-    inclusion, field extensions, dual-numbers maps, and their composites),
-    or None."""
+    inclusion, field extensions, dual-numbers maps, and their composites
+    through a residue field of S or of R), or None.  Rings are immutable,
+    so the result is made once per pair and kept."""
     h = _direct_hom(R, S)
     if h is not None:
         return h
-    # composites through an intermediate residue field / prime field
-    mids: list[Ring] = []
-    if isinstance(S, DualNumbers):
-        mids.append(S.base)
-    if isinstance(S, FiniteField):
-        mids.append(PrimeField(S.p))
-    if isinstance(R, LocalizedIntegers):
-        mids.append(PrimeField(R.p))
-    if isinstance(R, IntegersMod):
-        mids.extend(PrimeField(p) for p in prime_factors(R.n))
-    if isinstance(R, DualNumbers):
-        mids.append(R.base)
-    for mid in mids:
+    for mid in [s.residue_field for s in spectrum(S) + spectrum(R)]:
         if mid == R or mid == S:
             continue
-        first = _direct_hom(R, mid) or find_hom(R, mid)
+        first = find_hom(R, mid)
         if first is None:
             continue
-        rest = _direct_hom(mid, S) or find_hom(mid, S)
+        rest = find_hom(mid, S)
         if rest is not None:
             return first.then(rest)
     return None

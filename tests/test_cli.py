@@ -36,6 +36,16 @@ def test_verify_json(capsys):
     assert json.loads(out) == {"status": "pass"}
 
 
+def test_dual_text_is_the_indented_json(capsys):
+    for spec, base in (("mu:2", "GF(3)"), ("const:Z3", "Zloc(2)")):
+        code, out = run(capsys, "dual", "--builtin", spec, "--base", base,
+                        "--format", "json")
+        assert code == 0 and out.count("\n") == 1
+        code, text = run(capsys, "dual", "--builtin", spec, "--base", base)
+        assert code == 0
+        assert text == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_verify_fail_exit_1(tmp_path, capsys):
     code, out = run(capsys, "dual", "--builtin", "mu:2", "--base", "GF(3)",
                     "--format", "json")

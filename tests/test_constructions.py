@@ -247,7 +247,7 @@ def _seeded_ideals(G, rng, count):
         if s % 2 and G.name.startswith("constant"):
             keep = {0} | {g for g in range(1, G.rank) if rng.random() < 0.4}
             rows = [G.basis_vector(g) for g in range(G.rank) if g not in keep]
-            yield ClosedSubgroup(G, rows, check=False)
+            yield ClosedSubgroup(G, rows)
             continue
         gens = []
         for _ in range(rng.randint(1, 2)):
@@ -255,7 +255,7 @@ def _seeded_ideals(G, rng, count):
                  for _ in range(G.rank)]
             eps = G.counit_of(v)
             gens.append([R.sub(c, R.mul(eps, u)) for c, u in zip(v, G.unit)])
-        yield ClosedSubgroup(G, ideal_closure(G, gens), check=False)
+        yield ClosedSubgroup(G, ideal_closure(G, gens))
 
 
 @pytest.mark.parametrize("spec", PROJECTION_BASES)
@@ -290,13 +290,14 @@ def quotient_cases(R):
     # mu_2 x S3 -> S3 has a non-cocommutative quotient
     GxS3 = direct_product(mu(R, 2), S3)
     to_s3 = GroupSchemeHom(GxS3, S3, [GxS3.basis_vector(g) for g in range(6)])
+    A3 = ClosedSubgroup(S3, [S3.basis_vector(g) for g in range(6) if g not in rotations])
+    assert A3.verify_hopf_ideal()
     return [
         (GxS3, kernel(to_s3)),
         (G4, kernel(convolution_power(G4, 2))),
         (G6, kernel(convolution_power(G6, 2))),
         (G6, kernel(convolution_power(G6, 3))),
-        (S3, ClosedSubgroup(S3, [S3.basis_vector(g) for g in range(6)
-                                 if g not in rotations])),
+        (S3, A3),
     ]
 
 
@@ -312,11 +313,26 @@ def test_quotient_comult_matches_span_reference(spec):
             assert_canonical_tables(S, (spec, G.name, H.ideal))
 
 
+def test_closed_subgroup_keeps_a_canonical_span(monkeypatch):
+    """A canonical Span, as kernel, image and identity_core make, is kept
+    as given; other rows are echelonized to the same basis."""
+    G = mu(F5, 6)
+    span = kernel(convolution_power(G, 2)).ideal
+    calls = []
+    real = constructions.canonical_span
+    monkeypatch.setattr(constructions, "canonical_span",
+                        lambda R, rows: calls.append(rows) or real(R, rows))
+    assert ClosedSubgroup(G, span).ideal is span and not calls
+    H = ClosedSubgroup(G, list(reversed(span)))
+    assert H.ideal == span and len(calls) == 1
+    assert intersect(H, H).ideal == span
+
+
 def test_non_unit_pivot_is_not_flat():
     # in mu_2 over Zloc(2), the ideal closure of (-2, 2) has pivot 2
     G = mu(ZL2, 2)
     H = ClosedSubgroup(G, ideal_closure(G, [[ZL2.from_int(-2),
-                                             ZL2.from_int(2)]]), check=False)
+                                             ZL2.from_int(2)]]))
     rep = H.verify_hopf_ideal()
     assert (rep.ok, rep.axiom, rep.witness) == (False, "not-flat", (0,))
     with pytest.raises(HopfError):
@@ -387,9 +403,10 @@ def test_quotient_matches_reference(spec):
     # the trivial and the whole subgroup, and a failure: the order-2
     # subgroup {0, 1} of S3 is not normal, so the comultiplication does not
     # restrict to the functions on its cosets
+    flip = ClosedSubgroup(S3, [S3.basis_vector(g) for g in range(2, 6)])
+    assert flip.verify_hopf_ideal()
     cases = quotient_cases(R) + [
-        (G4, trivial_subgroup(G4)), (G4, whole_subgroup(G4)),
-        (S3, ClosedSubgroup(S3, [S3.basis_vector(g) for g in range(2, 6)])),
+        (G4, trivial_subgroup(G4)), (G4, whole_subgroup(G4)), (S3, flip),
     ]
     outcomes = set()
     for G, H in cases:
@@ -422,7 +439,7 @@ def test_quotient_data_is_built_once_per_subgroup(monkeypatch, spec):
     monkeypatch.setattr(constructions, "reduce_mod_span",
                         lambda R, span, v: reduced.append(span) or real(R, span, v))
     for G, H in quotient_cases(parse_ring(spec)):
-        K = ClosedSubgroup(G, H.ideal, check=False)
+        K = ClosedSubgroup(G, H.ideal)
         reduced.clear()
         assert K.verify_hopf_ideal()
         assert K.inclusion().source.verify()
@@ -444,6 +461,7 @@ def test_subgroup_verdicts_are_made_once(monkeypatch):
     refl = next(i for i in range(6) if A.element_order(i) == 2)
     flip = ClosedSubgroup(G, [G.basis_vector(g) for g in range(6)
                               if g not in (A.identity, refl)])
+    assert flip.verify_hopf_ideal()
     verdicts = []
     for H in (trivial_subgroup(G), flip):
         conjugated.clear()

@@ -20,6 +20,7 @@ from ffgs.rings import (
     QQ,
     Ring,
     RingError,
+    _direct_hom,
     _pmod_modp,
     _pmul_modp,
     default_modulus,
@@ -284,6 +285,61 @@ def test_find_hom_composites():
     assert h4(2) == (2, 0)
     assert find_hom(QQ, PrimeField(5)) is None
     assert find_hom(PrimeField(2), PrimeField(3)) is None
+
+
+def _reference_find_hom(R, S):
+    """find_hom as it was: the intermediate rings of a composite chosen by
+    the classes of R and S."""
+    h = _direct_hom(R, S)
+    if h is not None:
+        return h
+    mids = []
+    if isinstance(S, DualNumbers):
+        mids.append(S.base)
+    if isinstance(S, FiniteField):
+        mids.append(PrimeField(S.p))
+    if isinstance(R, LocalizedIntegers):
+        mids.append(PrimeField(R.p))
+    if isinstance(R, IntegersMod):
+        mids.extend(PrimeField(p) for p in prime_factors(R.n))
+    if isinstance(R, DualNumbers):
+        mids.append(R.base)
+    for mid in mids:
+        if mid == R or mid == S:
+            continue
+        first = _reference_find_hom(R, mid)
+        if first is None:
+            continue
+        rest = _reference_find_hom(mid, S)
+        if rest is not None:
+            return first.then(rest)
+    return None
+
+
+HOM_RINGS = ["Q", "GF(2)", "GF(3)", "GF(5)", "GF(2^2;x^2+x+1)", "GF(2^3;x^3+x+1)",
+             "GF(2^3;x^3+x^2+1)", "GF(3^2;x^2+1)", "Z/2", "Z/3", "Z/4", "Z/6", "Z/9",
+             "Z/12", "Z/35", "Zloc(2)", "Zloc(3)", "Dual(GF(2))", "Dual(GF(3))",
+             "Dual(Q)", "Dual(Z/2)", "Dual(Z/3)", "Dual(GF(2^2;x^2+x+1))",
+             "Dual(GF(2^3;x^3+x+1))"]
+
+
+def test_find_hom_matches_reference():
+    """find_hom, which composes through the residue fields of Spec S and
+    Spec R, finds the same maps as the class-driven search on every
+    ordered pair, with the same values."""
+    rings = [parse_ring(name) for name in HOM_RINGS]
+    found = 0
+    for R, S in itertools.product(rings, repeat=2):
+        want = _reference_find_hom(R, S)
+        got = find_hom(R, S)
+        assert (got is None) == (want is None), (R, S)
+        if got is None:
+            continue
+        found += 1
+        els = (list(itertools.islice(R.elements(), 40)) if R.is_finite
+               else [R.from_int(i) for i in range(-4, 5)])
+        assert [got(a) for a in els] == [want(a) for a in els], (R, S)
+    assert found > 100, found
 
 
 def test_field_embedding_is_hom():

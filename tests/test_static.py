@@ -2,7 +2,8 @@
 
 linalg stays ring-agnostic: every per-ring canonical-form rule lives on
 the Ring classes, so linalg neither calls isinstance nor imports a
-concrete ring.  No module imports a name it never uses, nor a private
+concrete ring, and outside rings.spectrum and rings._direct_hom no code
+tests a ring's class.  No module imports a name it never uses, nor a private
 (underscore-prefixed) name of another ffgs module.  Every name the
 benchmark's tracer wraps exists.  Ring maps are built in rings.py only
 (find_hom), apart from the Frobenius twist.  Only constructions.kernel
@@ -64,6 +65,42 @@ def used_names(tree):
 def test_ring_subclasses_are_found():
     assert {"PrimeField", "IntegersMod", "LocalizedIntegers",
             "DualNumbers"} <= ring_subclasses()
+
+
+def ring_class_tests(tree, allowed=()):
+    """Lines of the isinstance calls that name a class of ring_subclasses(),
+    outside the functions named in allowed."""
+    concrete = ring_subclasses()
+    spans = [(n.lineno, n.end_lineno) for n in ast.walk(tree)
+             if isinstance(n, ast.FunctionDef) and n.name in allowed]
+    found = []
+    for n in ast.walk(tree):
+        if not (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance"
+                and len(n.args) == 2):
+            continue
+        classes = n.args[1].elts if isinstance(n.args[1], ast.Tuple) else [n.args[1]]
+        named = {getattr(c, "id", getattr(c, "attr", None)) for c in classes}
+        if named & concrete and not any(a <= n.lineno <= b for a, b in spans):
+            found.append(n.lineno)
+    return sorted(found)
+
+
+def test_only_spectrum_and_direct_hom_branch_on_ring_classes():
+    """The points of Spec R and their residue fields (rings.spectrum) and
+    the maps between rings (rings._direct_hom) are the only code that
+    asks which class a ring is; everything else reads them, or the Ring
+    interface."""
+    allowed = ("spectrum", "_direct_hom")
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in ring_class_tests(parse(path), allowed)]
+    assert found == []
+    assert ring_class_tests(parse(SRC / "rings.py")), "spectrum branches"
+    tree = ast.parse("def spectrum(R):\n    return isinstance(R, PrimeField)\n"
+                     "def f(R, x):\n"
+                     "    return (isinstance(R, (int, rings.DualNumbers)),\n"
+                     "            isinstance(R, Ring), isinstance(x, str))\n")
+    assert ring_class_tests(tree, allowed) == [4]
+    assert ring_class_tests(tree) == [2, 4]
 
 
 def test_linalg_has_no_ring_dispatch():

@@ -20,12 +20,12 @@ from ffgs.structure import (InternalInconsistencyError, SplitResult,
                             classify_order_p,
                             common_refinement, connected_etale_sequence,
                             etale_unique_subgroup,
-                            fiber_report, frobenius_verschiebung,
+                            fiber_report, frobenius,
                             hochschild_split, identity_component,
                             infinitesimal_rank, is_etale, locus_report,
                             order_p_subgroup, p_primary_decompose,
                             separable_rank, splitting_points,
-                            theorem_decompose)
+                            theorem_decompose, verschiebung)
 from ffgs.testrings import test_ring_family as ring_family
 from test_acceptance import theorem_corpus
 from test_hopf import rebased, unitriangular
@@ -113,13 +113,13 @@ def _reference_identity_component(G):
     R = G.ring
     if R.is_field:
         core = _reference_augmentation_core(G)
-        return ClosedSubgroup(G, ideal_closure(G, core), check=False)
+        return ClosedSubgroup(G, ideal_closure(G, core))
     k = R.base
     fiber = G.base_change(RingHom(R, k, lambda a: a[0], "eps -> 0"))
     core = _reference_augmentation_core(fiber)
     if not core:
         return trivial_subgroup(G) if G.rank == 1 else \
-            ClosedSubgroup(G, [], check=False)
+            ClosedSubgroup(G, [])
     eB = _reference_unit_of_ideal(fiber, core)
     u0 = [(vec_sub(k, fiber.unit, eB)[i], k.zero) for i in range(G.rank)]
     u2 = G.mul_vec(u0, u0)
@@ -127,7 +127,7 @@ def _reference_identity_component(G):
     u = vec_sub(R, vec_scale(R, R.from_int(3), u2),
                 vec_scale(R, R.from_int(2), u3))
     gen = vec_sub(R, G.unit, u)
-    return ClosedSubgroup(G, ideal_closure(G, [gen]), check=False)
+    return ClosedSubgroup(G, ideal_closure(G, [gen]))
 
 
 IDENTITY_CASES = [("GF(2)", 6), ("GF(3)", 6), ("GF(3^2;x^2+1)", 6),
@@ -224,10 +224,10 @@ def test_classifier_matches_iso_search():
 
 def test_verschiebung_times_frobenius():
     G = mu(F3, 3)
-    F, V = frobenius_verschiebung(G)
+    F, V = frobenius(G), verschiebung(G)
     assert F.then(V).alg == convolution_power(G, 3).alg
     G = alpha(F2, 2)
-    F, V = frobenius_verschiebung(G)
+    F, V = frobenius(G), verschiebung(G)
     assert F.then(V).alg == convolution_power(G, 2).alg
 
 
@@ -570,6 +570,19 @@ def _reference_geometric_point_group(G):
             G.base_change(_reference_reduction_hom(G)))
     P, _, _ = splitting_points(G)
     return AbstractGroup.from_points(P)
+
+
+def test_splitting_points_over_finite_fields():
+    """The splitting field is found over GF(p), GF(p^k) and Z/p, which
+    splitting_points reads as finite fields by their size."""
+    for base, n, size in (("GF(7)", 3, 7), ("GF(2)", 3, 4),
+                          ("GF(2^2;x^2+x+1)", 3, 4), ("GF(2^2;x^2+x+1)", 5, 16),
+                          ("Z/3", 2, 3), ("Z/5", 3, 25)):
+        G = mu(parse_ring(base), n)
+        P, K, hom = splitting_points(G)
+        assert (P.order, K.size(), hom.source, hom.target) == (n, size, G.ring, K), base
+    with pytest.raises(HopfError, match="finite base field"):
+        splitting_points(mu(parse_ring("Z/9"), 2))
 
 
 def _reference_order_p_elements(P, p):
