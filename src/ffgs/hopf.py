@@ -199,19 +199,18 @@ class GroupScheme:
 
         It is the stabilized power of the augmentation ideal J = ker(counit),
         the ideal of the identity component: over a field its codimension is
-        the infinitesimal rank.  Over a base with one point and a section
-        k -> R of its residue field k (a field, or Dual(k)) the fiber's e0
-        is mapped up and lifted by Newton steps, since idempotents lift
-        uniquely along the nilpotent kernel of R -> k."""
+        the infinitesimal rank.  Over a field or an Artin local base (Dual(k),
+        Z/p^e) the e0 of the fiber over the residue field k is put in along
+        the lift of `Ring.residue_lifting` and lifted by Newton steps, since
+        idempotents lift uniquely along the nilpotent kernel of R -> k."""
         R = self.ring
-        points = spectrum(R)
-        k = R if R.is_field else points[0].residue_field
-        up = find_hom(k, R) if len(points) == 1 else None
-        if up is None:
+        try:
+            k, lift, _ = R.residue_lifting()
+        except RingError:
             raise HopfError("identity component needs a field or Artin local base, "
-                            f"not {R.name()}")
+                            f"not {R.name()}") from None
         fiber = self.base_change(k)
-        e0 = lift_idempotent(self, [up(a) for a in identity_idempotent(fiber)])
+        e0 = lift_idempotent(self, [lift(a) for a in identity_idempotent(fiber)])
         u = vec_sub(R, self.unit, e0)
         return linalg.canonical_span(R, [self.mul_vec(u, self.basis_vector(i))
                                          for i in range(self.rank)])
@@ -746,9 +745,10 @@ def lift_idempotent(GR: GroupScheme, u):
     u <- 3u^2 - 2u^3: each one at least squares the nilpotent part."""
     R = GR.ring
     three, two = R.from_int(3), R.from_int(2)
-    # a nilpotent of an algebra of rank m over a field or Dual(k) has
-    # index at most 2m, so this many steps reach u^2 = u
-    for _ in range(GR.rank.bit_length() + 2):
+    # a nilpotent of an algebra of rank m has index at most m(c + 1) over a
+    # base whose maximal ideal dies after c square-zero steps (0 for a field)
+    chain = len(R.residue_lifting()[2]) + 1
+    for _ in range((GR.rank * chain).bit_length() + 2):
         u2 = GR.mul_vec(u, u)
         if u2 == u:
             return u

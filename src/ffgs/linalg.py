@@ -110,13 +110,12 @@ def echelon(R: Ring, rows, nprimary: int | None = None):
     """Canonical echelon form of the row span, echelonizing on columns
     0..nprimary-1; trailing columns ride along (used for kernel tracking).
 
-    Returns (pivot_rows, pivots, free_rows): pivot_rows the Span of the
-    pivot rows sorted by pivot column, pivots a list of (col, pivot_value),
-    free_rows the Span of the canonicalized rows whose primary part is zero
-    (their tails span the tracked part).
+    Returns (pivot_rows, free_rows): pivot_rows the Span of the pivot rows
+    sorted by pivot column, free_rows the Span of the canonicalized rows
+    whose primary part is zero (their tails span the tracked part).
     """
     if not rows:
-        return Span(R), [], Span(R)
+        return Span(R), Span(R)
     width = len(rows[0])
     if nprimary is None:
         nprimary = width
@@ -158,13 +157,12 @@ def echelon(R: Ring, rows, nprimary: int | None = None):
     # back-substitution: reduce each row at the later pivot columns
     for i in range(len(pivot_rows) - 2, -1, -1):
         pivot_rows[i] = _reduce(R, pivot_rows[i + 1:], cols[i + 1:], pivot_rows[i])
-    pivots = [(c, placed[c][c]) for c in cols]
     tail = Span(R)
     if free and nprimary < width:
         tail = echelon(R, [r[nprimary:] for r in free])[0]
     free = Span(R, [[R.zero] * nprimary + t for t in tail],
                 [nprimary + c for c in tail.cols])
-    return Span(R, pivot_rows, cols), pivots, free
+    return Span(R, pivot_rows, cols), free
 
 
 def canonical_span(R: Ring, rows) -> Span:
@@ -208,7 +206,7 @@ def member_and_kernel(R: Ring, rows, v):
     if not rows:
         return (None if not vec_is_zero(R, v) else []), Span(R)
     n = len(v)
-    pivot_rows, _, free = echelon(R, _augment(R, rows), nprimary=n)
+    pivot_rows, free = echelon(R, _augment(R, rows), nprimary=n)
     w = reduce_mod_span(R, pivot_rows, list(v) + [R.zero] * len(rows))
     x = [R.neg(a) for a in w[n:]] if vec_is_zero(R, w[:n]) else None
     return x, Span(R, [f[n:] for f in free], [c - n for c in free.cols])

@@ -209,7 +209,10 @@ class Ring:
         """(k, lift, steps) of a local ring whose points lift from its
         residue field k along a chain of square-zero ideals: lift maps k
         into the ring, and each step is (delta, coord), the generator of
-        the next ideal and the k-coordinate of an element of (delta)."""
+        the next ideal and the k-coordinate of an element of (delta).  A
+        field is its own k, with no steps."""
+        if self.is_field:
+            return self, lambda a: a, []
         raise RingError(f"points enumeration unsupported over {self.name()}")
 
     # -- canonical forms -----------------------------------------------
@@ -707,8 +710,11 @@ class IntegersMod(_Residues):
         return f"Z/{self.n}"
 
     def residue_lifting(self):
-        """GF(p), the integer lift and the steps p, p^2, ..., n/p, for n = p^e."""
-        [p] = prime_factors(self.n)
+        """GF(p), the integer lift and the steps p, p^2, ..., n/p, for n = p^e
+        with e > 1; the Ring default for other n."""
+        [p, *others] = prime_factors(self.n)
+        if others or self.is_field:
+            return super().residue_lifting()
         steps, s = [], p
         while s < self.n:
             steps.append((s, lambda a, s=s: a // s % p))

@@ -350,6 +350,24 @@ def test_connected_etale(capsys):
     assert code == 0
 
 
+def test_connected_etale_over_zmod_prime_powers(capsys):
+    """Z/p^e is Artin local: the identity core lifts along its chain of
+    square-zero ideals, 39 of them over Z/2^40.  Bases with no single
+    residue field keep their error."""
+    for base, kernel in (("Z/9", 3), (f"Z/{2 ** 40}", 2)):
+        code, out = run(capsys, "connected-etale", "--builtin", "mu:6",
+                        "--base", base, "--format", "json")
+        assert code == 0, base
+        d = json.loads(out)
+        assert (d["kernel_order"], d["quotient_order"]) == (kernel, 6 // kernel)
+        assert all(e["left_injective"] and e["exact_middle"] and e["right_surjective"]
+                   for e in d["ledger"]), base
+    for base in ("Zloc(2)", "Z/6"):
+        assert main(["connected-etale", "--builtin", "mu:6", "--base", base]) == 2
+        assert capsys.readouterr().err == ("error: identity component needs a field "
+                                           f"or Artin local base, not {base}\n")
+
+
 def test_theorem(capsys):
     code, out = run(capsys, "theorem", "--builtin", "mu:6", "--base", "Zloc(2)",
                     "--format", "json")

@@ -14,11 +14,12 @@ from ffgs.hopf import (GroupScheme, GroupSchemeHom, HopfError,
 from ffgs import constructions, linalg
 from ffgs.constructions import _tensor_rows
 from ffgs.linalg import (canonical_span, mat_vec, member, member_with_coeffs,
-                         row_kernel, transpose, vec_scale, vec_sub)
+                         row_kernel, transpose, vec_add, vec_scale, vec_sub)
 from ffgs.oracle import AbstractGroup, s3_table
 from ffgs.rings import parse_ring, prime_factors
 from ffgs.structure import _slot_product_map, internal_product, p_primary_decompose
-from test_hopf import REFERENCE_BASES, assert_canonical_tables, builtins_over
+from test_hopf import (REFERENCE_BASES, assert_canonical_tables, builtins_over,
+                       hypothesis_or_skip, in_bases)
 
 Q = parse_ring("Q")
 F5 = parse_ring("GF(5)")
@@ -236,26 +237,48 @@ def _s3_sdp(R):
     return semidirect(Gmu, table, inversion_action(Gmu, table))
 
 
-def _seeded_ideals(G, rng, count):
-    """Ideal closures of random elements of the augmentation ideal and,
-    for constant groups, ideals of functions vanishing on a random subset
-    of points: most are not Hopf ideals."""
+def _augmentation_elements(G, rng):
+    """One or two random elements of the augmentation ideal."""
     R = G.ring
     els = list(R.elements()) if R.is_finite else [R.from_int(i)
                                                   for i in range(-3, 4)]
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        v = [rng.choice(els) if rng.random() < 0.25 else R.zero
+             for _ in range(G.rank)]
+        eps = G.counit_of(v)
+        gens.append([R.sub(c, R.mul(eps, u)) for c, u in zip(v, G.unit)])
+    return gens
+
+
+def _twisted_antipode(G, j):
+    """G with S(e_j) + 1 in place of S(e_j): a bialgebra whose antipode
+    moves each v of the augmentation ideal with v_j != 0 out of it."""
+    R = G.ring
+    M, C, S = G.sparse
+    moved = vec_add(R, G.antipode_vec(G.basis_vector(j)), G.unit)
+    S = S[:j] + [[(x, c) for x, c in enumerate(moved) if R.nonzero(c)]] + S[j + 1:]
+    return GroupScheme.from_tables(R, G.rank, (M, C, S), G.unit, G.counit,
+                                   f"{G.name} (twisted antipode)")
+
+
+def _seeded_ideals(G, rng, count):
+    """Ideal closures of random elements of the augmentation ideal and,
+    for constant groups, ideals of functions vanishing on a random subset
+    of points: most are not Hopf ideals.  Then the spans of such elements
+    alone, most of them no ideals, and the augmentation ideal in G with a
+    twisted antipode, a Hopf ideal but for antipode stability."""
     for s in range(count):
         if s % 2 and G.name.startswith("constant"):
             keep = {0} | {g for g in range(1, G.rank) if rng.random() < 0.4}
             rows = [G.basis_vector(g) for g in range(G.rank) if g not in keep]
             yield ClosedSubgroup(G, rows)
             continue
-        gens = []
-        for _ in range(rng.randint(1, 2)):
-            v = [rng.choice(els) if rng.random() < 0.25 else R.zero
-                 for _ in range(G.rank)]
-            eps = G.counit_of(v)
-            gens.append([R.sub(c, R.mul(eps, u)) for c, u in zip(v, G.unit)])
-        yield ClosedSubgroup(G, ideal_closure(G, gens))
+        yield ClosedSubgroup(G, ideal_closure(G, _augmentation_elements(G, rng)))
+    for _ in range(count // 2):
+        yield ClosedSubgroup(G, _augmentation_elements(G, rng))
+    J = trivial_subgroup(G).ideal
+    yield ClosedSubgroup(_twisted_antipode(G, J.cols[0]), J)
 
 
 @pytest.mark.parametrize("spec", PROJECTION_BASES)
@@ -277,8 +300,8 @@ def test_projection_checks_match_span_reference(spec):
             normal = is_normal(H)
             assert normal == _ref_is_normal(H), (G.name, H.ideal)
             seen |= {rep.axiom, normal[0]}
-    # every base meets ideals that fail the coideal and normality tests
-    assert {"coideal", False} <= seen
+    # every base meets ideals that fail each projection check and normality
+    assert {"ideal-closure", "coideal", "antipode-stability", False} <= seen
 
 
 def quotient_cases(R):
@@ -337,6 +360,13 @@ def test_non_unit_pivot_is_not_flat():
     assert (rep.ok, rep.axiom, rep.witness) == (False, "not-flat", (0,))
     with pytest.raises(HopfError):
         H.quotient_data()
+    # every other check reads pi, so a non-flat span that is no ideal
+    # (2(x - 1) in mu_4, whose product with x is outside it) is not-flat too
+    G = mu(ZL2, 4)
+    H = ClosedSubgroup(G, [[ZL2.from_int(-2), ZL2.from_int(2), ZL2.zero, ZL2.zero]])
+    assert not member(ZL2, H.ideal, G.mul_vec(H.ideal[0], G.basis_vector(1)))
+    rep = H.verify_hopf_ideal()
+    assert (rep.ok, rep.axiom, rep.witness) == (False, "not-flat", (0,))
 
 
 def _reference_quotient(G, H):
@@ -485,6 +515,45 @@ def test_conjugation_products_are_made_once_per_scheme(monkeypatch):
                         lambda self, v, w: products.append(1) or real(self, v, w))
     assert [is_normal(H) for H in subgroups] == [(True, None)] * 3
     assert 0 < len(products) <= G.rank ** 2
+
+
+def _reference_ideal_closure(G, gens):
+    """ideal_closure as it was: the span grows by its products with the
+    basis until a round adds nothing."""
+    R = G.ring
+    span = canonical_span(R, list(gens))
+    while True:
+        bigger = canonical_span(R, span + [G.mul_vec(v, G.basis_vector(i))
+                                           for v in span for i in range(G.rank)])
+        if bigger == span:
+            return span
+        span = bigger
+
+
+@pytest.mark.parametrize("name", REFERENCE_BASES)
+def test_ideal_closure_matches_fixpoint_reference(name):
+    """One round of products with the basis closes the span, in the
+    natural and a dense basis, for generators drawn anywhere or in the
+    augmentation ideal."""
+    hyp, st, settings = hypothesis_or_skip()
+    schemes = builtins_over(parse_ring(name))
+
+    @settings
+    @hyp.given(st.sampled_from(schemes), st.integers(0, 2 ** 32),
+               st.integers(1, 3), st.booleans())
+    def check(G, seed, count, augmented):
+        rng = random.Random(seed)
+        _, H = rng.choice(in_bases(G, rng))
+        R = H.ring
+        els = list(R.elements()) if R.is_finite else [R.from_int(i)
+                                                      for i in range(-3, 4)]
+        gens = [[rng.choice(els) if rng.random() < 0.4 else R.zero
+                 for _ in range(H.rank)] for _ in range(count)]
+        if augmented:
+            gens = [vec_sub(R, v, vec_scale(R, H.counit_of(v), H.unit)) for v in gens]
+        assert ideal_closure(H, gens) == _reference_ideal_closure(H, gens), H.name
+
+    check()
 
 
 def test_kernels_of_algebra_maps_are_ideals_without_closure():

@@ -264,6 +264,22 @@ def test_spectrum_q():
     assert len(pts) == 1 and pts[0].residue_field is QQ
 
 
+def test_residue_lifting_of_artin_local_rings():
+    """Z/p^e lifts from GF(p) along p, ..., p^(e-1), and Dual(k) along eps;
+    a base with several points or a generic point has no such chain and
+    says so with RingError."""
+    k, lift, steps = IntegersMod(27).residue_lifting()
+    assert k == PrimeField(3) and lift(2) == 2
+    assert [(d, coord(2 * d)) for d, coord in steps] == [(3, 2), (9, 2)]
+    F3 = PrimeField(3)
+    k, lift, steps = DualNumbers(F3).residue_lifting()
+    [(eps, coord)] = steps
+    assert k == F3 and lift(2) == (2, 0) and eps == (0, 1) and coord((1, 2)) == 2
+    for R in (IntegersMod(6), IntegersMod(30), LocalizedIntegers(2)):
+        with pytest.raises(RingError):
+            R.residue_lifting()
+
+
 def test_spectrum_transitive_antisymmetric():
     for R in ALL_RINGS:
         pts = spectrum(R)

@@ -8,7 +8,8 @@ tests a ring's class.  No module imports a name it never uses, nor a private
 benchmark's tracer wraps exists.  Ring maps are built in rings.py only
 (find_hom), apart from the Frobenius twist.  Only constructions.kernel
 closes an ideal under multiplication: every other subgroup is cut out by
-the kernel of an algebra map, an ideal already."""
+the kernel of an algebra map, an ideal already.  The Hopf-ideal report
+and the subgroup scheme read membership and tables through pi alone."""
 
 import ast
 from functools import cache
@@ -357,3 +358,31 @@ def test_ideals_are_closed_in_kernel_only():
                      "        return g\n"
                      "ideal_closure(0)\nclosure(0)\n")
     assert callers(tree, "ideal_closure") == ["f", "C.m.g", ""]
+
+
+def test_hopf_ideal_report_and_scheme_read_pi_only():
+    """ClosedSubgroup._hopf_ideal_report tests v in I as pi(v) = 0, and
+    ClosedSubgroup.scheme projects its tables, both through the sparse
+    pi(e_j) rows; neither reduces against the ideal's span itself, also
+    not in a function nested in them."""
+    scopes = ("ClosedSubgroup._hopf_ideal_report", "ClosedSubgroup.scheme")
+
+    def offenders(tree, name):
+        return [w for w in callers(tree, name)
+                if any(w == s or w.startswith(s + ".") for s in scopes)]
+
+    tree = parse(SRC / "constructions.py")
+    [cls] = [n for n in tree.body
+             if isinstance(n, ast.ClassDef) and n.name == "ClosedSubgroup"]
+    assert {s.split(".")[1] for s in scopes} <= {
+        n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    for name in ("member", "reduce_mod_span", "add_scaled"):
+        assert not offenders(tree, name), name
+    snippet = ast.parse("class ClosedSubgroup:\n"
+                        "    def scheme(self):\n"
+                        "        def project():\n            return linalg.add_scaled(1)\n"
+                        "    def quotient_data(self):\n        return reduce_mod_span(1)\n"
+                        "    def _hopf_ideal_report(self):\n        return member(1)\n")
+    assert offenders(snippet, "add_scaled") == ["ClosedSubgroup.scheme.project"]
+    assert offenders(snippet, "member") == ["ClosedSubgroup._hopf_ideal_report"]
+    assert not offenders(snippet, "reduce_mod_span")

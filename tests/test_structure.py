@@ -327,6 +327,32 @@ def test_theorem_decompose_mu6_zloc2():
     assert d["schema"] == 1
 
 
+def test_theorem_checks_p_on_g_prime_directly(monkeypatch):
+    """G' of prime order p is checked by [p] = 0 on it alone: no kernel,
+    image or primary decomposition runs on G'.  A G' that [p] does not
+    kill is an internal inconsistency."""
+    powers, on_gprime = [], []
+    real_power = structure.convolution_power
+    monkeypatch.setattr(structure, "convolution_power",
+                        lambda H, n: powers.append((H.rank, n)) or real_power(H, n))
+    for name, ambient in (("kernel", lambda f: f.source), ("image", lambda f: f.target),
+                          ("p_primary_decompose", lambda H: H)):
+        def counting(x, real=getattr(structure, name), name=name, ambient=ambient):
+            on_gprime.append((name, ambient(x).rank))
+            return real(x)
+        monkeypatch.setattr(structure, name, counting)
+    ZL3 = parse_ring("Zloc(3)")
+    for G, p in ((mu(ZL2, 6), 2), (mu(ZL3, 15), 3), (mu(F2, 6), 2)):
+        powers.clear()
+        on_gprime.clear()
+        assert [q for q, _ in theorem_decompose(G).factors] == [p], G.name
+        assert powers == [(p, p)], G.name
+        assert all(rank == G.rank for _, rank in on_gprime), (G.name, on_gprime)
+    monkeypatch.setattr(structure, "convolution_power", lambda H, n: real_power(H, n + 1))
+    with pytest.raises(InternalInconsistencyError, match=r"\[2\] is not zero on G'"):
+        theorem_decompose(mu(ZL2, 6))
+
+
 def test_theorem_decompose_etale_is_trivial_kernel():
     cert = theorem_decompose(constant(Q, s3_table()))
     assert cert.i_values == [1]
