@@ -34,6 +34,8 @@ from .hopf import (
     GroupSchemeHom,
     HopfError,
     VerificationReport,
+    hom_on_points,
+    map_tensor,
     nonzeros,
     points,
 )
@@ -289,7 +291,7 @@ class ClosedSubgroup:
                 return VerificationReport(False, "augmentation", (t,))
         for t, v in enumerate(self.ideal):
             terms = ((j, k, c) for (j, k), c in G.comult_vec(v).items())
-            if _project_tensor(R, pb, terms):
+            if map_tensor(R, pb, pb, terms):
                 return VerificationReport(False, "coideal", (t,))
         for t, v in enumerate(self.ideal):
             if _project(R, pb, nonzeros(R, G.antipode_vec(v))):
@@ -321,7 +323,7 @@ class ClosedSubgroup:
         free_cols, pbasis = self.quotient_data()
         pb = [nonzeros(R, w) for w in pbasis]
         mult = [[_project(R, pb, M[a][b]) for b in free_cols] for a in free_cols]
-        comult = [_project_tensor(R, pb, C[a]) for a in free_cols]
+        comult = [map_tensor(R, pb, pb, C[a]) for a in free_cols]
         antipode = [_project(R, pb, S[a]) for a in free_cols]
         self._scheme = GroupScheme.from_tables(
             R, len(free_cols), (mult, comult, antipode),
@@ -355,18 +357,6 @@ def _project(R: Ring, pb, terms):
         for s, u in pb[x]:
             out[s] = R.add(out.get(s, R.zero), R.mul(c, u))
     return sorted((s, c) for s, c in out.items() if R.nonzero(c))
-
-
-def _project_tensor(R: Ring, pb, terms):
-    """(pi (x) pi) of sum c e_j (x) e_k over the (j, k, c) in terms, as its
-    nonzero (s, t, c) in increasing (s, t); pb[j] is nonzeros(pi(e_j))."""
-    out: dict = {}
-    for j, k, c in terms:
-        for s, u in pb[j]:
-            cu = R.mul(c, u)
-            for t, w in pb[k]:
-                out[(s, t)] = R.add(out.get((s, t), R.zero), R.mul(cu, w))
-    return sorted((s, t, c) for (s, t), c in out.items() if R.nonzero(c))
 
 
 def ideal_closure(G: GroupScheme, gens):
@@ -444,12 +434,18 @@ def is_normal(H: ClosedSubgroup):
     """(flag, certificate): certificate is a failing generator index or None;
     made once per subgroup and kept.
 
-    ad(v) lies in A (x) I exactly when every row of its matrix lies in I."""
+    ad(v) lies in A (x) I = ker(id (x) pi) exactly when (id (x) pi) ad(v) = 0.
+    This reads pi, so a non-flat I raises HopfError (see `quotient_data`)."""
     if H._normal is None:
         G, R = H.ambient, H.ambient.ring
-        H._normal = next(((False, t) for t, v in enumerate(H.ideal)
-                          if not all(member(R, H.ideal, row) for row in
-                                     _tensor_rows(G, conjugation_tensor(G, v)))),
+        ident = [[(j, R.one)] for j in range(G.rank)]
+        pb = [nonzeros(R, w) for w in H.quotient_data()[1]]
+
+        def outside(v):  # (id (x) pi) ad(v) != 0
+            ad = conjugation_tensor(G, v)
+            return map_tensor(R, ident, pb, ((j, k, c) for (j, k), c in ad.items()))
+
+        H._normal = next(((False, t) for t, v in enumerate(H.ideal) if outside(v)),
                          (True, None))
     return H._normal
 
@@ -460,23 +456,24 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
     if H.ambient is not G:
         raise HopfError("subgroup does not live in this scheme")
     R = G.ring
-    m = G.rank
-    pbasis = H.quotient_data()[1]
-    punit = mat_vec(R, transpose(pbasis), G.unit)
-    # a = sum t_i e_i is coinvariant iff (id (x) pi) Delta(a) = a (x) pi(1)
+    m, n = G.rank, H.order
+    ident = [[(j, R.one)] for j in range(m)]
+    pb = [nonzeros(R, w) for w in H.quotient_data()[1]]
+    minus_unit = [(k, R.neg(u)) for k, u in nonzeros(R, G.unit)]
+    # a = sum t_i e_i is coinvariant iff (id (x) pi) Delta(a) = a (x) pi(1),
+    # that is iff sum t_i (id (x) pi)(Delta(e_i) - e_i (x) 1) = 0
     cols = []
     for i, terms in enumerate(G.sparse.comult):
-        half = [[R.zero] * H.order for _ in range(m)]
-        for j, k, c in terms:
-            add_scaled(R, half[j], [(c, pbasis[k])])
-        half[i] = vec_sub(R, half[i], punit)
-        cols.append([c for row in half for c in row])
+        col = [R.zero] * (m * n)
+        for j, s, c in map_tensor(R, ident, pb, terms + [(i, k, u) for k, u in minus_unit]):
+            col[j * n + s] = c
+        cols.append(col)
     B = row_kernel(R, cols)
     if not B:
         raise HopfError("coinvariants are zero")
-    if len(B) * H.order != m:
+    if len(B) * n != m:
         raise HopfError(
-            f"quotient rank {len(B)} times subgroup order {H.order} "
+            f"quotient rank {len(B)} times subgroup order {n} "
             f"misses the ambient order {m}"
         )
     # unit pivots make B free, and its canonical form has B[s][c_t] = 0 for
@@ -556,7 +553,6 @@ def extension_witness(G: GroupScheme, H: ClosedSubgroup,
     incl = H.inclusion()
     Hs = incl.source
     ledger, ledger_points, skipped = [], [], []
-    from .hopf import hom_on_points
     for T in test_ring_family(G.ring):
         try:
             PH = points(Hs, T, bound=budget)

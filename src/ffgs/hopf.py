@@ -89,6 +89,20 @@ def nonzeros(R: Ring, v):
     return [(x, c) for x, c in enumerate(v) if nonzero(c)]
 
 
+def map_tensor(R: Ring, left, right, terms):
+    """(f (x) g) of sum c e_j (x) e_k over the (j, k, c) in terms, as its
+    nonzero (s, t, c) in increasing (s, t); left[j] and right[k] are the
+    nonzero (s, c) of f(e_j) and the (t, c) of g(e_k)."""
+    add, mul = R.add, R.mul
+    out: dict = {}
+    for j, k, c in terms:
+        for s, u in left[j]:
+            cu = mul(c, u)
+            for t, w in right[k]:
+                out[(s, t)] = add(out.get((s, t), R.zero), mul(cu, w))
+    return sorted((s, t, c) for (s, t), c in out.items() if R.nonzero(c))
+
+
 def _pair(R: Ring, entries, v):
     """sum c v[x] over the (x, c) in entries."""
     add, mul = R.add, R.mul
@@ -544,24 +558,17 @@ class GroupSchemeHom:
 
     def is_valid(self) -> VerificationReport:
         R = self.source.ring
-        nonzero = R.nonzero
         S, T = self.source, self.target
         TM, TC, _ = T.sparse
-        A = [[(a, x) for a, x in enumerate(v) if nonzero(x)] for v in self.alg]
+        A = [nonzeros(R, v) for v in self.alg]
         if self.apply_alg(T.unit) != S.unit:
             return VerificationReport(False, "hom-unit", ())
         for i in range(T.rank):
             if S.counit_of(self.alg[i]) != T.counit[i]:
                 return VerificationReport(False, "hom-counit", (i,))
-            lhs = S.comult_vec(self.alg[i])
-            rhs: dict = {}
-            for j, k, c in TC[i]:
-                for a, x in A[j]:
-                    cx = R.mul(c, x)
-                    for b, y in A[k]:
-                        rhs[(a, b)] = R.add(rhs.get((a, b), R.zero), R.mul(cx, y))
-            rhs = {key: c for key, c in rhs.items() if nonzero(c)}
-            if lhs != rhs:
+            # Delta_S(f(e_i)) = (f (x) f) Delta_T(e_i)
+            if sorted((j, k, c) for (j, k), c in S.comult_vec(self.alg[i]).items()) \
+                    != map_tensor(R, A, A, TC[i]):
                 return VerificationReport(False, "hom-comult", (i,))
             for j in range(T.rank):
                 pulled = add_scaled(R, [R.zero] * S.rank,

@@ -31,6 +31,8 @@ from .hopf import (
     convolution_power,
     cartier_dual,
     is_etale,
+    map_tensor,
+    nonzeros,
     points,
     power_map_alg,
 )
@@ -394,35 +396,22 @@ def _locus_report(G: GroupScheme, p: int, reports) -> LocusReport:
 
 def _slot_product_map(G: GroupScheme, subgroups):
     """The algebra map of mult: H_1 x ... x H_t -> G, i.e.
-    (pi_1 (x) ... (x) pi_t) o Delta^(t-1), as rows phi(e_i)."""
+    phi_1 = (pi_1 (x) ... (x) pi_t) o Delta^(t-1), as rows phi(e_i) in
+    row-major slot order.  By coassociativity it folds from the right:
+    phi_t = pi_t and phi_k = (pi_k (x) phi_(k+1)) o Delta."""
     R = G.ring
-    t = len(subgroups)
-    pbases = [H.quotient_data()[1] for H in subgroups]
-    ranks = [H.order for H in subgroups]
-    width = prod(ranks)
-    rows = []
-    for i in range(G.rank):
-        cur = {(i,): R.one}
-        for _ in range(t - 1):
-            nxt: dict = {}
-            for key, c in cur.items():
-                for j, k, d in G.sparse.comult[key[-1]]:
-                    nk = key[:-1] + (j, k)
-                    nxt[nk] = R.add(nxt.get(nk, R.zero), R.mul(c, d))
-            cur = nxt
-        out = [R.zero] * width
-        for key, c in cur.items():
-            vecs = [pb[idx] for pb, idx in zip(pbases, key)]
-            # product() runs through the slots in row-major order
-            for flat, combo in enumerate(itertools.product(*map(range, ranks))):
-                coeff = c
-                for vec, pos in zip(vecs, combo):
-                    coeff = R.mul(coeff, vec[pos])
-                    if not R.nonzero(coeff):
-                        break
-                if R.nonzero(coeff):
-                    out[flat] = R.add(out[flat], coeff)
-        rows.append(out)
+    *firsts, last = subgroups
+    phi = [nonzeros(R, w) for w in last.quotient_data()[1]]
+    width = last.order
+    for H in reversed(firsts):
+        pb = [nonzeros(R, w) for w in H.quotient_data()[1]]
+        phi = [[(s * width + t, c) for s, t, c in map_tensor(R, pb, phi, terms)]
+               for terms in G.sparse.comult]
+        width *= H.order
+    rows = [[R.zero] * width for _ in phi]
+    for row, entries in zip(rows, phi):
+        for x, c in entries:
+            row[x] = c
     return rows
 
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import prod
 
 import pytest
 
@@ -290,13 +292,17 @@ def test_projection_checks_match_span_reference(spec):
         for H in _seeded_ideals(G, rng, 6):
             rep = H.verify_hopf_ideal()
             if rep.axiom == "not-flat":
-                # a non-unit pivot: A/I is not free on the free columns
+                # a non-unit pivot: A/I is not free on the free columns, and
+                # normality, read through pi, has no verdict
                 with pytest.raises(HopfError):
                     H.quotient_data()
-            else:
-                ref = _ref_verify_hopf_ideal(H)
-                assert (rep.ok, rep.axiom, rep.witness) == \
-                    (ref.ok, ref.axiom, ref.witness), (G.name, H.ideal)
+                with pytest.raises(HopfError, match="non-unit pivot"):
+                    is_normal(H)
+                seen.add(rep.axiom)
+                continue
+            ref = _ref_verify_hopf_ideal(H)
+            assert (rep.ok, rep.axiom, rep.witness) == \
+                (ref.ok, ref.axiom, ref.witness), (G.name, H.ideal)
             normal = is_normal(H)
             assert normal == _ref_is_normal(H), (G.name, H.ideal)
             seen |= {rep.axiom, normal[0]}
@@ -586,3 +592,118 @@ def test_kernels_of_algebra_maps_are_ideals_without_closure():
                 assert H == subgroups[0] if len(subgroups) == 1 else H.order == G.rank
                 products += len(subgroups) > 1
     assert products == 2 * len(REFERENCE_BASES)
+
+
+def _reference_slot_product_map(G, subgroups):
+    """_slot_product_map as it was: Delta^(t-1)(e_i) expanded key by key,
+    then every combination of slots read off each key."""
+    R = G.ring
+    t = len(subgroups)
+    pbases = [H.quotient_data()[1] for H in subgroups]
+    ranks = [H.order for H in subgroups]
+    rows = []
+    for i in range(G.rank):
+        cur = {(i,): R.one}
+        for _ in range(t - 1):
+            nxt: dict = {}
+            for key, c in cur.items():
+                for j, k, d in G.sparse.comult[key[-1]]:
+                    nk = key[:-1] + (j, k)
+                    nxt[nk] = R.add(nxt.get(nk, R.zero), R.mul(c, d))
+            cur = nxt
+        out = [R.zero] * prod(ranks)
+        for key, c in cur.items():
+            vecs = [pb[idx] for pb, idx in zip(pbases, key)]
+            # product() runs through the slots in row-major order
+            for flat, combo in enumerate(itertools.product(*map(range, ranks))):
+                coeff = c
+                for vec, pos in zip(vecs, combo):
+                    coeff = R.mul(coeff, vec[pos])
+                    if not R.nonzero(coeff):
+                        break
+                if R.nonzero(coeff):
+                    out[flat] = R.add(out[flat], coeff)
+        rows.append(out)
+    return rows
+
+
+@pytest.mark.parametrize("spec", ["GF(7)", "Q", "Zloc(7)", "Z/35"])
+def test_slot_product_map_matches_expansion_reference(spec):
+    """The map folded from the right, (pi_k (x) phi_(k+1)) o Delta, equals
+    the expansion of Delta^(t-1) on one, two and three p-primary factors
+    of mu_30 and Z/30 (of mu_6 over Z/35, whose p-primary parts are flat
+    there)."""
+    R = parse_ring(spec)
+    schemes = [mu(R, 6)] if spec == "Z/35" else [mu(R, 30), constant_cyclic(R, 30)]
+    counts = set()
+    for G in schemes:
+        factors = [kernel(convolution_power(G, p)) for p in prime_factors(G.rank)]
+        for t in range(1, len(factors) + 1):
+            for subgroups in itertools.combinations(factors, t):
+                assert _slot_product_map(G, list(subgroups)) == \
+                    _reference_slot_product_map(G, subgroups), (G.name, t)
+                counts.add(t)
+    assert counts == ({1, 2} if spec == "Z/35" else {1, 2, 3})
+
+
+def _reference_is_valid(f):
+    """GroupSchemeHom.is_valid as it was: (f (x) f) Delta_T(e_i) summed in
+    its own triple loop and compared with Delta_S(f(e_i)) as dicts."""
+    R = f.source.ring
+    nonzero = R.nonzero
+    S, T = f.source, f.target
+    TM, TC, _ = T.sparse
+    A = [[(a, x) for a, x in enumerate(v) if nonzero(x)] for v in f.alg]
+    if f.apply_alg(T.unit) != S.unit:
+        return VerificationReport(False, "hom-unit", ())
+    for i in range(T.rank):
+        if S.counit_of(f.alg[i]) != T.counit[i]:
+            return VerificationReport(False, "hom-counit", (i,))
+        lhs = S.comult_vec(f.alg[i])
+        rhs: dict = {}
+        for j, k, c in TC[i]:
+            for a, x in A[j]:
+                cx = R.mul(c, x)
+                for b, y in A[k]:
+                    rhs[(a, b)] = R.add(rhs.get((a, b), R.zero), R.mul(cx, y))
+        rhs = {key: c for key, c in rhs.items() if nonzero(c)}
+        if lhs != rhs:
+            return VerificationReport(False, "hom-comult", (i,))
+        for j in range(T.rank):
+            pulled = linalg.add_scaled(R, [R.zero] * S.rank,
+                                       ((c, f.alg[x]) for x, c in TM[i][j]))
+            if pulled != S.mul_vec(f.alg[i], f.alg[j]):
+                return VerificationReport(False, "hom-mult", (i, j))
+    return VerificationReport(True)
+
+
+@pytest.mark.parametrize("spec", ["GF(5)", "Q", "Zloc(2)", "Z/35"])
+def test_corrupted_homs_fail_as_reference(spec):
+    """Subgroup inclusions, [n], quotient projections and the scaling
+    x -> 3x of ot2(-2, 1) onto ot2(-6, 1/3) pass is_valid; each copy with
+    one alg entry moved by 1 fails at the axiom and witness of the
+    reference, and between them every hom axiom fails.  In mu_2 x Z/3 the
+    unit and the counit both have zero coordinates, so some moved entries
+    pass the unit and counit checks."""
+    R = parse_ring(spec)
+    G = direct_product(mu(R, 2), constant_cyclic(R, 3))
+    homs = [kernel(convolution_power(G, 3)).inclusion(), convolution_power(G, 5),
+            quotient(G, kernel(convolution_power(G, 2)))[1]]
+    homs += [quotient(G, H)[1] for G, H in quotient_cases(R)]
+    u, a = R.from_int(3), R.from_int(-2)
+    homs.append(GroupSchemeHom(tate_oort2(R, a, R.one),
+                               tate_oort2(R, R.mul(u, a), R.inv(u)),
+                               [[R.one, R.zero], [R.zero, u]]))
+    seen = set()
+    for f in homs:
+        assert f.is_valid().ok and _reference_is_valid(f).ok, f.target.name
+        for j in range(f.target.rank):
+            for a in range(f.source.rank):
+                alg = [list(v) for v in f.alg]
+                alg[j][a] = R.add(alg[j][a], R.one)
+                g = GroupSchemeHom(f.source, f.target, alg)
+                rep, ref = g.is_valid(), _reference_is_valid(g)
+                assert (rep.ok, rep.axiom, rep.witness) == \
+                    (ref.ok, ref.axiom, ref.witness), (f.target.name, j, a)
+                seen.add(rep.axiom)
+    assert seen == {"hom-unit", "hom-counit", "hom-comult", "hom-mult"}

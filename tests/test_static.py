@@ -8,8 +8,9 @@ tests a ring's class.  No module imports a name it never uses, nor a private
 benchmark's tracer wraps exists.  Ring maps are built in rings.py only
 (find_hom), apart from the Frobenius twist.  Only constructions.kernel
 closes an ideal under multiplication: every other subgroup is cut out by
-the kernel of an algebra map, an ideal already.  The Hopf-ideal report
-and the subgroup scheme read membership and tables through pi alone."""
+the kernel of an algebra map, an ideal already.  The Hopf-ideal report,
+the subgroup scheme and normality read membership and tables through pi
+alone, and every map f (x) g on A (x) A is hopf.map_tensor."""
 
 import ast
 from functools import cache
@@ -360,22 +361,33 @@ def test_ideals_are_closed_in_kernel_only():
     assert callers(tree, "ideal_closure") == ["f", "C.m.g", ""]
 
 
+def defined_scopes(tree):
+    """Dotted names of the module's functions and of its classes' methods."""
+    out = set()
+    for n in tree.body:
+        if isinstance(n, ast.FunctionDef):
+            out.add(n.name)
+        elif isinstance(n, ast.ClassDef):
+            out |= {f"{n.name}.{m.name}" for m in n.body
+                    if isinstance(m, ast.FunctionDef)}
+    return out
+
+
 def test_hopf_ideal_report_and_scheme_read_pi_only():
-    """ClosedSubgroup._hopf_ideal_report tests v in I as pi(v) = 0, and
-    ClosedSubgroup.scheme projects its tables, both through the sparse
-    pi(e_j) rows; neither reduces against the ideal's span itself, also
-    not in a function nested in them."""
-    scopes = ("ClosedSubgroup._hopf_ideal_report", "ClosedSubgroup.scheme")
+    """ClosedSubgroup._hopf_ideal_report tests v in I as pi(v) = 0,
+    ClosedSubgroup.scheme projects its tables and is_normal tests
+    (id (x) pi) ad(v) = 0, all through the sparse pi(e_j) rows; none
+    reduces against the ideal's span itself, also not in a function
+    nested in them."""
+    scopes = ("ClosedSubgroup._hopf_ideal_report", "ClosedSubgroup.scheme",
+              "is_normal")
 
     def offenders(tree, name):
         return [w for w in callers(tree, name)
                 if any(w == s or w.startswith(s + ".") for s in scopes)]
 
     tree = parse(SRC / "constructions.py")
-    [cls] = [n for n in tree.body
-             if isinstance(n, ast.ClassDef) and n.name == "ClosedSubgroup"]
-    assert {s.split(".")[1] for s in scopes} <= {
-        n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    assert set(scopes) <= defined_scopes(tree)
     for name in ("member", "reduce_mod_span", "add_scaled"):
         assert not offenders(tree, name), name
     snippet = ast.parse("class ClosedSubgroup:\n"
@@ -386,3 +398,28 @@ def test_hopf_ideal_report_and_scheme_read_pi_only():
     assert offenders(snippet, "add_scaled") == ["ClosedSubgroup.scheme.project"]
     assert offenders(snippet, "member") == ["ClosedSubgroup._hopf_ideal_report"]
     assert not offenders(snippet, "reduce_mod_span")
+
+
+def test_two_tensors_are_mapped_by_map_tensor_only():
+    """Every (f (x) g) on A (x) A goes through hopf.map_tensor: the
+    Hopf-ideal report and the subgroup scheme (pi (x) pi), normality and
+    the coinvariants of a quotient (id (x) pi), the p-primary product map
+    (pi_k (x) phi_(k+1)) and the hom-comult check (f (x) f); the
+    constructions-private _project_tensor it replaced is gone."""
+    want = {"constructions.ClosedSubgroup._hopf_ideal_report",
+            "constructions.ClosedSubgroup.scheme", "constructions.is_normal",
+            "constructions.quotient", "structure._slot_product_map",
+            "hopf.GroupSchemeHom.is_valid"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = parse(path)
+        assert not [n for n in ast.walk(tree)
+                    if getattr(n, "name", getattr(n, "id", None)) == "_project_tensor"
+                    or getattr(n, "attr", None) == "_project_tensor"], path.name
+        scopes = defined_scopes(tree)
+        for where in callers(tree, "map_tensor"):
+            # a call in a function nested in a scope counts for the scope
+            scope = next((s for s in scopes if where == s or where.startswith(s + ".")),
+                         where)
+            found.add(f"{path.stem}.{scope}")
+    assert found == want
