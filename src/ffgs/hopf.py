@@ -21,10 +21,12 @@ the zeros of the m^3 dense entries.  The dense lists `mult`, `comult` and
 `antipode` are what the constructor and `from_dict` take and what
 `to_dict` writes; a scheme derives them from its tables on first use.
 The tables are fixed once a scheme is made, so the conjugation tensors
-ad(e_i) (`adjoint`), the trace discriminant (`etale`), the ideal of the
-identity component (`identity_core`), the characters over a field
-(`field_characters`), the subschemes x^p = 1 (`torsion_subschemes`) and
-the base change to each ring (`base_change`) are made once per scheme too.
+ad(e_i) (`adjoint`), the certified algebra generators `verify` checks
+the laws on (`algebra_generators`), the trace discriminant (`etale`), the
+ideal of the identity component (`identity_core`), the characters over a
+field (`field_characters`), the subschemes x^p = 1 (`torsion_subschemes`)
+and the base change to each ring (`base_change`) are made once per scheme
+too.
 """
 
 from __future__ import annotations
@@ -201,6 +203,37 @@ class GroupScheme:
         return out
 
     @functools.cached_property
+    def algebra_generators(self):
+        """[s] for one element s whose powers 1, s, ..., s^(m-1) span the
+        algebra, else the basis; made on first use and kept.
+
+        The candidates, in turn, are the basis vectors other than the unit,
+        then t = sum (i + 1) e_i.  For m > 2 one whose square is itself or
+        0 is skipped, as its powers span at most 1 and s.  Each power is
+        made as s^(k-1) s, and one canonical span over R certifies them: m
+        rows with unit pivots, so the powers are a basis.  `verify` says
+        why the laws need only be checked on these."""
+        R, m = self.ring, self.rank
+        basis = [self.basis_vector(i) for i in range(m)]
+        zero = [R.zero] * m
+
+        def powers(s):  # 1, s, ..., s^(m-1), or None once s^2 is s or 0
+            out = [self.unit, s][:m]
+            while len(out) < m:
+                out.append(self.mul_vec(out[-1], s))
+                if len(out) == 3 and out[2] in (s, zero):
+                    return None
+            return out
+
+        for s in [e for e in basis if e != self.unit] + [[R.from_int(i + 1) for i in range(m)]]:
+            rows = powers(s)
+            if rows is not None:
+                span = linalg.canonical_span(R, rows)
+                if len(span) == m and span.nonunit is None:
+                    return [s]
+        return basis
+
+    @functools.cached_property
     def etale(self):
         """is_etale(self), made on first use and kept."""
         disc = trace_discriminant(self)
@@ -324,6 +357,20 @@ class GroupScheme:
         then bialgebra-mult and counit-mult for each pair (i, j) in turn, and
         antipode-left and antipode-right for each i in turn.  The witness is
         the first failing index tuple in lexicographic order.
+
+        Associativity and bialgebra-mult/counit-mult are checked on the
+        `algebra_generators` S alone: (e_x s) e_y = e_x (s e_y) for all x, y
+        and Delta(s e_j) = Delta(s) Delta(e_j), eps(s e_j) = eps(s) eps(e_j)
+        for all j, each s in S.  This is exact.  The a with (xa)y = x(ay)
+        for all x, y form a submodule holding 1 and closed under products
+        (Light's test, Clifford and Preston, The Algebraic Theory of
+        Semigroups I, 1961), so they hold the powers of S, which span.  Once
+        the product is associative, the a with Delta(ab) = Delta(a) Delta(b)
+        for all b form a unital subalgebra, as do those for eps.  With one
+        generator that is m^2 products for associativity and m pairs for
+        multiplicativity, against m^3 and m^2 on the basis.  When a check on
+        a single generator fails, it is run again on the basis, which names
+        the first failing triple or pair.
         """
         R = self.ring
         m = self.rank
@@ -358,14 +405,39 @@ class GroupScheme:
         for i in range(m):
             if combine((a, i, u) for a, u in unit) != basis[i]:
                 return VerificationReport(False, "algebra-unit", (i,))
-        # associativity: (e_i e_j) e_k = e_i (e_j e_k)
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    lhs = combine((a, k, c) for a, c in M[i][j])
-                    rhs = combine((i, b, c) for b, c in M[j][k])
-                    if lhs != rhs:
-                        return VerificationReport(False, "associativity", (i, j, k))
+        # each generator s as (the nonzeros of s e_k for each k, the (a, b, c)
+        # of Delta(s), eps(s)); on the basis these are the stored rows, and
+        # e_k s = s e_k as mult is commutative by now
+        on_basis = [(M[j], C[j], self.counit[j]) for j in range(m)]
+        gens = on_basis
+        if self.algebra_generators != basis:
+            gens = []
+            for s in self.algebra_generators:
+                v = nonzeros(R, s)
+                gens.append(([nonzeros(R, combine((b, k, c) for b, c in v)) for k in range(m)],
+                             [(a, b, c) for (a, b), c in delta(v).items()],
+                             _pair(R, v, self.counit)))
+
+        def first_failure(check):
+            """check(gens), and check(on_basis) for the witness if that fails."""
+            report = check(gens)
+            if report is not None and gens is not on_basis:
+                report = check(on_basis)
+            return report
+
+        def associativity(generators):  # (e_i s_j) e_k = e_i (s_j e_k)
+            for i in range(m):
+                for j, (rows, _, _) in enumerate(generators):
+                    for k in range(m):
+                        lhs = combine((a, k, c) for a, c in rows[i])
+                        rhs = combine((i, b, c) for b, c in rows[k])
+                        if lhs != rhs:
+                            return VerificationReport(False, "associativity", (i, j, k))
+            return None
+
+        report = first_failure(associativity)
+        if report is not None:
+            return report
         # coassociativity: (Delta (x) id) Delta = (id (x) Delta) Delta
         for i in range(m):
             lhs: dict = {}
@@ -396,16 +468,16 @@ class GroupScheme:
             return VerificationReport(False, "bialgebra-unit", ())
         if self.counit_of(self.unit) != R.one:
             return VerificationReport(False, "counit-unit", ())
-        # Delta(e_i) Delta(e_j) = sum C^i_ab C^j_cd e_a e_c (x) e_b e_d, in two
-        # stages that meet on (c, b):  P_i[(c, b)] = sum_a C^i_ab e_a e_c  and
+        # Delta(s) Delta(e_j) = sum C^s_ab C^j_cd e_a e_c (x) e_b e_d, in two
+        # stages that meet on (c, b):  P_s[(c, b)] = sum_a C^s_ab e_a e_c  and
         # Q_j[(c, b)] = sum_d C^j_cd e_b e_d.  Each stage is O(m^5) on a dense
         # basis and pairing them O(m^6), where expanding the product is O(m^8).
         # Q reads e_d e_b for e_b e_d: mult is commutative by now.
         partners = [[(c, v) for c, v in enumerate(row) if v] for row in M]
 
-        def stage(i, left):
+        def stage(terms, left):
             out: dict = {}
-            for a, b, coeff in C[i]:
+            for a, b, coeff in terms:
                 for c, prod in partners[a if left else b]:
                     acc = out.setdefault((c, b) if left else (a, c), {})
                     for x, d in prod:
@@ -413,21 +485,27 @@ class GroupScheme:
             return {key: [(x, v) for x, v in acc.items() if nonzero(v)]
                     for key, acc in out.items()}
 
-        Q = [stage(j, False) for j in range(m)]
-        for i in range(m):
-            P = stage(i, True)
-            for j in range(m):
-                rhs = {}
-                for key, xs in P.items():
-                    for y, q in Q[j].get(key, ()):
-                        for x, p in xs:
-                            rhs[(x, y)] = add(rhs.get((x, y), zero), mul(p, q))
-                rhs = {key: c for key, c in rhs.items() if nonzero(c)}
-                if delta(M[i][j]) != rhs:
-                    return VerificationReport(False, "bialgebra-mult", (i, j))
-                eps_prod = _pair(R, M[i][j], self.counit)
-                if eps_prod != mul(self.counit[i], self.counit[j]):
-                    return VerificationReport(False, "counit-mult", (i, j))
+        Q = [stage(C[j], False) for j in range(m)]
+
+        def multiplicativity(generators):  # Delta and eps of s_i e_j
+            for i, (rows, terms, eps) in enumerate(generators):
+                P = stage(terms, True)
+                for j in range(m):
+                    rhs = {}
+                    for key, xs in P.items():
+                        for y, q in Q[j].get(key, ()):
+                            for x, p in xs:
+                                rhs[(x, y)] = add(rhs.get((x, y), zero), mul(p, q))
+                    rhs = {key: c for key, c in rhs.items() if nonzero(c)}
+                    if delta(rows[j]) != rhs:
+                        return VerificationReport(False, "bialgebra-mult", (i, j))
+                    if _pair(R, rows[j], self.counit) != mul(eps, self.counit[j]):
+                        return VerificationReport(False, "counit-mult", (i, j))
+            return None
+
+        report = first_failure(multiplicativity)
+        if report is not None:
+            return report
         # antipode: m(S (x) id)Delta = unit . counit = m(id (x) S)Delta
         for i in range(m):
             left = combine((a, k, mul(c, s)) for j, k, c in C[i] for a, s in S[j])

@@ -511,6 +511,96 @@ def test_verify_uses_a_quarter_of_the_reference_multiplications(monkeypatch):
     assert staged * 4 <= reference, counts
 
 
+def assert_certified(G, label):
+    """S is the basis or one s whose powers, rebuilt here with dense_mul,
+    have a canonical span of m rows with unit pivots."""
+    m, S = G.rank, G.algebra_generators
+    if S == [G.basis_vector(i) for i in range(m)]:
+        return
+    [s] = S
+    powers = [G.unit]
+    while len(powers) < m:
+        powers.append(dense_mul(G, powers[-1], s))
+    span = linalg.canonical_span(G.ring, powers)
+    assert len(span) == m and span.nonunit is None, label
+
+
+@pytest.mark.parametrize("name", REFERENCE_BASES)
+def test_algebra_generators_are_certified(name):
+    R = parse_ring(name)
+    rng = random.Random(1961)
+    for spec in REFERENCE_SPECS:
+        for basis, H in (pair for G in built(spec, R) for pair in in_bases(G, rng)):
+            label = f"{spec} over {name}, {basis} basis"
+            assert_certified(H, label)
+            if spec.startswith("mu:") and basis == "natural" and H.rank > 1:
+                assert H.algebra_generators == [H.basis_vector(1)], label
+
+
+def test_top_rung_has_one_generator():
+    G = constant_cyclic(parse_ring("GF(31)"), 30)
+    assert len(G.algebra_generators) == 1
+    assert_certified(G, G.name)
+
+
+def test_failed_generator_checks_rescan_the_basis(monkeypatch):
+    """Where a check on one generator fails, verify runs it again on the
+    basis, so the witness is the reference's first failure."""
+    made = []
+
+    class Counting(hopf.VerificationReport):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((self.axiom, self.witness))
+
+    monkeypatch.setattr(hopf, "VerificationReport", Counting)
+    # mu_4 over GF(5) with x^3 x^3 = 2 x^2: the basis scan first fails at
+    # (x x^2) x^3 != x (x^2 x^3), the generator check at (x^2 x) x^3
+    t = dense_lists(mu(F5, 4))
+    t["mult"][3][3] = [F5.zero, F5.zero, F5.from_int(2), F5.zero]
+    hand_built = GroupScheme(F5, 4, *t.values())
+    family = {"associativity": 0, "bialgebra-mult": 1, "counit-mult": 1}
+    rescanned = {}
+    for label, G in [*reference_corpus(), ("hand-built", hand_built)]:
+        made.clear()
+        got = outcome(G.verify())
+        if len(made) > 1:
+            generator, basis = made
+            assert family[generator[0]] == family[basis[0]], label
+            assert got == (False, *basis) == outcome(_reference_verify(G)), label
+            rescanned[label] = generator, basis
+    assert rescanned["hand-built"] == (("associativity", (2, 0, 3)),
+                                       ("associativity", (1, 2, 3)))
+    assert {family[generator[0]] for generator, _ in rescanned.values()} == {0, 1}
+
+
+def test_verify_on_one_generator_uses_an_eighth_of_the_multiplications(monkeypatch):
+    R = parse_ring("GF(31)")
+    counts = []
+    for on_basis in (True, False):
+        G = mu(R, 30)
+        if on_basis:
+            G.algebra_generators = [G.basis_vector(i) for i in range(G.rank)]
+        calls = [0]
+
+        def counting(a, b, _mul=R.mul, calls=calls):
+            calls[0] += 1
+            return _mul(a, b)
+
+        monkeypatch.setattr(R, "mul", counting)
+        assert G.verify().ok
+        monkeypatch.undo()
+        counts.append(calls[0])
+    basis, generator = counts
+    assert generator * 8 <= basis, counts
+
+
+def test_verify_reaches_mu_105():
+    G = mu(parse_ring("GF(211)"), 105)
+    assert G.verify().ok
+    assert G.algebra_generators == [G.basis_vector(1)]
+
+
 # ----------------------------------------------------------------------
 # property-based: hypothesis draws the builtin, base, basis and corruption
 
