@@ -24,9 +24,15 @@ The tables are fixed once a scheme is made, so the conjugation tensors
 ad(e_i) (`adjoint`), the certified algebra generators `verify` checks
 the laws on (`algebra_generators`), the trace discriminant (`etale`), the
 ideal of the identity component (`identity_core`), the characters over a
-field (`field_characters`), the subschemes x^p = 1 (`torsion_subschemes`)
-and the base change to each ring (`base_change`) are made once per scheme
-too.
+field (`field_characters`), the subschemes x^p = 1 (`torsion_subschemes`),
+the base change to each ring (`base_change`) and the tangent rows of each
+character over a field (`_lifted_points`) are made once per scheme too.
+
+The dual module, with the tables transposed (`_transposed`), is the
+Cartier dual of a commutative scheme (`cartier_dual`).  `verify` reads
+coassociativity of A as associativity of this dual algebra A^∨, and
+checks it, and multiplicativity where A has no generator, on a generator
+of A^∨.
 """
 
 from __future__ import annotations
@@ -208,30 +214,34 @@ class GroupScheme:
         algebra, else the basis; made on first use and kept.
 
         The candidates, in turn, are the basis vectors other than the unit,
-        then t = sum (i + 1) e_i.  For m > 2 one whose square is itself or
-        0 is skipped, as its powers span at most 1 and s.  Each power is
-        made as s^(k-1) s, and one canonical span over R certifies them: m
-        rows with unit pivots, so the powers are a basis.  `verify` says
-        why the laws need only be checked on these."""
+        then t = sum (i + 1) e_i.  Each is certified at the residue field k
+        of every closed point of Spec R, on the kept fiber over k: its
+        powers, made as s^(k-1) s, must have rank m there.  R is
+        semi-local, so this is exact (Nakayama's lemma): the determinant of
+        the m powers over R is a unit just when it is nonzero in every k,
+        so the powers are a basis over R just when they are one over each
+        k.  For m > 2 a candidate whose square in a fiber is itself or 0
+        fails at once, as its powers there span at most 1 and s.  `verify`
+        says why the laws need only be checked on these."""
         R, m = self.ring, self.rank
-        basis = [self.basis_vector(i) for i in range(m)]
-        zero = [R.zero] * m
+        fibers = [self.base_change(p.residue_field) for p in spectrum(R)
+                  if not p.specializations]
 
-        def powers(s):  # 1, s, ..., s^(m-1), or None once s^2 is s or 0
-            out = [self.unit, s][:m]
+        def spans(H, s):  # do 1, s, ..., s^(m-1) span H over its field?
+            out = [H.unit, s][:m]
             while len(out) < m:
-                out.append(self.mul_vec(out[-1], s))
-                if len(out) == 3 and out[2] in (s, zero):
-                    return None
-            return out
+                out.append(H.mul_vec(out[-1], s))
+                if len(out) == 3 and out[2] in (s, [H.ring.zero] * m):
+                    return False
+            return len(linalg.canonical_span(H.ring, out)) == m
 
-        for s in [e for e in basis if e != self.unit] + [[R.from_int(i + 1) for i in range(m)]]:
-            rows = powers(s)
-            if rows is not None:
-                span = linalg.canonical_span(R, rows)
-                if len(span) == m and span.nonunit is None:
-                    return [s]
-        return basis
+        # each candidate as integers, which every ring reads with from_int
+        candidates = [[int(j == i) for j in range(m)] for i in range(m)
+                      if self.basis_vector(i) != self.unit]
+        for ints in candidates + [[i + 1 for i in range(m)]]:
+            if all(spans(H, [H.ring.from_int(a) for a in ints]) for H in fibers):
+                return [[R.from_int(a) for a in ints]]
+        return [self.basis_vector(i) for i in range(m)]
 
     @functools.cached_property
     def etale(self):
@@ -267,10 +277,11 @@ class GroupScheme:
         """characters(self) over a field, made on first use and kept."""
         return characters(self)
 
-    # filled as they are made: the base change to each ring (`base_change`)
-    # and the closed subscheme x^p = 1 for each prime p (`structure`)
-    _base_changes, torsion_subschemes = (functools.cached_property(lambda G: {})
-                                         for _ in range(2))
+    # filled as they are made: the base change to each ring (`base_change`),
+    # the closed subscheme x^p = 1 for each prime p (`structure`) and, over
+    # a field, the tangent rows of each character (`_lifted_points`)
+    _base_changes, torsion_subschemes, _tangents = (
+        functools.cached_property(lambda G: {}) for _ in range(3))
 
     # -- algebra operations ---------------------------------------------
     def mul_vec(self, v, w):
@@ -358,41 +369,56 @@ class GroupScheme:
         antipode-left and antipode-right for each i in turn.  The witness is
         the first failing index tuple in lexicographic order.
 
-        Associativity and bialgebra-mult/counit-mult are checked on the
-        `algebra_generators` S alone: (e_x s) e_y = e_x (s e_y) for all x, y
-        and Delta(s e_j) = Delta(s) Delta(e_j), eps(s e_j) = eps(s) eps(e_j)
-        for all j, each s in S.  This is exact.  The a with (xa)y = x(ay)
-        for all x, y form a submodule holding 1 and closed under products
-        (Light's test, Clifford and Preston, The Algebraic Theory of
-        Semigroups I, 1961), so they hold the powers of S, which span.  Once
-        the product is associative, the a with Delta(ab) = Delta(a) Delta(b)
-        for all b form a unital subalgebra, as do those for eps.  With one
-        generator that is m^2 products for associativity and m pairs for
-        multiplicativity, against m^3 and m^2 on the basis.  When a check on
-        a single generator fails, it is run again on the basis, which names
+        Where they can, associativity, coassociativity and bialgebra-mult/
+        counit-mult are checked on one certified generator (see
+        `algebra_generators`), of A or of the dual algebra A^∨.  Each such
+        check is exact, and when it fails the basis scan runs, which names
         the first failing triple or pair.
+
+        - Associativity, on the generators S of A: (e_x s) e_y = e_x (s e_y)
+          for all x, y, each s in S.  The a with (xa)y = x(ay) for all x, y
+          form a submodule closed under products (Light's test, Clifford and
+          Preston, The Algebraic Theory of Semigroups I, 1961), and it holds
+          1, so it holds the powers of S, which span.
+        - Coassociativity, on A^∨: the module dual to A, with the tables
+          transposed (`_transposed`), so mult and comult swap and so do the
+          unit and the counit eps.  Coassociativity of A is associativity of
+          A^∨, term for term, so Light's test on A^∨ over {s*, eps} settles
+          it.  eps must be in the set: the counit law, which makes eps the
+          unit of A^∨, is checked only later.  A^∨ is built only when Delta
+          is cocommutative, so A^∨ is commutative, and when the basis scan
+          reads W > m^3 terms, W = sum over Delta(e_i) of |Delta(e_j)| +
+          |Delta(e_k)|; where A has a generator, only when nnz Delta <= m^2
+          too (`_dual_laws`).
+        - Multiplicativity, on the generator s of A: Delta(s e_j) =
+          Delta(s) Delta(e_j) and eps(s e_j) = eps(s) eps(e_j) for all j.
+          Once the product is associative the a with Delta(ab) =
+          Delta(a) Delta(b) for all b form a unital subalgebra, as do those
+          for eps.
+        - Multiplicativity where A has no single generator, on s* of A^∨:
+          first eps(e_a e_b) = eps(e_a) eps(e_b) for all a, b, which says
+          Delta^∨(eps) = eps (x) eps; then Delta^∨(s* e_k) =
+          Delta^∨(s*) Delta^∨(e_k) for all k.  Delta(e_a e_b) =
+          Delta(e_a) Delta(e_b) at e_j (x) e_k and Delta^∨(e_j e_k) =
+          Delta^∨(e_j) Delta^∨(e_k) at e_a (x) e_b are the same sum over
+          the tables.  A^∨ is associative with unit eps by now, so the a
+          with Delta^∨(ab) = Delta^∨(a) Delta^∨(b) for all b form a
+          subalgebra holding eps and s*, hence all of A^∨.
+
+        With one generator that is m^2 products for associativity and m
+        pairs for multiplicativity, against m^3 and m^2 on the basis.
         """
         R = self.ring
         m = self.rank
         zero, nonzero, add, mul = R.zero, R.nonzero, R.add, R.mul
         M, C, S = self.sparse
         basis = [self.basis_vector(i) for i in range(m)]
+        laws = _Laws(self)
 
-        def combine(terms):
-            """sum of c * e_a e_b over the (a, b, c) in terms, as a vector."""
-            out = [zero] * m
-            for a, b, c in terms:
-                for x, d in M[a][b]:
-                    out[x] = add(out[x], mul(c, d))
-            return out
-
-        def delta(v):
-            """Delta of the sparse vector v as {(j, k): coeff}."""
-            out: dict = {}
-            for a, c in v:
-                for j, k, d in C[a]:
-                    out[(j, k)] = add(out.get((j, k), zero), mul(c, d))
-            return {key: c for key, c in out.items() if nonzero(c)}
+        def first_failure(fast, scan):
+            """scan(), the basis scan, unless fast, a check on generators,
+            is given and passes."""
+            return scan() if fast is None or fast() is not None else None
 
         # algebra: commutativity of mult (the scheme is a scheme)
         # the rows list their nonzeros in increasing index order
@@ -401,58 +427,26 @@ class GroupScheme:
                 if M[i][j] != M[j][i]:
                     return VerificationReport(False, "algebra-commutativity", (i, j))
         # unit law
-        unit = [(a, u) for a, u in enumerate(self.unit) if nonzero(u)]
+        unit = nonzeros(R, self.unit)
         for i in range(m):
-            if combine((a, i, u) for a, u in unit) != basis[i]:
+            if laws.combine((a, i, u) for a, u in unit) != basis[i]:
                 return VerificationReport(False, "algebra-unit", (i,))
-        # each generator s as (the nonzeros of s e_k for each k, the (a, b, c)
-        # of Delta(s), eps(s)); on the basis these are the stored rows, and
-        # e_k s = s e_k as mult is commutative by now
-        on_basis = [(M[j], C[j], self.counit[j]) for j in range(m)]
-        gens = on_basis
+        gens = None
         if self.algebra_generators != basis:
-            gens = []
-            for s in self.algebra_generators:
-                v = nonzeros(R, s)
-                gens.append(([nonzeros(R, combine((b, k, c) for b, c in v)) for k in range(m)],
-                             [(a, b, c) for (a, b), c in delta(v).items()],
-                             _pair(R, v, self.counit)))
-
-        def first_failure(check):
-            """check(gens), and check(on_basis) for the witness if that fails."""
-            report = check(gens)
-            if report is not None and gens is not on_basis:
-                report = check(on_basis)
-            return report
-
-        def associativity(generators):  # (e_i s_j) e_k = e_i (s_j e_k)
-            for i in range(m):
-                for j, (rows, _, _) in enumerate(generators):
-                    for k in range(m):
-                        lhs = combine((a, k, c) for a, c in rows[i])
-                        rhs = combine((i, b, c) for b, c in rows[k])
-                        if lhs != rhs:
-                            return VerificationReport(False, "associativity", (i, j, k))
-            return None
-
-        report = first_failure(associativity)
+            gens = laws.generators(self.algebra_generators)
+        report = first_failure(
+            None if gens is None else lambda: laws.associativity(gens),
+            lambda: laws.associativity(laws.basis))
         if report is not None:
             return report
-        # coassociativity: (Delta (x) id) Delta = (id (x) Delta) Delta
-        for i in range(m):
-            lhs: dict = {}
-            rhs: dict = {}
-            for j, k, c in C[i]:
-                for a, b, d in C[j]:
-                    key = (a, b, k)
-                    lhs[key] = add(lhs.get(key, zero), mul(c, d))
-                for a, b, d in C[k]:
-                    key = (j, a, b)
-                    rhs[key] = add(rhs.get(key, zero), mul(c, d))
-            lhs = {key: c for key, c in lhs.items() if nonzero(c)}
-            rhs = {key: c for key, c in rhs.items() if nonzero(c)}
-            if lhs != rhs:
-                return VerificationReport(False, "coassociativity", (i,))
+        # coassociativity of A is associativity of A^∨
+        dual, dual_gen = _dual_laws(self)
+        report = first_failure(
+            None if dual is None else lambda: dual.associativity(
+                dual.generators([dual_gen, self.counit]), "coassociativity"),
+            laws.coassociativity)
+        if report is not None:
+            return report
         # counit laws
         for i in range(m):
             left = [zero] * m
@@ -464,52 +458,28 @@ class GroupScheme:
                 return VerificationReport(False, "counit", (i,))
         # bialgebra: Delta and counit are algebra maps
         unit_sq = {(j, k): mul(a, b) for j, a in unit for k, b in unit}
-        if delta(unit) != {key: c for key, c in unit_sq.items() if nonzero(c)}:
+        if laws.delta(unit) != {key: c for key, c in unit_sq.items() if nonzero(c)}:
             return VerificationReport(False, "bialgebra-unit", ())
         if self.counit_of(self.unit) != R.one:
             return VerificationReport(False, "counit-unit", ())
-        # Delta(s) Delta(e_j) = sum C^s_ab C^j_cd e_a e_c (x) e_b e_d, in two
-        # stages that meet on (c, b):  P_s[(c, b)] = sum_a C^s_ab e_a e_c  and
-        # Q_j[(c, b)] = sum_d C^j_cd e_b e_d.  Each stage is O(m^5) on a dense
-        # basis and pairing them O(m^6), where expanding the product is O(m^8).
-        # Q reads e_d e_b for e_b e_d: mult is commutative by now.
-        partners = [[(c, v) for c, v in enumerate(row) if v] for row in M]
 
-        def stage(terms, left):
-            out: dict = {}
-            for a, b, coeff in terms:
-                for c, prod in partners[a if left else b]:
-                    acc = out.setdefault((c, b) if left else (a, c), {})
-                    for x, d in prod:
-                        acc[x] = add(acc.get(x, zero), mul(coeff, d))
-            return {key: [(x, v) for x, v in acc.items() if nonzero(v)]
-                    for key, acc in out.items()}
+        def on_generators():  # on s of A, else on s* of A^∨
+            if gens is not None:
+                return laws.multiplicativity(gens)
+            report = laws.counit_mult()
+            if report is not None:
+                return report
+            return dual.multiplicativity(dual.generators([dual_gen]))
 
-        Q = [stage(C[j], False) for j in range(m)]
-
-        def multiplicativity(generators):  # Delta and eps of s_i e_j
-            for i, (rows, terms, eps) in enumerate(generators):
-                P = stage(terms, True)
-                for j in range(m):
-                    rhs = {}
-                    for key, xs in P.items():
-                        for y, q in Q[j].get(key, ()):
-                            for x, p in xs:
-                                rhs[(x, y)] = add(rhs.get((x, y), zero), mul(p, q))
-                    rhs = {key: c for key, c in rhs.items() if nonzero(c)}
-                    if delta(rows[j]) != rhs:
-                        return VerificationReport(False, "bialgebra-mult", (i, j))
-                    if _pair(R, rows[j], self.counit) != mul(eps, self.counit[j]):
-                        return VerificationReport(False, "counit-mult", (i, j))
-            return None
-
-        report = first_failure(multiplicativity)
+        report = first_failure(
+            None if gens is None and dual is None else on_generators,
+            lambda: laws.multiplicativity(laws.basis))
         if report is not None:
             return report
         # antipode: m(S (x) id)Delta = unit . counit = m(id (x) S)Delta
         for i in range(m):
-            left = combine((a, k, mul(c, s)) for j, k, c in C[i] for a, s in S[j])
-            right = combine((j, b, mul(c, s)) for j, k, c in C[i] for b, s in S[k])
+            left = laws.combine((a, k, mul(c, s)) for j, k, c in C[i] for a, s in S[j])
+            right = laws.combine((j, b, mul(c, s)) for j, k, c in C[i] for b, s in S[k])
             target = vec_scale(R, self.counit[i], self.unit)
             if left != target:
                 return VerificationReport(False, "antipode-left", (i,))
@@ -593,12 +563,181 @@ class GroupScheme:
         return f"<{tag} of order {self.rank} over {self.ring.name()}>"
 
 
-def cartier_dual(G: GroupScheme) -> GroupScheme:
-    """Dual module with mult and comult swapped (commutative G only)."""
-    if not G.is_commutative():
-        raise HopfError("Cartier duality needs a commutative group scheme")
-    # transpose the nonzero triples, reading the old indices in increasing
-    # order so that each new row is in increasing index order
+class _Laws:
+    """The law checks of `verify` on one algebra: A, or the dual algebra
+    A^∨ on the transposed tables.  They read its mult M, comult C and counit
+    alone.  A generator s is (rows, terms, eps): the nonzero (x, c) of s e_k
+    for each k, the (a, b, c) of Delta(s), and eps(s).  On `basis` these are
+    the stored rows, and each check is the basis scan, whose first failure
+    is the witness."""
+
+    def __init__(self, G: GroupScheme):
+        self.ring, self.rank, self.counit = G.ring, G.rank, G.counit
+        self.mult, self.comult, _ = G.sparse
+        self.basis = [(self.mult[j], self.comult[j], self.counit[j])
+                      for j in range(G.rank)]
+
+    def combine(self, terms):
+        """sum of c e_a e_b over the (a, b, c) in terms, as a vector."""
+        R, M = self.ring, self.mult
+        add, mul = R.add, R.mul
+        out = [R.zero] * self.rank
+        for a, b, c in terms:
+            for x, d in M[a][b]:
+                out[x] = add(out[x], mul(c, d))
+        return out
+
+    def delta(self, v):
+        """Delta of the sparse vector v as {(j, k): coeff} without zeros."""
+        R, C = self.ring, self.comult
+        zero, add, mul = R.zero, R.add, R.mul
+        out: dict = {}
+        for a, c in v:
+            for j, k, d in C[a]:
+                out[(j, k)] = add(out.get((j, k), zero), mul(c, d))
+        return {key: c for key, c in out.items() if R.nonzero(c)}
+
+    def generators(self, vectors):
+        """Each vector s as a generator; s e_k = e_k s, as the product is
+        commutative by the time a generator is read."""
+        R = self.ring
+        out = []
+        for s in vectors:
+            v = nonzeros(R, s)
+            out.append(([nonzeros(R, self.combine((b, k, c) for b, c in v))
+                         for k in range(self.rank)],
+                        [(a, b, c) for (a, b), c in self.delta(v).items()],
+                        _pair(R, v, self.counit)))
+        return out
+
+    def associativity(self, generators, axiom="associativity"):
+        """The first (i, j, k) with (e_i s_j) e_k != e_i (s_j e_k), reported
+        as axiom.  Each pair is compared as one sparse difference."""
+        R, M = self.ring, self.mult
+        zero, nonzero, add, sub, mul = R.zero, R.nonzero, R.add, R.sub, R.mul
+        for i in range(self.rank):
+            for j, (rows, _, _) in enumerate(generators):
+                for k in range(self.rank):
+                    diff: dict = {}
+                    for a, c in rows[i]:
+                        for x, d in M[a][k]:
+                            diff[x] = add(diff.get(x, zero), mul(c, d))
+                    for b, c in rows[k]:
+                        for x, d in M[i][b]:
+                            diff[x] = sub(diff.get(x, zero), mul(c, d))
+                    if any(map(nonzero, diff.values())):
+                        return VerificationReport(False, axiom, (i, j, k))
+        return None
+
+    def coassociativity(self):
+        """The first i with (Delta (x) id) Delta(e_i) != (id (x) Delta)
+        Delta(e_i): a scan of the W terms that `_dual_laws` counts."""
+        R, C = self.ring, self.comult
+        zero, nonzero, add, mul = R.zero, R.nonzero, R.add, R.mul
+        for i in range(self.rank):
+            lhs: dict = {}
+            rhs: dict = {}
+            for j, k, c in C[i]:
+                for a, b, d in C[j]:
+                    key = (a, b, k)
+                    lhs[key] = add(lhs.get(key, zero), mul(c, d))
+                for a, b, d in C[k]:
+                    key = (j, a, b)
+                    rhs[key] = add(rhs.get(key, zero), mul(c, d))
+            lhs = {key: c for key, c in lhs.items() if nonzero(c)}
+            rhs = {key: c for key, c in rhs.items() if nonzero(c)}
+            if lhs != rhs:
+                return VerificationReport(False, "coassociativity", (i,))
+        return None
+
+    def counit_mult(self):
+        """The first (a, b) with eps(e_a e_b) != eps(e_a) eps(e_b)."""
+        R, M, eps = self.ring, self.mult, self.counit
+        for a in range(self.rank):
+            for b in range(self.rank):
+                if _pair(R, M[a][b], eps) != R.mul(eps[a], eps[b]):
+                    return VerificationReport(False, "counit-mult", (a, b))
+        return None
+
+    @functools.cached_property
+    def _right_stages(self):
+        # Q_j[(c, b)] = sum_d C^j_cd e_b e_d for each j, made once for every
+        # generator (see `multiplicativity`)
+        return [self._stage(self.comult[j], False) for j in range(self.rank)]
+
+    @functools.cached_property
+    def _partners(self):
+        return [[(c, v) for c, v in enumerate(row) if v] for row in self.mult]
+
+    def _stage(self, terms, left):
+        R = self.ring
+        zero, add, mul = R.zero, R.add, R.mul
+        out: dict = {}
+        for a, b, coeff in terms:
+            for c, prod in self._partners[a if left else b]:
+                acc = out.setdefault((c, b) if left else (a, c), {})
+                for x, d in prod:
+                    acc[x] = add(acc.get(x, zero), mul(coeff, d))
+        return {key: [(x, v) for x, v in acc.items() if R.nonzero(v)]
+                for key, acc in out.items()}
+
+    def multiplicativity(self, generators):
+        """The first (i, j) where Delta or eps of s_i e_j is not the
+        product.
+
+        Delta(s) Delta(e_j) = sum C^s_ab C^j_cd e_a e_c (x) e_b e_d, in two
+        stages that meet on (c, b):  P_s[(c, b)] = sum_a C^s_ab e_a e_c and
+        Q_j[(c, b)] = sum_d C^j_cd e_b e_d.  Each stage is O(m^5) on a dense
+        basis and pairing them O(m^6), where expanding the product is
+        O(m^8).  Q reads e_d e_b for e_b e_d: mult is commutative by now."""
+        R, Q = self.ring, self._right_stages
+        zero, nonzero, add, mul = R.zero, R.nonzero, R.add, R.mul
+        for i, (rows, terms, eps) in enumerate(generators):
+            P = self._stage(terms, True)
+            for j in range(self.rank):
+                rhs: dict = {}
+                for key, xs in P.items():
+                    for y, q in Q[j].get(key, ()):
+                        for x, p in xs:
+                            rhs[(x, y)] = add(rhs.get((x, y), zero), mul(p, q))
+                rhs = {key: c for key, c in rhs.items() if nonzero(c)}
+                if self.delta(rows[j]) != rhs:
+                    return VerificationReport(False, "bialgebra-mult", (i, j))
+                if _pair(R, rows[j], self.counit) != mul(eps, self.counit[j]):
+                    return VerificationReport(False, "counit-mult", (i, j))
+        return None
+
+
+def _dual_laws(G: GroupScheme):
+    """(the `_Laws` of A^∨, its one certified generator s*) where `verify`
+    checks on A^∨, else (None, None).
+
+    A^∨ is built where Delta is cocommutative, so that A^∨ is commutative,
+    and where the basis scan of coassociativity reads W > m^3 terms, more
+    than one generator search; W takes O(nnz Delta) to count.  Where A has
+    a generator, A^∨ can spare that scan alone, and it does so only when
+    its products are sparse, so there it is built only when nnz Delta <=
+    m^2.  It is used where it has one generator."""
+    m, C = G.rank, G.sparse.comult
+    work = sum(len(C[j]) + len(C[k]) for terms in C for j, k, _ in terms)
+    if work <= m ** 3 or not G.is_commutative():
+        return None, None
+    if sum(map(len, C)) > m * m and \
+            G.algebra_generators != [G.basis_vector(i) for i in range(m)]:
+        return None, None
+    D = _transposed(G)
+    if D.algebra_generators == [D.basis_vector(i) for i in range(m)]:
+        return None, None
+    [s] = D.algebra_generators
+    return _Laws(D), s
+
+
+def _transposed(G: GroupScheme, name: str | None = None) -> GroupScheme:
+    """The scheme on the module dual to G's: mult and comult swap by
+    transposing their nonzero triples, the antipode is transposed, and the
+    unit and the counit swap.  The Cartier dual when G is commutative."""
+    # the old indices are read in increasing order, so that each new row is
+    # in increasing index order
     m = G.rank
     M, C, S = G.sparse
     mult = [[[] for _ in range(m)] for _ in range(m)]
@@ -611,9 +750,15 @@ def cartier_dual(G: GroupScheme) -> GroupScheme:
                 comult[i].append((a, b, c))
         for i, c in S[a]:
             antipode[i].append((a, c))
-    name = f"dual({G.name})" if G.name else None
     return GroupScheme.from_tables(G.ring, m, (mult, comult, antipode),
                                    G.counit, G.unit, name)
+
+
+def cartier_dual(G: GroupScheme) -> GroupScheme:
+    """Dual module with mult and comult swapped (commutative G only)."""
+    if not G.is_commutative():
+        raise HopfError("Cartier duality needs a commutative group scheme")
+    return _transposed(G, f"dual({G.name})" if G.name else None)
 
 
 class GroupSchemeHom:
@@ -1020,8 +1165,12 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
     k, lift, steps = R.residue_lifting()
     fiber, GR = G.base_change(k), G.base_change(R)
     base = [(chi, [lift(c) for c in chi]) for chi in fiber.field_characters]
-    # the tangent rows depend on chi alone, so every step shares them
-    tangent = {chi: _tangent_rows(k, fiber, chi) for chi, _ in base}
+    # the tangent rows depend on chi alone, so every step and every ring
+    # over k share them
+    tangent = fiber._tangents
+    for chi, _ in base:
+        if chi not in tangent:
+            tangent[chi] = _tangent_rows(k, fiber, chi)
     add, mul = R.add, R.mul
     for delta, coord in steps:
         nxt = []

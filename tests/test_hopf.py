@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffgs import hopf, linalg
+from ffgs import cli, hopf, linalg
 from ffgs.cli import build_builtin
 from ffgs.linalg import transpose, vec_add, vec_scale, vec_sub
 from ffgs.constructions import (alpha, constant, constant_cyclic, direct_product,
@@ -543,9 +543,57 @@ def test_top_rung_has_one_generator():
     assert_certified(G, G.name)
 
 
+def hand_built_failures():
+    """(label, scheme) whose checks on one generator fail where the basis
+    scan names an earlier failure: one on A, and one for each family that
+    is checked on the generator of the dual algebra A^∨."""
+    Z, O, N = F5.zero, F5.one, F5.neg(F5.one)
+    # mu_4 over GF(5) with x^3 x^3 = 2 x^2: the basis scan first fails at
+    # (x x^2) x^3 != x (x^2 x^3), the generator check at (x^2 x) x^3
+    t = dense_lists(mu(F5, 4))
+    t["mult"][3][3] = [Z, Z, F5.from_int(2), Z]
+    yield "on A", GroupScheme(F5, 4, *t.values())
+    # const:Z4 over GF(5) with 2 e_1 (x) e_1 for e_1 (x) e_1 in Delta(e_2),
+    # which keeps Delta cocommutative and its m^2 terms
+    t = dense_lists(constant_cyclic(F5, 4))
+    t["comult"][2][1][1] = F5.from_int(2)
+    yield "coassociativity on A^∨", GroupScheme(F5, 4, *t.values())
+    # const:Z4's coalgebra on GF(5)[y, z, w]/(y, z, w)^2 in the basis
+    # e_0 = 1 - y - z - w, e_1 = y, e_2 = z, e_3 = w, where no element
+    # generates the algebra
+    t = dense_lists(constant_cyclic(F5, 4))
+    e = [[O if j == i else Z for j in range(4)] for i in range(4)]
+    t["mult"] = [[[O, N, N, N] if i == j == 0 else e[i + j] if i * j == 0 else [Z] * 4
+                  for j in range(4)] for i in range(4)]
+    t["unit"] = [O] * 4
+    yield "multiplicativity on A^∨", GroupScheme(F5, 4, *t.values())
+    # GF(5)[x]/(x^2) in the basis (1, x) with both basis vectors group-like
+    # (the mismatched pair), squared and in a dense basis: Delta^∨ is
+    # multiplicative, but eps(x x) = 0 != 1 = eps(x)^2
+    pair = GroupScheme(F5, 2, [[[O, Z], [Z, O]], [[Z, O], [Z, Z]]], [O, Z],
+                       [[[O, Z], [Z, Z]], [[Z, Z], [Z, O]]], [O, O], [[Z, Z], [Z, Z]])
+    square = direct_product(pair, pair)
+    yield "counit on A^∨", rebased(square, unitriangular(F5, 4, random.Random(0)))
+
+
+def record_dual_laws(monkeypatch):
+    """A list that gets, for each call of hopf._dual_laws, whether verify
+    checks on A^∨."""
+    duals = []
+    real = hopf._dual_laws
+
+    def recording(G):
+        out = real(G)
+        duals.append(out[0] is not None)
+        return out
+
+    monkeypatch.setattr(hopf, "_dual_laws", recording)
+    return duals
+
+
 def test_failed_generator_checks_rescan_the_basis(monkeypatch):
-    """Where a check on one generator fails, verify runs it again on the
-    basis, so the witness is the reference's first failure."""
+    """Where a check on one generator of A or of A^∨ fails, verify runs it
+    again on the basis, so the witness is the reference's first failure."""
     made = []
 
     class Counting(hopf.VerificationReport):
@@ -554,24 +602,84 @@ def test_failed_generator_checks_rescan_the_basis(monkeypatch):
             made.append((self.axiom, self.witness))
 
     monkeypatch.setattr(hopf, "VerificationReport", Counting)
-    # mu_4 over GF(5) with x^3 x^3 = 2 x^2: the basis scan first fails at
-    # (x x^2) x^3 != x (x^2 x^3), the generator check at (x^2 x) x^3
-    t = dense_lists(mu(F5, 4))
-    t["mult"][3][3] = [F5.zero, F5.zero, F5.from_int(2), F5.zero]
-    hand_built = GroupScheme(F5, 4, *t.values())
-    family = {"associativity": 0, "bialgebra-mult": 1, "counit-mult": 1}
-    rescanned = {}
-    for label, G in [*reference_corpus(), ("hand-built", hand_built)]:
+    duals = record_dual_laws(monkeypatch)
+    family = {"associativity": 0, "bialgebra-mult": 1, "counit-mult": 1,
+              "coassociativity": 2}
+    rescanned, on_dual = {}, set()
+    for label, G in [*reference_corpus(), *hand_built_failures()]:
         made.clear()
+        duals.clear()
         got = outcome(G.verify())
         if len(made) > 1:
             generator, basis = made
             assert family[generator[0]] == family[basis[0]], label
             assert got == (False, *basis) == outcome(_reference_verify(G)), label
             rescanned[label] = generator, basis
-    assert rescanned["hand-built"] == (("associativity", (2, 0, 3)),
-                                       ("associativity", (1, 2, 3)))
-    assert {family[generator[0]] for generator, _ in rescanned.values()} == {0, 1}
+            # multiplicativity is checked on A^∨ only where A has no generator
+            one_generator = G.algebra_generators != [G.basis_vector(i) for i in range(G.rank)]
+            if duals == [True] and (family[basis[0]] == 2 or not one_generator):
+                on_dual.add(family[basis[0]])
+    assert rescanned["on A"] == (("associativity", (2, 0, 3)),
+                                 ("associativity", (1, 2, 3)))
+    assert rescanned["coassociativity on A^∨"][1] == ("coassociativity", (0,))
+    assert rescanned["multiplicativity on A^∨"] == (("bialgebra-mult", (0, 1)),
+                                                    ("bialgebra-mult", (0, 0)))
+    assert rescanned["counit on A^∨"] == (("counit-mult", (0, 0)),) * 2
+    assert {family[generator[0]] for generator, _ in rescanned.values()} == {0, 1, 2}
+    assert on_dual == {1, 2}
+
+
+def test_verify_builds_no_dual_for_mu_or_s3(monkeypatch):
+    """mu_n in its natural basis reads W = 2m <= m^3 terms for
+    coassociativity, Delta of const:S3 is not cocommutative, and mu_8 over
+    GF(5) in a dense basis has a generator and more than m^2 terms in
+    Delta, so verify builds no A^∨ for them."""
+    built_for = []
+    real = hopf._transposed
+    monkeypatch.setattr(hopf, "_transposed",
+                        lambda G, name=None: built_for.append(G) or real(G, name))
+    rng = random.Random(1971)
+    for name in REFERENCE_BASES:
+        R = parse_ring(name)
+        schemes = [mu(R, n) for n in (2, 3, 4, 6, 15)]
+        schemes += [H for G in built("const:S3", R) for _, H in in_bases(G, rng)]
+        for G in schemes:
+            assert G.verify().ok, (G.name, name)
+    dense = rebased(mu(F5, 8), unitriangular(F5, 8, random.Random(8)))
+    assert dense.verify().ok and len(dense.algebra_generators) == 1
+    assert sum(map(len, dense.sparse.comult)) > 64
+    assert built_for == []
+    G = constant_cyclic(F5, 4)
+    assert G.verify().ok and built_for == [G]
+
+
+def test_dual_path_matches_reference_on_constant_corruptions(monkeypatch):
+    """Single-entry corruptions of comult and counit of const:Zn in the
+    natural basis, where verify reads A^∨; a corruption at e_j (x) e_j
+    keeps Delta cocommutative, so A^∨ is still built."""
+    hyp, st, settings = hypothesis_or_skip()
+    bases = [parse_ring(name) for name in
+             ("GF(2)", "GF(3)", "GF(7)", "Z/6", "Z/8", "Zloc(2)", "Zloc(3)", "Q")]
+    duals = record_dual_laws(monkeypatch)
+
+    @settings
+    @hyp.given(st.integers(3, 8), st.sampled_from(bases),
+               st.sampled_from(["comult", "counit"]), st.data())
+    def check(n, R, slot, data):
+        t = dense_lists(constant_cyclic(R, n))
+        index = st.integers(0, n - 1)
+        i, j = data.draw(index), data.draw(index)
+        delta = R.from_int(data.draw(st.sampled_from((1, -1, 2)))) or R.one
+        if slot == "comult":
+            k = data.draw(st.one_of(st.just(j), index))
+            t["comult"][i][j][k] = R.add(t["comult"][i][j][k], delta)
+        else:
+            t["counit"][i] = R.add(t["counit"][i], delta)
+        H = GroupScheme(R, n, *t.values())
+        assert outcome(H.verify()) == outcome(_reference_verify(H)), (n, R.name(), slot)
+
+    check()
+    assert True in duals and False in duals
 
 
 def test_verify_on_one_generator_uses_an_eighth_of_the_multiplications(monkeypatch):
@@ -593,6 +701,29 @@ def test_verify_on_one_generator_uses_an_eighth_of_the_multiplications(monkeypat
         counts.append(calls[0])
     basis, generator = counts
     assert generator * 8 <= basis, counts
+
+
+def test_verify_of_constant_groups_halves_the_multiplications(monkeypatch):
+    """const:Zn in its natural basis reads W = 2m^3 terms for
+    coassociativity, which verify checks on A^∨ instead; over Zloc(2), where
+    A has no generator, so is multiplicativity, and the generator search
+    runs in the GF(2) fiber.  Checked on the basis with the search over R,
+    verify made 12,691 and 92,927 ring products; now 3,495 (353 in GF(2))
+    and 43,547."""
+    prime_field = type(F5)
+    for base, n, on_basis in (("Zloc(2)", 15, 12_691), ("GF(31)", 30, 92_927)):
+        R = parse_ring(base)
+        G = constant_cyclic(R, n)
+        calls = [0]
+        for cls in {type(R), prime_field}:
+            def counting(ring, a, b, _mul=cls.mul):
+                calls[0] += 1
+                return _mul(ring, a, b)
+
+            monkeypatch.setattr(cls, "mul", counting)
+        assert G.verify().ok
+        monkeypatch.undo()
+        assert calls[0] * 2 <= on_basis, (base, calls[0])
 
 
 def test_verify_reaches_mu_105():
@@ -1354,3 +1485,17 @@ def test_tangent_rows_are_built_once_per_character(monkeypatch):
                     assert len(built_for) == len(set(built_for)), (spec, name)
                     checked += 1
     assert checked >= 20, checked
+
+
+def test_rings_over_one_fiber_share_its_tangent_rows(monkeypatch, capsys):
+    """theorem mu:15 over Zloc(3) lifts the points of three schemes (G, a
+    kernel and a quotient, one character each over GF(3)) to Dual(GF(3)),
+    Z/9 and Z/27: the tangent rows are kept on each fiber, so they are built
+    3 times, once per (fiber, character), not once per ring."""
+    built_for = []
+    real = hopf._tangent_rows
+    monkeypatch.setattr(hopf, "_tangent_rows",
+                        lambda k, fiber, chi: built_for.append((id(fiber), chi))
+                        or real(k, fiber, chi))
+    assert cli.main(["theorem", "--builtin", "mu:15", "--base", "Zloc(3)"]) == 0
+    assert len(built_for) == len(set(built_for)) == 3, built_for
