@@ -243,15 +243,15 @@ class ClosedSubgroup:
     """A closed subgroup scheme of ambient, stored by the canonical basis
     of its defining Hopf ideal: a canonical Span is kept as given, other
     rows are echelonized.  The rows are trusted to span a Hopf ideal;
-    `verify_hopf_ideal` checks it.  Its quotient data, Hopf-ideal report,
-    normality verdict and scheme are made on first use and kept; callers
-    do not mutate them."""
+    `verify_hopf_ideal` checks it.  Its quotient data and their sparse
+    rows, Hopf-ideal report, normality verdict and scheme are made on
+    first use and kept; callers do not mutate them."""
 
     def __init__(self, ambient: GroupScheme, ideal_rows):
         self.ambient = ambient
         self.ideal = (ideal_rows if isinstance(ideal_rows, Span)
                       else canonical_span(ambient.ring, ideal_rows))
-        self._quotient = self._report = self._normal = self._scheme = None
+        self._quotient = self._pb = self._report = self._normal = self._scheme = None
 
     @property
     def order(self) -> int:
@@ -279,7 +279,7 @@ class ClosedSubgroup:
         # I iff pi(v) = 0, and I (x) A + A (x) I is the kernel of pi (x) pi
         if self.ideal.nonunit is not None:
             return VerificationReport(False, "not-flat", (self.ideal.nonunit,))
-        pb = [nonzeros(R, w) for w in self.quotient_data()[1]]
+        pb = self.projection_rows()
         # ideal: closed under multiplication by the ambient algebra
         for t, v in enumerate(self.ideal):
             for i in range(G.rank):
@@ -313,6 +313,13 @@ class ClosedSubgroup:
             self._quotient = free_cols, [[w[c] for c in free_cols] for w in reduced]
         return self._quotient
 
+    def projection_rows(self):
+        """[nonzeros(pi(e_j)) for j < m], the sparse rows of `quotient_data`."""
+        if self._pb is None:
+            R = self.ambient.ring
+            self._pb = [nonzeros(R, w) for w in self.quotient_data()[1]]
+        return self._pb
+
     def scheme(self) -> GroupScheme:
         """The subgroup scheme Spec(A/I)."""
         if self._scheme is not None:
@@ -321,7 +328,7 @@ class ClosedSubgroup:
         R = G.ring
         M, C, S = G.sparse
         free_cols, pbasis = self.quotient_data()
-        pb = [nonzeros(R, w) for w in pbasis]
+        pb = self.projection_rows()
         mult = [[_project(R, pb, M[a][b]) for b in free_cols] for a in free_cols]
         comult = [map_tensor(R, pb, pb, C[a]) for a in free_cols]
         antipode = [_project(R, pb, S[a]) for a in free_cols]
@@ -375,14 +382,8 @@ def whole_subgroup(G: GroupScheme) -> ClosedSubgroup:
 
 
 def trivial_subgroup(G: GroupScheme) -> ClosedSubgroup:
-    """The trivial subgroup, cut out by the augmentation ideal
-    ker(counit), which the e_i - counit(e_i) 1 span as a module."""
-    R = G.ring
-    gens = [
-        vec_sub(R, G.basis_vector(i), vec_scale(R, G.counit[i], G.unit))
-        for i in range(G.rank)
-    ]
-    return ClosedSubgroup(G, canonical_span(R, gens))
+    """The trivial subgroup, cut out by the augmentation ideal ker(counit)."""
+    return ClosedSubgroup(G, row_kernel(G.ring, [[c] for c in G.counit]))
 
 
 def kernel(f: GroupSchemeHom) -> ClosedSubgroup:
@@ -439,7 +440,7 @@ def is_normal(H: ClosedSubgroup):
     if H._normal is None:
         G, R = H.ambient, H.ambient.ring
         ident = [[(j, R.one)] for j in range(G.rank)]
-        pb = [nonzeros(R, w) for w in H.quotient_data()[1]]
+        pb = H.projection_rows()
 
         def outside(v):  # (id (x) pi) ad(v) != 0
             ad = conjugation_tensor(G, v)
@@ -458,7 +459,7 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
     R = G.ring
     m, n = G.rank, H.order
     ident = [[(j, R.one)] for j in range(m)]
-    pb = [nonzeros(R, w) for w in H.quotient_data()[1]]
+    pb = H.projection_rows()
     minus_unit = [(k, R.neg(u)) for k, u in nonzeros(R, G.unit)]
     # a = sum t_i e_i is coinvariant iff (id (x) pi) Delta(a) = a (x) pi(1),
     # that is iff sum t_i (id (x) pi)(Delta(e_i) - e_i (x) 1) = 0

@@ -1095,19 +1095,9 @@ def points(G: GroupScheme, Rp: Ring, bound: int = 10000) -> PointGroup:
 
 
 def _point_vectors(G: GroupScheme, R: Ring, bound: int):
-    """The R-points of G as value vectors, read off the kept characters of
-    G over R or over R's residue field."""
-    if R.is_field and (R.is_finite or R == QQ):
-        GR = G.base_change(R)
-        if R == QQ:
-            if GR.rank > bound:
-                raise HopfError("order exceeds the Q-points bound")
-            if not is_etale(GR)[0]:
-                raise HopfError("Q-points are supported for etale schemes only")
-        chars = GR.field_characters
-        if len(chars) > bound:
-            raise HopfError(f"more than {bound} points (the points bound)")
-        return chars
+    """The R-points of G as value vectors: recombined by the CRT from the
+    primary parts of a finite R with several points, else lifted from the
+    kept characters of G over R's residue field."""
     if R.is_finite and len(spectrum(R)) > 1:
         return _zmod_points(G, R, bound)
     return _lifted_points(G, R, bound)
@@ -1130,9 +1120,9 @@ def _tangent_rows(k: Ring, fiber: GroupScheme, chi):
     return transpose(rows)
 
 
-def _square_zero_lifts(GR: GroupScheme, k: Ring, tangent, phi, coord,
-                       bound: int):
-    """The d in k^m for which phi + delta d is a point of GR.
+def _square_zero_lifts(GR: GroupScheme, k: Ring, tangent, phi, coord):
+    """(d0, K): the d in k^m for which phi + delta d is a point of GR are
+    d0 plus the k-span of the rows of K, and d0 is None if there is none.
 
     (delta) is a square-zero ideal of GR.ring with residue field k, and
     coord reads the k-coordinate of an element of it: a[1] for eps, and
@@ -1140,43 +1130,52 @@ def _square_zero_lifts(GR: GroupScheme, k: Ring, tangent, phi, coord,
     residue is the character chi of the fiber over k.  As delta^2 = 0 the
     conditions are linear in d: tangent, the `_tangent_rows` of chi,
     against minus the coordinates of phi's defect (Waterhouse, Introduction
-    to Affine Group Schemes, ch. 12).  Raises HopfError when there are more
-    than `bound` lifts, before making them."""
+    to Affine Group Schemes, ch. 12)."""
     R, m, M = GR.ring, GR.rank, GR.sparse.mult
     rhs = [k.neg(coord(R.sub(R.mul(phi[i], phi[j]), _pair(R, M[i][j], phi))))
            for i in range(m) for j in range(i, m)]
     rhs.append(k.neg(coord(R.sub(R.dot(GR.unit, phi), R.one))))
-    part, kern = linalg.member_and_kernel(k, tangent, rhs)
-    if part is None:
-        return []
-    if kern and not k.is_finite:
-        raise HopfError("infinite solution space over an infinite field")
-    els = list(k.elements()) if kern else []
-    if len(els) ** len(kern) > bound:
-        raise HopfError(f"more than {bound} points (the points bound)")
-    return [add_scaled(k, list(part), zip(combo, kern))
-            for combo in itertools.product(els, repeat=len(kern))]
+    return linalg.member_and_kernel(k, tangent, rhs)
 
 
 def _lifted_points(G: GroupScheme, R: Ring, bound: int):
     """The R-points of G for a local R with residue field k and a chain of
-    square-zero ideals (`Ring.residue_lifting`): the characters of G over
-    k, lifted along one ideal after the other."""
+    square-zero ideals (`Ring.residue_lifting`; a field is its own k, with
+    no ideal): the kept characters of G over k, lifted along one ideal
+    after the other.  Raises HopfError, naming `bound`, before it makes
+    more than `bound` points."""
     k, lift, steps = R.residue_lifting()
-    fiber, GR = G.base_change(k), G.base_change(R)
+    fiber = G.base_change(k)
+    if R == QQ:
+        if fiber.rank > bound:
+            raise HopfError("order exceeds the Q-points bound")
+        if not is_etale(fiber)[0]:
+            raise HopfError("Q-points are supported for etale schemes only")
+    if not steps:
+        if len(fiber.field_characters) > bound:
+            raise HopfError(f"more than {bound} points (the points bound)")
+        return fiber.field_characters
+    GR = G.base_change(R)
     base = [(chi, [lift(c) for c in chi]) for chi in fiber.field_characters]
     # the tangent rows depend on chi alone, so every step and every ring
     # over k share them
     tangent = fiber._tangents
-    for chi, _ in base:
-        if chi not in tangent:
-            tangent[chi] = _tangent_rows(k, fiber, chi)
     add, mul = R.add, R.mul
     for delta, coord in steps:
         nxt = []
         for chi, phi in base:
-            for d in _square_zero_lifts(GR, k, tangent[chi], phi, coord,
-                                        bound - len(nxt)):
+            if chi not in tangent:
+                tangent[chi] = _tangent_rows(k, fiber, chi)
+            part, kern = _square_zero_lifts(GR, k, tangent[chi], phi, coord)
+            if part is None:
+                continue
+            if kern and not k.is_finite:
+                raise HopfError("infinite solution space over an infinite field")
+            if len(nxt) + (k.size() ** len(kern) if kern else 1) > bound:
+                raise HopfError(f"more than {bound} points (the points bound)")
+            for combo in itertools.product(list(k.elements()) if kern else [],
+                                           repeat=len(kern)):
+                d = add_scaled(k, list(part), zip(combo, kern))
                 nxt.append((chi, [add(x, mul(delta, lift(y))) for x, y in zip(phi, d)]))
         base = nxt
     return [tuple(phi) for _, phi in base]

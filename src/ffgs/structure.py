@@ -16,8 +16,7 @@ section searched for on points over the test-ring family.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .linalg import (
     canonical_span,
@@ -32,7 +31,6 @@ from .hopf import (
     cartier_dual,
     is_etale,
     map_tensor,
-    nonzeros,
     points,
     power_map_alg,
 )
@@ -49,9 +47,6 @@ from .constructions import (
 from .oracle import AbstractGroup
 from .rings import (
     MAX_FIELD_ORDER,
-    IntegersMod,
-    LocalizedIntegers,
-    QQ,
     RingHom,
     find_hom,
     gf,
@@ -251,31 +246,6 @@ def etale_unique_subgroup(G: GroupScheme, d: int):
 # Order-p subgroup production per base
 
 
-def _saturate_zloc(R: LocalizedIntegers, rows_q, width: int):
-    """Basis over Zloc(p) of span_Q(rows_q) intersected with Zloc^width."""
-    rref = canonical_span(QQ, rows_q)
-    if not rref:
-        return []
-    # e = max p-adic valuation appearing in any denominator
-    e = max(R.valuation(Fraction(c.denominator)) for row in rref for c in row)
-    if e == 0:
-        return canonical_span(R, [[Fraction(c) for c in row] for row in rref])
-    pe = R.p ** e
-    Rmod = IntegersMod(pe)
-    D = [[(c * pe).numerator * pow((c * pe).denominator, -1, pe) % pe
-          for c in row] for row in rref]
-    ker = row_kernel(Rmod, D)
-    rows_out = []
-    for t in ker:
-        v = [Fraction(0)] * width
-        for c, row in zip(t, rref):
-            v = [a + c * b for a, b in zip(v, row)]
-        rows_out.append(v)
-    for row in rref:
-        rows_out.append([pe * c for c in row])
-    return canonical_span(R, rows_out)
-
-
 def _torsion_equalizer(G: GroupScheme, p: int) -> ClosedSubgroup:
     """The closed subscheme of points x with x^p = identity: the kernel of
     the p-fold convolution power of the identity, an algebra map even when
@@ -296,11 +266,13 @@ def order_p_subgroup(G: GroupScheme, p: int) -> ClosedSubgroup:
 
     Over a field where G has infinitesimal rank p it is the identity
     component, and over a base with a generic point that specializes
-    (Zloc(l)) it is saturated from x^p = 1 on the generic fiber.
+    (Zloc(l)) it is the schematic closure of x^p = 1 on the generic fiber
+    (EGA IV_2, 2.8.5), whose ideal is the kernel of A -> A_Q/I_Q: of pi_Q
+    times the lcm of its denominators, over the domain Zloc(l).
     Otherwise it is the subscheme x^p = 1; when G has no order-p subgroup
     or several, that subscheme is not an order-p subgroup, and HopfError
-    says so.  The generic ideal is the base change of the saturated one,
-    so the checks below certify both."""
+    says so.  The generic ideal is the base change of the closure's, so
+    the checks below certify both."""
     if not is_prime(p):
         raise HopfError(f"order-p subgroups need a prime p, not {p}")
     R = G.ring
@@ -320,8 +292,9 @@ def order_p_subgroup(G: GroupScheme, p: int) -> ClosedSubgroup:
                             f"{torsion.order}")
         H = torsion
         if generic is not None:
-            rows = _saturate_zloc(R, [list(v) for v in torsion.ideal], G.rank)
-            H = ClosedSubgroup(G, rows)
+            pi = torsion.quotient_data()[1]
+            d = lcm(*(c.denominator for row in pi for c in row))
+            H = ClosedSubgroup(G, row_kernel(R, [[d * c for c in row] for row in pi]))
     rep = H.verify_hopf_ideal()
     if not rep:
         raise InternalInconsistencyError(f"order-{p} ideal defective: {rep}")
@@ -401,10 +374,10 @@ def _slot_product_map(G: GroupScheme, subgroups):
     phi_t = pi_t and phi_k = (pi_k (x) phi_(k+1)) o Delta."""
     R = G.ring
     *firsts, last = subgroups
-    phi = [nonzeros(R, w) for w in last.quotient_data()[1]]
+    phi = last.projection_rows()
     width = last.order
     for H in reversed(firsts):
-        pb = [nonzeros(R, w) for w in H.quotient_data()[1]]
+        pb = H.projection_rows()
         phi = [[(s * width + t, c) for s, t, c in map_tensor(R, pb, phi, terms)]
                for terms in G.sparse.comult]
         width *= H.order

@@ -111,15 +111,22 @@ def test_missing_preconditions_exit_2(capsys):
     # points bound of 2 stops the lift before it enumerates them
     alpha3 = ["points", "--builtin", "alpha:3", "--base", "GF(3)",
               "--ring", "Dual(GF(3))", "--format", "json", "--budget-points"]
-    assert main(alpha3 + ["2"]) == 2
     capsys.readouterr()
+    assert main(alpha3 + ["2"]) == 2
+    assert capsys.readouterr().err == "error: more than 2 points (the points bound)\n"
     assert main(alpha3 + ["3"]) == 0
     assert json.loads(capsys.readouterr().out)["order"] == 3
     # the bound also stops the lift along 3 in Z/9 (mu_3 has 3 points
-    # there) and the CRT product over Z/6 (const Z/3 has 3 x 3)
-    for spec, ring, bound in (("mu:3", "Z/9", "2"), ("const:Z3", "Z/6", "8")):
+    # there) and the CRT product over Z/6 (const Z/3 has 3 x 3).  mu_6 has
+    # 6 points over Z/9 and over Dual(GF(3)): 3 lifts of each of its 2
+    # characters, so the bound stops the second one, and the message names
+    # the bound given, not what is left of it
+    for spec, ring, bound in (("mu:3", "Z/9", "2"), ("const:Z3", "Z/6", "8"),
+                              ("mu:6", "Z/9", "3"), ("mu:6", "Dual(GF(3))", "3")):
         assert main(["points", "--builtin", spec, "--base", ring, "--ring", ring,
                      "--budget-points", bound]) == 2, spec
+        assert capsys.readouterr().err == (f"error: more than {bound} points "
+                                           f"(the points bound)\n"), spec
     # the order-p classifier is defined over fields only
     for spec, base in (("mu:2", "Zloc(2)"), ("mu:3", "Z/9"),
                        ("ot2:2,-1", "Zloc(2)"), ("ot2:2,-1", "Z/4")):

@@ -568,7 +568,9 @@ def test_kernels_of_algebra_maps_are_ideals_without_closure():
     ClosedSubgroup unclosed, as the kernel of an algebra map is an ideal.
     ideal_closure of the same rows is the reference, on every reference
     builtin and base; internal_product takes each p-primary factor
-    alone, and all of those of mu_6 and Z/6 together."""
+    alone, and all of those of mu_6 and Z/6 together.  ker counit is also
+    the span of the e_i - counit(e_i) 1, as trivial_subgroup made it
+    before it read the kernel with row_kernel."""
     products = 0
     for name in REFERENCE_BASES:
         R = parse_ring(name)
@@ -576,6 +578,7 @@ def test_kernels_of_algebra_maps_are_ideals_without_closure():
             augmentation = [vec_sub(R, G.basis_vector(i), vec_scale(R, c, G.unit))
                             for i, c in enumerate(G.counit)]
             assert trivial_subgroup(G).ideal == ideal_closure(G, augmentation), G.name
+            assert trivial_subgroup(G).ideal == canonical_span(R, augmentation), G.name
             for p in prime_factors(G.rank) if G.is_commutative() else ():
                 f = convolution_power(G, G.rank // p)
                 assert image(f).ideal == ideal_closure(G, row_kernel(R, f.alg)), (G.name, p)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -10,13 +11,14 @@ from ffgs.constructions import (ClosedSubgroup, alpha, constant,
                                 semidirect, tate_oort2, trivial_subgroup)
 from ffgs import constructions, hopf, structure
 from ffgs.hopf import HopfError, convolution_power, hom_on_points, points
-from ffgs.linalg import canonical_span, transpose, vec_add, vec_scale, vec_sub
+from ffgs.linalg import (canonical_span, row_kernel, transpose, vec_add, vec_scale,
+                         vec_sub)
 from ffgs.oracle import (AbstractGroup, cyclic_table, product_table, s3_table,
                          subgroup_lattice)
-from ffgs.rings import (PrimeField, RingError, RingHom, find_hom, is_prime,
-                        parse_ring)
+from ffgs.rings import (QQ, IntegersMod, PrimeField, RingError, RingHom, find_hom,
+                        is_prime, parse_ring)
 from ffgs.structure import (InternalInconsistencyError, SplitResult,
-                            _section_search, _torsion_equalizer,
+                            _section_search, _torsion, _torsion_equalizer,
                             classify_order_p,
                             common_refinement, connected_etale_sequence,
                             etale_unique_subgroup,
@@ -28,7 +30,7 @@ from ffgs.structure import (InternalInconsistencyError, SplitResult,
                             theorem_decompose, verschiebung)
 from ffgs.testrings import test_ring_family as ring_family
 from test_acceptance import theorem_corpus
-from test_hopf import rebased, unitriangular
+from test_hopf import built, rebased, unitriangular
 from test_linalg import solve
 
 Q = parse_ring("Q")
@@ -250,6 +252,43 @@ def test_order_p_subgroup_dispatch():
     # Z/n base
     H = order_p_subgroup(mu(parse_ring("Z/25"), 6), 3)
     assert H.order == 3
+
+
+def _reference_saturation(R, rows_q, width):
+    """Basis over Zloc(p) of span_Q(rows_q) intersected with Zloc^width,
+    as order_p_subgroup made it before it read the kernel of pi_Q: a
+    kernel over Z/p^e, p^e the largest p-power denominator of the
+    canonical Q rows, lifted, and p^e times those rows."""
+    rref = canonical_span(QQ, rows_q)
+    if not rref:
+        return []
+    e = max(R.valuation(Fraction(c.denominator)) for row in rref for c in row)
+    if e == 0:
+        return canonical_span(R, [[Fraction(c) for c in row] for row in rref])
+    pe = R.p ** e
+    Rmod = IntegersMod(pe)
+    D = [[(c * pe).numerator * pow((c * pe).denominator, -1, pe) % pe
+          for c in row] for row in rref]
+    rows_out = []
+    for t in row_kernel(Rmod, D):
+        v = [Fraction(0)] * width
+        for c, row in zip(t, rref):
+            v = [a + c * b for a, b in zip(v, row)]
+        rows_out.append(v)
+    rows_out += [[pe * c for c in row] for row in rref]
+    return canonical_span(R, rows_out)
+
+
+@pytest.mark.parametrize("spec, base, p", [
+    ("mu:6", "Zloc(2)", 2), ("mu:10", "Zloc(2)", 2), ("mu:15", "Zloc(3)", 3),
+    ("sdp:mu:3,Z2,inv", "Zloc(3)", 3), ("mu:30", "Zloc(5)", 5)])
+def test_order_p_subgroup_over_zloc_matches_saturation(spec, base, p):
+    """Over Zloc(l) the order-p ideal is the kernel of pi_Q of x^p = 1 on
+    the generic fiber; the saturation of that Q ideal is the reference."""
+    [G] = built(spec, parse_ring(base))
+    torsion = _torsion(G.base_change(QQ), p)
+    want = _reference_saturation(G.ring, [list(v) for v in torsion.ideal], G.rank)
+    assert order_p_subgroup(G, p).ideal == want
 
 
 def test_locus_report_mu2_zloc2():
