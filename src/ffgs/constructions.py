@@ -19,13 +19,10 @@ from .linalg import (
     Span,
     add_scaled,
     canonical_span,
-    mat_vec,
     member,
     member_with_coeffs,
     reduce_mod_span,
     row_kernel,
-    transpose,
-    vec_is_zero,
     vec_scale,
     vec_sub,
 )
@@ -34,6 +31,7 @@ from .hopf import (
     GroupSchemeHom,
     HopfError,
     VerificationReport,
+    dense,
     hom_on_points,
     map_tensor,
     nonzeros,
@@ -327,14 +325,15 @@ class ClosedSubgroup:
         G = self.ambient
         R = G.ring
         M, C, S = G.sparse
-        free_cols, pbasis = self.quotient_data()
+        free_cols = self.quotient_data()[0]
         pb = self.projection_rows()
         mult = [[_project(R, pb, M[a][b]) for b in free_cols] for a in free_cols]
         comult = [map_tensor(R, pb, pb, C[a]) for a in free_cols]
         antipode = [_project(R, pb, S[a]) for a in free_cols]
         self._scheme = GroupScheme.from_tables(
             R, len(free_cols), (mult, comult, antipode),
-            mat_vec(R, transpose(pbasis), G.unit), [G.counit[a] for a in free_cols])
+            dense(R, len(free_cols), _project(R, pb, nonzeros(R, G.unit))),
+            [G.counit[a] for a in free_cols])
         return self._scheme
 
     def inclusion(self) -> GroupSchemeHom:
@@ -346,22 +345,12 @@ class ClosedSubgroup:
         return self.order == 1
 
 
-def _tensor_rows(G: GroupScheme, tensor: dict):
-    """A tensor {(j, k): c} of A (x) A as the m x m matrix whose row j
-    is the second factor paired with e_j."""
-    R = G.ring
-    rows = [[R.zero] * G.rank for _ in range(G.rank)]
-    for (j, k), c in tensor.items():
-        rows[j][k] = c
-    return rows
-
-
-def _project(R: Ring, pb, terms):
-    """pi of sum c e_x over the (x, c) in terms, as its nonzero (s, c) in
-    increasing s; pb[x] is nonzeros(pi(e_x))."""
+def _project(R: Ring, rows, terms):
+    """f of sum c e_x over the (x, c) in terms, as its nonzero (s, c) in
+    increasing s; rows[x] is nonzeros(f(e_x)) for any linear map f."""
     out: dict = {}
     for x, c in terms:
-        for s, u in pb[x]:
+        for s, u in rows[x]:
             out[s] = R.add(out.get(s, R.zero), R.mul(c, u))
     return sorted((s, c) for s, c in out.items() if R.nonzero(c))
 
@@ -453,7 +442,8 @@ def is_normal(H: ClosedSubgroup):
 
 def quotient(G: GroupScheme, H: ClosedSubgroup):
     """(G/H, projection hom) for H normal, via coinvariants of the
-    coaction (id (x) pi) Delta."""
+    coaction (id (x) pi) Delta.  Its tables read coordinates in their basis
+    B with `_project` and `map_tensor`, each checked by re-expansion."""
     if H.ambient is not G:
         raise HopfError("subgroup does not live in this scheme")
     R = G.ring
@@ -465,10 +455,8 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
     # that is iff sum t_i (id (x) pi)(Delta(e_i) - e_i (x) 1) = 0
     cols = []
     for i, terms in enumerate(G.sparse.comult):
-        col = [R.zero] * (m * n)
-        for j, s, c in map_tensor(R, ident, pb, terms + [(i, k, u) for k, u in minus_unit]):
-            col[j * n + s] = c
-        cols.append(col)
+        tensor = map_tensor(R, ident, pb, terms + [(i, k, u) for k, u in minus_unit])
+        cols.append(dense(R, m * n, ((j * n + s, c) for j, s, c in tensor)))
     B = row_kernel(R, cols)
     if not B:
         raise HopfError("coinvariants are zero")
@@ -478,25 +466,33 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
             f"misses the ambient order {m}"
         )
     # unit pivots make B free, and its canonical form has B[s][c_t] = 0 for
-    # s != t: v in span(B) has coordinates x_t = v[c_t] / B[t][c_t]
+    # s != t: kappa(e_{c_t}) = e_t / B[t][c_t] (zero at other columns) reads
+    # coordinates and beta(e_t) = B[t] expands them, so v is in span(B) iff
+    # beta(kappa(v)) = v, and likewise on B (x) B with kappa and beta on both
     if B.nonunit is not None:
         raise HopfError("coinvariants are not free on their basis (non-unit pivot)")
-    scales = [R.inv(row[c]) for row, c in zip(B, B.cols)]
-    def coords(v, failure="coinvariant algebra is not closed as expected"):
-        if not vec_is_zero(R, reduce_mod_span(R, B, v)):
-            raise HopfError(failure)
-        return [R.mul(v[c], u) for c, u in zip(B.cols, scales)]
+    kappa = [[] for _ in range(m)]
+    for t, (row, c) in enumerate(zip(B, B.cols)):
+        kappa[c] = [(t, R.inv(row[c]))]
+    beta = [nonzeros(R, row) for row in B]
+    def coords(v):
+        v = nonzeros(R, v)
+        x = _project(R, kappa, v)
+        if _project(R, beta, x) != v:
+            raise HopfError("coinvariant algebra is not closed as expected")
+        return x
     rB = len(B)
-    mult = [[nonzeros(R, coords(G.mul_vec(a, b))) for b in B] for a in B]
-    # Delta(b) = sum_y w_y (x) B[y]: solve each row in B, then each w_y
-    no_restrict = "comultiplication does not restrict to coinvariants"
+    mult = [[coords(G.mul_vec(a, b)) for b in B] for a in B]
     comult = []
     for b in B:
-        rows = [coords(row, no_restrict) for row in _tensor_rows(G, G.comult_vec(b))]
-        ws = [coords(w, no_restrict) for w in transpose(rows)]
-        comult.append(sorted((x, y, c) for y, w in enumerate(ws) for x, c in nonzeros(R, w)))
-    antipode = [nonzeros(R, coords(G.antipode_vec(b))) for b in B]
-    Gbar = GroupScheme.from_tables(R, rB, (mult, comult, antipode), coords(G.unit),
+        terms = sorted((j, k, c) for (j, k), c in G.comult_vec(b).items())
+        x = map_tensor(R, kappa, kappa, terms)
+        if map_tensor(R, beta, beta, x) != terms:
+            raise HopfError("comultiplication does not restrict to coinvariants")
+        comult.append(x)
+    antipode = [coords(G.antipode_vec(b)) for b in B]
+    Gbar = GroupScheme.from_tables(R, rB, (mult, comult, antipode),
+                                   dense(R, rB, coords(G.unit)),
                                    [G.counit_of(b) for b in B],
                                    f"{G.name}/H" if G.name else None)
     proj = GroupSchemeHom(G, Gbar, [list(v) for v in B])

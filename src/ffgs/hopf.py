@@ -97,6 +97,14 @@ def nonzeros(R: Ring, v):
     return [(x, c) for x, c in enumerate(v) if nonzero(c)]
 
 
+def dense(R: Ring, n: int, entries):
+    """The length-n vector with c at x for each (x, c) in entries, else zero."""
+    v = [R.zero] * n
+    for x, c in entries:
+        v[x] = c
+    return v
+
+
 def map_tensor(R: Ring, left, right, terms):
     """(f (x) g) of sum c e_j (x) e_k over the (j, k, c) in terms, as its
     nonzero (s, t, c) in increasing (s, t); left[j] and right[k] are the
@@ -167,19 +175,12 @@ class GroupScheme:
     def _dense(self):
         """(mult, comult, antipode) as dense lists, expanded from the
         tables on first use and kept."""
-        zero, m = self.ring.zero, self.rank
-
-        def vector(entries):
-            v = [zero] * m
-            for x, c in entries:
-                v[x] = c
-            return v
-
+        R, m = self.ring, self.rank
         M, C, S = self.sparse
-        return ([[vector(v) for v in row] for row in M],
-                [[vector((k, c) for j, k, c in terms if j == row) for row in range(m)]
+        return ([[dense(R, m, v) for v in row] for row in M],
+                [[dense(R, m, ((k, c) for j, k, c in terms if j == row)) for row in range(m)]
                  for terms in C],
-                [vector(v) for v in S])
+                [dense(R, m, v) for v in S])
 
     # read-only: a scheme never reads them back
     mult, comult, antipode = (property(lambda G, i=i: G._dense[i]) for i in range(3))

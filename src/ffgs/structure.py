@@ -29,6 +29,7 @@ from .hopf import (
     HopfError,
     convolution_power,
     cartier_dual,
+    dense,
     is_etale,
     map_tensor,
     points,
@@ -381,11 +382,7 @@ def _slot_product_map(G: GroupScheme, subgroups):
         phi = [[(s * width + t, c) for s, t, c in map_tensor(R, pb, phi, terms)]
                for terms in G.sparse.comult]
         width *= H.order
-    rows = [[R.zero] * width for _ in phi]
-    for row, entries in zip(rows, phi):
-        for x, c in entries:
-            row[x] = c
-    return rows
+    return [dense(R, width, entries) for entries in phi]
 
 
 def internal_product(G: GroupScheme, subgroups) -> tuple:

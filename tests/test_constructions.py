@@ -14,7 +14,6 @@ from ffgs.constructions import (ClosedSubgroup, alpha, constant,
 from ffgs.hopf import (GroupScheme, GroupSchemeHom, HopfError,
                        VerificationReport, convolution_power, points)
 from ffgs import constructions, linalg
-from ffgs.constructions import _tensor_rows
 from ffgs.linalg import (canonical_span, mat_vec, member, member_with_coeffs,
                          row_kernel, transpose, vec_add, vec_scale, vec_sub)
 from ffgs.oracle import AbstractGroup, s3_table
@@ -375,6 +374,16 @@ def test_non_unit_pivot_is_not_flat():
     assert (rep.ok, rep.axiom, rep.witness) == (False, "not-flat", (0,))
 
 
+def _tensor_rows(G, tensor: dict):
+    """A tensor {(j, k): c} of A (x) A as the m x m matrix whose row j
+    is the second factor paired with e_j."""
+    R = G.ring
+    rows = [[R.zero] * G.rank for _ in range(G.rank)]
+    for (j, k), c in tensor.items():
+        rows[j][k] = c
+    return rows
+
+
 def _reference_quotient(G, H):
     """quotient as it was: one augmented elimination per coordinate
     vector, 3m^2 + O(m) of them."""
@@ -450,6 +459,20 @@ def test_quotient_matches_reference(spec):
         assert quotient_outcome(_quotient_tensors, G, H) == want, (G.name, H.order)
         outcomes.add(want[0] == "HopfError")
     assert outcomes == {True, False}
+
+
+def test_quotient_of_a_span_that_is_no_ideal_is_not_closed():
+    # x^3 + 1 and x + x^2 + x^3 span no ideal of mu_4 over GF(2), and the
+    # product of two coinvariants falls outside their span
+    F2 = parse_ring("GF(2)")
+    G = mu(F2, 4)
+    H = ClosedSubgroup(G, [[F2.from_int(c) for c in row]
+                           for row in ([1, 0, 0, 1], [0, 1, 1, 1])])
+    rep = H.verify_hopf_ideal()
+    assert (rep.ok, rep.axiom, rep.witness) == (False, "ideal-closure", (0, 1))
+    want = ("HopfError", "coinvariant algebra is not closed as expected")
+    assert quotient_outcome(_reference_quotient, G, H) == want
+    assert quotient_outcome(_quotient_tensors, G, H) == want
 
 
 def test_quotient_eliminates_each_basis_once(monkeypatch):

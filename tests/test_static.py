@@ -373,14 +373,16 @@ def defined_scopes(tree):
     return out
 
 
-def test_hopf_ideal_report_and_scheme_read_pi_only():
+def test_subgroups_and_quotient_read_sparse_rows_only():
     """ClosedSubgroup._hopf_ideal_report tests v in I as pi(v) = 0,
     ClosedSubgroup.scheme projects its tables and is_normal tests
-    (id (x) pi) ad(v) = 0, all through the sparse pi(e_j) rows; none
-    reduces against the ideal's span itself, also not in a function
+    (id (x) pi) ad(v) = 0, all through the sparse pi(e_j) rows; quotient
+    reads coordinates in its coinvariant basis through the sparse kappa
+    rows and checks them by expanding back through beta.  None reduces
+    against a span itself or transposes a matrix, also not in a function
     nested in them."""
     scopes = ("ClosedSubgroup._hopf_ideal_report", "ClosedSubgroup.scheme",
-              "is_normal")
+              "is_normal", "quotient")
 
     def offenders(tree, name):
         return [w for w in callers(tree, name)
@@ -388,22 +390,27 @@ def test_hopf_ideal_report_and_scheme_read_pi_only():
 
     tree = parse(SRC / "constructions.py")
     assert set(scopes) <= defined_scopes(tree)
-    for name in ("member", "reduce_mod_span", "add_scaled"):
+    for name in ("member", "reduce_mod_span", "add_scaled", "transpose"):
         assert not offenders(tree, name), name
+    assert "quotient.coords" in callers(tree, "_project")
     snippet = ast.parse("class ClosedSubgroup:\n"
                         "    def scheme(self):\n"
                         "        def project():\n            return linalg.add_scaled(1)\n"
                         "    def quotient_data(self):\n        return reduce_mod_span(1)\n"
-                        "    def _hopf_ideal_report(self):\n        return member(1)\n")
+                        "    def _hopf_ideal_report(self):\n        return member(1)\n"
+                        "def quotient(G, H):\n"
+                        "    def coords(v):\n        return reduce_mod_span(1)\n")
     assert offenders(snippet, "add_scaled") == ["ClosedSubgroup.scheme.project"]
     assert offenders(snippet, "member") == ["ClosedSubgroup._hopf_ideal_report"]
-    assert not offenders(snippet, "reduce_mod_span")
+    assert offenders(snippet, "reduce_mod_span") == ["quotient.coords"]
 
 
 def test_two_tensors_are_mapped_by_map_tensor_only():
     """Every (f (x) g) on A (x) A goes through hopf.map_tensor: the
     Hopf-ideal report and the subgroup scheme (pi (x) pi), normality and
-    the coinvariants of a quotient (id (x) pi), the p-primary product map
+    the coinvariants of a quotient (id (x) pi), the quotient's
+    comultiplication (kappa (x) kappa, read back through beta (x) beta),
+    the p-primary product map
     (pi_k (x) phi_(k+1)) and the hom-comult check (f (x) f); the
     constructions-private _project_tensor it replaced is gone."""
     want = {"constructions.ClosedSubgroup._hopf_ideal_report",
