@@ -278,11 +278,19 @@ class ClosedSubgroup:
         if self.ideal.nonunit is not None:
             return VerificationReport(False, "not-flat", (self.ideal.nonunit,))
         pb = self.projection_rows()
-        # ideal: closed under multiplication by the ambient algebra
-        for t, v in enumerate(self.ideal):
-            for i in range(G.rank):
-                if _project(R, pb, nonzeros(R, G.mul_vec(v, G.basis_vector(i)))):
-                    return VerificationReport(False, "ideal-closure", (t, i))
+
+        def outside(v, i):  # v e_i is not in I
+            return _project(R, pb, nonzeros(R, G.mul_vec(v, G.basis_vector(i))))
+
+        # ideal: closed under multiplication by the ambient algebra, which
+        # a generator s = e_g of A settles alone; on a failure the basis scan
+        # names the first failing (t, i)
+        g = G.presentation.index if G.presentation.generates else None
+        if g is None or any(outside(v, g) for v in self.ideal):
+            for t, v in enumerate(self.ideal):
+                for i in range(G.rank):
+                    if outside(v, i):
+                        return VerificationReport(False, "ideal-closure", (t, i))
         # inside the augmentation ideal
         for t, v in enumerate(self.ideal):
             if R.nonzero(G.counit_of(v)):
@@ -356,14 +364,30 @@ def _project(R: Ring, rows, terms):
 
 
 def ideal_closure(G: GroupScheme, gens):
-    """The ideal generated by gens: the span of the products v e_i of the rows
-    v of their canonical span with the basis, which holds v = v 1.  As A is
-    commutative and associative (`verify` checks both), (v e_j) e_i =
-    v (e_j e_i) lies in that span again, so one round closes it."""
+    """The ideal generated by gens in A, which is commutative and
+    associative (`verify` checks both); V is the canonical span of gens.
+
+    Where the presentation's s generates A, the ideal is the sum of the
+    V s^k: round k adds V s^k to the span, and once the canonical span is
+    unchanged V s^(k+1) lies in it too.  The test is equality of the
+    canonical spans, not of their row counts, which a non-unit pivot
+    turning into a unit one leaves alone (3e becoming e over Z/9).
+    Otherwise it is the span of the products v e_i of the rows v of V
+    with the basis, which holds v = v 1; as (v e_j) e_i = v (e_j e_i) lies
+    in that span again, one round closes it."""
     R = G.ring
     span = canonical_span(R, list(gens))
-    return canonical_span(R, [G.mul_vec(v, G.basis_vector(i))
-                              for v in span for i in range(G.rank)])
+    pres = G.presentation
+    if not pres.generates:
+        return canonical_span(R, [G.mul_vec(v, G.basis_vector(i))
+                                  for v in span for i in range(G.rank)])
+    s, frontier = G.basis_vector(pres.index), span
+    while True:
+        frontier = [G.mul_vec(v, s) for v in frontier]
+        bigger = canonical_span(R, span + frontier)
+        if bigger == span:
+            return span
+        span = bigger
 
 
 def whole_subgroup(G: GroupScheme) -> ClosedSubgroup:

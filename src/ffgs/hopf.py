@@ -22,11 +22,15 @@ the zeros of the m^3 dense entries.  The dense lists `mult`, `comult` and
 `to_dict` writes; a scheme derives them from its tables on first use.
 The tables are fixed once a scheme is made, so the conjugation tensors
 ad(e_i) (`adjoint`), the certified algebra generators `verify` checks
-the laws on (`algebra_generators`), the trace discriminant (`etale`), the
-ideal of the identity component (`identity_core`), the characters over a
-field (`field_characters`), the subschemes x^p = 1 (`torsion_subschemes`),
-the base change to each ring (`base_change`) and the tangent rows of each
-character over a field (`_lifted_points`) are made once per scheme too.
+the laws on (`algebra_generators`), the presentation A = R[t]/(mu) by the
+first basis vector that is no multiple of 1, where it generates
+(`presentation`, which `characters`, `identity_idempotent`, the ideal
+closure and the Hopf-ideal report read), the trace discriminant
+(`etale`), the ideal of the identity component (`identity_core`), the
+characters over a field (`field_characters`), the subschemes x^p = 1
+(`torsion_subschemes`), the base change to each ring (`base_change`) and
+the tangent rows of each character over a field (`_lifted_points`) are
+made once per scheme too.
 
 The dual module, with the tables transposed (`_transposed`), is the
 Cartier dual of a commutative scheme (`cartier_dual`).  `verify` reads
@@ -89,6 +93,7 @@ class VerificationReport:
 
 
 SparseTensors = namedtuple("SparseTensors", "mult comult antipode")
+Presentation = namedtuple("Presentation", "index generates minpoly powers")
 
 
 def nonzeros(R: Ring, v):
@@ -243,6 +248,38 @@ class GroupScheme:
             if all(spans(H, [H.ring.from_int(a) for a in ints]) for H in fibers):
                 return [[R.from_int(a) for a in ints]]
         return [self.basis_vector(i) for i in range(m)]
+
+    @functools.cached_property
+    def presentation(self):
+        """(i, generates, mu, P) for s = e_i; made on first use and kept.
+
+        Over a field s is the first basis vector not in k 1, mu its minimal
+        polynomial and P its powers 1, s, ..., s^(deg mu - 1), from one
+        `_minpoly_of_vector` call, and s generates A = k[t]/(mu) exactly
+        when deg mu = m.  Over another base s generates just when it does
+        on the kept fiber over the residue field of every closed point of
+        Spec R (Nakayama's lemma, as in `algebra_generators`): i is the
+        index those fibers' presentations share when each generates, and
+        mu and P are not made.  i is None where there is no such s (rank 1)
+        or the fibers do not all generate with one i; over a field an s
+        that does not generate keeps its i, mu and P for the walk of
+        `characters`."""
+        R, m = self.ring, self.rank
+        none = Presentation(None, False, None, None)
+        if not R.is_field:
+            fibers = [self.base_change(p.residue_field).presentation
+                      for p in spectrum(R) if not p.specializations]
+            if all(f.generates for f in fibers) and len({f.index for f in fibers}) == 1:
+                return Presentation(fibers[0].index, True, None, None)
+            return none
+        if not any(map(R.nonzero, self.unit)):
+            return none
+        i = next((i for i in range(m)
+                  if _scalar_on(R, self.unit, self.basis_vector(i)) is None), None)
+        if i is None:
+            return none
+        minpoly, powers = _minpoly_of_vector(self, self.unit, self.basis_vector(i))
+        return Presentation(i, len(minpoly) == m + 1, minpoly, powers)
 
     @functools.cached_property
     def etale(self):
@@ -1027,21 +1064,26 @@ def _splittings(GR: GroupScheme, choose):
     off (field base), one basis vector at a time: e_idx acts on eA as
     chi[idx], and where it is no scalar the walk branches on the
     eigenvalues choose(minpoly, idx) picks among the roots of its minimal
-    polynomial."""
+    polynomial.  On the unit, the first of these is the presentation's."""
     R, m = GR.ring, GR.rank
+    pres, start = GR.presentation, list(GR.unit)
     # stack entries: (factor unit, next ambient index, chi)
-    stack = [(list(GR.unit), 0, [None] * m)]
+    stack = [(start, 0, [None] * m)]
     while stack:
         e, idx, chi = stack.pop()
         if idx == m:
             yield e, chi
             continue
-        c = GR.mul_vec(e, GR.basis_vector(idx))
+        basis = GR.basis_vector(idx)
+        c = GR.mul_vec(e, basis)
         s = _scalar_on(R, e, c)
         if s is not None:
             stack.append((e, idx + 1, chi[:idx] + [s] + chi[idx + 1:]))
             continue
-        minpoly, powers = _minpoly_of_vector(GR, e, c)
+        if e is start and idx == pres.index and c == basis:
+            minpoly, powers = pres.minpoly, pres.powers
+        else:
+            minpoly, powers = _minpoly_of_vector(GR, e, c)
         for lam in choose(minpoly, idx):
             stack.append((_eigen_idempotent(GR, minpoly, powers, lam), idx + 1,
                           chi[:idx] + [lam] + chi[idx + 1:]))
@@ -1049,22 +1091,52 @@ def _splittings(GR: GroupScheme, choose):
 
 def identity_idempotent(G: GroupScheme):
     """e0, the unit of the local factor of the algebra at the identity
-    point (field base): the walk of `characters` along the counit."""
+    point (field base).  Where the presentation's s generates A =
+    k[t]/(mu), the local factors are those of the irreducible factors of
+    mu, and the identity's is that of t - eps(s): e0 is the eigen-idempotent
+    of s at eps(s).  Otherwise it is the walk of `characters` along the
+    counit."""
+    pres = G.presentation
+    if pres.generates:
+        return _eigen_idempotent(G, pres.minpoly, pres.powers, G.counit[pres.index])
     [(e0, _)] = _splittings(G, lambda minpoly, idx: [G.counit[idx]])
     return e0
+
+
+def _presented_characters(GR: GroupScheme):
+    """The chi with chi(s^j) = lam^j for each root lam of mu, where the
+    presentation's s generates A = k[t]/(mu): the powers P are a basis, so
+    chi solves sum_i P[j][i] chi_i = lam^j for j < m.  One elimination of
+    [P | I] gives P^-1 for every root."""
+    R, m = GR.ring, GR.rank
+    pres = GR.presentation
+    rows = [list(v) + [R.one if j == t else R.zero for j in range(m)]
+            for t, v in enumerate(pres.powers)]
+    inverse = [nonzeros(R, row[m:]) for row in linalg.canonical_span(R, rows)]
+    for lam in R.roots(pres.minpoly):
+        powers = [R.one]
+        while len(powers) < m:
+            powers.append(R.mul(powers[-1], lam))
+        yield [_pair(R, row, powers) for row in inverse]
 
 
 def characters(GR: GroupScheme):
     """All algebra homomorphisms Hopf(GR) -> base field, as value vectors.
 
-    Pure linear algebra: the algebra is split by the idempotents of the
-    generalized eigenspaces of multiplication operators, one basis vector
-    at a time; eigenvalues are the roots `Ring.roots` finds exactly."""
+    Pure linear algebra, with eigenvalues the roots `Ring.roots` finds
+    exactly.  Where the presentation's s generates A = k[t]/(mu), the
+    characters are read off the roots of mu.  Otherwise the algebra is
+    split by the idempotents of the generalized eigenspaces of
+    multiplication operators, one basis vector at a time, starting from
+    the presentation's minimal polynomial."""
     R = GR.ring
     if not R.is_field:
         raise HopfError("characters need a field")
-    splittings = _splittings(GR, lambda minpoly, idx: R.roots(minpoly))
-    results = {tuple(chi) for _, chi in splittings if point_is_hom(GR, chi)}
+    if GR.presentation.generates:
+        found = _presented_characters(GR)
+    else:
+        found = (chi for _, chi in _splittings(GR, lambda minpoly, idx: R.roots(minpoly)))
+    results = {tuple(chi) for chi in found if point_is_hom(GR, chi)}
     return sorted(results, key=lambda t: tuple(R.sort_key(x) for x in t))
 
 
@@ -1147,11 +1219,8 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
     more than `bound` points."""
     k, lift, steps = R.residue_lifting()
     fiber = G.base_change(k)
-    if R == QQ:
-        if fiber.rank > bound:
-            raise HopfError("order exceeds the Q-points bound")
-        if not is_etale(fiber)[0]:
-            raise HopfError("Q-points are supported for etale schemes only")
+    if R == QQ and not is_etale(fiber)[0]:
+        raise HopfError("Q-points are supported for etale schemes only")
     if not steps:
         if len(fiber.field_characters) > bound:
             raise HopfError(f"more than {bound} points (the points bound)")

@@ -220,7 +220,10 @@ class Ring:
     # defaults are those of a field (reduced row echelon form); the other
     # families override what their canonical form needs.
     def normalize_pivot(self, row, col):
-        """row scaled by a unit so that row[col] is the canonical pivot."""
+        """row scaled by a unit so that row[col] is the canonical pivot;
+        row itself where it is already."""
+        if row[col] == self.one:
+            return row
         u = self.inv(row[col])
         return [self.mul(u, x) for x in row]
 
@@ -809,6 +812,8 @@ class LocalizedIntegers(_Fractions):
     # their integer residue in range(p^v).
     def normalize_pivot(self, row, col):
         u = row[col] / self.p ** self.valuation(row[col])
+        if u == 1:
+            return row
         ui = 1 / u
         return [x * ui for x in row]
 

@@ -134,6 +134,17 @@ def test_missing_preconditions_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_q_points_bound_counts_the_characters_found(capsys):
+    # mu_6(Q) = {1, -1}: over Q, as over any field, the points bound is
+    # checked on the characters found, not on the order of the scheme
+    argv = ["points", "--builtin", "mu:6", "--base", "Q", "--ring", "Q",
+            "--budget-points"]
+    assert main(argv + ["2"]) == 0
+    assert capsys.readouterr().out.startswith("2 points over Q")
+    assert main(argv + ["1"]) == 2
+    assert capsys.readouterr().err == "error: more than 1 points (the points bound)\n"
+
+
 def test_empty_ledger_names_the_skipped_rings(capsys):
     bound = "more than 0 points (the points bound)"
     assert main(["theorem", "--builtin", "mu:6", "--base", "Zloc(2)",

@@ -585,6 +585,80 @@ def test_ideal_closure_matches_fixpoint_reference(name):
     check()
 
 
+def _seeded_rows(H, rng):
+    """One to three random rows, and the same rows moved into the
+    augmentation ideal."""
+    R = H.ring
+    els = list(R.elements()) if R.is_finite else [R.from_int(i) for i in range(-3, 4)]
+    rows = [[rng.choice(els) if rng.random() < 0.4 else R.zero for _ in range(H.rank)]
+            for _ in range(rng.randint(1, 3))]
+    return [rows, [vec_sub(R, v, vec_scale(R, H.counit_of(v), H.unit)) for v in rows]]
+
+
+def _generated(R, rng):
+    """Each reference builtin over R, natural and dense, whose presentation's
+    basis vector generates the algebra."""
+    return [H for G in builtins_over(R) for _, H in in_bases(G, rng)
+            if H.presentation.generates]
+
+
+@pytest.mark.parametrize("name", REFERENCE_BASES)
+def test_ideal_closure_by_a_generator_matches_fixpoint_reference(name, monkeypatch):
+    """Where the presentation's s generates A, ideal_closure adds V s^k to
+    the span until it stops changing, and every product it makes is by s.
+    It equals the basis-multiplier fixpoint on seeded rows of every
+    reference builtin with such an s, in its natural and a dense basis;
+    over Z/9 a round can turn 3e into e and keep the row count, so the
+    test is on the span."""
+    R = parse_ring(name)
+    rng = random.Random(f"closure {name}")
+    schemes = _generated(R, rng)
+    assert schemes, name
+    products = []
+    real = GroupScheme.mul_vec
+    for H in schemes:
+        for _ in range(3):
+            for rows in _seeded_rows(H, rng):
+                want = _reference_ideal_closure(H, rows)
+                monkeypatch.setattr(GroupScheme, "mul_vec",
+                                    lambda self, v, w: products.append(w) or real(self, v, w))
+                products.clear()
+                assert ideal_closure(H, rows) == want, (H.name, rows)
+                monkeypatch.undo()
+                assert all(w == H.basis_vector(H.presentation.index) for w in products)
+
+
+@pytest.mark.parametrize("name", REFERENCE_BASES)
+def test_ideal_closure_witness_by_a_generator_matches_the_basis_scan(name, monkeypatch):
+    """On the spans of seeded rows, and their ideal closures, in every
+    reference builtin with a generating s: the Hopf-ideal report equals
+    the basis-scan reference, witness (t, i) included, and an ideal passes
+    its closure step on one product per row."""
+    R = parse_ring(name)
+    rng = random.Random(f"witness {name}")
+    seen = set()
+    real = GroupScheme.mul_vec
+    for H in _generated(R, rng):
+        for _ in range(3):
+            for rows in _seeded_rows(H, rng):
+                for S in (ClosedSubgroup(H, rows), ClosedSubgroup(H, ideal_closure(H, rows))):
+                    if S.ideal.nonunit is not None:
+                        continue
+                    S.projection_rows()
+                    products = []
+                    monkeypatch.setattr(GroupScheme, "mul_vec",
+                                        lambda self, v, w: products.append(1) or real(self, v, w))
+                    rep = S.verify_hopf_ideal()
+                    monkeypatch.undo()
+                    ref = _ref_verify_hopf_ideal(S)
+                    assert (rep.ok, rep.axiom, rep.witness) == \
+                        (ref.ok, ref.axiom, ref.witness), (H.name, S.ideal)
+                    if rep.axiom != "ideal-closure":
+                        assert len(products) == len(S.ideal), (H.name, S.ideal)
+                    seen.add(rep.axiom)
+    assert "ideal-closure" in seen and len(seen) > 1, seen
+
+
 def test_kernels_of_algebra_maps_are_ideals_without_closure():
     """trivial_subgroup (ker counit), image (ker f*) and internal_product
     (ker of the multiplication map's algebra map) hand their kernel to

@@ -916,14 +916,143 @@ def test_lift_idempotent_removes_a_deep_nilpotent():
 
 
 def test_characters_read_values_off_one_dimensional_factors(monkeypatch):
-    # x splits mu_3 over GF(7) into three lines e, with e = (5, 3, 6) among
-    # them; there x^2 e = s e, and s is a ratio, not another minimal polynomial
+    # mu_3 over GF(7) in the basis 1, f = x + 4x^2, x^2, which no basis
+    # vector generates: f takes 5, 4, 5 at the points 1, 2, 4, so the
+    # presentation's minimal polynomial (t - 4)(t - 5) splits off the line e
+    # of the point 2 and the plane of 1 and 4.  On the line x^2 e = 4 e, a
+    # ratio, not another minimal polynomial; the plane takes one more
+    G = rebased(mu(F7, 3), [[1, 0, 0], [0, 1, 3], [0, 0, 1]])
+    calls, ratios = [], []
+    real, real_scalar = hopf._minpoly_of_vector, hopf._scalar_on
+    monkeypatch.setattr(hopf, "_minpoly_of_vector",
+                        lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(hopf, "_scalar_on",
+                        lambda *args: ratios.append(real_scalar(*args)) or ratios[-1])
+    assert hopf.characters(G) == [(1, 4, 4), (1, 5, 1), (1, 5, 2)]
+    assert not G.presentation.generates and G.presentation.index == 1
+    assert len(calls) == 2 and 4 in ratios
+    assert hopf.characters(fresh(G)) == _reference_characters(G)
+
+
+def _mu_characters(R, n):
+    """The characters of mu_n over a prime field or Q, x -> zeta for each
+    zeta with zeta^n = 1, read at x^0, ..., x^(n-1)."""
+    els = R.elements() if R.is_finite else [R.one, R.neg(R.one)]
+    roots = [z for z in els if R.pow(z, n) == R.one]
+    return sorted(tuple(R.pow(z, i) for i in range(n)) for z in roots)
+
+
+def _mu_identity_idempotent(R, n):
+    """e0 of mu_n over a prime field or Q: with n = p^a n' and p the
+    characteristic (a = 0 over Q), y = x^(p^a) has y - 1 = (x - 1)^(p^a),
+    so (1/n') sum_j y^j is 1 on the local factor at x = 1 and, as
+    (y - 1) sum_j y^j = x^n - 1, zero on the others."""
+    p, q = R.char(), 1
+    while p and n % (q * p) == 0:
+        q *= p
+    e0 = [R.zero] * n
+    for j in range(n // q):
+        e0[j * q] = R.inv(R.from_int(n // q))
+    return e0
+
+
+def test_mu_n_reads_characters_and_e0_off_its_presentation(monkeypatch):
+    """mu_n is k[x]/(x^n - 1) in its natural basis, so x generates it: one
+    minimal polynomial and no walk give the characters and e0, which equal
+    the closed forms for every n <= 105 over GF(2), GF(3) and GF(7), and
+    over Q for the square-free n <= 30 and the orders 42, 70 and 105; and
+    the walk references on the smaller n."""
+    minpolys, walks = [], []
+    real_minpoly, real_walk = hopf._minpoly_of_vector, hopf._splittings
+    monkeypatch.setattr(hopf, "_minpoly_of_vector",
+                        lambda *args: minpolys.append(1) or real_minpoly(*args))
+    monkeypatch.setattr(hopf, "_splittings",
+                        lambda *args: walks.append(1) or real_walk(*args))
+    for name in ("GF(2)", "GF(3)", "GF(7)", "Q"):
+        R = parse_ring(name)
+        for n in range(2, 106):
+            if not R.is_finite and (n > 30 and n not in (42, 70, 105) or
+                                    any(n % (p * p) == 0 for p in prime_factors(n))):
+                continue
+            G = mu(R, n)
+            minpolys.clear()
+            chars, e0 = hopf.characters(G), hopf.identity_idempotent(G)
+            assert (len(minpolys), walks) == (1, []), (name, n)
+            assert G.presentation.generates and G.presentation.index == 1
+            assert chars == _mu_characters(R, n), (name, n)
+            assert all(hopf.point_is_hom(G, chi) for chi in chars), (name, n)
+            assert e0 == _mu_identity_idempotent(R, n), (name, n)
+            if n <= 12 or n in (15, 21, 30) and R.is_finite:
+                assert chars == _reference_characters(G), (name, n)
+                assert e0 == _reference_identity_idempotent(G), (name, n)
+
+
+def test_presented_characters_and_e0_match_the_walk_on_the_corpus():
+    """On every field base of the reference corpus, each scheme that
+    verifies gives the walk references' characters and e0, through its
+    presentation where one basis vector generates and through the walk
+    elsewhere; each character is an algebra map.  (The corrupted schemes
+    that fail verify have no eigen-decomposition to agree on: there even
+    the walk and its references part.)"""
+    paths = set()
+    for label, G in reference_corpus():
+        if not G.ring.is_field or not G.verify().ok:
+            continue
+        H = fresh(G)
+        chars = hopf.characters(H)
+        assert chars == _reference_characters(G), label
+        assert all(hopf.point_is_hom(H, chi) for chi in chars), label
+        assert hopf.identity_idempotent(H) == _reference_identity_idempotent(G), label
+        paths.add(H.presentation.generates)
+    assert paths == {True, False}
+
+
+def test_presentation_reuses_the_walks_first_minimal_polynomial(monkeypatch):
+    """Where no basis vector generates, the walk takes its first minimal
+    polynomial from the presentation: characters and e0 together make one
+    `_minpoly_of_vector` call fewer than under a presentation that names
+    no basis vector, where each of the two walks makes that call itself."""
     calls = []
     real = hopf._minpoly_of_vector
     monkeypatch.setattr(hopf, "_minpoly_of_vector",
-                        lambda *args: calls.append(args) or real(*args))
-    assert hopf.characters(mu(F7, 3)) == [(1, 1, 1), (1, 2, 4), (1, 4, 2)]
-    assert len(calls) == 1
+                        lambda *args: calls.append(1) or real(*args))
+    walk_only = hopf.Presentation(None, False, None, None)
+    for name in ("GF(5)", "GF(7)", "Q", "GF(2^2;x^2+x+1)"):
+        R = parse_ring(name)
+        for G in (constant_cyclic(R, 6), constant(R, s3_table()),
+                  *built("sdp:mu:3,Z2,inv", R)):
+            counts = []
+            for pres in (None, walk_only):
+                H = fresh(G)
+                if pres is not None:
+                    H.__dict__["presentation"] = pres
+                calls.clear()
+                hopf.characters(H), hopf.identity_idempotent(H)
+                counts.append(len(calls))
+            assert not fresh(G).presentation.generates, (name, G.name)
+            assert counts[0] == counts[1] - 1, (name, G.name, counts)
+
+
+def test_presented_characters_match_the_walk_in_random_bases():
+    """mu_n or Z/n over a finite field, in a seeded unitriangular basis:
+    characters and e0 equal the walk references, whichever path the
+    presentation picks."""
+    hyp, st, settings = hypothesis_or_skip()
+    fields = [parse_ring(name) for name in ("GF(2)", "GF(3)", "GF(5)", "GF(7)",
+                                            "GF(2^2;x^2+x+1)", "GF(3^2;x^2+1)")]
+    paths = set()
+
+    @settings
+    @hyp.given(st.sampled_from([mu, constant_cyclic]), st.integers(1, 7),
+               st.sampled_from(fields), st.integers(0, 2 ** 32))
+    def check(build, n, R, seed):
+        G = rebased(build(R, n), unitriangular(R, n, random.Random(seed)))
+        assert hopf.characters(G) == _reference_characters(G)
+        assert hopf.identity_idempotent(G) == _reference_identity_idempotent(G)
+        paths.add(G.presentation.generates)
+
+    check()
+    assert paths == {True, False}
 
 
 FIELD_BASES = ["GF(2)", "GF(3)", "GF(5)", "GF(2^2;x^2+x+1)", "GF(2^3;x^3+x^2+1)",
