@@ -285,7 +285,7 @@ class ClosedSubgroup:
         # ideal: closed under multiplication by the ambient algebra, which
         # a generator s = e_g of A settles alone; on a failure the basis scan
         # names the first failing (t, i)
-        g = G.presentation.index if G.presentation.generates else None
+        g = G.presentation.index
         if g is None or any(outside(v, g) for v in self.ideal):
             for t, v in enumerate(self.ideal):
                 for i in range(G.rank):
@@ -378,7 +378,7 @@ def ideal_closure(G: GroupScheme, gens):
     R = G.ring
     span = canonical_span(R, list(gens))
     pres = G.presentation
-    if not pres.generates:
+    if pres.index is None:
         return canonical_span(R, [G.mul_vec(v, G.basis_vector(i))
                                   for v in span for i in range(G.rank)])
     s, frontier = G.basis_vector(pres.index), span
@@ -651,30 +651,26 @@ def find_isomorphism(G: GroupScheme, H: GroupScheme,
     R = G.ring
     if not R.is_finite:
         return IsoResult("unknown", reason="no search over an infinite base")
-    # monogenic path: find an element generating Hopf(H) as an algebra;
-    # basis vectors first, then a bounded scan over all module elements
-    def powers_of(v):
-        powers = [H.unit]
+    # monogenic path: an element generating Hopf(H) as an algebra, the
+    # presentation's basis vector, else 1 at rank 1 (every element has the
+    # powers [1] there), else the first of a bounded scan over all module
+    # elements
+    def powers_of(K, v):  # 1, v, ..., v^(m-1) in Hopf(K)
+        powers = [K.unit]
         for _ in range(H.rank - 1):
-            powers.append(H.mul_vec(powers[-1], list(v)))
+            powers.append(K.mul_vec(powers[-1], v))
         return powers
 
     def generates(powers):
         span = canonical_span(R, powers)
         return all(member(R, span, H.basis_vector(j)) for j in range(H.rank))
 
-    gen_powers = None
-    for i in range(H.rank):
-        powers = powers_of(H.basis_vector(i))
-        if generates(powers):
-            gen_powers = powers
-            break
-    if gen_powers is None and len(list(R.elements())) ** H.rank <= 4096:
-        for v in itertools.product(R.elements(), repeat=H.rank):
-            powers = powers_of(list(v))
-            if generates(powers):
-                gen_powers = powers
-                break
+    index = H.presentation.index
+    candidates = ([H.basis_vector(index)] if index is not None else
+                  [H.unit] if H.rank == 1 else
+                  itertools.product(R.elements(), repeat=H.rank)
+                  if R.size() ** H.rank <= 4096 else [])
+    gen_powers = next(filter(generates, (powers_of(H, list(v)) for v in candidates)), None)
     if gen_powers is None:
         return _exhaustive_isomorphism(G, H, budget)
     exprs = [member_with_coeffs(R, gen_powers, H.basis_vector(j))
@@ -685,9 +681,7 @@ def find_isomorphism(G: GroupScheme, H: GroupScheme,
         count += 1
         if count > budget:
             return IsoResult("unknown", reason="search budget exhausted")
-        vpow = [list(G.unit)]
-        for _ in range(H.rank - 1):
-            vpow.append(G.mul_vec(vpow[-1], list(v)))
+        vpow = powers_of(G, list(v))
         alg = [add_scaled(R, [R.zero] * G.rank, zip(exprs[j], vpow))
                for j in range(H.rank)]
         f = GroupSchemeHom(G, H, alg)

@@ -13,24 +13,24 @@ each row without zeros and in increasing index order, and by two vectors:
   unit           the algebra unit
   counit         the counit values
 
-The scheme is Spec of this algebra; the group law is dual to comult.
-Polynomial presentations are kept only as optional name tags.
+The scheme is Spec of this algebra; the group law is dual to comult.  A
+name, where one is given, is only a tag.
 
 Every Hopf operation and base change reads the tables, so none scans
 the zeros of the m^3 dense entries.  The dense lists `mult`, `comult` and
 `antipode` are what the constructor and `from_dict` take and what
 `to_dict` writes; a scheme derives them from its tables on first use.
 The tables are fixed once a scheme is made, so the conjugation tensors
-ad(e_i) (`adjoint`), the certified algebra generators `verify` checks
-the laws on (`algebra_generators`), the presentation A = R[t]/(mu) by the
-first basis vector that is no multiple of 1, where it generates
-(`presentation`, which `characters`, `identity_idempotent`, the ideal
-closure and the Hopf-ideal report read), the trace discriminant
-(`etale`), the ideal of the identity component (`identity_core`), the
-characters over a field (`field_characters`), the subschemes x^p = 1
-(`torsion_subschemes`), the base change to each ring (`base_change`) and
-the tangent rows of each character over a field (`_lifted_points`) are
-made once per scheme too.
+ad(e_i) (`adjoint`), the presentation A = R[t]/(mu) by the first basis
+vector other than 1 that generates A, where one does (`presentation`,
+which `characters`, `identity_idempotent`, the ideal closure, the
+Hopf-ideal report and `find_isomorphism` read), the certified algebra
+generators `verify` checks the laws on (`algebra_generators`, which read
+it), the trace discriminant (`etale`), the ideal of the identity component
+(`identity_core`), the characters over a field (`field_characters`), the
+subschemes x^p = 1 (`torsion_subschemes`), the base change to each ring
+(`base_change`) and the tangent rows of each character over a field
+(`_lifted_points`) are made once per scheme too.
 
 The dual module, with the tables transposed (`_transposed`), is the
 Cartier dual of a commutative scheme (`cartier_dual`).  `verify` reads
@@ -93,7 +93,7 @@ class VerificationReport:
 
 
 SparseTensors = namedtuple("SparseTensors", "mult comult antipode")
-Presentation = namedtuple("Presentation", "index generates minpoly powers")
+Presentation = namedtuple("Presentation", "index minpoly powers")
 
 
 def nonzeros(R: Ring, v):
@@ -219,67 +219,60 @@ class GroupScheme:
         """[s] for one element s whose powers 1, s, ..., s^(m-1) span the
         algebra, else the basis; made on first use and kept.
 
-        The candidates, in turn, are the basis vectors other than the unit,
-        then t = sum (i + 1) e_i.  Each is certified at the residue field k
-        of every closed point of Spec R, on the kept fiber over k: its
-        powers, made as s^(k-1) s, must have rank m there.  R is
-        semi-local, so this is exact (Nakayama's lemma): the determinant of
-        the m powers over R is a unit just when it is nonzero in every k,
-        so the powers are a basis over R just when they are one over each
-        k.  For m > 2 a candidate whose square in a fiber is itself or 0
-        fails at once, as its powers there span at most 1 and s.  `verify`
-        says why the laws need only be checked on these."""
-        R, m = self.ring, self.rank
-        fibers = [self.base_change(p.residue_field) for p in spectrum(R)
-                  if not p.specializations]
-
-        def spans(H, s):  # do 1, s, ..., s^(m-1) span H over its field?
-            out = [H.unit, s][:m]
-            while len(out) < m:
-                out.append(H.mul_vec(out[-1], s))
-                if len(out) == 3 and out[2] in (s, [H.ring.zero] * m):
-                    return False
-            return len(linalg.canonical_span(H.ring, out)) == m
-
-        # each candidate as integers, which every ring reads with from_int
-        candidates = [[int(j == i) for j in range(m)] for i in range(m)
-                      if self.basis_vector(i) != self.unit]
-        for ints in candidates + [[i + 1 for i in range(m)]]:
-            if all(spans(H, [H.ring.from_int(a) for a in ints]) for H in fibers):
-                return [[R.from_int(a) for a in ints]]
-        return [self.basis_vector(i) for i in range(m)]
+        s is the presentation's basis vector, else t = sum (i + 1) e_i,
+        certified as that is (`_fiber_minpolys`).  `verify` says why the
+        laws need only be checked on these.  t is tried here alone: over Q
+        its minimal polynomial prod (x - i) would send `characters` into
+        the divisors of m!."""
+        pres = self.presentation
+        if pres.index is not None:
+            return [self.basis_vector(pres.index)]
+        t = tuple(range(1, self.rank + 1))
+        if self._fiber_minpolys(t) is not None:
+            return [[self.ring.from_int(a) for a in t]]
+        return [self.basis_vector(i) for i in range(self.rank)]
 
     @functools.cached_property
     def presentation(self):
-        """(i, generates, mu, P) for s = e_i; made on first use and kept.
+        """(i, mu, P) with s = e_i the first basis vector other than 1 that
+        generates A = R[t]/(mu), certified by `_fiber_minpolys`; made on
+        first use and kept.  Over a field mu is the minimal polynomial of s
+        and P its powers 1, s, ..., s^(m-1); over another base they are not
+        kept.  All three are None where no basis vector generates."""
+        for i in range(self.rank):
+            if self.basis_vector(i) == self.unit:
+                continue
+            found = self._fiber_minpolys(tuple(int(j == i) for j in range(self.rank)))
+            if found is not None:
+                minpoly, powers = found[0] if self.ring.is_field else (None, None)
+                return Presentation(i, minpoly, powers)
+        return Presentation(None, None, None)
 
-        Over a field s is the first basis vector not in k 1, mu its minimal
-        polynomial and P its powers 1, s, ..., s^(deg mu - 1), from one
-        `_minpoly_of_vector` call, and s generates A = k[t]/(mu) exactly
-        when deg mu = m.  Over another base s generates just when it does
-        on the kept fiber over the residue field of every closed point of
-        Spec R (Nakayama's lemma, as in `algebra_generators`): i is the
-        index those fibers' presentations share when each generates, and
-        mu and P are not made.  i is None where there is no such s (rank 1)
-        or the fibers do not all generate with one i; over a field an s
-        that does not generate keeps its i, mu and P for the walk of
-        `characters`."""
-        R, m = self.ring, self.rank
-        none = Presentation(None, False, None, None)
-        if not R.is_field:
-            fibers = [self.base_change(p.residue_field).presentation
-                      for p in spectrum(R) if not p.specializations]
-            if all(f.generates for f in fibers) and len({f.index for f in fibers}) == 1:
-                return Presentation(fibers[0].index, True, None, None)
-            return none
-        if not any(map(R.nonzero, self.unit)):
-            return none
-        i = next((i for i in range(m)
-                  if _scalar_on(R, self.unit, self.basis_vector(i)) is None), None)
-        if i is None:
-            return none
-        minpoly, powers = _minpoly_of_vector(self, self.unit, self.basis_vector(i))
-        return Presentation(i, len(minpoly) == m + 1, minpoly, powers)
+    def _fiber_minpolys(self, ints):
+        """[(mu, P)] of s = sum ints[i] e_i, read with from_int, at the
+        residue field k of every closed point of Spec R, where s generates
+        A on each kept fiber over k, else None: its minimal polynomial mu
+        there has degree m, and P holds its powers (`_minpoly_of_vector`).
+        R is semi-local, so this is exact (Nakayama's lemma): the
+        determinant of the m powers over R is a unit just when it is
+        nonzero in every k, so the powers are a basis over R just when they
+        are one over each k.  For m > 2 an s whose square in a fiber is
+        itself or 0 fails at once, as its powers there span at most 1 and
+        s."""
+        m, out = self.rank, []
+        for p in spectrum(self.ring):
+            if p.specializations:
+                continue
+            H = self.base_change(p.residue_field)
+            k = H.ring
+            s = [k.from_int(a) for a in ints]
+            if m > 2 and H.mul_vec(s, s) in (s, [k.zero] * m):
+                return None
+            minpoly, powers = _minpoly_of_vector(H, H.unit, s)
+            if len(minpoly) != m + 1:
+                return None
+            out.append((minpoly, powers))
+        return out
 
     @functools.cached_property
     def etale(self):
@@ -989,10 +982,10 @@ def point_is_hom(GR: GroupScheme, v) -> bool:
 
 def _minpoly_of_vector(GR: GroupScheme, e, c_vec):
     """Monic minimal polynomial of multiplication by c_vec on the unital
-    factor with unit e, and the powers e, c, ..., c^(n-1) below its degree
-    n (field base).  Each power is reduced once against the rows
-    [c^i | x^i] placed so far; the first to vanish on the left has the
-    minimal polynomial on the right."""
+    factor with unit e, and the powers e, c, c c, ..., c^(n-1) below its
+    degree n (field base); c lies in the factor, so e c = c.  Each power
+    is reduced once against the rows [c^i | x^i] placed so far; the first
+    to vanish on the left has the minimal polynomial on the right."""
     R, m = GR.ring, GR.rank
     # each reduced row is zero at the pivots of the rows placed before it
     rows, powers, v = Span(R), [], e
@@ -1005,7 +998,7 @@ def _minpoly_of_vector(GR: GroupScheme, e, c_vec):
             return w[m:m + n + 1], powers
         rows.place(R, R.normalize_pivot(w, col), col)
         powers.append(v)
-        v = GR.mul_vec(v, c_vec)
+        v = GR.mul_vec(v, c_vec) if n else c_vec
 
 
 def lift_idempotent(GR: GroupScheme, u):
@@ -1064,26 +1057,21 @@ def _splittings(GR: GroupScheme, choose):
     off (field base), one basis vector at a time: e_idx acts on eA as
     chi[idx], and where it is no scalar the walk branches on the
     eigenvalues choose(minpoly, idx) picks among the roots of its minimal
-    polynomial.  On the unit, the first of these is the presentation's."""
+    polynomial."""
     R, m = GR.ring, GR.rank
-    pres, start = GR.presentation, list(GR.unit)
     # stack entries: (factor unit, next ambient index, chi)
-    stack = [(start, 0, [None] * m)]
+    stack = [(list(GR.unit), 0, [None] * m)]
     while stack:
         e, idx, chi = stack.pop()
         if idx == m:
             yield e, chi
             continue
-        basis = GR.basis_vector(idx)
-        c = GR.mul_vec(e, basis)
+        c = GR.mul_vec(e, GR.basis_vector(idx))
         s = _scalar_on(R, e, c)
         if s is not None:
             stack.append((e, idx + 1, chi[:idx] + [s] + chi[idx + 1:]))
             continue
-        if e is start and idx == pres.index and c == basis:
-            minpoly, powers = pres.minpoly, pres.powers
-        else:
-            minpoly, powers = _minpoly_of_vector(GR, e, c)
+        minpoly, powers = _minpoly_of_vector(GR, e, c)
         for lam in choose(minpoly, idx):
             stack.append((_eigen_idempotent(GR, minpoly, powers, lam), idx + 1,
                           chi[:idx] + [lam] + chi[idx + 1:]))
@@ -1097,7 +1085,7 @@ def identity_idempotent(G: GroupScheme):
     of s at eps(s).  Otherwise it is the walk of `characters` along the
     counit."""
     pres = G.presentation
-    if pres.generates:
+    if pres.index is not None:
         return _eigen_idempotent(G, pres.minpoly, pres.powers, G.counit[pres.index])
     [(e0, _)] = _splittings(G, lambda minpoly, idx: [G.counit[idx]])
     return e0
@@ -1127,12 +1115,11 @@ def characters(GR: GroupScheme):
     exactly.  Where the presentation's s generates A = k[t]/(mu), the
     characters are read off the roots of mu.  Otherwise the algebra is
     split by the idempotents of the generalized eigenspaces of
-    multiplication operators, one basis vector at a time, starting from
-    the presentation's minimal polynomial."""
+    multiplication operators, one basis vector at a time."""
     R = GR.ring
     if not R.is_field:
         raise HopfError("characters need a field")
-    if GR.presentation.generates:
+    if GR.presentation.index is not None:
         found = _presented_characters(GR)
     else:
         found = (chi for _, chi in _splittings(GR, lambda minpoly, idx: R.roots(minpoly)))

@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from ffgs.constructions import (ClosedSubgroup, alpha, constant,
+from ffgs.constructions import (ClosedSubgroup, IsoResult, alpha, constant,
                                 constant_cyclic, conjugation_tensor,
                                 direct_product, extension_witness,
                                 find_isomorphism, ideal_closure, image,
@@ -12,13 +12,16 @@ from ffgs.constructions import (ClosedSubgroup, alpha, constant,
                                 kernel, mu, quotient, semidirect, tate_oort2,
                                 trivial_subgroup, whole_subgroup)
 from ffgs.hopf import (GroupScheme, GroupSchemeHom, HopfError,
-                       VerificationReport, convolution_power, points)
+                       VerificationReport, cartier_dual, convolution_power, points)
 from ffgs import constructions, linalg
-from ffgs.linalg import (canonical_span, mat_vec, member, member_with_coeffs,
-                         row_kernel, transpose, vec_add, vec_scale, vec_sub)
+from ffgs.linalg import (add_scaled, canonical_span, mat_vec, member,
+                         member_with_coeffs, row_kernel, transpose, vec_add,
+                         vec_scale, vec_sub)
 from ffgs.oracle import AbstractGroup, s3_table
-from ffgs.rings import parse_ring, prime_factors
-from ffgs.structure import _slot_product_map, internal_product, p_primary_decompose
+from ffgs.rings import RingError, parse_ring, prime_factors
+from ffgs.structure import (_slot_product_map, internal_product, locus_report,
+                            p_primary_decompose)
+from ffgs.testrings import test_ring_family as ring_family
 from test_hopf import (REFERENCE_BASES, assert_canonical_tables, builtins_over,
                        hypothesis_or_skip, in_bases)
 
@@ -163,6 +166,103 @@ def test_alpha_selfdual():
     G = alpha(F3, 3)
     res = find_isomorphism(cartier_dual(G), G)
     assert res.status == "iso"
+
+
+def _reference_find_isomorphism(G, H, budget=200000):
+    """find_isomorphism as it was: the generator of Hopf(H) is the first
+    basis vector whose powers span, by canonical_span and member, else the
+    first of the bounded scan."""
+    if G.ring != H.ring:
+        return IsoResult("no", reason="different base rings")
+    if G.rank != H.rank:
+        return IsoResult("no", reason=f"orders {G.rank} and {H.rank}")
+    if G.is_commutative() != H.is_commutative():
+        return IsoResult("no", reason="one group law is commutative, one is not")
+    for Rp in ring_family(G.ring):
+        if not Rp.is_finite:
+            continue
+        try:
+            PG, PH = points(G, Rp), points(H, Rp)
+        except (HopfError, RingError):
+            continue
+        if PG.order != PH.order or not AbstractGroup.from_points(PG).is_isomorphic_to(
+                AbstractGroup.from_points(PH)):
+            return IsoResult("no")
+    R = G.ring
+    if not R.is_finite:
+        return IsoResult("unknown")
+
+    def powers_of(v):
+        powers = [H.unit]
+        for _ in range(H.rank - 1):
+            powers.append(H.mul_vec(powers[-1], list(v)))
+        return powers
+
+    def generates(powers):
+        span = canonical_span(R, powers)
+        return all(member(R, span, H.basis_vector(j)) for j in range(H.rank))
+
+    gen_powers = None
+    for i in range(H.rank):
+        powers = powers_of(H.basis_vector(i))
+        if generates(powers):
+            gen_powers = powers
+            break
+    if gen_powers is None and len(list(R.elements())) ** H.rank <= 4096:
+        for v in itertools.product(R.elements(), repeat=H.rank):
+            powers = powers_of(list(v))
+            if generates(powers):
+                gen_powers = powers
+                break
+    if gen_powers is None:
+        return constructions._exhaustive_isomorphism(G, H, budget)
+    exprs = [member_with_coeffs(R, gen_powers, H.basis_vector(j)) for j in range(H.rank)]
+    for count, v in enumerate(itertools.product(list(R.elements()), repeat=G.rank)):
+        if count >= budget:
+            return IsoResult("unknown")
+        vpow = [list(G.unit)]
+        for _ in range(H.rank - 1):
+            vpow.append(G.mul_vec(vpow[-1], list(v)))
+        f = GroupSchemeHom(G, H, [add_scaled(R, [R.zero] * G.rank, zip(exprs[j], vpow))
+                                  for j in range(H.rank)])
+        if f.is_module_iso() and f.is_valid():
+            return IsoResult("iso", hom=f)
+    return IsoResult("no")
+
+
+def iso_cases():
+    """The (G, H) that the tests give find_isomorphism, and rank 1 over
+    six finite bases, one of them larger than the budget of the module-map
+    scan."""
+    F2, F3, Z4 = parse_ring("GF(2)"), parse_ring("GF(3)"), parse_ring("Z/4")
+    G = mu(F5, 4)
+    yield quotient(G, kernel(convolution_power(G, 2)))[0], mu(F5, 2)
+    yield G, direct_product(mu(F5, 2), mu(F5, 2))
+    yield cartier_dual(alpha(F3, 3)), alpha(F3, 3)
+    for G in (mu(F2, 2), mu(F3, 3), alpha(F2, 2), alpha(F3, 3),
+              constant_cyclic(F3, 2), constant_cyclic(F2, 3)):
+        R, p = G.ring, G.rank
+        yield from ((G, M) for M in (mu(R, p), constant_cyclic(R, p),
+                                     *([alpha(R, p)] if R.char() == p else [])))
+    yield locus_report(mu(ZL2, 2), 2).subgroup.scheme().base_change(Z4), mu(Z4, 2)
+    yield locus_report(constant(F5, s3_table()), 3).subgroup.scheme(), constant_cyclic(F5, 3)
+    for name in ("GF(2)", "GF(5)", "GF(2^2;x^2+x+1)", "Z/6", "Dual(GF(3))", "GF(200003)"):
+        R = parse_ring(name)
+        yield mu(R, 1), constant_cyclic(R, 1)
+
+
+def test_find_isomorphism_matches_the_basis_loop_reference():
+    """The generator of Hopf(H) is the presentation's basis vector, else the
+    first of the bounded scan; the map found equals the old basis loop's on
+    every iso case and on rank 1."""
+    found = set()
+    for G, H in iso_cases():
+        got, want = find_isomorphism(G, H), _reference_find_isomorphism(G, H)
+        assert got.status == want.status, (G.name, H.name)
+        if got.status == "iso":
+            assert got.hom.alg == want.hom.alg, (G.name, H.name)
+        found.add(got.status)
+    assert found == {"iso", "no"}
 
 
 # -- span-based references for the projection checks ----------------------
@@ -599,7 +699,7 @@ def _generated(R, rng):
     """Each reference builtin over R, natural and dense, whose presentation's
     basis vector generates the algebra."""
     return [H for G in builtins_over(R) for _, H in in_bases(G, rng)
-            if H.presentation.generates]
+            if H.presentation.index is not None]
 
 
 @pytest.mark.parametrize("name", REFERENCE_BASES)

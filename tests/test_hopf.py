@@ -511,18 +511,29 @@ def test_verify_uses_a_quarter_of_the_reference_multiplications(monkeypatch):
     assert staged * 4 <= reference, counts
 
 
+def reference_powers(G, s):
+    """1, s, ..., s^(m-1), with s^k = s^(k-1) s rebuilt here with
+    dense_mul."""
+    powers = [G.unit, s][:G.rank]
+    while len(powers) < G.rank:
+        powers.append(dense_mul(G, powers[-1], s))
+    return powers
+
+
+def generates_reference(G, s):
+    """Do the reference powers of s have a canonical span of m rows with
+    unit pivots, that is, are they a basis over the base?"""
+    span = linalg.canonical_span(G.ring, reference_powers(G, s))
+    return len(span) == G.rank and span.nonunit is None
+
+
 def assert_certified(G, label):
-    """S is the basis or one s whose powers, rebuilt here with dense_mul,
-    have a canonical span of m rows with unit pivots."""
+    """S is the basis or one s that generates_reference certifies."""
     m, S = G.rank, G.algebra_generators
     if S == [G.basis_vector(i) for i in range(m)]:
         return
     [s] = S
-    powers = [G.unit]
-    while len(powers) < m:
-        powers.append(dense_mul(G, powers[-1], s))
-    span = linalg.canonical_span(G.ring, powers)
-    assert len(span) == m and span.nonunit is None, label
+    assert generates_reference(G, s), label
 
 
 @pytest.mark.parametrize("name", REFERENCE_BASES)
@@ -535,6 +546,38 @@ def test_algebra_generators_are_certified(name):
             assert_certified(H, label)
             if spec.startswith("mu:") and basis == "natural" and H.rank > 1:
                 assert H.algebra_generators == [H.basis_vector(1)], label
+
+
+def test_presentation_is_the_first_generating_basis_vector():
+    """On every scheme of the reference corpus, in its natural and a
+    unitriangular basis, corrupted or not: the presentation's index is the
+    first basis vector other than 1 that generates_reference certifies, it
+    is the generator of `algebra_generators`, and over a field the
+    presentation keeps its reference powers and a minimal polynomial of
+    degree m.  mu_3 over GF(7) in the basis 1, x + 4x^2, x^2 is presented
+    by x^2, which takes the distinct values 1, 4, 2 at the points; const:Z6,
+    const:S3 and sdp:mu:3,Z2,inv have no generating basis vector."""
+    mu3 = rebased(mu(F7, 3), [[1, 0, 0], [0, 1, 3], [0, 0, 1]])
+    for label, G in [("mu_3 over GF(7) by x^2", mu3), *reference_corpus()]:
+        pres, basis = G.presentation, [G.basis_vector(i) for i in range(G.rank)]
+        want = next((i for i, s in enumerate(basis)
+                     if s != G.unit and generates_reference(G, s)), None)
+        assert pres.index == want, label
+        if want is None:
+            assert pres == (None, None, None), label
+            continue
+        assert G.algebra_generators == [basis[want]], label
+        if G.ring.is_field:
+            assert pres.powers == reference_powers(G, basis[want]), label
+            assert len(pres.minpoly) == G.rank + 1, label
+        else:
+            assert pres.minpoly is pres.powers is None, label
+    assert mu3.presentation.index == 2
+    for name in ("GF(5)", "GF(7)", "Q", "GF(2^2;x^2+x+1)"):
+        R = parse_ring(name)
+        for G in (constant_cyclic(R, 6), constant(R, s3_table()),
+                  *built("sdp:mu:3,Z2,inv", R)):
+            assert G.presentation.index is None, (name, G.name)
 
 
 def test_top_rung_has_one_generator():
@@ -916,21 +959,23 @@ def test_lift_idempotent_removes_a_deep_nilpotent():
 
 
 def test_characters_read_values_off_one_dimensional_factors(monkeypatch):
-    # mu_3 over GF(7) in the basis 1, f = x + 4x^2, x^2, which no basis
-    # vector generates: f takes 5, 4, 5 at the points 1, 2, 4, so the
-    # presentation's minimal polynomial (t - 4)(t - 5) splits off the line e
-    # of the point 2 and the plane of 1 and 4.  On the line x^2 e = 4 e, a
-    # ratio, not another minimal polynomial; the plane takes one more
-    G = rebased(mu(F7, 3), [[1, 0, 0], [0, 1, 3], [0, 0, 1]])
+    # mu_3 over GF(7) in the basis 1, f, g of the idempotents that take the
+    # values 1, 1, 0 and 0, 1, 0 at the points 1, 2, 4, which no basis vector
+    # generates (x = 4 + 4f + g, x^2 = 2 + 6f + 3g).  The presentation's
+    # search stops at f^2 = f and g^2 = g, with no minimal polynomial; the
+    # walk's t^2 - t of f splits off the line e of the point 4 and the plane
+    # of 1 and 2.  On the line g e = 0 e, a ratio, not another minimal
+    # polynomial; the plane takes one more
+    G = rebased(mu(F7, 3), [[1, 0, 0], [4, 4, 1], [2, 6, 3]])
     calls, ratios = [], []
     real, real_scalar = hopf._minpoly_of_vector, hopf._scalar_on
     monkeypatch.setattr(hopf, "_minpoly_of_vector",
                         lambda *args: calls.append(args) or real(*args))
     monkeypatch.setattr(hopf, "_scalar_on",
                         lambda *args: ratios.append(real_scalar(*args)) or ratios[-1])
-    assert hopf.characters(G) == [(1, 4, 4), (1, 5, 1), (1, 5, 2)]
-    assert not G.presentation.generates and G.presentation.index == 1
-    assert len(calls) == 2 and 4 in ratios
+    assert hopf.characters(G) == [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
+    assert G.presentation.index is None
+    assert len(calls) == 2 and 0 in ratios
     assert hopf.characters(fresh(G)) == _reference_characters(G)
 
 
@@ -978,7 +1023,7 @@ def test_mu_n_reads_characters_and_e0_off_its_presentation(monkeypatch):
             minpolys.clear()
             chars, e0 = hopf.characters(G), hopf.identity_idempotent(G)
             assert (len(minpolys), walks) == (1, []), (name, n)
-            assert G.presentation.generates and G.presentation.index == 1
+            assert G.presentation.index == 1
             assert chars == _mu_characters(R, n), (name, n)
             assert all(hopf.point_is_hom(G, chi) for chi in chars), (name, n)
             assert e0 == _mu_identity_idempotent(R, n), (name, n)
@@ -1003,34 +1048,8 @@ def test_presented_characters_and_e0_match_the_walk_on_the_corpus():
         assert chars == _reference_characters(G), label
         assert all(hopf.point_is_hom(H, chi) for chi in chars), label
         assert hopf.identity_idempotent(H) == _reference_identity_idempotent(G), label
-        paths.add(H.presentation.generates)
+        paths.add(H.presentation.index is not None)
     assert paths == {True, False}
-
-
-def test_presentation_reuses_the_walks_first_minimal_polynomial(monkeypatch):
-    """Where no basis vector generates, the walk takes its first minimal
-    polynomial from the presentation: characters and e0 together make one
-    `_minpoly_of_vector` call fewer than under a presentation that names
-    no basis vector, where each of the two walks makes that call itself."""
-    calls = []
-    real = hopf._minpoly_of_vector
-    monkeypatch.setattr(hopf, "_minpoly_of_vector",
-                        lambda *args: calls.append(1) or real(*args))
-    walk_only = hopf.Presentation(None, False, None, None)
-    for name in ("GF(5)", "GF(7)", "Q", "GF(2^2;x^2+x+1)"):
-        R = parse_ring(name)
-        for G in (constant_cyclic(R, 6), constant(R, s3_table()),
-                  *built("sdp:mu:3,Z2,inv", R)):
-            counts = []
-            for pres in (None, walk_only):
-                H = fresh(G)
-                if pres is not None:
-                    H.__dict__["presentation"] = pres
-                calls.clear()
-                hopf.characters(H), hopf.identity_idempotent(H)
-                counts.append(len(calls))
-            assert not fresh(G).presentation.generates, (name, G.name)
-            assert counts[0] == counts[1] - 1, (name, G.name, counts)
 
 
 def test_presented_characters_match_the_walk_in_random_bases():
@@ -1049,7 +1068,7 @@ def test_presented_characters_match_the_walk_in_random_bases():
         G = rebased(build(R, n), unitriangular(R, n, random.Random(seed)))
         assert hopf.characters(G) == _reference_characters(G)
         assert hopf.identity_idempotent(G) == _reference_identity_idempotent(G)
-        paths.add(G.presentation.generates)
+        paths.add(G.presentation.index is not None)
 
     check()
     assert paths == {True, False}

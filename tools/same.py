@@ -11,7 +11,10 @@ lines in both trees, each tree in a fresh interpreter that calls
     both trees share;
   * a fixed sweep: the commands of `SWEEP_COMMANDS` on every scheme of
     `SCHEMES` over every base of `BASES`, then `points` over every test
-    ring of each base.
+    ring of each base;
+  * the commands of `FILE_COMMANDS` on each valid input file of those
+    `hopf-verify` tasks, in its natural or dense basis, then `points`
+    over every test ring of its base.
 
 It prints each run whose exit code, stdout or stderr differ, with both
 results, then one summary line with the number of differences and the
@@ -50,6 +53,7 @@ SWEEP_COMMANDS = [
     ["decompose-p"], ["refine", "--kernels", "2,3"], ["classify-p"],
     ["dual", "--format", "json"],
 ]
+FILE_COMMANDS = [["theorem"], ["fibers"], ["connected-etale"], ["split"]]
 
 
 def sweep():
@@ -66,13 +70,28 @@ def sweep():
 
 
 def benchmark_tasks(workdir):
-    """The command lines of every benchmark task for seeds 1-3, with their
-    inputs written under workdir."""
+    """Every benchmark task for seeds 1-3, with its inputs written under
+    workdir."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     sys.dont_write_bytecode = True  # read bench/, write nothing there
     import workloads
-    return [task.argv for seed in SEEDS for name in workloads.WORKLOADS
+    return [task for seed in SEEDS for name in workloads.WORKLOADS
             for task in workloads.build(name, seed, os.path.join(workdir, f"{name}-{seed}"))]
+
+
+def file_runs(tasks):
+    """The command lines on the input file of each `verify` task of a
+    valid scheme (the corrupted ones are tagged bad-)."""
+    from ffgs.rings import parse_ring
+    from ffgs.testrings import test_ring_family
+    runs = []
+    for task in tasks:
+        if task.argv[0] == "verify" and "bad-" not in task.id:
+            path = task.argv[task.argv.index("--file") + 1]
+            runs += [[cmd[0], "--file", path, *cmd[1:]] for cmd in FILE_COMMANDS]
+            runs += [["points", "--file", path, "--ring", ring.name()]
+                     for ring in test_ring_family(parse_ring(task.ring))]
+    return runs
 
 
 def run_tree(root, runs):
@@ -111,7 +130,8 @@ def show(argv, rev, a, b):
 
 def summary(rev, ntasks, runs, old, new):
     """The one summary line: differences among the benchmark tasks (the
-    first ntasks runs) and the sweep, and the exit codes on each side."""
+    first ntasks runs) and the sweep with the file runs, and the exit codes
+    on each side."""
     diff = [i for i, _, _ in differences(old, new)]
     in_tasks = sum(i < ntasks for i in diff)
 
@@ -146,7 +166,7 @@ def main(argv):
                        check=True)
         sys.path.insert(0, os.path.join(ROOT, "src"))
         tasks = benchmark_tasks(os.path.join(tmp, "inputs"))
-        runs = tasks + sweep()
+        runs = [task.argv for task in tasks] + sweep() + file_runs(tasks)
         runs_path = os.path.join(tmp, "runs.json")
         with open(runs_path, "w") as fh:
             json.dump(runs, fh)
