@@ -270,12 +270,9 @@ def cmd_refine(args):
         d1, d2 = (int(x) for x in args.kernels.split(","))
     except ValueError:
         raise UserError("refine needs --kernels d1,d2")
-    witnesses = []
-    for d in (d1, d2):
-        H = cons.kernel(hopf.convolution_power(G, d))
-        witnesses.append(cons.extension_witness(G, H,
-                                                budget=args.budget_points))
-    E = structure.common_refinement(*witnesses)
+    E = structure.common_refinement(*(
+        cons.extension_witness(G, cons.kernel(hopf.convolution_power(G, d)),
+                               budget=args.budget_points) for d in (d1, d2)))
     flag, disc = hopf.is_etale(E.quotient)
     payload = {"refined": E.to_dict(),
                "quotient_discriminant": G.ring.show(disc)}

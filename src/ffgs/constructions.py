@@ -11,6 +11,7 @@ module forms, so equality of subgroups is literal equality of bases."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -530,21 +531,48 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
 class ExtensionWitness:
     """A quotient presentation of G by a normal closed subgroup, together
     with a ledger recording exactness of the point sequences over the
-    configured test rings.  ledger_points keeps (T, G(T), (G/H)(T), the
-    index map between them) for each ledger ring T, and skipped keeps
-    (T, exception text) for each test ring T whose points raised; both
-    stay outside to_dict."""
+    test rings, made on first read.  ledger_points keeps (T, G(T),
+    (G/H)(T), the index map between them) for each ledger ring T, and
+    skipped keeps (T, exception text) for each test ring T whose points
+    raised; both are made with the ledger and stay outside to_dict."""
 
     def __init__(self, kernel_subgroup: ClosedSubgroup, total: GroupScheme,
                  quotient_scheme: GroupScheme, projection: GroupSchemeHom,
-                 ledger: list, ledger_points: list, skipped: list):
+                 budget: int):
         self.kernel = kernel_subgroup
         self.total = total
         self.quotient = quotient_scheme
         self.projection = projection
-        self.ledger = ledger
-        self.ledger_points = ledger_points
-        self.skipped = skipped
+        self.budget = budget
+
+    @functools.cached_property
+    def _ledgers(self):
+        G, incl, budget = self.total, self.kernel.inclusion(), self.budget
+        ledger, ledger_points, skipped = [], [], []
+        for T in test_ring_family(G.ring):
+            try:
+                PH = points(incl.source, T, bound=budget)
+                PG = points(G, T, bound=budget)
+                PQ = points(self.quotient, T, bound=budget)
+            except (HopfError, RingError) as exc:
+                skipped.append((T, str(exc)))
+                continue
+            hom = find_hom(G.ring, T)
+            in_map = hom_on_points(incl, PH, PG, hom)
+            out_map = hom_on_points(self.projection, PG, PQ, hom)
+            mid_kernel = {i for i, j in enumerate(out_map) if j == PQ.identity_index}
+            ledger.append({
+                "ring": T.name(),
+                "counts": [PH.order, PG.order, PQ.order],
+                "left_injective": len(set(in_map)) == PH.order,
+                "exact_middle": mid_kernel == set(in_map),
+                "right_surjective": len(set(out_map)) == PQ.order,
+            })
+            ledger_points.append((T, PG, PQ, out_map))
+        return ledger, ledger_points, skipped
+
+    ledger, ledger_points, skipped = (
+        property(lambda E, i=i: E._ledgers[i]) for i in range(3))
 
     def __repr__(self):
         return (f"<extension 1 -> {self.kernel.order} -> {self.total.rank} "
@@ -565,40 +593,13 @@ class ExtensionWitness:
 
 def extension_witness(G: GroupScheme, H: ClosedSubgroup,
                       budget: int = 200000) -> ExtensionWitness:
-    """Quotient G by the normal subgroup H and check the point sequences
-    1 -> H(T) -> G(T) -> (G/H)(T) over every test ring T."""
+    """Quotient G by the normal subgroup H, with the ledger of the point
+    sequences 1 -> H(T) -> G(T) -> (G/H)(T) over every test ring T."""
     flag, cert = is_normal(H)
     if not flag:
         raise HopfError(f"subgroup is not normal (generator {cert})")
     Gbar, proj = quotient(G, H)
-    incl = H.inclusion()
-    Hs = incl.source
-    ledger, ledger_points, skipped = [], [], []
-    for T in test_ring_family(G.ring):
-        try:
-            PH = points(Hs, T, bound=budget)
-            PG = points(G, T, bound=budget)
-            PQ = points(Gbar, T, bound=budget)
-        except (HopfError, RingError) as exc:
-            skipped.append((T, str(exc)))
-            continue
-        hom = find_hom(G.ring, T)
-        in_map = hom_on_points(incl, PH, PG, hom)
-        out_map = hom_on_points(proj, PG, PQ, hom)
-        injective = len(set(in_map)) == PH.order
-        mid_kernel = {i for i in range(PG.order)
-                      if out_map[i] == PQ.identity_index}
-        exact_middle = mid_kernel == set(in_map)
-        surjective = len(set(out_map)) == PQ.order
-        ledger.append({
-            "ring": T.name(),
-            "counts": [PH.order, PG.order, PQ.order],
-            "left_injective": injective,
-            "exact_middle": exact_middle,
-            "right_surjective": surjective,
-        })
-        ledger_points.append((T, PG, PQ, out_map))
-    return ExtensionWitness(H, G, Gbar, proj, ledger, ledger_points, skipped)
+    return ExtensionWitness(H, G, Gbar, proj, budget)
 
 
 # ----------------------------------------------------------------------

@@ -29,8 +29,8 @@ generators `verify` checks the laws on (`algebra_generators`, which read
 it), the trace discriminant (`etale`), the ideal of the identity component
 (`identity_core`), the characters over a field (`field_characters`), the
 subschemes x^p = 1 (`torsion_subschemes`), the base change to each ring
-(`base_change`) and the tangent rows of each character over a field
-(`_lifted_points`) are made once per scheme too.
+(`base_change`), and over a field the tangent rows of each character
+(`_lifted_points`) and the minimal polynomials (`_minpoly`) are kept too.
 
 The dual module, with the tables transposed (`_transposed`), is the
 Cartier dual of a commutative scheme (`cartier_dual`).  `verify` reads
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import namedtuple
 
 from . import linalg
@@ -56,7 +55,6 @@ from .linalg import (
     vec_sub,
 )
 from .rings import (
-    IntegersMod,
     QQ,
     Ring,
     RingError,
@@ -252,7 +250,7 @@ class GroupScheme:
         """[(mu, P)] of s = sum ints[i] e_i, read with from_int, at the
         residue field k of every closed point of Spec R, where s generates
         A on each kept fiber over k, else None: its minimal polynomial mu
-        there has degree m, and P holds its powers (`_minpoly_of_vector`).
+        there has degree m, and P holds its powers (`_minpoly`).
         R is semi-local, so this is exact (Nakayama's lemma): the
         determinant of the m powers over R is a unit just when it is
         nonzero in every k, so the powers are a basis over R just when they
@@ -268,11 +266,19 @@ class GroupScheme:
             s = [k.from_int(a) for a in ints]
             if m > 2 and H.mul_vec(s, s) in (s, [k.zero] * m):
                 return None
-            minpoly, powers = _minpoly_of_vector(H, H.unit, s)
+            minpoly, powers = H._minpoly(H.unit, s)
             if len(minpoly) != m + 1:
                 return None
             out.append((minpoly, powers))
         return out
+
+    def _minpoly(self, e, c):
+        """`_minpoly_of_vector` of c on the factor with unit e (field
+        base), made once per (e, c) and kept."""
+        key = (tuple(e), tuple(c))
+        if key not in self._minpolys:
+            self._minpolys[key] = _minpoly_of_vector(self, e, c)
+        return self._minpolys[key]
 
     @functools.cached_property
     def etale(self):
@@ -310,9 +316,9 @@ class GroupScheme:
 
     # filled as they are made: the base change to each ring (`base_change`),
     # the closed subscheme x^p = 1 for each prime p (`structure`) and, over
-    # a field, the tangent rows of each character (`_lifted_points`)
-    _base_changes, torsion_subschemes, _tangents = (
-        functools.cached_property(lambda G: {}) for _ in range(3))
+    # a field, the tangent rows (`_lifted_points`) and minimal polynomials
+    _base_changes, torsion_subschemes, _tangents, _minpolys = (
+        functools.cached_property(lambda G: {}) for _ in range(4))
 
     # -- algebra operations ---------------------------------------------
     def mul_vec(self, v, w):
@@ -1071,7 +1077,7 @@ def _splittings(GR: GroupScheme, choose):
         if s is not None:
             stack.append((e, idx + 1, chi[:idx] + [s] + chi[idx + 1:]))
             continue
-        minpoly, powers = _minpoly_of_vector(GR, e, c)
+        minpoly, powers = GR._minpoly(e, c)
         for lam in choose(minpoly, idx):
             stack.append((_eigen_idempotent(GR, minpoly, powers, lam), idx + 1,
                           chi[:idx] + [lam] + chi[idx + 1:]))
@@ -1149,18 +1155,18 @@ def is_etale(G: GroupScheme):
 def points(G: GroupScheme, Rp: Ring, bound: int = 10000) -> PointGroup:
     """The group G(R') of R'-points.
 
-    R' must be finite, or Q for etale G (root finding stays in Q)."""
+    R' must be finite, or Q for etale G (root finding stays in Q).  G(R')
+    is the product of the `_lifted_points` over the `local_parts` of R',
+    summed as embedded in R'; past `bound` points it raises HopfError."""
     GR = G.base_change(Rp)
-    return point_group_from_set(GR, _point_vectors(G, Rp, bound))
-
-
-def _point_vectors(G: GroupScheme, R: Ring, bound: int):
-    """The R-points of G as value vectors: recombined by the CRT from the
-    primary parts of a finite R with several points, else lifted from the
-    kept characters of G over R's residue field."""
-    if R.is_finite and len(spectrum(R)) > 1:
-        return _zmod_points(G, R, bound)
-    return _lifted_points(G, R, bound)
+    parts = [(_lifted_points(G, S, bound), embed) for S, embed in Rp.local_parts()]
+    if functools.reduce(lambda size, part: size * len(part[0]), parts, 1) > bound:
+        raise HopfError(f"more than {bound} points (the points bound)")
+    if len(parts) == 1:
+        return point_group_from_set(GR, parts[0][0])
+    embedded = [[[embed(x) for x in v] for v in vecs] for vecs, embed in parts]
+    return point_group_from_set(GR, [[functools.reduce(Rp.add, xs) for xs in zip(*combo)]
+                                     for combo in itertools.product(*embedded)])
 
 
 def _tangent_rows(k: Ring, fiber: GroupScheme, chi):
@@ -1202,15 +1208,13 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
     """The R-points of G for a local R with residue field k and a chain of
     square-zero ideals (`Ring.residue_lifting`; a field is its own k, with
     no ideal): the kept characters of G over k, lifted along one ideal
-    after the other.  Raises HopfError, naming `bound`, before it makes
-    more than `bound` points."""
+    after the other.  A lift raises HopfError, naming `bound`, before it
+    makes more than `bound` points (`points` checks a field's)."""
     k, lift, steps = R.residue_lifting()
     fiber = G.base_change(k)
     if R == QQ and not is_etale(fiber)[0]:
         raise HopfError("Q-points are supported for etale schemes only")
     if not steps:
-        if len(fiber.field_characters) > bound:
-            raise HopfError(f"more than {bound} points (the points bound)")
         return fiber.field_characters
     GR = G.base_change(R)
     base = [(chi, [lift(c) for c in chi]) for chi in fiber.field_characters]
@@ -1236,25 +1240,6 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
                 nxt.append((chi, [add(x, mul(delta, lift(y))) for x, y in zip(phi, d)]))
         base = nxt
     return [tuple(phi) for _, phi in base]
-
-
-def _zmod_points(G: GroupScheme, R: IntegersMod, bound: int):
-    """The points over Z/n for n with several prime factors: the points
-    over each primary part Z/p^e, recombined by the CRT."""
-    n = R.n
-    comps, idempotents = [], []  # x = sum_pe x_pe (n/pe) ((n/pe)^-1 mod pe)
-    for s in spectrum(R):
-        p = pe = s.residue_field.char()
-        while n % (pe * p) == 0:
-            pe *= p
-        Rp = IntegersMod(pe) if pe > p else s.residue_field
-        comps.append([tuple(int(x) % pe for x in v) for v in _point_vectors(G, Rp, bound)])
-        idempotents.append(n // pe * pow(n // pe, -1, pe))
-    if math.prod(map(len, comps)) > bound:
-        raise HopfError(f"more than {bound} points (the points bound)")
-    return [tuple(sum(c * v[idx] for c, v in zip(idempotents, combo)) % n
-                  for idx in range(G.rank))
-            for combo in itertools.product(*comps)]
 
 
 def hom_on_points(f: GroupSchemeHom, P_source: PointGroup, P_target: PointGroup,

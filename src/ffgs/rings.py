@@ -215,6 +215,11 @@ class Ring:
             return self, lambda a: a, []
         raise RingError(f"points enumeration unsupported over {self.name()}")
 
+    def local_parts(self):
+        """[(S, embed)] for the local rings S whose product is this ring,
+        embed sending S onto its CRT component; a local ring is one part."""
+        return [(self, lambda a: a)]
+
     # -- canonical forms -----------------------------------------------
     # The hooks linalg.echelon builds canonical row bases from.  The
     # defaults are those of a field (reduced row echelon form); the other
@@ -723,6 +728,17 @@ class IntegersMod(_Residues):
             steps.append((s, lambda a, s=s: a // s % p))
             s *= p
         return PrimeField(p), int, steps
+
+    def local_parts(self):
+        """Z/p^e, or GF(p) where e = 1, for each p^e exactly dividing n, by
+        a -> a c for c = 1 mod p^e, 0 mod n/p^e; one part for a prime power."""
+        n, primes = self.n, prime_factors(self.n)
+        if len(primes) == 1:
+            return super().local_parts()
+        powers = [gcd(n, p ** n.bit_length()) for p in primes]  # as e < log2(n)
+        return [(IntegersMod(pe) if pe > p else PrimeField(p),
+                 lambda a, c=n // pe * pow(n // pe, -1, pe): a * c % n)
+                for p, pe in zip(primes, powers)]
 
     # Howell form: pivots are divisors of n, entries above a pivot d are
     # reduced into range(d), and every pivot row's annihilator is queued.

@@ -146,8 +146,6 @@ def classify_order_p(G: GroupScheme) -> str:
         return "mu"
     if F.is_trivial() and V.is_trivial():
         return "alpha"
-    if F.is_module_iso():  # pragma: no cover - caught by is_etale above
-        return "etale"
     raise InternalInconsistencyError(
         "order-p scheme escapes the mu/alpha/etale classification"
     )

@@ -39,8 +39,8 @@ def _small_fields():
 def test_ring_family(base: Ring):
     """Finite rings R' with a supported map base -> R', smallest first.
 
-    For base Q the family is [Q] itself (points over Q are available for
-    etale schemes only, so callers treat that entry specially)."""
+    For base Q the family is [Q].  `points` over Q raises for a scheme that
+    is not etale, and callers skip Q then, as any ring whose points raise."""
     if base == QQ:
         return [QQ]
     fields = _small_fields()

@@ -196,6 +196,49 @@ def test_theorem_makes_the_residue_characters_once_per_scheme(monkeypatch, capsy
     assert rings.count("GF(3)") == 3
 
 
+def test_theorem_makes_each_minimal_polynomial_once(monkeypatch, capsys):
+    """A field scheme keeps the minimal polynomial of each vector on each
+    factor: a scheme's presentation and its fibers' own, the walk of
+    `characters` and that of `identity_idempotent` along the counit share
+    them, so no scheme runs `_minpoly_of_vector` twice on the same
+    arguments."""
+    from ffgs import hopf
+    calls = []
+    real = hopf._minpoly_of_vector
+
+    def counting(GR, e, c):
+        calls.append((GR, tuple(e), tuple(c)))
+        return real(GR, e, c)
+
+    monkeypatch.setattr(hopf, "_minpoly_of_vector", counting)
+    for spec in ("sdp:mu:3,Z2,inv", "mu:15"):
+        calls.clear()
+        assert main(["theorem", "--builtin", spec, "--base", "Zloc(3)"]) == 0
+        capsys.readouterr()
+        keys = [(id(GR), e, c) for GR, e, c in calls]
+        assert calls and len(set(keys)) == len(keys), spec
+
+
+def test_refine_makes_the_ledger_of_the_refined_extension_only(monkeypatch, capsys):
+    """refine reads the kernels, total and quotients of its two torsion
+    extensions, never their ledgers, which are made on first read: only
+    the refined extension takes points, three schemes per test ring."""
+    from ffgs import constructions, hopf, structure
+    calls = []
+    real = hopf.points
+    for module in (hopf, constructions, structure):
+        monkeypatch.setattr(module, "points",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    for spec, base, kernels, count in (("const:Z6", "GF(5)", "6,2", 9),
+                                       ("const:Z10", "GF(3)", "10,5", 12),
+                                       ("mu:6", "Zloc(5)", "2,3", 12)):
+        calls.clear()
+        argv = ["refine", "--builtin", spec, "--base", base, "--kernels", kernels]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == count, spec
+
+
 def test_theorem_over_a_disconnected_base_fails_at_the_smaller_prime(capsys):
     """Over Z/n with two prime factors the fibers of mu_n have two prime
     infinitesimal ranks, and V_p is a proper part of Spec Z/n for the

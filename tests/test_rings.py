@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -278,6 +280,34 @@ def test_residue_lifting_of_artin_local_rings():
     for R in (IntegersMod(6), IntegersMod(30), LocalizedIntegers(2)):
         with pytest.raises(RingError):
             R.residue_lifting()
+
+
+def test_local_parts_are_the_crt_components():
+    """Z/n is the product of one part per prime power p^e exactly dividing
+    n, Z/p^e or GF(p) where e = 1: the part sizes multiply to n, the
+    embedded units are orthogonal idempotents summing to 1, and the
+    residue map to a part undoes its own embedding and kills the others.
+    A local ring is its own one part."""
+    assert ([S.name() for S, _ in IntegersMod(60).local_parts()]
+            == ["Z/4", "GF(3)", "GF(5)"])
+    for n in (2, 4, 12, 35, 36, 60, 1000000016000000063):
+        R = IntegersMod(n)
+        parts = R.local_parts()
+        assert math.prod(S.size() for S, _ in parts) == n, n
+        units = [embed(S.one) for S, embed in parts]
+        assert functools.reduce(R.add, units) == R.one, n
+        for i, u in enumerate(units):
+            assert [R.mul(u, w) for w in units] == [
+                u if j == i else R.zero for j in range(len(units))], n
+        for S, _ in parts:
+            residue = find_hom(R, S)
+            for T, embed in parts:
+                for a in {*range(min(T.size(), 40)), T.size() - 1}:
+                    assert residue(embed(a)) == (a if T == S else S.zero), (n, S, T, a)
+    for R in (gf(2, 2), QQ, LocalizedIntegers(3), DualNumbers(PrimeField(3)),
+              IntegersMod(27)):
+        [(S, embed)] = R.local_parts()
+        assert S is R and embed(R.one) == R.one, R
 
 
 def test_spectrum_transitive_antisymmetric():

@@ -3,7 +3,8 @@
 linalg stays ring-agnostic: every per-ring canonical-form rule lives on
 the Ring classes, so linalg neither calls isinstance nor imports a
 concrete ring, and outside rings.spectrum and rings._direct_hom no code
-tests a ring's class.  No module imports a name it never uses, nor a private
+tests a ring's class.  Rings are made in rings.py and by the test-ring
+family only.  No module imports a name it never uses, nor a private
 (underscore-prefixed) name of another ffgs module.  Every name the
 benchmark's tracer wraps exists.  Ring maps are built in rings.py only
 (find_hom), apart from the Frobenius twist.  Only constructions.kernel
@@ -103,6 +104,29 @@ def test_only_spectrum_and_direct_hom_branch_on_ring_classes():
                      "            isinstance(R, Ring), isinstance(x, str))\n")
     assert ring_class_tests(tree, allowed) == [4]
     assert ring_class_tests(tree) == [2, 4]
+
+
+def ring_constructions(tree):
+    """Lines of the calls of a class of ring_subclasses(), by name or
+    attribute."""
+    concrete = ring_subclasses()
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Call)
+                  and getattr(n.func, "id", getattr(n.func, "attr", None)) in concrete)
+
+
+def test_rings_are_made_in_rings_and_testrings_only():
+    """A ring's local parts, residue fields and maps come from rings.py
+    (Ring.local_parts, spectrum, find_hom), and the test-ring family is
+    the one other module that makes rings of its own."""
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("rings.py", "testrings.py")
+             for line in ring_constructions(parse(path))]
+    assert found == []
+    assert ring_constructions(parse(SRC / "testrings.py")), "the family makes rings"
+    tree = ast.parse("def f(n):\n    return IntegersMod(n)\n"
+                     "def g(k):\n    return rings.DualNumbers(k), Ring(), int(k)\n")
+    assert ring_constructions(tree) == [2, 4]
 
 
 def test_linalg_has_no_ring_dispatch():
