@@ -22,7 +22,6 @@ from .linalg import (
     canonical_span,
     member,
     member_with_coeffs,
-    reduce_mod_span,
     row_kernel,
     vec_scale,
     vec_sub,
@@ -37,6 +36,7 @@ from .hopf import (
     map_tensor,
     nonzeros,
     points,
+    project,
 )
 from .oracle import AbstractGroup, cyclic_table
 from .rings import Ring, RingError, find_hom
@@ -192,7 +192,7 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
     Z, nonzero = R.zero, R.nonzero
     QM, QC, _ = Q.sparse
     pairs = list(itertools.product(range(mQ), range(n)))  # idx order
-    moved = {h: [nonzeros(R, v) for v in autos[h].alg] for h in range(n)}
+    moved = {h: autos[h].rows for h in range(n)}
     # algebra: (a (x) f_g)(b (x) f_h) = delta_{g,h} ab (x) f_g
     mult = [[[(idx(k, g), c) for k, c in QM[i][j]] if g == h else []
              for j, h in pairs] for i, g in pairs]
@@ -250,7 +250,7 @@ class ClosedSubgroup:
         self.ambient = ambient
         self.ideal = (ideal_rows if isinstance(ideal_rows, Span)
                       else canonical_span(ambient.ring, ideal_rows))
-        self._quotient = self._pb = self._report = self._normal = self._scheme = None
+        self._quotient = self._report = self._normal = self._scheme = None
 
     @property
     def order(self) -> int:
@@ -278,10 +278,10 @@ class ClosedSubgroup:
         # I iff pi(v) = 0, and I (x) A + A (x) I is the kernel of pi (x) pi
         if self.ideal.nonunit is not None:
             return VerificationReport(False, "not-flat", (self.ideal.nonunit,))
-        pb = self.projection_rows()
+        pb = self.quotient_data()[1]
 
         def outside(v, i):  # v e_i is not in I
-            return _project(R, pb, nonzeros(R, G.mul_vec(v, G.basis_vector(i))))
+            return project(R, pb, nonzeros(R, G.mul_vec(v, G.basis_vector(i))))
 
         # ideal: closed under multiplication by the ambient algebra, which
         # a generator s = e_g of A settles alone; on a failure the basis scan
@@ -301,31 +301,28 @@ class ClosedSubgroup:
             if map_tensor(R, pb, pb, terms):
                 return VerificationReport(False, "coideal", (t,))
         for t, v in enumerate(self.ideal):
-            if _project(R, pb, nonzeros(R, G.antipode_vec(v))):
+            if project(R, pb, nonzeros(R, G.antipode_vec(v))):
                 return VerificationReport(False, "antipode-stability", (t,))
         return VerificationReport(True)
 
     def quotient_data(self):
-        """Free quotient A/I: (free columns, [pi(e_j) for j < m]).
+        """Free quotient A/I: (free columns, [nonzeros(pi(e_j)) for j < m]).
 
-        pi: A -> A/I is reduction modulo I read at the free columns,
-        which needs every pivot of I to be a unit (HopfError if not)."""
+        pi: A -> A/I is reduction modulo I read at the free columns.  It
+        needs every pivot of I to be a unit (HopfError if not), and then
+        reads it off the rows (`linalg.Span`): pi(e_j) = e_j at a free
+        column j, and pi(e_c) = -row_t where c is the pivot of row t."""
         if self.ideal.nonunit is not None:
             raise HopfError("quotient is not a free module (non-unit pivot)")
         if self._quotient is None:
-            G = self.ambient
-            free_cols = [j for j in range(G.rank) if j not in self.ideal.cols]
-            reduced = [reduce_mod_span(G.ring, self.ideal, G.basis_vector(j))
-                       for j in range(G.rank)]
-            self._quotient = free_cols, [[w[c] for c in free_cols] for w in reduced]
+            R, m = self.ambient.ring, self.ambient.rank
+            free_cols = sorted(set(range(m)) - set(self.ideal.cols))
+            at = {j: s for s, j in enumerate(free_cols)}
+            pb = [[(at[j], R.one)] if j in at else None for j in range(m)]
+            for row, c in zip(self.ideal, self.ideal.cols):
+                pb[c] = [(at[x], R.neg(a)) for x, a in nonzeros(R, row) if x != c]
+            self._quotient = free_cols, pb
         return self._quotient
-
-    def projection_rows(self):
-        """[nonzeros(pi(e_j)) for j < m], the sparse rows of `quotient_data`."""
-        if self._pb is None:
-            R = self.ambient.ring
-            self._pb = [nonzeros(R, w) for w in self.quotient_data()[1]]
-        return self._pb
 
     def scheme(self) -> GroupScheme:
         """The subgroup scheme Spec(A/I)."""
@@ -334,34 +331,23 @@ class ClosedSubgroup:
         G = self.ambient
         R = G.ring
         M, C, S = G.sparse
-        free_cols = self.quotient_data()[0]
-        pb = self.projection_rows()
-        mult = [[_project(R, pb, M[a][b]) for b in free_cols] for a in free_cols]
+        free_cols, pb = self.quotient_data()
+        mult = [[project(R, pb, M[a][b]) for b in free_cols] for a in free_cols]
         comult = [map_tensor(R, pb, pb, C[a]) for a in free_cols]
-        antipode = [_project(R, pb, S[a]) for a in free_cols]
+        antipode = [project(R, pb, S[a]) for a in free_cols]
         self._scheme = GroupScheme.from_tables(
             R, len(free_cols), (mult, comult, antipode),
-            dense(R, len(free_cols), _project(R, pb, nonzeros(R, G.unit))),
+            dense(R, len(free_cols), project(R, pb, nonzeros(R, G.unit))),
             [G.counit[a] for a in free_cols])
         return self._scheme
 
     def inclusion(self) -> GroupSchemeHom:
         """The closed immersion scheme(self) -> ambient."""
-        return GroupSchemeHom(self.scheme(), self.ambient,
-                              self.quotient_data()[1])
+        pi = [dense(self.ambient.ring, self.order, row) for row in self.quotient_data()[1]]
+        return GroupSchemeHom(self.scheme(), self.ambient, pi)
 
     def is_trivial(self) -> bool:
         return self.order == 1
-
-
-def _project(R: Ring, rows, terms):
-    """f of sum c e_x over the (x, c) in terms, as its nonzero (s, c) in
-    increasing s; rows[x] is nonzeros(f(e_x)) for any linear map f."""
-    out: dict = {}
-    for x, c in terms:
-        for s, u in rows[x]:
-            out[s] = R.add(out.get(s, R.zero), R.mul(c, u))
-    return sorted((s, c) for s, c in out.items() if R.nonzero(c))
 
 
 def ideal_closure(G: GroupScheme, gens):
@@ -429,20 +415,13 @@ def intersect(H1: ClosedSubgroup, H2: ClosedSubgroup) -> ClosedSubgroup:
 
 
 def conjugation_tensor(G: GroupScheme, v) -> dict:
-    """ad(v) = sum v_(1) S(v_(3)) (x) v_(2) as {(j,k): coeff}, summed from
-    the scheme's kept ad(e_i), as ad is linear in v.
+    """ad(v) = sum v_(1) S(v_(3)) (x) v_(2) as {(j,k): coeff}, projected
+    through the scheme's kept ad(e_i), as ad is linear in v.
 
     The subgroup cut out by an ideal I is normal iff ad(I) lies in
     A (x) I: the conjugated element stays in the subgroup whatever the
     conjugating point does on the first tensor factor."""
-    R = G.ring
-    nonzero = R.nonzero
-    out: dict = {}
-    for coeff, ad in zip(v, G.adjoint):
-        if nonzero(coeff):
-            for key, c in ad.items():
-                out[key] = R.add(out.get(key, R.zero), R.mul(coeff, c))
-    return {key: c for key, c in out.items() if nonzero(c)}
+    return dict(project(G.ring, G.adjoint, nonzeros(G.ring, v)))
 
 
 def is_normal(H: ClosedSubgroup):
@@ -454,7 +433,7 @@ def is_normal(H: ClosedSubgroup):
     if H._normal is None:
         G, R = H.ambient, H.ambient.ring
         ident = [[(j, R.one)] for j in range(G.rank)]
-        pb = H.projection_rows()
+        pb = H.quotient_data()[1]
 
         def outside(v):  # (id (x) pi) ad(v) != 0
             ad = conjugation_tensor(G, v)
@@ -468,13 +447,13 @@ def is_normal(H: ClosedSubgroup):
 def quotient(G: GroupScheme, H: ClosedSubgroup):
     """(G/H, projection hom) for H normal, via coinvariants of the
     coaction (id (x) pi) Delta.  Its tables read coordinates in their basis
-    B with `_project` and `map_tensor`, each checked by re-expansion."""
+    B with `project` and `map_tensor`, each checked by re-expansion."""
     if H.ambient is not G:
         raise HopfError("subgroup does not live in this scheme")
     R = G.ring
     m, n = G.rank, H.order
     ident = [[(j, R.one)] for j in range(m)]
-    pb = H.projection_rows()
+    pb = H.quotient_data()[1]
     minus_unit = [(k, R.neg(u)) for k, u in nonzeros(R, G.unit)]
     # a = sum t_i e_i is coinvariant iff (id (x) pi) Delta(a) = a (x) pi(1),
     # that is iff sum t_i (id (x) pi)(Delta(e_i) - e_i (x) 1) = 0
@@ -490,20 +469,20 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
             f"quotient rank {len(B)} times subgroup order {n} "
             f"misses the ambient order {m}"
         )
-    # unit pivots make B free, and its canonical form has B[s][c_t] = 0 for
-    # s != t: kappa(e_{c_t}) = e_t / B[t][c_t] (zero at other columns) reads
-    # coordinates and beta(e_t) = B[t] expands them, so v is in span(B) iff
-    # beta(kappa(v)) = v, and likewise on B (x) B with kappa and beta on both
+    # unit pivots make B free, and its canonical form has B[t][c_t] = 1 and
+    # B[s][c_t] = 0 for s != t (`linalg.Span`): kappa(e_{c_t}) = e_t (zero at
+    # other columns) reads coordinates and beta(e_t) = B[t] expands them, so
+    # v is in span(B) iff beta(kappa(v)) = v, and likewise on B (x) B with
+    # kappa and beta on both
     if B.nonunit is not None:
         raise HopfError("coinvariants are not free on their basis (non-unit pivot)")
-    kappa = [[] for _ in range(m)]
-    for t, (row, c) in enumerate(zip(B, B.cols)):
-        kappa[c] = [(t, R.inv(row[c]))]
+    at = {c: t for t, c in enumerate(B.cols)}
+    kappa = [[(at[c], R.one)] if c in at else [] for c in range(m)]
     beta = [nonzeros(R, row) for row in B]
     def coords(v):
         v = nonzeros(R, v)
-        x = _project(R, kappa, v)
-        if _project(R, beta, x) != v:
+        x = project(R, kappa, v)
+        if project(R, beta, x) != v:
             raise HopfError("coinvariant algebra is not closed as expected")
         return x
     rB = len(B)

@@ -20,6 +20,11 @@ Every Hopf operation and base change reads the tables, so none scans
 the zeros of the m^3 dense entries.  The dense lists `mult`, `comult` and
 `antipode` are what the constructor and `from_dict` take and what
 `to_dict` writes; a scheme derives them from its tables on first use.
+A linear map f is applied in one sparse form, on the nonzeros of its rows
+f(e_j): f(v) by `project` and (f (x) g)(t) by `map_tensor`.  A
+homomorphism keeps the rows of its algebra map (`GroupSchemeHom.rows`),
+which pulling back, composing, its checks and its map on points read, and
+a convolution m o (f (x) g) o Delta is `map_tensor` summed by `combine`.
 The tables are fixed once a scheme is made, so the conjugation tensors
 ad(e_i) (`adjoint`), the presentation A = R[t]/(mu) by the first basis
 vector other than 1 that generates A, where one does (`presentation`,
@@ -122,6 +127,17 @@ def map_tensor(R: Ring, left, right, terms):
     return sorted((s, t, c) for (s, t), c in out.items() if R.nonzero(c))
 
 
+def project(R: Ring, rows, terms):
+    """f of sum c e_x over the (x, c) in terms, as its nonzero (s, c) in
+    increasing s; rows[x] is nonzeros(f(e_x)) for any linear map f."""
+    add, mul = R.add, R.mul
+    out: dict = {}
+    for x, c in terms:
+        for s, u in rows[x]:
+            out[s] = add(out.get(s, R.zero), mul(c, u))
+    return sorted((s, c) for s, c in out.items() if R.nonzero(c))
+
+
 def _pair(R: Ring, entries, v):
     """sum c v[x] over the (x, c) in entries."""
     add, mul = R.add, R.mul
@@ -191,7 +207,7 @@ class GroupScheme:
     @functools.cached_property
     def adjoint(self):
         """ad(e_i) = sum (e_i)_(1) S((e_i)_(3)) (x) (e_i)_(2) for each i, as
-        {(t, a): c}; made on first use and kept, so each product
+        its nonzero ((t, a), c); made on first use and kept, so each product
         e_j S(e_b) is made once per scheme."""
         R = self.ring
         add, mul = R.add, R.mul
@@ -209,7 +225,7 @@ class GroupScheme:
                     cd = mul(c, d)
                     for t, x in products[(j, b)]:
                         ad[(t, a)] = add(ad.get((t, a), R.zero), mul(cd, x))
-            out.append(ad)
+            out.append([(key, c) for key, c in ad.items() if R.nonzero(c)])
         return out
 
     @functools.cached_property
@@ -337,6 +353,16 @@ class GroupScheme:
                     out[k] = add(out[k], mul(ab, c))
         return out
 
+    def combine(self, terms):
+        """sum of c e_a e_b over the (a, b, c) in terms, as a vector."""
+        R, M = self.ring, self.sparse.mult
+        add, mul = R.add, R.mul
+        out = [R.zero] * self.rank
+        for a, b, c in terms:
+            for x, d in M[a][b]:
+                out[x] = add(out[x], mul(c, d))
+        return out
+
     def power_vec(self, v, n: int):
         """v^n for n >= 0, by square-and-multiply."""
         if n < 0:
@@ -355,14 +381,7 @@ class GroupScheme:
 
     def antipode_vec(self, v):
         R = self.ring
-        nonzero, add, mul = R.nonzero, R.add, R.mul
-        S = self.sparse.antipode
-        out = [R.zero] * self.rank
-        for i, a in enumerate(v):
-            if nonzero(a):
-                for x, c in S[i]:
-                    out[x] = add(out[x], mul(a, c))
-        return out
+        return dense(R, self.rank, project(R, self.sparse.antipode, nonzeros(R, v)))
 
     def comult_vec(self, v):
         """Delta(v) as a dict {(j, k): coeff}."""
@@ -466,7 +485,7 @@ class GroupScheme:
         # unit law
         unit = nonzeros(R, self.unit)
         for i in range(m):
-            if laws.combine((a, i, u) for a, u in unit) != basis[i]:
+            if self.combine((a, i, u) for a, u in unit) != basis[i]:
                 return VerificationReport(False, "algebra-unit", (i,))
         gens = None
         if self.algebra_generators != basis:
@@ -515,8 +534,8 @@ class GroupScheme:
             return report
         # antipode: m(S (x) id)Delta = unit . counit = m(id (x) S)Delta
         for i in range(m):
-            left = laws.combine((a, k, mul(c, s)) for j, k, c in C[i] for a, s in S[j])
-            right = laws.combine((j, b, mul(c, s)) for j, k, c in C[i] for b, s in S[k])
+            left = self.combine((a, k, mul(c, s)) for j, k, c in C[i] for a, s in S[j])
+            right = self.combine((j, b, mul(c, s)) for j, k, c in C[i] for b, s in S[k])
             target = vec_scale(R, self.counit[i], self.unit)
             if left != target:
                 return VerificationReport(False, "antipode-left", (i,))
@@ -611,28 +630,13 @@ class _Laws:
     def __init__(self, G: GroupScheme):
         self.ring, self.rank, self.counit = G.ring, G.rank, G.counit
         self.mult, self.comult, _ = G.sparse
+        self.combine, self.comult_vec = G.combine, G.comult_vec
         self.basis = [(self.mult[j], self.comult[j], self.counit[j])
                       for j in range(G.rank)]
 
-    def combine(self, terms):
-        """sum of c e_a e_b over the (a, b, c) in terms, as a vector."""
-        R, M = self.ring, self.mult
-        add, mul = R.add, R.mul
-        out = [R.zero] * self.rank
-        for a, b, c in terms:
-            for x, d in M[a][b]:
-                out[x] = add(out[x], mul(c, d))
-        return out
-
     def delta(self, v):
         """Delta of the sparse vector v as {(j, k): coeff} without zeros."""
-        R, C = self.ring, self.comult
-        zero, add, mul = R.zero, R.add, R.mul
-        out: dict = {}
-        for a, c in v:
-            for j, k, d in C[a]:
-                out[(j, k)] = add(out.get((j, k), zero), mul(c, d))
-        return {key: c for key, c in out.items() if R.nonzero(c)}
+        return self.comult_vec(dense(self.ring, self.rank, v))
 
     def generators(self, vectors):
         """Each vector s as a generator; s e_k = e_k s, as the product is
@@ -800,7 +804,8 @@ def cartier_dual(G: GroupScheme) -> GroupScheme:
 
 class GroupSchemeHom:
     """Homomorphism source -> target, stored contravariantly: alg[j] is the
-    image in Hopf(source) of the j-th basis vector of Hopf(target)."""
+    image in Hopf(source) of the j-th basis vector of Hopf(target), and
+    rows[j] its nonzeros, which every map the homomorphism applies reads."""
 
     def __init__(self, source: GroupScheme, target: GroupScheme, alg):
         if source.ring != target.ring:
@@ -810,30 +815,30 @@ class GroupSchemeHom:
         self.source = source
         self.target = target
         self.alg = [list(v) for v in alg]
+        self.rows = [nonzeros(source.ring, v) for v in self.alg]
 
     def apply_alg(self, v):
         """Pull back a Hopf(target) element along the homomorphism."""
         R = self.source.ring
-        return add_scaled(R, [R.zero] * self.source.rank, zip(v, self.alg))
+        return dense(R, self.source.rank, project(R, self.rows, nonzeros(R, v)))
 
     def is_valid(self) -> VerificationReport:
         R = self.source.ring
         S, T = self.source, self.target
         TM, TC, _ = T.sparse
-        A = [nonzeros(R, v) for v in self.alg]
+        A = self.rows
         if self.apply_alg(T.unit) != S.unit:
             return VerificationReport(False, "hom-unit", ())
         for i in range(T.rank):
-            if S.counit_of(self.alg[i]) != T.counit[i]:
+            if _pair(R, A[i], S.counit) != T.counit[i]:
                 return VerificationReport(False, "hom-counit", (i,))
             # Delta_S(f(e_i)) = (f (x) f) Delta_T(e_i)
             if sorted((j, k, c) for (j, k), c in S.comult_vec(self.alg[i]).items()) \
                     != map_tensor(R, A, A, TC[i]):
                 return VerificationReport(False, "hom-comult", (i,))
             for j in range(T.rank):
-                pulled = add_scaled(R, [R.zero] * S.rank,
-                                    ((c, self.alg[x]) for x, c in TM[i][j]))
-                if pulled != S.mul_vec(self.alg[i], self.alg[j]):
+                if project(R, A, TM[i][j]) != \
+                        nonzeros(R, S.mul_vec(self.alg[i], self.alg[j])):
                     return VerificationReport(False, "hom-mult", (i, j))
         return VerificationReport(True)
 
@@ -865,11 +870,12 @@ def trivial_endo(G: GroupScheme) -> GroupSchemeHom:
 
 
 def convolution(G: GroupScheme, f_alg, g_alg):
-    """Convolution of two linear endomaps of Hopf(G), given as alg matrices."""
+    """Convolution m o (f (x) g) o Delta of two linear endomaps of Hopf(G),
+    given as alg matrices: (f (x) g) Delta(e_i) through `map_tensor` on
+    their nonzeros, then summed through the products e_s e_t."""
     R = G.ring
-    return [add_scaled(R, [R.zero] * G.rank,
-                       ((c, G.mul_vec(f_alg[j], g_alg[k])) for j, k, c in terms))
-            for terms in G.sparse.comult]
+    f, g = ([nonzeros(R, v) for v in alg] for alg in (f_alg, g_alg))
+    return [G.combine(map_tensor(R, f, g, terms)) for terms in G.sparse.comult]
 
 
 def convolution_power(G: GroupScheme, n: int) -> GroupSchemeHom:
@@ -1244,11 +1250,15 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
 
 def hom_on_points(f: GroupSchemeHom, P_source: PointGroup, P_target: PointGroup,
                   hom: RingHom):
-    """Index map P_source -> P_target induced by f over the points' ring."""
+    """Index map P_source -> P_target induced by f over the points' ring:
+    the nonzeros of f's rows mapped through hom, paired with each point
+    at its nonzero coordinates."""
     Rp = P_source.ring
-    mapped_alg = [[hom(c) for c in v] for v in f.alg]
+    nonzero = Rp.nonzero
+    mapped = [[(x, d) for x, c in row if nonzero(d := hom(c))] for row in f.rows]
     out = []
     for pt in P_source.elements:
-        img = tuple(Rp.dot(mapped_alg[j], pt) for j in range(f.target.rank))
+        live = [nonzero(c) for c in pt]
+        img = tuple(_pair(Rp, [(x, d) for x, d in row if live[x]], pt) for row in mapped)
         out.append(P_target.index(img))
     return out

@@ -82,7 +82,11 @@ class Span(list):
     each row, and `nonunit`, the index of the first row whose pivot is not
     a unit (None if there is none).  Each row is zero at the pivot columns
     of the rows before it, so reducing at the pivots in row order never
-    refills a column.  `echelon` builds the canonical ones."""
+    refills a column.  `echelon` builds the canonical ones, in which each
+    unit pivot is R.one and every row is zero at the pivot column of each
+    other row whose pivot is a unit (above a non-unit pivot d an entry is
+    only reduced by d); projections modulo a span with unit pivots and
+    coordinates in it are read off these rows."""
 
     def __init__(self, R: Ring, rows=(), cols=()):
         super().__init__(rows)

@@ -292,8 +292,9 @@ def order_p_subgroup(G: GroupScheme, p: int) -> ClosedSubgroup:
         H = torsion
         if generic is not None:
             pi = torsion.quotient_data()[1]
-            d = lcm(*(c.denominator for row in pi for c in row))
-            H = ClosedSubgroup(G, row_kernel(R, [[d * c for c in row] for row in pi]))
+            d = lcm(*(c.denominator for row in pi for _, c in row))
+            scaled = [dense(R, p, [(s, d * c) for s, c in row]) for row in pi]
+            H = ClosedSubgroup(G, row_kernel(R, scaled))
     rep = H.verify_hopf_ideal()
     if not rep:
         raise InternalInconsistencyError(f"order-{p} ideal defective: {rep}")
@@ -373,10 +374,10 @@ def _slot_product_map(G: GroupScheme, subgroups):
     phi_t = pi_t and phi_k = (pi_k (x) phi_(k+1)) o Delta."""
     R = G.ring
     *firsts, last = subgroups
-    phi = last.projection_rows()
+    phi = last.quotient_data()[1]
     width = last.order
     for H in reversed(firsts):
-        pb = H.projection_rows()
+        pb = H.quotient_data()[1]
         phi = [[(s * width + t, c) for s, t, c in map_tensor(R, pb, phi, terms)]
                for terms in G.sparse.comult]
         width *= H.order
@@ -543,6 +544,8 @@ def _section_search(Q: AbstractGroup, Gp: AbstractGroup, out_map, budget):
 
 
 def common_refinement(E1: ExtensionWitness, E2: ExtensionWitness) -> ExtensionWitness:
+    """The extension of their total scheme by the intersection of the two
+    kernels; its ledger takes points within the smaller of their budgets."""
     if E1.total is not E2.total and E1.total.to_dict() != E2.total.to_dict():
         raise HopfError("refinement needs extensions of the same scheme")
     if not (is_etale(E1.quotient)[0] and is_etale(E2.quotient)[0]):
@@ -552,7 +555,7 @@ def common_refinement(E1: ExtensionWitness, E2: ExtensionWitness) -> ExtensionWi
     if not rep:
         raise InternalInconsistencyError(f"intersection not a Hopf ideal: {rep}")
     try:
-        E = extension_witness(E1.total, K)
+        E = extension_witness(E1.total, K, min(E1.budget, E2.budget))
     except HopfError as exc:
         raise InternalInconsistencyError(f"refined kernel not flat: {exc}")
     if not is_etale(E.quotient)[0]:

@@ -488,6 +488,18 @@ def test_refine(capsys):
     assert d["refined"]["kernel_order"] == 2
 
 
+def test_refine_ledger_keeps_the_points_budget(capsys):
+    """The refined extension's ledger takes points within --budget-points,
+    as the two extensions it refines do: with a bound of 1 every test ring
+    of const:Z6 over GF(5) is skipped, and with 6 its three rows stay."""
+    for budget, rows in (("1", 0), ("6", 3)):
+        code, out = run(capsys, "refine", "--builtin", "const:Z6", "--base", "GF(5)",
+                        "--kernels", "6,2", "--budget-points", budget, "--format", "json")
+        ledger = json.loads(out)["refined"]["ledger"]
+        assert code == 0 and len(ledger) == rows, budget
+        assert all(row["counts"][1] == 6 for row in ledger)
+
+
 def test_classify_p(capsys):
     code, out = run(capsys, "classify-p", "--builtin", "alpha:2",
                     "--base", "GF(2)", "--format", "json")

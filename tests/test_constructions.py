@@ -12,10 +12,11 @@ from ffgs.constructions import (ClosedSubgroup, IsoResult, alpha, constant,
                                 kernel, mu, quotient, semidirect, tate_oort2,
                                 trivial_subgroup, whole_subgroup)
 from ffgs.hopf import (GroupScheme, GroupSchemeHom, HopfError,
-                       VerificationReport, cartier_dual, convolution_power, points)
+                       VerificationReport, cartier_dual, convolution_power, dense,
+                       points)
 from ffgs import constructions, linalg
 from ffgs.linalg import (add_scaled, canonical_span, mat_vec, member,
-                         member_with_coeffs, row_kernel, transpose, vec_add,
+                         member_with_coeffs, reduce_mod_span, row_kernel, transpose, vec_add,
                          vec_scale, vec_sub)
 from ffgs.oracle import AbstractGroup, s3_table
 from ffgs.rings import RingError, parse_ring, prime_factors
@@ -489,7 +490,7 @@ def _reference_quotient(G, H):
     vector, 3m^2 + O(m) of them."""
     R = G.ring
     m = G.rank
-    P = transpose(H.quotient_data()[1])
+    P = transpose([dense(R, H.order, row) for row in H.quotient_data()[1]])
     punit = mat_vec(R, P, G.unit)
     cols = []
     for i in range(m):
@@ -592,11 +593,12 @@ def test_quotient_eliminates_each_basis_once(monkeypatch):
 @pytest.mark.parametrize("spec", ["GF(5)", "Zloc(2)"])
 def test_quotient_data_is_built_once_per_subgroup(monkeypatch, spec):
     """verify_hopf_ideal, scheme, inclusion and quotient read one kept
-    quotient_data: each basis vector is reduced modulo the ideal once."""
+    quotient_data, and nothing is reduced modulo the ideal: pi is read
+    off its canonical rows."""
     reduced = []
-    real = constructions.reduce_mod_span
-    monkeypatch.setattr(constructions, "reduce_mod_span",
-                        lambda R, span, v: reduced.append(span) or real(R, span, v))
+    real = linalg._reduce
+    monkeypatch.setattr(linalg, "_reduce",
+                        lambda R, rows, cols, v: reduced.append(rows) or real(R, rows, cols, v))
     for G, H in quotient_cases(parse_ring(spec)):
         K = ClosedSubgroup(G, H.ideal)
         reduced.clear()
@@ -605,7 +607,63 @@ def test_quotient_data_is_built_once_per_subgroup(monkeypatch, spec):
         assert K.scheme().rank == K.order
         quotient(G, K)
         assert K.quotient_data() is K.quotient_data()
-        assert sum(span is K.ideal for span in reduced) == G.rank
+        assert sum(rows is K.ideal for rows in reduced) == 0
+
+
+def _reference_projection(H):
+    """quotient_data as it was made: each basis vector reduced modulo the
+    ideal, read at the free columns."""
+    G = H.ambient
+    free_cols = [j for j in range(G.rank) if j not in H.ideal.cols]
+    reduced = [reduce_mod_span(G.ring, H.ideal, G.basis_vector(j)) for j in range(G.rank)]
+    return free_cols, [[w[c] for c in free_cols] for w in reduced]
+
+
+@pytest.mark.parametrize("spec", PROJECTION_BASES)
+def test_projection_read_off_the_rows_matches_reduction(monkeypatch, spec):
+    """pi read off the canonical rows equals reduction modulo the ideal on
+    every subgroup of quotient_cases and on the trivial and the whole
+    subgroup, and quotient_data makes no reduction at all."""
+    R = parse_ring(spec)
+    reduced = []
+    real = linalg._reduce
+    monkeypatch.setattr(linalg, "_reduce",
+                        lambda R, rows, cols, v: reduced.append(rows) or real(R, rows, cols, v))
+    for G, H in quotient_cases(R):
+        for K in (ClosedSubgroup(G, H.ideal), trivial_subgroup(G), whole_subgroup(G)):
+            reduced.clear()
+            free_cols, pb = K.quotient_data()
+            assert reduced == [], (G.name, K.order)
+            assert (free_cols, [dense(R, K.order, row) for row in pb]) == \
+                _reference_projection(K), (spec, G.name, K.order)
+
+
+@pytest.mark.parametrize("spec", PROJECTION_BASES)
+def test_canonical_unit_pivots_are_one_and_clear_their_columns(spec):
+    """What pi and the quotient's kappa are read off (`linalg.Span`): in a
+    canonical span each unit pivot is R.one and every row is zero at the
+    pivot column of each other row whose pivot is a unit."""
+    hyp, st, settings = hypothesis_or_skip()
+    R = parse_ring(spec)
+    els = list(R.elements()) if R.is_finite else \
+        [R.from_int(i) for i in range(-4, 5)] + [R.inv(R.from_int(7))]
+    entry = st.sampled_from(els + [R.zero] * len(els))
+    seen = set()
+
+    @settings
+    @hyp.given(st.integers(1, 6).flatmap(
+        lambda w: st.lists(st.lists(entry, min_size=w, max_size=w), min_size=1, max_size=5)))
+    def check(rows):
+        span = canonical_span(R, rows)
+        for t, (row, c) in enumerate(zip(span, span.cols)):
+            seen.add(R.is_unit(row[c]))
+            if R.is_unit(row[c]):
+                assert row[c] == R.one, (rows, t)
+                assert not [s for s, other in enumerate(span)
+                            if s != t and R.nonzero(other[c])], (rows, t)
+
+    check()
+    assert True in seen
 
 
 def test_subgroup_verdicts_are_made_once(monkeypatch):
@@ -744,7 +802,7 @@ def test_ideal_closure_witness_by_a_generator_matches_the_basis_scan(name, monke
                 for S in (ClosedSubgroup(H, rows), ClosedSubgroup(H, ideal_closure(H, rows))):
                     if S.ideal.nonunit is not None:
                         continue
-                    S.projection_rows()
+                    S.quotient_data()
                     products = []
                     monkeypatch.setattr(GroupScheme, "mul_vec",
                                         lambda self, v, w: products.append(1) or real(self, v, w))
@@ -799,7 +857,8 @@ def _reference_slot_product_map(G, subgroups):
     then every combination of slots read off each key."""
     R = G.ring
     t = len(subgroups)
-    pbases = [H.quotient_data()[1] for H in subgroups]
+    pbases = [[dense(R, H.order, row) for row in H.quotient_data()[1]]
+              for H in subgroups]
     ranks = [H.order for H in subgroups]
     rows = []
     for i in range(G.rank):

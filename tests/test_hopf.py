@@ -1458,6 +1458,24 @@ def test_powers_match_the_linear_loops(R):
                     G.power_vec(v, n)
 
 
+def test_power_map_makes_few_products_per_convolution_term(monkeypatch):
+    """A convolution m o (f (x) g) o Delta reads the nonzeros of f, g and
+    Delta, so on the sparse power maps of mu_105 and Z/30 it makes a few
+    ring products per term of Delta, where a dense sum of each product
+    makes m of them."""
+    for G, n in ((mu(Q, 105), 7), (constant_cyclic(parse_ring("GF(31)"), 30), 5)):
+        R, real_conv = G.ring, hopf.convolution
+        products, convolutions = [], []
+        monkeypatch.setattr(R, "mul", lambda a, b, mul=R.mul: products.append(1) or mul(a, b))
+        monkeypatch.setattr(hopf, "convolution",
+                            lambda *args: convolutions.append(1) or real_conv(*args))
+        power_map_alg(G, n)
+        monkeypatch.undo()
+        terms = sum(map(len, G.sparse.comult))
+        assert convolutions and len(products) <= 4 * len(convolutions) * terms, \
+            (G.name, len(products), len(convolutions), terms)
+
+
 def test_cartier_dual_of_the_dual_is_the_scheme():
     hyp, st, settings = hypothesis_or_skip()
     schemes = [G for name in REFERENCE_BASES for G in builtins_over(parse_ring(name))

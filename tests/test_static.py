@@ -9,9 +9,11 @@ family only.  No module imports a name it never uses, nor a private
 benchmark's tracer wraps exists.  Ring maps are built in rings.py only
 (find_hom), apart from the Frobenius twist.  Only constructions.kernel
 closes an ideal under multiplication: every other subgroup is cut out by
-the kernel of an algebra map, an ideal already.  The Hopf-ideal report,
-the subgroup scheme and normality read membership and tables through pi
-alone, and every map f (x) g on A (x) A is hopf.map_tensor."""
+the kernel of an algebra map, an ideal already.  pi is read off the
+ideal's rows, the Hopf-ideal report, the subgroup scheme and normality
+read membership and tables through pi alone, homomorphisms and
+convolutions read sparse rows, every map f(v) is hopf.project and every
+map f (x) g on A (x) A is hopf.map_tensor."""
 
 import ast
 from functools import cache
@@ -398,35 +400,49 @@ def defined_scopes(tree):
 
 
 def test_subgroups_and_quotient_read_sparse_rows_only():
-    """ClosedSubgroup._hopf_ideal_report tests v in I as pi(v) = 0,
+    """ClosedSubgroup.quotient_data reads pi off the canonical rows of the
+    ideal, ClosedSubgroup._hopf_ideal_report tests v in I as pi(v) = 0,
     ClosedSubgroup.scheme projects its tables and is_normal tests
     (id (x) pi) ad(v) = 0, all through the sparse pi(e_j) rows; quotient
     reads coordinates in its coinvariant basis through the sparse kappa
-    rows and checks them by expanding back through beta.  None reduces
-    against a span itself or transposes a matrix, also not in a function
-    nested in them."""
-    scopes = ("ClosedSubgroup._hopf_ideal_report", "ClosedSubgroup.scheme",
-              "is_normal", "quotient")
+    rows and checks them by expanding back through beta.  A homomorphism
+    pulls back, checks itself and maps points through the kept nonzeros
+    of its rows, and a convolution sums m o (f (x) g) o Delta through
+    them.  None reduces against a span itself, sums dense rows or
+    transposes a matrix, also not in a function nested in them; every
+    linear map f(v) is hopf.project, and the constructions-private
+    _project it replaced is gone."""
+    scopes = {"constructions.py": ("ClosedSubgroup.quotient_data",
+                                   "ClosedSubgroup._hopf_ideal_report",
+                                   "ClosedSubgroup.scheme", "is_normal", "quotient"),
+              "hopf.py": ("GroupSchemeHom.apply_alg", "GroupSchemeHom.is_valid",
+                          "hom_on_points", "convolution")}
 
-    def offenders(tree, name):
+    def offenders(tree, name, file="constructions.py"):
         return [w for w in callers(tree, name)
-                if any(w == s or w.startswith(s + ".") for s in scopes)]
+                if any(w == s or w.startswith(s + ".") for s in scopes[file])]
 
-    tree = parse(SRC / "constructions.py")
-    assert set(scopes) <= defined_scopes(tree)
-    for name in ("member", "reduce_mod_span", "add_scaled", "transpose"):
-        assert not offenders(tree, name), name
-    assert "quotient.coords" in callers(tree, "_project")
+    for file, names in scopes.items():
+        tree = parse(SRC / file)
+        assert set(names) <= defined_scopes(tree), file
+        for name in ("member", "reduce_mod_span", "add_scaled", "transpose"):
+            assert not offenders(tree, name, file), (file, name)
+    for path in sorted(SRC.glob("*.py")):
+        assert "_project" not in defined_scopes(parse(path)), path.name
+    assert "quotient.coords" in callers(parse(SRC / "constructions.py"), "project")
     snippet = ast.parse("class ClosedSubgroup:\n"
                         "    def scheme(self):\n"
                         "        def project():\n            return linalg.add_scaled(1)\n"
                         "    def quotient_data(self):\n        return reduce_mod_span(1)\n"
                         "    def _hopf_ideal_report(self):\n        return member(1)\n"
                         "def quotient(G, H):\n"
-                        "    def coords(v):\n        return reduce_mod_span(1)\n")
+                        "    def coords(v):\n        return reduce_mod_span(1)\n"
+                        "def hom_on_points(f):\n    return add_scaled(1)\n")
     assert offenders(snippet, "add_scaled") == ["ClosedSubgroup.scheme.project"]
     assert offenders(snippet, "member") == ["ClosedSubgroup._hopf_ideal_report"]
-    assert offenders(snippet, "reduce_mod_span") == ["quotient.coords"]
+    assert offenders(snippet, "reduce_mod_span") == ["ClosedSubgroup.quotient_data",
+                                                     "quotient.coords"]
+    assert offenders(snippet, "add_scaled", "hopf.py") == ["hom_on_points"]
 
 
 def test_two_tensors_are_mapped_by_map_tensor_only():
@@ -435,12 +451,13 @@ def test_two_tensors_are_mapped_by_map_tensor_only():
     the coinvariants of a quotient (id (x) pi), the quotient's
     comultiplication (kappa (x) kappa, read back through beta (x) beta),
     the p-primary product map
-    (pi_k (x) phi_(k+1)) and the hom-comult check (f (x) f); the
-    constructions-private _project_tensor it replaced is gone."""
+    (pi_k (x) phi_(k+1)), the hom-comult check (f (x) f) and the
+    convolution m o (f (x) g) o Delta; the constructions-private
+    _project_tensor it replaced is gone."""
     want = {"constructions.ClosedSubgroup._hopf_ideal_report",
             "constructions.ClosedSubgroup.scheme", "constructions.is_normal",
             "constructions.quotient", "structure._slot_product_map",
-            "hopf.GroupSchemeHom.is_valid"}
+            "hopf.GroupSchemeHom.is_valid", "hopf.convolution"}
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = parse(path)
