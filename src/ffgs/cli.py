@@ -210,7 +210,7 @@ def cmd_loci(args):
 
 def cmd_connected_etale(args):
     G = load_scheme(args)
-    E = structure.connected_etale_sequence(G)
+    E = structure.connected_etale_sequence(G, budget=args.budget_points)
     lines = [
         f"1 -> (order {E.kernel.order}) -> (order {E.total.rank}) "
         f"-> (order {E.quotient.rank}) -> 1",

@@ -189,26 +189,22 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
     m = mQ * n
     def idx(i, g):
         return i * n + g
-    Z, nonzero = R.zero, R.nonzero
     QM, QC, _ = Q.sparse
     pairs = list(itertools.product(range(mQ), range(n)))  # idx order
-    moved = {h: autos[h].rows for h in range(n)}
     # algebra: (a (x) f_g)(b (x) f_h) = delta_{g,h} ab (x) f_g
     mult = [[[(idx(k, g), c) for k, c in QM[i][j]] if g == h else []
              for j, h in pairs] for i, g in pairs]
     unit = [Q.unit[i] for i, _ in pairs]
-    # Delta(a (x) f_g) = sum_{h h' = g} a_(1) (x) f_h (x) alpha_h^*(a_(2)) (x) f_h'
-    comult = []
-    for i, g in pairs:
-        tgt: dict = {}
-        for j, k, c in QC[i]:
-            for h in range(n):
-                hp = P.table[P.inverse(h)][g]
-                for t, x in moved[h][k]:
-                    key = (idx(j, h), idx(t, hp))
-                    tgt[key] = R.add(tgt.get(key, Z), R.mul(c, x))
-        comult.append(sorted((a, b, c) for (a, b), c in tgt.items() if nonzero(c)))
-    counit = [Q.counit[i] if g == P.identity else Z for i, g in pairs]
+    # Delta(a (x) f_g) = sum_{h h' = g} a_(1) (x) f_h (x) alpha_h^*(a_(2)) (x) f_h',
+    # with (id (x) alpha_h^*) Delta_Q(a) made once per (a, h); the terms of
+    # each h have their own first index (j, h), so none are summed across h
+    ident = [[(j, R.one)] for j in range(mQ)]
+    moved = [[map_tensor(R, ident, autos[h].rows, QC[i]) for h in range(n)]
+             for i in range(mQ)]
+    comult = [sorted((idx(j, h), idx(t, P.table[P.inverse(h)][g]), c)
+                     for h in range(n) for j, t, c in moved[i][h])
+              for i, g in pairs]
+    counit = [Q.counit[i] if g == P.identity else R.zero for i, g in pairs]
     # S(a (x) f_g) = S_Q(alpha_g^* a) (x) f_{g^{-1}}
     antipode = [[(idx(t, P.inverse(g)), x)
                  for t, x in nonzeros(R, Q.antipode_vec(autos[g].alg[i]))]
@@ -243,14 +239,13 @@ class ClosedSubgroup:
     of its defining Hopf ideal: a canonical Span is kept as given, other
     rows are echelonized.  The rows are trusted to span a Hopf ideal;
     `verify_hopf_ideal` checks it.  Its quotient data and their sparse
-    rows, Hopf-ideal report, normality verdict and scheme are made on
-    first use and kept; callers do not mutate them."""
+    rows, Hopf-ideal report, normality verdict and scheme are cached
+    properties, made on first use and kept; callers do not mutate them."""
 
     def __init__(self, ambient: GroupScheme, ideal_rows):
         self.ambient = ambient
         self.ideal = (ideal_rows if isinstance(ideal_rows, Span)
                       else canonical_span(ambient.ring, ideal_rows))
-        self._quotient = self._report = self._normal = self._scheme = None
 
     @property
     def order(self) -> int:
@@ -267,10 +262,9 @@ class ClosedSubgroup:
         return f"<closed subgroup of order {self.order} in {self.ambient!r}>"
 
     def verify_hopf_ideal(self) -> VerificationReport:
-        if self._report is None:
-            self._report = self._hopf_ideal_report()
-        return self._report
+        return self._hopf_ideal_report
 
+    @functools.cached_property
     def _hopf_ideal_report(self) -> VerificationReport:
         G = self.ambient
         R = G.ring
@@ -297,8 +291,7 @@ class ClosedSubgroup:
             if R.nonzero(G.counit_of(v)):
                 return VerificationReport(False, "augmentation", (t,))
         for t, v in enumerate(self.ideal):
-            terms = ((j, k, c) for (j, k), c in G.comult_vec(v).items())
-            if map_tensor(R, pb, pb, terms):
+            if map_tensor(R, pb, pb, G.comult_vec(v)):
                 return VerificationReport(False, "coideal", (t,))
         for t, v in enumerate(self.ideal):
             if project(R, pb, nonzeros(R, G.antipode_vec(v))):
@@ -314,20 +307,24 @@ class ClosedSubgroup:
         column j, and pi(e_c) = -row_t where c is the pivot of row t."""
         if self.ideal.nonunit is not None:
             raise HopfError("quotient is not a free module (non-unit pivot)")
-        if self._quotient is None:
-            R, m = self.ambient.ring, self.ambient.rank
-            free_cols = sorted(set(range(m)) - set(self.ideal.cols))
-            at = {j: s for s, j in enumerate(free_cols)}
-            pb = [[(at[j], R.one)] if j in at else None for j in range(m)]
-            for row, c in zip(self.ideal, self.ideal.cols):
-                pb[c] = [(at[x], R.neg(a)) for x, a in nonzeros(R, row) if x != c]
-            self._quotient = free_cols, pb
         return self._quotient
+
+    @functools.cached_property
+    def _quotient(self):
+        R, m = self.ambient.ring, self.ambient.rank
+        free_cols = sorted(set(range(m)) - set(self.ideal.cols))
+        at = {j: s for s, j in enumerate(free_cols)}
+        pb = [[(at[j], R.one)] if j in at else None for j in range(m)]
+        for row, c in zip(self.ideal, self.ideal.cols):
+            pb[c] = [(at[x], R.neg(a)) for x, a in nonzeros(R, row) if x != c]
+        return free_cols, pb
 
     def scheme(self) -> GroupScheme:
         """The subgroup scheme Spec(A/I)."""
-        if self._scheme is not None:
-            return self._scheme
+        return self._scheme
+
+    @functools.cached_property
+    def _scheme(self) -> GroupScheme:
         G = self.ambient
         R = G.ring
         M, C, S = G.sparse
@@ -335,11 +332,19 @@ class ClosedSubgroup:
         mult = [[project(R, pb, M[a][b]) for b in free_cols] for a in free_cols]
         comult = [map_tensor(R, pb, pb, C[a]) for a in free_cols]
         antipode = [project(R, pb, S[a]) for a in free_cols]
-        self._scheme = GroupScheme.from_tables(
+        return GroupScheme.from_tables(
             R, len(free_cols), (mult, comult, antipode),
             dense(R, len(free_cols), project(R, pb, nonzeros(R, G.unit))),
             [G.counit[a] for a in free_cols])
-        return self._scheme
+
+    @functools.cached_property
+    def _normal(self):
+        """`is_normal`'s verdict: the first t with (id (x) pi) ad(v_t) != 0."""
+        G, R = self.ambient, self.ambient.ring
+        ident = [[(j, R.one)] for j in range(G.rank)]
+        pb = self.quotient_data()[1]
+        return next(((False, t) for t, v in enumerate(self.ideal)
+                     if map_tensor(R, ident, pb, conjugation_tensor(G, v))), (True, None))
 
     def inclusion(self) -> GroupSchemeHom:
         """The closed immersion scheme(self) -> ambient."""
@@ -414,14 +419,15 @@ def intersect(H1: ClosedSubgroup, H2: ClosedSubgroup) -> ClosedSubgroup:
     return ClosedSubgroup(H1.ambient, canonical_span(H1.ambient.ring, H1.ideal + H2.ideal))
 
 
-def conjugation_tensor(G: GroupScheme, v) -> dict:
-    """ad(v) = sum v_(1) S(v_(3)) (x) v_(2) as {(j,k): coeff}, projected
-    through the scheme's kept ad(e_i), as ad is linear in v.
+def conjugation_tensor(G: GroupScheme, v):
+    """ad(v) = sum v_(1) S(v_(3)) (x) v_(2) as its nonzero (j, k, c) in
+    increasing (j, k), projected through the scheme's kept ad(e_i), as ad
+    is linear in v.
 
     The subgroup cut out by an ideal I is normal iff ad(I) lies in
     A (x) I: the conjugated element stays in the subgroup whatever the
     conjugating point does on the first tensor factor."""
-    return dict(project(G.ring, G.adjoint, nonzeros(G.ring, v)))
+    return [(j, k, c) for (j, k), c in project(G.ring, G.adjoint, nonzeros(G.ring, v))]
 
 
 def is_normal(H: ClosedSubgroup):
@@ -430,17 +436,6 @@ def is_normal(H: ClosedSubgroup):
 
     ad(v) lies in A (x) I = ker(id (x) pi) exactly when (id (x) pi) ad(v) = 0.
     This reads pi, so a non-flat I raises HopfError (see `quotient_data`)."""
-    if H._normal is None:
-        G, R = H.ambient, H.ambient.ring
-        ident = [[(j, R.one)] for j in range(G.rank)]
-        pb = H.quotient_data()[1]
-
-        def outside(v):  # (id (x) pi) ad(v) != 0
-            ad = conjugation_tensor(G, v)
-            return map_tensor(R, ident, pb, ((j, k, c) for (j, k), c in ad.items()))
-
-        H._normal = next(((False, t) for t, v in enumerate(H.ideal) if outside(v)),
-                         (True, None))
     return H._normal
 
 
@@ -489,7 +484,7 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
     mult = [[coords(G.mul_vec(a, b)) for b in B] for a in B]
     comult = []
     for b in B:
-        terms = sorted((j, k, c) for (j, k), c in G.comult_vec(b).items())
+        terms = G.comult_vec(b)
         x = map_tensor(R, kappa, kappa, terms)
         if map_tensor(R, beta, beta, x) != terms:
             raise HopfError("comultiplication does not restrict to coinvariants")

@@ -20,6 +20,8 @@ Every Hopf operation and base change reads the tables, so none scans
 the zeros of the m^3 dense entries.  The dense lists `mult`, `comult` and
 `antipode` are what the constructor and `from_dict` take and what
 `to_dict` writes; a scheme derives them from its tables on first use.
+An element of A (x) A is the sorted list of its nonzero (j, k, c), as a
+comult row is: Delta(v) (`comult_vec`), ad(v) and `map_tensor`'s output.
 A linear map f is applied in one sparse form, on the nonzeros of its rows
 f(e_j): f(v) by `project` and (f (x) g)(t) by `map_tensor`.  A
 homomorphism keeps the rows of its algebra map (`GroupSchemeHom.rows`),
@@ -384,18 +386,14 @@ class GroupScheme:
         return dense(R, self.rank, project(R, self.sparse.antipode, nonzeros(R, v)))
 
     def comult_vec(self, v):
-        """Delta(v) as a dict {(j, k): coeff}."""
-        R = self.ring
-        nonzero, add, mul, zero = R.nonzero, R.add, R.mul, R.zero
-        C = self.sparse.comult
+        """Delta(v) as its nonzero (j, k, c) in increasing (j, k)."""
+        R, C = self.ring, self.sparse.comult
+        zero, add, mul = R.zero, R.add, R.mul
         out: dict = {}
-        for i, a in enumerate(v):
-            if not nonzero(a):
-                continue
+        for i, a in nonzeros(R, v):
             for j, k, c in C[i]:
-                key = (j, k)
-                out[key] = add(out.get(key, zero), mul(a, c))
-        return {key: c for key, c in out.items() if nonzero(c)}
+                out[(j, k)] = add(out.get((j, k), zero), mul(a, c))
+        return sorted((j, k, c) for (j, k), c in out.items() if R.nonzero(c))
 
     def tensor_mul(self, x: dict, y: dict) -> dict:
         """Product in A (x) A of two tensors given as {(j,k): coeff}.
@@ -513,8 +511,8 @@ class GroupScheme:
             if left != basis[i] or right != basis[i]:
                 return VerificationReport(False, "counit", (i,))
         # bialgebra: Delta and counit are algebra maps
-        unit_sq = {(j, k): mul(a, b) for j, a in unit for k, b in unit}
-        if laws.delta(unit) != {key: c for key, c in unit_sq.items() if nonzero(c)}:
+        if laws.delta(unit) != [(j, k, d) for j, a in unit for k, b in unit
+                                if nonzero(d := mul(a, b))]:
             return VerificationReport(False, "bialgebra-unit", ())
         if self.counit_of(self.unit) != R.one:
             return VerificationReport(False, "counit-unit", ())
@@ -635,7 +633,7 @@ class _Laws:
                       for j in range(G.rank)]
 
     def delta(self, v):
-        """Delta of the sparse vector v as {(j, k): coeff} without zeros."""
+        """Delta of the sparse vector v, as `comult_vec` gives it."""
         return self.comult_vec(dense(self.ring, self.rank, v))
 
     def generators(self, vectors):
@@ -647,7 +645,7 @@ class _Laws:
             v = nonzeros(R, s)
             out.append(([nonzeros(R, self.combine((b, k, c) for b, c in v))
                          for k in range(self.rank)],
-                        [(a, b, c) for (a, b), c in self.delta(v).items()],
+                        self.delta(v),
                         _pair(R, v, self.counit)))
         return out
 
@@ -741,8 +739,8 @@ class _Laws:
                     for y, q in Q[j].get(key, ()):
                         for x, p in xs:
                             rhs[(x, y)] = add(rhs.get((x, y), zero), mul(p, q))
-                rhs = {key: c for key, c in rhs.items() if nonzero(c)}
-                if self.delta(rows[j]) != rhs:
+                rhs = {(x, y, c) for (x, y), c in rhs.items() if nonzero(c)}
+                if set(self.delta(rows[j])) != rhs:
                     return VerificationReport(False, "bialgebra-mult", (i, j))
                 if _pair(R, rows[j], self.counit) != mul(eps, self.counit[j]):
                     return VerificationReport(False, "counit-mult", (i, j))
@@ -833,8 +831,7 @@ class GroupSchemeHom:
             if _pair(R, A[i], S.counit) != T.counit[i]:
                 return VerificationReport(False, "hom-counit", (i,))
             # Delta_S(f(e_i)) = (f (x) f) Delta_T(e_i)
-            if sorted((j, k, c) for (j, k), c in S.comult_vec(self.alg[i]).items()) \
-                    != map_tensor(R, A, A, TC[i]):
+            if S.comult_vec(self.alg[i]) != map_tensor(R, A, A, TC[i]):
                 return VerificationReport(False, "hom-comult", (i,))
             for j in range(T.rank):
                 if project(R, A, TM[i][j]) != \
@@ -918,13 +915,18 @@ class PointGroup:
         self.elements = elements            # list of tuples, canonically sorted
         self.table = table                  # table[i][j] = index of product
         self.identity_index = identity_index
+        self._at = {p: i for i, p in enumerate(elements)}
 
     @property
     def order(self):
         return len(self.elements)
 
     def index(self, point) -> int:
-        return self.elements.index(tuple(point))
+        """The index of point; ValueError if it is not in the group."""
+        try:
+            return self._at[tuple(point)]
+        except KeyError:
+            raise ValueError(f"{tuple(point)} is not a point of the group") from None
 
     def to_dict(self):
         R = self.ring

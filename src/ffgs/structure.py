@@ -428,9 +428,10 @@ def p_primary_decompose(G: GroupScheme):
 # Connected-etale sequence
 
 
-def connected_etale_sequence(G: GroupScheme) -> ExtensionWitness:
+def connected_etale_sequence(G: GroupScheme, budget: int = 200000) -> ExtensionWitness:
+    """1 -> G^0 -> G -> G_et -> 1, its ledger within `budget` points."""
     H = identity_component(G)
-    E = extension_witness(G, H)
+    E = extension_witness(G, H, budget)
     flag, disc = is_etale(E.quotient)
     if not flag:
         raise InternalInconsistencyError(

@@ -500,6 +500,23 @@ def test_refine_ledger_keeps_the_points_budget(capsys):
         assert all(row["counts"][1] == 6 for row in ledger)
 
 
+def test_connected_etale_ledger_keeps_the_points_budget(capsys):
+    """connected-etale takes the ledger's points within --budget-points: a
+    bound of 1 skips the two rows over dual numbers of mu_2 over GF(2),
+    which have 2 and 4 points, and keeps the five field rows; without the
+    flag all seven rows stay."""
+    base = ["connected-etale", "--builtin", "mu:2", "--base", "GF(2)", "--format", "json"]
+    code, out = run(capsys, *base)
+    whole = json.loads(out)["ledger"]
+    assert code == 0 and len(whole) == 7
+    code, out = run(capsys, *base, "--budget-points", "1")
+    assert code == 0
+    assert json.loads(out)["ledger"] == [row for row in whole
+                                         if not row["ring"].startswith("Dual")]
+    assert sorted(row["counts"] for row in whole if row["ring"].startswith("Dual")) == \
+        [[2, 2, 1], [4, 4, 1]]
+
+
 def test_classify_p(capsys):
     code, out = run(capsys, "classify-p", "--builtin", "alpha:2",
                     "--base", "GF(2)", "--format", "json")

@@ -1234,6 +1234,19 @@ def test_point_group_without_the_counit_is_a_hopf_error():
         hopf.point_group_from_set(mu(F5, 3), [])
 
 
+def test_point_index_reads_the_kept_map_and_refuses_other_points():
+    """PointGroup.index finds each point, given as a tuple or a list, by
+    the map kept with the group, on the library's groups and the
+    oracle's, and raises ValueError for a point outside the group."""
+    G = mu(F5, 4)
+    for P in (points(G, F5), enumerate_points(G, F5)):
+        assert [P.index(list(p)) for p in P.elements] == list(range(P.order))
+        P.elements = None  # an index that scanned the list would fail now
+        assert P.index(tuple(G.counit)) == P.identity_index
+        with pytest.raises(ValueError):
+            P.index([F5.zero] * G.rank)
+
+
 def point_outcome(G, T):
     """(elements, table, identity) of points(G, T), or the error it raises."""
     try:
@@ -1529,7 +1542,8 @@ def assert_canonical_tables(G, label):
 def test_sparse_view_matches_the_dense_tensors(R):
     """The builtins, built straight into tables, and the rebased schemes,
     converted from dense lists, keep canonical tables; mul_vec, comult_vec
-    and antipode_vec give what the dense scans gave."""
+    and antipode_vec give what the dense scans gave, comult_vec as its
+    nonzero (j, k, c) in strictly increasing (j, k)."""
     rng = random.Random(20170)
     checked = 0
     for spec, G in view_cases(R, rng):
@@ -1540,7 +1554,11 @@ def test_sparse_view_matches_the_dense_tensors(R):
         vecs += [[rand_elt(R, rng) if rng.random() < 0.3 else R.zero
                   for _ in range(m)] for _ in range(3)]
         for v in vecs:
-            assert G.comult_vec(v) == dense_comult(G, v), (spec, v)
+            delta = G.comult_vec(v)
+            want = sorted((j, k, c) for (j, k), c in dense_comult(G, v).items())
+            assert delta == want, (spec, v)
+            assert all(a[:2] < b[:2] for a, b in zip(delta, delta[1:])), (spec, v)
+            assert all(R.nonzero(c) for _, _, c in delta), (spec, v)
             assert G.antipode_vec(v) == dense_antipode(G, v), (spec, v)
             for w in vecs:
                 assert G.mul_vec(v, w) == dense_mul(G, v, w), (spec, v, w)

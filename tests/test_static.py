@@ -13,7 +13,9 @@ the kernel of an algebra map, an ideal already.  pi is read off the
 ideal's rows, the Hopf-ideal report, the subgroup scheme and normality
 read membership and tables through pi alone, homomorphisms and
 convolutions read sparse rows, every map f(v) is hopf.project and every
-map f (x) g on A (x) A is hopf.map_tensor."""
+map f (x) g on A (x) A is hopf.map_tensor.  Delta(v) and ad(v) come in
+map_tensor's form, the sorted nonzero (j, k, c), so no code that makes
+one converts it from a dict."""
 
 import ast
 from functools import cache
@@ -387,23 +389,30 @@ def test_ideals_are_closed_in_kernel_only():
     assert callers(tree, "ideal_closure") == ["f", "C.m.g", ""]
 
 
-def defined_scopes(tree):
-    """Dotted names of the module's functions and of its classes' methods."""
-    out = set()
+def scope_nodes(tree):
+    """{dotted name: node} of the module's functions and its classes' methods."""
+    out = {}
     for n in tree.body:
         if isinstance(n, ast.FunctionDef):
-            out.add(n.name)
+            out[n.name] = n
         elif isinstance(n, ast.ClassDef):
-            out |= {f"{n.name}.{m.name}" for m in n.body
+            out |= {f"{n.name}.{m.name}": m for m in n.body
                     if isinstance(m, ast.FunctionDef)}
     return out
 
 
+def defined_scopes(tree):
+    """Dotted names of the module's functions and of its classes' methods."""
+    return set(scope_nodes(tree))
+
+
 def test_subgroups_and_quotient_read_sparse_rows_only():
-    """ClosedSubgroup.quotient_data reads pi off the canonical rows of the
-    ideal, ClosedSubgroup._hopf_ideal_report tests v in I as pi(v) = 0,
-    ClosedSubgroup.scheme projects its tables and is_normal tests
-    (id (x) pi) ad(v) = 0, all through the sparse pi(e_j) rows; quotient
+    """ClosedSubgroup.quotient_data (its cached ClosedSubgroup._quotient)
+    reads pi off the canonical rows of the ideal,
+    ClosedSubgroup._hopf_ideal_report tests v in I as pi(v) = 0,
+    ClosedSubgroup.scheme (ClosedSubgroup._scheme) projects its tables and
+    is_normal (ClosedSubgroup._normal) tests (id (x) pi) ad(v) = 0, all
+    through the sparse pi(e_j) rows; quotient
     reads coordinates in its coinvariant basis through the sparse kappa
     rows and checks them by expanding back through beta.  A homomorphism
     pulls back, checks itself and maps points through the kept nonzeros
@@ -413,8 +422,10 @@ def test_subgroups_and_quotient_read_sparse_rows_only():
     linear map f(v) is hopf.project, and the constructions-private
     _project it replaced is gone."""
     scopes = {"constructions.py": ("ClosedSubgroup.quotient_data",
+                                   "ClosedSubgroup._quotient",
                                    "ClosedSubgroup._hopf_ideal_report",
-                                   "ClosedSubgroup.scheme", "is_normal", "quotient"),
+                                   "ClosedSubgroup.scheme", "ClosedSubgroup._scheme",
+                                   "is_normal", "ClosedSubgroup._normal", "quotient"),
               "hopf.py": ("GroupSchemeHom.apply_alg", "GroupSchemeHom.is_valid",
                           "hom_on_points", "convolution")}
 
@@ -451,13 +462,17 @@ def test_two_tensors_are_mapped_by_map_tensor_only():
     the coinvariants of a quotient (id (x) pi), the quotient's
     comultiplication (kappa (x) kappa, read back through beta (x) beta),
     the p-primary product map
-    (pi_k (x) phi_(k+1)), the hom-comult check (f (x) f) and the
-    convolution m o (f (x) g) o Delta; the constructions-private
-    _project_tensor it replaced is gone."""
+    (pi_k (x) phi_(k+1)), the hom-comult check (f (x) f), the
+    convolution m o (f (x) g) o Delta and the semidirect product's
+    comultiplication (id (x) alpha_h^*); the constructions-private
+    _project_tensor it replaced is gone.  The subgroup scheme and the
+    normality verdict are made in the cached ClosedSubgroup._scheme and
+    ClosedSubgroup._normal."""
     want = {"constructions.ClosedSubgroup._hopf_ideal_report",
-            "constructions.ClosedSubgroup.scheme", "constructions.is_normal",
-            "constructions.quotient", "structure._slot_product_map",
-            "hopf.GroupSchemeHom.is_valid", "hopf.convolution"}
+            "constructions.ClosedSubgroup._scheme", "constructions.ClosedSubgroup._normal",
+            "constructions.quotient", "constructions.semidirect",
+            "structure._slot_product_map", "hopf.GroupSchemeHom.is_valid",
+            "hopf.convolution"}
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = parse(path)
@@ -471,3 +486,32 @@ def test_two_tensors_are_mapped_by_map_tensor_only():
                          where)
             found.add(f"{path.stem}.{scope}")
     assert found == want
+
+
+def tensors_read_as_dicts(tree):
+    """The scopes that call comult_vec or conjugation_tensor and call
+    .items(), also in a function nested in them."""
+    out = []
+    for name, node in sorted(scope_nodes(tree).items()):
+        calls = {getattr(n.func, "id", getattr(n.func, "attr", None))
+                 for n in ast.walk(node) if isinstance(n, ast.Call)}
+        if calls & {"comult_vec", "conjugation_tensor"} and "items" in calls:
+            out.append(name)
+    return out
+
+
+def test_delta_and_ad_are_read_as_triples():
+    """Delta(v) (comult_vec) and ad(v) (conjugation_tensor) are elements of
+    A (x) A in the one form map_tensor reads and returns, the sorted
+    nonzero (j, k, c), so no scope that makes one reads a dict's items."""
+    for path in sorted(SRC.glob("*.py")):
+        assert tensors_read_as_dicts(parse(path)) == [], path.name
+    snippet = ast.parse("class ClosedSubgroup:\n"
+                        "    def _normal(self):\n"
+                        "        def outside(v):\n"
+                        "            return conjugation_tensor(G, v).items()\n"
+                        "    def scheme(self):\n        return G.comult_vec(v)\n"
+                        "def is_valid(f):\n    return f.items()\n"
+                        "def quotient(G, d):\n"
+                        "    return G.comult_vec(b), sorted(d.items())\n")
+    assert tensors_read_as_dicts(snippet) == ["ClosedSubgroup._normal", "quotient"]
