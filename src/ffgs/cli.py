@@ -323,8 +323,10 @@ def make_parser():
                             "sdp:<Q>,<P>,inv")
         p.add_argument("--base", help="base ring for --builtin")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--budget-points", type=int, default=200000)
-        p.add_argument("--budget-iso", type=int, default=200000)
+        if name in ("points", "connected-etale", "theorem", "split", "refine"):
+            p.add_argument("--budget-points", type=int, default=200000)
+        if name == "split":
+            p.add_argument("--budget-iso", type=int, default=200000)
         if name == "points":
             p.add_argument("--ring", help="points ring")
         if name == "loci":
@@ -347,8 +349,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.budget_points < 0 or args.budget_iso < 0:
-            raise UserError("--budget-points and --budget-iso must be >= 0")
+        for flag in ("budget_points", "budget_iso"):  # those the command has
+            if getattr(args, flag, 0) < 0:
+                raise UserError(f"--{flag.replace('_', '-')} must be >= 0")
         return COMMANDS[args.command](args)
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

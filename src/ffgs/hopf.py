@@ -908,7 +908,9 @@ def power_map_alg(G: GroupScheme, n: int):
 
 
 class PointGroup:
-    """All R'-points of G with the convolution group structure."""
+    """All R'-points of G with the convolution group structure.  The
+    point -> index map is built here, once; the builders make the group
+    from its sorted points and fill table and identity_index through it."""
 
     def __init__(self, ring: Ring, elements, table, identity_index: int):
         self.ring = ring
@@ -950,13 +952,13 @@ def point_group_from_set(GR: GroupScheme, vecs) -> PointGroup:
     m = GR.rank
     zero, nonzero, add, mul = R.zero, R.nonzero, R.add, R.mul
     pts = sorted({tuple(v) for v in vecs}, key=lambda t: tuple(R.sort_key(x) for x in t))
-    index = {p: i for i, p in enumerate(pts)}
+    P = PointGroup(R, pts, [], None)  # its table and identity are filled below
+    index = P._at
     # T[j] lists the nonzero (k, i, c_ijk)
     T = [[] for _ in range(m)]
     for i, terms in enumerate(GR.sparse.comult):
         for j, k, c in terms:
             T[j].append((k, i, c))
-    table = []
     for u in pts:
         L = [{} for _ in range(m)]
         for j, a in enumerate(u):
@@ -975,11 +977,12 @@ def point_group_from_set(GR: GroupScheme, vecs) -> PointGroup:
             if w not in index:
                 raise HopfError("point set is not closed under the group law")
             row.append(index[w])
-        table.append(row)
+        P.table.append(row)
     ident = tuple(GR.counit)
     if ident not in index:
         raise HopfError("point set lacks the identity (the counit)")
-    return PointGroup(R, pts, table, index[ident])
+    P.identity_index = index[ident]
+    return P
 
 
 def point_is_hom(GR: GroupScheme, v) -> bool:

@@ -151,17 +151,18 @@ def _point_group(GR: GroupScheme, comult, found) -> PointGroup:
     comult: (u * v)(e_i) = sum c_ijk u_j v_k = u . (C_i v)."""
     R = GR.ring
     pts = sorted(set(found), key=lambda t: tuple(R.sort_key(x) for x in t))
-    index = {p: i for i, p in enumerate(pts)}
-    table = []
+    P = PointGroup(R, pts, [], None)  # its table and identity are filled below
     for u in pts:
         row = []
         for v in pts:
-            w = tuple(R.dot(u, [R.dot(cs, v) for cs in mat]) for mat in comult)
-            if w not in index:
-                raise HopfError("point set is not closed under the group law")
-            row.append(index[w])
-        table.append(row)
-    return PointGroup(R, pts, table, index[tuple(GR.counit)])
+            w = [R.dot(u, [R.dot(cs, v) for cs in mat]) for mat in comult]
+            try:
+                row.append(P.index(w))
+            except ValueError:
+                raise HopfError("point set is not closed under the group law") from None
+        P.table.append(row)
+    P.identity_index = P.index(GR.counit)
+    return P
 
 
 # ----------------------------------------------------------------------
@@ -243,14 +244,7 @@ class AbstractGroup:
         d = self.element_order(a)
         if d == self.order:
             return [d]
-        # quotient by <a>
-        sub = set()
-        x = self.identity
-        while True:
-            sub.add(x)
-            x = self.table[x][a]
-            if x == self.identity:
-                break
+        sub = self._closure([a])  # quotient by <a>
         cosets = []
         seen = set()
         rep_of = {}
@@ -302,7 +296,8 @@ class AbstractGroup:
             count += 1
             if count > budget:
                 raise BudgetExceeded("isomorphism search budget")
-            if self._check_iso(other, gens, images):
+            phi = self.extend(other, gens, images)
+            if phi is not None and len(set(phi)) == self.order:
                 return True
         return False
 
@@ -330,7 +325,11 @@ class AbstractGroup:
                     frontier.append(y)
         return out
 
-    def _check_iso(self, other, gens, images):
+    def extend(self, other: "AbstractGroup", gens, images):
+        """[phi(x) for each x] for the homomorphism phi: self -> other with
+        phi(gens[i]) = images[i], or None if there is none.  phi is spread
+        along the Cayley graph of gens (phi(x g) = phi(x) phi(g)), so gens
+        must generate self; then every product is checked."""
         phi = {self.identity: other.identity}
         frontier = [self.identity]
         while frontier:
@@ -338,18 +337,16 @@ class AbstractGroup:
             for g, img in zip(gens, images):
                 y = self.table[x][g]
                 fy = other.table[phi[x]][img]
-                if y in phi:
-                    if phi[y] != fy:
-                        return False
-                else:
+                if y not in phi:
                     phi[y] = fy
                     frontier.append(y)
-        if len(phi) != self.order or len(set(phi.values())) != self.order:
-            return False
-        return all(
-            phi[self.table[a][b]] == other.table[phi[a]][phi[b]]
-            for a in range(self.order) for b in range(self.order)
-        )
+                elif phi[y] != fy:
+                    return None
+        n = range(self.order)
+        if any(phi[self.table[a][b]] != other.table[phi[a]][phi[b]]
+               for a in n for b in n):
+            return None
+        return [phi[x] for x in n]
 
 
 # ----------------------------------------------------------------------

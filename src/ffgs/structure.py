@@ -504,39 +504,19 @@ def hochschild_split(E: ExtensionWitness, budget: int = 200000) -> SplitResult:
 
 def _section_search(Q: AbstractGroup, Gp: AbstractGroup, out_map, budget):
     """(first homomorphic section sigma with out_map[sigma(q)] = q, or
-    None; whether every candidate was tried within the budget)."""
+    None; whether every candidate was tried within the budget).  The
+    candidates send the generators of Q to preimages under out_map, in
+    itertools.product order, and each is counted before Q.extend tries it."""
     gens = Q._small_generators()
     preimages = [
         [g for g in range(Gp.order) if out_map[g] == q] for q in gens
     ]
-    count = 0
-    for images in itertools.product(*preimages):
-        count += 1
+    for count, images in enumerate(itertools.product(*preimages), 1):
         if count > budget:
             return None, False
-        sigma = {Q.identity: Gp.identity}
-        frontier = [Q.identity]
-        ok = True
-        while frontier and ok:
-            x = frontier.pop()
-            for g, img in zip(gens, images):
-                y = Q.table[x][g]
-                fy = Gp.table[sigma[x]][img]
-                if out_map[fy] != y:
-                    ok = False
-                    break
-                if y in sigma:
-                    if sigma[y] != fy:
-                        ok = False
-                        break
-                else:
-                    sigma[y] = fy
-                    frontier.append(y)
-        if not ok or len(sigma) != Q.order:
-            continue
-        if all(sigma[Q.table[a][b]] == Gp.table[sigma[a]][sigma[b]]
-               for a in range(Q.order) for b in range(Q.order)):
-            return [sigma[q] for q in range(Q.order)], True
+        sigma = Q.extend(Gp, gens, images)
+        if sigma is not None and all(out_map[s] == q for q, s in enumerate(sigma)):
+            return sigma, True
     return None, True
 
 

@@ -64,9 +64,11 @@ def test_user_errors_exit_2(capsys):
     assert main(["order", "--builtin", "mu:3", "--base", "nonsense"]) == 2
     assert main(["verify", "--file", "/does/not/exist.json"]) == 2
     assert main(["points", "--builtin", "mu:3", "--base", "Q"]) == 2  # no --ring
-    for flag in ("--budget-points", "--budget-iso"):
-        assert main(["points", "--builtin", "mu:3", "--base", "GF(5)",
-                     "--ring", "GF(5)", flag, "-1"]) == 2
+    capsys.readouterr()
+    for argv, flag in ((["points", "--ring", "GF(5)"], "--budget-points"),
+                       (["split"], "--budget-points"), (["split"], "--budget-iso")):
+        assert main(argv + ["--builtin", "mu:3", "--base", "GF(5)", flag, "-1"]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be >= 0\n", argv
     # Spec Z/6 is not connected, and V_2 is only the point 2
     assert main(["theorem", "--builtin", "mu:6", "--base", "Z/6"]) == 2
     # the points bound holds over finite fields too: mu_6 has 6 points over
@@ -87,6 +89,32 @@ def test_user_errors_exit_2(capsys):
                  ["loci", "--prime", "-3"]):
         assert main(argv + ["--builtin", "mu:6", "--base", "Q"]) == 2, argv
         assert "prime" in capsys.readouterr().err, argv
+
+
+def test_budget_flags_only_on_the_commands_that_read_them(capsys):
+    """--budget-points is taken by points, connected-etale, theorem, split
+    and refine, and --budget-iso by split alone; every other command
+    refuses them through argparse (exit 2), where it would run without."""
+    base = ["--builtin", "mu:3", "--base", "GF(5)"]
+    others = [["verify"], ["order"], ["dual"], ["decompose-p"], ["fibers"],
+              ["loci", "--prime", "3"], ["classify-p"]]
+    refused = [(argv, flag) for argv in others
+               for flag in ("--budget-points", "--budget-iso")]
+    refused.append((["theorem"], "--budget-iso"))
+    for argv, flag in refused:
+        capsys.readouterr()
+        assert main(argv + base) in (0, 1), argv
+        capsys.readouterr()
+        assert main(argv + base + [flag, "5"]) == 2, (argv, flag)
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err, (argv, flag)
+    taken = [(["points", "--ring", "GF(5)"], "--budget-points"),
+             (["connected-etale"], "--budget-points"), (["theorem"], "--budget-points"),
+             (["split"], "--budget-points"), (["split"], "--budget-iso"),
+             (["refine", "--kernels", "3,1"], "--budget-points")]
+    for argv, flag in taken:
+        capsys.readouterr()
+        assert main(argv + base + [flag, "5"]) in (0, 1), (argv, flag)
+        assert capsys.readouterr().err == "", (argv, flag)
 
 
 def test_missing_preconditions_exit_2(capsys):

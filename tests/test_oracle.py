@@ -1,10 +1,14 @@
+import itertools
 import random
+
+import pytest
 
 from ffgs.constructions import alpha, constant, constant_cyclic, mu, direct_product
 from ffgs import hopf
 from ffgs.hopf import GroupScheme, points
-from ffgs.oracle import (AbstractGroup, cyclic_table, enumerate_points,
-                         product_table, s3_table, subgroup_lattice)
+from ffgs.oracle import (AbstractGroup, BudgetExceeded, cyclic_table,
+                         enumerate_points, product_table, s3_table,
+                         subgroup_lattice)
 from ffgs.rings import parse_ring
 from ffgs.testrings import test_ring_family as ring_family
 from test_hopf import rebased, unitriangular
@@ -43,6 +47,75 @@ def test_identify_small_groups():
     assert c6.is_isomorphic_to(AbstractGroup(cyclic_table(6)))
     assert not AbstractGroup(cyclic_table(4)).is_isomorphic_to(
         AbstractGroup(product_table(cyclic_table(2), cyclic_table(2))))
+
+
+def q8_table():
+    """The quaternion group: (s, u) is (-1)^s u, u one of 1, i, j, k."""
+    units = {(1, 1): (1, 0), (2, 2): (1, 0), (3, 3): (1, 0),
+             (1, 2): (0, 3), (2, 3): (0, 1), (3, 1): (0, 2),
+             (2, 1): (1, 3), (3, 2): (1, 1), (1, 3): (1, 2)}
+    elems = list(itertools.product(range(2), range(4)))
+
+    def mul(x, y):
+        if x[1] == 0 or y[1] == 0:
+            return (x[0] + y[0]) % 2, x[1] + y[1]
+        s, u = units[x[1], y[1]]
+        return (x[0] + y[0] + s) % 2, u
+    return [[elems.index(mul(x, y)) for y in elems] for x in elems]
+
+
+def c4_by_c4_table():
+    """C4 x| C4, the second factor acting on the first by inversion."""
+    elems = list(itertools.product(range(4), range(4)))
+    return [[elems.index(((a + (-1) ** b * c) % 4, (b + d) % 4)) for c, d in elems]
+            for a, b in elems]
+
+
+def relabelled(table, pi):
+    """The same group with each element a renamed pi[a]."""
+    out = [[None] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, c in enumerate(row):
+            out[pi[a]][pi[b]] = pi[c]
+    return out
+
+
+def test_extend_spreads_generator_images_or_refuses():
+    C4, C2 = AbstractGroup(cyclic_table(4)), AbstractGroup(cyclic_table(2))
+    assert C4.extend(C2, [1], [1]) == [0, 1, 0, 1]
+    assert C4.extend(C4, [1], [3]) == [0, 3, 2, 1]
+    assert AbstractGroup(cyclic_table(3)).extend(C2, [1], [1]) is None
+    S3 = AbstractGroup(s3_table())
+    gens = S3._small_generators()
+    assert S3.extend(S3, gens, gens) == list(range(6))
+    # S3 -> C2 is the sign: the transpositions go to 1, the 3-cycles to 0
+    sign = [sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2
+            for p in sorted(itertools.permutations(range(3)))]
+    assert S3.extend(C2, gens, [sign[g] for g in gens]) == sign
+    assert S3.extend(C2, gens, [0] * len(gens)) == [0] * 6
+    assert S3.extend(C2, gens, [sign[gens[0]], 1 - sign[gens[1]]]) is None
+
+
+def test_nonabelian_isomorphism_search():
+    """The generator search of is_isomorphic_to on non-abelian groups:
+    C4 x| C4 and C2 x Q8 have the same order, element orders and
+    non-commutativity, so only the search tells them apart."""
+    rng = random.Random(29)
+    c4c4 = AbstractGroup(c4_by_c4_table())
+    c2q8 = AbstractGroup(product_table(cyclic_table(2), q8_table()))
+    for table in (s3_table(), q8_table(), c4_by_c4_table()):
+        G = AbstractGroup(table)
+        assert not G.is_abelian()
+        pi = rng.sample(range(G.order), G.order)
+        assert G.is_isomorphic_to(AbstractGroup(relabelled(table, pi)))
+    assert AbstractGroup(q8_table()).identify() == "Q8"
+    assert c4c4.element_orders() == c2q8.element_orders()
+    assert not c2q8.is_abelian()
+    assert not c4c4.is_isomorphic_to(c2q8)
+    assert not c2q8.is_isomorphic_to(c4c4)
+    with pytest.raises(BudgetExceeded):
+        AbstractGroup(s3_table()).is_isomorphic_to(
+            AbstractGroup(relabelled(s3_table(), [1, 2, 0, 4, 5, 3])), budget=0)
 
 
 def test_enumerate_matches_points_mu():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -32,6 +33,7 @@ from ffgs.testrings import test_ring_family as ring_family
 from test_acceptance import theorem_corpus
 from test_hopf import built, rebased, unitriangular
 from test_linalg import solve
+from test_oracle import relabelled
 
 Q = parse_ring("Q")
 F2 = parse_ring("GF(2)")
@@ -409,6 +411,44 @@ def test_theorem_rejects_non_squarefree():
 # the splitting search against the recomputation it replaced
 
 
+def _reference_section_search(Q, Gp, out_map, budget):
+    """_section_search as it was: its own walk over the Cayley graph of Q,
+    testing out_map[sigma(y)] = y on each edge it takes."""
+    gens = Q._small_generators()
+    preimages = [
+        [g for g in range(Gp.order) if out_map[g] == q] for q in gens
+    ]
+    count = 0
+    for images in itertools.product(*preimages):
+        count += 1
+        if count > budget:
+            return None, False
+        sigma = {Q.identity: Gp.identity}
+        frontier = [Q.identity]
+        ok = True
+        while frontier and ok:
+            x = frontier.pop()
+            for g, img in zip(gens, images):
+                y = Q.table[x][g]
+                fy = Gp.table[sigma[x]][img]
+                if out_map[fy] != y:
+                    ok = False
+                    break
+                if y in sigma:
+                    if sigma[y] != fy:
+                        ok = False
+                        break
+                else:
+                    sigma[y] = fy
+                    frontier.append(y)
+        if not ok or len(sigma) != Q.order:
+            continue
+        if all(sigma[Q.table[a][b]] == Gp.table[sigma[a]][sigma[b]]
+               for a in range(Q.order) for b in range(Q.order)):
+            return [sigma[q] for q in range(Q.order)], True
+    return None, True
+
+
 def _reference_hochschild_split(E, budget=200000):
     """hochschild_split as it was: points and the index map over every test
     ring made again, under the section search budget."""
@@ -441,15 +481,45 @@ def _reference_hochschild_split(E, budget=200000):
         out_map = hom_on_points(E.projection, PG, PQ, hom)
         if len(set(out_map)) != PQ.order:
             continue
-        section = _section_search(AbstractGroup.from_points(PQ),
-                                  AbstractGroup.from_points(PG),
-                                  out_map, budget)[0]
+        section = _reference_section_search(AbstractGroup.from_points(PQ),
+                                            AbstractGroup.from_points(PG),
+                                            out_map, budget)[0]
         if section is not None:
             return SplitResult("found", T.name(), section)
         return SplitResult("not-found", T.name(),
                            detail="search exhausted without a section")
     return SplitResult("no-splitting-ring",
                        detail="no test ring gives the quotient full points")
+
+
+def test_section_search_matches_reference():
+    """_section_search gives the old walk's (section, complete) under
+    budgets 0, 1, 3 and the default, on every ledger ring where the
+    quotient has all its points: for the theorem corpus and the order-3
+    kernels of S3, on the ledger's own point groups, on G(T) relabelled,
+    and with out_map shuffled (then mostly no homomorphism)."""
+    rng = random.Random(29)
+    witnesses = [theorem_decompose(G).witness for G in theorem_corpus()]
+    witnesses += [extension_witness(G, order_p_subgroup(G, 3)) for G in
+                  (constant(Q, s3_table()), s3_semidirect(F7), constant(F5, s3_table()))]
+    outcomes = set()
+    for E in witnesses:
+        for T, PG, PQ, out_map in E.ledger_points:
+            if PQ.order != E.quotient.rank:
+                continue
+            Qg, Gp = AbstractGroup.from_points(PQ), AbstractGroup.from_points(PG)
+            pi = rng.sample(range(Gp.order), Gp.order)
+            moved = [None] * Gp.order
+            for g, q in enumerate(out_map):
+                moved[pi[g]] = q
+            shuffled = rng.sample(out_map, len(out_map))
+            for G2, f in ((Gp, out_map), (AbstractGroup(relabelled(Gp.table, pi)), moved),
+                          (Gp, shuffled)):
+                for budget in (0, 1, 3, 200000):
+                    want = _reference_section_search(Qg, G2, f, budget)
+                    assert _section_search(Qg, G2, f, budget) == want, (T.name(), budget)
+                    outcomes.add((want[0] is not None, want[1]))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def split_outcome(split, E):

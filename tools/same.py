@@ -49,6 +49,7 @@ SWEEP_COMMANDS = [
     ["theorem"], ["theorem", "--format", "json"], ["theorem", "--budget-points", "3"],
     ["fibers"], ["loci", "--prime", "2"], ["loci", "--prime", "3"],
     ["split"], ["split", "--kernel", "2"], ["split", "--kernel", "3"],
+    ["split", "--budget-iso", "1"],
     ["connected-etale"], ["connected-etale", "--format", "json"],
     ["decompose-p"], ["refine", "--kernels", "2,3"], ["classify-p"],
     ["dual", "--format", "json"],
