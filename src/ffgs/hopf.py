@@ -739,8 +739,9 @@ class _Laws:
                     for y, q in Q[j].get(key, ()):
                         for x, p in xs:
                             rhs[(x, y)] = add(rhs.get((x, y), zero), mul(p, q))
-                rhs = {(x, y, c) for (x, y), c in rhs.items() if nonzero(c)}
-                if set(self.delta(rows[j])) != rhs:
+                # in comult_vec's form: the sorted (x, y, c), each (x, y) once
+                rhs = sorted([(x, y, c) for (x, y), c in rhs.items() if nonzero(c)])
+                if self.delta(rows[j]) != rhs:
                     return VerificationReport(False, "bialgebra-mult", (i, j))
                 if _pair(R, rows[j], self.counit) != mul(eps, self.counit[j]):
                     return VerificationReport(False, "counit-mult", (i, j))

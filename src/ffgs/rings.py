@@ -1,7 +1,8 @@
 """Exact base rings: Q, GF(p), GF(p^k), Z/n, Z localized at p, dual numbers.
 
 Elements use canonical encodings so that ``==`` decides equality:
-  Q, Zloc(p)   -> fractions.Fraction (reduced; Zloc denominators coprime to p)
+  Q, Zloc(p)   -> int where integral, else fractions.Fraction (reduced;
+                  Zloc denominators coprime to p)
   GF(p), Z/n   -> int in range(modulus)
   GF(p^k)      -> tuple of k ints, coefficient of x^i at index i
   Dual(F)      -> pair (a, b) of F-elements, meaning a + b*eps, eps^2 = 0
@@ -300,12 +301,21 @@ class Ring:
         return ()
 
 
-class _Fractions(Ring):
-    """The arithmetic Q and Zloc(p) share: elements are Fractions, so every
-    operation is native."""
+def _quotient(a, b):
+    """a / b in Q: an int where the quotient is integral, else a Fraction.
+    The one true division of ffgs, as int / int is a float."""
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
 
-    zero = Fraction(0)
-    one = Fraction(1)
+
+class _Fractions(Ring):
+    """The arithmetic Q and Zloc(p) share: an element is an int where it is
+    integral and a Fraction where a division made it one, so every
+    operation is native, and int with int stays in C.  A Fraction that is
+    integral may stay one: it equals and hashes as its int."""
+
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -323,7 +333,7 @@ class _Fractions(Ring):
         return [x - q * y if y else x for x, y in zip(row, piv)]
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def char(self):
         return 0
@@ -333,6 +343,9 @@ class _Fractions(Ring):
 
     def show(self, a):
         return str(a)
+
+    def parse(self, text):
+        return _quotient(_parse_number(Fraction, text), 1)
 
 
 class RationalField(_Fractions):
@@ -344,7 +357,7 @@ class RationalField(_Fractions):
     def inv(self, a):
         if a == 0:
             raise RingError("division by zero in Q")
-        return 1 / Fraction(a)
+        return _quotient(1, a)
 
     def name(self):
         return "Q"
@@ -359,19 +372,16 @@ class RationalField(_Fractions):
         if not ints:
             return []
         low = next(i for i, c in enumerate(ints) if c)
-        out = {Fraction(0)} if low else set()
+        out = {0} if low else set()
         for a in _divisors(ints[low]):
             for b in _divisors(ints[-1]):
-                for cand in (Fraction(a, b), Fraction(-a, b)):
-                    acc = Fraction(0)
+                for cand in (_quotient(a, b), _quotient(-a, b)):
+                    acc = 0
                     for c in reversed(coeffs):
                         acc = acc * cand + c
                     if not acc:
                         out.add(cand)
         return sorted(out, key=self.sort_key)
-
-    def parse(self, text):
-        return _parse_number(Fraction, text)
 
 
 class _Residues(Ring):
@@ -780,7 +790,7 @@ class IntegersMod(_Residues):
 
     def det(self, M):
         """The Q determinant of the integer lifts, reduced mod n."""
-        d = QQ.det([[Fraction(x) for x in row] for row in M])
+        d = QQ.det(M)
         return int(d) % self.n
 
 
@@ -806,7 +816,7 @@ class LocalizedIntegers(_Fractions):
     def inv(self, a):
         if not self.is_unit(a):
             raise RingError(f"{a} is not a unit in Zloc({self.p})")
-        return 1 / a
+        return _quotient(1, a)
 
     def valuation(self, a) -> int:
         if a == 0:
@@ -822,21 +832,21 @@ class LocalizedIntegers(_Fractions):
         return f"Zloc({self.p})"
 
     def parse(self, text):
-        return self._check(_parse_number(Fraction, text))
+        return self._check(super().parse(text))
 
     # Staircase form: pivots p^v, entries above a pivot p^v reduced to
     # their integer residue in range(p^v).
     def normalize_pivot(self, row, col):
-        u = row[col] / self.p ** self.valuation(row[col])
+        u = _quotient(row[col], self.p ** self.valuation(row[col]))
         if u == 1:
             return row
-        ui = 1 / u
+        ui = _quotient(1, u)
         return [x * ui for x in row]
 
     def divmod_pivot(self, a, pivot):
         m = pivot.numerator  # the pivot is p^v
-        r = Fraction(a.numerator * pow(a.denominator, -1, m) % m)
-        return (a - r) / pivot, r
+        r = a.numerator * pow(a.denominator, -1, m) % m
+        return _quotient(a - r, pivot), r
 
     def det(self, M):
         return QQ.det(M)

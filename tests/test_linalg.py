@@ -188,7 +188,9 @@ def test_echelon_pivot_normalization():
 # kernels, coefficient solutions and determinants of seeded random spans
 # over every base family.  It was recorded before the canonical-form rules
 # moved onto the Ring classes, and pins the forms to be literal-list-equal
-# to those of the per-ring implementation.
+# to those of the per-ring implementation.  Elements of Q, Zloc(p) and
+# Dual(Q) were all Fractions then; an integral one may now be an int of the
+# same value, so each is hashed as a Fraction.
 
 DIGEST_RINGS = [PrimeField(5), gf(2, 2), QQ, IntegersMod(8), IntegersMod(12),
                 IntegersMod(30), LocalizedIntegers(2), LocalizedIntegers(3),
@@ -234,16 +236,42 @@ def canonical_form_records():
             outside = [digest_elt(R, rng) for _ in range(ncols)]
             n = rng.randrange(1, 5)
             M = [[digest_elt(R, rng) for _ in range(n)] for _ in range(n)]
+            e = recorded_form(R)
             out.append((
                 R.name(),
-                echelon_triple(R, rows),
-                echelon_triple(R, rows, nprimary),
-                row_kernel(R, rows),
-                member_with_coeffs(R, rows, inside),
-                member_with_coeffs(R, rows, outside),
-                R.det(M),
+                encode_triple(e, echelon_triple(R, rows)),
+                encode_triple(e, echelon_triple(R, rows, nprimary)),
+                encode_rows(e, row_kernel(R, rows)),
+                encode_vector(e, member_with_coeffs(R, rows, inside)),
+                encode_vector(e, member_with_coeffs(R, rows, outside)),
+                e(R.det(M)),
             ))
     return out
+
+
+def recorded_form(R):
+    """The map taking an element of R to the form the digest was recorded
+    in: each Q, Zloc(p) or Dual(Q) entry a Fraction, the others as they
+    are."""
+    if isinstance(R, DualNumbers):
+        base = recorded_form(R.base)
+        return lambda a: (base(a[0]), base(a[1]))
+    return Fraction if R.char() == 0 else (lambda a: a)
+
+
+def encode_vector(e, v):
+    return None if v is None else [e(x) for x in v]
+
+
+def encode_rows(e, rows):
+    return [encode_vector(e, row) for row in rows]
+
+
+def encode_triple(e, triple):
+    """echelon_triple's result with its elements encoded; the pivot
+    columns stay as they are."""
+    span, pivots, free = triple
+    return encode_rows(e, span), [(c, e(p)) for c, p in pivots], encode_rows(e, free)
 
 
 def test_canonical_form_digest():

@@ -20,6 +20,7 @@ from ffgs.rings import (
     LocalizedIntegers,
     PrimeField,
     QQ,
+    RationalField,
     Ring,
     RingError,
     _direct_hom,
@@ -549,3 +550,198 @@ def test_roots_match_evaluation_at_every_element():
     check_finite()
     check_rational()
     assert QQ.roots([]) == [] and QQ.roots([Fraction(0)] * 3) == []
+
+
+# -- Q, Zloc(p) and Dual(Q) against an all-Fraction reference -------------
+#
+# An integral element of Q or Zloc(p) is an int, and a Fraction appears
+# only where a division makes one.  The reference rings below keep every
+# element a Fraction, as ffgs once did.
+
+
+class FractionQ(RationalField):
+    """Q with every element a Fraction."""
+
+    zero, one = Fraction(0), Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def inv(self, a):
+        if a == 0:
+            raise RingError("division by zero in Q")
+        return 1 / Fraction(a)
+
+    def parse(self, text):
+        return Fraction(text)
+
+    def roots(self, coeffs):
+        den = math.lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * den) for c in coeffs]
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints:
+            return []
+        low = next(i for i, c in enumerate(ints) if c)
+        divisors = lambda n: [d for d in range(1, abs(n) + 1) if n % d == 0]
+        out = {Fraction(0)} if low else set()
+        for a in divisors(ints[low]):
+            for b in divisors(ints[-1]):
+                for cand in (Fraction(a, b), Fraction(-a, b)):
+                    acc = Fraction(0)
+                    for c in reversed(coeffs):
+                        acc = acc * cand + c
+                    if not acc:
+                        out.add(cand)
+        return sorted(out, key=self.sort_key)
+
+
+class FractionZloc(LocalizedIntegers):
+    """Zloc(p) with every element a Fraction."""
+
+    zero, one = Fraction(0), Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def inv(self, a):
+        if not self.is_unit(a):
+            raise RingError(f"{a} is not a unit in Zloc({self.p})")
+        return 1 / Fraction(a)
+
+    def parse(self, text):
+        return self._check(Fraction(text))
+
+    def normalize_pivot(self, row, col):
+        u = row[col] / self.p ** self.valuation(row[col])
+        return row if u == 1 else [x * (1 / u) for x in row]
+
+    def divmod_pivot(self, a, pivot):
+        m = pivot.numerator
+        r = Fraction(a.numerator * pow(a.denominator, -1, m) % m)
+        return (a - r) / pivot, r
+
+    def det(self, M):
+        return FractionQ().det(M)
+
+
+FRACTION_PAIRS = [(QQ, FractionQ()), (LocalizedIntegers(2), FractionZloc(2)),
+                  (LocalizedIntegers(3), FractionZloc(3)),
+                  (DualNumbers(QQ), DualNumbers(FractionQ()))]
+
+
+def all_fractions(R, x):
+    """x, an element, row or matrix of R, with every Q entry a Fraction."""
+    if isinstance(x, list):
+        return [all_fractions(R, y) for y in x]
+    if isinstance(R, DualNumbers):
+        return (Fraction(x[0]), Fraction(x[1]))
+    return Fraction(x)
+
+
+def exact(x):
+    """Whether no entry of x is a float."""
+    if isinstance(x, (list, tuple)):
+        return all(exact(y) for y in x)
+    return isinstance(x, (int, Fraction))
+
+
+def int_where_integral(R, x):
+    """Whether each integral Q entry of the element x is an int."""
+    parts = x if isinstance(R, DualNumbers) else (x,)
+    return all(type(a) is int for a in parts if Fraction(a).denominator == 1)
+
+
+def same(got, want):
+    assert got == want and exact(got), (got, want)
+
+
+def test_integral_elements_are_ints_and_match_the_fraction_reference():
+    """Over Q, Zloc(2), Zloc(3) and Dual(Q), on inputs that mix ints,
+    Fractions and integral Fractions such as Fraction(4, 2): arithmetic,
+    inv, parse, the canonical-form hooks, det and roots equal the
+    all-Fraction reference, and no result is a float.  from_int, zero,
+    one, parse, roots and (over Q and Zloc) inv give an int wherever the
+    value is integral, and divmod_pivot's remainder over Zloc is an int."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    settings = hyp.settings(max_examples=150, deadline=None, derandomize=True,
+                            database=None)
+    numerators = st.integers(-40, 40)
+
+    def rationals(R):
+        """ints, Fractions and integral Fractions of R."""
+        p = getattr(R, "p", 0)
+        dens = [d for d in range(1, 13) if not p or d % p]
+        return (numerators
+                | st.builds(Fraction, numerators, st.sampled_from(dens))
+                | st.builds(lambda n, k: Fraction(n * k, k), numerators,
+                            st.integers(1, 6)))
+
+    def elements(R):
+        if isinstance(R, DualNumbers):
+            return st.tuples(rationals(R.base), rationals(R.base))
+        return rationals(R)
+
+    def literals(R):
+        """Element literals of R, reduced or not, some outside Zloc(p)."""
+        one = st.one_of(st.builds("{}".format, numerators),
+                        st.builds("{}/{}".format, numerators, st.integers(1, 12)))
+        if isinstance(R, DualNumbers):
+            return one | st.builds("({})+eps*({})".format, one, one)
+        return one
+
+    def parsed(R, text):
+        try:
+            return R.parse(text)
+        except RingError:
+            return RingError
+
+    @settings
+    @hyp.given(st.sampled_from(FRACTION_PAIRS), st.data())
+    def check(pair, data):
+        R, ref = pair
+        a, b = data.draw(elements(R)), data.draw(elements(R))
+        fa, fb = all_fractions(R, a), all_fractions(R, b)
+        same(R.add(a, b), ref.add(fa, fb))
+        same(R.sub(a, b), ref.sub(fa, fb))
+        same(R.mul(a, b), ref.mul(fa, fb))
+        same(R.neg(a), ref.neg(fa))
+        assert R.is_unit(a) == ref.is_unit(fa)
+        if R.is_unit(a):
+            same(R.inv(a), ref.inv(fa))
+            if not isinstance(R, DualNumbers):
+                assert int_where_integral(R, R.inv(a))
+        n = data.draw(numerators)
+        for got, want in ((R.zero, ref.zero), (R.one, ref.one),
+                          (R.from_int(n), ref.from_int(n))):
+            same(got, want)
+            assert int_where_integral(R, got)
+        text = data.draw(literals(R))
+        got = parsed(R, text)
+        assert got == parsed(ref, text)
+        assert got is RingError or exact(got) and int_where_integral(R, got)
+
+        row = data.draw(st.lists(elements(R), min_size=1, max_size=4))
+        col = data.draw(st.integers(0, len(row) - 1))
+        if R.nonzero(row[col]):
+            got = R.normalize_pivot(row, col)
+            same(got, ref.normalize_pivot(all_fractions(R, row), col))
+            pivot = got[col]
+            q, r = R.divmod_pivot(a, pivot)
+            same((q, r), ref.divmod_pivot(fa, all_fractions(R, pivot)))
+            if isinstance(R, LocalizedIntegers):
+                assert type(r) is int
+
+        n = data.draw(st.integers(1, 3))
+        M = data.draw(st.lists(st.lists(elements(R), min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+        same(R.det(M), ref.det(all_fractions(R, M)))
+
+        if R is QQ:
+            coeffs = data.draw(st.lists(elements(R), max_size=5))
+            got = R.roots(coeffs)
+            same(got, ref.roots(all_fractions(R, coeffs)))
+            assert all(int_where_integral(R, x) for x in got)
+
+    check()

@@ -15,7 +15,8 @@ read membership and tables through pi alone, homomorphisms and
 convolutions read sparse rows, every map f(v) is hopf.project and every
 map f (x) g on A (x) A is hopf.map_tensor.  Delta(v) and ad(v) come in
 map_tensor's form, the sorted nonzero (j, k, c), so no code that makes
-one converts it from a dict."""
+one converts it from a dict.  The one true division, a / b, is
+rings._quotient, which keeps an integral quotient in Q an int."""
 
 import ast
 from functools import cache
@@ -515,3 +516,31 @@ def test_delta_and_ad_are_read_as_triples():
                         "def quotient(G, d):\n"
                         "    return G.comult_vec(b), sorted(d.items())\n")
     assert tensors_read_as_dicts(snippet) == ["ClosedSubgroup._normal", "quotient"]
+
+
+def true_divisions(tree):
+    """[(scope, line)] for each true division, a / b or a /= b, in source
+    order, where scope is the dotted name of the function or method
+    holding it (see scope_nodes), or None outside them."""
+    def divisions(node):
+        return [(n.lineno, n.col_offset) for n in ast.walk(node)
+                if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div)]
+
+    scope = {at: name for name, node in scope_nodes(tree).items() for at in divisions(node)}
+    return [(scope.get(at), at[0]) for at in sorted(divisions(tree))]
+
+
+def test_the_one_true_division_is_rings_quotient():
+    """int / int is a float, so no code divides but rings._quotient, which
+    gives a Fraction, or an int where the quotient is integral."""
+    found = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for scope, _ in true_divisions(parse(path))]
+    assert found == [("rings.py", "_quotient")]
+    snippet = ast.parse("X = 1 / 2\n"
+                        "def half(a):\n    return a // 2, a % 2\n"
+                        "class R:\n"
+                        "    def inv(self, a):\n"
+                        "        def f(b):\n            b /= a\n            return b\n"
+                        "        return 1 / a, (a / 2) / 3\n")
+    assert true_divisions(snippet) == [(None, 1), ("R.inv", 7), ("R.inv", 9),
+                                       ("R.inv", 9), ("R.inv", 9)]

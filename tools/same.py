@@ -41,7 +41,8 @@ SEEDS = (1, 2, 3)
 
 SCHEMES = ["mu:2", "mu:3", "mu:5", "mu:6", "mu:10", "mu:15",
            "const:Z3", "const:Z6", "const:S3", "const:Z10", "alpha:2", "alpha:3",
-           "ot2:2,-1", "ot2:-2,1", "sdp:mu:3,Z2,inv", "sdp:mu:5,Z2,inv"]
+           "ot2:2,-1", "ot2:-2,1", "ot2:4,-1/2", "ot2:2/3,-3",
+           "sdp:mu:3,Z2,inv", "sdp:mu:5,Z2,inv"]
 BASES = ["GF(2)", "GF(3)", "GF(5)", "GF(7)", "GF(2^2;x^2+x+1)", "Q",
          "Zloc(2)", "Zloc(3)", "Zloc(5)", "Z/3", "Z/4", "Z/8", "Z/6", "Z/9", "Z/27",
          "Z/35", "Dual(GF(2))", "Dual(GF(3))", "Dual(GF(5))", "Dual(Q)", "Dual(Z/3)"]
