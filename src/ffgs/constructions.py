@@ -15,16 +15,12 @@ import functools
 import itertools
 from math import comb
 
-from . import linalg
 from .linalg import (
     Span,
-    add_scaled,
     canonical_span,
     member,
     member_with_coeffs,
     row_kernel,
-    vec_scale,
-    vec_sub,
 )
 from .hopf import (
     GroupScheme,
@@ -56,7 +52,7 @@ def mu(R: Ring, n: int) -> GroupScheme:
     comult = [[(i, i, O)] for i in range(n)]
     antipode = [[(-i % n, O)] for i in range(n)]
     return GroupScheme.from_tables(R, n, (mult, comult, antipode),
-                                   [O] + [R.zero] * (n - 1), [O] * n, f"mu_{n}")
+                                   [(0, O)], [O] * n, f"mu_{n}")
 
 
 def group_of_table(table) -> AbstractGroup:
@@ -88,8 +84,9 @@ def constant(R: Ring, table, name: str | None = None) -> GroupScheme:
             comult[table[h][hp]].append((h, hp, O))
     counit = [O if g == G.identity else Z for g in range(n)]
     antipode = [[(G.inverse(g), O)] for g in range(n)]
-    return GroupScheme.from_tables(R, n, (mult, comult, antipode), [O] * n,
-                                   counit, name or f"constant({G.identify()})")
+    unit = [(g, O) for g in range(n)]
+    return GroupScheme.from_tables(R, n, (mult, comult, antipode), unit, counit,
+                                   name or f"constant({G.identify()})")
 
 
 def constant_cyclic(R: Ring, n: int) -> GroupScheme:
@@ -106,9 +103,8 @@ def alpha(R: Ring, p: int) -> GroupScheme:
     comult = [[(j, i - j, R.from_int(comb(i, j))) for j in range(i + 1)]
               for i in range(m)]
     antipode = [[(i, R.from_int((-1) ** i))] for i in range(m)]
-    e0 = [O] + [R.zero] * (m - 1)
-    return GroupScheme.from_tables(R, m, (mult, comult, antipode), e0, e0,
-                                   f"alpha_{p}")
+    return GroupScheme.from_tables(R, m, (mult, comult, antipode), [(0, O)],
+                                   [O] + [R.zero] * (m - 1), f"alpha_{p}")
 
 
 def tate_oort2(R: Ring, a, b) -> GroupScheme:
@@ -124,7 +120,7 @@ def tate_oort2(R: Ring, a, b) -> GroupScheme:
     # every point squares to the identity, so the antipode is the identity:
     # m(S(x)id)Delta(x) = 2x + b x^2 = (2 + ab) x = 0
     antipode = [[(0, O)], [(1, O)]]
-    return GroupScheme.from_tables(R, 2, (mult, comult, antipode), [O, R.zero],
+    return GroupScheme.from_tables(R, 2, (mult, comult, antipode), [(0, O)],
                                    [O, R.zero], f"ot2({R.show(a)},{R.show(b)})")
 
 
@@ -141,14 +137,14 @@ def direct_product(G: GroupScheme, H: GroupScheme) -> GroupScheme:
     (GM, GC, GS), (HM, HC, HS) = G.sparse, H.sparse
     pairs = list(itertools.product(range(mG), range(mH)))  # idx order
 
-    def product(u, v):  # u (x) v for vectors given by their nonzeros
+    def product(u, v):  # u (x) v for elements
         return [(idx(k, c), d) for k, x in u for c, y in v if nonzero(d := mul(x, y))]
 
     mult = [[product(GM[i][j], HM[a][b]) for j, b in pairs] for i, a in pairs]
     comult = [sorted((idx(j, x), idx(k, y), d) for j, k, c in GC[i] for x, y, e in HC[a]
                      if nonzero(d := mul(c, e))) for i, a in pairs]
     antipode = [product(GS[i], HS[a]) for i, a in pairs]
-    unit = [mul(G.unit[i], H.unit[a]) for i, a in pairs]
+    unit = product(G.unit, H.unit)
     counit = [mul(G.counit[i], H.counit[a]) for i, a in pairs]
     name = None
     if G.name and H.name:
@@ -160,8 +156,8 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
     """Semidirect product Q x| P with P the constant group of P_table
     acting on Q.
 
-    action[g] is the Hopf-algebra pullback matrix of the automorphism
-    alpha_g of Q (rows = images of basis vectors).  Each must be a Hopf
+    action[g] is the algebra map of the automorphism alpha_g of Q, the
+    rows alpha_g^*(e_j) as elements of Hopf(Q).  Each must be a Hopf
     automorphism, trivial at the identity, with alpha_h then alpha_g
     equal to alpha_{gh} (a left action).
 
@@ -172,13 +168,13 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
     mQ = Q.rank
     autos = {}
     for g in range(n):
-        mat = [list(v) for v in action[g]]
-        h = GroupSchemeHom(Q, Q, mat)
+        h = GroupSchemeHom(Q, Q, action[g])
         rep = h.is_valid()
         if not rep or not h.is_module_iso():
             raise HopfError(f"action entry {g} is not a Hopf automorphism: {rep}")
         autos[g] = h
-    if autos[P.identity].alg != linalg.identity_matrix(R, mQ):
+    ident = [Q.basis_vector(j) for j in range(mQ)]
+    if autos[P.identity].alg != ident:
         raise HopfError("action at the identity must be trivial")
     for g in range(n):
         for h in range(n):
@@ -194,20 +190,18 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
     # algebra: (a (x) f_g)(b (x) f_h) = delta_{g,h} ab (x) f_g
     mult = [[[(idx(k, g), c) for k, c in QM[i][j]] if g == h else []
              for j, h in pairs] for i, g in pairs]
-    unit = [Q.unit[i] for i, _ in pairs]
+    unit = [(idx(i, g), c) for i, c in Q.unit for g in range(n)]
     # Delta(a (x) f_g) = sum_{h h' = g} a_(1) (x) f_h (x) alpha_h^*(a_(2)) (x) f_h',
     # with (id (x) alpha_h^*) Delta_Q(a) made once per (a, h); the terms of
     # each h have their own first index (j, h), so none are summed across h
-    ident = [[(j, R.one)] for j in range(mQ)]
-    moved = [[map_tensor(R, ident, autos[h].rows, QC[i]) for h in range(n)]
+    moved = [[map_tensor(R, ident, autos[h].alg, QC[i]) for h in range(n)]
              for i in range(mQ)]
     comult = [sorted((idx(j, h), idx(t, P.table[P.inverse(h)][g]), c)
                      for h in range(n) for j, t, c in moved[i][h])
               for i, g in pairs]
     counit = [Q.counit[i] if g == P.identity else R.zero for i, g in pairs]
     # S(a (x) f_g) = S_Q(alpha_g^* a) (x) f_{g^{-1}}
-    antipode = [[(idx(t, P.inverse(g)), x)
-                 for t, x in nonzeros(R, Q.antipode_vec(autos[g].alg[i]))]
+    antipode = [[(idx(t, P.inverse(g)), x) for t, x in Q.antipode_vec(autos[g].alg[i])]
                 for i, g in pairs]
     name = None
     if Q.name:
@@ -222,7 +216,7 @@ def inversion_action(Q: GroupScheme, P_table):
     out = []
     for g in range(P.order):
         if g == P.identity:
-            out.append(linalg.identity_matrix(Q.ring, Q.rank))
+            out.append([Q.basis_vector(i) for i in range(Q.rank)])
         else:
             if P.element_order(g) != 2:
                 raise HopfError("inversion action needs exponent 2 off identity")
@@ -273,28 +267,29 @@ class ClosedSubgroup:
         if self.ideal.nonunit is not None:
             return VerificationReport(False, "not-flat", (self.ideal.nonunit,))
         pb = self.quotient_data()[1]
+        ideal = [nonzeros(R, v) for v in self.ideal]
 
         def outside(v, i):  # v e_i is not in I
-            return project(R, pb, nonzeros(R, G.mul_vec(v, G.basis_vector(i))))
+            return project(R, pb, G.mul_vec(v, G.basis_vector(i)))
 
         # ideal: closed under multiplication by the ambient algebra, which
         # a generator s = e_g of A settles alone; on a failure the basis scan
         # names the first failing (t, i)
         g = G.presentation.index
-        if g is None or any(outside(v, g) for v in self.ideal):
-            for t, v in enumerate(self.ideal):
+        if g is None or any(outside(v, g) for v in ideal):
+            for t, v in enumerate(ideal):
                 for i in range(G.rank):
                     if outside(v, i):
                         return VerificationReport(False, "ideal-closure", (t, i))
         # inside the augmentation ideal
-        for t, v in enumerate(self.ideal):
+        for t, v in enumerate(ideal):
             if R.nonzero(G.counit_of(v)):
                 return VerificationReport(False, "augmentation", (t,))
-        for t, v in enumerate(self.ideal):
+        for t, v in enumerate(ideal):
             if map_tensor(R, pb, pb, G.comult_vec(v)):
                 return VerificationReport(False, "coideal", (t,))
-        for t, v in enumerate(self.ideal):
-            if project(R, pb, nonzeros(R, G.antipode_vec(v))):
+        for t, v in enumerate(ideal):
+            if project(R, pb, G.antipode_vec(v)):
                 return VerificationReport(False, "antipode-stability", (t,))
         return VerificationReport(True)
 
@@ -332,10 +327,9 @@ class ClosedSubgroup:
         mult = [[project(R, pb, M[a][b]) for b in free_cols] for a in free_cols]
         comult = [map_tensor(R, pb, pb, C[a]) for a in free_cols]
         antipode = [project(R, pb, S[a]) for a in free_cols]
-        return GroupScheme.from_tables(
-            R, len(free_cols), (mult, comult, antipode),
-            dense(R, len(free_cols), project(R, pb, nonzeros(R, G.unit))),
-            [G.counit[a] for a in free_cols])
+        return GroupScheme.from_tables(R, len(free_cols), (mult, comult, antipode),
+                                       project(R, pb, G.unit),
+                                       [G.counit[a] for a in free_cols])
 
     @functools.cached_property
     def _normal(self):
@@ -344,12 +338,12 @@ class ClosedSubgroup:
         ident = [[(j, R.one)] for j in range(G.rank)]
         pb = self.quotient_data()[1]
         return next(((False, t) for t, v in enumerate(self.ideal)
-                     if map_tensor(R, ident, pb, conjugation_tensor(G, v))), (True, None))
+                     if map_tensor(R, ident, pb, conjugation_tensor(G, nonzeros(R, v)))),
+                    (True, None))
 
     def inclusion(self) -> GroupSchemeHom:
         """The closed immersion scheme(self) -> ambient."""
-        pi = [dense(self.ambient.ring, self.order, row) for row in self.quotient_data()[1]]
-        return GroupSchemeHom(self.scheme(), self.ambient, pi)
+        return GroupSchemeHom(self.scheme(), self.ambient, self.quotient_data()[1])
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -367,16 +361,17 @@ def ideal_closure(G: GroupScheme, gens):
     Otherwise it is the span of the products v e_i of the rows v of V
     with the basis, which holds v = v 1; as (v e_j) e_i = v (e_j e_i) lies
     in that span again, one round closes it."""
-    R = G.ring
-    span = canonical_span(R, list(gens))
+    R, m = G.ring, G.rank
+    span = canonical_span(R, [dense(R, m, v) for v in gens])
+    frontier = [nonzeros(R, v) for v in span]
     pres = G.presentation
     if pres.index is None:
-        return canonical_span(R, [G.mul_vec(v, G.basis_vector(i))
-                                  for v in span for i in range(G.rank)])
-    s, frontier = G.basis_vector(pres.index), span
+        return canonical_span(R, [dense(R, m, G.mul_vec(v, G.basis_vector(i)))
+                                  for v in frontier for i in range(m)])
+    s = G.basis_vector(pres.index)
     while True:
         frontier = [G.mul_vec(v, s) for v in frontier]
-        bigger = canonical_span(R, span + frontier)
+        bigger = canonical_span(R, span + [dense(R, m, v) for v in frontier])
         if bigger == span:
             return span
         span = bigger
@@ -395,12 +390,9 @@ def kernel(f: GroupSchemeHom) -> ClosedSubgroup:
     """ker f as a closed subgroup of the source: the ideal that the
     f*(e_j) - counit(e_j) 1 generate, closed under multiplication here
     as they span less than it."""
-    G, T = f.source, f.target
-    R = G.ring
-    gens = [
-        vec_sub(R, f.alg[j], vec_scale(R, T.counit[j], G.unit))
-        for j in range(T.rank)
-    ]
+    G, R = f.source, f.source.ring
+    gens = [project(R, [v, G.unit], [(0, R.one), (1, R.neg(c))])
+            for v, c in zip(f.alg, f.target.counit)]
     return ClosedSubgroup(G, ideal_closure(G, gens))
 
 
@@ -410,7 +402,8 @@ def image(f: GroupSchemeHom) -> ClosedSubgroup:
     The defining ideal is the kernel of the algebra map, i.e. all
     functions on the target pulling back to zero; as the kernel of an
     algebra map it is an ideal already."""
-    return ClosedSubgroup(f.target, row_kernel(f.source.ring, f.alg))
+    R, m = f.source.ring, f.source.rank
+    return ClosedSubgroup(f.target, row_kernel(R, [dense(R, m, v) for v in f.alg]))
 
 
 def intersect(H1: ClosedSubgroup, H2: ClosedSubgroup) -> ClosedSubgroup:
@@ -427,7 +420,7 @@ def conjugation_tensor(G: GroupScheme, v):
     The subgroup cut out by an ideal I is normal iff ad(I) lies in
     A (x) I: the conjugated element stays in the subgroup whatever the
     conjugating point does on the first tensor factor."""
-    return [(j, k, c) for (j, k), c in project(G.ring, G.adjoint, nonzeros(G.ring, v))]
+    return [(j, k, c) for (j, k), c in project(G.ring, G.adjoint, v)]
 
 
 def is_normal(H: ClosedSubgroup):
@@ -449,7 +442,7 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
     m, n = G.rank, H.order
     ident = [[(j, R.one)] for j in range(m)]
     pb = H.quotient_data()[1]
-    minus_unit = [(k, R.neg(u)) for k, u in nonzeros(R, G.unit)]
+    minus_unit = [(k, R.neg(u)) for k, u in G.unit]
     # a = sum t_i e_i is coinvariant iff (id (x) pi) Delta(a) = a (x) pi(1),
     # that is iff sum t_i (id (x) pi)(Delta(e_i) - e_i (x) 1) = 0
     cols = []
@@ -475,26 +468,24 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
     kappa = [[(at[c], R.one)] if c in at else [] for c in range(m)]
     beta = [nonzeros(R, row) for row in B]
     def coords(v):
-        v = nonzeros(R, v)
         x = project(R, kappa, v)
         if project(R, beta, x) != v:
             raise HopfError("coinvariant algebra is not closed as expected")
         return x
     rB = len(B)
-    mult = [[coords(G.mul_vec(a, b)) for b in B] for a in B]
+    mult = [[coords(G.mul_vec(a, b)) for b in beta] for a in beta]
     comult = []
-    for b in B:
+    for b in beta:
         terms = G.comult_vec(b)
         x = map_tensor(R, kappa, kappa, terms)
         if map_tensor(R, beta, beta, x) != terms:
             raise HopfError("comultiplication does not restrict to coinvariants")
         comult.append(x)
-    antipode = [coords(G.antipode_vec(b)) for b in B]
-    Gbar = GroupScheme.from_tables(R, rB, (mult, comult, antipode),
-                                   dense(R, rB, coords(G.unit)),
-                                   [G.counit_of(b) for b in B],
+    antipode = [coords(G.antipode_vec(b)) for b in beta]
+    Gbar = GroupScheme.from_tables(R, rB, (mult, comult, antipode), coords(G.unit),
+                                   [G.counit_of(b) for b in beta],
                                    f"{G.name}/H" if G.name else None)
-    proj = GroupSchemeHom(G, Gbar, [list(v) for v in B])
+    proj = GroupSchemeHom(G, Gbar, beta)
     return Gbar, proj
 
 
@@ -630,36 +621,37 @@ def find_isomorphism(G: GroupScheme, H: GroupScheme,
     # presentation's basis vector, else 1 at rank 1 (every element has the
     # powers [1] there), else the first of a bounded scan over all module
     # elements
+    m = H.rank
+    basis = [dense(R, m, H.basis_vector(j)) for j in range(m)]
+
     def powers_of(K, v):  # 1, v, ..., v^(m-1) in Hopf(K)
         powers = [K.unit]
-        for _ in range(H.rank - 1):
+        for _ in range(m - 1):
             powers.append(K.mul_vec(powers[-1], v))
         return powers
 
     def generates(powers):
-        span = canonical_span(R, powers)
-        return all(member(R, span, H.basis_vector(j)) for j in range(H.rank))
+        span = canonical_span(R, [dense(R, m, v) for v in powers])
+        return all(member(R, span, e) for e in basis)
 
     index = H.presentation.index
     candidates = ([H.basis_vector(index)] if index is not None else
-                  [H.unit] if H.rank == 1 else
-                  itertools.product(R.elements(), repeat=H.rank)
-                  if R.size() ** H.rank <= 4096 else [])
-    gen_powers = next(filter(generates, (powers_of(H, list(v)) for v in candidates)), None)
+                  [H.unit] if m == 1 else
+                  (nonzeros(R, v) for v in itertools.product(R.elements(), repeat=m))
+                  if R.size() ** m <= 4096 else [])
+    gen_powers = next(filter(generates, (powers_of(H, v) for v in candidates)), None)
     if gen_powers is None:
         return _exhaustive_isomorphism(G, H, budget)
-    exprs = [member_with_coeffs(R, gen_powers, H.basis_vector(j))
-             for j in range(H.rank)]
+    gen_powers = [dense(R, m, v) for v in gen_powers]
+    exprs = [nonzeros(R, member_with_coeffs(R, gen_powers, e)) for e in basis]
     els = list(R.elements())
     count = 0
     for v in itertools.product(els, repeat=G.rank):
         count += 1
         if count > budget:
             return IsoResult("unknown", reason="search budget exhausted")
-        vpow = powers_of(G, list(v))
-        alg = [add_scaled(R, [R.zero] * G.rank, zip(exprs[j], vpow))
-               for j in range(H.rank)]
-        f = GroupSchemeHom(G, H, alg)
+        vpow = powers_of(G, nonzeros(R, v))
+        f = GroupSchemeHom(G, H, [project(R, vpow, e) for e in exprs])
         if f.is_module_iso() and f.is_valid():
             return IsoResult("iso", hom=f)
     # the monogenic image determines the map, so exhaustion is conclusive
@@ -675,7 +667,7 @@ def _exhaustive_isomorphism(G: GroupScheme, H: GroupScheme,
     if len(els) ** (m * m) > budget:
         return IsoResult("unknown", reason="search budget exhausted")
     for flat in itertools.product(els, repeat=m * m):
-        alg = [list(flat[j * m:(j + 1) * m]) for j in range(m)]
+        alg = [nonzeros(R, flat[j * m:(j + 1) * m]) for j in range(m)]
         f = GroupSchemeHom(G, H, alg)
         if f.is_module_iso() and f.is_valid():
             return IsoResult("iso", hom=f)

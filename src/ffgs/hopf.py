@@ -8,25 +8,30 @@ the tables of `GroupScheme.sparse`:
   comult[i]      the (j, k, c) of Delta(e_i) = sum c e_j (x) e_k
   antipode[j]    the (x, c) of S(e_j) = sum c e_x
 
-each row without zeros and in increasing index order, and by two vectors:
+each row without zeros and in increasing index order, and by two more:
 
-  unit           the algebra unit
-  counit         the counit values
+  unit           the (x, c) of the algebra unit, in the same form
+  counit         the list of the counit values
 
 The scheme is Spec of this algebra; the group law is dual to comult.  A
 name, where one is given, is only a tag.
 
 Every Hopf operation and base change reads the tables, so none scans
-the zeros of the m^3 dense entries.  The dense lists `mult`, `comult` and
-`antipode` are what the constructor and `from_dict` take and what
-`to_dict` writes; a scheme derives them from its tables on first use.
+the zeros of the m^3 dense entries.  An element v of A is the sorted list
+of its nonzero (x, c), as a mult row is: the unit, `basis_vector`, and
+what `mul_vec`, `power_vec`, `antipode_vec` and `project` take and give.
 An element of A (x) A is the sorted list of its nonzero (j, k, c), as a
 comult row is: Delta(v) (`comult_vec`), ad(v) and `map_tensor`'s output.
-A linear map f is applied in one sparse form, on the nonzeros of its rows
-f(e_j): f(v) by `project` and (f (x) g)(t) by `map_tensor`.  A
-homomorphism keeps the rows of its algebra map (`GroupSchemeHom.rows`),
-which pulling back, composing, its checks and its map on points read, and
-a convolution m o (f (x) g) o Delta is `map_tensor` summed by `combine`.
+Every product sum c e_a e_b is one loop, `combine`.  A linear map f is
+applied in one sparse form, on its rows f(e_j): f(v) by `project` and
+(f (x) g)(t) by `map_tensor`; a linear combination sum c_x v_x is
+`project` on the rows v_x.  A homomorphism keeps the rows of its algebra
+map (`GroupSchemeHom.alg`), which pulling back, composing, its checks and
+its map on points read, and a convolution m o (f (x) g) o Delta is
+`map_tensor` summed by `combine`.  Lists of values on the basis stay
+dense: the counit, characters and points.  So do the dense lists the
+constructor and `from_dict` take and `to_dict` writes from the tables,
+and the rows handed to `linalg`, made with `dense` at the call.
 The tables are fixed once a scheme is made, so the conjugation tensors
 ad(e_i) (`adjoint`), the presentation A = R[t]/(mu) by the first basis
 vector other than 1 that generates A, where one does (`presentation`,
@@ -58,8 +63,6 @@ from .linalg import (
     add_scaled,
     reduce_mod_span,
     transpose,
-    vec_scale,
-    vec_sub,
 )
 from .rings import (
     QQ,
@@ -131,7 +134,8 @@ def map_tensor(R: Ring, left, right, terms):
 
 def project(R: Ring, rows, terms):
     """f of sum c e_x over the (x, c) in terms, as its nonzero (s, c) in
-    increasing s; rows[x] is nonzeros(f(e_x)) for any linear map f."""
+    increasing s; rows[x] is nonzeros(f(e_x)) for any linear map f.  On
+    the rows v_x it is the linear combination sum c v_x."""
     add, mul = R.add, R.mul
     out: dict = {}
     for x, c in terms:
@@ -155,7 +159,7 @@ class GroupScheme:
         """The scheme of the dense lists mult[i][j] (the vector e_i e_j),
         comult[i][j][k] (the coefficient of e_j (x) e_k in Delta(e_i)) and
         antipode[i] (the vector S(e_i)); their shapes are checked first,
-        then only their nonzero entries are kept."""
+        then only their nonzero entries are kept, the unit's too."""
         def fits(x, depth):  # a list of rank entries, nested depth deep
             return len(x) == rank and (depth == 1 or all(fits(y, depth - 1) for y in x))
 
@@ -165,7 +169,7 @@ class GroupScheme:
                    ((mult, 3), (unit, 1), (comult, 3), (counit, 1), (antipode, 2))):
             raise HopfError("tensor dimensions do not match the rank")
         self.ring, self.rank, self.name = ring, rank, name
-        self.unit, self.counit = list(unit), list(counit)
+        self.unit, self.counit = nonzeros(ring, unit), list(counit)
         self.sparse = SparseTensors(
             [[nonzeros(ring, v) for v in row] for row in mult],
             [[(j, k, c) for j, row in enumerate(mat) for k, c in nonzeros(ring, row)]
@@ -176,8 +180,8 @@ class GroupScheme:
     def from_tables(cls, ring: Ring, rank: int, tables, unit, counit,
                     name: str | None = None) -> "GroupScheme":
         """The scheme stored by tables = (mult, comult, antipode) in the
-        form of `sparse`, which the caller builds without zeros and in
-        increasing index order."""
+        form of `sparse` and by the unit in the form of an element, which
+        the caller builds without zeros and in increasing index order."""
         G = cls.__new__(cls)
         G.ring, G.rank, G.name, G.sparse = ring, rank, name, SparseTensors(*tables)
         G.unit, G.counit = list(unit), list(counit)
@@ -189,22 +193,7 @@ class GroupScheme:
         return self.rank
 
     def basis_vector(self, i):
-        R = self.ring
-        return [R.one if j == i else R.zero for j in range(self.rank)]
-
-    @functools.cached_property
-    def _dense(self):
-        """(mult, comult, antipode) as dense lists, expanded from the
-        tables on first use and kept."""
-        R, m = self.ring, self.rank
-        M, C, S = self.sparse
-        return ([[dense(R, m, v) for v in row] for row in M],
-                [[dense(R, m, ((k, c) for j, k, c in terms if j == row)) for row in range(m)]
-                 for terms in C],
-                [dense(R, m, v) for v in S])
-
-    # read-only: a scheme never reads them back
-    mult, comult, antipode = (property(lambda G, i=i: G._dense[i]) for i in range(3))
+        return [(i, self.ring.one)]
 
     @functools.cached_property
     def adjoint(self):
@@ -213,7 +202,7 @@ class GroupScheme:
         e_j S(e_b) is made once per scheme."""
         R = self.ring
         add, mul = R.add, R.mul
-        C = self.sparse.comult
+        _, C, S = self.sparse
         products: dict = {}  # (j, b) -> the nonzero (t, x) of e_j S(e_b)
         out = []
         for i in range(self.rank):
@@ -222,8 +211,7 @@ class GroupScheme:
                 for a, b, d in C[k]:
                     # (e_i)_(1) = e_j, (e_i)_(2) = e_a, (e_i)_(3) = e_b
                     if (j, b) not in products:
-                        sb = self.antipode_vec(self.basis_vector(b))
-                        products[(j, b)] = nonzeros(R, self.mul_vec(self.basis_vector(j), sb))
+                        products[(j, b)] = self.mul_vec(self.basis_vector(j), S[b])
                     cd = mul(c, d)
                     for t, x in products[(j, b)]:
                         ad[(t, a)] = add(ad.get((t, a), R.zero), mul(cd, x))
@@ -245,7 +233,7 @@ class GroupScheme:
             return [self.basis_vector(pres.index)]
         t = tuple(range(1, self.rank + 1))
         if self._fiber_minpolys(t) is not None:
-            return [[self.ring.from_int(a) for a in t]]
+            return [nonzeros(self.ring, map(self.ring.from_int, t))]
         return [self.basis_vector(i) for i in range(self.rank)]
 
     @functools.cached_property
@@ -280,9 +268,8 @@ class GroupScheme:
             if p.specializations:
                 continue
             H = self.base_change(p.residue_field)
-            k = H.ring
-            s = [k.from_int(a) for a in ints]
-            if m > 2 and H.mul_vec(s, s) in (s, [k.zero] * m):
+            s = nonzeros(H.ring, map(H.ring.from_int, ints))
+            if m > 2 and H.mul_vec(s, s) in (s, []):
                 return None
             minpoly, powers = H._minpoly(H.unit, s)
             if len(minpoly) != m + 1:
@@ -315,17 +302,17 @@ class GroupScheme:
         Z/p^e) the e0 of the fiber over the residue field k is put in along
         the lift of `Ring.residue_lifting` and lifted by Newton steps, since
         idempotents lift uniquely along the nilpotent kernel of R -> k."""
-        R = self.ring
+        R, m = self.ring, self.rank
         try:
             k, lift, _ = R.residue_lifting()
         except RingError:
             raise HopfError("identity component needs a field or Artin local base, "
                             f"not {R.name()}") from None
         fiber = self.base_change(k)
-        e0 = lift_idempotent(self, [lift(a) for a in identity_idempotent(fiber)])
-        u = vec_sub(R, self.unit, e0)
-        return linalg.canonical_span(R, [self.mul_vec(u, self.basis_vector(i))
-                                         for i in range(self.rank)])
+        e0 = lift_idempotent(self, [(x, lift(a)) for x, a in identity_idempotent(fiber)])
+        u = project(R, [self.unit, e0], [(0, R.one), (1, R.neg(R.one))])
+        return linalg.canonical_span(R, [dense(R, m, self.mul_vec(u, self.basis_vector(i)))
+                                         for i in range(m)])
 
     @functools.cached_property
     def field_characters(self):
@@ -340,30 +327,21 @@ class GroupScheme:
 
     # -- algebra operations ---------------------------------------------
     def mul_vec(self, v, w):
-        R = self.ring
-        nonzero, add, mul = R.nonzero, R.add, R.mul
-        M = self.sparse.mult
-        out = [R.zero] * self.rank
-        ws = [(j, b) for j, b in enumerate(w) if nonzero(b)]
-        for i, a in enumerate(v):
-            if not nonzero(a):
-                continue
-            row = M[i]
-            for j, b in ws:
-                ab = mul(a, b)
-                for k, c in row[j]:
-                    out[k] = add(out[k], mul(ab, c))
-        return out
+        """v w, as `combine` of the terms of v (x) w whose e_i e_j is not 0."""
+        mul, M = self.ring.mul, self.sparse.mult
+        return self.combine([(i, j, mul(a, b)) for i, a in v for j, b in w if M[i][j]])
 
     def combine(self, terms):
-        """sum of c e_a e_b over the (a, b, c) in terms, as a vector."""
+        """sum of c e_a e_b over the (a, b, c) in terms, as an element: the
+        one product loop."""
         R, M = self.ring, self.sparse.mult
-        add, mul = R.add, R.mul
-        out = [R.zero] * self.rank
+        zero, nonzero, add, mul = R.zero, R.nonzero, R.add, R.mul
+        out: dict = {}
+        get = out.get
         for a, b, c in terms:
             for x, d in M[a][b]:
-                out[x] = add(out[x], mul(c, d))
-        return out
+                out[x] = add(get(x, zero), mul(c, d))
+        return sorted([(x, c) for x, c in out.items() if nonzero(c)])
 
     def power_vec(self, v, n: int):
         """v^n for n >= 0, by square-and-multiply."""
@@ -379,18 +357,17 @@ class GroupScheme:
         return out
 
     def counit_of(self, v):
-        return self.ring.dot(self.counit, v)
+        return _pair(self.ring, v, self.counit)
 
     def antipode_vec(self, v):
-        R = self.ring
-        return dense(R, self.rank, project(R, self.sparse.antipode, nonzeros(R, v)))
+        return project(self.ring, self.sparse.antipode, v)
 
     def comult_vec(self, v):
         """Delta(v) as its nonzero (j, k, c) in increasing (j, k)."""
         R, C = self.ring, self.sparse.comult
         zero, add, mul = R.zero, R.add, R.mul
         out: dict = {}
-        for i, a in nonzeros(R, v):
+        for i, a in v:
             for j, k, c in C[i]:
                 out[(j, k)] = add(out.get((j, k), zero), mul(a, c))
         return sorted((j, k, c) for (j, k), c in out.items() if R.nonzero(c))
@@ -481,7 +458,7 @@ class GroupScheme:
                 if M[i][j] != M[j][i]:
                     return VerificationReport(False, "algebra-commutativity", (i, j))
         # unit law
-        unit = nonzeros(R, self.unit)
+        unit = self.unit
         for i in range(m):
             if self.combine((a, i, u) for a, u in unit) != basis[i]:
                 return VerificationReport(False, "algebra-unit", (i,))
@@ -497,7 +474,7 @@ class GroupScheme:
         dual, dual_gen = _dual_laws(self)
         report = first_failure(
             None if dual is None else lambda: dual.associativity(
-                dual.generators([dual_gen, self.counit]), "coassociativity"),
+                dual.generators([dual_gen, nonzeros(R, self.counit)]), "coassociativity"),
             laws.coassociativity)
         if report is not None:
             return report
@@ -508,13 +485,13 @@ class GroupScheme:
             for j, k, c in C[i]:
                 left[k] = add(left[k], mul(c, self.counit[j]))
                 right[j] = add(right[j], mul(c, self.counit[k]))
-            if left != basis[i] or right != basis[i]:
+            if nonzeros(R, left) != basis[i] or nonzeros(R, right) != basis[i]:
                 return VerificationReport(False, "counit", (i,))
         # bialgebra: Delta and counit are algebra maps
-        if laws.delta(unit) != [(j, k, d) for j, a in unit for k, b in unit
-                                if nonzero(d := mul(a, b))]:
+        if self.comult_vec(unit) != [(j, k, d) for j, a in unit for k, b in unit
+                                     if nonzero(d := mul(a, b))]:
             return VerificationReport(False, "bialgebra-unit", ())
-        if self.counit_of(self.unit) != R.one:
+        if self.counit_of(unit) != R.one:
             return VerificationReport(False, "counit-unit", ())
 
         def on_generators():  # on s of A, else on s* of A^∨
@@ -534,7 +511,7 @@ class GroupScheme:
         for i in range(m):
             left = self.combine((a, k, mul(c, s)) for j, k, c in C[i] for a, s in S[j])
             right = self.combine((j, b, mul(c, s)) for j, k, c in C[i] for b, s in S[k])
-            target = vec_scale(R, self.counit[i], self.unit)
+            target = project(R, [unit], [(0, self.counit[i])])
             if left != target:
                 return VerificationReport(False, "antipode-left", (i,))
             if right != target:
@@ -566,20 +543,36 @@ class GroupScheme:
         tables = ([[image(v) for v in row] for row in M],
                   [[(j, k, d) for j, k, c in terms if nonzero(d := f(c))] for terms in C],
                   [image(v) for v in S])
-        return GroupScheme.from_tables(hom.target, self.rank, tables,
-                                       [f(c) for c in self.unit],
+        return GroupScheme.from_tables(hom.target, self.rank, tables, image(self.unit),
                                        [f(c) for c in self.counit], self.name)
 
     def to_dict(self) -> dict:
-        R = self.ring
+        """The dense lists, written from the tables: each row is a copy of
+        the shown zeros with `show` called once per nonzero."""
+        R, m = self.ring, self.rank
+        show, zeros = R.show, [R.show(R.zero)] * m
+        M, C, S = self.sparse
+
+        def row(entries):
+            out = zeros.copy()
+            for x, c in entries:
+                out[x] = show(c)
+            return out
+
+        def matrix(terms):  # the rows j of the (j, k, c) in terms
+            out = [zeros.copy() for _ in range(m)]
+            for j, k, c in terms:
+                out[j][k] = show(c)
+            return out
+
         d = {
             "base": R.name(),
-            "rank": self.rank,
-            "mult": [[[R.show(c) for c in v] for v in row] for row in self.mult],
-            "unit": [R.show(c) for c in self.unit],
-            "comult": [[[R.show(c) for c in r] for r in mat] for mat in self.comult],
-            "counit": [R.show(c) for c in self.counit],
-            "antipode": [[R.show(c) for c in v] for v in self.antipode],
+            "rank": m,
+            "mult": [[row(v) for v in r] for r in M],
+            "unit": row(self.unit),
+            "comult": [matrix(terms) for terms in C],
+            "counit": [show(c) for c in self.counit],
+            "antipode": [row(v) for v in S],
         }
         if self.name:
             d["name"] = self.name
@@ -628,26 +621,16 @@ class _Laws:
     def __init__(self, G: GroupScheme):
         self.ring, self.rank, self.counit = G.ring, G.rank, G.counit
         self.mult, self.comult, _ = G.sparse
-        self.combine, self.comult_vec = G.combine, G.comult_vec
+        self.combine, self.delta = G.combine, G.comult_vec
         self.basis = [(self.mult[j], self.comult[j], self.counit[j])
                       for j in range(G.rank)]
 
-    def delta(self, v):
-        """Delta of the sparse vector v, as `comult_vec` gives it."""
-        return self.comult_vec(dense(self.ring, self.rank, v))
-
-    def generators(self, vectors):
-        """Each vector s as a generator; s e_k = e_k s, as the product is
+    def generators(self, elements):
+        """Each element s as a generator; s e_k = e_k s, as the product is
         commutative by the time a generator is read."""
-        R = self.ring
-        out = []
-        for s in vectors:
-            v = nonzeros(R, s)
-            out.append(([nonzeros(R, self.combine((b, k, c) for b, c in v))
-                         for k in range(self.rank)],
-                        self.delta(v),
-                        _pair(R, v, self.counit)))
-        return out
+        return [([self.combine((b, k, c) for b, c in s) for k in range(self.rank)],
+                 self.delta(s), _pair(self.ring, s, self.counit))
+                for s in elements]
 
     def associativity(self, generators, axiom="associativity"):
         """The first (i, j, k) with (e_i s_j) e_k != e_i (s_j e_k), reported
@@ -790,8 +773,8 @@ def _transposed(G: GroupScheme, name: str | None = None) -> GroupScheme:
                 comult[i].append((a, b, c))
         for i, c in S[a]:
             antipode[i].append((a, c))
-    return GroupScheme.from_tables(G.ring, m, (mult, comult, antipode),
-                                   G.counit, G.unit, name)
+    return GroupScheme.from_tables(G.ring, m, (mult, comult, antipode), nonzeros(G.ring, G.counit),
+                                   dense(G.ring, m, G.unit), name)
 
 
 def cartier_dual(G: GroupScheme) -> GroupScheme:
@@ -803,40 +786,39 @@ def cartier_dual(G: GroupScheme) -> GroupScheme:
 
 class GroupSchemeHom:
     """Homomorphism source -> target, stored contravariantly: alg[j] is the
-    image in Hopf(source) of the j-th basis vector of Hopf(target), and
-    rows[j] its nonzeros, which every map the homomorphism applies reads."""
+    image in Hopf(source) of the j-th basis vector of Hopf(target), an
+    element of Hopf(source), which every map the homomorphism applies
+    reads."""
 
     def __init__(self, source: GroupScheme, target: GroupScheme, alg):
         if source.ring != target.ring:
             raise HopfError("homomorphisms need a common base ring")
-        if len(alg) != target.rank or any(len(v) != source.rank for v in alg):
+        indices = range(source.rank)
+        if len(alg) != target.rank or any(x not in indices for v in alg for x, _ in v):
             raise HopfError("algebra map has wrong dimensions")
         self.source = source
         self.target = target
         self.alg = [list(v) for v in alg]
-        self.rows = [nonzeros(source.ring, v) for v in self.alg]
 
     def apply_alg(self, v):
         """Pull back a Hopf(target) element along the homomorphism."""
-        R = self.source.ring
-        return dense(R, self.source.rank, project(R, self.rows, nonzeros(R, v)))
+        return project(self.source.ring, self.alg, v)
 
     def is_valid(self) -> VerificationReport:
         R = self.source.ring
         S, T = self.source, self.target
         TM, TC, _ = T.sparse
-        A = self.rows
+        A = self.alg
         if self.apply_alg(T.unit) != S.unit:
             return VerificationReport(False, "hom-unit", ())
         for i in range(T.rank):
             if _pair(R, A[i], S.counit) != T.counit[i]:
                 return VerificationReport(False, "hom-counit", (i,))
             # Delta_S(f(e_i)) = (f (x) f) Delta_T(e_i)
-            if S.comult_vec(self.alg[i]) != map_tensor(R, A, A, TC[i]):
+            if S.comult_vec(A[i]) != map_tensor(R, A, A, TC[i]):
                 return VerificationReport(False, "hom-comult", (i,))
             for j in range(T.rank):
-                if project(R, A, TM[i][j]) != \
-                        nonzeros(R, S.mul_vec(self.alg[i], self.alg[j])):
+                if project(R, A, TM[i][j]) != S.mul_vec(A[i], A[j]):
                     return VerificationReport(False, "hom-mult", (i, j))
         return VerificationReport(True)
 
@@ -849,30 +831,25 @@ class GroupSchemeHom:
 
     def is_trivial(self) -> bool:
         """Does the homomorphism factor through the trivial group?"""
-        R = self.source.ring
-        return all(
-            self.alg[j] == vec_scale(R, self.target.counit[j], self.source.unit)
-            for j in range(self.target.rank)
-        )
+        R, unit = self.source.ring, [self.source.unit]
+        return all(v == project(R, unit, [(0, c)])
+                   for v, c in zip(self.alg, self.target.counit))
 
     def is_module_iso(self) -> bool:
-        R = self.source.ring
-        return R.is_unit(R.det(transpose(self.alg)))
+        R, m = self.source.ring, self.source.rank
+        return R.is_unit(R.det(transpose([dense(R, m, v) for v in self.alg])))
 
 
 def trivial_endo(G: GroupScheme) -> GroupSchemeHom:
-    R = G.ring
-    return GroupSchemeHom(
-        G, G, [vec_scale(R, G.counit[j], G.unit) for j in range(G.rank)]
-    )
+    return GroupSchemeHom(G, G, [project(G.ring, [G.unit], [(0, c)]) for c in G.counit])
 
 
-def convolution(G: GroupScheme, f_alg, g_alg):
+def convolution(G: GroupScheme, f, g):
     """Convolution m o (f (x) g) o Delta of two linear endomaps of Hopf(G),
-    given as alg matrices: (f (x) g) Delta(e_i) through `map_tensor` on
-    their nonzeros, then summed through the products e_s e_t."""
+    given by their rows f(e_j) and g(e_j) as alg holds them: (f (x) g)
+    Delta(e_i) through `map_tensor`, then summed through the products
+    e_s e_t."""
     R = G.ring
-    f, g = ([nonzeros(R, v) for v in alg] for alg in (f_alg, g_alg))
     return [G.combine(map_tensor(R, f, g, terms)) for terms in G.sparse.comult]
 
 
@@ -893,7 +870,7 @@ def power_map_alg(G: GroupScheme, n: int):
         return [G.antipode_vec(v) for v in power_map_alg(G, -n)]
     # square-and-multiply: convolution is associative, so the convolution
     # powers of the identity satisfy id^a * id^b = id^(a + b)
-    square = linalg.identity_matrix(G.ring, G.rank)  # id^(2^i)
+    square = [G.basis_vector(j) for j in range(G.rank)]  # id^(2^i)
     out = None
     while True:
         if n & 1:
@@ -988,7 +965,7 @@ def point_group_from_set(GR: GroupScheme, vecs) -> PointGroup:
 
 def point_is_hom(GR: GroupScheme, v) -> bool:
     R = GR.ring
-    if R.dot(GR.unit, v) != R.one:
+    if _pair(R, GR.unit, v) != R.one:
         return False
     m, M = GR.rank, GR.sparse.mult
     for i in range(m):
@@ -1010,7 +987,7 @@ def _minpoly_of_vector(GR: GroupScheme, e, c_vec):
     while True:
         n = len(powers)
         tail = [R.one if j == n else R.zero for j in range(m + 1)]
-        w = reduce_mod_span(R, rows, list(v) + tail)
+        w = reduce_mod_span(R, rows, dense(R, m, v) + tail)
         col = next((c for c in range(m) if R.nonzero(w[c])), None)
         if col is None:
             return w[m:m + n + 1], powers
@@ -1031,8 +1008,7 @@ def lift_idempotent(GR: GroupScheme, u):
         u2 = GR.mul_vec(u, u)
         if u2 == u:
             return u
-        u = vec_sub(R, vec_scale(R, three, u2),
-                    vec_scale(R, two, GR.mul_vec(u2, u)))
+        u = project(R, [u2, GR.mul_vec(u2, u)], [(0, three), (1, R.neg(two))])
     raise HopfError("no idempotent lift: the algebra is not commutative "
                     "and associative")
 
@@ -1058,16 +1034,15 @@ def _eigen_idempotent(GR: GroupScheme, minpoly, powers, lam):
             break
         g = partial[-2::-1]
     scale = R.inv(acc)
-    u = add_scaled(R, [R.zero] * GR.rank,
-                   ((R.mul(scale, a), power) for a, power in zip(g, powers)))
+    u = project(R, powers, [(i, R.mul(scale, a)) for i, a in enumerate(g[:len(powers)])])
     return lift_idempotent(GR, u)
 
 
 def _scalar_on(R: Ring, e, c):
-    """s with c = s e, or None: s is c/e at a nonzero entry of e."""
-    j = next(j for j, x in enumerate(e) if R.nonzero(x))
-    s = R.mul(c[j], R.inv(e[j]))
-    return s if vec_scale(R, s, e) == c else None
+    """s with c = s e, or None: s is c/e at the first nonzero entry of e."""
+    j, x = e[0]
+    s = R.mul(next((d for y, d in c if y == j), R.zero), R.inv(x))
+    return s if project(R, [e], [(0, s)]) == c else None
 
 
 def _splittings(GR: GroupScheme, choose):
@@ -1078,7 +1053,7 @@ def _splittings(GR: GroupScheme, choose):
     polynomial."""
     R, m = GR.ring, GR.rank
     # stack entries: (factor unit, next ambient index, chi)
-    stack = [(list(GR.unit), 0, [None] * m)]
+    stack = [(GR.unit, 0, [None] * m)]
     while stack:
         e, idx, chi = stack.pop()
         if idx == m:
@@ -1116,7 +1091,7 @@ def _presented_characters(GR: GroupScheme):
     [P | I] gives P^-1 for every root."""
     R, m = GR.ring, GR.rank
     pres = GR.presentation
-    rows = [list(v) + [R.one if j == t else R.zero for j in range(m)]
+    rows = [dense(R, m, v) + [R.one if j == t else R.zero for j in range(m)]
             for t, v in enumerate(pres.powers)]
     inverse = [nonzeros(R, row[m:]) for row in linalg.canonical_span(R, rows)]
     for lam in R.roots(pres.minpoly):
@@ -1194,7 +1169,7 @@ def _tangent_rows(k: Ring, fiber: GroupScheme, chi):
             row[j] = k.add(row[j], chi[i])
             row[i] = k.add(row[i], chi[j])
             rows.append(row)
-    rows.append(list(fiber.unit))
+    rows.append(dense(k, m, fiber.unit))
     return transpose(rows)
 
 
@@ -1212,7 +1187,7 @@ def _square_zero_lifts(GR: GroupScheme, k: Ring, tangent, phi, coord):
     R, m, M = GR.ring, GR.rank, GR.sparse.mult
     rhs = [k.neg(coord(R.sub(R.mul(phi[i], phi[j]), _pair(R, M[i][j], phi))))
            for i in range(m) for j in range(i, m)]
-    rhs.append(k.neg(coord(R.sub(R.dot(GR.unit, phi), R.one))))
+    rhs.append(k.neg(coord(R.sub(_pair(R, GR.unit, phi), R.one))))
     return linalg.member_and_kernel(k, tangent, rhs)
 
 
@@ -1257,11 +1232,11 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
 def hom_on_points(f: GroupSchemeHom, P_source: PointGroup, P_target: PointGroup,
                   hom: RingHom):
     """Index map P_source -> P_target induced by f over the points' ring:
-    the nonzeros of f's rows mapped through hom, paired with each point
-    at its nonzero coordinates."""
+    f's rows mapped through hom, paired with each point at its nonzero
+    coordinates."""
     Rp = P_source.ring
     nonzero = Rp.nonzero
-    mapped = [[(x, d) for x, c in row if nonzero(d := hom(c))] for row in f.rows]
+    mapped = [[(x, d) for x, c in row if nonzero(d := hom(c))] for row in f.alg]
     out = []
     for pt in P_source.elements:
         live = [nonzero(c) for c in pt]

@@ -40,15 +40,6 @@ from .rings import Ring
 
 # -- vectors -------------------------------------------------------------
 
-def vec_add(R: Ring, u, v):
-    return [R.add(a, b) for a, b in zip(u, v)]
-
-def vec_sub(R: Ring, u, v):
-    return [R.sub(a, b) for a, b in zip(u, v)]
-
-def vec_scale(R: Ring, c, u):
-    return [R.mul(c, a) for a in u]
-
 def vec_is_zero(R: Ring, u):
     return not any(map(R.nonzero, u))
 
@@ -67,12 +58,6 @@ def add_scaled(R: Ring, out, terms):
 
 def transpose(M):
     return [list(col) for col in zip(*M)]
-
-def identity_matrix(R: Ring, n: int):
-    return [[R.one if i == j else R.zero for j in range(n)] for i in range(n)]
-
-def mat_vec(R: Ring, M, v):
-    return [R.dot(row, v) for row in M]
 
 
 # -- echelonization core ---------------------------------------------------

@@ -5,8 +5,8 @@ assignments on a small generating set of the Hopf algebra, groups are
 identified from their multiplication tables, subgroups are enumerated
 by closing generator sets. The rest of the package is validated against
 these results; nothing here reuses the eigenspace-based character code,
-the contracted group table of `hopf.points`, the algebra operations of
-`GroupScheme` or its dense lists: the oracle reads the stored tables into
+the contracted group table of `hopf.points` or the algebra operations
+of `GroupScheme`: the oracle reads the stored tables, unit included, into
 a dense copy of its own."""
 
 from __future__ import annotations
@@ -27,11 +27,16 @@ class BudgetExceeded(RuntimeError):
 
 
 def _dense(GR: GroupScheme):
-    """(mult, comult): mult[i][j] the vector e_i e_j and comult[i][j][k]
-    the coefficient of e_j (x) e_k in Delta(e_i), filled in from the
-    stored tables."""
+    """(unit, basis, mult, comult) as vectors: the unit, basis[i] the
+    vector e_i, mult[i][j] the vector e_i e_j and comult[i][j][k] the
+    coefficient of e_j (x) e_k in Delta(e_i), filled in from the stored
+    tables."""
     R, m = GR.ring, GR.rank
     M, C, _ = GR.sparse
+    unit = [R.zero] * m
+    for x, c in GR.unit:
+        unit[x] = c
+    basis = [[R.one if j == i else R.zero for j in range(m)] for i in range(m)]
     mult = [[[R.zero] * m for _ in range(m)] for _ in range(m)]
     comult = [[[R.zero] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
@@ -40,7 +45,7 @@ def _dense(GR: GroupScheme):
                 mult[i][j][x] = c
         for j, k, c in C[i]:
             comult[i][j][k] = c
-    return mult, comult
+    return unit, basis, mult, comult
 
 
 def _mul(GR: GroupScheme, mult, v, w):
@@ -51,7 +56,7 @@ def _mul(GR: GroupScheme, mult, v, w):
                        for j, b in enumerate(w) if R.nonzero(a) and R.nonzero(b)))
 
 
-def _generating_monomials(GR: GroupScheme, mult):
+def _generating_monomials(GR: GroupScheme, unit, basis, mult):
     """A generating set of basis indices plus the monomial closure.
 
     Returns (gens, monomials, recipes) where monomials[t] is a vector,
@@ -60,7 +65,7 @@ def _generating_monomials(GR: GroupScheme, mult):
     R = GR.ring
     m = GR.rank
     gens: list[int] = []
-    monoms = [list(GR.unit)]
+    monoms = [unit]
     recipes: list = [None]
 
     def closure():
@@ -69,7 +74,7 @@ def _generating_monomials(GR: GroupScheme, mult):
             changed = False
             for t in range(len(monoms)):
                 for pos, g in enumerate(gens):
-                    w = _mul(GR, mult, monoms[t], GR.basis_vector(g))
+                    w = _mul(GR, mult, monoms[t], basis[g])
                     if member_with_coeffs(R, monoms, w) is None:
                         monoms.append(w)
                         recipes.append((t, pos))
@@ -77,11 +82,10 @@ def _generating_monomials(GR: GroupScheme, mult):
 
     for i in range(m):
         if all(
-            member_with_coeffs(R, monoms, GR.basis_vector(j)) is not None
-            for j in range(m)
+            member_with_coeffs(R, monoms, e) is not None for e in basis
         ):
             break
-        if member_with_coeffs(R, monoms, GR.basis_vector(i)) is None:
+        if member_with_coeffs(R, monoms, basis[i]) is None:
             gens.append(i)
             closure()
     return gens, monoms, recipes
@@ -97,19 +101,19 @@ def enumerate_points(G: GroupScheme, Rp: Ring, budget: int = 500000):
     if not R.is_finite:
         raise RingError("exhaustive enumeration needs a finite ring")
     m = GR.rank
-    mult, comult = _dense(GR)
-    gens, monoms, recipes = _generating_monomials(GR, mult)
-    exprs = [member_with_coeffs(R, monoms, GR.basis_vector(j)) for j in range(m)]
+    unit, basis, mult, comult = _dense(GR)
+    gens, monoms, recipes = _generating_monomials(GR, unit, basis, mult)
+    exprs = [member_with_coeffs(R, monoms, e) for e in basis]
     assert all(e is not None for e in exprs)
     els = list(R.elements())
     # necessary condition on a homomorphic image of generator e_g: it
     # satisfies the same monic power relation e_g^d = sum c_i e_g^i
     candidate_lists = []
     for g in gens:
-        powers = [list(GR.unit)]
+        powers = [unit]
         rel = None
         while rel is None:
-            nxt = _mul(GR, mult, powers[-1], GR.basis_vector(g))
+            nxt = _mul(GR, mult, powers[-1], basis[g])
             rel = member_with_coeffs(R, powers, nxt)
             powers.append(nxt)
         cands = []
@@ -139,7 +143,7 @@ def enumerate_points(G: GroupScheme, Rp: Ring, budget: int = 500000):
             vals.append(R.mul(vals[parent], assignment[pos]))
         phi = [R.dot(exprs[j], vals) for j in range(m)]
         # phi is a point when it is an algebra map: unital and multiplicative
-        if R.dot(GR.unit, phi) == R.one and all(
+        if R.dot(unit, phi) == R.one and all(
                 R.mul(phi[i], phi[j]) == R.dot(mult[i][j], phi)
                 for i in range(m) for j in range(i, m)):
             found.append(tuple(phi))

@@ -21,7 +21,6 @@ from math import gcd, lcm, prod
 from .linalg import (
     canonical_span,
     row_kernel,
-    transpose,
 )
 from .hopf import (
     GroupScheme,
@@ -119,8 +118,12 @@ def verschiebung(G: GroupScheme) -> GroupSchemeHom:
     """V: G^(p) -> G, the Cartier dual of the Frobenius of the dual."""
     if not G.is_commutative():
         raise HopfError("Verschiebung needs a commutative group scheme")
-    Fd = frobenius(cartier_dual(G))
-    return GroupSchemeHom(p_twist(G), G, transpose(Fd.alg))
+    alg = [[] for _ in range(G.rank)]
+    # the transpose of the dual's Frobenius, read in increasing j
+    for j, row in enumerate(frobenius(cartier_dual(G)).alg):
+        for x, c in row:
+            alg[x].append((j, c))
+    return GroupSchemeHom(p_twist(G), G, alg)
 
 
 def classify_order_p(G: GroupScheme) -> str:

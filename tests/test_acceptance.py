@@ -1,7 +1,6 @@
 """Acceptance gate: exact, zero-tolerance checks at desk scale."""
 
 import concurrent.futures
-import copy
 import json
 import subprocess
 import sys
@@ -24,6 +23,7 @@ from ffgs.structure import (InternalInconsistencyError, classify_order_p,
                             p_primary_decompose, separable_rank,
                             theorem_decompose)
 from ffgs.testrings import test_ring_family as ring_family
+from test_hopf import dense_lists, dense_view
 
 Q = parse_ring("Q")
 F2 = parse_ring("GF(2)")
@@ -62,36 +62,34 @@ def all_builtins():
 
 # ----------------------------------------------------------------------
 # independent axiom evaluator: recomputes the named axiom at the witness
-# by dense tensor contraction, sharing no code with GroupScheme.verify
-
-
-def _prod(G, i, j):
-    return G.mult[i][j]
+# by dense tensor contraction on the dense lists, sharing no code with
+# GroupScheme.verify
 
 
 def _dense_mul(G, v, w):
-    R = G.ring
+    R, M = G.ring, dense_view(G).mult
     out = [R.zero] * G.rank
     for i, a in enumerate(v):
         for j, b in enumerate(w):
             c = R.mul(a, b)
             for k in range(G.rank):
-                out[k] = R.add(out[k], R.mul(c, G.mult[i][j][k]))
+                out[k] = R.add(out[k], R.mul(c, M[i][j][k]))
     return out
 
 
 def axiom_holds_at(G: GroupScheme, axiom: str, witness) -> bool:
     R = G.ring
     m = G.rank
-    C = G.comult
+    D = dense_view(G)
+    C = D.comult
     if axiom == "algebra-commutativity":
         i, j = witness
-        return G.mult[i][j] == G.mult[j][i]
+        return D.mult[i][j] == D.mult[j][i]
     if axiom == "algebra-unit":
         (i,) = witness
         e = [R.zero] * m
         e[i] = R.one
-        return _dense_mul(G, G.unit, e) == e
+        return _dense_mul(G, D.unit, e) == e
     if axiom == "associativity":
         i, j, k = witness
         ei = [R.one if t == i else R.zero for t in range(m)]
@@ -133,7 +131,7 @@ def axiom_holds_at(G: GroupScheme, axiom: str, witness) -> bool:
         return left == e and right == e
     if axiom == "bialgebra-unit":
         lhs = {}
-        for i, u in enumerate(G.unit):
+        for i, u in enumerate(D.unit):
             if u == R.zero:
                 continue
             for j in range(m):
@@ -142,8 +140,8 @@ def axiom_holds_at(G: GroupScheme, axiom: str, witness) -> bool:
                     if c != R.zero:
                         lhs[(j, k)] = R.add(lhs.get((j, k), R.zero), c)
         rhs = {}
-        for j, a in enumerate(G.unit):
-            for k, b in enumerate(G.unit):
+        for j, a in enumerate(D.unit):
+            for k, b in enumerate(D.unit):
                 c = R.mul(a, b)
                 if c != R.zero:
                     rhs[(j, k)] = c
@@ -151,13 +149,13 @@ def axiom_holds_at(G: GroupScheme, axiom: str, witness) -> bool:
         return lhs == rhs
     if axiom == "counit-unit":
         s = R.zero
-        for i, u in enumerate(G.unit):
+        for i, u in enumerate(D.unit):
             s = R.add(s, R.mul(u, G.counit[i]))
         return s == R.one
     if axiom == "bialgebra-mult":
         i, j = witness
         lhs = {}
-        for k, c in enumerate(G.mult[i][j]):
+        for k, c in enumerate(D.mult[i][j]):
             if c == R.zero:
                 continue
             for a in range(m):
@@ -177,10 +175,10 @@ def axiom_holds_at(G: GroupScheme, axiom: str, witness) -> bool:
                         if cj == R.zero:
                             continue
                         c = R.mul(cij, cj)
-                        for a, x in enumerate(G.mult[p][r]):
+                        for a, x in enumerate(D.mult[p][r]):
                             if x == R.zero:
                                 continue
-                            for b, y in enumerate(G.mult[q][s]):
+                            for b, y in enumerate(D.mult[q][s]):
                                 if y == R.zero:
                                     continue
                                 key = (a, b)
@@ -192,7 +190,7 @@ def axiom_holds_at(G: GroupScheme, axiom: str, witness) -> bool:
     if axiom == "counit-mult":
         i, j = witness
         s = R.zero
-        for k, c in enumerate(G.mult[i][j]):
+        for k, c in enumerate(D.mult[i][j]):
             s = R.add(s, R.mul(c, G.counit[k]))
         return s == R.mul(G.counit[i], G.counit[j])
     if axiom in ("antipode-left", "antipode-right"):
@@ -205,13 +203,13 @@ def axiom_holds_at(G: GroupScheme, axiom: str, witness) -> bool:
                     continue
                 if axiom == "antipode-left":
                     ek = [R.one if t == k else R.zero for t in range(m)]
-                    term = _dense_mul(G, G.antipode[j], ek)
+                    term = _dense_mul(G, D.antipode[j], ek)
                 else:
                     ej = [R.one if t == j else R.zero for t in range(m)]
-                    term = _dense_mul(G, ej, G.antipode[k])
+                    term = _dense_mul(G, ej, D.antipode[k])
                 for t in range(m):
                     acc[t] = R.add(acc[t], R.mul(c, term[t]))
-        target = [R.mul(G.counit[i], u) for u in G.unit]
+        target = [R.mul(G.counit[i], u) for u in D.unit]
         return acc == target
     raise AssertionError(f"unknown axiom {axiom!r}")
 
@@ -250,8 +248,7 @@ def test_criterion_1_corruptions_fail_with_correct_witness():
     for G0, slot, idx in specs:
         # the scheme is built from edited copies of G0's dense lists
         R = G0.ring
-        t = {key: copy.deepcopy(getattr(G0, key))
-             for key in ("mult", "unit", "comult", "counit", "antipode")}
+        t = dense_lists(G0)
         if slot == "mult":
             i, j, k = idx
             t["mult"][i][j][k] = _bump(R, t["mult"][i][j][k])

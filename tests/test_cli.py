@@ -10,9 +10,9 @@ import pytest
 from ffgs import cli
 from ffgs.cli import build_builtin, main
 from ffgs.constructions import mu
-from ffgs.linalg import identity_matrix
 from ffgs.rings import parse_ring
 from test_hopf import hypothesis_or_skip, rebased
+from test_linalg import identity_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -9,16 +9,12 @@ from ffgs.linalg import (
     add_scaled,
     canonical_span,
     echelon,
-    identity_matrix,
-    mat_vec,
     member,
     member_with_coeffs,
     reduce_mod_span,
     row_kernel,
     transpose,
-    vec_add,
     vec_is_zero,
-    vec_scale,
 )
 from ffgs.rings import (
     DualNumbers,
@@ -44,6 +40,28 @@ def rand_elt(R, rng):
 
 def rand_matrix(R, rng, rows, cols):
     return [[rand_elt(R, rng) for _ in range(cols)] for _ in range(rows)]
+
+
+# dense reference arithmetic, which the other test modules import too
+
+def vec_add(R, u, v):
+    return [R.add(a, b) for a, b in zip(u, v)]
+
+
+def vec_sub(R, u, v):
+    return [R.sub(a, b) for a, b in zip(u, v)]
+
+
+def vec_scale(R, c, u):
+    return [R.mul(c, a) for a in u]
+
+
+def identity_matrix(R, n):
+    return [[R.one if i == j else R.zero for j in range(n)] for i in range(n)]
+
+
+def mat_vec(R, M, v):
+    return [R.dot(row, v) for row in M]
 
 
 def mat_mul(R, A, B):

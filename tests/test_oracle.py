@@ -172,9 +172,9 @@ def test_test_ring_family_deterministic():
 
 def test_oracle_reads_only_the_dense_tensors(monkeypatch):
     """enumerate_points gives the same point groups when the GroupScheme
-    operations and the dense lists GroupScheme derives refuse to run: the
-    oracle reads the dense tensors it expands itself, and shares only the
-    stored tables with the code it checks."""
+    operations on elements, basis_vector among them, refuse to run: the
+    oracle reads the dense tensors, unit and basis it expands itself, and
+    shares only the stored tables with the code it checks."""
     rng = random.Random(20172)
     F3, Z9, D3 = (parse_ring(s) for s in ("GF(3)", "Z/9", "Dual(GF(3))"))
     cases = [(mu(F5, 4), F5), (constant(F3, s3_table()), F3),
@@ -190,9 +190,9 @@ def test_oracle_reads_only_the_dense_tensors(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle ran library code on the tensors")
 
-    for name in ("mul_vec", "comult_vec", "antipode_vec", "power_vec"):
+    for name in ("basis_vector", "mul_vec", "combine", "comult_vec", "antipode_vec",
+                 "power_vec", "counit_of"):
         monkeypatch.setattr(GroupScheme, name, refuse)
-    monkeypatch.setattr(GroupScheme, "_dense", property(refuse))
     monkeypatch.setattr(hopf, "point_is_hom", refuse)
     for (G, T), want in zip(cases, expected):
         P = enumerate_points(G, T)

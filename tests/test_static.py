@@ -15,8 +15,13 @@ read membership and tables through pi alone, homomorphisms and
 convolutions read sparse rows, every map f(v) is hopf.project and every
 map f (x) g on A (x) A is hopf.map_tensor.  Delta(v) and ad(v) come in
 map_tensor's form, the sorted nonzero (j, k, c), so no code that makes
-one converts it from a dict.  The one true division, a / b, is
-rings._quotient, which keeps an integral quotient in Q an int."""
+one converts it from a dict.  An element of A comes in the same one
+form, the sorted nonzero (x, c), so no code converts a product, an
+antipode, a power or a pull-back to it, nor a projection back to a dense
+vector; hopf, constructions and structure import no dense vector helper,
+and a homomorphism keeps its algebra map once, as alg.  The one true
+division, a / b, is rings._quotient, which keeps an integral quotient in
+Q an int."""
 
 import ast
 from functools import cache
@@ -416,9 +421,8 @@ def test_subgroups_and_quotient_read_sparse_rows_only():
     through the sparse pi(e_j) rows; quotient
     reads coordinates in its coinvariant basis through the sparse kappa
     rows and checks them by expanding back through beta.  A homomorphism
-    pulls back, checks itself and maps points through the kept nonzeros
-    of its rows, and a convolution sums m o (f (x) g) o Delta through
-    them.  None reduces against a span itself, sums dense rows or
+    pulls back, checks itself and maps points through its sparse rows
+    (alg), and a convolution sums m o (f (x) g) o Delta through them.  None reduces against a span itself, sums dense rows or
     transposes a matrix, also not in a function nested in them; every
     linear map f(v) is hopf.project, and the constructions-private
     _project it replaced is gone."""
@@ -544,3 +548,80 @@ def test_the_one_true_division_is_rings_quotient():
                         "        return 1 / a, (a / 2) / 3\n")
     assert true_divisions(snippet) == [(None, 1), ("R.inv", 7), ("R.inv", 9),
                                        ("R.inv", 9), ("R.inv", 9)]
+
+
+def call_name(node):
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+ELEMENT_OPERATIONS = {"mul_vec", "antipode_vec", "power_vec", "apply_alg", "combine"}
+DENSE_VECTOR_HELPERS = {"vec_add", "vec_sub", "vec_scale", "identity_matrix"}
+
+
+def element_conversions(tree):
+    """[(scope, line)] in source order for each nonzeros(...) of a call of
+    an element operation and each dense(...) of a project(...), where scope
+    is the dotted name of the function or method holding it (see
+    scope_nodes), or None outside them."""
+    def conversions(node):
+        out = []
+        for n in ast.walk(node):
+            if not isinstance(n, ast.Call):
+                continue
+            inner = {call_name(a) for a in n.args if isinstance(a, ast.Call)}
+            if call_name(n) == "nonzeros" and inner & ELEMENT_OPERATIONS or \
+                    call_name(n) == "dense" and "project" in inner:
+                out.append((n.lineno, n.col_offset))
+        return out
+
+    scope = {at: name for name, node in scope_nodes(tree).items()
+             for at in conversions(node)}
+    return [(scope.get(at), at[0]) for at in sorted(conversions(tree))]
+
+
+def dense_vector_helpers(tree):
+    """The dense vector helpers of DENSE_VECTOR_HELPERS that the module
+    imports or reads as an attribute, in sorted order."""
+    attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return sorted((set(imported_names(tree)) | attributes) & DENSE_VECTOR_HELPERS)
+
+
+def stored_attributes(tree, cls):
+    """The attributes that the methods of class cls assign on self."""
+    return sorted({n.attr for c in tree.body if isinstance(c, ast.ClassDef) and c.name == cls
+                   for n in ast.walk(c) if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Store) and getattr(n.value, "id", None) == "self"})
+
+
+def test_elements_of_a_stay_sparse():
+    """An element of A is its sorted nonzero (x, c) list everywhere in
+    hopf, constructions and structure: no code converts the result of
+    mul_vec, antipode_vec, power_vec, apply_alg or combine with nonzeros,
+    nor a project with dense; none of the three imports a dense vector
+    helper; and GroupSchemeHom keeps its algebra map once, as alg, with
+    no rows beside it."""
+    for path in sorted(SRC.glob("*.py")):
+        assert element_conversions(parse(path)) == [], path.name
+    for name in ("hopf.py", "constructions.py", "structure.py"):
+        assert dense_vector_helpers(parse(SRC / name)) == [], name
+    assert "alg" in stored_attributes(parse(SRC / "hopf.py"), "GroupSchemeHom")
+    assert "rows" not in stored_attributes(parse(SRC / "hopf.py"), "GroupSchemeHom")
+    snippet = ast.parse("from .linalg import Span, vec_sub\n"
+                        "X = dense(R, m, project(R, rows, v))\n"
+                        "class GroupSchemeHom:\n"
+                        "    def __init__(self, alg):\n"
+                        "        self.alg = alg\n"
+                        "        self.rows = [nonzeros(R, v) for v in alg]\n"
+                        "    def is_valid(self):\n"
+                        "        def pulled(v):\n"
+                        "            return nonzeros(R, self.apply_alg(v))\n"
+                        "        return nonzeros(R, G.mul_vec(v, w)), nonzeros(R, v)\n"
+                        "def scale(G, v):\n"
+                        "    return linalg.vec_scale(R, c, G.combine(t)), dense(R, m, v)\n"
+                        "def outside(G, v):\n"
+                        "    return project(R, pb, nonzeros(R, G.antipode_vec(v)))\n")
+    assert element_conversions(snippet) == [(None, 2), ("GroupSchemeHom.is_valid", 9),
+                                            ("GroupSchemeHom.is_valid", 10),
+                                            ("outside", 14)]
+    assert dense_vector_helpers(snippet) == ["vec_scale", "vec_sub"]
+    assert stored_attributes(snippet, "GroupSchemeHom") == ["alg", "rows"]

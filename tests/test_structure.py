@@ -11,9 +11,8 @@ from ffgs.constructions import (ClosedSubgroup, alpha, constant,
                                 ideal_closure, inversion_action, kernel, mu,
                                 semidirect, tate_oort2, trivial_subgroup)
 from ffgs import constructions, hopf, structure
-from ffgs.hopf import HopfError, convolution_power, hom_on_points, points
-from ffgs.linalg import (canonical_span, row_kernel, transpose, vec_add, vec_scale,
-                         vec_sub)
+from ffgs.hopf import HopfError, convolution_power, dense, hom_on_points, nonzeros, points
+from ffgs.linalg import canonical_span, row_kernel, transpose
 from ffgs.oracle import (AbstractGroup, cyclic_table, product_table, s3_table,
                          subgroup_lattice)
 from ffgs.rings import (QQ, IntegersMod, PrimeField, RingError, RingHom, find_hom,
@@ -31,8 +30,8 @@ from ffgs.structure import (InternalInconsistencyError, SplitResult,
                             theorem_decompose, verschiebung)
 from ffgs.testrings import test_ring_family as ring_family
 from test_acceptance import theorem_corpus
-from test_hopf import built, rebased, unitriangular
-from test_linalg import solve
+from test_hopf import built, dense_mul, dense_view, rebased, unitriangular
+from test_linalg import identity_matrix, solve, vec_add, vec_scale, vec_sub
 from test_oracle import relabelled
 
 Q = parse_ring("Q")
@@ -76,14 +75,12 @@ def test_identity_component():
 
 def _reference_augmentation_core(G):
     """augmentation_core as it was: J^n until it stabilizes."""
-    R = G.ring
-    J = canonical_span(R, [
-        vec_sub(R, G.basis_vector(i), vec_scale(R, G.counit[i], G.unit))
-        for i in range(G.rank)
-    ])
+    R, unit = G.ring, dense_view(G).unit
+    J = canonical_span(R, [vec_sub(R, e, vec_scale(R, c, unit))
+                           for e, c in zip(identity_matrix(R, G.rank), G.counit)])
     cur = J
     while True:
-        nxt = canonical_span(R, [G.mul_vec(v, w) for v in cur for w in J])
+        nxt = canonical_span(R, [dense_mul(G, v, w) for v in cur for w in J])
         if nxt == cur:
             return cur
         cur = nxt
@@ -99,7 +96,7 @@ def _reference_unit_of_ideal(G, rows):
     for i in range(r):
         col = []
         for j in range(r):
-            col.extend(G.mul_vec(rows[i], rows[j]))
+            col.extend(dense_mul(G, rows[i], rows[j]))
         cols.append(col)
     rhs = []
     for j in range(r):
@@ -117,7 +114,7 @@ def _reference_identity_component(G):
     R = G.ring
     if R.is_field:
         core = _reference_augmentation_core(G)
-        return ClosedSubgroup(G, ideal_closure(G, core))
+        return ClosedSubgroup(G, ideal_closure(G, [nonzeros(R, v) for v in core]))
     k = R.base
     fiber = G.base_change(RingHom(R, k, lambda a: a[0], "eps -> 0"))
     core = _reference_augmentation_core(fiber)
@@ -125,13 +122,13 @@ def _reference_identity_component(G):
         return trivial_subgroup(G) if G.rank == 1 else \
             ClosedSubgroup(G, [])
     eB = _reference_unit_of_ideal(fiber, core)
-    u0 = [(vec_sub(k, fiber.unit, eB)[i], k.zero) for i in range(G.rank)]
-    u2 = G.mul_vec(u0, u0)
-    u3 = G.mul_vec(u2, u0)
+    u0 = [(a, k.zero) for a in vec_sub(k, dense_view(fiber).unit, eB)]
+    u2 = dense_mul(G, u0, u0)
+    u3 = dense_mul(G, u2, u0)
     u = vec_sub(R, vec_scale(R, R.from_int(3), u2),
                 vec_scale(R, R.from_int(2), u3))
-    gen = vec_sub(R, G.unit, u)
-    return ClosedSubgroup(G, ideal_closure(G, [gen]))
+    gen = vec_sub(R, dense_view(G).unit, u)
+    return ClosedSubgroup(G, ideal_closure(G, [nonzeros(R, gen)]))
 
 
 IDENTITY_CASES = [("GF(2)", 6), ("GF(3)", 6), ("GF(3^2;x^2+1)", 6),
@@ -162,7 +159,7 @@ def _reference_separable_rank(G):
     k = G.ring
     if k.char() == 0:
         return len(canonical_span(k, hopf.trace_form(G)))
-    M = [G.power_vec(G.basis_vector(i), k.size()) for i in range(G.rank)]
+    M = [dense(k, G.rank, G.power_vec(G.basis_vector(i), k.size())) for i in range(G.rank)]
     cur, rank = M, len(canonical_span(k, M))
     while True:
         cur = [[k.dot(row, col) for col in zip(*M)] for row in cur]
@@ -683,7 +680,7 @@ def _reference_reduction_hom(G):
     flag, disc = is_etale(G)
     assert flag
     M, C, S = G.sparse
-    entries = [c for row in M for v in row for _, c in v] + G.unit + G.counit
+    entries = [c for row in M for v in row for _, c in v] + [c for _, c in G.unit] + G.counit
     entries += [c for terms in C for *_, c in terms] + [c for v in S for _, c in v]
     p = 2
     while True:
