@@ -30,7 +30,7 @@ class UserError(Exception):
 def _load_table(spec: str):
     if spec == "S3":
         return oracle.s3_table()
-    if spec.startswith("Z") and spec[1:].isdigit():
+    if spec.startswith("Z") and spec[1:].isascii() and spec[1:].isdigit():
         return oracle.cyclic_table(int(spec[1:]))
     try:
         with open(spec) as fh:
@@ -45,13 +45,14 @@ def _load_table(spec: str):
 def build_builtin(spec: str, R: Ring) -> GroupScheme:
     kind, _, payload = spec.partition(":")
     if kind == "mu":
-        if not payload.isdigit():
+        # ASCII digits only: str.isdigit also takes superscripts int() refuses
+        if not (payload.isascii() and payload.isdigit()):
             raise UserError("usage: mu:n")
         return cons.mu(R, int(payload))
     if kind == "const":
         return cons.constant(R, _load_table(payload))
     if kind == "alpha":
-        if not payload.isdigit():
+        if not (payload.isascii() and payload.isdigit()):
             raise UserError("usage: alpha:p")
         return cons.alpha(R, int(payload))
     if kind == "ot2":
@@ -159,13 +160,12 @@ def cmd_dual(args):
 def cmd_decompose_p(args):
     G = load_scheme(args)
     factors, iso = structure.p_primary_decompose(G)
-    R = G.ring
     payload = {
         "order": G.rank,
         "product_isomorphism": iso,
         "factors": [
             {"prime": p,
-             "ideal": [[R.show(c) for c in v] for v in H.ideal],
+             "ideal": H.shown_ideal(),
              "order": H.order}
             for p, H in factors
         ],

@@ -255,6 +255,11 @@ class ClosedSubgroup:
     def __repr__(self):
         return f"<closed subgroup of order {self.order} in {self.ambient!r}>"
 
+    def shown_ideal(self):
+        """The ideal's rows as the dense lists of `show` texts printed."""
+        R, m = self.ambient.ring, self.ambient.rank
+        return [[R.show(c) for c in dense(R, m, v)] for v in self.ideal]
+
     def verify_hopf_ideal(self) -> VerificationReport:
         return self._hopf_ideal_report
 
@@ -267,7 +272,6 @@ class ClosedSubgroup:
         if self.ideal.nonunit is not None:
             return VerificationReport(False, "not-flat", (self.ideal.nonunit,))
         pb = self.quotient_data()[1]
-        ideal = [nonzeros(R, v) for v in self.ideal]
 
         def outside(v, i):  # v e_i is not in I
             return project(R, pb, G.mul_vec(v, G.basis_vector(i)))
@@ -276,19 +280,19 @@ class ClosedSubgroup:
         # a generator s = e_g of A settles alone; on a failure the basis scan
         # names the first failing (t, i)
         g = G.presentation.index
-        if g is None or any(outside(v, g) for v in ideal):
-            for t, v in enumerate(ideal):
+        if g is None or any(outside(v, g) for v in self.ideal):
+            for t, v in enumerate(self.ideal):
                 for i in range(G.rank):
                     if outside(v, i):
                         return VerificationReport(False, "ideal-closure", (t, i))
         # inside the augmentation ideal
-        for t, v in enumerate(ideal):
+        for t, v in enumerate(self.ideal):
             if R.nonzero(G.counit_of(v)):
                 return VerificationReport(False, "augmentation", (t,))
-        for t, v in enumerate(ideal):
+        for t, v in enumerate(self.ideal):
             if map_tensor(R, pb, pb, G.comult_vec(v)):
                 return VerificationReport(False, "coideal", (t,))
-        for t, v in enumerate(ideal):
+        for t, v in enumerate(self.ideal):
             if project(R, pb, G.antipode_vec(v)):
                 return VerificationReport(False, "antipode-stability", (t,))
         return VerificationReport(True)
@@ -311,7 +315,7 @@ class ClosedSubgroup:
         at = {j: s for s, j in enumerate(free_cols)}
         pb = [[(at[j], R.one)] if j in at else None for j in range(m)]
         for row, c in zip(self.ideal, self.ideal.cols):
-            pb[c] = [(at[x], R.neg(a)) for x, a in nonzeros(R, row) if x != c]
+            pb[c] = [(at[x], R.neg(a)) for x, a in row[1:]]
         return free_cols, pb
 
     def scheme(self) -> GroupScheme:
@@ -338,7 +342,7 @@ class ClosedSubgroup:
         ident = [[(j, R.one)] for j in range(G.rank)]
         pb = self.quotient_data()[1]
         return next(((False, t) for t, v in enumerate(self.ideal)
-                     if map_tensor(R, ident, pb, conjugation_tensor(G, nonzeros(R, v)))),
+                     if map_tensor(R, ident, pb, conjugation_tensor(G, v))),
                     (True, None))
 
     def inclusion(self) -> GroupSchemeHom:
@@ -362,16 +366,15 @@ def ideal_closure(G: GroupScheme, gens):
     with the basis, which holds v = v 1; as (v e_j) e_i = v (e_j e_i) lies
     in that span again, one round closes it."""
     R, m = G.ring, G.rank
-    span = canonical_span(R, [dense(R, m, v) for v in gens])
-    frontier = [nonzeros(R, v) for v in span]
+    span = frontier = canonical_span(R, gens)
     pres = G.presentation
     if pres.index is None:
-        return canonical_span(R, [dense(R, m, G.mul_vec(v, G.basis_vector(i)))
+        return canonical_span(R, [G.mul_vec(v, G.basis_vector(i))
                                   for v in frontier for i in range(m)])
     s = G.basis_vector(pres.index)
     while True:
         frontier = [G.mul_vec(v, s) for v in frontier]
-        bigger = canonical_span(R, span + [dense(R, m, v) for v in frontier])
+        bigger = canonical_span(R, span + frontier)
         if bigger == span:
             return span
         span = bigger
@@ -383,7 +386,7 @@ def whole_subgroup(G: GroupScheme) -> ClosedSubgroup:
 
 def trivial_subgroup(G: GroupScheme) -> ClosedSubgroup:
     """The trivial subgroup, cut out by the augmentation ideal ker(counit)."""
-    return ClosedSubgroup(G, row_kernel(G.ring, [[c] for c in G.counit]))
+    return ClosedSubgroup(G, row_kernel(G.ring, [nonzeros(G.ring, [c]) for c in G.counit]))
 
 
 def kernel(f: GroupSchemeHom) -> ClosedSubgroup:
@@ -402,8 +405,7 @@ def image(f: GroupSchemeHom) -> ClosedSubgroup:
     The defining ideal is the kernel of the algebra map, i.e. all
     functions on the target pulling back to zero; as the kernel of an
     algebra map it is an ideal already."""
-    R, m = f.source.ring, f.source.rank
-    return ClosedSubgroup(f.target, row_kernel(R, [dense(R, m, v) for v in f.alg]))
+    return ClosedSubgroup(f.target, row_kernel(f.source.ring, f.alg))
 
 
 def intersect(H1: ClosedSubgroup, H2: ClosedSubgroup) -> ClosedSubgroup:
@@ -448,7 +450,7 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
     cols = []
     for i, terms in enumerate(G.sparse.comult):
         tensor = map_tensor(R, ident, pb, terms + [(i, k, u) for k, u in minus_unit])
-        cols.append(dense(R, m * n, ((j * n + s, c) for j, s, c in tensor)))
+        cols.append([(j * n + s, c) for j, s, c in tensor])
     B = row_kernel(R, cols)
     if not B:
         raise HopfError("coinvariants are zero")
@@ -459,33 +461,32 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
         )
     # unit pivots make B free, and its canonical form has B[t][c_t] = 1 and
     # B[s][c_t] = 0 for s != t (`linalg.Span`): kappa(e_{c_t}) = e_t (zero at
-    # other columns) reads coordinates and beta(e_t) = B[t] expands them, so
-    # v is in span(B) iff beta(kappa(v)) = v, and likewise on B (x) B with
-    # kappa and beta on both
+    # other columns) reads coordinates and beta(e_t) = B[t], the rows of B
+    # as they are, expands them, so v is in span(B) iff beta(kappa(v)) = v,
+    # and likewise on B (x) B with kappa and beta on both
     if B.nonunit is not None:
         raise HopfError("coinvariants are not free on their basis (non-unit pivot)")
     at = {c: t for t, c in enumerate(B.cols)}
     kappa = [[(at[c], R.one)] if c in at else [] for c in range(m)]
-    beta = [nonzeros(R, row) for row in B]
     def coords(v):
         x = project(R, kappa, v)
-        if project(R, beta, x) != v:
+        if project(R, B, x) != v:
             raise HopfError("coinvariant algebra is not closed as expected")
         return x
     rB = len(B)
-    mult = [[coords(G.mul_vec(a, b)) for b in beta] for a in beta]
+    mult = [[coords(G.mul_vec(a, b)) for b in B] for a in B]
     comult = []
-    for b in beta:
+    for b in B:
         terms = G.comult_vec(b)
         x = map_tensor(R, kappa, kappa, terms)
-        if map_tensor(R, beta, beta, x) != terms:
+        if map_tensor(R, B, B, x) != terms:
             raise HopfError("comultiplication does not restrict to coinvariants")
         comult.append(x)
-    antipode = [coords(G.antipode_vec(b)) for b in beta]
+    antipode = [coords(G.antipode_vec(b)) for b in B]
     Gbar = GroupScheme.from_tables(R, rB, (mult, comult, antipode), coords(G.unit),
-                                   [G.counit_of(b) for b in beta],
+                                   [G.counit_of(b) for b in B],
                                    f"{G.name}/H" if G.name else None)
-    proj = GroupSchemeHom(G, Gbar, beta)
+    proj = GroupSchemeHom(G, Gbar, B)
     return Gbar, proj
 
 
@@ -548,9 +549,7 @@ class ExtensionWitness:
             "kernel_order": self.kernel.order,
             "total_order": self.total.rank,
             "quotient_order": self.quotient.rank,
-            "kernel_ideal": [
-                [self.total.ring.show(c) for c in v] for v in self.kernel.ideal
-            ],
+            "kernel_ideal": self.kernel.shown_ideal(),
             "quotient": self.quotient.to_dict(),
             "ledger": self.ledger,
         }
@@ -622,7 +621,7 @@ def find_isomorphism(G: GroupScheme, H: GroupScheme,
     # powers [1] there), else the first of a bounded scan over all module
     # elements
     m = H.rank
-    basis = [dense(R, m, H.basis_vector(j)) for j in range(m)]
+    basis = [H.basis_vector(j) for j in range(m)]
 
     def powers_of(K, v):  # 1, v, ..., v^(m-1) in Hopf(K)
         powers = [K.unit]
@@ -631,7 +630,7 @@ def find_isomorphism(G: GroupScheme, H: GroupScheme,
         return powers
 
     def generates(powers):
-        span = canonical_span(R, [dense(R, m, v) for v in powers])
+        span = canonical_span(R, powers)
         return all(member(R, span, e) for e in basis)
 
     index = H.presentation.index
@@ -642,8 +641,7 @@ def find_isomorphism(G: GroupScheme, H: GroupScheme,
     gen_powers = next(filter(generates, (powers_of(H, v) for v in candidates)), None)
     if gen_powers is None:
         return _exhaustive_isomorphism(G, H, budget)
-    gen_powers = [dense(R, m, v) for v in gen_powers]
-    exprs = [nonzeros(R, member_with_coeffs(R, gen_powers, e)) for e in basis]
+    exprs = [member_with_coeffs(R, gen_powers, e) for e in basis]
     els = list(R.elements())
     count = 0
     for v in itertools.product(els, repeat=G.rank):

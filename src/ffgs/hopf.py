@@ -28,10 +28,11 @@ applied in one sparse form, on its rows f(e_j): f(v) by `project` and
 `project` on the rows v_x.  A homomorphism keeps the rows of its algebra
 map (`GroupSchemeHom.alg`), which pulling back, composing, its checks and
 its map on points read, and a convolution m o (f (x) g) o Delta is
-`map_tensor` summed by `combine`.  Lists of values on the basis stay
-dense: the counit, characters and points.  So do the dense lists the
-constructor and `from_dict` take and `to_dict` writes from the tables,
-and the rows handed to `linalg`, made with `dense` at the call.
+`map_tensor` summed by `combine`.  A row handed to `linalg` is in the
+same form, and so are the rows of the spans it returns.  Lists of values
+on the basis stay dense: the counit, characters and points.  So do the
+dense lists the constructor and `from_dict` take and `to_dict` writes
+from the tables, and the square matrix `Ring.det` takes.
 The tables are fixed once a scheme is made, so the conjugation tensors
 ad(e_i) (`adjoint`), the presentation A = R[t]/(mu) by the first basis
 vector other than 1 that generates A, where one does (`presentation`,
@@ -41,7 +42,7 @@ generators `verify` checks the laws on (`algebra_generators`, which read
 it), the trace discriminant (`etale`), the ideal of the identity component
 (`identity_core`), the characters over a field (`field_characters`), the
 subschemes x^p = 1 (`torsion_subschemes`), the base change to each ring
-(`base_change`), and over a field the tangent rows of each character
+(`base_change`), and over a field the tangent solver of each character
 (`_lifted_points`) and the minimal polynomials (`_minpoly`) are kept too.
 
 The dual module, with the tables transposed (`_transposed`), is the
@@ -58,12 +59,7 @@ import itertools
 from collections import namedtuple
 
 from . import linalg
-from .linalg import (
-    Span,
-    add_scaled,
-    reduce_mod_span,
-    transpose,
-)
+from .linalg import Span, reduce_mod_span
 from .rings import (
     QQ,
     Ring,
@@ -311,7 +307,7 @@ class GroupScheme:
         fiber = self.base_change(k)
         e0 = lift_idempotent(self, [(x, lift(a)) for x, a in identity_idempotent(fiber)])
         u = project(R, [self.unit, e0], [(0, R.one), (1, R.neg(R.one))])
-        return linalg.canonical_span(R, [dense(R, m, self.mul_vec(u, self.basis_vector(i)))
+        return linalg.canonical_span(R, [self.mul_vec(u, self.basis_vector(i))
                                          for i in range(m)])
 
     @functools.cached_property
@@ -321,7 +317,7 @@ class GroupScheme:
 
     # filled as they are made: the base change to each ring (`base_change`),
     # the closed subscheme x^p = 1 for each prime p (`structure`) and, over
-    # a field, the tangent rows (`_lifted_points`) and minimal polynomials
+    # a field, the tangent solvers (`_lifted_points`) and minimal polynomials
     _base_changes, torsion_subschemes, _tangents, _minpolys = (
         functools.cached_property(lambda G: {}) for _ in range(4))
 
@@ -836,8 +832,8 @@ class GroupSchemeHom:
                    for v, c in zip(self.alg, self.target.counit))
 
     def is_module_iso(self) -> bool:
-        R, m = self.source.ring, self.source.rank
-        return R.is_unit(R.det(transpose([dense(R, m, v) for v in self.alg])))
+        R, m = self.source.ring, self.source.rank  # det A^T = det A
+        return R.is_unit(R.det([dense(R, m, v) for v in self.alg]))
 
 
 def trivial_endo(G: GroupScheme) -> GroupSchemeHom:
@@ -979,19 +975,18 @@ def _minpoly_of_vector(GR: GroupScheme, e, c_vec):
     """Monic minimal polynomial of multiplication by c_vec on the unital
     factor with unit e, and the powers e, c, c c, ..., c^(n-1) below its
     degree n (field base); c lies in the factor, so e c = c.  Each power
-    is reduced once against the rows [c^i | x^i] placed so far; the first
-    to vanish on the left has the minimal polynomial on the right."""
+    is reduced once against the rows [c^i | x^i] placed so far, x^i at
+    column m + i; the first to vanish on the left has the minimal
+    polynomial on the right."""
     R, m = GR.ring, GR.rank
     # each reduced row is zero at the pivots of the rows placed before it
     rows, powers, v = Span(R), [], e
     while True:
         n = len(powers)
-        tail = [R.one if j == n else R.zero for j in range(m + 1)]
-        w = reduce_mod_span(R, rows, dense(R, m, v) + tail)
-        col = next((c for c in range(m) if R.nonzero(w[c])), None)
-        if col is None:
-            return w[m:m + n + 1], powers
-        rows.place(R, R.normalize_pivot(w, col), col)
+        w = reduce_mod_span(R, rows, v + [(m + n, R.one)])
+        if w[0][0] >= m:
+            return dense(R, n + 1, [(c - m, a) for c, a in w]), powers
+        rows.place(R, R.normalize_pivot(w))
         powers.append(v)
         v = GR.mul_vec(v, c_vec) if n else c_vec
 
@@ -1091,9 +1086,9 @@ def _presented_characters(GR: GroupScheme):
     [P | I] gives P^-1 for every root."""
     R, m = GR.ring, GR.rank
     pres = GR.presentation
-    rows = [dense(R, m, v) + [R.one if j == t else R.zero for j in range(m)]
-            for t, v in enumerate(pres.powers)]
-    inverse = [nonzeros(R, row[m:]) for row in linalg.canonical_span(R, rows)]
+    rows = [v + [(m + t, R.one)] for t, v in enumerate(pres.powers)]
+    inverse = [[(c - m, a) for c, a in row if c >= m]
+               for row in linalg.canonical_span(R, rows)]
     for lam in R.roots(pres.minpoly):
         powers = [R.one]
         while len(powers) < m:
@@ -1157,20 +1152,31 @@ def points(G: GroupScheme, Rp: Ring, bound: int = 10000) -> PointGroup:
 
 
 def _tangent_rows(k: Ring, fiber: GroupScheme, chi):
-    """The tangent rows of the character chi of fiber over k (one per pair
-    i <= j, one for the unit) as the columns of `_square_zero_lifts`."""
+    """The rows of `_square_zero_lifts`, one per basis index x: entry t of
+    row x is the coefficient of d_x in condition t, the x-coefficient of
+    chi_i e_j + chi_j e_i - e_i e_j for the t-th pair i <= j, and of the
+    unit in the last one."""
     m, M = fiber.rank, fiber.sparse.mult
-    rows = []
+    nonzero = k.nonzero
+    # the pair i <= j is condition diag[i] + j - i
+    diag = [i * m - i * (i - 1) // 2 for i in range(m)]
+    products = [[] for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            row = [k.zero] * m
             for x, c in M[i][j]:
-                row[x] = k.neg(c)
-            row[j] = k.add(row[j], chi[i])
-            row[i] = k.add(row[i], chi[j])
-            rows.append(row)
-    rows.append(dense(k, m, fiber.unit))
-    return transpose(rows)
+                products[x].append((diag[i] + j - i, c))
+    rows = []
+    for x in range(m):
+        # chi_i at (i, x) for i < x, 2 chi_x at (x, x), chi_j at (x, j) for j > x
+        chis = [(diag[i] + x - i, c) for i, c in enumerate(chi[:x]) if nonzero(c)]
+        two = k.add(chi[x], chi[x])
+        if nonzero(two):
+            chis.append((diag[x], two))
+        chis += [(diag[x] + j - x, c) for j, c in enumerate(chi[x + 1:], x + 1) if nonzero(c)]
+        rows.append(k.row_sub(chis, k.one, products[x]))
+    for x, c in fiber.unit:
+        rows[x].append((m * (m + 1) // 2, c))
+    return rows
 
 
 def _square_zero_lifts(GR: GroupScheme, k: Ring, tangent, phi, coord):
@@ -1181,14 +1187,15 @@ def _square_zero_lifts(GR: GroupScheme, k: Ring, tangent, phi, coord):
     coord reads the k-coordinate of an element of it: a[1] for eps, and
     a // p^j % p for p^j in Z/p^(j+1).  phi is a point modulo delta whose
     residue is the character chi of the fiber over k.  As delta^2 = 0 the
-    conditions are linear in d: tangent, the `_tangent_rows` of chi,
-    against minus the coordinates of phi's defect (Waterhouse, Introduction
-    to Affine Group Schemes, ch. 12)."""
+    conditions are linear in d: the `_tangent_rows` of chi against minus
+    the coordinates of phi's defect (Waterhouse, Introduction to Affine
+    Group Schemes, ch. 12), whose `linalg.solver` (solve, K) is tangent."""
     R, m, M = GR.ring, GR.rank, GR.sparse.mult
     rhs = [k.neg(coord(R.sub(R.mul(phi[i], phi[j]), _pair(R, M[i][j], phi))))
            for i in range(m) for j in range(i, m)]
     rhs.append(k.neg(coord(R.sub(_pair(R, GR.unit, phi), R.one))))
-    return linalg.member_and_kernel(k, tangent, rhs)
+    solve, kern = tangent
+    return solve(nonzeros(k, rhs)), kern
 
 
 def _lifted_points(G: GroupScheme, R: Ring, bound: int):
@@ -1206,14 +1213,14 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
     GR = G.base_change(R)
     base = [(chi, [lift(c) for c in chi]) for chi in fiber.field_characters]
     # the tangent rows depend on chi alone, so every step and every ring
-    # over k share them
+    # over k share them and their one elimination
     tangent = fiber._tangents
-    add, mul = R.add, R.mul
+    add, mul, one = R.add, R.mul, k.one
     for delta, coord in steps:
         nxt = []
         for chi, phi in base:
             if chi not in tangent:
-                tangent[chi] = _tangent_rows(k, fiber, chi)
+                tangent[chi] = linalg.solver(k, _tangent_rows(k, fiber, chi))
             part, kern = _square_zero_lifts(GR, k, tangent[chi], phi, coord)
             if part is None:
                 continue
@@ -1223,8 +1230,10 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
                 raise HopfError(f"more than {bound} points (the points bound)")
             for combo in itertools.product(list(k.elements()) if kern else [],
                                            repeat=len(kern)):
-                d = add_scaled(k, list(part), zip(combo, kern))
-                nxt.append((chi, [add(x, mul(delta, lift(y))) for x, y in zip(phi, d)]))
+                lifted = list(phi)
+                for x, y in project(k, [part, *kern], enumerate((one, *combo))):
+                    lifted[x] = add(lifted[x], mul(delta, lift(y)))
+                nxt.append((chi, lifted))
         base = nxt
     return [tuple(phi) for _, phi in base]
 

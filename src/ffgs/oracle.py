@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .linalg import add_scaled, member_with_coeffs
-from .hopf import GroupScheme, HopfError, PointGroup
+from .hopf import GroupScheme, HopfError, PointGroup, dense, nonzeros
 from .rings import Ring, RingError, find_hom, prime_factors
 
 
@@ -56,6 +56,12 @@ def _mul(GR: GroupScheme, mult, v, w):
                        for j, b in enumerate(w) if R.nonzero(a) and R.nonzero(b)))
 
 
+def _coeffs(R: Ring, vecs, v):
+    """`member_with_coeffs` on the vectors' rows: x as a list, or None."""
+    x = member_with_coeffs(R, [nonzeros(R, w) for w in vecs], nonzeros(R, v))
+    return None if x is None else dense(R, len(vecs), x)
+
+
 def _generating_monomials(GR: GroupScheme, unit, basis, mult):
     """A generating set of basis indices plus the monomial closure.
 
@@ -75,17 +81,17 @@ def _generating_monomials(GR: GroupScheme, unit, basis, mult):
             for t in range(len(monoms)):
                 for pos, g in enumerate(gens):
                     w = _mul(GR, mult, monoms[t], basis[g])
-                    if member_with_coeffs(R, monoms, w) is None:
+                    if _coeffs(R, monoms, w) is None:
                         monoms.append(w)
                         recipes.append((t, pos))
                         changed = True
 
     for i in range(m):
         if all(
-            member_with_coeffs(R, monoms, e) is not None for e in basis
+            _coeffs(R, monoms, e) is not None for e in basis
         ):
             break
-        if member_with_coeffs(R, monoms, basis[i]) is None:
+        if _coeffs(R, monoms, basis[i]) is None:
             gens.append(i)
             closure()
     return gens, monoms, recipes
@@ -103,7 +109,7 @@ def enumerate_points(G: GroupScheme, Rp: Ring, budget: int = 500000):
     m = GR.rank
     unit, basis, mult, comult = _dense(GR)
     gens, monoms, recipes = _generating_monomials(GR, unit, basis, mult)
-    exprs = [member_with_coeffs(R, monoms, e) for e in basis]
+    exprs = [_coeffs(R, monoms, e) for e in basis]
     assert all(e is not None for e in exprs)
     els = list(R.elements())
     # necessary condition on a homomorphic image of generator e_g: it
@@ -114,7 +120,7 @@ def enumerate_points(G: GroupScheme, Rp: Ring, budget: int = 500000):
         rel = None
         while rel is None:
             nxt = _mul(GR, mult, powers[-1], basis[g])
-            rel = member_with_coeffs(R, powers, nxt)
+            rel = _coeffs(R, powers, nxt)
             powers.append(nxt)
         cands = []
         for x in els:

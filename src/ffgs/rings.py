@@ -222,16 +222,19 @@ class Ring:
         return [(self, lambda a: a)]
 
     # -- canonical forms -----------------------------------------------
-    # The hooks linalg.echelon builds canonical row bases from.  The
-    # defaults are those of a field (reduced row echelon form); the other
-    # families override what their canonical form needs.
-    def normalize_pivot(self, row, col):
-        """row scaled by a unit so that row[col] is the canonical pivot;
+    # The hooks linalg.echelon builds canonical row bases from.  A row is
+    # the list of its nonzero (col, x) in increasing col, and the pivot of
+    # a pivot row is its first entry.  The defaults are those of a field
+    # (reduced row echelon form); the other families override what their
+    # canonical form needs.
+    def normalize_pivot(self, row):
+        """row scaled by a unit so that its pivot is the canonical one;
         row itself where it is already."""
-        if row[col] == self.one:
+        a = row[0][1]
+        if a == self.one:
             return row
-        u = self.inv(row[col])
-        return [self.mul(u, x) for x in row]
+        u, mul = self.inv(a), self.mul
+        return [(c, mul(u, x)) for c, x in row]
 
     def divmod_pivot(self, a, pivot):
         """(q, r) with a = q*pivot + r and r the canonical remainder; the
@@ -239,41 +242,58 @@ class Ring:
         return self.mul(a, self.inv(pivot)), self.zero
 
     def row_sub(self, row, q, piv):
-        """row - q*piv."""
-        return [self.sub(x, self.mul(q, y)) for x, y in zip(row, piv)]
+        """row - q*piv, merged in one pass over the two rows."""
+        nonzero, add, mul, nq = self.nonzero, self.add, self.mul, self.neg(q)
+        out, i, n = [], 0, len(row)
+        for c, y in piv:
+            while i < n and row[i][0] < c:
+                out.append(row[i])
+                i += 1
+            if i < n and row[i][0] == c:
+                x = add(row[i][1], mul(nq, y))
+                i += 1
+            else:
+                x = mul(nq, y)
+            if nonzero(x):
+                out.append((c, x))
+        out += row[i:]
+        return out
 
-    def merge_pivot(self, piv, row, col):
-        """For a row whose entry at col the pivot does not divide:
-        (new pivot, rest, deferred), together spanning what piv and row
-        span.  rest is reduced next; deferred rows join the back of the
-        queue.  Never reached over a field.  This default serves chain
-        rings, where row[col] then has the lower valuation: the row takes
-        the pivot's place and the old pivot is deferred."""
-        return row, [self.zero] * len(row), [piv]
+    def merge_pivot(self, piv, row):
+        """For a row whose pivot entry piv does not divide: (new pivot,
+        rest, deferred), together spanning what piv and row span.  rest
+        is reduced next; deferred rows join the back of the queue.  Never
+        reached over a field.  This default serves chain rings, where the
+        row's pivot entry then has the lower valuation: the row takes the
+        pivot's place and the old pivot is deferred."""
+        return row, [], [piv]
 
-    def annihilator(self, piv, col):
+    def annihilator(self, piv):
         """A row of the span that a new pivot row adds to the work queue,
         killing its pivot entry (Howell closure), or None."""
         return None
 
     def det(self, M):
-        """Determinant of a square matrix by Gaussian elimination (over a
+        """Determinant of a square matrix, given by its dense rows, by
+        Gaussian elimination on its sparse rows with `row_sub` (over a
         field; the other families override)."""
-        A = [list(row) for row in M]
+        A = [[(c, x) for c, x in enumerate(row) if self.nonzero(x)] for row in M]
         n = len(A)
         d = self.one
         for k in range(n):
-            piv = next((i for i in range(k, n) if self.nonzero(A[i][k])), None)
+            # the rows from k on are zero before column k
+            piv = next((i for i in range(k, n) if A[i] and A[i][0][0] == k), None)
             if piv is None:
                 return self.zero
             if piv != k:
                 A[k], A[piv] = A[piv], A[k]
                 d = self.neg(d)
-            d = self.mul(d, A[k][k])
-            inv = self.inv(A[k][k])
+            a = A[k][0][1]
+            d = self.mul(d, a)
+            inv = self.inv(a)
             for i in range(k + 1, n):
-                if self.nonzero(A[i][k]):
-                    A[i] = self.row_sub(A[i], self.mul(A[i][k], inv), A[k])
+                if A[i] and A[i][0][0] == k:
+                    A[i] = self.row_sub(A[i], self.mul(A[i][0][1], inv), A[k])
         return d
 
     def sort_key(self, a):
@@ -328,9 +348,6 @@ class _Fractions(Ring):
 
     def neg(self, a):
         return -a
-
-    def row_sub(self, row, q, piv):
-        return [x - q * y if y else x for x, y in zip(row, piv)]
 
     def from_int(self, n):
         return n
@@ -409,10 +426,6 @@ class _Residues(Ring):
 
     def neg(self, a):
         return (-a) % self.n
-
-    def row_sub(self, row, q, piv):
-        n = self.n
-        return [(x - q * y) % n for x, y in zip(row, piv)]
 
     def from_int(self, n):
         return n % self.n
@@ -625,10 +638,6 @@ class FiniteField(Ring):
     def neg(self, a):
         return tuple((-x) % self.p for x in a)
 
-    def row_sub(self, row, q, piv):
-        add, mul, nq = self.add, self.mul, self.neg(q)
-        return [add(x, mul(nq, y)) if y else x for x, y in zip(row, piv)]
-
     def is_unit(self, a):
         return len(a) > 0
 
@@ -752,41 +761,42 @@ class IntegersMod(_Residues):
 
     # Howell form: pivots are divisors of n, entries above a pivot d are
     # reduced into range(d), and every pivot row's annihilator is queued.
-    def normalize_pivot(self, row, col):
-        """Scale by the least unit w with w * g = d, for g = row[col] and
+    def normalize_pivot(self, row):
+        """Scale by the least unit w with w * g = d, for g the pivot and
         d = gcd(g, n).
 
         The solutions in range(n) are w0 + t n/d, t < d, for
         w0 = (g/d)^-1 mod n/d; units mod n map onto units mod n/d, so one
         of them is a unit."""
         n = self.n
-        g = row[col]
+        g = row[0][1]
         d = gcd(g, n)
         w = next(w for w in range(pow(g // d, -1, n // d), n, n // d)
                  if gcd(w, n) == 1)
-        return [w * x % n for x in row]
+        return [(c, w * x % n) for c, x in row]
 
     def divmod_pivot(self, a, pivot):
         q = a // pivot
         return q, a - q * pivot
 
-    def merge_pivot(self, piv, row, col):
-        """gcd combination: the new pivot entry is gcd(piv[col], row[col])."""
-        n = self.n
-        d = piv[col]
-        row = self.row_sub(row, row[col] // d, piv)
-        r = row[col]
+    def merge_pivot(self, piv, row):
+        """gcd combination: the new pivot entry is g = gcd(d, r) for the
+        pivot d and the row's remainder r by it, u d + v r = g, and the
+        rest (d/g) row - (r/g) piv."""
+        d = piv[0][1]
+        row = self.row_sub(row, row[0][1] // d, piv)
+        r = row[0][1]
         g, u, v = xgcd(d, r)
-        return ([(u * x + v * y) % n for x, y in zip(piv, row)],
-                [((d // g) * y - (r // g) * x) % n for x, y in zip(piv, row)],
-                [])
+        return (self.row_sub(self._scaled(u, piv), -v, row),
+                self.row_sub(self._scaled(d // g, row), r // g, piv), [])
 
-    def annihilator(self, piv, col):
-        d = gcd(piv[col], self.n)
-        if d == 1:
-            return None
+    def _scaled(self, a, row):
         n = self.n
-        return [(n // d) * x % n for x in piv]
+        return [(c, s) for c, x in row if (s := a * x % n)]
+
+    def annihilator(self, piv):
+        d = gcd(piv[0][1], self.n)
+        return None if d == 1 else self._scaled(self.n // d, piv)
 
     def det(self, M):
         """The Q determinant of the integer lifts, reduced mod n."""
@@ -836,12 +846,13 @@ class LocalizedIntegers(_Fractions):
 
     # Staircase form: pivots p^v, entries above a pivot p^v reduced to
     # their integer residue in range(p^v).
-    def normalize_pivot(self, row, col):
-        u = _quotient(row[col], self.p ** self.valuation(row[col]))
+    def normalize_pivot(self, row):
+        a = row[0][1]
+        u = _quotient(a, self.p ** self.valuation(a))
         if u == 1:
             return row
         ui = _quotient(1, u)
-        return [x * ui for x in row]
+        return [(c, x * ui) for c, x in row]
 
     def divmod_pivot(self, a, pivot):
         m = pivot.numerator  # the pivot is p^v
@@ -903,13 +914,13 @@ class DualNumbers(Ring):
 
     # Staircase form of a chain ring: pivots 1 or eps, and an eps pivot
     # row queues eps times itself.
-    def normalize_pivot(self, row, col):
+    def normalize_pivot(self, row):
         F = self.base
-        a, b = row[col]
+        a, b = row[0][1]
         if F.nonzero(a):
-            return super().normalize_pivot(row, col)
+            return super().normalize_pivot(row)
         u = (F.inv(b), F.zero)  # makes the pivot exactly eps
-        return [self.mul(u, x) for x in row]
+        return [(c, self.mul(u, x)) for c, x in row]
 
     def divmod_pivot(self, a, pivot):
         if self.base.nonzero(pivot[0]):
@@ -918,12 +929,12 @@ class DualNumbers(Ring):
         z = self.base.zero
         return (a[1], z), (a[0], z)
 
-    def annihilator(self, piv, col):
+    def annihilator(self, piv):
         F = self.base
-        if F.nonzero(piv[col][0]):
+        if F.nonzero(piv[0][1][0]):
             return None
         eps = (F.zero, F.one)
-        return [self.mul(eps, x) for x in piv]
+        return [(c, y) for c, x in piv if self.nonzero(y := self.mul(eps, x))]
 
     def det(self, M):
         """det(A0 + eps A1) = det A0 + eps sum_i det(A0, row i from A1)."""

@@ -28,7 +28,6 @@ from .hopf import (
     HopfError,
     convolution_power,
     cartier_dual,
-    dense,
     is_etale,
     map_tensor,
     points,
@@ -296,8 +295,8 @@ def order_p_subgroup(G: GroupScheme, p: int) -> ClosedSubgroup:
         if generic is not None:
             pi = torsion.quotient_data()[1]
             d = lcm(*(c.denominator for row in pi for _, c in row))
-            scaled = [dense(R, p, [(s, d * c) for s, c in row]) for row in pi]
-            H = ClosedSubgroup(G, row_kernel(R, scaled))
+            H = ClosedSubgroup(G, row_kernel(R, [[(s, d * c) for s, c in row]
+                                                 for row in pi]))
     rep = H.verify_hopf_ideal()
     if not rep:
         raise InternalInconsistencyError(f"order-{p} ideal defective: {rep}")
@@ -338,9 +337,7 @@ class LocusReport:
             "Vp": self.vp,
         }
         if self.subgroup is not None:
-            R = self.subgroup.ambient.ring
-            d["subgroup_ideal"] = [[R.show(c) for c in v]
-                                   for v in self.subgroup.ideal]
+            d["subgroup_ideal"] = self.subgroup.shown_ideal()
             d["subgroup_order"] = self.subgroup.order
         return d
 
@@ -384,7 +381,7 @@ def _slot_product_map(G: GroupScheme, subgroups):
         phi = [[(s * width + t, c) for s, t, c in map_tensor(R, pb, phi, terms)]
                for terms in G.sparse.comult]
         width *= H.order
-    return [dense(R, width, entries) for entries in phi]
+    return phi
 
 
 def internal_product(G: GroupScheme, subgroups) -> tuple:
@@ -578,7 +575,7 @@ class TheoremCertificate:
                 {
                     "prime": p,
                     "order": H.order,
-                    "ideal": [[R.show(c) for c in v] for v in H.ideal],
+                    "ideal": H.shown_ideal(),
                     "commutative": H.scheme().is_commutative(),
                 }
                 for p, H in self.factors

@@ -334,6 +334,11 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     no_identity.write_text(json.dumps([[0, 2, 1], [2, 1, 0], [1, 0, 2]]))
     assert main(["verify", "--builtin", f"const:{no_identity}",
                  "--base", "GF(5)"]) == 2
+    # numbers in digits other than ASCII ones, which str.isdigit accepts:
+    # int() refuses the superscript two and the circled one, and would
+    # read the Arabic-Indic three as 3
+    for spec in ("mu:\u00b2", "alpha:\u00b2", "const:Z\u00b2", "mu:\u2460", "mu:\u0663"):
+        assert main(["order", "--builtin", spec, "--base", "GF(2)"]) == 2, spec
     capsys.readouterr()
 
 

@@ -15,8 +15,7 @@ from ffgs.hopf import (GroupScheme, GroupSchemeHom, HopfError,
                        VerificationReport, cartier_dual, convolution_power, dense,
                        nonzeros, points)
 from ffgs import constructions, linalg
-from ffgs.linalg import (add_scaled, canonical_span, member, member_with_coeffs,
-                         reduce_mod_span, row_kernel, transpose)
+from ffgs.linalg import add_scaled, canonical_span, member, reduce_mod_span, row_kernel
 from ffgs.oracle import AbstractGroup, s3_table
 from ffgs.rings import RingError, parse_ring, prime_factors
 from ffgs.structure import (_slot_product_map, internal_product, locus_report,
@@ -25,7 +24,8 @@ from ffgs.testrings import test_ring_family as ring_family
 from test_hopf import (REFERENCE_BASES, assert_canonical_tables, builtins_over,
                        dense_antipode, dense_comult, dense_lists, dense_mul, dense_terms,
                        dense_view, hypothesis_or_skip, in_bases)
-from test_linalg import identity_matrix, mat_vec, vec_add, vec_scale, vec_sub
+from test_linalg import (coeffs, dense_rows, identity_matrix, kernel_rows, mat_vec, span_rows,
+                         sparse_rows, transpose, vec_add, vec_scale, vec_sub)
 
 Q = parse_ring("Q")
 F5 = parse_ring("GF(5)")
@@ -41,6 +41,21 @@ def hom(source, target, rows):
 def closure(G, rows):
     """ideal_closure of the elements with the dense rows given."""
     return ideal_closure(G, [nonzeros(G.ring, v) for v in rows])
+
+
+def subgroup(G, rows):
+    """The closed subgroup cut out by the span of the dense rows given."""
+    return ClosedSubgroup(G, sparse_rows(G.ring, rows))
+
+
+def ideal_rows(H):
+    """The rows of H's ideal as dense lists."""
+    return dense_rows(H.ambient.ring, H.ambient.rank, H.ideal)
+
+
+def is_in(R, span, v):
+    """member of the dense vector v in the span."""
+    return member(R, span, nonzeros(R, v))
 
 
 def test_tate_oort2_requires_ab_minus_two():
@@ -148,7 +163,7 @@ def test_nonnormal_subgroup_detected():
     # ideal of functions vanishing on sub = span of e_g for g outside sub
     from ffgs.constructions import ClosedSubgroup
     rows = [e for g, e in enumerate(identity_matrix(F5, 6)) if g not in sub]
-    H = ClosedSubgroup(G, rows)
+    H = subgroup(G, rows)
     assert H.order == 2
     assert H.verify_hopf_ideal().ok
     assert not is_normal(H)[0]
@@ -212,8 +227,8 @@ def _reference_find_isomorphism(G, H, budget=200000):
         return powers
 
     def generates(powers):
-        span = canonical_span(R, powers)
-        return all(member(R, span, e) for e in basis)
+        span = canonical_span(R, sparse_rows(R, powers))
+        return all(member(R, span, nonzeros(R, e)) for e in basis)
 
     gen_powers = None
     for i in range(H.rank):
@@ -229,7 +244,7 @@ def _reference_find_isomorphism(G, H, budget=200000):
                 break
     if gen_powers is None:
         return constructions._exhaustive_isomorphism(G, H, budget)
-    exprs = [member_with_coeffs(R, gen_powers, e) for e in basis]
+    exprs = [coeffs(R, gen_powers, e) for e in basis]
     for count, v in enumerate(itertools.product(list(R.elements()), repeat=G.rank)):
         if count >= budget:
             return IsoResult("unknown")
@@ -299,26 +314,26 @@ def _triples(tensor):
 
 
 def _ref_verify_hopf_ideal(H):
-    G, I = H.ambient, H.ideal
+    G, I, D = H.ambient, H.ideal, ideal_rows(H)
     R, m = G.ring, G.rank
-    for t, v in enumerate(I):
+    for t, v in enumerate(D):
         for i, e in enumerate(identity_matrix(R, m)):
-            if not member(R, I, dense_mul(G, v, e)):
+            if not is_in(R, I, dense_mul(G, v, e)):
                 return VerificationReport(False, "ideal-closure", (t, i))
-    for t, v in enumerate(I):
+    for t, v in enumerate(D):
         if R.dot(G.counit, v) != R.zero:
             return VerificationReport(False, "augmentation", (t,))
     rows = []
-    for v in I:
+    for v in D:
         for k in range(m):
             rows.append(_flatten(G, [(j, k, c) for j, c in enumerate(v)]))
             rows.append(_flatten(G, [(k, j, c) for j, c in enumerate(v)]))
-    mixed = canonical_span(R, rows)
-    for t, v in enumerate(I):
-        if not member(R, mixed, _flatten(G, _triples(dense_comult(G, v)))):
+    mixed = canonical_span(R, sparse_rows(R, rows))
+    for t, v in enumerate(D):
+        if not is_in(R, mixed, _flatten(G, _triples(dense_comult(G, v)))):
             return VerificationReport(False, "coideal", (t,))
-    for t, v in enumerate(I):
-        if not member(R, I, dense_antipode(G, v)):
+    for t, v in enumerate(D):
+        if not is_in(R, I, dense_antipode(G, v)):
             return VerificationReport(False, "antipode-stability", (t,))
     return VerificationReport(True)
 
@@ -326,12 +341,12 @@ def _ref_verify_hopf_ideal(H):
 def _ref_is_normal(H):
     G = H.ambient
     R = G.ring
-    span = canonical_span(R, [
+    span = canonical_span(R, sparse_rows(R, [
         _flatten(G, [(k, j, c) for j, c in enumerate(v)])
-        for k in range(G.rank) for v in H.ideal
-    ])
+        for k in range(G.rank) for v in ideal_rows(H)
+    ]))
     for t, v in enumerate(H.ideal):
-        if not member(R, span, _flatten(G, conjugation_tensor(G, nonzeros(R, v)))):
+        if not is_in(R, span, _flatten(G, conjugation_tensor(G, v))):
             return False, t
     return True, None
 
@@ -346,7 +361,7 @@ def _ref_quotient_comult(G, B):
             for a in B for b in B]
     out = []
     for b in B:
-        c = member_with_coeffs(R, rows, _flatten(G, _triples(dense_comult(G, b))))
+        c = coeffs(R, rows, _flatten(G, _triples(dense_comult(G, b))))
         out.append([c[x * rB:(x + 1) * rB] for x in range(rB)])
     return out
 
@@ -392,11 +407,11 @@ def _seeded_ideals(G, rng, count):
         if s % 2 and G.name.startswith("constant"):
             keep = {0} | {g for g in range(1, G.rank) if rng.random() < 0.4}
             rows = [e for g, e in enumerate(identity_matrix(G.ring, G.rank)) if g not in keep]
-            yield ClosedSubgroup(G, rows)
+            yield subgroup(G, rows)
             continue
         yield ClosedSubgroup(G, closure(G, _augmentation_elements(G, rng)))
     for _ in range(count // 2):
-        yield ClosedSubgroup(G, _augmentation_elements(G, rng))
+        yield subgroup(G, _augmentation_elements(G, rng))
     J = trivial_subgroup(G).ideal
     yield ClosedSubgroup(_twisted_antipode(G, J.cols[0]), J)
 
@@ -438,8 +453,8 @@ def quotient_cases(R):
     # mu_2 x S3 -> S3 has a non-cocommutative quotient
     GxS3 = direct_product(mu(R, 2), S3)
     to_s3 = GroupSchemeHom(GxS3, S3, [GxS3.basis_vector(g) for g in range(6)])
-    A3 = ClosedSubgroup(S3, [e for g, e in enumerate(identity_matrix(R, 6))
-                             if g not in rotations])
+    A3 = subgroup(S3, [e for g, e in enumerate(identity_matrix(R, 6))
+                       if g not in rotations])
     assert A3.verify_hopf_ideal()
     return [
         (GxS3, kernel(to_s3)),
@@ -490,8 +505,8 @@ def test_non_unit_pivot_is_not_flat():
     # every other check reads pi, so a non-flat span that is no ideal
     # (2(x - 1) in mu_4, whose product with x is outside it) is not-flat too
     G = mu(ZL2, 4)
-    H = ClosedSubgroup(G, [[ZL2.from_int(-2), ZL2.from_int(2), ZL2.zero, ZL2.zero]])
-    assert not member(ZL2, H.ideal, dense_mul(G, H.ideal[0], identity_matrix(ZL2, 4)[1]))
+    H = subgroup(G, [[ZL2.from_int(-2), ZL2.from_int(2), ZL2.zero, ZL2.zero]])
+    assert not is_in(ZL2, H.ideal, dense_mul(G, ideal_rows(H)[0], identity_matrix(ZL2, 4)[1]))
     rep = H.verify_hopf_ideal()
     assert (rep.ok, rep.axiom, rep.witness) == (False, "not-flat", (0,))
 
@@ -518,7 +533,7 @@ def _reference_quotient(G, H):
         half = [mat_vec(R, P, row) for row in _tensor_rows(G, dense_terms(G, i))]
         half[i] = vec_sub(R, half[i], punit)
         cols.append([c for row in half for c in row])
-    B = canonical_span(R, row_kernel(R, cols))
+    B = span_rows(R, kernel_rows(R, cols))
     if not B:
         raise HopfError("coinvariants are zero")
     if len(B) * H.order != m:
@@ -531,7 +546,7 @@ def _reference_quotient(G, H):
     if not all(R.is_unit(row[c]) for row, c in zip(B, cols)):
         raise HopfError("coinvariants are not free on their basis (non-unit pivot)")
     def coords(v, failure="coinvariant algebra is not closed as expected"):
-        c = member_with_coeffs(R, B, v)
+        c = coeffs(R, B, v)
         if c is None:
             raise HopfError(failure)
         return c
@@ -570,7 +585,7 @@ def test_quotient_matches_reference(spec):
     # the trivial and the whole subgroup, and a failure: the order-2
     # subgroup {0, 1} of S3 is not normal, so the comultiplication does not
     # restrict to the functions on its cosets
-    flip = ClosedSubgroup(S3, identity_matrix(R, 6)[2:])
+    flip = subgroup(S3, identity_matrix(R, 6)[2:])
     assert flip.verify_hopf_ideal()
     cases = quotient_cases(R) + [
         (G4, trivial_subgroup(G4)), (G4, whole_subgroup(G4)), (S3, flip),
@@ -588,8 +603,8 @@ def test_quotient_of_a_span_that_is_no_ideal_is_not_closed():
     # product of two coinvariants falls outside their span
     F2 = parse_ring("GF(2)")
     G = mu(F2, 4)
-    H = ClosedSubgroup(G, [[F2.from_int(c) for c in row]
-                           for row in ([1, 0, 0, 1], [0, 1, 1, 1])])
+    H = subgroup(G, [[F2.from_int(c) for c in row]
+                     for row in ([1, 0, 0, 1], [0, 1, 1, 1])])
     rep = H.verify_hopf_ideal()
     assert (rep.ok, rep.axiom, rep.witness) == (False, "ideal-closure", (0, 1))
     want = ("HopfError", "coinvariant algebra is not closed as expected")
@@ -619,7 +634,7 @@ def test_quotient_data_is_built_once_per_subgroup(monkeypatch, spec):
     reduced = []
     real = linalg._reduce
     monkeypatch.setattr(linalg, "_reduce",
-                        lambda R, rows, cols, v: reduced.append(rows) or real(R, rows, cols, v))
+                        lambda R, rows, v: reduced.append(rows) or real(R, rows, v))
     for G, H in quotient_cases(parse_ring(spec)):
         K = ClosedSubgroup(G, H.ideal)
         reduced.clear()
@@ -636,7 +651,8 @@ def _reference_projection(H):
     ideal, read at the free columns."""
     G = H.ambient
     free_cols = [j for j in range(G.rank) if j not in H.ideal.cols]
-    reduced = [reduce_mod_span(G.ring, H.ideal, e) for e in identity_matrix(G.ring, G.rank)]
+    reduced = [dense(G.ring, G.rank, reduce_mod_span(G.ring, H.ideal, nonzeros(G.ring, e)))
+               for e in identity_matrix(G.ring, G.rank)]
     return free_cols, [[w[c] for c in free_cols] for w in reduced]
 
 
@@ -649,7 +665,7 @@ def test_projection_read_off_the_rows_matches_reduction(monkeypatch, spec):
     reduced = []
     real = linalg._reduce
     monkeypatch.setattr(linalg, "_reduce",
-                        lambda R, rows, cols, v: reduced.append(rows) or real(R, rows, cols, v))
+                        lambda R, rows, v: reduced.append(rows) or real(R, rows, v))
     for G, H in quotient_cases(R):
         for K in (ClosedSubgroup(G, H.ideal), trivial_subgroup(G), whole_subgroup(G)):
             reduced.clear()
@@ -675,12 +691,13 @@ def test_canonical_unit_pivots_are_one_and_clear_their_columns(spec):
     @hyp.given(st.integers(1, 6).flatmap(
         lambda w: st.lists(st.lists(entry, min_size=w, max_size=w), min_size=1, max_size=5)))
     def check(rows):
-        span = canonical_span(R, rows)
-        for t, (row, c) in enumerate(zip(span, span.cols)):
+        span = canonical_span(R, sparse_rows(R, rows))
+        D = dense_rows(R, len(rows[0]), span)
+        for t, (row, c) in enumerate(zip(D, span.cols)):
             seen.add(R.is_unit(row[c]))
             if R.is_unit(row[c]):
                 assert row[c] == R.one, (rows, t)
-                assert not [s for s, other in enumerate(span)
+                assert not [s for s, other in enumerate(D)
                             if s != t and R.nonzero(other[c])], (rows, t)
 
     check()
@@ -697,8 +714,8 @@ def test_subgroup_verdicts_are_made_once(monkeypatch):
     G = constant(parse_ring("GF(5)"), s3_table())
     A = AbstractGroup.from_points(points(G, G.ring))
     refl = next(i for i in range(6) if A.element_order(i) == 2)
-    flip = ClosedSubgroup(G, [e for g, e in enumerate(identity_matrix(G.ring, 6))
-                              if g not in (A.identity, refl)])
+    flip = subgroup(G, [e for g, e in enumerate(identity_matrix(G.ring, 6))
+                        if g not in (A.identity, refl)])
     assert flip.verify_hopf_ideal()
     verdicts = []
     for H in (trivial_subgroup(G), flip):
@@ -729,12 +746,12 @@ def _reference_ideal_closure(G, gens):
     """ideal_closure as it was: the span grows by its products with the
     basis until a round adds nothing."""
     R = G.ring
-    span = canonical_span(R, list(gens))
+    span = span_rows(R, list(gens))
     while True:
-        bigger = canonical_span(R, span + [dense_mul(G, v, e) for v in span
-                                           for e in identity_matrix(R, G.rank)])
+        bigger = span_rows(R, span + [dense_mul(G, v, e) for v in span
+                                      for e in identity_matrix(R, G.rank)])
         if bigger == span:
-            return span
+            return canonical_span(R, sparse_rows(R, span))
         span = bigger
 
 
@@ -822,7 +839,7 @@ def test_ideal_closure_witness_by_a_generator_matches_the_basis_scan(name, monke
     for H in _generated(R, rng):
         for _ in range(3):
             for rows in _seeded_rows(H, rng):
-                for S in (ClosedSubgroup(H, rows), ClosedSubgroup(H, closure(H, rows))):
+                for S in (subgroup(H, rows), ClosedSubgroup(H, closure(H, rows))):
                     if S.ideal.nonunit is not None:
                         continue
                     S.quotient_data()
@@ -857,11 +874,12 @@ def test_kernels_of_algebra_maps_are_ideals_without_closure():
             augmentation = [vec_sub(R, e, vec_scale(R, c, unit))
                             for e, c in zip(identity_matrix(R, G.rank), G.counit)]
             assert trivial_subgroup(G).ideal == closure(G, augmentation), G.name
-            assert trivial_subgroup(G).ideal == canonical_span(R, augmentation), G.name
+            assert trivial_subgroup(G).ideal == \
+                canonical_span(R, sparse_rows(R, augmentation)), G.name
             for p in prime_factors(G.rank) if G.is_commutative() else ():
                 f = convolution_power(G, G.rank // p)
                 alg = [dense(R, G.rank, v) for v in f.alg]
-                assert image(f).ideal == closure(G, row_kernel(R, alg)), (G.name, p)
+                assert image(f).ideal == closure(G, kernel_rows(R, alg)), (G.name, p)
         for G in [*builtins_over(R), mu(R, 6), constant_cyclic(R, 6)]:
             if not G.is_commutative() or any(G.rank % (p * p) == 0
                                              for p in prime_factors(G.rank)):
@@ -871,7 +889,7 @@ def test_kernels_of_algebra_maps_are_ideals_without_closure():
             for subgroups in [[H] for H in factors] + [factors] * (len(factors) > 1):
                 rows = row_kernel(R, _slot_product_map(G, subgroups))
                 H, iso = internal_product(G, subgroups)
-                assert iso and H.ideal == closure(G, rows), (G.name, name)
+                assert iso and H.ideal == ideal_closure(G, rows), (G.name, name)
                 assert H == subgroups[0] if len(subgroups) == 1 else H.order == G.rank
                 products += len(subgroups) > 1
     assert products == 2 * len(REFERENCE_BASES)
@@ -925,7 +943,7 @@ def test_slot_product_map_matches_expansion_reference(spec):
         for t in range(1, len(factors) + 1):
             for subgroups in itertools.combinations(factors, t):
                 assert _slot_product_map(G, list(subgroups)) == \
-                    _reference_slot_product_map(G, subgroups), (G.name, t)
+                    sparse_rows(R, _reference_slot_product_map(G, subgroups)), (G.name, t)
                 counts.add(t)
     assert counts == ({1, 2} if spec == "Z/35" else {1, 2, 3})
 

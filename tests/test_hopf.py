@@ -8,7 +8,6 @@ import pytest
 
 from ffgs import cli, hopf, linalg
 from ffgs.cli import build_builtin
-from ffgs.linalg import transpose
 from ffgs.constructions import (alpha, constant, constant_cyclic, direct_product,
                                 inversion_action, mu, semidirect, tate_oort2)
 from ffgs.hopf import (GroupScheme, GroupSchemeHom, HopfError, cartier_dual,
@@ -18,8 +17,9 @@ from ffgs.oracle import AbstractGroup, BudgetExceeded, enumerate_points, s3_tabl
 from ffgs.testrings import MAX_FIELD_SIZE, _small_fields, test_ring_family as ring_family
 from ffgs.rings import (QQ, DualNumbers, IntegersMod, LocalizedIntegers, RationalField,
                         RingError, find_hom, identity_hom, parse_ring, prime_factors)
-from test_linalg import (RINGS, identity_matrix, mat_inverse, rand_elt, rand_matrix,
-                         vec_add, vec_scale, vec_sub)
+from test_linalg import (RINGS, coeffs, identity_matrix, kernel_rows, mat_inverse, rand_elt,
+                         rand_matrix, span_rows, sparse_rows, transpose, vec_add, vec_scale,
+                         vec_sub)
 
 Q = parse_ring("Q")
 F5 = parse_ring("GF(5)")
@@ -545,7 +545,7 @@ def reference_powers(G, s):
 def generates_reference(G, s):
     """Do the reference powers of s have a canonical span of m rows with
     unit pivots, that is, are they a basis over the base?"""
-    span = linalg.canonical_span(G.ring, reference_powers(G, s))
+    span = linalg.canonical_span(G.ring, sparse_rows(G.ring, reference_powers(G, s)))
     return len(span) == G.rank and span.nonunit is None
 
 
@@ -900,9 +900,9 @@ def _reference_minpoly_of_vector(GR, e, c_vec):
     powers = [e]
     while True:
         nxt = dense_mul(GR, powers[-1], c_vec)
-        coeffs = linalg.member_with_coeffs(R, powers, nxt)
-        if coeffs is not None:
-            return [R.neg(x) for x in coeffs] + [R.one], powers
+        x = coeffs(R, powers, nxt)
+        if x is not None:
+            return [R.neg(a) for a in x] + [R.one], powers
         powers.append(nxt)
 
 
@@ -923,11 +923,11 @@ def _reference_split_unit(R, sub_rows, comp_rows, e):
     """Write e = f + g with f in span(sub_rows), g in span(comp_rows);
     return f."""
     stacked = list(sub_rows) + list(comp_rows)
-    coeffs = linalg.member_with_coeffs(R, stacked, e)
-    if coeffs is None:
+    x = coeffs(R, stacked, e)
+    if x is None:
         return None
     f = [R.zero] * len(e)
-    for t, row in zip(coeffs[: len(sub_rows)], sub_rows):
+    for t, row in zip(x[: len(sub_rows)], sub_rows):
         f = vec_add(R, f, vec_scale(R, t, row))
     return f
 
@@ -948,7 +948,7 @@ def _reference_characters(GR):
                 results.append(tuple(chi))
             continue
         c = dense_mul(GR, e, E[idx])
-        scal = linalg.member_with_coeffs(R, [e], c)
+        scal = coeffs(R, [e], c)
         if scal is not None:
             chi2 = list(chi)
             chi2[idx] = scal[0]
@@ -959,12 +959,12 @@ def _reference_characters(GR):
             for _ in range(len(basis)):
                 rows = [vec_sub(R, dense_mul(GR, b, c), vec_scale(R, lam, b))
                         for b in rows]
-            coeff_kernel = linalg.row_kernel(R, rows)
+            coeff_kernel = kernel_rows(R, rows)
             if not coeff_kernel:
                 continue
-            sub_basis = linalg.canonical_span(R, [
+            sub_basis = span_rows(R, [
                 [R.dot(t, col) for col in zip(*basis)] for t in coeff_kernel])
-            image_rows = linalg.canonical_span(R, rows)
+            image_rows = span_rows(R, rows)
             f = _reference_split_unit(R, sub_basis, image_rows, e)
             if f is None:
                 continue
@@ -1146,12 +1146,12 @@ def _reference_identity_core(G):
     ideal and holds the other factors."""
     R, unit, basis = G.ring, dense_view(G).unit, identity_matrix(G.ring, G.rank)
     if isinstance(R, IntegersMod) and len(prime_factors(R.n)) == 1 and not R.is_field:
-        J = linalg.canonical_span(R, [vec_sub(R, basis[i], vec_scale(R, c, unit))
-                                      for i, c in enumerate(G.counit)])
+        J = span_rows(R, [vec_sub(R, basis[i], vec_scale(R, c, unit))
+                          for i, c in enumerate(G.counit)])
         while True:
-            square = linalg.canonical_span(R, [dense_mul(G, v, w) for v in J for w in J])
+            square = span_rows(R, [dense_mul(G, v, w) for v in J for w in J])
             if square == J:
-                return J
+                return linalg.canonical_span(R, sparse_rows(R, J))
             J = square
     if R.is_field:
         e0 = _reference_identity_idempotent(G)
@@ -1163,7 +1163,7 @@ def _reference_identity_core(G):
         raise HopfError("identity component needs a field or Artin local base, "
                         f"not {R.name()}")
     u = vec_sub(R, unit, e0)
-    return linalg.canonical_span(R, [dense_mul(G, u, x) for x in basis])
+    return linalg.canonical_span(R, sparse_rows(R, [dense_mul(G, u, x) for x in basis]))
 
 
 def test_identity_core_matches_reference():

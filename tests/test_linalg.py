@@ -1,9 +1,11 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from ffgs.hopf import dense, nonzeros
 from ffgs.linalg import (
     Span,
     add_scaled,
@@ -13,8 +15,7 @@ from ffgs.linalg import (
     member_with_coeffs,
     reduce_mod_span,
     row_kernel,
-    transpose,
-    vec_is_zero,
+    solver,
 )
 from ffgs.rings import (
     DualNumbers,
@@ -23,6 +24,7 @@ from ffgs.rings import (
     PrimeField,
     QQ,
     gf,
+    xgcd,
 )
 
 RINGS = [QQ, PrimeField(5), gf(2, 2), IntegersMod(8), IntegersMod(12),
@@ -68,14 +70,46 @@ def mat_mul(R, A, B):
     return [[R.dot(row, col) for col in zip(*B)] for row in A]
 
 
+def transpose(M):
+    return [list(col) for col in zip(*M)]
+
+
+def vec_is_zero(R, u):
+    return not any(map(R.nonzero, u))
+
+
+def sparse_rows(R, rows):
+    return [nonzeros(R, row) for row in rows]
+
+
+def dense_rows(R, n, rows):
+    return [dense(R, n, row) for row in rows]
+
+
+def coeffs(R, rows, v):
+    """member_with_coeffs on the dense rows and v, its x a dense list."""
+    x = member_with_coeffs(R, sparse_rows(R, rows), nonzeros(R, v))
+    return None if x is None else dense(R, len(rows), x)
+
+
+def kernel_rows(R, rows):
+    """row_kernel of the dense rows, as dense rows."""
+    return dense_rows(R, len(rows), row_kernel(R, sparse_rows(R, rows)))
+
+
+def span_rows(R, rows):
+    """canonical_span of the dense rows, as dense rows."""
+    return dense_rows(R, len(rows[0]) if rows else 0, canonical_span(R, sparse_rows(R, rows)))
+
+
 def solve(R, M, b):
     """x with Mx = b, or None."""
-    return member_with_coeffs(R, transpose(M), b)
+    return coeffs(R, transpose(M), b)
 
 
 def mat_kernel(R, M):
     """Canonical basis of the right kernel {x : Mx = 0}."""
-    return row_kernel(R, transpose(M))
+    return kernel_rows(R, transpose(M))
 
 
 def mat_inverse(R, M):
@@ -98,10 +132,10 @@ def test_kernel_and_image_properties_random():
             ker = mat_kernel(R, M)
             for v in ker:
                 assert vec_is_zero(R, mat_vec(R, M, v))
-            img = canonical_span(R, transpose(M))
+            img = canonical_span(R, sparse_rows(R, transpose(M)))
             for col in transpose(M):
-                assert member(R, img, col)
-            for row in img:
+                assert member(R, img, nonzeros(R, col))
+            for row in dense_rows(R, len(M), img):
                 assert solve(R, M, row) is not None
 
 
@@ -110,10 +144,10 @@ def test_canonical_span_is_canonical():
     for R in RINGS:
         for _ in range(10):
             rows = rand_matrix(R, rng, 3, 4)
-            base = canonical_span(R, rows)
+            base = canonical_span(R, sparse_rows(R, rows))
             # shuffled and doubled generating sets give the same form
             doubled = rows + [rows[0]] + rows[::-1]
-            assert canonical_span(R, doubled) == base
+            assert canonical_span(R, sparse_rows(R, doubled)) == base
 
 
 def test_member_with_coeffs():
@@ -121,11 +155,11 @@ def test_member_with_coeffs():
     for R in RINGS:
         for _ in range(10):
             rows = rand_matrix(R, rng, 3, 4)
-            coeffs = [rand_elt(R, rng) for _ in rows]
+            cs = [rand_elt(R, rng) for _ in rows]
             v = [R.zero] * 4
-            for c, r in zip(coeffs, rows):
+            for c, r in zip(cs, rows):
                 v = [R.add(x, R.mul(c, y)) for x, y in zip(v, r)]
-            x = member_with_coeffs(R, rows, v)
+            x = coeffs(R, rows, v)
             assert x is not None
             w = [R.zero] * 4
             for c, r in zip(x, rows):
@@ -136,35 +170,34 @@ def test_member_with_coeffs():
 def test_howell_membership_over_z4():
     R = IntegersMod(4)
     # the classic Howell example: span{(2,1)} over Z/4 contains (0,2)
-    rows = [[2, 1]]
-    canon = canonical_span(R, rows)
-    assert member(R, canon, [0, 2])
-    assert not member(R, canon, [1, 0])
+    canon = canonical_span(R, [[(0, 2), (1, 1)]])
+    assert member(R, canon, [(1, 2)])
+    assert not member(R, canon, [(0, 1)])
 
 
 def test_zloc_staircase():
     R = LocalizedIntegers(2)
-    rows = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(4)]]
+    rows = [[(0, Fraction(2)), (1, Fraction(1))], [(1, Fraction(4))]]
     canon = canonical_span(R, rows)
     # pivots are powers of 2; membership respects valuations
-    assert member(R, canon, [Fraction(2), Fraction(5)])
-    assert not member(R, canon, [Fraction(1), Fraction(0)])
-    assert not member(R, canon, [Fraction(2), Fraction(1, 3)])
-    assert member(R, canon, [Fraction(2), Fraction(1)])
+    assert member(R, canon, [(0, Fraction(2)), (1, Fraction(5))])
+    assert not member(R, canon, [(0, Fraction(1))])
+    assert not member(R, canon, [(0, Fraction(2)), (1, Fraction(1, 3))])
+    assert member(R, canon, [(0, Fraction(2)), (1, Fraction(1))])
 
 
 def test_row_kernel_over_zn():
     R = IntegersMod(6)
     rows = [[2], [3]]
-    ker = row_kernel(R, rows)
-    for k in ker:
+    ker = row_kernel(R, sparse_rows(R, rows))
+    for k in dense_rows(R, 2, ker):
         s = R.zero
         for c, r in zip(k, rows):
             s = R.add(s, R.mul(c, r[0]))
         assert s == R.zero
     # (3, 0), (0, 2), ... generate; make sure nontrivial combos are found
-    assert member(R, ker, [3, 0])
-    assert member(R, ker, [0, 2])
+    assert member(R, ker, [(0, 3)])
+    assert member(R, ker, [(1, 2)])
 
 
 def test_inverse_and_det():
@@ -182,10 +215,13 @@ def test_inverse_and_det():
 
 
 def echelon_triple(R, rows, nprimary=None):
-    """echelon's result as the triple it once returned, which the digest
-    below was recorded from: (pivot rows, [(col, pivot)], free rows)."""
-    span, free = echelon(R, rows, nprimary)
-    return span, [(c, row[c]) for row, c in zip(span, span.cols)], free
+    """echelon's result on the dense rows as the triple it once returned,
+    which the digest below was recorded from: (pivot rows, [(col, pivot)],
+    free rows), the rows expanded to dense lists."""
+    span, free = echelon(R, sparse_rows(R, rows), nprimary)
+    n = len(rows[0])
+    return (dense_rows(R, n, span), [(c, row[0][1]) for row, c in zip(span, span.cols)],
+            dense_rows(R, n, free))
 
 
 def test_echelon_pivot_normalization():
@@ -259,9 +295,9 @@ def canonical_form_records():
                 R.name(),
                 encode_triple(e, echelon_triple(R, rows)),
                 encode_triple(e, echelon_triple(R, rows, nprimary)),
-                encode_rows(e, row_kernel(R, rows)),
-                encode_vector(e, member_with_coeffs(R, rows, inside)),
-                encode_vector(e, member_with_coeffs(R, rows, outside)),
+                encode_rows(e, kernel_rows(R, rows)),
+                encode_vector(e, coeffs(R, rows, inside)),
+                encode_vector(e, coeffs(R, rows, outside)),
                 e(R.det(M)),
             ))
     return out
@@ -304,11 +340,12 @@ def test_reduce_mod_span_is_a_normal_form():
     for R in DIGEST_RINGS:
         for _ in range(12):
             rows = [[digest_elt(R, rng) for _ in range(4)] for _ in range(3)]
-            canon = canonical_span(R, rows)
+            canon = canonical_span(R, sparse_rows(R, rows))
             v = [digest_elt(R, rng) for _ in range(4)]
             s = combine(R, [digest_elt(R, rng) for _ in rows], rows)
             w = [R.add(a, b) for a, b in zip(v, s)]
-            assert reduce_mod_span(R, canon, v) == reduce_mod_span(R, canon, w)
+            assert reduce_mod_span(R, canon, nonzeros(R, v)) == \
+                reduce_mod_span(R, canon, nonzeros(R, w))
 
 
 @pytest.mark.parametrize("R", RINGS, ids=lambda R: R.name())
@@ -331,25 +368,192 @@ def test_add_scaled_matches_the_chain(R):
     assert add_scaled(R, [R.one], [(R.zero, [None])]) == [R.one]
 
 
-def scan_reduce_mod_span(R, canon_rows, v):
-    """reduce_mod_span as it was, the reference: the pivot of each row is
-    found by a scan on every call."""
-    cols = [next(c for c, x in enumerate(row) if R.nonzero(x)) for row in canon_rows]
-    v = list(v)
-    for row, c in zip(canon_rows, cols):
+# -- the dense reference ----------------------------------------------------
+#
+# echelon, reduce_mod_span and member_and_kernel, which solver replaced, as
+# they were when a row was
+# the dense list of its entries, with the canonical-form hooks they called,
+# which scanned for the leading column on every step.
+
+def ref_normalize_pivot(R, row, col):
+    if isinstance(R, IntegersMod):
+        n, g = R.n, row[col]
+        d = gcd(g, n)
+        w = next(w for w in range(pow(g // d, -1, n // d), n, n // d)
+                 if gcd(w, n) == 1)
+        return [w * x % n for x in row]
+    if isinstance(R, LocalizedIntegers):
+        u = Fraction(row[col]) / R.p ** R.valuation(row[col])
+        return row if u == 1 else [x / u for x in row]
+    if isinstance(R, DualNumbers) and not R.base.nonzero(row[col][0]):
+        u = (R.base.inv(row[col][1]), R.base.zero)
+        return [R.mul(u, x) for x in row]
+    if row[col] == R.one:
+        return row
+    u = R.inv(row[col])
+    return [R.mul(u, x) for x in row]
+
+
+def ref_row_sub(R, row, q, piv):
+    return [R.sub(x, R.mul(q, y)) for x, y in zip(row, piv)]
+
+
+def ref_merge_pivot(R, piv, row, col):
+    if isinstance(R, IntegersMod):
+        n, d = R.n, piv[col]
+        row = ref_row_sub(R, row, row[col] // d, piv)
+        r = row[col]
+        g, u, v = xgcd(d, r)
+        return ([(u * x + v * y) % n for x, y in zip(piv, row)],
+                [((d // g) * y - (r // g) * x) % n for x, y in zip(piv, row)], [])
+    return row, [R.zero] * len(row), [piv]
+
+
+def ref_annihilator(R, piv, col):
+    if isinstance(R, IntegersMod):
+        d = gcd(piv[col], R.n)
+        return None if d == 1 else [(R.n // d) * x % R.n for x in piv]
+    if isinstance(R, DualNumbers) and not R.base.nonzero(piv[col][0]):
+        eps = (R.base.zero, R.base.one)
+        return [R.mul(eps, x) for x in piv]
+    return None
+
+
+def ref_leading_col(R, row, limit):
+    return next((c for c in range(limit) if R.nonzero(row[c])), None)
+
+
+def ref_echelon(R, rows, nprimary=None):
+    """(pivot rows, their cols, free rows, their cols) on dense rows."""
+    if not rows:
+        return [], [], [], []
+    width = len(rows[0])
+    if nprimary is None:
+        nprimary = width
+    placed, queue, free = {}, [list(r) for r in rows], []
+
+    def place(row, col):
+        placed[col] = piv = ref_normalize_pivot(R, row, col)
+        ann = ref_annihilator(R, piv, col)
+        if ann is not None:
+            queue.append(ann)
+
+    while queue:
+        row = queue.pop(0)
+        col = ref_leading_col(R, row, nprimary)
+        while col is not None:
+            piv = placed.get(col)
+            if piv is None:
+                place(row, col)
+                break
+            q, r = R.divmod_pivot(row[col], piv[col])
+            if not R.nonzero(r):
+                row = ref_row_sub(R, row, q, piv)
+            else:
+                newpiv, row, deferred = ref_merge_pivot(R, piv, row, col)
+                place(newpiv, col)
+                queue += deferred
+            col = ref_leading_col(R, row, nprimary)
+        else:
+            if not vec_is_zero(R, row):
+                free.append(row)
+    cols = sorted(placed)
+    pivot_rows = [placed[c] for c in cols]
+    for i in range(len(pivot_rows) - 2, -1, -1):
+        pivot_rows[i] = ref_reduce(R, pivot_rows[i + 1:], cols[i + 1:], pivot_rows[i])
+    tail, tail_cols = [], []
+    if free and nprimary < width:
+        tail, tail_cols = ref_echelon(R, [r[nprimary:] for r in free])[:2]
+    return (pivot_rows, cols, [[R.zero] * nprimary + t for t in tail],
+            [nprimary + c for c in tail_cols])
+
+
+def ref_reduce(R, rows, cols, v):
+    for row, c in zip(rows, cols):
         if R.nonzero(v[c]):
             q = R.divmod_pivot(v[c], row[c])[0]
             if R.nonzero(q):
-                v = R.row_sub(v, q, row)
-    return v, cols
+                v = ref_row_sub(R, v, q, row)
+    return v
+
+
+def ref_member_and_kernel(R, rows, v):
+    """(x, K) on dense rows: x dense or None, K the dense kernel rows."""
+    if not rows:
+        return (None if not vec_is_zero(R, v) else []), []
+    n, k = len(v), len(rows)
+    augmented = [list(r) + [R.one if i == j else R.zero for j in range(k)]
+                 for i, r in enumerate(rows)]
+    pivot_rows, cols, free, _ = ref_echelon(R, augmented, nprimary=n)
+    w = ref_reduce(R, pivot_rows, cols, list(v) + [R.zero] * k)
+    x = [R.neg(a) for a in w[n:]] if vec_is_zero(R, w[:n]) else None
+    return x, [f[n:] for f in free]
+
+
+def random_rows(R, rng):
+    ncols = rng.randrange(1, 6)
+    rows = [[digest_elt(R, rng) for _ in range(ncols)]
+            for _ in range(rng.randrange(1, 6))]
+    if rng.random() < 0.5:
+        rows.append(combine(R, [digest_elt(R, rng) for _ in rows], rows))
+    return rows
+
+
+@pytest.mark.parametrize("R", RINGS, ids=lambda R: R.name())
+def test_sparse_rows_match_the_dense_reference(R):
+    """echelon with and without tracked columns, reduce_mod_span and
+    solver on the sparse rows against the dense reference: the same pivot
+    rows, cols, first non-unit pivot, free rows, remainders, solutions x
+    (also of a v with an entry past every column of the rows) and kernel
+    K, each sparse result expanded, and every sparse row sorted with no
+    zero entry."""
+    hyp = pytest.importorskip("hypothesis")
+
+    def form_ok(rows):
+        return all(all(R.nonzero(x) for _, x in row)
+                   and all(a[0] < b[0] for a, b in zip(row, row[1:])) for row in rows)
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(hyp.strategies.integers(0, 2 ** 32))
+    def check(seed):
+        rng = random.Random(seed)
+        rows = random_rows(R, rng)
+        n = len(rows[0])
+        for nprimary in (None, rng.randrange(1, n + 1)):
+            span, free = echelon(R, sparse_rows(R, rows), nprimary)
+            ref_span, ref_cols, ref_free, ref_free_cols = ref_echelon(R, rows, nprimary)
+            assert form_ok(span) and form_ok(free)
+            assert dense_rows(R, n, span) == ref_span and span.cols == ref_cols
+            assert span.nonunit == next((t for t, (row, c) in enumerate(
+                zip(ref_span, ref_cols)) if not R.is_unit(row[c])), None)
+            assert dense_rows(R, n, free) == ref_free and free.cols == ref_free_cols
+            if nprimary is None:
+                inside = combine(R, [digest_elt(R, rng) for _ in rows], rows)
+                for v in (inside, [digest_elt(R, rng) for _ in range(n)]):
+                    w = reduce_mod_span(R, span, nonzeros(R, v))
+                    assert form_ok([w])
+                    assert dense(R, n, w) == ref_reduce(R, ref_span, ref_cols, v)
+        solve, K = solver(R, sparse_rows(R, rows))
+        assert form_ok(K)
+        assert dense_rows(R, len(rows), K) == ref_member_and_kernel(R, rows, [R.zero] * n)[1]
+        padded = [row + [R.zero] for row in rows]
+        for v in (combine(R, [digest_elt(R, rng) for _ in rows], rows),
+                  [digest_elt(R, rng) for _ in range(n)], [R.zero] * n,
+                  [digest_elt(R, rng) for _ in range(n)] + [R.one]):
+            x = solve(nonzeros(R, v))
+            ref_x = ref_member_and_kernel(R, padded if len(v) > n else rows, v)[0]
+            assert x is None or form_ok([x])
+            assert (x if x is None else dense(R, len(rows), x)) == ref_x
+
+    check()
 
 
 @pytest.mark.parametrize("R", RINGS, ids=lambda R: R.name())
 def test_span_reduces_like_the_scan(R):
     """A Span's pivots, first non-unit pivot, reduce_mod_span and member
-    against the scan-per-call reference, on canonical spans and row
-    kernels, for vectors inside and outside the span; the same Span
-    placed row by row."""
+    against the scan-per-call reference on its dense rows, on canonical
+    spans and row kernels, for vectors inside and outside the span; the
+    same Span placed row by row."""
     hyp = pytest.importorskip("hypothesis")
 
     @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -359,25 +563,26 @@ def test_span_reduces_like_the_scan(R):
         ncols = rng.randrange(1, 6)
         rows = [[digest_elt(R, rng) for _ in range(ncols)]
                 for _ in range(rng.randrange(1, 6))]
-        for span in (canonical_span(R, rows), row_kernel(R, transpose(rows))):
+        for span, width in ((canonical_span(R, sparse_rows(R, rows)), ncols),
+                            (row_kernel(R, sparse_rows(R, transpose(rows))), len(rows[0]))):
             assert isinstance(span, Span)
             if not span:
                 continue
-            ref_cols = scan_reduce_mod_span(R, span, span[0])[1]
+            dense_span = dense_rows(R, width, span)
+            ref_cols = [ref_leading_col(R, row, width) for row in dense_span]
             assert span.cols == ref_cols
             assert span.nonunit == next((t for t, (row, c) in enumerate(
-                zip(span, ref_cols)) if not R.is_unit(row[c])), None)
+                zip(dense_span, ref_cols)) if not R.is_unit(row[c])), None)
             rebuilt = Span(R)
-            for row, c in zip(span, span.cols):
-                rebuilt.place(R, row, c)
+            for row in span:
+                rebuilt.place(R, row)
             assert (rebuilt, rebuilt.cols, rebuilt.nonunit) == \
                 (span, span.cols, span.nonunit)
-            width = len(span[0])
-            inside = combine(R, [digest_elt(R, rng) for _ in span], span)
+            inside = combine(R, [digest_elt(R, rng) for _ in span], dense_span)
             for v in (inside, [digest_elt(R, rng) for _ in range(width)]):
-                ref = scan_reduce_mod_span(R, span, v)[0]
-                assert reduce_mod_span(R, span, v) == ref
-                assert member(R, span, v) == vec_is_zero(R, ref)
-            assert member(R, span, inside)
+                ref = ref_reduce(R, dense_span, ref_cols, v)
+                assert dense(R, width, reduce_mod_span(R, span, nonzeros(R, v))) == ref
+                assert member(R, span, nonzeros(R, v)) == vec_is_zero(R, ref)
+            assert member(R, span, nonzeros(R, inside))
 
     check()

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from ffgs.hopf import nonzeros
 from ffgs.rings import (
     MAX_FIELD_ORDER,
     MAX_PRIME_TEST,
@@ -21,7 +22,6 @@ from ffgs.rings import (
     PrimeField,
     QQ,
     RationalField,
-    Ring,
     RingError,
     _direct_hom,
     _pmod_modp,
@@ -226,8 +226,8 @@ def test_zmod_pivot_unit_matches_the_scan():
         R = IntegersMod(n)
         for g in range(1, n):
             w = scan(n, g)
-            assert R.normalize_pivot([g, 1, n - 1], 0) == \
-                [w * g % n, w, w * (n - 1) % n], (n, g)
+            assert R.normalize_pivot([(0, g), (1, 1), (2, n - 1)]) == \
+                [(0, w * g % n), (1, w), (2, w * (n - 1) % n)], (n, g)
 
 
 def test_size_of_finite_rings():
@@ -420,11 +420,15 @@ def test_sub_and_row_sub_match_the_defaults(R):
     xs, ys = sample(R, rng, 40), sample(R, rng, 40)
     for a, b in zip(xs, ys):
         assert R.sub(a, b) == R.add(a, R.neg(b))
+    # row_sub on the sparse rows against the dense formula, with zeros
+    # in both rows and entries that cancel
     for q in sample(R, rng, 10) + [R.zero]:
         row, piv = sample(R, rng, 6), sample(R, rng, 5) + [R.zero]
-        want = [R.add(x, R.neg(R.mul(q, y))) for x, y in zip(row, piv)]
-        assert R.row_sub(row, q, piv) == want
-        assert Ring.row_sub(R, row, q, piv) == want
+        row[0], row[1], row[2] = R.zero, R.mul(q, piv[1]), R.zero
+        want = [R.add(x, R.neg(R.mul(q, y))) for x, y in zip(row, piv)] + row[6:]
+        got = R.row_sub(nonzeros(R, row), q, nonzeros(R, piv))
+        assert got == nonzeros(R, want)
+        assert all(a[0] < b[0] for a, b in zip(got, got[1:]))
 
 
 def small_fields(max_q):
@@ -612,9 +616,10 @@ class FractionZloc(LocalizedIntegers):
     def parse(self, text):
         return self._check(Fraction(text))
 
-    def normalize_pivot(self, row, col):
-        u = row[col] / self.p ** self.valuation(row[col])
-        return row if u == 1 else [x * (1 / u) for x in row]
+    def normalize_pivot(self, row):
+        a = row[0][1]
+        u = a / self.p ** self.valuation(a)
+        return row if u == 1 else [(c, x * (1 / u)) for c, x in row]
 
     def divmod_pivot(self, a, pivot):
         m = pivot.numerator
@@ -723,11 +728,13 @@ def test_integral_elements_are_ints_and_match_the_fraction_reference():
         assert got is RingError or exact(got) and int_where_integral(R, got)
 
         row = data.draw(st.lists(elements(R), min_size=1, max_size=4))
-        col = data.draw(st.integers(0, len(row) - 1))
-        if R.nonzero(row[col]):
-            got = R.normalize_pivot(row, col)
-            same(got, ref.normalize_pivot(all_fractions(R, row), col))
-            pivot = got[col]
+        row = [(c, x) for c, x in enumerate(row) if R.nonzero(x)]
+        if row:
+            got = R.normalize_pivot(row)
+            want = ref.normalize_pivot([(c, all_fractions(R, x)) for c, x in row])
+            same([x for _, x in got], [x for _, x in want])
+            assert [c for c, _ in got] == [c for c, _ in row]
+            pivot = got[0][1]
             q, r = R.divmod_pivot(a, pivot)
             same((q, r), ref.divmod_pivot(fa, all_fractions(R, pivot)))
             if isinstance(R, LocalizedIntegers):

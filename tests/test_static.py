@@ -625,3 +625,126 @@ def test_elements_of_a_stay_sparse():
                                             ("outside", 14)]
     assert dense_vector_helpers(snippet) == ["vec_scale", "vec_sub"]
     assert stored_attributes(snippet, "GroupSchemeHom") == ["alg", "rows"]
+
+
+ROW_TAKERS = {"canonical_span", "row_kernel", "member", "member_with_coeffs",
+              "solver", "reduce_mod_span", "echelon", "place"}
+SPAN_MAKERS = {"canonical_span", "row_kernel", "echelon"}
+
+
+def calls_of(node, names):
+    return any(isinstance(n, ast.Call) and call_name(n) in names for n in ast.walk(node))
+
+
+def mentions(node, names):
+    return any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
+
+
+def bound_from(scope, source):
+    """The names of the scope bound, by assignment or by an append, from
+    an expression for which source(expr, names so far) holds."""
+    names, grew = set(), True
+    while grew:
+        grew = False
+        for n in ast.walk(scope):
+            if isinstance(n, ast.Assign):
+                pairs = [(t, n.value) for t in n.targets]
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                    and n.func.attr == "append" and n.args:
+                pairs = [(n.func.value, n.args[0])]
+            else:
+                continue
+            for target, value in pairs:
+                new = {t.id for t in ast.walk(target) if isinstance(t, ast.Name)} - names
+                if new and source(value, names):
+                    names |= new
+                    grew = True
+    return names
+
+
+def dense_rows_to_linalg(tree):
+    """[(scope, line)] of each call of a ROW_TAKERS function one of whose
+    arguments holds a dense(...) call, the call of a module function that
+    returns one, or a name of the scope bound from such."""
+    scopes = scope_nodes(tree)
+    makers = {"dense"}
+    makers |= {name.split(".")[-1] for name, node in scopes.items()
+               if any(isinstance(n, ast.Return) and n.value is not None
+                      and calls_of(n.value, makers) for n in ast.walk(node))}
+    out = []
+    for name, node in scopes.items():
+        dense_names = bound_from(node, lambda v, names: (
+            calls_of(v, makers) or mentions(v, names))
+            and not (isinstance(v, ast.Call) and call_name(v) in ROW_TAKERS))
+        out += [(name, n.lineno) for n in ast.walk(node)
+                if isinstance(n, ast.Call) and call_name(n) in ROW_TAKERS
+                and any(calls_of(a, makers) or mentions(a, dense_names) for a in n.args)]
+    return sorted(out, key=lambda site: site[1])
+
+
+def span_rows_expanded(tree):
+    """[(scope, line)] of each nonzeros(...) of a loop variable over the
+    rows of a Span: an .ideal, the result of a SPAN_MAKERS call, or a name
+    of the scope bound from one."""
+    def spans(v, names):
+        return any(isinstance(n, ast.Attribute) and n.attr == "ideal"
+                   for n in ast.walk(v)) or calls_of(v, SPAN_MAKERS) or mentions(v, names)
+
+    out = []
+    for name, node in scope_nodes(tree).items():
+        span_names = bound_from(node, spans)
+        for loop in ast.walk(node):
+            gens = loop.generators if isinstance(loop, (ast.ListComp, ast.GeneratorExp,
+                                                          ast.SetComp, ast.DictComp)) \
+                else [loop] if isinstance(loop, ast.For) else []
+            rows = {t.id for g in gens if spans(g.iter, span_names)
+                    for t in ast.walk(g.target) if isinstance(t, ast.Name)}
+            out += [(name, n.lineno) for n in ast.walk(loop)
+                    if rows and isinstance(n, ast.Call) and call_name(n) == "nonzeros"
+                    and any(mentions(a, rows) for a in n.args)]
+    return sorted(set(out), key=lambda site: site[1])
+
+
+def row_sub_classes(tree):
+    return [c.name for c in tree.body if isinstance(c, ast.ClassDef)
+            and any(isinstance(m, ast.FunctionDef) and m.name == "row_sub" for m in c.body)]
+
+
+def test_rows_of_linalg_stay_sparse():
+    """A row handed to linalg is its sorted nonzero (col, x) list, as an
+    element of A is: outside oracle.py, which keeps dense vectors of its
+    own, no code passes a dense(...) to canonical_span, row_kernel,
+    member*, solver, reduce_mod_span, echelon or Span.place, nor expands
+    the rows of a Span with nonzeros; and rings.py defines row_sub on Ring
+    only."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "oracle.py":
+            tree = parse(path)
+            assert dense_rows_to_linalg(tree) == [], path.name
+            assert span_rows_expanded(tree) == [], path.name
+    assert row_sub_classes(parse(SRC / "rings.py")) == ["Ring"]
+    snippet = ast.parse(
+        "def closure(G, gens):\n"
+        "    span = canonical_span(R, [dense(R, m, v) for v in gens])\n"
+        "    frontier = [nonzeros(R, v) for v in span]\n"
+        "    return frontier\n"
+        "def _rows(phi):\n"
+        "    return [dense(R, w, e) for e in phi]\n"
+        "class ClosedSubgroup:\n"
+        "    def quotient(self):\n"
+        "        cols = []\n"
+        "        cols.append(dense(R, n, t))\n"
+        "        B = row_kernel(R, cols)\n"
+        "        beta = [nonzeros(R, row) for row in B]\n"
+        "        rows.place(R, w, c)\n"
+        "        return row_kernel(R, _rows(phi)), member(R, B, v)\n"
+        "    def report(self):\n"
+        "        for t, v in enumerate(self.ideal):\n"
+        "            x = nonzeros(R, v), nonzeros(R, w)\n"
+        "class Ring:\n    def row_sub(self):\n        pass\n"
+        "class _Residues(Ring):\n    def row_sub(self):\n        pass\n")
+    assert dense_rows_to_linalg(snippet) == [("closure", 2), ("ClosedSubgroup.quotient", 11),
+                                             ("ClosedSubgroup.quotient", 14)]
+    assert span_rows_expanded(snippet) == [("closure", 3), ("ClosedSubgroup.quotient", 12),
+                                           ("ClosedSubgroup.report", 17)]
+    assert row_sub_classes(snippet) == ["Ring", "_Residues"]

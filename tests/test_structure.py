@@ -12,7 +12,7 @@ from ffgs.constructions import (ClosedSubgroup, alpha, constant,
                                 semidirect, tate_oort2, trivial_subgroup)
 from ffgs import constructions, hopf, structure
 from ffgs.hopf import HopfError, convolution_power, dense, hom_on_points, nonzeros, points
-from ffgs.linalg import canonical_span, row_kernel, transpose
+from ffgs.linalg import canonical_span
 from ffgs.oracle import (AbstractGroup, cyclic_table, product_table, s3_table,
                          subgroup_lattice)
 from ffgs.rings import (QQ, IntegersMod, PrimeField, RingError, RingHom, find_hom,
@@ -31,7 +31,8 @@ from ffgs.structure import (InternalInconsistencyError, SplitResult,
 from ffgs.testrings import test_ring_family as ring_family
 from test_acceptance import theorem_corpus
 from test_hopf import built, dense_mul, dense_view, rebased, unitriangular
-from test_linalg import identity_matrix, solve, vec_add, vec_scale, vec_sub
+from test_linalg import (dense_rows, identity_matrix, kernel_rows, solve, span_rows, sparse_rows,
+                         transpose, vec_add, vec_scale, vec_sub)
 from test_oracle import relabelled
 
 Q = parse_ring("Q")
@@ -76,11 +77,11 @@ def test_identity_component():
 def _reference_augmentation_core(G):
     """augmentation_core as it was: J^n until it stabilizes."""
     R, unit = G.ring, dense_view(G).unit
-    J = canonical_span(R, [vec_sub(R, e, vec_scale(R, c, unit))
-                           for e, c in zip(identity_matrix(R, G.rank), G.counit)])
+    J = span_rows(R, [vec_sub(R, e, vec_scale(R, c, unit))
+                      for e, c in zip(identity_matrix(R, G.rank), G.counit)])
     cur = J
     while True:
-        nxt = canonical_span(R, [dense_mul(G, v, w) for v in cur for w in J])
+        nxt = span_rows(R, [dense_mul(G, v, w) for v in cur for w in J])
         if nxt == cur:
             return cur
         cur = nxt
@@ -158,12 +159,12 @@ def _reference_separable_rank(G):
     0, else the stable rank of the iterated q-power map, etale or not."""
     k = G.ring
     if k.char() == 0:
-        return len(canonical_span(k, hopf.trace_form(G)))
+        return len(span_rows(k, hopf.trace_form(G)))
     M = [dense(k, G.rank, G.power_vec(G.basis_vector(i), k.size())) for i in range(G.rank)]
-    cur, rank = M, len(canonical_span(k, M))
+    cur, rank = M, len(span_rows(k, M))
     while True:
         cur = [[k.dot(row, col) for col in zip(*M)] for row in cur]
-        r = len(canonical_span(k, cur))
+        r = len(span_rows(k, cur))
         if r == rank:
             return rank
         rank = r
@@ -175,7 +176,7 @@ def test_identity_component_matches_reference():
         assert H.ideal == _reference_identity_component(G).ideal, label
         if G.ring.is_field:
             core = _reference_augmentation_core(G)
-            assert G.identity_core == core, label
+            assert G.identity_core == sparse_rows(G.ring, core), label
             assert infinitesimal_rank(G) == G.rank - len(core), label
             assert separable_rank(G) == _reference_separable_rank(G), label
 
@@ -258,24 +259,24 @@ def _reference_saturation(R, rows_q, width):
     as order_p_subgroup made it before it read the kernel of pi_Q: a
     kernel over Z/p^e, p^e the largest p-power denominator of the
     canonical Q rows, lifted, and p^e times those rows."""
-    rref = canonical_span(QQ, rows_q)
+    rref = span_rows(QQ, rows_q)
     if not rref:
         return []
     e = max(R.valuation(Fraction(c.denominator)) for row in rref for c in row)
     if e == 0:
-        return canonical_span(R, [[Fraction(c) for c in row] for row in rref])
+        return canonical_span(R, sparse_rows(R, [[Fraction(c) for c in row] for row in rref]))
     pe = R.p ** e
     Rmod = IntegersMod(pe)
     D = [[(c * pe).numerator * pow((c * pe).denominator, -1, pe) % pe
           for c in row] for row in rref]
     rows_out = []
-    for t in row_kernel(Rmod, D):
+    for t in kernel_rows(Rmod, D):
         v = [Fraction(0)] * width
         for c, row in zip(t, rref):
             v = [a + c * b for a, b in zip(v, row)]
         rows_out.append(v)
     rows_out += [[pe * c for c in row] for row in rref]
-    return canonical_span(R, rows_out)
+    return canonical_span(R, sparse_rows(R, rows_out))
 
 
 @pytest.mark.parametrize("spec, base, p", [
@@ -286,7 +287,7 @@ def test_order_p_subgroup_over_zloc_matches_saturation(spec, base, p):
     the generic fiber; the saturation of that Q ideal is the reference."""
     [G] = built(spec, parse_ring(base))
     torsion = _torsion(G.base_change(QQ), p)
-    want = _reference_saturation(G.ring, [list(v) for v in torsion.ideal], G.rank)
+    want = _reference_saturation(G.ring, dense_rows(QQ, G.rank, torsion.ideal), G.rank)
     assert order_p_subgroup(G, p).ideal == want
 
 
