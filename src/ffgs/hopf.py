@@ -37,13 +37,15 @@ The tables are fixed once a scheme is made, so the conjugation tensors
 ad(e_i) (`adjoint`), the presentation A = R[t]/(mu) by the first basis
 vector other than 1 that generates A, where one does (`presentation`,
 which `characters`, `identity_idempotent`, the ideal closure, the
-Hopf-ideal report and `find_isomorphism` read), the certified algebra
-generators `verify` checks the laws on (`algebra_generators`, which read
-it), the trace discriminant (`etale`), the ideal of the identity component
-(`identity_core`), the characters over a field (`field_characters`), the
-subschemes x^p = 1 (`torsion_subschemes`), the base change to each ring
-(`base_change`), and over a field the tangent solver of each character
-(`_lifted_points`) and the minimal polynomials (`_minpoly`) are kept too.
+Hopf-ideal report and `find_isomorphism` read), the pairs a character
+and its lifts are checked on (`hom_pairs`, its e_s against the basis),
+the certified algebra generators `verify` checks the laws on
+(`algebra_generators`, which read it), the trace discriminant (`etale`),
+the ideal of the identity component (`identity_core`), the characters
+over a field (`field_characters`), the subschemes x^p = 1
+(`torsion_subschemes`), the base change to each ring (`base_change`),
+and over a field the tangent solver of each character (`_lifted_points`)
+and the minimal polynomials (`_minpoly`) are kept too.
 
 The dual module, with the tables transposed (`_transposed`), is the
 Cartier dual of a commutative scheme (`cartier_dual`).  `verify` reads
@@ -247,6 +249,19 @@ class GroupScheme:
                 minpoly, powers = found[0] if self.ring.is_field else (None, None)
                 return Presentation(i, minpoly, powers)
         return Presentation(None, None, None)
+
+    @functools.cached_property
+    def hom_pairs(self):
+        """The pairs (i, j) such that a linear chi with chi(1) = 1 is an
+        algebra map once chi(e_i e_j) = chi(e_i) chi(e_j) on each: (i, s)
+        for all i where the presentation's e_s generates A (Light's test,
+        as in `verify`), else all i <= j; made on first use and kept.  A
+        fiber's e_s generates A over every local ring with its residue
+        field too (Nakayama's lemma), so its pairs serve the lifts."""
+        s = self.presentation.index
+        if s is not None:
+            return [(i, s) for i in range(self.rank)]
+        return list(itertools.combinations_with_replacement(range(self.rank), 2))
 
     def _fiber_minpolys(self, ints):
         """[(mu, P)] of s = sum ints[i] e_i, read with from_int, at the
@@ -671,10 +686,10 @@ class _Laws:
     def counit_mult(self):
         """The first (a, b) with eps(e_a e_b) != eps(e_a) eps(e_b)."""
         R, M, eps = self.ring, self.mult, self.counit
-        for a in range(self.rank):
-            for b in range(self.rank):
-                if _pair(R, M[a][b], eps) != R.mul(eps[a], eps[b]):
-                    return VerificationReport(False, "counit-mult", (a, b))
+        # a <= b: mult is commutative by now, so a first failure has a <= b
+        for a, b in itertools.combinations_with_replacement(range(self.rank), 2):
+            if _pair(R, M[a][b], eps) != R.mul(eps[a], eps[b]):
+                return VerificationReport(False, "counit-mult", (a, b))
         return None
 
     @functools.cached_property
@@ -960,15 +975,10 @@ def point_group_from_set(GR: GroupScheme, vecs) -> PointGroup:
 
 
 def point_is_hom(GR: GroupScheme, v) -> bool:
-    R = GR.ring
-    if _pair(R, GR.unit, v) != R.one:
-        return False
-    m, M = GR.rank, GR.sparse.mult
-    for i in range(m):
-        for j in range(i, m):
-            if R.mul(v[i], v[j]) != _pair(R, M[i][j], v):
-                return False
-    return True
+    """Is v(1) = 1, and is v multiplicative on each of the `hom_pairs`?"""
+    R, M = GR.ring, GR.sparse.mult
+    return _pair(R, GR.unit, v) == R.one and all(
+        R.mul(v[i], v[j]) == _pair(R, M[i][j], v) for i, j in GR.hom_pairs)
 
 
 def _minpoly_of_vector(GR: GroupScheme, e, c_vec):
@@ -1154,45 +1164,35 @@ def points(G: GroupScheme, Rp: Ring, bound: int = 10000) -> PointGroup:
 def _tangent_rows(k: Ring, fiber: GroupScheme, chi):
     """The rows of `_square_zero_lifts`, one per basis index x: entry t of
     row x is the coefficient of d_x in condition t, the x-coefficient of
-    chi_i e_j + chi_j e_i - e_i e_j for the t-th pair i <= j, and of the
-    unit in the last one."""
-    m, M = fiber.rank, fiber.sparse.mult
-    nonzero = k.nonzero
-    # the pair i <= j is condition diag[i] + j - i
-    diag = [i * m - i * (i - 1) // 2 for i in range(m)]
-    products = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            for x, c in M[i][j]:
-                products[x].append((diag[i] + j - i, c))
-    rows = []
-    for x in range(m):
-        # chi_i at (i, x) for i < x, 2 chi_x at (x, x), chi_j at (x, j) for j > x
-        chis = [(diag[i] + x - i, c) for i, c in enumerate(chi[:x]) if nonzero(c)]
-        two = k.add(chi[x], chi[x])
-        if nonzero(two):
-            chis.append((diag[x], two))
-        chis += [(diag[x] + j - x, c) for j, c in enumerate(chi[x + 1:], x + 1) if nonzero(c)]
-        rows.append(k.row_sub(chis, k.one, products[x]))
+    chi_i e_j + chi_j e_i - e_i e_j for the t-th (i, j) of the fiber's
+    `hom_pairs`, and of the unit in the last one, filled in increasing t."""
+    M, pairs = fiber.sparse.mult, fiber.hom_pairs
+    rows = [{} for _ in range(fiber.rank)]
+    for t, (i, j) in enumerate(pairs):
+        for x, c in M[i][j]:
+            rows[x][t] = k.neg(c)
+        rows[i][t] = k.add(rows[i].get(t, k.zero), chi[j])
+        rows[j][t] = k.add(rows[j].get(t, k.zero), chi[i])
     for x, c in fiber.unit:
-        rows[x].append((m * (m + 1) // 2, c))
-    return rows
+        rows[x][len(pairs)] = c
+    return [[(t, c) for t, c in row.items() if k.nonzero(c)] for row in rows]
 
 
-def _square_zero_lifts(GR: GroupScheme, k: Ring, tangent, phi, coord):
+def _square_zero_lifts(GR: GroupScheme, fiber: GroupScheme, tangent, phi, coord):
     """(d0, K): the d in k^m for which phi + delta d is a point of GR are
     d0 plus the k-span of the rows of K, and d0 is None if there is none.
 
-    (delta) is a square-zero ideal of GR.ring with residue field k, and
-    coord reads the k-coordinate of an element of it: a[1] for eps, and
-    a // p^j % p for p^j in Z/p^(j+1).  phi is a point modulo delta whose
-    residue is the character chi of the fiber over k.  As delta^2 = 0 the
-    conditions are linear in d: the `_tangent_rows` of chi against minus
-    the coordinates of phi's defect (Waterhouse, Introduction to Affine
-    Group Schemes, ch. 12), whose `linalg.solver` (solve, K) is tangent."""
-    R, m, M = GR.ring, GR.rank, GR.sparse.mult
+    (delta) is a square-zero ideal of GR.ring with residue field k, the
+    fiber's ring, and coord reads the k-coordinate of an element of it:
+    a[1] for eps, and a // p^j % p for p^j in Z/p^(j+1).  phi is a point
+    modulo delta whose residue is the character chi of the fiber.  As
+    delta^2 = 0 the conditions are linear in d: the `_tangent_rows` of chi
+    against minus the coordinates of phi's defect on the fiber's
+    `hom_pairs` (Waterhouse, Introduction to Affine Group Schemes,
+    ch. 12), whose `linalg.solver` (solve, K) is tangent."""
+    R, M, k = GR.ring, GR.sparse.mult, fiber.ring
     rhs = [k.neg(coord(R.sub(R.mul(phi[i], phi[j]), _pair(R, M[i][j], phi))))
-           for i in range(m) for j in range(i, m)]
+           for i, j in fiber.hom_pairs]
     rhs.append(k.neg(coord(R.sub(_pair(R, GR.unit, phi), R.one))))
     solve, kern = tangent
     return solve(nonzeros(k, rhs)), kern
@@ -1221,7 +1221,7 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
         for chi, phi in base:
             if chi not in tangent:
                 tangent[chi] = linalg.solver(k, _tangent_rows(k, fiber, chi))
-            part, kern = _square_zero_lifts(GR, k, tangent[chi], phi, coord)
+            part, kern = _square_zero_lifts(GR, fiber, tangent[chi], phi, coord)
             if part is None:
                 continue
             if kern and not k.is_finite:

@@ -932,6 +932,17 @@ def _reference_split_unit(R, sub_rows, comp_rows, e):
     return f
 
 
+def reference_is_hom(G, chi):
+    """Is chi an algebra map?  chi(1) = 1 and chi(e_i e_j) = chi_i chi_j
+    for every i <= j, with e_i e_j made by dense_mul: the all-pairs check,
+    which reads neither hom_pairs nor point_is_hom."""
+    R, m = G.ring, G.rank
+    E = identity_matrix(R, m)
+    return R.dot(dense_view(G).unit, chi) == R.one and all(
+        R.dot(dense_mul(G, E[i], E[j]), chi) == R.mul(chi[i], chi[j])
+        for i in range(m) for j in range(i, m))
+
+
 def _reference_characters(GR):
     """characters as it was: (L_c - lam) is applied dim(factor) times."""
     R = GR.ring
@@ -944,7 +955,7 @@ def _reference_characters(GR):
     while stack:
         basis, e, idx, chi = stack.pop()
         if idx == m:
-            if all(x is not None for x in chi) and hopf.point_is_hom(GR, chi):
+            if all(x is not None for x in chi) and reference_is_hom(GR, chi):
                 results.append(tuple(chi))
             continue
         c = dense_mul(GR, e, E[idx])
@@ -1033,7 +1044,7 @@ def test_mu_n_reads_characters_and_e0_off_its_presentation(monkeypatch):
     minimal polynomial and no walk give the characters and e0, which equal
     the closed forms for every n <= 105 over GF(2), GF(3) and GF(7), and
     over Q for the square-free n <= 30 and the orders 42, 70 and 105; and
-    the walk references on the smaller n."""
+    the all-pairs check and the walk references on the smaller n."""
     minpolys, walks = [], []
     real_minpoly, real_walk = hopf._minpoly_of_vector, hopf._splittings
     monkeypatch.setattr(hopf, "_minpoly_of_vector",
@@ -1052,7 +1063,8 @@ def test_mu_n_reads_characters_and_e0_off_its_presentation(monkeypatch):
             assert (len(minpolys), walks) == (1, []), (name, n)
             assert G.presentation.index == 1
             assert chars == _mu_characters(R, n), (name, n)
-            assert all(hopf.point_is_hom(G, chi) for chi in chars), (name, n)
+            if n <= 30:  # the all-pairs reference takes n^3 / 2 steps a character
+                assert all(reference_is_hom(G, chi) for chi in chars), (name, n)
             assert e0 == nonzeros(R, _mu_identity_idempotent(R, n)), (name, n)
             if n <= 12 or n in (15, 21, 30) and R.is_finite:
                 assert chars == _reference_characters(G), (name, n)
@@ -1073,7 +1085,7 @@ def test_presented_characters_and_e0_match_the_walk_on_the_corpus():
         H = fresh(G)
         chars = hopf.characters(H)
         assert chars == _reference_characters(G), label
-        assert all(hopf.point_is_hom(H, chi) for chi in chars), label
+        assert all(reference_is_hom(H, chi) for chi in chars), label
         assert hopf.identity_idempotent(H) == \
             nonzeros(G.ring, _reference_identity_idempotent(G)), label
         paths.add(H.presentation.index is not None)
@@ -1100,6 +1112,48 @@ def test_presented_characters_match_the_walk_in_random_bases():
 
     check()
     assert paths == {True, False}
+
+
+def permuted(G, rng):
+    """G after a seeded unitriangular change of basis and a shuffle of the
+    new basis vectors, so the unit and a generating basis vector, if any,
+    can land at any index."""
+    R, m = G.ring, G.rank
+    sigma = list(range(m))
+    rng.shuffle(sigma)
+    shuffle = [[R.one if d == sigma[c] else R.zero for d in range(m)] for c in range(m)]
+    return rebased(G, mat_mul(R, unitriangular(R, m, rng), shuffle))
+
+
+def test_hom_pairs_decide_characters_as_all_pairs_do():
+    """On the builtins over each field of RINGS, in the natural basis and
+    in a unitriangular, permuted one, point_is_hom, which reads only the
+    hom_pairs, agrees with the all-pairs reference on every character and
+    on each character with one coordinate moved; hom_pairs holds the m
+    pairs (i, s) where the presentation has an index s, else the
+    m(m + 1)/2 pairs i <= j."""
+    hyp, st, settings = hypothesis_or_skip()
+    schemes = [G for R in RINGS if R.is_field for G in builtins_over(R)]
+    indices = set()
+
+    @settings
+    @hyp.given(st.sampled_from(schemes), st.booleans(), st.integers(0, 2 ** 32))
+    def check(G, natural, seed):
+        H = G if natural else permuted(G, random.Random(seed))
+        R, m, s = H.ring, H.rank, H.presentation.index
+        expected = [(i, s) for i in range(m)] if s is not None else \
+            [(i, j) for i in range(m) for j in range(i, m)]
+        assert H.hom_pairs == expected
+        indices.add(s)
+        for chi in hopf.characters(H):
+            assert reference_is_hom(H, chi)
+            for x in range(m):
+                moved = list(chi)
+                moved[x] = R.add(moved[x], R.one)
+                assert hopf.point_is_hom(H, moved) == reference_is_hom(H, moved), (chi, x)
+
+    check()
+    assert None in indices and len(indices - {None}) >= 2, indices
 
 
 FIELD_BASES = ["GF(2)", "GF(3)", "GF(5)", "GF(2^2;x^2+x+1)", "GF(2^3;x^3+x^2+1)",
@@ -1692,6 +1746,45 @@ def test_tangent_rows_are_built_once_per_character(monkeypatch):
                     assert len(built_for) == len(set(built_for)), (spec, name)
                     checked += 1
     assert checked >= 20, checked
+
+
+def test_lifts_of_rank_6_and_up_match_the_oracle(monkeypatch):
+    """Points of rank 6 to 15 schemes over Dual(GF(3)), Dual(GF(5)), Z/9,
+    Z/25 and Z/27 equal the oracle's.  Among them mu:6 in the basis 1, x^2,
+    x^3, x, x^4, x^5, whose first generating basis vector is e_3, and
+    constant groups, which have no generating basis vector over GF(3) or
+    GF(5).  Each tangent row ends before column m + 1 where the fiber has a
+    presentation, and before m(m + 1)/2 + 1 where it has none."""
+    widths = []
+    real = hopf._tangent_rows
+
+    def recorded(k, fiber, chi):
+        rows = real(k, fiber, chi)
+        widths.append((fiber.presentation.index, fiber.rank,
+                       max((row[-1][0] for row in rows if row), default=-1)))
+        return rows
+
+    monkeypatch.setattr(hopf, "_tangent_rows", recorded)
+    cases = []
+    for name in ("Dual(GF(3))", "Dual(GF(5))", "Z/9", "Z/25", "Z/27"):
+        T = parse_ring(name)
+        G = mu(T, 6)
+        shuffle = [[T.one if d == c else T.zero for d in range(6)] for c in (0, 3, 1, 2, 4, 5)]
+        cases += [(G, T), (rebased(G, shuffle), T)]
+        cases += [(H, T) for spec in ("mu:10", "mu:15", "const:Z6", "const:S3",
+                                      "sdp:mu:3,Z2,inv") for H in built(spec, T)]
+    indices = set()
+    for H, T in cases:
+        widths.clear()
+        expected = enumerate_points(H, T, budget=20000)
+        P = points(H, T)
+        assert (P.elements, P.table, P.identity_index) == (
+            expected.elements, expected.table, expected.identity_index), (H.name, T.name())
+        assert widths, (H.name, T.name())
+        for s, m, last in widths:
+            assert last < (m + 1 if s is not None else m * (m + 1) // 2 + 1), (H.name, s)
+            indices.add(s)
+    assert {None, 1, 3} <= indices, indices
 
 
 def test_rings_over_one_fiber_share_its_tangent_rows(monkeypatch, capsys):

@@ -21,7 +21,8 @@ antipode, a power or a pull-back to it, nor a projection back to a dense
 vector; hopf, constructions and structure import no dense vector helper,
 and a homomorphism keeps its algebra map once, as alg.  The one true
 division, a / b, is rings._quotient, which keeps an integral quotient in
-Q an int."""
+Q an int.  point_is_hom, the tangent rows and the lifts take their pairs
+from GroupScheme.hom_pairs and loop over no pair of basis indices."""
 
 import ast
 from functools import cache
@@ -748,3 +749,66 @@ def test_rows_of_linalg_stay_sparse():
     assert span_rows_expanded(snippet) == [("closure", 3), ("ClosedSubgroup.quotient", 12),
                                            ("ClosedSubgroup.report", 17)]
     assert row_sub_classes(snippet) == ["Ring", "_Residues"]
+
+
+PAIR_READERS = ("point_is_hom", "_tangent_rows", "_square_zero_lifts")
+COMPREHENSIONS = (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)
+
+
+def is_range(node):
+    return isinstance(node, ast.Call) and call_name(node) == "range"
+
+
+def nested_range_loops(scope):
+    """Lines of each loop over a range(...) that runs inside another: in
+    the body of a for statement over a range, or after a range generator
+    of the same comprehension."""
+    loops, inside = [], set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.For) and is_range(node.iter):
+            loops.append(node.iter)
+            inside |= {id(n) for stmt in node.body for n in ast.walk(stmt)}
+        elif isinstance(node, COMPREHENSIONS):
+            gens = node.generators
+            loops += [g.iter for g in gens if is_range(g.iter)]
+            for k, g in enumerate(gens):
+                if is_range(g.iter):
+                    later = [*gens[k + 1:], *(getattr(node, slot) for slot in
+                                              ("elt", "key", "value") if hasattr(node, slot))]
+                    inside |= {id(n) for part in later for n in ast.walk(part)}
+    return sorted(n.lineno for n in loops if id(n) in inside)
+
+
+def reads_hom_pairs(scope):
+    return any(isinstance(n, ast.Attribute) and n.attr == "hom_pairs" for n in ast.walk(scope))
+
+
+def test_characters_and_lifts_read_the_one_pair_list():
+    """point_is_hom, _tangent_rows and _square_zero_lifts take the pairs
+    on which a character, its tangent rows and the defect of a lift are
+    read from GroupScheme.hom_pairs: none of them runs a loop over a
+    range inside another, and each reads hom_pairs, which GroupScheme
+    defines once."""
+    scopes = scope_nodes(parse(SRC / "hopf.py"))
+    for name in PAIR_READERS:
+        assert nested_range_loops(scopes[name]) == [], name
+        assert reads_hom_pairs(scopes[name]), name
+    assert [name for name in scopes if name.endswith(".hom_pairs")] == ["GroupScheme.hom_pairs"]
+    snippet = ast.parse(
+        "def point_is_hom(GR, v):\n"
+        "    for i in range(m):\n"
+        "        for j in range(i, m):\n"
+        "            pass\n"
+        "def _tangent_rows(k, fiber, chi):\n"
+        "    rows = [{} for _ in range(m)]\n"
+        "    for t, (i, j) in enumerate(fiber.hom_pairs):\n"
+        "        pass\n"
+        "    return [x for x in range(m)], [x for x in rows for y in range(m)]\n"
+        "def _square_zero_lifts(GR, fiber):\n"
+        "    rhs = [f(i, j) for i in range(m)\n"
+        "           for j in range(i, m)]\n"
+        "    for i in range(m):\n"
+        "        out = {j: i for j in range(m)}\n")
+    found = scope_nodes(snippet)
+    assert [nested_range_loops(found[name]) for name in PAIR_READERS] == [[3], [], [12, 14]]
+    assert [reads_hom_pairs(found[name]) for name in PAIR_READERS] == [False, True, False]
