@@ -15,13 +15,7 @@ import functools
 import itertools
 from math import comb
 
-from .linalg import (
-    Span,
-    canonical_span,
-    member,
-    member_with_coeffs,
-    row_kernel,
-)
+from .linalg import Span, canonical_span, row_kernel, solver
 from .hopf import (
     GroupScheme,
     GroupSchemeHom,
@@ -35,7 +29,7 @@ from .hopf import (
     project,
 )
 from .oracle import AbstractGroup, cyclic_table
-from .rings import Ring, RingError, find_hom
+from .rings import Ring, RingError, find_hom, is_prime
 from .testrings import test_ring_family
 
 
@@ -51,8 +45,7 @@ def mu(R: Ring, n: int) -> GroupScheme:
     mult = [[[((i + j) % n, O)] for j in range(n)] for i in range(n)]
     comult = [[(i, i, O)] for i in range(n)]
     antipode = [[(-i % n, O)] for i in range(n)]
-    return GroupScheme.from_tables(R, n, (mult, comult, antipode),
-                                   [(0, O)], [O] * n, f"mu_{n}")
+    return GroupScheme(R, n, (mult, comult, antipode), [(0, O)], [O] * n, f"mu_{n}")
 
 
 def group_of_table(table) -> AbstractGroup:
@@ -85,8 +78,8 @@ def constant(R: Ring, table, name: str | None = None) -> GroupScheme:
     counit = [O if g == G.identity else Z for g in range(n)]
     antipode = [[(G.inverse(g), O)] for g in range(n)]
     unit = [(g, O) for g in range(n)]
-    return GroupScheme.from_tables(R, n, (mult, comult, antipode), unit, counit,
-                                   name or f"constant({G.identify()})")
+    return GroupScheme(R, n, (mult, comult, antipode), unit, counit,
+                       name or f"constant({G.identify()})")
 
 
 def constant_cyclic(R: Ring, n: int) -> GroupScheme:
@@ -94,17 +87,19 @@ def constant_cyclic(R: Ring, n: int) -> GroupScheme:
 
 
 def alpha(R: Ring, p: int) -> GroupScheme:
-    """alpha_p = Spec R[x]/(x^p), additive group law (char p only)."""
+    """alpha_p = Spec R[x]/(x^p), additive group law (p prime, char p only)."""
     if R.char() != p:
         raise HopfError(f"alpha_{p} needs a base of characteristic {p}")
+    if not is_prime(p):
+        raise HopfError(f"alpha_{p} needs a prime p")
     O, m = R.one, p
     mult = [[[(i + j, O)] if i + j < m else [] for j in range(m)] for i in range(m)]
     # 0 < comb(i, j) < p for i < p, so no coefficient vanishes in char p
     comult = [[(j, i - j, R.from_int(comb(i, j))) for j in range(i + 1)]
               for i in range(m)]
     antipode = [[(i, R.from_int((-1) ** i))] for i in range(m)]
-    return GroupScheme.from_tables(R, m, (mult, comult, antipode), [(0, O)],
-                                   [O] + [R.zero] * (m - 1), f"alpha_{p}")
+    return GroupScheme(R, m, (mult, comult, antipode), [(0, O)],
+                       [O] + [R.zero] * (m - 1), f"alpha_{p}")
 
 
 def tate_oort2(R: Ring, a, b) -> GroupScheme:
@@ -120,8 +115,8 @@ def tate_oort2(R: Ring, a, b) -> GroupScheme:
     # every point squares to the identity, so the antipode is the identity:
     # m(S(x)id)Delta(x) = 2x + b x^2 = (2 + ab) x = 0
     antipode = [[(0, O)], [(1, O)]]
-    return GroupScheme.from_tables(R, 2, (mult, comult, antipode), [(0, O)],
-                                   [O, R.zero], f"ot2({R.show(a)},{R.show(b)})")
+    return GroupScheme(R, 2, (mult, comult, antipode), [(0, O)],
+                       [O, R.zero], f"ot2({R.show(a)},{R.show(b)})")
 
 
 def direct_product(G: GroupScheme, H: GroupScheme) -> GroupScheme:
@@ -149,7 +144,7 @@ def direct_product(G: GroupScheme, H: GroupScheme) -> GroupScheme:
     name = None
     if G.name and H.name:
         name = f"{G.name} x {H.name}"
-    return GroupScheme.from_tables(R, m, (mult, comult, antipode), unit, counit, name)
+    return GroupScheme(R, m, (mult, comult, antipode), unit, counit, name)
 
 
 def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
@@ -206,7 +201,7 @@ def semidirect(Q: GroupScheme, P_table, action) -> GroupScheme:
     name = None
     if Q.name:
         name = f"{Q.name} x| {P.identify()}"
-    return GroupScheme.from_tables(R, m, (mult, comult, antipode), unit, counit, name)
+    return GroupScheme(R, m, (mult, comult, antipode), unit, counit, name)
 
 
 def inversion_action(Q: GroupScheme, P_table):
@@ -331,9 +326,9 @@ class ClosedSubgroup:
         mult = [[project(R, pb, M[a][b]) for b in free_cols] for a in free_cols]
         comult = [map_tensor(R, pb, pb, C[a]) for a in free_cols]
         antipode = [project(R, pb, S[a]) for a in free_cols]
-        return GroupScheme.from_tables(R, len(free_cols), (mult, comult, antipode),
-                                       project(R, pb, G.unit),
-                                       [G.counit[a] for a in free_cols])
+        return GroupScheme(R, len(free_cols), (mult, comult, antipode),
+                           project(R, pb, G.unit),
+                           [G.counit[a] for a in free_cols])
 
     @functools.cached_property
     def _normal(self):
@@ -483,9 +478,9 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
             raise HopfError("comultiplication does not restrict to coinvariants")
         comult.append(x)
     antipode = [coords(G.antipode_vec(b)) for b in B]
-    Gbar = GroupScheme.from_tables(R, rB, (mult, comult, antipode), coords(G.unit),
-                                   [G.counit_of(b) for b in B],
-                                   f"{G.name}/H" if G.name else None)
+    Gbar = GroupScheme(R, rB, (mult, comult, antipode), coords(G.unit),
+                       [G.counit_of(b) for b in B],
+                       f"{G.name}/H" if G.name else None)
     proj = GroupSchemeHom(G, Gbar, B)
     return Gbar, proj
 
@@ -629,19 +624,20 @@ def find_isomorphism(G: GroupScheme, H: GroupScheme,
             powers.append(K.mul_vec(powers[-1], v))
         return powers
 
-    def generates(powers):
-        span = canonical_span(R, powers)
-        return all(member(R, span, e) for e in basis)
+    def coordinates(powers):  # of each e_j in the powers, None if they do not span
+        solve = solver(R, powers)[0]
+        exprs = [solve(e) for e in basis]
+        return None if None in exprs else exprs
 
     index = H.presentation.index
     candidates = ([H.basis_vector(index)] if index is not None else
                   [H.unit] if m == 1 else
                   (nonzeros(R, v) for v in itertools.product(R.elements(), repeat=m))
                   if R.size() ** m <= 4096 else [])
-    gen_powers = next(filter(generates, (powers_of(H, v) for v in candidates)), None)
-    if gen_powers is None:
+    found = (coordinates(powers_of(H, v)) for v in candidates)
+    exprs = next((x for x in found if x is not None), None)
+    if exprs is None:
         return _exhaustive_isomorphism(G, H, budget)
-    exprs = [member_with_coeffs(R, gen_powers, e) for e in basis]
     els = list(R.elements())
     count = 0
     for v in itertools.product(els, repeat=G.rank):

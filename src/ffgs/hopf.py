@@ -14,7 +14,9 @@ each row without zeros and in increasing index order, and by two more:
   counit         the list of the counit values
 
 The scheme is Spec of this algebra; the group law is dual to comult.  A
-name, where one is given, is only a tag.
+name, where one is given, is only a tag.  The one constructor,
+GroupScheme(ring, rank, (mult, comult, antipode), unit, counit, name),
+takes them in this form.
 
 Every Hopf operation and base change reads the tables, so none scans
 the zeros of the m^3 dense entries.  An element v of A is the sorted list
@@ -31,8 +33,9 @@ its map on points read, and a convolution m o (f (x) g) o Delta is
 `map_tensor` summed by `combine`.  A row handed to `linalg` is in the
 same form, and so are the rows of the spans it returns.  Lists of values
 on the basis stay dense: the counit, characters and points.  So do the
-dense lists the constructor and `from_dict` take and `to_dict` writes
-from the tables, and the square matrix `Ring.det` takes.
+dense lists of a scheme file, which `from_dict` reads straight into the
+tables and `to_dict` writes from them, and the square matrix `Ring.det`
+takes.
 The tables are fixed once a scheme is made, so the conjugation tensors
 ad(e_i) (`adjoint`), the presentation A = R[t]/(mu) by the first basis
 vector other than 1 that generates A, where one does (`presentation`,
@@ -152,38 +155,14 @@ def _pair(R: Ring, entries, v):
 
 
 class GroupScheme:
-    def __init__(self, ring: Ring, rank: int, mult, unit, comult, counit,
-                 antipode, name: str | None = None):
-        """The scheme of the dense lists mult[i][j] (the vector e_i e_j),
-        comult[i][j][k] (the coefficient of e_j (x) e_k in Delta(e_i)) and
-        antipode[i] (the vector S(e_i)); their shapes are checked first,
-        then only their nonzero entries are kept, the unit's too."""
-        def fits(x, depth):  # a list of rank entries, nested depth deep
-            return len(x) == rank and (depth == 1 or all(fits(y, depth - 1) for y in x))
-
-        if rank < 1:
-            raise HopfError("rank must be >= 1")
-        if not all(fits(x, depth) for x, depth in
-                   ((mult, 3), (unit, 1), (comult, 3), (counit, 1), (antipode, 2))):
-            raise HopfError("tensor dimensions do not match the rank")
-        self.ring, self.rank, self.name = ring, rank, name
-        self.unit, self.counit = nonzeros(ring, unit), list(counit)
-        self.sparse = SparseTensors(
-            [[nonzeros(ring, v) for v in row] for row in mult],
-            [[(j, k, c) for j, row in enumerate(mat) for k, c in nonzeros(ring, row)]
-             for mat in comult],
-            [nonzeros(ring, v) for v in antipode])
-
-    @classmethod
-    def from_tables(cls, ring: Ring, rank: int, tables, unit, counit,
-                    name: str | None = None) -> "GroupScheme":
+    def __init__(self, ring: Ring, rank: int, tables, unit, counit,
+                 name: str | None = None):
         """The scheme stored by tables = (mult, comult, antipode) in the
         form of `sparse` and by the unit in the form of an element, which
         the caller builds without zeros and in increasing index order."""
-        G = cls.__new__(cls)
-        G.ring, G.rank, G.name, G.sparse = ring, rank, name, SparseTensors(*tables)
-        G.unit, G.counit = list(unit), list(counit)
-        return G
+        self.ring, self.rank, self.name = ring, rank, name
+        self.sparse = SparseTensors(*tables)
+        self.unit, self.counit = list(unit), list(counit)
 
     # -- bookkeeping ---------------------------------------------------
     @property
@@ -452,7 +431,7 @@ class GroupScheme:
         """
         R = self.ring
         m = self.rank
-        zero, nonzero, add, mul = R.zero, R.nonzero, R.add, R.mul
+        nonzero, mul = R.nonzero, R.mul
         M, C, S = self.sparse
         basis = [self.basis_vector(i) for i in range(m)]
         laws = _Laws(self)
@@ -490,13 +469,11 @@ class GroupScheme:
         if report is not None:
             return report
         # counit laws
+        eps = dict(nonzeros(R, self.counit))  # the terms with eps = 0 add nothing
         for i in range(m):
-            left = [zero] * m
-            right = [zero] * m
-            for j, k, c in C[i]:
-                left[k] = add(left[k], mul(c, self.counit[j]))
-                right[j] = add(right[j], mul(c, self.counit[k]))
-            if nonzeros(R, left) != basis[i] or nonzeros(R, right) != basis[i]:
+            left = project(R, basis, [(k, mul(c, eps[j])) for j, k, c in C[i] if j in eps])
+            right = project(R, basis, [(j, mul(c, eps[k])) for j, k, c in C[i] if k in eps])
+            if left != basis[i] or right != basis[i]:
                 return VerificationReport(False, "counit", (i,))
         # bialgebra: Delta and counit are algebra maps
         if self.comult_vec(unit) != [(j, k, d) for j, a in unit for k, b in unit
@@ -554,8 +531,8 @@ class GroupScheme:
         tables = ([[image(v) for v in row] for row in M],
                   [[(j, k, d) for j, k, c in terms if nonzero(d := f(c))] for terms in C],
                   [image(v) for v in S])
-        return GroupScheme.from_tables(hom.target, self.rank, tables, image(self.unit),
-                                       [f(c) for c in self.counit], self.name)
+        return GroupScheme(hom.target, self.rank, tables, image(self.unit),
+                           [f(c) for c in self.counit], self.name)
 
     def to_dict(self) -> dict:
         """The dense lists, written from the tables: each row is a copy of
@@ -591,30 +568,41 @@ class GroupScheme:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroupScheme":
+        """The scheme of the dense lists `to_dict` writes, read straight
+        into the tables in one pass: each level is checked to be a list of
+        rank entries as it is walked, each distinct literal is parsed once,
+        and only the nonzeros are kept."""
         base, rank = d["base"], d["rank"]
         if not isinstance(base, str):
             raise HopfError("base must be a ring spec string")
         if not isinstance(rank, int) or isinstance(rank, bool):
             raise HopfError("rank must be an integer")
         R = parse_ring(base)
+        if rank < 1:
+            raise HopfError("rank must be >= 1")
         literal = functools.cache(R.parse)  # each distinct literal parsed once
+        nonzero = R.nonzero
 
-        def parse(c):  # R.parse refuses a non-string with RingError
-            return literal(c) if isinstance(c, str) else R.parse(c)
-
-        def tensor(key, depth):
-            # JSON lists nested depth deep with ring elements at the bottom
+        def read(key, depth):
+            # JSON lists of rank entries nested depth deep, with ring
+            # elements at the bottom; R.parse refuses a non-string with
+            # RingError
             def walk(x, depth):
                 if not isinstance(x, list):
                     raise HopfError(f"{key} must be nested lists, {depth} deep")
-                if depth == 1:
-                    return [parse(c) for c in x]
-                return [walk(y, depth - 1) for y in x]
+                if len(x) != rank:
+                    raise HopfError("tensor dimensions do not match the rank")
+                if depth > 1:
+                    return [walk(y, depth - 1) for y in x]
+                return [(i, c) for i, s in enumerate(x)
+                        if nonzero(c := literal(s) if isinstance(s, str) else R.parse(s))]
             return walk(d[key], depth)
 
-        return cls(R, rank, tensor("mult", 3), tensor("unit", 1),
-                   tensor("comult", 3), tensor("counit", 1),
-                   tensor("antipode", 2), name=d.get("name"))
+        mult, unit = read("mult", 3), read("unit", 1)
+        comult = [[(j, k, c) for j, row in enumerate(rows) for k, c in row]
+                  for rows in read("comult", 3)]
+        counit, antipode = dense(R, rank, read("counit", 1)), read("antipode", 2)
+        return cls(R, rank, (mult, comult, antipode), unit, counit, d.get("name"))
 
     def __repr__(self):
         tag = self.name or "group scheme"
@@ -784,8 +772,8 @@ def _transposed(G: GroupScheme, name: str | None = None) -> GroupScheme:
                 comult[i].append((a, b, c))
         for i, c in S[a]:
             antipode[i].append((a, c))
-    return GroupScheme.from_tables(G.ring, m, (mult, comult, antipode), nonzeros(G.ring, G.counit),
-                                   dense(G.ring, m, G.unit), name)
+    return GroupScheme(G.ring, m, (mult, comult, antipode), nonzeros(G.ring, G.counit),
+                       dense(G.ring, m, G.unit), name)
 
 
 def cartier_dual(G: GroupScheme) -> GroupScheme:

@@ -23,7 +23,7 @@ from ffgs.structure import (InternalInconsistencyError, classify_order_p,
                             p_primary_decompose, separable_rank,
                             theorem_decompose)
 from ffgs.testrings import test_ring_family as ring_family
-from test_hopf import dense_lists, dense_view
+from test_hopf import dense_lists, dense_view, from_dense
 
 Q = parse_ring("Q")
 F2 = parse_ring("GF(2)")
@@ -261,7 +261,7 @@ def test_criterion_1_corruptions_fail_with_correct_witness():
         else:
             i, j = idx
             t["antipode"][i][j] = _bump(R, t["antipode"][i][j])
-        G = GroupScheme(R, G0.rank, *t.values())
+        G = from_dense(R, G0.rank, *t.values())
         rep = G.verify()
         assert not rep.ok, (G0.name, slot, idx)
         assert not axiom_holds_at(G, rep.axiom, rep.witness), \

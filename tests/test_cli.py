@@ -340,6 +340,51 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     for spec in ("mu:\u00b2", "alpha:\u00b2", "const:Z\u00b2", "mu:\u2460", "mu:\u0663"):
         assert main(["order", "--builtin", spec, "--base", "GF(2)"]) == 2, spec
     capsys.readouterr()
+    # alpha_p for a p that is no prime, over a base of characteristic p
+    argvs = [["verify", "--builtin", "alpha:0", "--base", "Q"],
+             ["order", "--builtin", "alpha:0", "--base", "Q"]]
+    for n in (4, 6, 9):
+        spec = ["--builtin", f"alpha:{n}", "--base", f"Z/{n}"]
+        argvs += [["points", *spec, "--ring", f"Z/{n}"], ["fibers", *spec], ["verify", *spec]]
+    for argv in argvs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_scheme_file_errors_name_the_one_fault(tmp_path, capsys):
+    """A scheme file with one fault exits 2 with the error that names it:
+    the base or the rank of the wrong type, a rank below 1, a non-list or
+    a list of the wrong length at each depth of each table, and an element
+    that does not parse."""
+    good = mu(parse_ring("GF(3)"), 2).to_dict()
+    depths = {"mult": 3, "unit": 1, "comult": 3, "counit": 1, "antipode": 2}
+    cases = [(("base",), 7, "base must be a ring spec string"),
+             (("rank",), "2", "rank must be an integer"),
+             (("rank",), True, "rank must be an integer"),
+             (("rank",), 0, "rank must be >= 1"),
+             (("rank",), -1, "rank must be >= 1"),
+             (("unit", 0), "x", "malformed element 'x'"),
+             (("comult", 1, 1, 1), 3, "malformed element 3"),
+             (("antipode", 1, 0), [], "malformed element []")]
+    for key, depth in depths.items():
+        for level in range(depth):
+            at, node = (key, *[1] * level), good[key]
+            for i in at[1:]:
+                node = node[i]
+            cases += [(at, "1", f"{key} must be nested lists, {depth - level} deep"),
+                      (at, node[:-1], "tensor dimensions do not match the rank"),
+                      (at, [*node, node[0]], "tensor dimensions do not match the rank")]
+    path = tmp_path / "bad.json"
+    for at, value, text in cases:
+        d = copy.deepcopy(good)
+        node = d
+        for i in at[:-1]:
+            node = node[i]
+        node[at[-1]] = value
+        path.write_text(json.dumps(d))
+        assert main(["verify", "--file", str(path)]) == 2, (at, value)
+        assert capsys.readouterr().err == f"error: bad group-scheme file: {text}\n", (at, value)
 
 
 def test_file_failing_the_hopf_axioms_exits_2(tmp_path):

@@ -393,8 +393,8 @@ def _twisted_antipode(G, j):
     M, C, S = G.sparse
     moved = vec_add(R, dense_view(G).antipode[j], dense_view(G).unit)
     S = S[:j] + [[(x, c) for x, c in enumerate(moved) if R.nonzero(c)]] + S[j + 1:]
-    return GroupScheme.from_tables(R, G.rank, (M, C, S), G.unit, G.counit,
-                                   f"{G.name} (twisted antipode)")
+    return GroupScheme(R, G.rank, (M, C, S), G.unit, G.counit,
+                       f"{G.name} (twisted antipode)")
 
 
 def _seeded_ideals(G, rng, count):

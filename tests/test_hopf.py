@@ -93,7 +93,7 @@ def test_verify_builtins():
 def test_verify_catches_corruption():
     t = dense_lists(mu(F5, 3))
     t["mult"][1][1] = list(t["unit"])
-    rep = GroupScheme(F5, 3, *t.values()).verify()
+    rep = from_dense(F5, 3, *t.values()).verify()
     assert not rep.ok
     assert rep.witness is not None
 
@@ -104,6 +104,20 @@ def test_roundtrip_json():
     H = GroupScheme.from_dict(d)
     assert H.to_dict() == d
     assert H.verify().ok
+
+
+def test_from_dict_reads_back_what_to_dict_writes():
+    """from_dict(G.to_dict()) keeps the tables, the unit, the counit and the
+    name of each builtin over each ring of RINGS, in its natural basis and
+    in a dense one after a change and a shuffle of the basis."""
+    rng = random.Random(34)
+    for R in RINGS:
+        for G in builtins_over(R):
+            for H in (G, permuted(G, rng)):
+                K = GroupScheme.from_dict(H.to_dict())
+                assert (K.ring, K.rank, K.name) == (H.ring, H.rank, H.name)
+                assert (K.sparse, K.unit, K.counit) == (H.sparse, H.unit, H.counit), \
+                    (G.name, R.name())
 
 
 def test_base_change():
@@ -242,7 +256,7 @@ def rebased(G, Q):
     for i in range(m):
         C = [comb([D.comult[a][j] for a in range(m)], i) for j in range(m)]
         comult.append(mat_mul(R, mat_mul(R, transpose(Q), C), Q))
-    return GroupScheme(
+    return from_dense(
         R, m,
         [[to_f(dense_mul(G, P[i], P[j])) for j in range(m)] for i in range(m)],
         to_f(D.unit),
@@ -402,8 +416,18 @@ def dense_view(G):
                            counit=list(G.counit), antipode=antipode)
 
 
+def from_dense(R, m, mult, unit, comult, counit, antipode, name=None):
+    """The scheme of dense lists in `dense_view`'s form, given by slot in
+    the order of SLOTS, with only their nonzeros kept."""
+    tables = ([[nonzeros(R, v) for v in row] for row in mult],
+              [[(j, k, c) for j, row in enumerate(mat) for k, c in nonzeros(R, row)]
+               for mat in comult],
+              [nonzeros(R, v) for v in antipode])
+    return GroupScheme(R, m, tables, nonzeros(R, unit), counit, name)
+
+
 def dense_lists(G):
-    """Copies of G's dense lists by slot, in the constructor's order: a
+    """Copies of G's dense lists by slot, in `from_dense`'s order: a
     corrupted scheme is built from edited copies."""
     view = dense_view(G)
     return {slot: copy.deepcopy(getattr(view, slot)) for slot in SLOTS}
@@ -458,7 +482,7 @@ def corrupted(G, slot, rng, mirror=False):
         t["counit"][i] = R.add(t["counit"][i], delta)
     else:
         t["antipode"][i][j] = R.add(t["antipode"][i][j], delta)
-    return GroupScheme(R, m, *t.values())
+    return from_dense(R, m, *t.values())
 
 
 def mismatched_pairs(R):
@@ -467,7 +491,7 @@ def mismatched_pairs(R):
     R[x]/(x^2) in the basis (x, 1) with both basis vectors group-like:
     Delta(x x) = Delta(x) Delta(x) = 0, but eps(x x) = 0 != 1 = eps(x)^2."""
     Z, O = R.zero, R.one
-    counit_mult = GroupScheme(
+    counit_mult = from_dense(
         R, 2, [[[Z, Z], [O, Z]], [[O, Z], [Z, O]]], [Z, O],
         [[[O, Z], [Z, Z]], [[Z, Z], [Z, O]]], [O, O], [[Z, Z], [Z, Z]])
     return [counit_mult]
@@ -618,12 +642,12 @@ def hand_built_failures():
     # (x x^2) x^3 != x (x^2 x^3), the generator check at (x^2 x) x^3
     t = dense_lists(mu(F5, 4))
     t["mult"][3][3] = [Z, Z, F5.from_int(2), Z]
-    yield "on A", GroupScheme(F5, 4, *t.values())
+    yield "on A", from_dense(F5, 4, *t.values())
     # const:Z4 over GF(5) with 2 e_1 (x) e_1 for e_1 (x) e_1 in Delta(e_2),
     # which keeps Delta cocommutative and its m^2 terms
     t = dense_lists(constant_cyclic(F5, 4))
     t["comult"][2][1][1] = F5.from_int(2)
-    yield "coassociativity on A^∨", GroupScheme(F5, 4, *t.values())
+    yield "coassociativity on A^∨", from_dense(F5, 4, *t.values())
     # const:Z4's coalgebra on GF(5)[y, z, w]/(y, z, w)^2 in the basis
     # e_0 = 1 - y - z - w, e_1 = y, e_2 = z, e_3 = w, where no element
     # generates the algebra
@@ -632,12 +656,12 @@ def hand_built_failures():
     t["mult"] = [[[O, N, N, N] if i == j == 0 else e[i + j] if i * j == 0 else [Z] * 4
                   for j in range(4)] for i in range(4)]
     t["unit"] = [O] * 4
-    yield "multiplicativity on A^∨", GroupScheme(F5, 4, *t.values())
+    yield "multiplicativity on A^∨", from_dense(F5, 4, *t.values())
     # GF(5)[x]/(x^2) in the basis (1, x) with both basis vectors group-like
     # (the mismatched pair), squared and in a dense basis: Delta^∨ is
     # multiplicative, but eps(x x) = 0 != 1 = eps(x)^2
-    pair = GroupScheme(F5, 2, [[[O, Z], [Z, O]], [[Z, O], [Z, Z]]], [O, Z],
-                       [[[O, Z], [Z, Z]], [[Z, Z], [Z, O]]], [O, O], [[Z, Z], [Z, Z]])
+    pair = from_dense(F5, 2, [[[O, Z], [Z, O]], [[Z, O], [Z, Z]]], [O, Z],
+                      [[[O, Z], [Z, Z]], [[Z, Z], [Z, O]]], [O, O], [[Z, Z], [Z, Z]])
     square = direct_product(pair, pair)
     yield "counit on A^∨", rebased(square, unitriangular(F5, 4, random.Random(0)))
 
@@ -741,7 +765,7 @@ def test_dual_path_matches_reference_on_constant_corruptions(monkeypatch):
             t["comult"][i][j][k] = R.add(t["comult"][i][j][k], delta)
         else:
             t["counit"][i] = R.add(t["counit"][i], delta)
-        H = GroupScheme(R, n, *t.values())
+        H = from_dense(R, n, *t.values())
         assert outcome(H.verify()) == outcome(_reference_verify(H)), (n, R.name(), slot)
 
     check()
@@ -1341,7 +1365,7 @@ def point_outcome(G, T):
 def fresh(G):
     """A copy of G that keeps nothing made from G: no base change, no
     characters."""
-    return GroupScheme.from_tables(G.ring, G.rank, G.sparse, G.unit, G.counit, G.name)
+    return GroupScheme(G.ring, G.rank, G.sparse, G.unit, G.counit, G.name)
 
 
 def reference_point_outcome(G, T, monkeypatch):

@@ -22,7 +22,9 @@ vector; hopf, constructions and structure import no dense vector helper,
 and a homomorphism keeps its algebra map once, as alg.  The one true
 division, a / b, is rings._quotient, which keeps an integral quotient in
 Q an int.  point_is_hom, the tangent rows and the lifts take their pairs
-from GroupScheme.hom_pairs and loop over no pair of basis indices."""
+from GroupScheme.hom_pairs and loop over no pair of basis indices.  A
+GroupScheme has one constructor: no module defines from_tables or calls
+__new__."""
 
 import ast
 from functools import cache
@@ -812,3 +814,26 @@ def test_characters_and_lifts_read_the_one_pair_list():
     found = scope_nodes(snippet)
     assert [nested_range_loops(found[name]) for name in PAIR_READERS] == [[3], [], [12, 14]]
     assert [reads_hom_pairs(found[name]) for name in PAIR_READERS] == [False, True, False]
+
+
+def second_constructors(tree):
+    """Lines of each definition of from_tables and each use of __new__."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.FunctionDef) and n.name == "from_tables"
+                  or isinstance(n, ast.Attribute) and n.attr == "__new__")
+
+
+def test_group_schemes_have_one_constructor():
+    """GroupScheme(ring, rank, tables, unit, counit, name) is the one way a
+    scheme is made: no ffgs module defines from_tables or calls __new__."""
+    for path in sorted(SRC.glob("*.py")):
+        assert second_constructors(parse(path)) == [], path.name
+    snippet = ast.parse(
+        "class GroupScheme:\n"
+        "    @classmethod\n"
+        "    def from_tables(cls, ring, rank, tables):\n"
+        "        G = cls.__new__(cls)\n"
+        "        return G\n"
+        "    def from_dict(cls, d):\n"
+        "        return cls(d)\n")
+    assert second_constructors(snippet) == [3, 4]
