@@ -571,17 +571,20 @@ class GroupScheme:
         """The scheme of the dense lists `to_dict` writes, read straight
         into the tables in one pass: each level is checked to be a list of
         rank entries as it is walked, each distinct literal is parsed once,
-        and only the nonzeros are kept."""
-        base, rank = d["base"], d["rank"]
+        and only the nonzeros are kept.  An entry spelled as the zero
+        `to_dict` writes is skipped unparsed, and so is a row of them."""
+        base, rank, name = d["base"], d["rank"], d.get("name")
         if not isinstance(base, str):
             raise HopfError("base must be a ring spec string")
         if not isinstance(rank, int) or isinstance(rank, bool):
             raise HopfError("rank must be an integer")
+        if "name" in d and not isinstance(name, str):
+            raise HopfError("name must be a string")
         R = parse_ring(base)
         if rank < 1:
             raise HopfError("rank must be >= 1")
         literal = functools.cache(R.parse)  # each distinct literal parsed once
-        nonzero = R.nonzero
+        nonzero, z = R.nonzero, R.show(R.zero)  # z: the zero to_dict writes
 
         def read(key, depth):
             # JSON lists of rank entries nested depth deep, with ring
@@ -594,15 +597,17 @@ class GroupScheme:
                     raise HopfError("tensor dimensions do not match the rank")
                 if depth > 1:
                     return [walk(y, depth - 1) for y in x]
-                return [(i, c) for i, s in enumerate(x)
-                        if nonzero(c := literal(s) if isinstance(s, str) else R.parse(s))]
+                if x.count(z) == rank:
+                    return []
+                return [(i, c) for i, s in enumerate(x) if s != z
+                        and nonzero(c := literal(s) if isinstance(s, str) else R.parse(s))]
             return walk(d[key], depth)
 
         mult, unit = read("mult", 3), read("unit", 1)
         comult = [[(j, k, c) for j, row in enumerate(rows) for k, c in row]
                   for rows in read("comult", 3)]
         counit, antipode = dense(R, rank, read("counit", 1)), read("antipode", 2)
-        return cls(R, rank, (mult, comult, antipode), unit, counit, d.get("name"))
+        return cls(R, rank, (mult, comult, antipode), unit, counit, name)
 
     def __repr__(self):
         tag = self.name or "group scheme"
@@ -922,43 +927,60 @@ def point_group_from_set(GR: GroupScheme, vecs) -> PointGroup:
     """Assemble the group structure on a closed set of points of GR.
 
     (u * v)_i = sum_{j,k} c_ijk u_j v_k, with c_ijk the coefficient of
-    e_j (x) e_k in Delta(e_i).  Contracting u first, once per point, gives
-    L_u[k] = {i: sum_j u_j c_ijk}, so a product reads L_u at the nonzero v_k:
-    |P| nnz(Delta) + |P|^2 nnz(L) ring operations for the table."""
+    e_j (x) e_k in Delta(e_i).  The table is filled from generators: each
+    is the first point g, in sorted order, not yet reached from the
+    identity.  Contracting g once gives L_g[j] = {i: sum_k c_ijk g_k}, and
+    reading L_g at the nonzero a_j of each point a gives rho_g(a) = a * g.
+    Convolution is associative, so column b g of the table is rho_g applied
+    to column b, and a breadth-first walk from the identity column fills
+    the table.  Each generator at least doubles the points reached, so the
+    table takes at most log2 |P| times nnz(Delta) + |P| nnz(L) ring
+    operations, where every product would take |P|^2 nnz(L)."""
     R = GR.ring
     m = GR.rank
     zero, nonzero, add, mul = R.zero, R.nonzero, R.add, R.mul
     pts = sorted({tuple(v) for v in vecs}, key=lambda t: tuple(R.sort_key(x) for x in t))
     P = PointGroup(R, pts, [], None)  # its table and identity are filled below
     index = P._at
-    # T[j] lists the nonzero (k, i, c_ijk)
-    T = [[] for _ in range(m)]
-    for i, terms in enumerate(GR.sparse.comult):
-        for j, k, c in terms:
-            T[j].append((k, i, c))
-    for u in pts:
-        L = [{} for _ in range(m)]
-        for j, a in enumerate(u):
-            if nonzero(a):
-                for k, i, c in T[j]:
-                    L[k][i] = add(L[k].get(i, zero), mul(a, c))
-        L = [[(i, c) for i, c in row.items() if nonzero(c)] for row in L]
-        row = []
-        for v in pts:
-            w = [zero] * m
-            for k, b in enumerate(v):
-                if nonzero(b):
-                    for i, c in L[k]:
-                        w[i] = add(w[i], mul(c, b))
-            w = tuple(w)
-            if w not in index:
-                raise HopfError("point set is not closed under the group law")
-            row.append(index[w])
-        P.table.append(row)
     ident = tuple(GR.counit)
     if ident not in index:
         raise HopfError("point set lacks the identity (the counit)")
     P.identity_index = index[ident]
+    # T[k] lists the nonzero (j, i, c_ijk)
+    T = [[] for _ in range(m)]
+    for i, terms in enumerate(GR.sparse.comult):
+        for j, k, c in terms:
+            T[k].append((j, i, c))
+    cols = {P.identity_index: list(range(len(pts)))}  # cols[b][a]: index of a * b
+    rhos = []
+    for g in pts:
+        if index[g] in cols:
+            continue
+        L = [{} for _ in range(m)]
+        for k, b in enumerate(g):
+            if nonzero(b):
+                for j, i, c in T[k]:
+                    L[j][i] = add(L[j].get(i, zero), mul(c, b))
+        L = [[(i, c) for i, c in row.items() if nonzero(c)] for row in L]
+        rho = []
+        for a in pts:
+            w = [zero] * m
+            for j, x in enumerate(a):
+                if nonzero(x):
+                    for i, c in L[j]:
+                        w[i] = add(w[i], mul(x, c))
+            w = tuple(w)
+            if w not in index:
+                raise HopfError("point set is not closed under the group law")
+            rho.append(index[w])
+        rhos.append(rho)
+        queue = list(cols)  # the walk grows the queue as it reads it
+        for b in queue:
+            for rho in rhos:
+                if rho[b] not in cols:
+                    cols[rho[b]] = [rho[x] for x in cols[b]]
+                    queue.append(rho[b])
+    P.table = [list(row) for row in zip(*(cols[b] for b in range(len(pts))))]
     return P
 
 

@@ -354,9 +354,9 @@ def test_malformed_input_exits_2(tmp_path, capsys):
 
 def test_scheme_file_errors_name_the_one_fault(tmp_path, capsys):
     """A scheme file with one fault exits 2 with the error that names it:
-    the base or the rank of the wrong type, a rank below 1, a non-list or
-    a list of the wrong length at each depth of each table, and an element
-    that does not parse."""
+    the base, the rank or the name of the wrong type, a rank below 1, a
+    non-list or a list of the wrong length at each depth of each table, and
+    an element that does not parse."""
     good = mu(parse_ring("GF(3)"), 2).to_dict()
     depths = {"mult": 3, "unit": 1, "comult": 3, "counit": 1, "antipode": 2}
     cases = [(("base",), 7, "base must be a ring spec string"),
@@ -364,6 +364,10 @@ def test_scheme_file_errors_name_the_one_fault(tmp_path, capsys):
              (("rank",), True, "rank must be an integer"),
              (("rank",), 0, "rank must be >= 1"),
              (("rank",), -1, "rank must be >= 1"),
+             (("name",), [1], "name must be a string"),
+             (("name",), {"a": 1}, "name must be a string"),
+             (("name",), 7, "name must be a string"),
+             (("name",), None, "name must be a string"),
              (("unit", 0), "x", "malformed element 'x'"),
              (("comult", 1, 1, 1), 3, "malformed element 3"),
              (("antipode", 1, 0), [], "malformed element []")]

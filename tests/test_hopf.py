@@ -106,18 +106,34 @@ def test_roundtrip_json():
     assert H.verify().ok
 
 
+def respelled_zeros(x, zero, rng):
+    """The nested lists x with each entry zero replaced, with chance 1/2,
+    by "-0", which every ring reads as zero too."""
+    if isinstance(x, list):
+        return [respelled_zeros(y, zero, rng) for y in x]
+    return "-0" if x == zero and rng.random() < 0.5 else x
+
+
 def test_from_dict_reads_back_what_to_dict_writes():
     """from_dict(G.to_dict()) keeps the tables, the unit, the counit and the
     name of each builtin over each ring of RINGS, in its natural basis and
-    in a dense one after a change and a shuffle of the basis."""
+    in a dense one after a change and a shuffle of the basis; so does the
+    dict with some zeros spelled "-0", which from_dict parses where it
+    skips the zero that to_dict writes.  That skip needs the written zero
+    to read back as zero."""
     rng = random.Random(34)
     for R in RINGS:
+        zero = R.show(R.zero)
+        assert R.parse(zero) == R.zero and R.parse("-0") == R.zero, R.name()
         for G in builtins_over(R):
             for H in (G, permuted(G, rng)):
-                K = GroupScheme.from_dict(H.to_dict())
-                assert (K.ring, K.rank, K.name) == (H.ring, H.rank, H.name)
-                assert (K.sparse, K.unit, K.counit) == (H.sparse, H.unit, H.counit), \
-                    (G.name, R.name())
+                d = H.to_dict()
+                respelled = {key: respelled_zeros(x, zero, rng) for key, x in d.items()}
+                assert respelled != d or H.rank == 1, (G.name, R.name())
+                for K in map(GroupScheme.from_dict, (d, respelled)):
+                    assert (K.ring, K.rank, K.name) == (H.ring, H.rank, H.name)
+                    assert (K.sparse, K.unit, K.counit) == (H.sparse, H.unit, H.counit), \
+                        (G.name, R.name())
 
 
 def test_base_change():
@@ -1414,27 +1430,44 @@ def test_points_match_reference_on_every_ring(monkeypatch):
 def test_point_table_uses_a_tenth_of_the_reference_multiplications(monkeypatch):
     # the 15 points of const:Z15 are the indicator vectors of the group
     # elements: the reference sums all 15 terms of Delta(e_i) for each i and
-    # pair, 101,250 products; the contraction makes one per entry of L_u
+    # pair, 101,250 products.  The table is filled from generators, each
+    # contracted once and multiplied by every point: one generator of Z15
+    # makes 30 products, and the two of mu:15 (whose points have 15
+    # nonzeros) make 480
     R = parse_ring("GF(2^4;x^4+x+1)")
-    G = constant_cyclic(R, 15)
+    for G, reference_count, bound in ((constant_cyclic(R, 15), 101250, 30),
+                                      (mu(R, 15), 6750, 480)):
+        vecs = hopf.characters(G)
+        counts, tables = [], []
+        for build in (_reference_point_group_from_set, hopf.point_group_from_set):
+            calls = [0]
+
+            def counting(a, b, _mul=R.mul, calls=calls):
+                calls[0] += 1
+                return _mul(a, b)
+
+            monkeypatch.setattr(R, "mul", counting)
+            P = build(G, vecs)
+            monkeypatch.undo()
+            counts.append(calls[0])
+            tables.append((P.elements, P.table, P.identity_index))
+        reference, generated = counts
+        assert tables[0] == tables[1], G.name
+        assert reference == reference_count, (G.name, counts)
+        assert generated <= bound and generated * 10 <= reference, (G.name, counts)
+
+
+def test_point_set_that_is_not_closed_is_a_hopf_error():
+    """mu_3 over GF(7) with the counit and one primitive cube root of
+    unity, but not its square: the generator's products leave the set."""
+    G = mu(F7, 3)
     vecs = hopf.characters(G)
-    counts, tables = [], []
-    for build in (_reference_point_group_from_set, hopf.point_group_from_set):
-        calls = [0]
-
-        def counting(a, b, _mul=R.mul, calls=calls):
-            calls[0] += 1
-            return _mul(a, b)
-
-        monkeypatch.setattr(R, "mul", counting)
-        P = build(G, vecs)
-        monkeypatch.undo()
-        counts.append(calls[0])
-        tables.append((P.elements, P.table, P.identity_index))
-    reference, contracted = counts
-    assert tables[0] == tables[1]
-    assert reference == 101250, counts
-    assert contracted * 10 <= reference, counts
+    assert len(vecs) == 3
+    ident = tuple(G.counit)
+    root = next(v for v in vecs if v != ident)
+    with pytest.raises(HopfError, match="not closed under the group law"):
+        hopf.point_group_from_set(G, [ident, root])
+    assert hopf.point_group_from_set(G, vecs).order == 3
 
 
 def test_points_match_oracle():
