@@ -42,8 +42,8 @@ vector other than 1 that generates A, where one does (`presentation`,
 which `characters`, `identity_idempotent`, the ideal closure, the
 Hopf-ideal report and `find_isomorphism` read), the pairs a character
 and its lifts are checked on (`hom_pairs`, its e_s against the basis),
-the certified algebra generators `verify` checks the laws on
-(`algebra_generators`, which read it), the trace discriminant (`etale`),
+the generators `verify` checks the laws on (`algebra_generators`, its e_s,
+else the basis), the trace discriminant (`etale`),
 the ideal of the identity component (`identity_core`), the characters
 over a field (`field_characters`), the subschemes x^p = 1
 (`torsion_subschemes`), the base change to each ring (`base_change`),
@@ -53,8 +53,8 @@ and the minimal polynomials (`_minpoly`) are kept too.
 The dual module, with the tables transposed (`_transposed`), is the
 Cartier dual of a commutative scheme (`cartier_dual`).  `verify` reads
 coassociativity of A as associativity of this dual algebra A^∨, and
-checks it, and multiplicativity where A has no generator, on a generator
-of A^∨.
+checks it, and multiplicativity where A has no generator, on the basis
+vector that presents A^∨; otherwise the laws are checked by basis scans.
 """
 
 from __future__ import annotations
@@ -197,20 +197,12 @@ class GroupScheme:
 
     @functools.cached_property
     def algebra_generators(self):
-        """[s] for one element s whose powers 1, s, ..., s^(m-1) span the
-        algebra, else the basis; made on first use and kept.
-
-        s is the presentation's basis vector, else t = sum (i + 1) e_i,
-        certified as that is (`_fiber_minpolys`).  `verify` says why the
-        laws need only be checked on these.  t is tried here alone: over Q
-        its minimal polynomial prod (x - i) would send `characters` into
-        the divisors of m!."""
-        pres = self.presentation
-        if pres.index is not None:
-            return [self.basis_vector(pres.index)]
-        t = tuple(range(1, self.rank + 1))
-        if self._fiber_minpolys(t) is not None:
-            return [nonzeros(self.ring, map(self.ring.from_int, t))]
+        """[e_s] for the presentation's e_s, whose powers 1, e_s, ...,
+        e_s^(m-1) span the algebra, else the basis; made on first use and
+        kept.  `verify` says why the laws need only be checked on these."""
+        s = self.presentation.index
+        if s is not None:
+            return [self.basis_vector(s)]
         return [self.basis_vector(i) for i in range(self.rank)]
 
     @functools.cached_property
@@ -223,7 +215,7 @@ class GroupScheme:
         for i in range(self.rank):
             if self.basis_vector(i) == self.unit:
                 continue
-            found = self._fiber_minpolys(tuple(int(j == i) for j in range(self.rank)))
+            found = self._fiber_minpolys(i)
             if found is not None:
                 minpoly, powers = found[0] if self.ring.is_field else (None, None)
                 return Presentation(i, minpoly, powers)
@@ -242,11 +234,11 @@ class GroupScheme:
             return [(i, s) for i in range(self.rank)]
         return list(itertools.combinations_with_replacement(range(self.rank), 2))
 
-    def _fiber_minpolys(self, ints):
-        """[(mu, P)] of s = sum ints[i] e_i, read with from_int, at the
-        residue field k of every closed point of Spec R, where s generates
-        A on each kept fiber over k, else None: its minimal polynomial mu
-        there has degree m, and P holds its powers (`_minpoly`).
+    def _fiber_minpolys(self, i):
+        """[(mu, P)] of s = e_i at the residue field k of every closed
+        point of Spec R, where s generates A on each kept fiber over k, else
+        None: its minimal polynomial mu there has degree m, and P holds its
+        powers (`_minpoly`).  `presentation` is its one caller.
         R is semi-local, so this is exact (Nakayama's lemma): the
         determinant of the m powers over R is a unit just when it is
         nonzero in every k, so the powers are a basis over R just when they
@@ -258,7 +250,7 @@ class GroupScheme:
             if p.specializations:
                 continue
             H = self.base_change(p.residue_field)
-            s = nonzeros(H.ring, map(H.ring.from_int, ints))
+            s = H.basis_vector(i)
             if m > 2 and H.mul_vec(s, s) in (s, []):
                 return None
             minpoly, powers = H._minpoly(H.unit, s)
@@ -391,8 +383,8 @@ class GroupScheme:
         the first failing index tuple in lexicographic order.
 
         Where they can, associativity, coassociativity and bialgebra-mult/
-        counit-mult are checked on one certified generator (see
-        `algebra_generators`), of A or of the dual algebra A^∨.  Each such
+        counit-mult are checked on the basis vector that presents A or the
+        dual algebra A^∨ (`presentation`, `algebra_generators`).  Each such
         check is exact, and when it fails the basis scan runs, which names
         the first failing triple or pair.
 
@@ -427,7 +419,9 @@ class GroupScheme:
           subalgebra holding eps and s*, hence all of A^∨.
 
         With one generator that is m^2 products for associativity and m
-        pairs for multiplicativity, against m^3 and m^2 on the basis.
+        pairs for multiplicativity, against m^3 and m^2 on the basis.  The
+        associativity and counit-mult scans on the basis read only where a
+        product is nonzero: m of the m^3 triples and m of the pairs on const:Zn.
         """
         R = self.ring
         m = self.rank
@@ -638,12 +632,28 @@ class _Laws:
 
     def associativity(self, generators, axiom="associativity"):
         """The first (i, j, k) with (e_i s_j) e_k != e_i (s_j e_k), reported
-        as axiom.  Each pair is compared as one sparse difference."""
-        R, M = self.ring, self.mult
+        as axiom, each compared as one sparse difference.  Only the k where
+        a side has a nonzero product are read, in increasing order: the
+        partners k of an e_a in e_i s_j (`_partners`), and the k where
+        s_j e_k holds a partner b of i, indexed once per generator."""
+        R, M, m, partners = self.ring, self.mult, self.rank, self._partners
         zero, nonzero, add, sub, mul = R.zero, R.nonzero, R.add, R.sub, R.mul
-        for i in range(self.rank):
-            for j, (rows, _, _) in enumerate(generators):
-                for k in range(self.rank):
+        index = []  # for each s_j: its rows, b -> the k with e_b in s_j e_k, the i read
+        for rows, _, _ in generators:
+            held: dict = {}
+            for k, row in enumerate(rows):
+                for b, _ in row:
+                    held.setdefault(b, []).append(k)
+            # i reads a k if e_i s_j != 0 or i partners a held b (mult commutes)
+            read = {i for i, row in enumerate(rows) if row}
+            index.append((rows, held, read.union(*map(partners.__getitem__, held))))
+        for i in range(m):
+            for j, (rows, held, read) in enumerate(index):
+                if i not in read:
+                    continue
+                ks = set().union(*(partners[a] for a, _ in rows[i]),
+                                 *(held.get(b, ()) for b in partners[i]))
+                for k in sorted(ks):
                     diff: dict = {}
                     for a, c in rows[i]:
                         for x, d in M[a][k]:
@@ -677,10 +687,14 @@ class _Laws:
         return None
 
     def counit_mult(self):
-        """The first (a, b) with eps(e_a e_b) != eps(e_a) eps(e_b)."""
+        """The first (a, b) with eps(e_a e_b) != eps(e_a) eps(e_b), read
+        where e_a e_b != 0 or eps(e_a) eps(e_b) != 0: both are 0 elsewhere."""
         R, M, eps = self.ring, self.mult, self.counit
         # a <= b: mult is commutative by now, so a first failure has a <= b
-        for a, b in itertools.combinations_with_replacement(range(self.rank), 2):
+        live = [a for a, c in enumerate(eps) if R.nonzero(c)]
+        pairs = {(a, b) for a, row in enumerate(self._partners) for b in row if a <= b}
+        pairs.update(itertools.combinations_with_replacement(live, 2))
+        for a, b in sorted(pairs):
             if _pair(R, M[a][b], eps) != R.mul(eps[a], eps[b]):
                 return VerificationReport(False, "counit-mult", (a, b))
         return None
@@ -693,16 +707,18 @@ class _Laws:
 
     @functools.cached_property
     def _partners(self):
-        return [[(c, v) for c, v in enumerate(row) if v] for row in self.mult]
+        # for each a, the k with e_a e_k != 0
+        return [[k for k, v in enumerate(row) if v] for row in self.mult]
 
     def _stage(self, terms, left):
         R = self.ring
         zero, add, mul = R.zero, R.add, R.mul
         out: dict = {}
         for a, b, coeff in terms:
-            for c, prod in self._partners[a if left else b]:
+            row = self.mult[a if left else b]
+            for c in self._partners[a if left else b]:
                 acc = out.setdefault((c, b) if left else (a, c), {})
-                for x, d in prod:
+                for x, d in row[c]:
                     acc[x] = add(acc.get(x, zero), mul(coeff, d))
         return {key: [(x, v) for x, v in acc.items() if R.nonzero(v)]
                 for key, acc in out.items()}
@@ -736,7 +752,7 @@ class _Laws:
 
 
 def _dual_laws(G: GroupScheme):
-    """(the `_Laws` of A^∨, its one certified generator s*) where `verify`
+    """(the `_Laws` of A^∨, the e_s* of its presentation) where `verify`
     checks on A^∨, else (None, None).
 
     A^∨ is built where Delta is cocommutative, so that A^∨ is commutative,
@@ -749,14 +765,13 @@ def _dual_laws(G: GroupScheme):
     work = sum(len(C[j]) + len(C[k]) for terms in C for j, k, _ in terms)
     if work <= m ** 3 or not G.is_commutative():
         return None, None
-    if sum(map(len, C)) > m * m and \
-            G.algebra_generators != [G.basis_vector(i) for i in range(m)]:
+    if sum(map(len, C)) > m * m and G.presentation.index is not None:
         return None, None
     D = _transposed(G)
-    if D.algebra_generators == [D.basis_vector(i) for i in range(m)]:
+    s = D.presentation.index
+    if s is None:
         return None, None
-    [s] = D.algebra_generators
-    return _Laws(D), s
+    return _Laws(D), D.basis_vector(s)
 
 
 def _transposed(G: GroupScheme, name: str | None = None) -> GroupScheme:

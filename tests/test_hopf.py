@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -643,10 +644,12 @@ def test_presentation_is_the_first_generating_basis_vector():
             assert G.presentation.index is None, (name, G.name)
 
 
-def test_top_rung_has_one_generator():
+def test_top_rung_is_checked_on_the_basis():
+    """No basis vector of const:Z30 over GF(31) generates A, and verify
+    tries no other generator, so it checks the laws on the basis."""
     G = constant_cyclic(parse_ring("GF(31)"), 30)
-    assert len(G.algebra_generators) == 1
-    assert_certified(G, G.name)
+    assert G.algebra_generators == [G.basis_vector(i) for i in range(G.rank)]
+    assert G.verify().ok
 
 
 def hand_built_failures():
@@ -673,13 +676,35 @@ def hand_built_failures():
                   for j in range(4)] for i in range(4)]
     t["unit"] = [O] * 4
     yield "multiplicativity on A^∨", from_dense(F5, 4, *t.values())
-    # GF(5)[x]/(x^2) in the basis (1, x) with both basis vectors group-like
-    # (the mismatched pair), squared and in a dense basis: Delta^∨ is
-    # multiplicative, but eps(x x) = 0 != 1 = eps(x)^2
+    # the mismatched square in a dense basis whose A^∨ is presented by a
+    # basis vector
+    yield "counit on A^∨", rebased(mismatched_square(), unitriangular(F5, 4, random.Random(6)))
+
+
+def mismatched_square():
+    """GF(5)[x]/(x^2) in the basis (1, x) with both basis vectors
+    group-like (the mismatched pair), squared: Delta^∨ is multiplicative,
+    but eps(x x) = 0 != 1 = eps(x)^2."""
+    Z, O = F5.zero, F5.one
     pair = from_dense(F5, 2, [[[O, Z], [Z, O]], [[Z, O], [Z, Z]]], [O, Z],
                       [[[O, Z], [Z, Z]], [[Z, Z], [Z, O]]], [O, O], [[Z, Z], [Z, Z]])
-    square = direct_product(pair, pair)
-    yield "counit on A^∨", rebased(square, unitriangular(F5, 4, random.Random(0)))
+    return direct_product(pair, pair)
+
+
+def test_counit_mult_reads_live_pairs_and_nonzero_products():
+    """The mismatched square in two bases f_i = sum_a P[i][a] e_a of
+    1, y, x, xy where verify checks multiplicativity on A^∨, so counit-mult
+    first on the pairs e_a e_b != 0 or eps(e_a) eps(e_b) != 0.  In the
+    first, f_1 f_3 = 0 but eps(f_1) eps(f_3) != 0; in the second, eps(f_1)
+    = 0 but eps(f_1 f_1) != 0.  Either pair, if skipped, leaves Delta^∨
+    multiplicative and the failure unseen until the antipode."""
+    for rows, witness in [([[1, 0, 0, 0], [0, 1, 2, 0], [0, 0, 1, 1], [0, 0, 0, 1]], (1, 3)),
+                          ([[1, 0, 0, 0], [1, 0, 3, 1], [2, 4, 3, 0], [4, 0, 1, 0]], (1, 1))]:
+        P = [[F5.from_int(c) for c in row] for row in rows]
+        G = rebased(mismatched_square(), mat_inverse(F5, P))
+        assert G.presentation.index is None and hopf._dual_laws(G)[0] is not None, rows
+        want = (False, "counit-mult", witness)
+        assert outcome(G.verify()) == outcome(_reference_verify(G)) == want, rows
 
 
 def record_dual_laws(monkeypatch):
@@ -836,6 +861,60 @@ def test_verify_reaches_mu_105():
     G = mu(parse_ring("GF(211)"), 105)
     assert G.verify().ok
     assert G.algebra_generators == [G.basis_vector(1)]
+
+
+def test_pruned_scans_match_reference_at_every_entry():
+    """const:Z6 over GF(7), const:S3 over Q and sdp:mu:3,Z2,inv over GF(5)
+    have no generating basis vector, so verify checks associativity and
+    counit-mult by the scans that read only nonzero products.  For each
+    (i, j, k), entry k of e_i e_j (mirrored, so mult stays commutative)
+    and, apart, of Delta(e_i) at e_j (x) e_k is moved by one, and verify
+    agrees with the reference.  A unit sum e_a survives a third change,
+    e_k added to e_i e_j and e_j e_i and taken from e_i e_i and e_j e_j,
+    which reaches the associativity and multiplicativity scans."""
+    schemes = [constant_cyclic(F7, 6), constant(parse_ring("Q"), s3_table()),
+               build_builtin("sdp:mu:3,Z2,inv", F5)]
+    reached = set()
+    for G in schemes:
+        R, m = G.ring, G.rank
+        assert G.presentation.index is None, G.name
+        for (i, j, k), change in itertools.product(itertools.product(range(m), repeat=3),
+                                                   ("mult", "comult", "unit-keeping")):
+            t = dense_lists(G)
+            if change == "comult":
+                edits = [(t["comult"][i][j], 1)]
+            elif change == "mult":
+                t["mult"][j][i] = t["mult"][i][j]
+                edits = [(t["mult"][i][j], 1)]
+            else:
+                M = t["mult"]
+                edits = [(M[i][j], 1), (M[j][i], 1), (M[i][i], -1), (M[j][j], -1)]
+            for row, sign in edits:
+                row[k] = R.add(row[k], R.from_int(sign))
+            H = from_dense(R, m, *t.values())
+            got = outcome(H.verify())
+            assert got == outcome(_reference_verify(H)), (G.name, R.name(), change, (i, j, k))
+            reached.add(got[1])
+    assert {"associativity", "coassociativity", "bialgebra-mult"} <= reached, reached
+
+
+def test_basis_scan_reads_about_m_squared_triples():
+    """On const:Z30 over GF(31), which verify checks on the basis, the
+    associativity scan reads the rows s_j e_k at most 3 m^2 times: almost
+    every product of two basis idempotents is 0.  A scan of every (i, j, k)
+    reads them 2 m^3 times."""
+    G = constant_cyclic(parse_ring("GF(31)"), 30)
+    laws = hopf._Laws(G)
+    reads = [0]
+
+    class Rows(list):
+        def __getitem__(self, k):
+            reads[0] += 1
+            return list.__getitem__(self, k)
+
+    assert laws.associativity([(Rows(rows), terms, eps)
+                               for rows, terms, eps in laws.basis]) is None
+    assert 0 < reads[0] <= 3 * G.rank ** 2, reads
 
 
 # ----------------------------------------------------------------------

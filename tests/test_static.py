@@ -383,6 +383,14 @@ def callers(tree, name):
     return found
 
 
+def test_one_generator_search():
+    """GroupScheme._fiber_minpolys certifies a generating basis vector, and
+    presentation is its only caller: no second generator search runs."""
+    found = [f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
+             for where in callers(parse(path), "_fiber_minpolys")]
+    assert found == ["hopf.GroupScheme.presentation"]
+
+
 def test_ideals_are_closed_in_kernel_only():
     """ideal_closure runs for the ideal that the f*(e_j) - counit(e_j) 1
     of a kernel generate; a subgroup cut out by the kernel of an algebra
