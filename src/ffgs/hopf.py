@@ -40,8 +40,8 @@ The tables are fixed once a scheme is made, so the conjugation tensors
 ad(e_i) (`adjoint`), the presentation A = R[t]/(mu) by the first basis
 vector other than 1 that generates A, where one does (`presentation`,
 which `characters`, `identity_idempotent`, the ideal closure, the
-Hopf-ideal report and `find_isomorphism` read), the pairs a character
-and its lifts are checked on (`hom_pairs`, its e_s against the basis),
+Hopf-ideal report and `find_isomorphism` read), the live pairs
+e_i e_j != 0 that `hom_pairs` reads (`_live_pairs`),
 the generators `verify` checks the laws on (`algebra_generators`, its e_s,
 else the basis), the trace discriminant (`etale`),
 the ideal of the identity component (`identity_core`), the characters
@@ -176,7 +176,12 @@ class GroupScheme:
     def adjoint(self):
         """ad(e_i) = sum (e_i)_(1) S((e_i)_(3)) (x) (e_i)_(2) for each i, as
         its nonzero ((t, a), c); made on first use and kept, so each product
-        e_j S(e_b) is made once per scheme."""
+        e_j S(e_b) is made once per scheme.  Where Delta is cocommutative,
+        Delta^(2)(e_i) is symmetric, so ad(e_i) = 1 (x) e_i by the antipode
+        and counit laws, which every scheme read holds (`cli.load_scheme`
+        verifies a file first)."""
+        if self.is_commutative():
+            return [[((t, i), c) for t, c in self.unit] for i in range(self.rank)]
         R = self.ring
         add, mul = R.add, R.mul
         _, C, S = self.sparse
@@ -221,18 +226,28 @@ class GroupScheme:
                 return Presentation(i, minpoly, powers)
         return Presentation(None, None, None)
 
-    @functools.cached_property
-    def hom_pairs(self):
-        """The pairs (i, j) such that a linear chi with chi(1) = 1 is an
-        algebra map once chi(e_i e_j) = chi(e_i) chi(e_j) on each: (i, s)
-        for all i where the presentation's e_s generates A (Light's test,
-        as in `verify`), else all i <= j; made on first use and kept.  A
-        fiber's e_s generates A over every local ring with its residue
-        field too (Nakayama's lemma), so its pairs serve the lifts."""
-        s = self.presentation.index
+    def hom_pairs(self, support, fiber=None):
+        """The sorted pairs (i, j) such that a linear v with v(1) = 1 and
+        nonzeros at the indices in support is an algebra map once v(e_i
+        e_j) = v(e_i) v(e_j) on each: (i, s) for all i where the
+        presentation's e_s generates A (Light's test, as in `verify`),
+        else the live pairs (e_i e_j != 0) and those meeting support, as
+        both sides are 0 on any other.  The presentation read is that of
+        fiber, the fiber over the residue field where given: an e_s that
+        generates it generates A too (Nakayama's lemma)."""
+        s = (fiber or self).presentation.index
         if s is not None:
             return [(i, s) for i in range(self.rank)]
-        return list(itertools.combinations_with_replacement(range(self.rank), 2))
+        pairs = set(self._live_pairs)
+        for a in support:
+            pairs.update((min(a, b), max(a, b)) for b in range(self.rank))
+        return sorted(pairs)
+
+    @functools.cached_property
+    def _live_pairs(self):
+        """The pairs i <= j with e_i e_j != 0, made on first use and kept."""
+        return [(i, j) for i, row in enumerate(self.sparse.mult)
+                for j in range(i, self.rank) if row[j]]
 
     def _fiber_minpolys(self, i):
         """[(mu, P)] of s = e_i at the residue field k of every closed
@@ -298,8 +313,19 @@ class GroupScheme:
 
     @functools.cached_property
     def field_characters(self):
-        """characters(self) over a field, made on first use and kept."""
+        """characters(self) over a field, made on first use and kept.  Where
+        the scheme is F's base change along a map of fields h and F keeps
+        all `rank` of its characters, they are h of F's: distinct ones are
+        linearly independent (Dedekind), and h is injective."""
+        if self._made_along is not None:
+            F, h = self._made_along
+            found = vars(F).get("field_characters")
+            if found is not None and len(found) == self.rank:
+                return _sorted_points(self.ring, [tuple(map(h.fn, chi)) for chi in found])
         return characters(self)
+
+    # (F, h) where the scheme is F's base change along the map of fields h
+    _made_along = None
 
     # filled as they are made: the base change to each ring (`base_change`),
     # the closed subscheme x^p = 1 for each prime p (`structure`) and, over
@@ -397,8 +423,9 @@ class GroupScheme:
           transposed (`_transposed`), so mult and comult swap and so do the
           unit and the counit eps.  Coassociativity of A is associativity of
           A^∨, term for term, so Light's test on A^∨ over {s*, eps} settles
-          it.  eps must be in the set: the counit law, which makes eps the
-          unit of A^∨, is checked only later.  A^∨ is built only when Delta
+          it.  eps must be in the set, as the counit law, which makes eps
+          the unit of A^∨, is checked only later, unless its rows read
+          eps e_k = e_k for all k.  A^∨ is built only when Delta
           is cocommutative, so A^∨ is commutative, and when the basis scan
           reads W > m^3 terms, W = sum over Delta(e_i) of |Delta(e_j)| +
           |Delta(e_k)|; where A has a generator, only when nnz Delta <= m^2
@@ -456,10 +483,14 @@ class GroupScheme:
             return report
         # coassociativity of A is associativity of A^∨
         dual, dual_gen = _dual_laws(self)
-        report = first_failure(
-            None if dual is None else lambda: dual.associativity(
-                dual.generators([dual_gen, nonzeros(R, self.counit)]), "coassociativity"),
-            laws.coassociativity)
+
+        def on_dual():  # Light's test on A^∨ over s* and eps
+            gens = dual.generators([dual_gen, nonzeros(R, self.counit)])
+            if all(row == [(k, R.one)] for k, row in enumerate(gens[1][0])):
+                gens = gens[:1]  # eps e_k = e_k: eps is the unit of A^∨
+            return dual.associativity(gens, "coassociativity")
+
+        report = first_failure(None if dual is None else on_dual, laws.coassociativity)
         if report is not None:
             return report
         # counit laws
@@ -503,15 +534,23 @@ class GroupScheme:
     # -- functoriality -----------------------------------------------------
     def base_change(self, hom: RingHom | Ring) -> "GroupScheme":
         """G along hom.  Given a ring S, G itself when S is its ring, else
-        the base change along find_hom, made once per ring and kept."""
+        the base change along find_hom, made once per ring and kept.  A
+        field over a residue field k0 whose fiber is kept is reached
+        through it (`Ring.residue_field_below`), so its characters can
+        carry up (`field_characters`); find_hom factors through k0."""
         if isinstance(hom, Ring):
             if hom == self.ring:
                 return self
             if hom not in self._base_changes:
-                found = find_hom(self.ring, hom)
-                if found is None:
-                    raise RingError(f"no base map {self.ring.name()} -> {hom.name()}")
-                self._base_changes[hom] = self.base_change(found)
+                k0 = self.ring.residue_field_below(hom) if hom.is_field else None
+                if k0 in self._base_changes:
+                    made = self._base_changes[k0].base_change(hom)
+                else:
+                    found = find_hom(self.ring, hom)
+                    if found is None:
+                        raise RingError(f"no base map {self.ring.name()} -> {hom.name()}")
+                    made = self.base_change(found)
+                self._base_changes[hom] = made
             return self._base_changes[hom]
         if hom.source != self.ring:
             raise RingError("base change homomorphism has the wrong source")
@@ -525,8 +564,11 @@ class GroupScheme:
         tables = ([[image(v) for v in row] for row in M],
                   [[(j, k, d) for j, k, c in terms if nonzero(d := f(c))] for terms in C],
                   [image(v) for v in S])
-        return GroupScheme(hom.target, self.rank, tables, image(self.unit),
-                           [f(c) for c in self.counit], self.name)
+        out = GroupScheme(hom.target, self.rank, tables, image(self.unit),
+                          [f(c) for c in self.counit], self.name)
+        if hom.source.is_field and hom.target.is_field:
+            out._made_along = self, hom
+        return out
 
     def to_dict(self) -> dict:
         """The dense lists, written from the tables: each row is a copy of
@@ -954,7 +996,7 @@ def point_group_from_set(GR: GroupScheme, vecs) -> PointGroup:
     R = GR.ring
     m = GR.rank
     zero, nonzero, add, mul = R.zero, R.nonzero, R.add, R.mul
-    pts = sorted({tuple(v) for v in vecs}, key=lambda t: tuple(R.sort_key(x) for x in t))
+    pts = _sorted_points(R, {tuple(v) for v in vecs})
     P = PointGroup(R, pts, [], None)  # its table and identity are filled below
     index = P._at
     ident = tuple(GR.counit)
@@ -999,11 +1041,17 @@ def point_group_from_set(GR: GroupScheme, vecs) -> PointGroup:
     return P
 
 
+def _support(R: Ring, v):
+    """The indices x with v[x] != 0."""
+    return [x for x, _ in nonzeros(R, v)]
+
+
 def point_is_hom(GR: GroupScheme, v) -> bool:
-    """Is v(1) = 1, and is v multiplicative on each of the `hom_pairs`?"""
+    """Is v(1) = 1, and is v multiplicative on each of the `hom_pairs` of
+    its support?"""
     R, M = GR.ring, GR.sparse.mult
     return _pair(R, GR.unit, v) == R.one and all(
-        R.mul(v[i], v[j]) == _pair(R, M[i][j], v) for i, j in GR.hom_pairs)
+        R.mul(v[i], v[j]) == _pair(R, M[i][j], v) for i, j in GR.hom_pairs(_support(R, v)))
 
 
 def _minpoly_of_vector(GR: GroupScheme, e, c_vec):
@@ -1138,7 +1186,8 @@ def characters(GR: GroupScheme):
     exactly.  Where the presentation's s generates A = k[t]/(mu), the
     characters are read off the roots of mu.  Otherwise the algebra is
     split by the idempotents of the generalized eigenspaces of
-    multiplication operators, one basis vector at a time."""
+    multiplication operators, one basis vector at a time.  The kept
+    `field_characters` call it unless they carry up from a subfield."""
     R = GR.ring
     if not R.is_field:
         raise HopfError("characters need a field")
@@ -1146,8 +1195,12 @@ def characters(GR: GroupScheme):
         found = _presented_characters(GR)
     else:
         found = (chi for _, chi in _splittings(GR, lambda minpoly, idx: R.roots(minpoly)))
-    results = {tuple(chi) for chi in found if point_is_hom(GR, chi)}
-    return sorted(results, key=lambda t: tuple(R.sort_key(x) for x in t))
+    return _sorted_points(R, {tuple(chi) for chi in found if point_is_hom(GR, chi)})
+
+
+def _sorted_points(R: Ring, vecs):
+    """The value vectors vecs in the order of their entries' sort keys."""
+    return sorted(vecs, key=lambda t: tuple(R.sort_key(x) for x in t))
 
 
 def trace_form(G: GroupScheme):
@@ -1190,8 +1243,9 @@ def _tangent_rows(k: Ring, fiber: GroupScheme, chi):
     """The rows of `_square_zero_lifts`, one per basis index x: entry t of
     row x is the coefficient of d_x in condition t, the x-coefficient of
     chi_i e_j + chi_j e_i - e_i e_j for the t-th (i, j) of the fiber's
-    `hom_pairs`, and of the unit in the last one, filled in increasing t."""
-    M, pairs = fiber.sparse.mult, fiber.hom_pairs
+    `hom_pairs` of supp chi, and of the unit in the last one, filled in
+    increasing t.  The condition of any other pair has no d in it."""
+    M, pairs = fiber.sparse.mult, fiber.hom_pairs(_support(k, chi))
     rows = [{} for _ in range(fiber.rank)]
     for t, (i, j) in enumerate(pairs):
         for x, c in M[i][j]:
@@ -1203,7 +1257,7 @@ def _tangent_rows(k: Ring, fiber: GroupScheme, chi):
     return [[(t, c) for t, c in row.items() if k.nonzero(c)] for row in rows]
 
 
-def _square_zero_lifts(GR: GroupScheme, fiber: GroupScheme, tangent, phi, coord):
+def _square_zero_lifts(GR: GroupScheme, fiber: GroupScheme, tangent, chi, phi, coord):
     """(d0, K): the d in k^m for which phi + delta d is a point of GR are
     d0 plus the k-span of the rows of K, and d0 is None if there is none.
 
@@ -1213,13 +1267,26 @@ def _square_zero_lifts(GR: GroupScheme, fiber: GroupScheme, tangent, phi, coord)
     modulo delta whose residue is the character chi of the fiber.  As
     delta^2 = 0 the conditions are linear in d: the `_tangent_rows` of chi
     against minus the coordinates of phi's defect on the fiber's
-    `hom_pairs` (Waterhouse, Introduction to Affine Group Schemes,
-    ch. 12), whose `linalg.solver` (solve, K) is tangent."""
+    `hom_pairs` of supp chi (Waterhouse, Introduction to Affine Group
+    Schemes, ch. 12), whose `linalg.solver` (solve, K) is tangent.
+
+    Any other pair has a zero tangent column, so the coordinate of its
+    whole defect, with GR's table, must be 0; that is read on GR's
+    `hom_pairs` of supp phi, as a product zero in the fiber need not be
+    zero over R."""
     R, M, k = GR.ring, GR.sparse.mult, fiber.ring
-    rhs = [k.neg(coord(R.sub(R.mul(phi[i], phi[j]), _pair(R, M[i][j], phi))))
-           for i, j in fiber.hom_pairs]
-    rhs.append(k.neg(coord(R.sub(_pair(R, GR.unit, phi), R.one))))
+    pairs = fiber.hom_pairs(_support(k, chi))
     solve, kern = tangent
+
+    def defect(i, j):
+        return coord(R.sub(R.mul(phi[i], phi[j]), _pair(R, M[i][j], phi)))
+
+    columns = set(pairs)
+    if any(k.nonzero(defect(i, j)) for i, j in GR.hom_pairs(_support(R, phi), fiber)
+           if (i, j) not in columns):
+        return None, kern
+    rhs = [k.neg(defect(i, j)) for i, j in pairs]
+    rhs.append(k.neg(coord(R.sub(_pair(R, GR.unit, phi), R.one))))
     return solve(nonzeros(k, rhs)), kern
 
 
@@ -1227,8 +1294,9 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
     """The R-points of G for a local R with residue field k and a chain of
     square-zero ideals (`Ring.residue_lifting`; a field is its own k, with
     no ideal): the kept characters of G over k, lifted along one ideal
-    after the other.  A lift raises HopfError, naming `bound`, before it
-    makes more than `bound` points (`points` checks a field's)."""
+    after the other; k's may be carried up from a subfield
+    (`field_characters`).  A lift raises HopfError, naming `bound`, before
+    it makes more than `bound` points (`points` checks a field's)."""
     k, lift, steps = R.residue_lifting()
     fiber = G.base_change(k)
     if R == QQ and not is_etale(fiber)[0]:
@@ -1246,7 +1314,7 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
         for chi, phi in base:
             if chi not in tangent:
                 tangent[chi] = linalg.solver(k, _tangent_rows(k, fiber, chi))
-            part, kern = _square_zero_lifts(GR, fiber, tangent[chi], phi, coord)
+            part, kern = _square_zero_lifts(GR, fiber, tangent[chi], chi, phi, coord)
             if part is None:
                 continue
             if kern and not k.is_finite:

@@ -221,6 +221,13 @@ class Ring:
         embed sending S onto its CRT component; a local ring is one part."""
         return [(self, lambda a: a)]
 
+    def residue_field_below(self, k: "Ring"):
+        """The residue field k0 at the closed point of Spec of this ring
+        that the field k lies over (k0 maps to k), or None where there is
+        none, as for Q over Zloc(p)."""
+        return next((p.residue_field for p in spectrum(self) if not p.specializations
+                     and find_hom(p.residue_field, k) is not None), None)
+
     # -- canonical forms -----------------------------------------------
     # The hooks linalg.echelon builds canonical row bases from.  A row is
     # the list of its nonzero (col, x) in increasing col, and the pivot of

@@ -224,6 +224,27 @@ def test_theorem_makes_the_residue_characters_once_per_scheme(monkeypatch, capsy
     assert rings.count("GF(3)") == 3
 
 
+def test_split_carries_the_characters_up_the_extension_fields(monkeypatch, capsys):
+    """split const:Z15 over GF(2) with kernel 3 takes points of three
+    constant schemes over GF(2), GF(4), GF(8), GF(16) and GF(32).  Each
+    has all its characters over GF(2), so the extensions carry them up:
+    3 runs of `characters`, where each field made its own in 15.  Stdout
+    is that of a run where every field walks its own."""
+    from ffgs import hopf
+    rings = []
+    real = hopf.characters
+    monkeypatch.setattr(hopf, "characters", lambda G: rings.append(G.ring.name()) or real(G))
+    argv = ["split", "--builtin", "const:Z15", "--base", "GF(2)", "--kernel", "3",
+            "--format", "json"]
+    carried = run(capsys, *argv)
+    assert rings == ["GF(2)"] * 3
+    monkeypatch.setattr(hopf.GroupScheme, "field_characters",
+                        property(lambda G: hopf.characters(G)))
+    rings.clear()
+    assert run(capsys, *argv) == carried
+    assert len(rings) >= 15 and "GF(2^5;x^5+x^3+1)" in rings, rings
+
+
 def test_theorem_makes_each_minimal_polynomial_once(monkeypatch, capsys):
     """A field scheme keeps the minimal polynomial of each vector on each
     factor: a scheme's presentation and its fibers' own, the walk of

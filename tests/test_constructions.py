@@ -24,7 +24,7 @@ from ffgs.testrings import test_ring_family as ring_family
 from test_hopf import (REFERENCE_BASES, assert_canonical_tables, builtins_over,
                        dense_antipode, dense_comult, dense_lists, dense_mul, dense_terms,
                        dense_view, hypothesis_or_skip, in_bases)
-from test_linalg import (coeffs, dense_rows, identity_matrix, kernel_rows, mat_vec, span_rows,
+from test_linalg import (RINGS, coeffs, dense_rows, identity_matrix, kernel_rows, mat_vec, span_rows,
                          sparse_rows, transpose, vec_add, vec_scale, vec_sub)
 
 Q = parse_ring("Q")
@@ -730,16 +730,52 @@ def test_subgroup_verdicts_are_made_once(monkeypatch):
 
 
 def test_conjugation_products_are_made_once_per_scheme(monkeypatch):
-    """is_normal on the order-p subgroups of const:Z30 over GF(31) makes
-    each product e_j S(e_b) once, so at most m^2 of them in all."""
-    G = constant_cyclic(parse_ring("GF(31)"), 30)
-    subgroups = [kernel(convolution_power(G, p)) for p in (2, 3, 5)]
-    products = []
+    """is_normal on the trivial and the order-3 subgroup of const:S3 and
+    of sdp:mu:3,Z2,inv over GF(31), whose Delta is not cocommutative,
+    makes each product e_j S(e_b) once, so at most m^2 of them in all."""
+    R = parse_ring("GF(31)")
     real = GroupScheme.mul_vec
-    monkeypatch.setattr(GroupScheme, "mul_vec",
-                        lambda self, v, w: products.append(1) or real(self, v, w))
-    assert [is_normal(H) for H in subgroups] == [(True, None)] * 3
-    assert 0 < len(products) <= G.rank ** 2
+    for F in (constant(R, s3_table()), _s3_sdp(R)):
+        assert not F.is_commutative(), F.name
+        # on a copy that has not made its ad(e_i), as locus_report has
+        G = GroupScheme(R, F.rank, F.sparse, F.unit, F.counit, F.name)
+        subgroups = [ClosedSubgroup(G, H.ideal) for H in
+                     (trivial_subgroup(F), locus_report(F, 3).subgroup)]
+        products = []
+        monkeypatch.setattr(GroupScheme, "mul_vec",
+                            lambda self, v, w: products.append(1) or real(self, v, w))
+        assert [is_normal(H) for H in subgroups] == [(True, None)] * 2, G.name
+        monkeypatch.undo()
+        assert 0 < len(products) <= G.rank ** 2, (G.name, len(products))
+
+
+def reference_adjoint(G, i):
+    """ad(e_i) = sum (e_i)_(1) S((e_i)_(3)) (x) (e_i)_(2) as {(t, a): c},
+    summed from the dense tables over Delta^(2)(e_i)."""
+    R, E = G.ring, identity_matrix(G.ring, G.rank)
+    out: dict = {}
+    for (j, k), c in dense_comult(G, E[i]).items():
+        for (a, b), d in dense_comult(G, E[k]).items():
+            product = dense_mul(G, E[j], dense_antipode(G, E[b]))
+            for t, x in enumerate(product):
+                out[(t, a)] = R.add(out.get((t, a), R.zero), R.mul(R.mul(c, d), x))
+    return {key: c for key, c in out.items() if R.nonzero(c)}
+
+
+def test_cocommutative_adjoint_is_the_product_formula():
+    """Where Delta is cocommutative, the kept ad(e_i) is 1 (x) e_i, and it
+    equals the product formula summed from the dense tables: on every
+    cocommutative builtin over every ring of RINGS."""
+    checked = 0
+    for R in RINGS:
+        for G in builtins_over(R):
+            if not G.is_commutative():
+                continue
+            for i, ad in enumerate(G.adjoint):
+                assert ad == [((t, i), c) for t, c in G.unit], (G.name, R.name(), i)
+                assert dict(ad) == reference_adjoint(G, i), (G.name, R.name(), i)
+            checked += 1
+    assert checked >= 50, checked
 
 
 def _reference_ideal_closure(G, gens):

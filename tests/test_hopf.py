@@ -917,6 +917,30 @@ def test_basis_scan_reads_about_m_squared_triples():
     assert 0 < reads[0] <= 3 * G.rank ** 2, reads
 
 
+def test_light_test_on_the_dual_drops_its_unit(monkeypatch):
+    """On const:Z30 over GF(31), coassociativity is Light's test on A^∨,
+    presented by s*, where eps e_k = e_k for every k: eps is the unit of
+    A^∨ and is not tried, so the test reads the m^2 triples (i, 0, k) of
+    s*, two rows each and one row more per i, where with eps it read
+    2 m^2 triples."""
+    G = constant_cyclic(parse_ring("GF(31)"), 30)
+    m, calls = G.rank, []
+    real = hopf._Laws.associativity
+
+    class Rows(list):
+        def __getitem__(self, k):
+            calls[-1][2] += 1
+            return list.__getitem__(self, k)
+
+    def counting(self, generators, axiom="associativity"):
+        calls.append([axiom, len(generators), 0])
+        return real(self, [(Rows(rows), terms, eps) for rows, terms, eps in generators], axiom)
+
+    monkeypatch.setattr(hopf._Laws, "associativity", counting)
+    assert G.verify().ok
+    assert calls[1:] == [["coassociativity", 1, m * (2 * m + 1)]], calls
+
+
 # ----------------------------------------------------------------------
 # property-based: hypothesis draws the builtin, base, basis and corruption
 
@@ -1244,32 +1268,43 @@ def permuted(G, rng):
     return rebased(G, mat_mul(R, unitriangular(R, m, rng), shuffle))
 
 
-def test_hom_pairs_decide_characters_as_all_pairs_do():
+def test_hom_pairs_decide_characters_as_all_pairs_do(monkeypatch):
     """On the builtins over each field of RINGS, in the natural basis and
     in a unitriangular, permuted one, point_is_hom, which reads only the
     hom_pairs, agrees with the all-pairs reference on every character and
-    on each character with one coordinate moved; hom_pairs holds the m
-    pairs (i, s) where the presentation has an index s, else the
-    m(m + 1)/2 pairs i <= j."""
+    on each character with one coordinate moved.  It reads at most |live|
+    + m |supp v| pairs for a candidate v, the live pairs being those with
+    e_i e_j != 0: the m pairs (i, s) where the presentation has an index
+    s, else the live pairs and those meeting supp v."""
     hyp, st, settings = hypothesis_or_skip()
     schemes = [G for R in RINGS if R.is_field for G in builtins_over(R)]
     indices = set()
+    read = []
+    real = GroupScheme.hom_pairs
+    monkeypatch.setattr(GroupScheme, "hom_pairs", lambda self, support, fiber=None: read.append(
+        (self, list(support), out := real(self, support, fiber))) or out)
 
     @settings
     @hyp.given(st.sampled_from(schemes), st.booleans(), st.integers(0, 2 ** 32))
     def check(G, natural, seed):
         H = G if natural else permuted(G, random.Random(seed))
         R, m, s = H.ring, H.rank, H.presentation.index
-        expected = [(i, s) for i in range(m)] if s is not None else \
-            [(i, j) for i in range(m) for j in range(i, m)]
-        assert H.hom_pairs == expected
+        live = sum(1 for i in range(m) for j in range(i, m) if H.sparse.mult[i][j])
         indices.add(s)
-        for chi in hopf.characters(H):
+        read.clear()
+        candidates = [list(chi) for chi in hopf.characters(H)]
+        for chi in candidates:
             assert reference_is_hom(H, chi)
             for x in range(m):
                 moved = list(chi)
                 moved[x] = R.add(moved[x], R.one)
                 assert hopf.point_is_hom(H, moved) == reference_is_hom(H, moved), (chi, x)
+        assert read
+        for scheme, support, pairs in read:
+            assert scheme is H
+            assert len(pairs) <= live + m * len(support), (support, pairs)
+            if s is not None:
+                assert pairs == [(i, s) for i in range(m)]
 
     check()
     assert None in indices and len(indices - {None}) >= 2, indices
@@ -1617,6 +1652,56 @@ def test_rings_over_one_residue_field_share_its_characters(monkeypatch):
     points(G, parse_ring("Z/4"))
     points(G, parse_ring("GF(3)"))
     assert sorted(H.ring.name() for H in calls) == ["GF(2)", "GF(3)"]
+
+
+def carried_cases():
+    """(label, scheme, rings, fields): points over each ring, in order,
+    against the oracle, with `characters` run on the fibers over fields
+    alone.  The constant groups have all their characters over the
+    residue field, so its extensions carry them up.  mu_7 has 1 of its 7
+    over GF(2), so GF(8) walks its own.  const:Z6 over GF(4), in a basis
+    with entries outside GF(2), is carried to GF(16) along the map its
+    base change takes, also from Dual(GF(4)) through its fiber over
+    GF(4).  ot2(-2,1) x Z/3 over Zloc(2), with 3 of its 6 characters over
+    GF(2), has e_3^2 = -2 e_3, zero over GF(2) but not over Z/8, which has
+    12 points."""
+    F2, F4 = parse_ring("GF(2)"), parse_ring("GF(2^2;x^2+x+1)")
+    F8, F16 = parse_ring("GF(2^3;x^3+x^2+1)"), parse_ring("GF(2^4;x^4+x^3+1)")
+    ZL3 = parse_ring("Zloc(3)")
+    for G in (constant_cyclic(F2, 6), constant(F2, s3_table())):
+        yield f"{G.name} over GF(2)", G, ring_family(F2), [F2]
+    for G in (constant_cyclic(ZL3, 6), constant(ZL3, s3_table())):
+        yield f"{G.name} over Zloc(3)", G, ring_family(ZL3), [parse_ring("GF(3)")]
+    yield "mu_7 over GF(2)", mu(F2, 7), [F2, F8], [F2, F8]
+    rng, x = random.Random(4), F4.parse("x")
+    Q = unitriangular(F4, 6, rng)
+    Q[0][5], Q[2][3] = x, F4.add(x, F4.one)
+    G = rebased(constant_cyclic(F4, 6), Q)
+    yield "const:Z6 rebased over GF(4)", G, [F4, F16, DualNumbers(F4)], [F4]
+    D = G.base_change(DualNumbers(F4))
+    yield "const:Z6 rebased over Dual(GF(4))", D, [F4, D.ring, F16], [F4]
+    ot2 = direct_product(tate_oort2(ZL2, ZL2.parse("-2"), ZL2.one), constant_cyclic(ZL2, 3))
+    yield ("ot2(-2,1) x Z/3 over Zloc(2)", ot2, ring_family(ZL2),
+           [T for T in ring_family(ZL2) if T.is_field])
+
+
+def test_carried_characters_give_the_oracle_points(monkeypatch):
+    walked = []
+    real = hopf.characters
+    monkeypatch.setattr(hopf, "characters", lambda G: walked.append(G.ring) or real(G))
+    orders = {}
+    for label, G, rings, fields in carried_cases():
+        walked.clear()
+        for T in rings:
+            P = points(G, T)
+            expected = enumerate_points(G, T, budget=50000)
+            assert (P.elements, P.table, P.identity_index) == (
+                expected.elements, expected.table, expected.identity_index), (label, T.name())
+            orders[label, T.name()] = P.order
+        assert walked == fields, (label, walked)
+    assert orders["mu_7 over GF(2)", "GF(2^3;x^3+x^2+1)"] == 7
+    assert orders["const:Z6 rebased over Dual(GF(4))", "GF(2^4;x^4+x^3+1)"] == 6
+    assert orders["ot2(-2,1) x Z/3 over Zloc(2)", "Z/8"] == 12
 
 
 def test_dual_points_with_eps_parts_match_oracle():

@@ -389,6 +389,32 @@ def test_find_hom_matches_reference():
     assert found > 100, found
 
 
+def test_maps_to_a_field_factor_through_the_residue_field_below():
+    """For every ring R of HOM_RINGS and every field k with a map from R,
+    residue_field_below(k) is the residue field k0 of a closed point of
+    Spec R with a map to k, and find_hom(R, k) is find_hom(R, k0) followed
+    by find_hom(k0, k): a fiber reached through the one over k0 has the
+    tables of the direct base change.  Q over Zloc(p) lies over the
+    generic point, and no residue field GF(p) maps to the field Z/p, so
+    these have no k0."""
+    rings = [parse_ring(name) for name in HOM_RINGS]
+    checked = 0
+    for R, k in itertools.product(rings, repeat=2):
+        if not k.is_field or find_hom(R, k) is None:
+            continue
+        k0 = R.residue_field_below(k)
+        if k0 is None:
+            assert k == QQ or isinstance(k, IntegersMod), (R, k)
+            continue
+        assert k0 in [p.residue_field for p in spectrum(R) if not p.specializations], (R, k)
+        els = (list(itertools.islice(R.elements(), 40)) if R.is_finite
+               else [R.from_int(i) for i in range(-4, 5)] + [R.inv(R.from_int(5))])
+        down, up = find_hom(R, k0), find_hom(k0, k)
+        assert [find_hom(R, k)(a) for a in els] == [up(down(a)) for a in els], (R, k)
+        checked += 1
+    assert checked > 40, checked
+
+
 def test_field_embedding_is_hom():
     small = gf(2, 2)
     big = gf(2, 4)
