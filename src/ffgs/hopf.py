@@ -41,7 +41,9 @@ ad(e_i) (`adjoint`), the presentation A = R[t]/(mu) by the first basis
 vector other than 1 that generates A, where one does (`presentation`,
 which `characters`, `identity_idempotent`, the ideal closure, the
 Hopf-ideal report and `find_isomorphism` read), the live pairs
-e_i e_j != 0 that `hom_pairs` reads (`_live_pairs`),
+e_i e_j != 0 that `hom_pairs` reads for tangent rows (`_live_pairs`) and,
+for each index x, those whose product has an e_x term, which it reads for
+a known vector (`_pairs_into`),
 the generators `verify` checks the laws on (`algebra_generators`, its e_s,
 else the basis), the trace discriminant (`etale`),
 the ideal of the identity component (`identity_core`), the characters
@@ -49,6 +51,14 @@ over a field (`field_characters`), the subschemes x^p = 1
 (`torsion_subschemes`), the base change to each ring (`base_change`),
 and over a field the tangent solver of each character (`_lifted_points`)
 and the minimal polynomials (`_minpoly`) are kept too.
+
+The points over an Artin local ring R lift the characters of the fiber
+over its residue field k (`_lifted_points`).  Where that fiber has all
+`rank` characters it is etale, so each character has one R-point above
+it, and a lift k -> R that is a point costs one `point_is_hom` and no
+tangent system.  Without a generating basis vector the characters come
+from the walk of `_splittings`, which splits an idempotent c = e e_idx off
+as c and e - c with no minimal polynomial.
 
 The dual module, with the tables transposed (`_transposed`), is the
 Cartier dual of a commutative scheme (`cartier_dual`).  `verify` reads
@@ -226,21 +236,30 @@ class GroupScheme:
                 return Presentation(i, minpoly, powers)
         return Presentation(None, None, None)
 
-    def hom_pairs(self, support, fiber=None):
-        """The sorted pairs (i, j) such that a linear v with v(1) = 1 and
-        nonzeros at the indices in support is an algebra map once v(e_i
-        e_j) = v(e_i) v(e_j) on each: (i, s) for all i where the
-        presentation's e_s generates A (Light's test, as in `verify`),
-        else the live pairs (e_i e_j != 0) and those meeting support, as
-        both sides are 0 on any other.  The presentation read is that of
-        fiber, the fiber over the residue field where given: an e_s that
+    def hom_pairs(self, support, fiber=None, tangent=False):
+        """The sorted pairs (i, j) on which a linear v with v(1) = 1 and
+        nonzeros at the indices in support must have v(e_i e_j) =
+        v(e_i) v(e_j) to be an algebra map: (i, s) for all i where the
+        presentation's e_s generates A (Light's test, as in `verify`).
+        Where none does, v_i v_j is 0 unless i and j are in support, and
+        v(e_i e_j) is 0 unless e_i e_j meets it, so a known v is read on
+        the pairs i <= j in support and the live pairs (e_i e_j != 0) whose
+        product meets it (`_pairs_into`).  The tangent rows of a character
+        chi (tangent), whose d is unknown, read the live pairs and the
+        pairs meeting supp chi.  The presentation read is that of fiber,
+        the fiber over the residue field where given: an e_s that
         generates it generates A too (Nakayama's lemma)."""
         s = (fiber or self).presentation.index
         if s is not None:
             return [(i, s) for i in range(self.rank)]
-        pairs = set(self._live_pairs)
-        for a in support:
-            pairs.update((min(a, b), max(a, b)) for b in range(self.rank))
+        if tangent:
+            pairs = set(self._live_pairs)
+            for a in support:
+                pairs.update((min(a, b), max(a, b)) for b in range(self.rank))
+        else:
+            pairs = set(itertools.combinations_with_replacement(sorted(support), 2))
+            for x in support:
+                pairs.update(self._pairs_into[x])
         return sorted(pairs)
 
     @functools.cached_property
@@ -248,6 +267,16 @@ class GroupScheme:
         """The pairs i <= j with e_i e_j != 0, made on first use and kept."""
         return [(i, j) for i, row in enumerate(self.sparse.mult)
                 for j in range(i, self.rank) if row[j]]
+
+    @functools.cached_property
+    def _pairs_into(self):
+        """For each index x, the live pairs (i, j) whose product e_i e_j
+        has an e_x term, made on first use and kept."""
+        M, out = self.sparse.mult, [[] for _ in range(self.rank)]
+        for i, j in self._live_pairs:
+            for x, _ in M[i][j]:
+                out[x].append((i, j))
+        return out
 
     def _fiber_minpolys(self, i):
         """[(mu, P)] of s = e_i at the residue field k of every closed
@@ -1046,12 +1075,14 @@ def _support(R: Ring, v):
     return [x for x, _ in nonzeros(R, v)]
 
 
-def point_is_hom(GR: GroupScheme, v) -> bool:
+def point_is_hom(GR: GroupScheme, v, fiber=None) -> bool:
     """Is v(1) = 1, and is v multiplicative on each of the `hom_pairs` of
-    its support?"""
+    its support, those that reach it?  fiber, where given, is GR's kept
+    fiber over the residue field, whose presentation `hom_pairs` reads."""
     R, M = GR.ring, GR.sparse.mult
     return _pair(R, GR.unit, v) == R.one and all(
-        R.mul(v[i], v[j]) == _pair(R, M[i][j], v) for i, j in GR.hom_pairs(_support(R, v)))
+        R.mul(v[i], v[j]) == _pair(R, M[i][j], v)
+        for i, j in GR.hom_pairs(_support(R, v), fiber))
 
 
 def _minpoly_of_vector(GR: GroupScheme, e, c_vec):
@@ -1128,24 +1159,38 @@ def _splittings(GR: GroupScheme, choose):
     off (field base), one basis vector at a time: e_idx acts on eA as
     chi[idx], and where it is no scalar the walk branches on the
     eigenvalues choose(minpoly, idx) picks among the roots of its minimal
-    polynomial."""
+    polynomial.  A scalar step writes chi[idx] in place; chi is copied
+    only where the walk branches.  Where c = e e_idx is idempotent, its
+    minimal polynomial on eA is t^2 - t, and the factors at 1 and 0 are
+    c and e - c, with no minimal polynomial and no Newton step."""
     R, m = GR.ring, GR.rank
+    minus_one = R.neg(R.one)
     # stack entries: (factor unit, next ambient index, chi)
     stack = [(GR.unit, 0, [None] * m)]
     while stack:
         e, idx, chi = stack.pop()
+        while idx < m:
+            c = GR.mul_vec(e, GR.basis_vector(idx))
+            s = _scalar_on(R, e, c)
+            if s is None:
+                break
+            chi[idx] = s
+            idx += 1
         if idx == m:
             yield e, chi
             continue
-        c = GR.mul_vec(e, GR.basis_vector(idx))
-        s = _scalar_on(R, e, c)
-        if s is not None:
-            stack.append((e, idx + 1, chi[:idx] + [s] + chi[idx + 1:]))
-            continue
-        minpoly, powers = GR._minpoly(e, c)
+        if GR.mul_vec(c, c) == c:
+            minpoly, powers = [R.zero, minus_one, R.one], None
+        else:
+            minpoly, powers = GR._minpoly(e, c)
         for lam in choose(minpoly, idx):
-            stack.append((_eigen_idempotent(GR, minpoly, powers, lam), idx + 1,
-                          chi[:idx] + [lam] + chi[idx + 1:]))
+            if powers is not None:
+                f = _eigen_idempotent(GR, minpoly, powers, lam)
+            else:
+                f = c if R.nonzero(lam) else project(R, [e, c], [(0, R.one), (1, minus_one)])
+            branch = chi.copy()
+            branch[idx] = lam
+            stack.append((f, idx + 1, branch))
 
 
 def identity_idempotent(G: GroupScheme):
@@ -1243,9 +1288,11 @@ def _tangent_rows(k: Ring, fiber: GroupScheme, chi):
     """The rows of `_square_zero_lifts`, one per basis index x: entry t of
     row x is the coefficient of d_x in condition t, the x-coefficient of
     chi_i e_j + chi_j e_i - e_i e_j for the t-th (i, j) of the fiber's
-    `hom_pairs` of supp chi, and of the unit in the last one, filled in
-    increasing t.  The condition of any other pair has no d in it."""
-    M, pairs = fiber.sparse.mult, fiber.hom_pairs(_support(k, chi))
+    `hom_pairs` of supp chi for the tangent rows (the live pairs and
+    those meeting supp chi where no e_s generates), and of the unit in the
+    last one, filled in increasing t.  The condition of any other pair has
+    no d in it."""
+    M, pairs = fiber.sparse.mult, fiber.hom_pairs(_support(k, chi), tangent=True)
     rows = [{} for _ in range(fiber.rank)]
     for t, (i, j) in enumerate(pairs):
         for x, c in M[i][j]:
@@ -1267,15 +1314,16 @@ def _square_zero_lifts(GR: GroupScheme, fiber: GroupScheme, tangent, chi, phi, c
     modulo delta whose residue is the character chi of the fiber.  As
     delta^2 = 0 the conditions are linear in d: the `_tangent_rows` of chi
     against minus the coordinates of phi's defect on the fiber's
-    `hom_pairs` of supp chi (Waterhouse, Introduction to Affine Group
-    Schemes, ch. 12), whose `linalg.solver` (solve, K) is tangent.
+    `hom_pairs` of supp chi for the tangent rows (Waterhouse, Introduction
+    to Affine Group Schemes, ch. 12), whose `linalg.solver` (solve, K) is
+    tangent.
 
     Any other pair has a zero tangent column, so the coordinate of its
     whole defect, with GR's table, must be 0; that is read on GR's
-    `hom_pairs` of supp phi, as a product zero in the fiber need not be
-    zero over R."""
+    `hom_pairs` of supp phi, the pairs that reach supp phi, as a product
+    zero in the fiber need not be zero over R."""
     R, M, k = GR.ring, GR.sparse.mult, fiber.ring
-    pairs = fiber.hom_pairs(_support(k, chi))
+    pairs = fiber.hom_pairs(_support(k, chi), tangent=True)
     solve, kern = tangent
 
     def defect(i, j):
@@ -1296,7 +1344,13 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
     no ideal): the kept characters of G over k, lifted along one ideal
     after the other; k's may be carried up from a subfield
     (`field_characters`).  A lift raises HopfError, naming `bound`, before
-    it makes more than `bound` points (`points` checks a field's)."""
+    it makes more than `bound` points (`points` checks a field's).
+
+    Where the fiber has all `rank` characters, A over k is k^m (Dedekind),
+    so it is etale, and so is A over R: each chi has exactly one R-point
+    above it (Waterhouse, ch. 12).  Where lift(chi) passes `point_is_hom`
+    over R it is that point, and no tangent rows are built for chi; the
+    others take the steps, each with an empty kernel."""
     k, lift, steps = R.residue_lifting()
     fiber = G.base_change(k)
     if R == QQ and not is_etale(fiber)[0]:
@@ -1305,6 +1359,9 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
         return fiber.field_characters
     GR = G.base_change(R)
     base = [(chi, [lift(c) for c in chi]) for chi in fiber.field_characters]
+    held = set()  # the chi whose lift is their one R-point
+    if len(base) == fiber.rank:
+        held = {chi for chi, phi in base if point_is_hom(GR, phi, fiber)}
     # the tangent rows depend on chi alone, so every step and every ring
     # over k share them and their one elimination
     tangent = fiber._tangents
@@ -1312,11 +1369,14 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
     for delta, coord in steps:
         nxt = []
         for chi, phi in base:
-            if chi not in tangent:
-                tangent[chi] = linalg.solver(k, _tangent_rows(k, fiber, chi))
-            part, kern = _square_zero_lifts(GR, fiber, tangent[chi], chi, phi, coord)
-            if part is None:
-                continue
+            if chi in held:
+                part, kern = [], []  # d = 0
+            else:
+                if chi not in tangent:
+                    tangent[chi] = linalg.solver(k, _tangent_rows(k, fiber, chi))
+                part, kern = _square_zero_lifts(GR, fiber, tangent[chi], chi, phi, coord)
+                if part is None:
+                    continue
             if kern and not k.is_finite:
                 raise HopfError("infinite solution space over an infinite field")
             if len(nxt) + (k.size() ** len(kern) if kern else 1) > bound:

@@ -148,13 +148,22 @@ def test_missing_preconditions_exit_2(capsys):
     # there) and the CRT product over Z/6 (const Z/3 has 3 x 3).  mu_6 has
     # 6 points over Z/9 and over Dual(GF(3)): 3 lifts of each of its 2
     # characters, so the bound stops the second one, and the message names
-    # the bound given, not what is left of it
+    # the bound given, not what is left of it.  const Z/6 splits over
+    # GF(5), and each character's lift to Dual(GF(5)) or Z/25 is a point,
+    # kept with no step.  mu_4 over Z/25 and mu_2 over Z/9 split too, but
+    # the lifts of 2 and 3, and of 2, are not points and take the steps.
+    # The bound holds on both paths
     for spec, ring, bound in (("mu:3", "Z/9", "2"), ("const:Z3", "Z/6", "8"),
-                              ("mu:6", "Z/9", "3"), ("mu:6", "Dual(GF(3))", "3")):
-        assert main(["points", "--builtin", spec, "--base", ring, "--ring", ring,
-                     "--budget-points", bound]) == 2, spec
+                              ("mu:6", "Z/9", "3"), ("mu:6", "Dual(GF(3))", "3"),
+                              ("const:Z6", "Dual(GF(5))", "5"), ("const:Z6", "Z/25", "5"),
+                              ("mu:4", "Z/25", "3"), ("mu:2", "Z/9", "1")):
+        argv = ["points", "--builtin", spec, "--base", ring, "--ring", ring, "--budget-points"]
+        assert main(argv + [bound]) == 2, spec
         assert capsys.readouterr().err == (f"error: more than {bound} points "
                                            f"(the points bound)\n"), spec
+        if spec in ("const:Z6", "mu:4"):
+            assert main(argv + [str(int(bound) + 1)]) == 0, spec
+            capsys.readouterr()
     # the order-p classifier is defined over fields only
     for spec, base in (("mu:2", "Zloc(2)"), ("mu:3", "Z/9"),
                        ("ot2:2,-1", "Zloc(2)"), ("ot2:2,-1", "Z/4")):
@@ -222,6 +231,26 @@ def test_theorem_makes_the_residue_characters_once_per_scheme(monkeypatch, capsy
     assert main(["theorem", "--builtin", "mu:15", "--base", "Zloc(3)"]) == 0
     capsys.readouterr()
     assert rings.count("GF(3)") == 3
+
+
+def test_split_lifts_the_constant_groups_with_no_tangent_rows(monkeypatch):
+    """split const:Z15 over GF(2) with kernel 3 lifts the points of three
+    constant schemes to Dual(GF(2)) and Dual(GF(4)).  Their
+    fibers have all their characters, and each lift of one is a point, so
+    no tangent rows are built."""
+    from ffgs import hopf
+    built = []
+    real = hopf._tangent_rows
+    monkeypatch.setattr(hopf, "_tangent_rows",
+                        lambda *args: built.append(args) or real(*args))
+    lifted = []
+    real_lifts = hopf._lifted_points
+    monkeypatch.setattr(hopf, "_lifted_points",
+                        lambda G, R, bound: lifted.append(R.name()) or real_lifts(G, R, bound))
+    argv = ["split", "--builtin", "const:Z15", "--base", "GF(2)", "--kernel", "3"]
+    assert main(argv) == 0
+    assert built == []
+    assert {"Dual(GF(2))", "Dual(GF(2^2;x^2+x+1))"} <= set(lifted), lifted
 
 
 def test_split_carries_the_characters_up_the_extension_fields(monkeypatch, capsys):

@@ -1143,11 +1143,15 @@ def test_characters_read_values_off_one_dimensional_factors(monkeypatch):
     # mu_3 over GF(7) in the basis 1, f, g of the idempotents that take the
     # values 1, 1, 0 and 0, 1, 0 at the points 1, 2, 4, which no basis vector
     # generates (x = 4 + 4f + g, x^2 = 2 + 6f + 3g).  The presentation's
-    # search stops at f^2 = f and g^2 = g, with no minimal polynomial; the
-    # walk's t^2 - t of f splits off the line e of the point 4 and the plane
-    # of 1 and 2.  On the line g e = 0 e, a ratio, not another minimal
-    # polynomial; the plane takes one more
+    # search stops at f^2 = f and g^2 = g, with no minimal polynomial; f is
+    # idempotent, so the walk splits off the line 1 - f of the point 4 and
+    # the plane f of 1 and 2 with no minimal polynomial either.  On the line
+    # g (1 - f) = 0 (1 - f), a ratio; on the plane g f = g, idempotent again.
+    # In the basis 1, 2f, 3g no basis vector is idempotent: the walk reads
+    # the minimal polynomial of 2f on 1 that the presentation's search made
+    # and kept, and makes that of 3g on the plane 4 (2f)
     G = rebased(mu(F7, 3), [[1, 0, 0], [4, 4, 1], [2, 6, 3]])
+    scaled = rebased(G, [[1, 0, 0], [0, 4, 0], [0, 0, 5]])
     calls, ratios = [], []
     real, real_scalar = hopf._minpoly_of_vector, hopf._scalar_on
     monkeypatch.setattr(hopf, "_minpoly_of_vector",
@@ -1156,8 +1160,13 @@ def test_characters_read_values_off_one_dimensional_factors(monkeypatch):
                         lambda *args: ratios.append(real_scalar(*args)) or ratios[-1])
     assert hopf.characters(G) == [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
     assert G.presentation.index is None
-    assert len(calls) == 2 and 0 in ratios
+    assert len(calls) == 0 and 0 in ratios
     assert hopf.characters(fresh(G)) == _reference_characters(G)
+    assert scaled.presentation.index is None
+    calls.clear()
+    assert hopf.characters(scaled) == [(1, 0, 0), (1, 2, 0), (1, 2, 3)]
+    assert [(e, c) for _, e, c in calls] == [([(1, 4)], [(2, 1)])]
+    assert hopf.characters(fresh(scaled)) == _reference_characters(scaled)
 
 
 def _mu_characters(R, n):
@@ -1272,24 +1281,33 @@ def test_hom_pairs_decide_characters_as_all_pairs_do(monkeypatch):
     """On the builtins over each field of RINGS, in the natural basis and
     in a unitriangular, permuted one, point_is_hom, which reads only the
     hom_pairs, agrees with the all-pairs reference on every character and
-    on each character with one coordinate moved.  It reads at most |live|
-    + m |supp v| pairs for a candidate v, the live pairs being those with
-    e_i e_j != 0: the m pairs (i, s) where the presentation has an index
-    s, else the live pairs and those meeting supp v."""
+    on each character with one coordinate moved.  For a candidate v it
+    reads the m pairs (i, s) where the presentation has an index s, else
+    the pairs i <= j inside supp v and the pairs whose product e_i e_j
+    meets supp v (read off the dense tables here): at most |supp v| m
+    plus the pairs into supp v."""
     hyp, st, settings = hypothesis_or_skip()
     schemes = [G for R in RINGS if R.is_field for G in builtins_over(R)]
     indices = set()
     read = []
     real = GroupScheme.hom_pairs
-    monkeypatch.setattr(GroupScheme, "hom_pairs", lambda self, support, fiber=None: read.append(
-        (self, list(support), out := real(self, support, fiber))) or out)
+    monkeypatch.setattr(GroupScheme, "hom_pairs",
+                        lambda self, support, fiber=None, tangent=False: read.append(
+                            (self, list(support), tangent,
+                             out := real(self, support, fiber, tangent))) or out)
 
     @settings
     @hyp.given(st.sampled_from(schemes), st.booleans(), st.integers(0, 2 ** 32))
     def check(G, natural, seed):
         H = G if natural else permuted(G, random.Random(seed))
         R, m, s = H.ring, H.rank, H.presentation.index
-        live = sum(1 for i in range(m) for j in range(i, m) if H.sparse.mult[i][j])
+        E = identity_matrix(R, m)
+        into = [set() for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                for x, c in enumerate(dense_mul(H, E[i], E[j])):
+                    if R.nonzero(c):
+                        into[x].add((i, j))
         indices.add(s)
         read.clear()
         candidates = [list(chi) for chi in hopf.characters(H)]
@@ -1300,14 +1318,61 @@ def test_hom_pairs_decide_characters_as_all_pairs_do(monkeypatch):
                 moved[x] = R.add(moved[x], R.one)
                 assert hopf.point_is_hom(H, moved) == reference_is_hom(H, moved), (chi, x)
         assert read
-        for scheme, support, pairs in read:
-            assert scheme is H
-            assert len(pairs) <= live + m * len(support), (support, pairs)
+        for scheme, support, tangent, pairs in read:
+            assert scheme is H and not tangent
             if s is not None:
                 assert pairs == [(i, s) for i in range(m)]
+                continue
+            reach = set().union(*(into[x] for x in support))
+            assert len(pairs) <= m * len(support) + len(reach), (support, pairs)
+            assert pairs == sorted(reach.union(
+                itertools.combinations_with_replacement(support, 2))), support
 
     check()
     assert None in indices and len(indices - {None}) >= 2, indices
+
+
+def test_point_is_hom_agrees_with_all_pairs_on_random_vectors():
+    """On the builtins with no generating basis vector in a permuted basis,
+    over fields, Dual(k) and Z/p^e, point_is_hom, which reads the pairs
+    that reach supp v, equals the all-pairs reference on drawn vectors: a
+    point or a random vector, with up to three coordinates redrawn, and
+    then, if drawn so, set at one unit coordinate of 1 to make v(1) = 1,
+    so that the pairs decide."""
+    hyp, st, settings = hypothesis_or_skip()
+    rng = random.Random(20391)
+    schemes = []
+    for name in ("GF(2)", "GF(3)", "GF(2^2;x^2+x+1)", "Dual(GF(2))", "Dual(GF(3))",
+                 "Z/4", "Z/8", "Z/9"):
+        R = parse_ring(name)
+        for G in builtins_over(R):
+            H = permuted(G, rng)
+            if H.presentation.index is None:
+                schemes.append((H, list(R.elements()), points(H, R).elements))
+    assert len(schemes) >= 20, len(schemes)
+    outcomes = set()
+
+    @hyp.settings(settings, max_examples=300)
+    @hyp.given(st.sampled_from(schemes), st.data())
+    def check(case, data):
+        H, elements, pts = case
+        R, m, unit = H.ring, H.rank, dense_view(H).unit
+        element = st.sampled_from(elements)
+        v = list(data.draw(st.one_of(st.sampled_from(pts),
+                                     st.lists(element, min_size=m, max_size=m))))
+        for x, c in data.draw(st.lists(st.tuples(st.integers(0, m - 1), element), max_size=3)):
+            v[x] = c
+        if data.draw(st.booleans()):
+            x = next(x for x, u in enumerate(unit) if R.is_unit(u))
+            rest = R.sub(R.one, R.dot(unit, v[:x] + [R.zero] + v[x + 1:]))
+            v[x] = R.mul(rest, R.inv(unit[x]))
+            assert R.dot(unit, v) == R.one
+        expected = reference_is_hom(H, v)
+        assert hopf.point_is_hom(H, v) == expected, (H.ring.name(), v)
+        outcomes.add((expected, R.dot(unit, v) == R.one))
+
+    check()
+    assert outcomes == {(True, True), (False, True), (False, False)}, outcomes
 
 
 FIELD_BASES = ["GF(2)", "GF(3)", "GF(5)", "GF(2^2;x^2+x+1)", "GF(2^3;x^3+x^2+1)",
@@ -1942,15 +2007,18 @@ def test_base_change_keeps_no_zero_and_maps_every_entry(R):
 def test_tangent_rows_are_built_once_per_character(monkeypatch):
     """Over Z/p^e the lift takes e - 1 steps; each character's tangent rows
     are built once for all of them, and the points still match the
-    oracle."""
+    oracle.  A split fiber (all `rank` characters) builds rows only for the
+    characters whose lift k -> Z/p^e is not a point: none for const:Z3 over
+    Z/4 in its natural basis, the root 2 of mu_2 over Z/9."""
     built_for = []
     real = hopf._tangent_rows
     monkeypatch.setattr(hopf, "_tangent_rows",
                         lambda k, fiber, chi: built_for.append(chi) or real(k, fiber, chi))
     rng = random.Random(20171)
-    checked = 0
+    checked, kinds = 0, set()
     for name in ("Z/4", "Z/8", "Z/9", "Z/27"):
         T = parse_ring(name)
+        k, lift, _ = T.residue_lifting()
         for spec in ("mu:2", "mu:3", "mu:4", "const:Z3", "ot2:2,-1"):
             for G in built(spec, T):
                 for H in (G, rebased(G, unitriangular(T, G.rank, rng))):
@@ -1963,10 +2031,60 @@ def test_tangent_rows_are_built_once_per_character(monkeypatch):
                     assert (P.elements, P.table, P.identity_index) == (
                         expected.elements, expected.table,
                         expected.identity_index), (spec, name)
-                    assert built_for, (spec, name)
                     assert len(built_for) == len(set(built_for)), (spec, name)
                     checked += 1
+                    chars = H.base_change(k).field_characters
+                    if len(chars) < H.rank:
+                        assert built_for, (spec, name)
+                        kinds.add("non-split")
+                        continue
+                    newton = [chi for chi in chars
+                              if not reference_is_hom(H, [lift(c) for c in chi])]
+                    assert built_for == newton, (spec, name)
+                    kinds.add((spec, name, H is G, len(newton)))
     assert checked >= 20, checked
+    assert {"non-split", ("const:Z3", "Z/4", True, 0), ("mu:2", "Z/9", True, 1)} <= kinds
+
+
+LOCAL_RINGS = ["Dual(GF(2))", "Dual(GF(3))", "Dual(GF(2^2;x^2+x+1))", "Dual(GF(5))",
+               "Z/4", "Z/8", "Z/9", "Z/25", "Z/27"]
+
+
+def test_points_over_local_rings_match_the_oracle(monkeypatch):
+    """Every builtin of REFERENCE_SPECS and POINT_SPECS over each ring of
+    LOCAL_RINGS, in its natural basis and in a unitriangular one: points
+    equals oracle.enumerate_points.  On a split fiber a character whose
+    lift k -> R is a point keeps it with no tangent rows, and the others
+    take the steps: 2 of mu_2 over Z/9 and Z/25, and 2 and 3 of mu_4 over
+    Z/25."""
+    built_for = []
+    real = hopf._tangent_rows
+    monkeypatch.setattr(hopf, "_tangent_rows",
+                        lambda k, fiber, chi: built_for.append(chi) or real(k, fiber, chi))
+    rng = random.Random(20393)
+    checked, steps, held = 0, set(), set()
+    for name in LOCAL_RINGS:
+        T = parse_ring(name)
+        k, lift, _ = T.residue_lifting()
+        for spec in sorted(set(REFERENCE_SPECS + POINT_SPECS)):
+            for G in built(spec, T):
+                for H in (G, rebased(G, unitriangular(T, G.rank, rng, eps=True))):
+                    expected = enumerate_points(H, T, budget=20000)
+                    built_for.clear()
+                    P = points(H, T)
+                    assert (P.elements, P.table, P.identity_index) == (
+                        expected.elements, expected.table,
+                        expected.identity_index), (spec, name)
+                    checked += 1
+                    chars = H.base_change(k).field_characters
+                    if len(chars) == H.rank:
+                        lifts = [[lift(c) for c in chi] for chi in chars]
+                        assert built_for == [chi for chi, phi in zip(chars, lifts)
+                                             if phi not in map(list, P.elements)], (spec, name)
+                        (steps if built_for else held).add((spec, name, H is G))
+    assert checked >= 200, checked
+    assert {("mu:2", "Z/9", True), ("mu:2", "Z/25", True), ("mu:4", "Z/25", True)} <= steps
+    assert {("const:Z3", "Z/4", True), ("const:S3", "Dual(GF(5))", True)} <= held
 
 
 def test_lifts_of_rank_6_and_up_match_the_oracle(monkeypatch):
@@ -1975,7 +2093,9 @@ def test_lifts_of_rank_6_and_up_match_the_oracle(monkeypatch):
     x^3, x, x^4, x^5, whose first generating basis vector is e_3, and
     constant groups, which have no generating basis vector over GF(3) or
     GF(5).  Each tangent row ends before column m + 1 where the fiber has a
-    presentation, and before m(m + 1)/2 + 1 where it has none."""
+    presentation, and before m(m + 1)/2 + 1 where it has none; the rows
+    are read on the fibers that do not split, as the split ones, the
+    constant groups among them, need none in their natural basis."""
     widths = []
     real = hopf._tangent_rows
 
@@ -2001,6 +2121,9 @@ def test_lifts_of_rank_6_and_up_match_the_oracle(monkeypatch):
         P = points(H, T)
         assert (P.elements, P.table, P.identity_index) == (
             expected.elements, expected.table, expected.identity_index), (H.name, T.name())
+        fiber = H.base_change(T.residue_lifting()[0])
+        if len(fiber.field_characters) == H.rank:
+            continue
         assert widths, (H.name, T.name())
         for s, m, last in widths:
             assert last < (m + 1 if s is not None else m * (m + 1) // 2 + 1), (H.name, s)
