@@ -380,8 +380,28 @@ def whole_subgroup(G: GroupScheme) -> ClosedSubgroup:
 
 
 def trivial_subgroup(G: GroupScheme) -> ClosedSubgroup:
-    """The trivial subgroup, cut out by the augmentation ideal ker(counit)."""
-    return ClosedSubgroup(G, row_kernel(G.ring, [nonzeros(G.ring, [c]) for c in G.counit]))
+    """The trivial subgroup, cut out by the augmentation ideal ker(counit):
+    its canonical rows as `_augmentation_rows` writes them, else as
+    `row_kernel` reads them."""
+    rows = _augmentation_rows(G)
+    if rows is None:
+        rows = row_kernel(G.ring, [nonzeros(G.ring, [c]) for c in G.counit])
+    return ClosedSubgroup(G, rows)
+
+
+def _augmentation_rows(G: GroupScheme):
+    """The canonical Span of ker(counit) where c_l is a unit, for c_i =
+    eps(e_i) and l the last index with c_l != 0, else None.  Its rows are
+    then e_i - (c_i/c_l) e_l for i != l: each has pivot 1 at i and is zero
+    at the other pivots, and no multiple of e_l but 0 lies in ker(counit).
+    Where eps(1) = 1 and c_l is no unit, the span has a non-unit pivot."""
+    R, eps = G.ring, G.counit
+    last = max((i for i, c in enumerate(eps) if R.nonzero(c)), default=None)
+    if last is None or not R.is_unit(eps[last]):
+        return None
+    scale = R.neg(R.inv(eps[last]))
+    return Span(R, [[(i, R.one)] + ([(last, R.mul(c, scale))] if R.nonzero(c) else [])
+                    for i, c in enumerate(eps) if i != last])
 
 
 def kernel(f: GroupSchemeHom) -> ClosedSubgroup:
@@ -432,13 +452,22 @@ def is_normal(H: ClosedSubgroup):
 def quotient(G: GroupScheme, H: ClosedSubgroup):
     """(G/H, projection hom) for H normal, via coinvariants of the
     coaction (id (x) pi) Delta.  Its tables read coordinates in their basis
-    B with `project` and `map_tensor`, each checked by re-expansion."""
+    B with `project` and `map_tensor`, each checked by re-expansion.
+
+    Where H's ideal is ker(counit) and (id (x) eps) Delta(e_i) = e_i for
+    every i, pi is eps up to the unit 1/c_l, so every a is coinvariant, B
+    is the basis and G/1 has G's own tables: it is G under the quotient's
+    name (`GroupScheme.renamed`), with G's kept objects and points."""
     if H.ambient is not G:
         raise HopfError("subgroup does not live in this scheme")
     R = G.ring
     m, n = G.rank, H.order
     ident = [[(j, R.one)] for j in range(m)]
     pb = H.quotient_data()[1]
+    name = f"{G.name}/H" if G.name else None
+    if n == 1 and H.ideal == _augmentation_rows(G) and _right_counit_law(G, ident):
+        Gbar = G.renamed(name)
+        return Gbar, GroupSchemeHom(G, Gbar, ident)
     minus_unit = [(k, R.neg(u)) for k, u in G.unit]
     # a = sum t_i e_i is coinvariant iff (id (x) pi) Delta(a) = a (x) pi(1),
     # that is iff sum t_i (id (x) pi)(Delta(e_i) - e_i (x) 1) = 0
@@ -479,10 +508,19 @@ def quotient(G: GroupScheme, H: ClosedSubgroup):
         comult.append(x)
     antipode = [coords(G.antipode_vec(b)) for b in B]
     Gbar = GroupScheme(R, rB, (mult, comult, antipode), coords(G.unit),
-                       [G.counit_of(b) for b in B],
-                       f"{G.name}/H" if G.name else None)
+                       [G.counit_of(b) for b in B], name)
     proj = GroupSchemeHom(G, Gbar, B)
     return Gbar, proj
+
+
+def _right_counit_law(G: GroupScheme, ident):
+    """Does (id (x) eps) Delta(e_i) = e_i hold for every i?  One pass over
+    the nonzeros of Delta; ident holds the rows e_j."""
+    R, eps = G.ring, G.counit
+    nonzero, mul = R.nonzero, R.mul
+    return all(project(R, ident, [(j, mul(c, eps[k])) for j, k, c in terms
+                                  if nonzero(eps[k])]) == ident[i]
+               for i, terms in enumerate(G.sparse.comult))
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +558,9 @@ class ExtensionWitness:
                 continue
             hom = find_hom(G.ring, T)
             in_map = hom_on_points(incl, PH, PG, hom)
-            out_map = hom_on_points(self.projection, PG, PQ, hom)
+            # G/1 shares G's kept points, and pi is the identity on them
+            out_map = (list(range(PG.order)) if PQ is PG
+                       else hom_on_points(self.projection, PG, PQ, hom))
             mid_kernel = {i for i, j in enumerate(out_map) if j == PQ.identity_index}
             ledger.append({
                 "ring": T.name(),

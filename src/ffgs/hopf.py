@@ -40,17 +40,21 @@ The tables are fixed once a scheme is made, so the conjugation tensors
 ad(e_i) (`adjoint`), the presentation A = R[t]/(mu) by the first basis
 vector other than 1 that generates A, where one does (`presentation`,
 which `characters`, `identity_idempotent`, the ideal closure, the
-Hopf-ideal report and `find_isomorphism` read), the live pairs
-e_i e_j != 0 that `hom_pairs` reads for tangent rows (`_live_pairs`) and,
-for each index x, those whose product has an e_x term, which it reads for
-a known vector (`_pairs_into`),
+Hopf-ideal report and `find_isomorphism` read), the index of the nonzero
+products e_a e_k (`_partners`, which the law checks of `verify` read),
+the live pairs e_i e_j != 0 read off it, which `hom_pairs` reads for
+tangent rows (`_live_pairs`) and, for each index x, those whose product
+has an e_x term, which it reads for a known vector (`_pairs_into`),
 the generators `verify` checks the laws on (`algebra_generators`, its e_s,
 else the basis), the trace discriminant (`etale`),
 the ideal of the identity component (`identity_core`), the characters
 over a field (`field_characters`), the subschemes x^p = 1
 (`torsion_subschemes`), the base change to each ring (`base_change`),
-and over a field the tangent solver of each character (`_lifted_points`)
-and the minimal polynomials (`_minpoly`) are kept too.
+the points per ring and bound (`points`), and over a field the tangent
+solver of each character (`_lifted_points`) and the minimal polynomials
+(`_minpoly`) are kept too.  All but the subschemes sit in one store,
+which the scheme under another name on the same tables shares
+(`renamed`, G/1 in `constructions.quotient`).
 
 The points over an Artin local ring R lift the characters of the fiber
 over its residue field k (`_lifted_points`).  Where that fiber has all
@@ -164,6 +168,22 @@ def _pair(R: Ring, entries, v):
     return out
 
 
+def _kept_property(make, name=None):
+    """A property of a scheme made on first use and kept in its store of
+    kept objects, `GroupScheme._kept`, which a copy under another name
+    shares (`renamed`); each instance then reads it as a cached property."""
+    name = name or make.__name__
+
+    def get(G):
+        kept = G._kept
+        if name not in kept:
+            kept[name] = make(G)
+        return kept[name]
+
+    get.__doc__ = make.__doc__
+    return functools.cached_property(get)
+
+
 class GroupScheme:
     def __init__(self, ring: Ring, rank: int, tables, unit, counit,
                  name: str | None = None):
@@ -182,7 +202,7 @@ class GroupScheme:
     def basis_vector(self, i):
         return [(i, self.ring.one)]
 
-    @functools.cached_property
+    @_kept_property
     def adjoint(self):
         """ad(e_i) = sum (e_i)_(1) S((e_i)_(3)) (x) (e_i)_(2) for each i, as
         its nonzero ((t, a), c); made on first use and kept, so each product
@@ -210,7 +230,7 @@ class GroupScheme:
             out.append([(key, c) for key, c in ad.items() if R.nonzero(c)])
         return out
 
-    @functools.cached_property
+    @_kept_property
     def algebra_generators(self):
         """[e_s] for the presentation's e_s, whose powers 1, e_s, ...,
         e_s^(m-1) span the algebra, else the basis; made on first use and
@@ -220,7 +240,7 @@ class GroupScheme:
             return [self.basis_vector(s)]
         return [self.basis_vector(i) for i in range(self.rank)]
 
-    @functools.cached_property
+    @_kept_property
     def presentation(self):
         """(i, mu, P) with s = e_i the first basis vector other than 1 that
         generates A = R[t]/(mu), certified by `_fiber_minpolys`; made on
@@ -262,13 +282,19 @@ class GroupScheme:
                 pairs.update(self._pairs_into[x])
         return sorted(pairs)
 
-    @functools.cached_property
-    def _live_pairs(self):
-        """The pairs i <= j with e_i e_j != 0, made on first use and kept."""
-        return [(i, j) for i, row in enumerate(self.sparse.mult)
-                for j in range(i, self.rank) if row[j]]
+    @_kept_property
+    def _partners(self):
+        """For each a, the k with e_a e_k != 0 in increasing k: the one
+        index of the nonzero products, made on first use and kept.  `verify`
+        reads it (`_Laws`), and `_live_pairs` are read off it."""
+        return [[k for k, v in enumerate(row) if v] for row in self.sparse.mult]
 
-    @functools.cached_property
+    @_kept_property
+    def _live_pairs(self):
+        """The pairs i <= j with e_i e_j != 0, read off `_partners`."""
+        return [(i, j) for i, row in enumerate(self._partners) for j in row if j >= i]
+
+    @_kept_property
     def _pairs_into(self):
         """For each index x, the live pairs (i, j) whose product e_i e_j
         has an e_x term, made on first use and kept."""
@@ -311,13 +337,13 @@ class GroupScheme:
             self._minpolys[key] = _minpoly_of_vector(self, e, c)
         return self._minpolys[key]
 
-    @functools.cached_property
+    @_kept_property
     def etale(self):
         """is_etale(self), made on first use and kept."""
         disc = trace_discriminant(self)
         return self.ring.is_unit(disc), disc
 
-    @functools.cached_property
+    @_kept_property
     def identity_core(self):
         """Canonical basis of (1 - e0)A, with e0 the unit of the local factor
         of the algebra at the identity; made on first use and kept.
@@ -340,7 +366,7 @@ class GroupScheme:
         return linalg.canonical_span(R, [self.mul_vec(u, self.basis_vector(i))
                                          for i in range(m)])
 
-    @functools.cached_property
+    @_kept_property
     def field_characters(self):
         """characters(self) over a field, made on first use and kept.  Where
         the scheme is F's base change along a map of fields h and F keeps
@@ -356,11 +382,26 @@ class GroupScheme:
     # (F, h) where the scheme is F's base change along the map of fields h
     _made_along = None
 
+    # the store of the kept objects, shared by a copy under another name
+    _kept = functools.cached_property(lambda G: {})
+
     # filled as they are made: the base change to each ring (`base_change`),
-    # the closed subscheme x^p = 1 for each prime p (`structure`) and, over
-    # a field, the tangent solvers (`_lifted_points`) and minimal polynomials
-    _base_changes, torsion_subschemes, _tangents, _minpolys = (
-        functools.cached_property(lambda G: {}) for _ in range(4))
+    # the points per (ring, bound) (`points`) and, over a field, the tangent
+    # solvers (`_lifted_points`) and minimal polynomials
+    _base_changes, _point_groups, _tangents, _minpolys = (
+        _kept_property(lambda G: {}, name)
+        for name in ("_base_changes", "_point_groups", "_tangents", "_minpolys"))
+    # the closed subscheme x^p = 1 for each prime p (`structure`), a subgroup
+    # of this scheme, so kept apart from the store a copy shares
+    torsion_subschemes = functools.cached_property(lambda G: {})
+
+    def renamed(self, name):
+        """The scheme on these tables under another name, made by the one
+        constructor: it reads and fills this scheme's kept objects, base
+        changes, etale flag, presentation, fibers and points among them."""
+        out = GroupScheme(self.ring, self.rank, self.sparse, self.unit, self.counit, name)
+        out._kept = self._kept
+        return out
 
     # -- algebra operations ---------------------------------------------
     def mul_vec(self, v, w):
@@ -575,10 +616,7 @@ class GroupScheme:
                 if k0 in self._base_changes:
                     made = self._base_changes[k0].base_change(hom)
                 else:
-                    found = find_hom(self.ring, hom)
-                    if found is None:
-                        raise RingError(f"no base map {self.ring.name()} -> {hom.name()}")
-                    made = self.base_change(found)
+                    made = self.base_change(_base_map(self.ring, hom))
                 self._base_changes[hom] = made
             return self._base_changes[hom]
         if hom.source != self.ring:
@@ -679,10 +717,19 @@ class GroupScheme:
         return f"<{tag} of order {self.rank} over {self.ring.name()}>"
 
 
+def _base_map(R: Ring, S: Ring) -> RingHom:
+    """find_hom(R, S), or RingError where there is none."""
+    found = find_hom(R, S)
+    if found is None:
+        raise RingError(f"no base map {R.name()} -> {S.name()}")
+    return found
+
+
 class _Laws:
     """The law checks of `verify` on one algebra: A, or the dual algebra
     A^∨ on the transposed tables.  They read its mult M, comult C and counit
-    alone.  A generator s is (rows, terms, eps): the nonzero (x, c) of s e_k
+    alone, and its kept index of the nonzero products (`_partners`).  A
+    generator s is (rows, terms, eps): the nonzero (x, c) of s e_k
     for each k, the (a, b, c) of Delta(s), and eps(s).  On `basis` these are
     the stored rows, and each check is the basis scan, whose first failure
     is the witness."""
@@ -691,6 +738,7 @@ class _Laws:
         self.ring, self.rank, self.counit = G.ring, G.rank, G.counit
         self.mult, self.comult, _ = G.sparse
         self.combine, self.delta = G.combine, G.comult_vec
+        self._scheme = G
         self.basis = [(self.mult[j], self.comult[j], self.counit[j])
                       for j in range(G.rank)]
 
@@ -763,7 +811,7 @@ class _Laws:
         R, M, eps = self.ring, self.mult, self.counit
         # a <= b: mult is commutative by now, so a first failure has a <= b
         live = [a for a, c in enumerate(eps) if R.nonzero(c)]
-        pairs = {(a, b) for a, row in enumerate(self._partners) for b in row if a <= b}
+        pairs = set(self._scheme._live_pairs)
         pairs.update(itertools.combinations_with_replacement(live, 2))
         for a, b in sorted(pairs):
             if _pair(R, M[a][b], eps) != R.mul(eps[a], eps[b]):
@@ -776,10 +824,8 @@ class _Laws:
         # generator (see `multiplicativity`)
         return [self._stage(self.comult[j], False) for j in range(self.rank)]
 
-    @functools.cached_property
-    def _partners(self):
-        # for each a, the k with e_a e_k != 0
-        return [[k for k, v in enumerate(row) if v] for row in self.mult]
+    # for each a, the k with e_a e_k != 0: the algebra's kept index
+    _partners = functools.cached_property(lambda laws: laws._scheme._partners)
 
     def _stage(self, terms, left):
         R = self.ring
@@ -1154,26 +1200,40 @@ def _scalar_on(R: Ring, e, c):
     return s if project(R, [e], [(0, s)]) == c else None
 
 
+def _scalar_on_line(R: Ring, M, e, idx):
+    """s with e e_idx = s e, or None, for e = a e_g on one basis vector:
+    e e_idx = a M[g][idx] is s e just when that row is empty (s = 0) or
+    [(g, s)], as a != 0 in a field."""
+    g = e[0][0]
+    row = M[g][idx]
+    if not row:
+        return R.zero
+    return row[0][1] if len(row) == 1 and row[0][0] == g else None
+
+
 def _splittings(GR: GroupScheme, choose):
     """(e, chi) for each factor eA that the eigen-idempotent walk splits
     off (field base), one basis vector at a time: e_idx acts on eA as
     chi[idx], and where it is no scalar the walk branches on the
     eigenvalues choose(minpoly, idx) picks among the roots of its minimal
     polynomial.  A scalar step writes chi[idx] in place; chi is copied
-    only where the walk branches.  Where c = e e_idx is idempotent, its
-    minimal polynomial on eA is t^2 - t, and the factors at 1 and 0 are
-    c and e - c, with no minimal polynomial and no Newton step."""
-    R, m = GR.ring, GR.rank
+    only where the walk branches.  On a factor e = a e_g the step reads
+    the scalar off the table (`_scalar_on_line`), with no product.  Where
+    c = e e_idx is idempotent, its minimal polynomial on eA is t^2 - t,
+    and the factors at 1 and 0 are c and e - c, with no minimal polynomial
+    and no Newton step."""
+    R, m, M = GR.ring, GR.rank, GR.sparse.mult
     minus_one = R.neg(R.one)
     # stack entries: (factor unit, next ambient index, chi)
     stack = [(GR.unit, 0, [None] * m)]
     while stack:
         e, idx, chi = stack.pop()
         while idx < m:
-            c = GR.mul_vec(e, GR.basis_vector(idx))
-            s = _scalar_on(R, e, c)
+            s = _scalar_on_line(R, M, e, idx) if len(e) == 1 else None
             if s is None:
-                break
+                c = GR.mul_vec(e, GR.basis_vector(idx))
+                if len(e) == 1 or (s := _scalar_on(R, e, c)) is None:
+                    break
             chi[idx] = s
             idx += 1
         if idx == m:
@@ -1268,11 +1328,29 @@ def is_etale(G: GroupScheme):
 
 
 def points(G: GroupScheme, Rp: Ring, bound: int = 10000) -> PointGroup:
-    """The group G(R') of R'-points.
+    """The group G(R') of R'-points, made once per (R', bound) and kept;
+    callers do not mutate it.
 
     R' must be finite, or Q for etale G (root finding stays in Q).  G(R')
     is the product of the `_lifted_points` over the `local_parts` of R',
-    summed as embedded in R'; past `bound` points it raises HopfError."""
+    summed as embedded in R'; past `bound` points it raises HopfError.  At
+    rank 1 it is the one point h(eps(e_0)), the counit along the base map
+    h: an algebra map R e_0 -> R' is fixed by sending 1 to 1."""
+    kept = G._point_groups
+    if (Rp, bound) not in kept:
+        kept[Rp, bound] = _points(G, Rp, bound)
+    return kept[Rp, bound]
+
+
+def _points(G: GroupScheme, Rp: Ring, bound: int) -> PointGroup:
+    """`points`, made afresh, with the same errors at rank 1."""
+    if G.rank == 1:
+        h = _base_map(G.ring, Rp)
+        for S, _ in Rp.local_parts():
+            S.residue_lifting()  # RingError where points are unsupported
+        if bound < 1:
+            raise HopfError(f"more than {bound} points (the points bound)")
+        return PointGroup(Rp, [(h(G.counit[0]),)], [[0]], 0)
     GR = G.base_change(Rp)
     parts = [(_lifted_points(G, S, bound), embed) for S, embed in Rp.local_parts()]
     if functools.reduce(lambda size, part: size * len(part[0]), parts, 1) > bound:

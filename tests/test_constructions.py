@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from math import prod
 
@@ -22,8 +23,8 @@ from ffgs.structure import (_slot_product_map, internal_product, locus_report,
                             p_primary_decompose)
 from ffgs.testrings import test_ring_family as ring_family
 from test_hopf import (REFERENCE_BASES, assert_canonical_tables, builtins_over,
-                       dense_antipode, dense_comult, dense_lists, dense_mul, dense_terms,
-                       dense_view, hypothesis_or_skip, in_bases)
+                       corrupted, dense_antipode, dense_comult, dense_lists, dense_mul,
+                       dense_terms, dense_view, hypothesis_or_skip, in_bases)
 from test_linalg import (RINGS, coeffs, dense_rows, identity_matrix, kernel_rows, mat_vec, span_rows,
                          sparse_rows, transpose, vec_add, vec_scale, vec_sub)
 
@@ -596,6 +597,118 @@ def test_quotient_matches_reference(spec):
         assert quotient_outcome(_quotient_tensors, G, H) == want, (G.name, H.order)
         outcomes.add(want[0] == "HopfError")
     assert outcomes == {True, False}
+
+
+# REFERENCE_BASES and rings of their test-ring families: more fields, Z/n
+# with one and two primes, and dual numbers over a non-prime field
+SHARED_BASES = REFERENCE_BASES + ["GF(7)", "GF(2^3;x^3+x^2+1)", "Z/4", "Z/8", "Z/12",
+                                  "Z/35", "Zloc(5)", "Dual(GF(5))",
+                                  "Dual(GF(2^2;x^2+x+1))"]
+
+
+def _sample_elements(R):
+    return list(R.elements()) if R.is_finite else \
+        [R.from_int(i) for i in range(-4, 5)] + [R.inv(R.from_int(7)), R.from_int(10)]
+
+
+@pytest.mark.parametrize("name", SHARED_BASES)
+def test_trivial_subgroup_writes_the_kernel_row_kernel_reads(name, monkeypatch):
+    """ker(counit) written in canonical form (`_augmentation_rows`) equals
+    what row_kernel reads, rows, pivots and non-unit pivot alike: on every
+    builtin in its natural and a unitriangular basis, and on random counit
+    vectors.  Every natural basis takes the written form, with no
+    elimination."""
+    R = parse_ring(name)
+    rng = random.Random(f"augmentation {name}")
+    eliminated = []
+    real = constructions.row_kernel
+    monkeypatch.setattr(constructions, "row_kernel",
+                        lambda R, rows: eliminated.append(1) or real(R, rows))
+    els = _sample_elements(R)
+    cases = [(basis, H.counit) for G in builtins_over(R) for basis, H in in_bases(G, rng)]
+    cases += [("random", [rng.choice(els) for _ in range(rng.randint(1, 6))])
+              for _ in range(40)]
+    written = set()
+    for basis, eps in cases:
+        m = len(eps)
+        G = GroupScheme(R, m, ([[[]] * m] * m, [[]] * m, [[]] * m), [], eps)
+        eliminated.clear()
+        got = trivial_subgroup(G).ideal
+        want = real(R, [nonzeros(R, [c]) for c in eps])
+        assert (got, got.cols, got.nonunit) == (want, want.cols, want.nonunit), (basis, eps)
+        if not eliminated:
+            written.add(basis)
+        assert basis != "natural" or not eliminated, eps
+    assert "natural" in written
+
+
+def _counit_law_holds(G):
+    """(id (x) eps) Delta(e_i) = e_i for every i, summed on the dense
+    tables."""
+    R, m, D = G.ring, G.rank, dense_view(G)
+    return all(R.dot(D.comult[i][j], G.counit) == (R.one if i == j else R.zero)
+               for i in range(m) for j in range(m))
+
+
+@pytest.mark.parametrize("name", SHARED_BASES)
+def test_quotient_by_the_trivial_subgroup_is_the_scheme(name, monkeypatch):
+    """G/1 by ker(counit), where the counit law holds, is made with no
+    elimination: it has G's own tables under the quotient's name, and
+    reads G's kept objects.  Its tensors and projection equal the
+    coinvariant elimination it replaces (`_reference_quotient`), on every
+    builtin in its natural and a unitriangular basis.  A copy with one
+    comultiplication entry moved takes the elimination where the law
+    fails, with the reference's outcome, error included, and so does the
+    ideal of a point other than the identity, of order 1 too."""
+    R = parse_ring(name)
+    rng = random.Random(f"G/1 {name}")
+    eliminated = []
+    real = constructions.row_kernel
+    monkeypatch.setattr(constructions, "row_kernel",
+                        lambda R, rows: eliminated.append(1) or real(R, rows))
+    shared = unshared = points_apart = 0
+    for G in builtins_over(R):
+        for basis, H in in_bases(G, rng):
+            for K in (H, corrupted(H, "comult", rng)):
+                S = trivial_subgroup(K)
+                want = quotient_outcome(_reference_quotient, K, S)
+                eliminated.clear()
+                assert quotient_outcome(_quotient_tensors, K, S) == want, (G.name, basis)
+                if S.ideal.nonunit is not None:
+                    assert want == ("HopfError",
+                                    "quotient is not a free module (non-unit pivot)")
+                    continue
+                law = _counit_law_holds(K)
+                assert bool(eliminated) != law, (G.name, basis)
+                if not law:
+                    unshared += 1
+                    continue
+                Kbar, proj = quotient(K, S)
+                assert all(map(operator.is_, Kbar.sparse, K.sparse)) and Kbar._kept is K._kept
+                assert (Kbar.unit, Kbar.counit) == (K.unit, K.counit)
+                assert Kbar.name == (f"{K.name}/H" if K.name else None)
+                assert proj.alg == [K.basis_vector(i) for i in range(K.rank)]
+                shared += 1
+                if K is not H:  # a corruption the counit law does not see
+                    continue
+                for chi in points(K, R).elements if R.is_field and R.is_finite else ():
+                    if list(chi) == K.counit:
+                        continue
+                    # ker(chi), the ideal of the point chi: order 1, not ker(counit)
+                    P = ClosedSubgroup(K, real(R, [nonzeros(R, [c]) for c in chi]))
+                    want = quotient_outcome(_reference_quotient, K, P)
+                    eliminated.clear()
+                    assert quotient_outcome(_quotient_tensors, K, P) == want, (G.name, chi)
+                    assert P.order == 1 and eliminated, (G.name, chi)
+                    points_apart += 1
+                # the kept objects are G's: made on either, read on the other
+                assert Kbar.etale is K.etale and K.presentation is Kbar.presentation
+                for T in [T for T in ring_family(R) if T != R][:2]:
+                    assert Kbar.base_change(T) is K.base_change(T)
+                    assert points(Kbar, T) is points(K, T)
+                assert Kbar.torsion_subschemes is not K.torsion_subschemes
+    assert shared >= len(builtins_over(R)) and unshared, (shared, unshared)
+    assert points_apart or not (R.is_field and R.is_finite), name
 
 
 def test_quotient_of_a_span_that_is_no_ideal_is_not_closed():

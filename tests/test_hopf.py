@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import random
 import weakref
@@ -2143,3 +2144,147 @@ def test_rings_over_one_fiber_share_its_tangent_rows(monkeypatch, capsys):
                         or real(k, fiber, chi))
     assert cli.main(["theorem", "--builtin", "mu:15", "--base", "Zloc(3)"]) == 0
     assert len(built_for) == len(set(built_for)) == 3, built_for
+
+
+def _reference_points(G, Rp, bound=10000):
+    """points as it was made at every rank: the base change, the lifted
+    characters of each local part, and the table from generators."""
+    GR = G.base_change(Rp)
+    parts = [(hopf._lifted_points(G, S, bound), embed) for S, embed in Rp.local_parts()]
+    if functools.reduce(lambda size, part: size * len(part[0]), parts, 1) > bound:
+        raise HopfError(f"more than {bound} points (the points bound)")
+    if len(parts) == 1:
+        return hopf.point_group_from_set(GR, parts[0][0])
+    embedded = [[[embed(x) for x in v] for v in vecs] for vecs, embed in parts]
+    return hopf.point_group_from_set(GR, [[functools.reduce(Rp.add, xs) for xs in zip(*combo)]
+                                          for combo in itertools.product(*embedded)])
+
+
+def bounded_outcome(points_of, G, T, bound):
+    """(elements, table, identity) of points_of(G, T, bound), or the error."""
+    try:
+        P = points_of(G, T, bound)
+    except (HopfError, RingError) as exc:
+        return type(exc).__name__, str(exc)
+    return P.elements, P.table, P.identity_index
+
+
+# rings with no base map from some bases, and Zloc(p), whose points are
+# unsupported, besides those of POINT_RINGS
+RANK_ONE_RINGS = POINT_RINGS + ["GF(7)", "Z/25", "Z/35", "Dual(GF(5))", "Zloc(2)", "Zloc(3)"]
+
+
+def rank_one_schemes(R, rng):
+    """mu_1, the constant group of order 1, and the subgroup scheme of
+    ker(counit) of builtins in a unitriangular basis, whose counit value
+    need not be 1, where that ideal has unit pivots."""
+    from ffgs.constructions import trivial_subgroup
+    out = [mu(R, 1), constant_cyclic(R, 1)]
+    for G in builtins_over(R)[1:6]:
+        H = trivial_subgroup(rebased(G, unitriangular(R, G.rank, rng)))
+        if H.ideal.nonunit is None:
+            out.append(H.scheme())
+    return out
+
+
+def test_rank_one_points_are_the_counit(monkeypatch):
+    """The points of a rank-1 scheme are its one point, the counit along
+    the base map, made with no base change and no characters.  Over each
+    base of REFERENCE_BASES and each ring of RANK_ONE_RINGS, under the
+    bounds 0, 1 and the default, they equal those of the path they
+    replace, run on a fresh copy: the same errors with the same messages,
+    "more than 0 points (the points bound)" among them.  Over a finite ring
+    they equal oracle.enumerate_points."""
+    rng = random.Random(20411)
+    changes = []
+    real = GroupScheme.base_change
+    monkeypatch.setattr(GroupScheme, "base_change",
+                        lambda G, hom: changes.append(hom) or real(G, hom))
+    monkeypatch.setattr(hopf, "characters", lambda GR: changes.append(GR))
+    seen = set()
+    for name in REFERENCE_BASES:
+        R = parse_ring(name)
+        for G in rank_one_schemes(R, rng):
+            assert G.rank == 1
+            for T in map(parse_ring, RANK_ONE_RINGS):
+                for bound in (0, 1, 10000):
+                    changes.clear()
+                    got = bounded_outcome(points, G, T, bound)
+                    assert not changes, (G.name, name, T.name())
+                    with monkeypatch.context() as patched:
+                        patched.setattr(GroupScheme, "base_change", real)
+                        patched.setattr(hopf, "characters", _reference_characters)
+                        want = bounded_outcome(_reference_points, fresh(G), T, bound)
+                    assert got == want, (G.name, name, T.name(), bound)
+                    seen.add(got[0] if isinstance(got[0], str) else "points")
+                    if bound and T.is_finite and got[0] != "RingError":
+                        expected = enumerate_points(G, T)
+                        assert got == (expected.elements, expected.table,
+                                       expected.identity_index), (G.name, name, T.name())
+    assert seen == {"points", "RingError", "HopfError"}, seen
+
+
+def test_points_are_kept_per_ring_and_bound():
+    """points is made once per (ring, bound) and kept on the scheme; a
+    bound it exceeds raises on every call."""
+    G = constant_cyclic(F5, 6)
+    P = points(G, F5)
+    assert points(G, F5) is P and points(G, F5, 6) is not P
+    assert points(G, F5, 6).elements == P.elements
+    for _ in range(2):
+        with pytest.raises(HopfError, match="more than 5 points"):
+            points(G, F5, 5)
+
+
+TEST_FIELDS = [k.name() for k in _small_fields()] + ["Q"]
+
+
+def test_scalar_steps_on_lines_read_the_table(monkeypatch):
+    """On a factor e = a e_g the walk of `_splittings` reads the scalar of
+    e_idx off the row M[g][idx] (`_scalar_on_line`), with no product and
+    no ratio.  The characters equal `_reference_characters` on every
+    builtin over every test field, in its natural and a unitriangular
+    basis; the constant groups in their natural basis split into lines,
+    and no ratio is taken on a line."""
+    lookups, ratios = [], []
+    real_line, real_ratio = hopf._scalar_on_line, hopf._scalar_on
+    monkeypatch.setattr(hopf, "_scalar_on_line",
+                        lambda R, M, e, idx: lookups.append(e) or real_line(R, M, e, idx))
+    monkeypatch.setattr(hopf, "_scalar_on",
+                        lambda R, e, c: ratios.append(e) or real_ratio(R, e, c))
+    rng = random.Random(20412)
+    split = 0
+    for name in TEST_FIELDS:
+        R = parse_ring(name)
+        for G in builtins_over(R):
+            for basis, H in (("natural", G), ("unitriangular",
+                                              rebased(G, unitriangular(R, G.rank, rng)))):
+                lookups.clear()
+                ratios.clear()
+                assert hopf.characters(fresh(H)) == _reference_characters(H), \
+                    (G.name, name, basis)
+                assert all(len(e) > 1 for e in ratios), (G.name, name, basis)
+                if basis == "natural" and G.name.startswith("constant") \
+                        and len(hopf.characters(fresh(H))) == G.rank:
+                    assert lookups, (G.name, name)
+                    split += 1
+    assert split >= len(TEST_FIELDS), split
+
+
+def test_verify_reads_one_index_of_nonzero_products():
+    """`_partners`, kept on the scheme, lists for each a the k with e_a e_k
+    != 0, as the dense tables do, and `_live_pairs` is read off it.  The
+    law checks of `verify` read that index of A and of A^∨ (`_Laws`), and
+    a verify leaves it kept: on the reference corpus, corruptions
+    included."""
+    for label, G in reference_corpus():
+        R, m, D = G.ring, G.rank, dense_view(G)
+        live = [[k for k in range(m) if any(map(R.nonzero, D.mult[a][k]))] for a in range(m)]
+        assert G._partners == live, label
+        assert G._live_pairs == [(a, k) for a in range(m) for k in live[a] if k >= a], label
+        assert hopf._Laws(G)._partners is G._partners, label
+        dual = hopf._transposed(G)
+        assert hopf._Laws(dual)._partners is dual._partners, label
+        kept = G._partners
+        G.verify()
+        assert G._partners is kept, label

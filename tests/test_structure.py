@@ -30,7 +30,9 @@ from ffgs.structure import (InternalInconsistencyError, SplitResult,
                             theorem_decompose, verschiebung)
 from ffgs.testrings import test_ring_family as ring_family
 from test_acceptance import theorem_corpus
-from test_hopf import built, dense_mul, dense_view, rebased, unitriangular
+from test_constructions import SHARED_BASES
+from test_hopf import (_reference_points, built, builtins_over, dense_mul, dense_view,
+                       fresh, in_bases, rebased, unitriangular)
 from test_linalg import (dense_rows, identity_matrix, kernel_rows, solve, span_rows, sparse_rows,
                          transpose, vec_add, vec_scale, vec_sub)
 from test_oracle import relabelled
@@ -791,3 +793,90 @@ def test_etale_unique_subgroup_needs_a_prime_order():
         with pytest.raises(HopfError, match="etale scheme over a field"):
             etale_unique_subgroup(G, 2)
 
+
+
+def payload_outcome(run, G):
+    """run(G).to_dict(), or the error it raises."""
+    try:
+        return run(G).to_dict()
+    except (HopfError, RingError, InternalInconsistencyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", SHARED_BASES)
+def test_g_mod_1_payloads_match_a_run_with_nothing_shared(name, monkeypatch):
+    """theorem and connected-etale on every builtin over the base, in its
+    natural and a unitriangular basis, give the payloads, or the errors,
+    of a run with nothing shared: G/1 made by the coinvariant elimination,
+    with base changes, characters and points of its own, and the points
+    of a rank-1 scheme by the general path (`_reference_points`).  Where
+    G' is trivial, G/1 is G renamed."""
+    R = parse_ring(name)
+    rng = random.Random(f"nothing shared {name}")
+    renamed = []
+    real = hopf.GroupScheme.renamed
+    monkeypatch.setattr(hopf.GroupScheme, "renamed",
+                        lambda G, label: renamed.append(label) or real(G, label))
+    trivial = 0
+    for G in builtins_over(R):
+        for basis, H in in_bases(G, rng):
+            for run in (theorem_decompose, connected_etale_sequence):
+                renamed.clear()
+                got = payload_outcome(run, fresh(H))
+                with monkeypatch.context() as patched:
+                    patched.setattr(constructions, "_right_counit_law", lambda G, ident: False)
+                    patched.setattr(hopf, "_points", _reference_points)
+                    want = payload_outcome(run, fresh(H))
+                assert got == want, (G.name, basis, run.__name__)
+                if isinstance(got, dict):
+                    kernel_order = (got.get("extension") or got)["kernel_order"]
+                    assert bool(renamed) == (kernel_order == 1), (G.name, basis)
+                    trivial += kernel_order == 1
+    assert trivial, name
+
+
+class _Frozen(list):
+    """A list that refuses every change in place."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a shared table row or kept point group was changed")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+
+def _frozen(x):
+    return _Frozen(map(_frozen, x)) if isinstance(x, list) else x
+
+
+def test_no_caller_changes_a_shared_row_or_kept_points():
+    """G/1 shares G's table rows and its kept point groups, and `points`
+    hands the same PointGroup to every caller.  With G's tables frozen from
+    the start, and every kept PointGroup frozen after a first run, theorem,
+    connected-etale and the readers of points run again with the same
+    payloads, and none of them changes a row."""
+    cases = [("const:Z6", "Q"), ("mu:15", "Zloc(7)"), ("const:S3", "GF(7)"),
+             ("mu:6", "Z/25"), ("mu:10", "GF(11)"), ("const:Z10", "Dual(GF(3))")]
+    for spec, base in cases:
+        R = parse_ring(base)
+        [B] = built(spec, R)
+        G = hopf.GroupScheme(R, B.rank, _frozen(list(B.sparse)), B.unit, B.counit, B.name)
+        G.unit, G.counit = _Frozen(G.unit), _Frozen(G.counit)
+        runs = [theorem_decompose]
+        if R.is_field or R.is_finite:
+            runs.append(connected_etale_sequence)
+        first = [run(G).to_dict() for run in runs]
+        assert first[0]["kernel_order"] == 1 or spec == "mu:6", spec
+        kept = list(G._point_groups.values())
+        assert kept, spec
+        for P in kept:
+            P.elements, P.table = _Frozen(P.elements), _frozen(P.table)
+        assert [run(G).to_dict() for run in runs] == first, spec
+        for P in kept:
+            AbstractGroup.from_points(P).identify()
+            P.to_dict()
+        for T in ring_family(R):
+            if T.is_finite:
+                P = points(G, T)
+                assert points(G, T) is P
+                AbstractGroup.from_points(P).identify()

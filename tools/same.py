@@ -52,6 +52,7 @@ SWEEP_COMMANDS = [
     ["split"], ["split", "--kernel", "2"], ["split", "--kernel", "3"],
     ["split", "--budget-iso", "1"],
     ["connected-etale"], ["connected-etale", "--format", "json"],
+    ["theorem", "--budget-points", "0"], ["connected-etale", "--budget-points", "0"],
     ["decompose-p"], ["refine", "--kernels", "2,3"], ["classify-p"],
     ["dual", "--format", "json"],
 ]
