@@ -273,7 +273,7 @@ def cmd_refine(args):
     E = structure.common_refinement(*(
         cons.extension_witness(G, cons.kernel(hopf.convolution_power(G, d)),
                                budget=args.budget_points) for d in (d1, d2)))
-    flag, disc = hopf.is_etale(E.quotient)
+    flag, disc = hopf.is_etale(E.quotient), E.quotient.discriminant
     payload = {"refined": E.to_dict(),
                "quotient_discriminant": G.ring.show(disc)}
     lines = [

@@ -332,10 +332,15 @@ class ClosedSubgroup:
 
     @functools.cached_property
     def _normal(self):
-        """`is_normal`'s verdict: the first t with (id (x) pi) ad(v_t) != 0."""
+        """`is_normal`'s verdict: the first t with (id (x) pi) ad(v_t) != 0.
+        Where Delta is cocommutative the kept ad(e_i) is 1 (x) e_i
+        (`GroupScheme.adjoint`), so (id (x) pi) ad(v) = 1 (x) pi(v) = 0 for
+        every row v of I, and no tensor is made."""
         G, R = self.ambient, self.ambient.ring
+        pb = self.quotient_data()[1]  # a non-flat I raises first
+        if G.is_commutative():
+            return True, None
         ident = [[(j, R.one)] for j in range(G.rank)]
-        pb = self.quotient_data()[1]
         return next(((False, t) for t, v in enumerate(self.ideal)
                      if map_tensor(R, ident, pb, conjugation_tensor(G, v))),
                     (True, None))

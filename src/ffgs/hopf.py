@@ -46,15 +46,16 @@ the live pairs e_i e_j != 0 read off it, which `hom_pairs` reads for
 tangent rows (`_live_pairs`) and, for each index x, those whose product
 has an e_x term, which it reads for a known vector (`_pairs_into`),
 the generators `verify` checks the laws on (`algebra_generators`, its e_s,
-else the basis), the trace discriminant (`etale`),
-the ideal of the identity component (`identity_core`), the characters
-over a field (`field_characters`), the subschemes x^p = 1
-(`torsion_subschemes`), the base change to each ring (`base_change`),
-the points per ring and bound (`points`), and over a field the tangent
-solver of each character (`_lifted_points`) and the minimal polynomials
-(`_minpoly`) are kept too.  All but the subschemes sit in one store,
-which the scheme under another name on the same tables shares
-(`renamed`, G/1 in `constructions.quotient`).
+else the basis), the etale flag (`etale`) and the trace discriminant
+(`discriminant`), the ideal of the identity component (`identity_core`),
+the characters over a field (`field_characters`), the subschemes x^p = 1
+(`torsion_subschemes`), the distinct coefficients (`_coefficients`), the
+base change to each ring and the tables of each tuple of images
+(`base_change`), the points per ring and bound (`points`), and over a
+field the tangent solver of each character (`_lifted_points`) and the
+minimal polynomials (`_minpoly`) are kept too.  All but the subschemes
+sit in one store, which the scheme under another name on the same tables
+shares (`renamed`, G/1 in `constructions.quotient`).
 
 The points over an Artin local ring R lift the characters of the fiber
 over its residue field k (`_lifted_points`).  Where that fiber has all
@@ -339,9 +340,35 @@ class GroupScheme:
 
     @_kept_property
     def etale(self):
-        """is_etale(self), made on first use and kept."""
-        disc = trace_discriminant(self)
-        return self.ring.is_unit(disc), disc
+        """Whether the scheme is etale, that is, whether its trace
+        discriminant is a unit; made on first use and kept, by the first
+        rule that applies, each exact on a scheme that passes `verify`:
+        - over a field of characteristic 0, yes (Cartier; Waterhouse,
+          Introduction to Affine Group Schemes, 11.4);
+        - over a field where the presentation's s generates A = k[t]/(mu),
+          iff eps(s) is a simple root of mu, mu'(eps(s)) != 0: the local
+          factor at the identity is k[t]/((t - eps(s))^e), e the
+          multiplicity, and G is etale iff that factor is k;
+        - over a base that is not a field, iff every fiber over a closed
+          point is, as R is semi-local and the discriminant commutes with
+          base change;
+        - else iff the kept `discriminant` is a unit."""
+        R = self.ring
+        if not R.is_field:
+            return all(self.base_change(p.residue_field).etale
+                       for p in spectrum(R) if not p.specializations)
+        if R.char() == 0:
+            return True
+        pres = self.presentation
+        if pres.index is not None:
+            return R.nonzero(_derivative_at(R, pres.minpoly, self.counit[pres.index]))
+        return R.is_unit(self.discriminant)
+
+    @_kept_property
+    def discriminant(self):
+        """trace_discriminant(self), made on first use and kept: read where
+        it is printed, and by `etale` where no other rule applies."""
+        return trace_discriminant(self)
 
     @_kept_property
     def identity_core(self):
@@ -385,12 +412,14 @@ class GroupScheme:
     # the store of the kept objects, shared by a copy under another name
     _kept = functools.cached_property(lambda G: {})
 
-    # filled as they are made: the base change to each ring (`base_change`),
-    # the points per (ring, bound) (`points`) and, over a field, the tangent
-    # solvers (`_lifted_points`) and minimal polynomials
-    _base_changes, _point_groups, _tangents, _minpolys = (
+    # filled as they are made: the base change to each ring and the tables
+    # of each tuple of images (`base_change`), the points per (ring, bound)
+    # (`points`) and, over a field, the tangent solvers (`_lifted_points`)
+    # and minimal polynomials
+    _base_changes, _image_tables, _point_groups, _tangents, _minpolys = (
         _kept_property(lambda G: {}, name)
-        for name in ("_base_changes", "_point_groups", "_tangents", "_minpolys"))
+        for name in ("_base_changes", "_image_tables", "_point_groups", "_tangents",
+                     "_minpolys"))
     # the closed subscheme x^p = 1 for each prime p (`structure`), a subgroup
     # of this scheme, so kept apart from the store a copy shares
     torsion_subschemes = functools.cached_property(lambda G: {})
@@ -607,7 +636,16 @@ class GroupScheme:
         the base change along find_hom, made once per ring and kept.  A
         field over a residue field k0 whose fiber is kept is reached
         through it (`Ring.residue_field_below`), so its characters can
-        carry up (`field_characters`); find_hom factors through k0."""
+        carry up (`field_characters`); find_hom factors through k0.
+
+        hom maps each distinct coefficient once (`_coefficients`).  Where
+        every image is its coefficient, of the same type, the new scheme
+        is made on G's own tables; else the tables of each tuple of images
+        are made once and kept in G's store, so that rings with the same
+        images, such as GF(4) and GF(32), or GF(p) and Z/p^e below
+        Zloc(p), share them.  Either way the new scheme keeps its own
+        objects, as its characters, points and fibers depend on the ring.
+        No caller changes a table row."""
         if isinstance(hom, Ring):
             if hom == self.ring:
                 return self
@@ -621,21 +659,48 @@ class GroupScheme:
             return self._base_changes[hom]
         if hom.source != self.ring:
             raise RingError("base change homomorphism has the wrong source")
-        # only the nonzeros are mapped, and the entries sent to zero dropped
-        f, nonzero = hom.fn, hom.target.nonzero
-        M, C, S = self.sparse
-
-        def image(entries):
-            return [(x, d) for x, c in entries if nonzero(d := f(c))]
-
-        tables = ([[image(v) for v in row] for row in M],
-                  [[(j, k, d) for j, k, c in terms if nonzero(d := f(c))] for terms in C],
-                  [image(v) for v in S])
-        out = GroupScheme(hom.target, self.rank, tables, image(self.unit),
-                          [f(c) for c in self.counit], self.name)
+        # each distinct coefficient is mapped once
+        f, nonzero, values = hom.fn, hom.target.nonzero, self._coefficients
+        images = {key: f(c) for key, c in values.items()}
+        if all(_typed(d) == _typed(values[key]) for key, d in images.items()):
+            tables, unit = self.sparse, self.unit
+        else:
+            shape = tuple(_typed(d) if nonzero(d) else None for d in images.values())
+            if shape not in self._image_tables:
+                self._image_tables[shape] = self._mapped_tables(
+                    {key: d if nonzero(d) else None for key, d in images.items()})
+            tables, unit = self._image_tables[shape]
+        out = GroupScheme(hom.target, self.rank, tables, unit,
+                          [images[type(c), c] for c in self.counit], self.name)
         if hom.source.is_field and hom.target.is_field:
             out._made_along = self, hom
         return out
+
+    @_kept_property
+    def _coefficients(self):
+        """{(type, value): value} for the distinct values of mult, comult,
+        antipode, the unit and the counit, made on first use and kept: an
+        int and the Fraction it equals are two, as a map may tell them
+        apart."""
+        M, C, S = self.sparse
+        out = {(type(c), c): c for row in M for v in row for _, c in v}
+        out.update(((type(c), c), c) for terms in C for *_, c in terms)
+        out.update(((type(c), c), c) for v in [*S, self.unit] for _, c in v)
+        out.update(((type(c), c), c) for c in self.counit)
+        return out
+
+    def _mapped_tables(self, image):
+        """((mult, comult, antipode), unit) with each entry c replaced by
+        image[(type(c), c)], and dropped where that is None (sent to 0)."""
+        M, C, S = self.sparse
+
+        def row(entries):
+            return [(x, d) for x, c in entries if (d := image[type(c), c]) is not None]
+
+        return ([[row(v) if v else [] for v in r] for r in M],
+                [[(j, k, d) for j, k, c in terms if (d := image[type(c), c]) is not None]
+                 for terms in C],
+                [row(v) for v in S]), row(self.unit)
 
     def to_dict(self) -> dict:
         """The dense lists, written from the tables: each row is a copy of
@@ -715,6 +780,12 @@ class GroupScheme:
     def __repr__(self):
         tag = self.name or "group scheme"
         return f"<{tag} of order {self.rank} over {self.ring.name()}>"
+
+
+def _typed(c):
+    """c with the type of each of its parts: equal as values, an int and a
+    Fraction, or two pairs of them, are still two coefficients."""
+    return type(c), (tuple(map(_typed, c)) if type(c) is tuple else c)
 
 
 def _base_map(R: Ring, S: Ring) -> RingHom:
@@ -1193,6 +1264,15 @@ def _eigen_idempotent(GR: GroupScheme, minpoly, powers, lam):
     return lift_idempotent(GR, u)
 
 
+def _derivative_at(R: Ring, coeffs, x):
+    """mu'(x) for the polynomial mu with coefficients coeffs, low degree
+    first, by Horner's scheme."""
+    acc = R.zero
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = R.add(R.mul(acc, x), R.mul(R.from_int(i), coeffs[i]))
+    return acc
+
+
 def _scalar_on(R: Ring, e, c):
     """s with c = s e, or None: s is c/e at the first nonzero entry of e."""
     j, x = e[0]
@@ -1322,8 +1402,9 @@ def trace_discriminant(G: GroupScheme):
     return G.ring.det(trace_form(G))
 
 
-def is_etale(G: GroupScheme):
-    """(flag, discriminant): is the trace-form discriminant a unit?"""
+def is_etale(G: GroupScheme) -> bool:
+    """Is the trace-form discriminant a unit?  The kept flag, read without
+    the discriminant where a rule gives it (`GroupScheme.etale`)."""
     return G.etale
 
 
@@ -1431,7 +1512,7 @@ def _lifted_points(G: GroupScheme, R: Ring, bound: int):
     others take the steps, each with an empty kernel."""
     k, lift, steps = R.residue_lifting()
     fiber = G.base_change(k)
-    if R == QQ and not is_etale(fiber)[0]:
+    if R == QQ and not is_etale(fiber):
         raise HopfError("Q-points are supported for etale schemes only")
     if not steps:
         return fiber.field_characters

@@ -72,7 +72,7 @@ def infinitesimal_rank(G: GroupScheme) -> int:
     is the base field itself."""
     if not G.ring.is_field:
         raise HopfError("infinitesimal rank is a fiber invariant")
-    return 1 if is_etale(G)[0] else G.rank - len(G.identity_core)
+    return 1 if is_etale(G) else G.rank - len(G.identity_core)
 
 
 def separable_rank(G: GroupScheme) -> int:
@@ -130,8 +130,7 @@ def classify_order_p(G: GroupScheme) -> str:
     finite field (Frobenius/Verschiebung criterion)."""
     if not is_prime(G.rank):
         raise HopfError("classifier applies to prime-order schemes")
-    flag, _ = is_etale(G)
-    if flag:
+    if is_etale(G):
         return "etale"
     # connected of order p forces char = p, over a field
     if G.ring.char() != G.rank:
@@ -184,14 +183,13 @@ def fiber_report(G: GroupScheme):
         fiber = G.base_change(s.residue_field)
         i = infinitesimal_rank(fiber)
         sep = separable_rank(fiber)
-        flag, _ = is_etale(fiber)
         if i == 1:
             cls = "trivial"
         elif is_prime(i) and i == fiber.ring.char():  # our char-p fields are finite
             cls = classify_order_p(identity_component(fiber).scheme())
         else:
             cls = "none"
-        out.append(FiberReport(s, fiber, i, sep, flag, cls))
+        out.append(FiberReport(s, fiber, i, sep, is_etale(fiber), cls))
     return out
 
 
@@ -232,7 +230,7 @@ def etale_unique_subgroup(G: GroupScheme, d: int):
     When there is one, that subscheme is it."""
     if not is_prime(d):
         raise HopfError(f"unique-subgroup count needs a prime order, not {d}")
-    if not G.ring.is_field or not is_etale(G)[0]:
+    if not G.ring.is_field or not is_etale(G):
         raise HopfError("unique-subgroup count needs an etale scheme over a field")
     H = _torsion(G, d)
     count = (H.order - 1) // (d - 1)
@@ -432,11 +430,9 @@ def connected_etale_sequence(G: GroupScheme, budget: int = 200000) -> ExtensionW
     """1 -> G^0 -> G -> G_et -> 1, its ledger within `budget` points."""
     H = identity_component(G)
     E = extension_witness(G, H, budget)
-    flag, disc = is_etale(E.quotient)
-    if not flag:
-        raise InternalInconsistencyError(
-            f"connected-etale quotient has non-unit discriminant {G.ring.show(disc)}"
-        )
+    if not is_etale(E.quotient):
+        raise InternalInconsistencyError("connected-etale quotient has non-unit "
+                                         f"discriminant {G.ring.show(E.quotient.discriminant)}")
     return E
 
 
@@ -467,7 +463,7 @@ def hochschild_split(E: ExtensionWitness, budget: int = 200000) -> SplitResult:
     is onto there, as checked).  budget bounds the section search alone."""
     nker = E.kernel.order
     nquo = E.quotient.rank
-    if not is_etale(E.quotient)[0]:
+    if not is_etale(E.quotient):
         raise HopfError("splitting needs an etale quotient")
     if gcd(nker, nquo) != 1:
         raise HopfError("splitting needs coprime kernel and quotient orders")
@@ -529,7 +525,7 @@ def common_refinement(E1: ExtensionWitness, E2: ExtensionWitness) -> ExtensionWi
     kernels; its ledger takes points within the smaller of their budgets."""
     if E1.total is not E2.total and E1.total.to_dict() != E2.total.to_dict():
         raise HopfError("refinement needs extensions of the same scheme")
-    if not (is_etale(E1.quotient)[0] and is_etale(E2.quotient)[0]):
+    if not (is_etale(E1.quotient) and is_etale(E2.quotient)):
         raise HopfError("refinement needs etale quotients")
     K = intersect(E1.kernel, E2.kernel)
     rep = K.verify_hopf_ideal()
@@ -539,7 +535,7 @@ def common_refinement(E1: ExtensionWitness, E2: ExtensionWitness) -> ExtensionWi
         E = extension_witness(E1.total, K, min(E1.budget, E2.budget))
     except HopfError as exc:
         raise InternalInconsistencyError(f"refined kernel not flat: {exc}")
-    if not is_etale(E.quotient)[0]:
+    if not is_etale(E.quotient):
         raise InternalInconsistencyError(
             "refined quotient has a non-unit discriminant"
         )
@@ -625,11 +621,11 @@ def theorem_decompose(G: GroupScheme, budget: int = 200000,
         Gprime = trivial_subgroup(G)
         subgroups = []
     E = extension_witness(G, Gprime, budget=budget)
-    flag, disc = is_etale(E.quotient)
-    if not flag:
+    if not is_etale(E.quotient):
         raise InternalInconsistencyError(
             "the quotient by the infinitesimal part is not etale"
         )
+    disc = E.quotient.discriminant  # printed, so made
     # order_p_subgroup refused a factor that conjugation moves
     conjugation = [(p, is_normal(H)[0]) for p, H in subgroups]
     if Gprime.order > 1:

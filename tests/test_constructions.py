@@ -14,7 +14,7 @@ from ffgs.constructions import (ClosedSubgroup, IsoResult, alpha, constant,
                                 trivial_subgroup, whole_subgroup)
 from ffgs.hopf import (GroupScheme, GroupSchemeHom, HopfError,
                        VerificationReport, cartier_dual, convolution_power, dense,
-                       nonzeros, points)
+                       map_tensor, nonzeros, points)
 from ffgs import constructions, linalg
 from ffgs.linalg import add_scaled, canonical_span, member, reduce_mod_span, row_kernel
 from ffgs.oracle import AbstractGroup, s3_table
@@ -405,7 +405,7 @@ def _seeded_ideals(G, rng, count):
     alone, most of them no ideals, and the augmentation ideal in G with a
     twisted antipode, a Hopf ideal but for antipode stability."""
     for s in range(count):
-        if s % 2 and G.name.startswith("constant"):
+        if s % 2 and (G.name or "").startswith("constant"):
             keep = {0} | {g for g in range(1, G.rank) if rng.random() < 0.4}
             rows = [e for g, e in enumerate(identity_matrix(G.ring, G.rank)) if g not in keep]
             yield subgroup(G, rows)
@@ -709,6 +709,62 @@ def test_quotient_by_the_trivial_subgroup_is_the_scheme(name, monkeypatch):
                 assert Kbar.torsion_subschemes is not K.torsion_subschemes
     assert shared >= len(builtins_over(R)) and unshared, (shared, unshared)
     assert points_apart or not (R.is_field and R.is_finite), name
+
+
+def _tensor_path_is_normal(H):
+    """is_normal by the conjugation tensors for every Delta: the first t
+    with (id (x) pi) ad(v_t) != 0."""
+    G, R = H.ambient, H.ambient.ring
+    ident = [[(j, R.one)] for j in range(G.rank)]
+    pb = H.quotient_data()[1]
+    return next(((False, t) for t, v in enumerate(H.ideal)
+                 if map_tensor(R, ident, pb, conjugation_tensor(G, v))), (True, None))
+
+
+def _normal_outcome(check, H):
+    try:
+        return check(H)
+    except HopfError as exc:
+        return "HopfError", str(exc)
+
+
+@pytest.mark.parametrize("name", SHARED_BASES)
+def test_normality_without_tensors_for_a_cocommutative_delta(name, monkeypatch):
+    """is_normal equals the tensor path, a non-flat ideal raising on both:
+    on every builtin over the base, in its natural and a unitriangular
+    basis, for the trivial and whole subgroups, the kernels of [p] and
+    seeded ideals with a twisted antipode among them, and over
+    PROJECTION_BASES on the corpus of
+    test_projection_checks_match_span_reference.  Where Delta is
+    cocommutative it makes no conjugation tensor."""
+    R = parse_ring(name)
+    rng = random.Random(f"normal {name}")
+    made = []
+    real = constructions.conjugation_tensor
+    monkeypatch.setattr(constructions, "conjugation_tensor",
+                        lambda G, v: made.append(G) or real(G, v))
+    cases = []
+    for G in builtins_over(R):
+        for _, H in in_bases(G, rng):
+            cases += [trivial_subgroup(H), whole_subgroup(H)]
+            cases += _seeded_ideals(H, rng, 2) if H.rank > 1 else []
+            if H.is_commutative():
+                cases += [kernel(convolution_power(H, p)) for p in prime_factors(H.rank)]
+    if name in PROJECTION_BASES:
+        for G in (mu(R, 4), constant(R, s3_table()), _s3_sdp(R)):
+            cases += _seeded_ideals(G, random.Random(f"{name} {G.name}"), 6)
+    seen = set()
+    for K in cases:
+        made.clear()
+        got = _normal_outcome(is_normal, K)
+        assert got == _normal_outcome(_tensor_path_is_normal, K), (K.ambient.name, K.ideal)
+        commutative = K.ambient.is_commutative()
+        assert not (commutative and made), (K.ambient.name, K.ideal)
+        seen.add((commutative, got[0]))
+    # both paths meet normal and non-normal verdicts; off a field, a
+    # cocommutative Delta meets non-flat ideals, which still raise
+    assert {(True, True), (False, True), (False, False)} <= seen, seen
+    assert R.is_field or (True, "HopfError") in seen, seen
 
 
 def test_quotient_of_a_span_that_is_no_ideal_is_not_closed():

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -15,8 +16,8 @@ from ffgs.hopf import HopfError, convolution_power, dense, hom_on_points, nonzer
 from ffgs.linalg import canonical_span
 from ffgs.oracle import (AbstractGroup, cyclic_table, product_table, s3_table,
                          subgroup_lattice)
-from ffgs.rings import (QQ, IntegersMod, PrimeField, RingError, RingHom, find_hom,
-                        is_prime, parse_ring)
+from ffgs.rings import (QQ, DualNumbers, IntegersMod, PrimeField, RingError, RingHom,
+                        find_hom, gf, is_prime, parse_ring)
 from ffgs.structure import (InternalInconsistencyError, SplitResult,
                             _section_search, _torsion, _torsion_equalizer,
                             classify_order_p,
@@ -25,14 +26,14 @@ from ffgs.structure import (InternalInconsistencyError, SplitResult,
                             fiber_report, frobenius,
                             hochschild_split, identity_component,
                             infinitesimal_rank, is_etale, locus_report,
-                            order_p_subgroup, p_primary_decompose,
+                            order_p_subgroup, p_primary_decompose, p_twist,
                             separable_rank, splitting_points,
                             theorem_decompose, verschiebung)
 from ffgs.testrings import test_ring_family as ring_family
 from test_acceptance import theorem_corpus
 from test_constructions import SHARED_BASES
 from test_hopf import (_reference_points, built, builtins_over, dense_mul, dense_view,
-                       fresh, in_bases, rebased, unitriangular)
+                       fresh, in_bases, nnz, rebased, unitriangular)
 from test_linalg import (dense_rows, identity_matrix, kernel_rows, solve, span_rows, sparse_rows,
                          transpose, vec_add, vec_scale, vec_sub)
 from test_oracle import relabelled
@@ -61,10 +62,10 @@ def test_infinitesimal_and_separable_ranks():
 
 
 def test_is_etale():
-    assert is_etale(mu(Q, 6))[0]
-    assert is_etale(mu(F5, 6))[0]
-    assert not is_etale(mu(F3, 6))[0]
-    assert not is_etale(alpha(F3, 3))[0]
+    assert is_etale(mu(Q, 6))
+    assert is_etale(mu(F5, 6))
+    assert not is_etale(mu(F3, 6))
+    assert not is_etale(alpha(F3, 3))
 
 
 def test_identity_component():
@@ -454,8 +455,7 @@ def _reference_hochschild_split(E, budget=200000):
     ring made again, under the section search budget."""
     nker = E.kernel.order
     nquo = E.quotient.rank
-    flag, _ = is_etale(E.quotient)
-    if not flag:
+    if not E.quotient.ring.is_unit(hopf.trace_discriminant(E.quotient)):
         raise HopfError("splitting needs an etale quotient")
     if gcd(nker, nquo) != 1:
         raise HopfError("splitting needs coprime kernel and quotient orders")
@@ -599,7 +599,8 @@ def test_theorem_makes_each_torsion_subscheme_once(monkeypatch):
 
 def test_theorem_decides_normality_once_per_subgroup(monkeypatch):
     # the order-p subgroup was checked in order_p_subgroup (and on its Q
-    # base change over Zloc), in theorem_decompose and in extension_witness
+    # base change over Zloc), in theorem_decompose and in extension_witness;
+    # a cocommutative Delta decides it with no conjugation tensor
     conjugated = []
     real = constructions.conjugation_tensor
     monkeypatch.setattr(constructions, "conjugation_tensor",
@@ -607,7 +608,7 @@ def test_theorem_decides_normality_once_per_subgroup(monkeypatch):
     for G in (mu(ZL2, 6), s3_semidirect(parse_ring("Zloc(3)")), mu(F3, 6)):
         conjugated.clear()
         [(_, H)] = theorem_decompose(G).factors
-        assert len(conjugated) == len(H.ideal), G.name
+        assert len(conjugated) == (0 if G.is_commutative() else len(H.ideal)), G.name
         assert all(A is G for A in conjugated), G.name
 
 
@@ -624,7 +625,7 @@ def test_theorem_makes_the_identity_core_once_per_scheme(monkeypatch):
         calls.clear()
         theorem_decompose(G)
         assert all(A is G for A in calls), G.name
-        assert len(calls) == (0 if is_etale(G)[0] else 1), G.name
+        assert len(calls) == (0 if is_etale(G) else 1), G.name
 
 
 
@@ -660,17 +661,23 @@ def test_each_quotient_discriminant_is_made_once(monkeypatch, capsys):
         assert main(argv) == 0, argv
         # quotients are named G/H; seen keeps them alive, so ids are unique
         quotients = [G for G in seen if G.name and G.name.endswith("/H")]
-        assert quotients, argv
         assert len({id(G) for G in quotients}) == len(quotients), argv
-        # nor is any other scheme, such as the Q fiber of mu_6 over Zloc(3),
-        # which the reduction map once discriminated again
+        # nor is any other scheme discriminated twice
         assert len({id(G) for G in seen}) == len(seen), argv
-        assert argv[0] != "theorem" or any(G.ring == Q for G in seen)
+        # only quotients are discriminated: theorem and refine print theirs
+        # (refine's quotients of a constant group have no generating basis
+        # vector, so their flags read the kept discriminant as well), and
+        # split and connected-etale read the flag alone
+        assert len(quotients) == len(seen), argv
+        assert bool(seen) == (argv[0] in ("theorem", "refine")), argv
+        # the Q fiber of mu_6 over Zloc(3) is etale in characteristic 0,
+        # with no Gram matrix
+        assert not any(G.ring == Q for G in seen), argv
     capsys.readouterr()
     # the preconditions still hold: a quotient that is not etale is refused
     G = mu(F3, 3)
     E = extension_witness(G, trivial_subgroup(G))
-    assert not is_etale(E.quotient)[0]
+    assert not is_etale(E.quotient)
     with pytest.raises(HopfError, match="etale"):
         hochschild_split(E)
     with pytest.raises(HopfError, match="etale"):
@@ -680,8 +687,8 @@ def test_each_quotient_discriminant_is_made_once(monkeypatch, capsys):
 def _reference_reduction_hom(G):
     """A good-reduction map Q -> GF(p) for an etale scheme over Q: the
     smallest prime dividing no denominator and not the discriminant."""
-    flag, disc = is_etale(G)
-    assert flag
+    disc = hopf.trace_discriminant(G)
+    assert G.ring.is_unit(disc)
     M, C, S = G.sparse
     entries = [c for row in M for v in row for _, c in v] + [c for _, c in G.unit] + G.counit
     entries += [c for terms in C for *_, c in terms] + [c for v in S for _, c in v]
@@ -849,14 +856,26 @@ def _frozen(x):
     return _Frozen(map(_frozen, x)) if isinstance(x, list) else x
 
 
-def test_no_caller_changes_a_shared_row_or_kept_points():
-    """G/1 shares G's table rows and its kept point groups, and `points`
-    hands the same PointGroup to every caller.  With G's tables frozen from
-    the start, and every kept PointGroup frozen after a first run, theorem,
-    connected-etale and the readers of points run again with the same
-    payloads, and none of them changes a row."""
+def test_no_caller_changes_a_shared_row_or_kept_points(monkeypatch):
+    """G/1 shares G's table rows and its kept point groups, a base change
+    shares G's rows or the image tables kept in G's store, and `points`
+    hands the same PointGroup to every caller.  With G's tables and every
+    image table frozen from the start, and every kept PointGroup frozen
+    after a first run, theorem, connected-etale and the readers of points
+    run again with the same payloads, and none of them changes a row."""
+    imaged = []
+    real = hopf.GroupScheme._mapped_tables
+
+    def frozen_images(G, image):
+        tables, unit = real(G, image)
+        imaged.append(G)
+        return tuple(map(_frozen, tables)), _frozen(unit)
+
+    monkeypatch.setattr(hopf.GroupScheme, "_mapped_tables", frozen_images)
+    shared = 0
     cases = [("const:Z6", "Q"), ("mu:15", "Zloc(7)"), ("const:S3", "GF(7)"),
-             ("mu:6", "Z/25"), ("mu:10", "GF(11)"), ("const:Z10", "Dual(GF(3))")]
+             ("mu:6", "Z/25"), ("mu:10", "GF(11)"), ("const:Z10", "Dual(GF(3))"),
+             ("ot2:2,-1", "Zloc(2)")]
     for spec, base in cases:
         R = parse_ring(base)
         [B] = built(spec, R)
@@ -866,7 +885,8 @@ def test_no_caller_changes_a_shared_row_or_kept_points():
         if R.is_field or R.is_finite:
             runs.append(connected_etale_sequence)
         first = [run(G).to_dict() for run in runs]
-        assert first[0]["kernel_order"] == 1 or spec == "mu:6", spec
+        assert first[0]["kernel_order"] == 1 or spec in ("mu:6", "ot2:2,-1"), spec
+        shared += sum(H.sparse.mult is G.sparse.mult for H in G._base_changes.values())
         kept = list(G._point_groups.values())
         assert kept, spec
         for P in kept:
@@ -880,3 +900,135 @@ def test_no_caller_changes_a_shared_row_or_kept_points():
                 P = points(G, T)
                 assert points(G, T) is P
                 AbstractGroup.from_points(P).identify()
+    assert shared and imaged, (shared, imaged)
+
+
+def _reference_base_change(G, hom):
+    """G along hom entry by entry, as `GroupScheme.base_change` once made
+    it: every nonzero entry mapped, and those sent to zero dropped."""
+    f, nonzero = hom.fn, hom.target.nonzero
+    M, C, S = G.sparse
+
+    def image(entries):
+        return [(x, d) for x, c in entries if nonzero(d := f(c))]
+
+    tables = ([[image(v) for v in row] for row in M],
+              [[(j, k, d) for j, k, c in terms if nonzero(d := f(c))] for terms in C],
+              [image(v) for v in S])
+    return hopf.GroupScheme(hom.target, G.rank, tables, image(G.unit),
+                            [f(c) for c in G.counit], G.name)
+
+
+def _typed(x):
+    """x with the type of each entry: an int and the Fraction it equals,
+    or (1,) and (Fraction(1),), differ here."""
+    return [_typed(y) for y in x] if isinstance(x, (list, tuple)) else (type(x), x)
+
+
+def _entries(G):
+    return G.ring, G.rank, G.name, _typed([*G.sparse, G.unit, G.counit])
+
+
+@pytest.mark.parametrize("name", SHARED_BASES)
+def test_base_change_by_value_matches_the_entrywise_reference(name):
+    """Every builtin over the base, in its natural and a unitriangular
+    basis, and over Dual(k) one with eps-parts, base-changed to every test
+    ring, to GF(4)-GF(32) where there is a map, and along the Frobenius
+    twist, equals the entrywise reference in type as well as in value.
+    Where the reference is the scheme itself the tables are G's own, and
+    the test rings with equal images share one set; each base change keeps
+    its own objects.  Off a field, coefficients sent to 0 are met (ot2
+    over Zloc(2) -> GF(2), alpha_p and eps-parts over Dual(GF(p)) ->
+    GF(p))."""
+    R = parse_ring(name)
+    rng = random.Random(f"base change {name}")
+    targets = ring_family(R)
+    targets += [T for T in (gf(2, k) for k in range(2, 6))
+                if T not in targets and find_hom(R, T) is not None]
+    dropped = own = shared = 0
+    for G in builtins_over(R):
+        schemes = [H for _, H in in_bases(G, rng)]
+        if isinstance(R, DualNumbers):
+            schemes.append(rebased(G, unitriangular(R, G.rank, rng, eps=True)))
+        for H in schemes:
+            tables = {}
+            for T in targets:
+                got = H.base_change(T)
+                if T == R:
+                    assert got is H
+                    continue
+                want = _reference_base_change(H, find_hom(R, T))
+                assert _entries(got) == _entries(want), (G.name, T.name())
+                assert got._kept is not H._kept
+                if _typed(list(want.sparse)) == _typed(list(H.sparse)):
+                    assert all(map(operator.is_, got.sparse, H.sparse)), (G.name, T.name())
+                    own += 1
+                dropped += nnz(want) < nnz(H)
+                tables.setdefault(id(got.sparse.mult), []).append(T)
+            shared += any(len(rings) > 1 for rings in tables.values())
+            if R.char():
+                p = R.char()
+                twist = RingHom(R, R, lambda a, p=p: R.pow(a, p), f"x -> x^{p}")
+                assert _entries(p_twist(H)) == _entries(_reference_base_change(H, twist))
+    # rings with equal images, such as GF(4) to GF(32) over GF(2), or GF(p)
+    # and Z/p^e over Zloc(p), share one set of tables
+    assert shared or len([T for T in targets if T != R]) < 3, name
+    # off a field: Zloc(p) -> Q and Z/n -> Z/d fix every entry of mu_n, and
+    # entries divisible by p, or eps-parts, are sent to 0
+    assert (own or isinstance(R, DualNumbers)) and dropped or R.is_field, name
+
+
+def test_base_change_tells_an_int_from_the_fraction_it_equals():
+    """Over Zloc(5) an entry may be the int 1 or Fraction(1), equal as
+    values; each is its own coefficient, as a map may send them apart.  mu_6
+    holding both, base-changed to Q, Dual(Q), GF(5), Z/25 and Dual(GF(5)),
+    equals the entrywise reference in type as well as in value: GF(5) and
+    Z/25 get ints, and Dual(Q) and Dual(GF(5)), whose images are equal as
+    values, do not share tables."""
+    R = parse_ring("Zloc(5)")
+    B, count = mu(R, 6), itertools.count()
+
+    def mixed(c):  # every other entry as a Fraction
+        return Fraction(c) if next(count) % 2 else c
+
+    M, C, S = B.sparse
+    G = hopf.GroupScheme(R, 6, ([[[(x, mixed(c)) for x, c in v] for v in r] for r in M],
+                                [[(j, k, mixed(c)) for j, k, c in t] for t in C],
+                                [[(x, mixed(c)) for x, c in v] for v in S]),
+                         B.unit, [mixed(c) for c in B.counit], B.name)
+    assert {type(c) for c in G.counit} == {int, Fraction}
+    for T in map(parse_ring, ("Q", "Dual(Q)", "GF(5)", "Z/25", "Dual(GF(5))")):
+        want = _reference_base_change(G, find_hom(R, T))
+        assert _entries(G.base_change(T)) == _entries(want), T.name()
+    assert G.base_change(Q).sparse.mult is G.sparse.mult
+    assert G.base_change(parse_ring("Dual(Q)")).sparse.mult is not \
+        G.base_change(parse_ring("Dual(GF(5))")).sparse.mult
+
+
+@pytest.mark.parametrize("name", SHARED_BASES)
+def test_etale_flag_matches_the_discriminant(name, monkeypatch):
+    """The kept flag, read by its rules, equals is_unit(trace_discriminant)
+    on every builtin over the base and over each ring of its family, in
+    its natural and a unitriangular basis.  Among them are fibers that are
+    not etale (mu_p over GF(p), alpha_p, schemes over Dual(GF(p))), and
+    schemes on which no basis vector generates, whose flag reads the
+    discriminant (the Gram fallback); over Q none does."""
+    R = parse_ring(name)
+    rng = random.Random(f"etale {name}")
+    discriminated = []
+    real = hopf.trace_discriminant
+    monkeypatch.setattr(hopf, "trace_discriminant",
+                        lambda G: discriminated.append(G) or real(G))
+    flags = set()
+    for G in builtins_over(R):
+        for basis, H in in_bases(G, rng):
+            for T in ring_family(R):
+                K = fresh(H).base_change(T)
+                discriminated.clear()
+                flag = is_etale(K)
+                assert flag == T.is_unit(real(K)), (G.name, basis, T.name())
+                flags.add((flag, bool(discriminated)))
+    assert (True, False) in flags, flags
+    assert (False, False) in flags or R.char() not in (2, 3), flags
+    assert {(True, True), (False, True)} & flags or R == Q, flags
+    assert not {(True, True), (False, True)} & flags or R != Q, flags

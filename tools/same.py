@@ -14,7 +14,9 @@ lines in both trees, each tree in a fresh interpreter that calls
     ring of each base;
   * the commands of `FILE_COMMANDS` on each valid input file of those
     `hopf-verify` tasks, in its natural or dense basis, then `points`
-    over every test ring of its base.
+    over every test ring of its base;
+  * the runs of `LARGE_RUNS`, each made once: orders 105 to 330, above
+    the sweep's 15.
 
 It prints each run whose exit code, stdout or stderr differ, with both
 results, then one summary line with the number of differences and the
@@ -57,6 +59,12 @@ SWEEP_COMMANDS = [
     ["dual", "--format", "json"],
 ]
 FILE_COMMANDS = [["theorem"], ["fibers"], ["connected-etale"], ["split"]]
+LARGE_RUNS = [
+    ["theorem", "--builtin", "mu:210", "--base", "Zloc(7)", "--format", "json"],
+    ["theorem", "--builtin", "const:Z66", "--base", "Zloc(2)", "--format", "json"],
+    ["theorem", "--builtin", "mu:330", "--base", "Zloc(11)", "--format", "json"],
+    ["fibers", "--builtin", "mu:105", "--base", "Zloc(7)"],
+]
 
 
 def sweep():
@@ -169,7 +177,7 @@ def main(argv):
                        check=True)
         sys.path.insert(0, os.path.join(ROOT, "src"))
         tasks = benchmark_tasks(os.path.join(tmp, "inputs"))
-        runs = [task.argv for task in tasks] + sweep() + file_runs(tasks)
+        runs = [task.argv for task in tasks] + sweep() + file_runs(tasks) + LARGE_RUNS
         runs_path = os.path.join(tmp, "runs.json")
         with open(runs_path, "w") as fh:
             json.dump(runs, fh)
