@@ -46,7 +46,8 @@ the live pairs e_i e_j != 0 read off it, which `hom_pairs` reads for
 tangent rows (`_live_pairs`) and, for each index x, those whose product
 has an e_x term, which it reads for a known vector (`_pairs_into`),
 the generators `verify` checks the laws on (`algebra_generators`, its e_s,
-else the basis), the etale flag (`etale`) and the trace discriminant
+else the basis), whether Delta is cocommutative (`_cocommutative`, which
+`is_commutative` reads), the etale flag (`etale`) and the trace discriminant
 (`discriminant`), the ideal of the identity component (`identity_core`),
 the characters over a field (`field_characters`), the subschemes x^p = 1
 (`torsion_subschemes`), the distinct coefficients (`_coefficients`), the
@@ -345,6 +346,8 @@ class GroupScheme:
         rule that applies, each exact on a scheme that passes `verify`:
         - over a field of characteristic 0, yes (Cartier; Waterhouse,
           Introduction to Affine Group Schemes, 11.4);
+        - over a field where the kept `field_characters`, read and never
+          made here, number `rank`, yes: A is k^m;
         - over a field where the presentation's s generates A = k[t]/(mu),
           iff eps(s) is a simple root of mu, mu'(eps(s)) != 0: the local
           factor at the identity is k[t]/((t - eps(s))^e), e the
@@ -352,6 +355,10 @@ class GroupScheme:
         - over a base that is not a field, iff every fiber over a closed
           point is, as R is semi-local and the discriminant commutes with
           base change;
+        - over a field where every basis vector is idempotent, as for a
+          constant group in its natural basis, yes: A is a product of r
+          local factors, whose idempotents span k^r, so m independent ones
+          make r = m and A = k^m;
         - else iff the kept `discriminant` is a unit."""
         R = self.ring
         if not R.is_field:
@@ -359,9 +366,14 @@ class GroupScheme:
                        for p in spectrum(R) if not p.specializations)
         if R.char() == 0:
             return True
+        if len(self._kept.get("field_characters", ())) == self.rank:
+            return True
         pres = self.presentation
         if pres.index is not None:
             return R.nonzero(_derivative_at(R, pres.minpoly, self.counit[pres.index]))
+        M = self.sparse.mult
+        if all(M[a][a] == [(a, R.one)] for a in range(self.rank)):
+            return True
         return R.is_unit(self.discriminant)
 
     @_kept_property
@@ -493,7 +505,13 @@ class GroupScheme:
         return {key: c for key, c in out.items() if R.nonzero(c)}
 
     def is_commutative(self) -> bool:
-        """Commutativity of the group law (symmetric comultiplication)."""
+        """Commutativity of the group law (symmetric comultiplication), read
+        off the kept `_cocommutative`."""
+        return self._cocommutative
+
+    @_kept_property
+    def _cocommutative(self):
+        """Whether every Delta(e_i) is symmetric; made on first use and kept."""
         return all({(j, k, c) for j, k, c in terms} == {(k, j, c) for j, k, c in terms}
                    for terms in self.sparse.comult)
 
@@ -548,11 +566,23 @@ class GroupScheme:
         pairs for multiplicativity, against m^3 and m^2 on the basis.  The
         associativity and counit-mult scans on the basis read only where a
         product is nonzero: m of the m^3 triples and m of the pairs on const:Zn.
+
+        Each law is read by the cheapest exact contraction (`_Laws`), and
+        the first failure is unchanged:
+        - mult is commutative by the time any law is read, so (i, j, k)
+          fails associativity iff (k, j, i) does, on a generator s_j as on
+          the basis, and (i, j) fails bialgebra-mult or counit-mult iff
+          (j, i) does: the scans read only k >= i and j >= i;
+        - where Delta is cocommutative, coassociativity compares one side
+          with its rotation, and the two sides of the antipode law are
+          equal, so one is built and it fails as antipode-left;
+        - the antipode law contracts each row of Delta(e_i) by S before one
+          product, O(m^4) on a dense basis where term by term is O(m^5).
         """
         R = self.ring
         m = self.rank
         nonzero, mul = R.nonzero, R.mul
-        M, C, S = self.sparse
+        M, C, _ = self.sparse
         basis = [self.basis_vector(i) for i in range(m)]
         laws = _Laws(self)
 
@@ -619,16 +649,8 @@ class GroupScheme:
             lambda: laws.multiplicativity(laws.basis))
         if report is not None:
             return report
-        # antipode: m(S (x) id)Delta = unit . counit = m(id (x) S)Delta
-        for i in range(m):
-            left = self.combine((a, k, mul(c, s)) for j, k, c in C[i] for a, s in S[j])
-            right = self.combine((j, b, mul(c, s)) for j, k, c in C[i] for b, s in S[k])
-            target = project(R, [unit], [(0, self.counit[i])])
-            if left != target:
-                return VerificationReport(False, "antipode-left", (i,))
-            if right != target:
-                return VerificationReport(False, "antipode-right", (i,))
-        return VerificationReport(True)
+        report = laws.antipode()
+        return VerificationReport(True) if report is None else report
 
     # -- functoriality -----------------------------------------------------
     def base_change(self, hom: RingHom | Ring) -> "GroupScheme":
@@ -798,16 +820,18 @@ def _base_map(R: Ring, S: Ring) -> RingHom:
 
 class _Laws:
     """The law checks of `verify` on one algebra: A, or the dual algebra
-    A^∨ on the transposed tables.  They read its mult M, comult C and counit
-    alone, and its kept index of the nonzero products (`_partners`).  A
-    generator s is (rows, terms, eps): the nonzero (x, c) of s e_k
-    for each k, the (a, b, c) of Delta(s), and eps(s).  On `basis` these are
-    the stored rows, and each check is the basis scan, whose first failure
-    is the witness."""
+    A^∨ on the transposed tables.  They read its tables, unit and counit
+    alone, its kept index of the nonzero products (`_partners`) and its kept
+    cocommutativity flag.  A generator s is (rows, terms, eps): the nonzero
+    (x, c) of s e_k for each k, the (a, b, c) of Delta(s), and eps(s).  On
+    `basis` these are the stored rows, and each check is the basis scan,
+    whose first failure is the witness.  Every check runs once mult is
+    known to commute, and reads only the half of its indices that this
+    leaves, or one side where Delta is cocommutative (see `verify`)."""
 
     def __init__(self, G: GroupScheme):
-        self.ring, self.rank, self.counit = G.ring, G.rank, G.counit
-        self.mult, self.comult, _ = G.sparse
+        self.ring, self.rank, self.unit, self.counit = G.ring, G.rank, G.unit, G.counit
+        self.mult, self.comult, self.antipode_rows = G.sparse
         self.combine, self.delta = G.combine, G.comult_vec
         self._scheme = G
         self.basis = [(self.mult[j], self.comult[j], self.counit[j])
@@ -825,7 +849,10 @@ class _Laws:
         as axiom, each compared as one sparse difference.  Only the k where
         a side has a nonzero product are read, in increasing order: the
         partners k of an e_a in e_i s_j (`_partners`), and the k where
-        s_j e_k holds a partner b of i, indexed once per generator."""
+        s_j e_k holds a partner b of i, indexed once per generator.  Of
+        those only k >= i: as mult commutes, (e_k s_j) e_i = e_i (s_j e_k)
+        and e_k (s_j e_i) = (e_i s_j) e_k, so (k, j, i) fails iff (i, j, k)
+        does, and the first failure has k >= i."""
         R, M, m, partners = self.ring, self.mult, self.rank, self._partners
         zero, nonzero, add, sub, mul = R.zero, R.nonzero, R.add, R.sub, R.mul
         index = []  # for each s_j: its rows, b -> the k with e_b in s_j e_k, the i read
@@ -843,7 +870,7 @@ class _Laws:
                     continue
                 ks = set().union(*(partners[a] for a, _ in rows[i]),
                                  *(held.get(b, ()) for b in partners[i]))
-                for k in sorted(ks):
+                for k in sorted(k for k in ks if k >= i):
                     diff: dict = {}
                     for a, c in rows[i]:
                         for x, d in M[a][k]:
@@ -857,9 +884,13 @@ class _Laws:
 
     def coassociativity(self):
         """The first i with (Delta (x) id) Delta(e_i) != (id (x) Delta)
-        Delta(e_i): a scan of the W terms that `_dual_laws` counts."""
+        Delta(e_i): a scan of the W terms that `_dual_laws` counts.  Where
+        Delta is cocommutative, the right side at (x, a, b), sum_k c^i_xk
+        c^k_ab, is the left at (a, b, x), sum_j c^i_jx c^j_ab, so only the
+        left is built and compared with its rotation: half the terms."""
         R, C = self.ring, self.comult
         zero, nonzero, add, mul = R.zero, R.nonzero, R.add, R.mul
+        rotate = self._scheme.is_commutative()
         for i in range(self.rank):
             lhs: dict = {}
             rhs: dict = {}
@@ -867,11 +898,16 @@ class _Laws:
                 for a, b, d in C[j]:
                     key = (a, b, k)
                     lhs[key] = add(lhs.get(key, zero), mul(c, d))
+                if rotate:
+                    continue
                 for a, b, d in C[k]:
                     key = (j, a, b)
                     rhs[key] = add(rhs.get(key, zero), mul(c, d))
             lhs = {key: c for key, c in lhs.items() if nonzero(c)}
-            rhs = {key: c for key, c in rhs.items() if nonzero(c)}
+            if rotate:
+                rhs = {(x, a, b): c for (a, b, x), c in lhs.items()}
+            else:
+                rhs = {key: c for key, c in rhs.items() if nonzero(c)}
             if lhs != rhs:
                 return VerificationReport(False, "coassociativity", (i,))
         return None
@@ -919,12 +955,15 @@ class _Laws:
         stages that meet on (c, b):  P_s[(c, b)] = sum_a C^s_ab e_a e_c and
         Q_j[(c, b)] = sum_d C^j_cd e_b e_d.  Each stage is O(m^5) on a dense
         basis and pairing them O(m^6), where expanding the product is
-        O(m^8).  Q reads e_d e_b for e_b e_d: mult is commutative by now."""
+        O(m^8).  Q reads e_d e_b for e_b e_d: mult is commutative by now.
+        So e_i e_j = e_j e_i and Delta(e_i) Delta(e_j) = Delta(e_j)
+        Delta(e_i), and the basis scan reads only the pairs j >= i."""
         R, Q = self.ring, self._right_stages
         zero, nonzero, add, mul = R.zero, R.nonzero, R.add, R.mul
+        on_basis = generators is self.basis
         for i, (rows, terms, eps) in enumerate(generators):
             P = self._stage(terms, True)
-            for j in range(self.rank):
+            for j in range(i if on_basis else 0, self.rank):
                 rhs: dict = {}
                 for key, xs in P.items():
                     for y, q in Q[j].get(key, ()):
@@ -937,6 +976,45 @@ class _Laws:
                 if _pair(R, rows[j], self.counit) != mul(eps, self.counit[j]):
                     return VerificationReport(False, "counit-mult", (i, j))
         return None
+
+    def antipode(self):
+        """The first i with m(S (x) id)Delta(e_i) or m(id (x) S)Delta(e_i)
+        not eps(e_i) 1, reported as antipode-left or antipode-right.
+
+        m(id (x) S)Delta(e_i) = sum_j e_j S(sum_k c^i_jk e_k): one
+        contraction of each row of Delta(e_i) by the rows of S, then one
+        product (`_contracted`).  As mult commutes by now, the left side is
+        the same sum over the flipped terms (k, j, c): sum c^i_jk S(e_j) e_k
+        = sum c^i_jk e_k S(e_j).  That is O(m^3) products per i on a dense
+        basis, where expanding c^i_jk e_j S(e_k) term by term is O(m^4).
+        Where Delta is cocommutative the flip is Delta(e_i) itself, so the
+        sides are equal: one is built, and it fails as antipode-left."""
+        R, C, eps = self.ring, self.comult, self.counit
+        nonzero, mul = R.nonzero, R.mul
+        both = not self._scheme.is_commutative()
+        for i in range(self.rank):
+            target = [(x, c) for x, u in self.unit if nonzero(c := mul(eps[i], u))]
+            if self._contracted([(k, j, c) for j, k, c in C[i]] if both else C[i]) != target:
+                return VerificationReport(False, "antipode-left", (i,))
+            if both and self._contracted(C[i]) != target:
+                return VerificationReport(False, "antipode-right", (i,))
+        return None
+
+    def _contracted(self, terms):
+        """m(id (x) S) of sum c e_j (x) e_k over the (j, k, c) in terms:
+        for each j, the row sum_k c e_k is taken through S, then the
+        products e_j S(...) are summed by `combine`."""
+        R, S = self.ring, self.antipode_rows
+        add, mul = R.add, R.mul
+        rows: dict = {}  # j -> {x: the e_x coefficient of S(sum_k c e_k)}
+        for j, k, c in terms:
+            row = rows.get(j)
+            if row is None:
+                row = rows[j] = {}
+            for x, s in S[k]:
+                old = row.get(x)
+                row[x] = mul(c, s) if old is None else add(old, mul(c, s))
+        return self.combine([(j, x, c) for j, row in rows.items() for x, c in row.items()])
 
 
 def _dual_laws(G: GroupScheme):

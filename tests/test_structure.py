@@ -1005,6 +1005,32 @@ def test_base_change_tells_an_int_from_the_fraction_it_equals():
         G.base_change(parse_ring("Dual(GF(5))")).sparse.mult
 
 
+def test_etale_flag_reads_idempotents_and_kept_characters(monkeypatch):
+    """No element of GF(5)^6 generates it, as it takes 6 values at the
+    points, so const:Z6 and const:S3 over GF(5) have no presentation in
+    any basis.  The flag reads an idempotent basis, the natural one or the
+    partial sums e_0 + ... + e_a, without the trace discriminant.  In a
+    unitriangular basis it reads the characters where they are kept, and
+    never makes them: there the discriminant is made only without them."""
+    real, discriminated = hopf.trace_discriminant, []
+    monkeypatch.setattr(hopf, "trace_discriminant",
+                        lambda G: discriminated.append(G) or real(G))
+    sums = [[F5.one if d == c else F5.neg(F5.one) if d == c - 1 else F5.zero
+             for d in range(6)] for c in range(6)]  # e_c = f_c - f_(c-1)
+    for G in (constant_cyclic(F5, 6), constant(F5, s3_table())):
+        dense_basis = unitriangular(F5, 6, random.Random(G.name))
+        for H in (fresh(G), rebased(G, sums)):
+            assert H.presentation.index is None and is_etale(H), H.name
+            assert "field_characters" not in H._kept and not discriminated, H.name
+        H, K = rebased(G, dense_basis), rebased(G, dense_basis)
+        assert H.presentation.index is None
+        assert len(K.field_characters) == 6
+        assert is_etale(K) and not discriminated, G.name
+        assert is_etale(H) and discriminated == [H], G.name
+        assert "field_characters" not in H._kept
+        discriminated.clear()
+
+
 @pytest.mark.parametrize("name", SHARED_BASES)
 def test_etale_flag_matches_the_discriminant(name, monkeypatch):
     """The kept flag, read by its rules, equals is_unit(trace_discriminant)
